@@ -1,11 +1,23 @@
-"""Prototype-based evidential layer: feature vector in, mass function out.
+"""Prototype-based evidential layer and the Dempster fusion of sources.
 
 Each of H learned prototypes is one piece of evidence.  Its activation
-decays with squared Euclidean distance from the input, scaled by a
-per-prototype precision and a support ceiling; the activation is split
-across classes by a per-prototype membership simplex, with the rest
-assigned to ignorance.  The H prototype masses are then fused by
-Dempster's rule.
+s = beta * exp(-gamma * d^2) decays with squared Euclidean distance from
+the input, scaled by a per-prototype precision and a support ceiling;
+the activation is split across classes by a per-prototype membership
+simplex u, with the rest assigned to ignorance (Denoeux 2000).
+
+For these singleton-plus-ignorance masses Dempster's rule is a product
+of commonalities, so fusing every prototype of every source k is one
+sum in the log domain:
+
+    log Q({c})  = sum_k sum_h log(1 - s_kh * (1 - u_khc))
+    log Q(Omega) = sum_k sum_h log(1 - s_kh)
+
+``evidence_batch`` computes one source's log-commonalities and
+``fuse_evidence`` sums them, normalizes after a max-shift (so nothing
+underflows however many prototypes there are) and applies the pignistic
+transform.  On tape tensors the fusion is a single node with a
+hand-derived VJP; on arrays the same code runs without recording.
 
 Constrained quantities live in raw (unconstrained) form so plain
 gradient steps preserve the constraints:
@@ -15,9 +27,10 @@ gradient steps preserve the constraints:
 * membership u     = row softmax(membership_raw)
 
 beta < 1 keeps every prototype's ignorance mass positive, which rules
-out total conflict during fusion.  (Float saturation at
-|support_raw| > ~37 collapses sigmoid to exactly 0 or 1; training from
-moderate initial values never reaches that regime.)
+out total conflict during fusion.
+
+``enn_forward`` is the exact per-sample path through ``masses``; the
+batched path is tested against it.
 """
 
 from dataclasses import dataclass
@@ -130,36 +143,154 @@ def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) ->
     return combine_many([prototype_mass(s[h], u[h], frame) for h in range(params.h)])
 
 
-def evidence_batch(x, prototypes, scale_raw, support_raw, membership_raw):
-    """Batched, differentiable layer forward.
+@dataclass(frozen=True, eq=False)
+class SourceEvidence:
+    """One source's evidence for a batch, in log-commonality form.
 
-    Accepts tape tensors or plain arrays.  Fuses the H prototype masses
-    via the commonality product, which is algebraically identical to
-    the pairwise Dempster fold for this mass family but costs a fixed
-    number of array ops.  Returns (singletons (N, M), ignorance (N, 1)).
+    ``log_q`` (N, M) and ``log_q_omega`` (N, 1) are the logs of the
+    commonalities Q({c}) and Q(Omega) of the source's fused prototype
+    masses.  ``inputs`` holds the five operands as given (tape tensors
+    or arrays); the other fields are forward values the VJP reuses.
     """
-    n = np.shape(ad.value_of(x))[0]
-    h = np.shape(ad.value_of(prototypes))[0]
 
-    gamma = scale_raw * scale_raw
-    beta = ad.sigmoid(support_raw)
-    mraw = membership_raw - np.max(ad.value_of(membership_raw), axis=1, keepdims=True)
-    mexp = ad.exp(mraw)
-    u = mexp / ad.sum_along(mexp, axis=1, keepdims=True)            # (H, M)
+    inputs: tuple               # (z, prototypes, scale_raw, support_raw, membership_raw)
+    log_q: np.ndarray           # (N, M)
+    log_q_omega: np.ndarray     # (N, 1)
+    sq_dist: np.ndarray         # (N, H) squared distances, clamped at 0
+    closeness: np.ndarray       # (N, H) exp(-gamma * sq_dist)
+    activation: np.ndarray      # (N, H) beta * closeness
+    beta: np.ndarray            # (H,)
+    membership: np.ndarray      # (H, M)
 
-    x2 = ad.sum_along(x * x, axis=1, keepdims=True)                  # (N, 1)
-    p2 = ad.sum_along(prototypes * prototypes, axis=1)               # (H,)
-    d2 = x2 - 2.0 * (x @ ad.transpose(prototypes)) + p2              # (N, H)
-    s = beta * ad.exp(-(gamma * d2))                                 # (N, H)
+    def masses(self):
+        """Normalized (singletons (N, M), ignorance (N, 1))."""
+        return masses_from_log_commonality(self.log_q, self.log_q_omega)
 
-    s3 = ad.reshape(s, (n, h, 1))
-    ignorance = 1.0 - s3                                             # (N, H, 1)
-    commonality = u * s3 + ignorance                                 # (N, H, M)
-    q_prod = ad.prod_along(commonality, axis=1)                      # (N, M)
-    ign_prod = ad.prod_along(ignorance, axis=1)                      # (N, 1)
-    singletons = q_prod - ign_prod
-    denom = ad.sum_along(singletons, axis=1, keepdims=True) + ign_prod
-    return singletons / denom, ign_prod / denom
+
+@dataclass(frozen=True, eq=False)
+class FusedEvidence:
+    """All sources fused by Dempster's rule, plus pignistic probabilities.
+
+    ``probs`` is a tape tensor when any source input is one, else an
+    array; the fused log-commonalities are always plain arrays.
+    """
+
+    probs: object               # (N, M)
+    log_q: np.ndarray           # (N, M)
+    log_q_omega: np.ndarray     # (N, 1)
+    sources: list               # SourceEvidence per source
+
+    def masses(self):
+        """Normalized fused (singletons (N, M), ignorance (N, 1))."""
+        return masses_from_log_commonality(self.log_q, self.log_q_omega)
+
+
+def _shifted_commonalities(log_q, log_q_omega):
+    """Commonalities scaled by exp(-max_c log Q({c})) and their mass total.
+
+    Q({c}) >= Q(Omega), so the largest scaled Q({c}) is 1 and the total
+    sum_c (Q({c}) - Q(Omega)) + Q(Omega) lies in [1, M]: neither
+    underflows, whatever the number of prototypes and sources.
+    """
+    shift = np.max(log_q, axis=1, keepdims=True)
+    q = np.exp(log_q - shift)
+    q_omega = np.exp(log_q_omega - shift)
+    total = np.sum(q - q_omega, axis=1, keepdims=True) + q_omega
+    return q, q_omega, total
+
+
+def masses_from_log_commonality(log_q, log_q_omega):
+    """Normalized singleton and ignorance masses of a singleton-plus-
+    ignorance mass function given by its log-commonalities."""
+    q, q_omega, total = _shifted_commonalities(log_q, log_q_omega)
+    return (q - q_omega) / total, q_omega / total
+
+
+def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> SourceEvidence:
+    """One source's evidential layer on a batch of encoder outputs.
+
+    Accepts tape tensors or arrays and records nothing: the tape node
+    that differentiates it is made by ``fuse_evidence``.
+    """
+    inputs = (z, prototypes, scale_raw, support_raw, membership_raw)
+    zv, p, a, b, r = (np.asarray(ad.value_of(t), dtype=np.float64) for t in inputs)
+    beta = 1.0 / (1.0 + np.exp(-b))
+    mexp = np.exp(r - np.max(r, axis=1, keepdims=True))
+    u = mexp / np.sum(mexp, axis=1, keepdims=True)
+    # the expanded form can round below 0, which would push s above beta
+    d2 = np.maximum(
+        np.sum(zv * zv, axis=1, keepdims=True) - 2.0 * (zv @ p.T) + np.sum(p * p, axis=1),
+        0.0,
+    )
+    e = np.exp(-(a * a) * d2)
+    s = beta * e
+    # class-major (M, N, H) so reductions run along contiguous rows, and
+    # in place: this is the largest array of the layer
+    terms = (1.0 - u).T.copy()[:, None, :] * s
+    np.negative(terms, out=terms)
+    np.log1p(terms, out=terms)
+    log_q = np.sum(terms, axis=2).T
+    log_q_omega = np.sum(np.log1p(-s), axis=1, keepdims=True)
+    return SourceEvidence(inputs, log_q, log_q_omega, d2, e, s, beta, u)
+
+
+def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
+    """Gradients of the five inputs of one source from the gradients of
+    its log-commonalities."""
+    zv, p, a = (np.asarray(ad.value_of(t), dtype=np.float64) for t in ev.inputs[:3])
+    s, u, d2 = ev.activation, ev.membership, ev.sq_dist
+    w = (1.0 - u).T.copy()                                           # (M, H)
+    # log Q_c = sum_h log(1 - s_h w_ch),  log Q_Omega = sum_h log(1 - s_h)
+    t = w[:, None, :] * s                                            # (M, N, H)
+    np.subtract(1.0, t, out=t)
+    np.divide(d_log_q.T[:, :, None], t, out=t)
+    g_s = -np.einsum("cnh,ch->nh", t, w) - d_log_q_omega / (1.0 - s)
+    g_u = np.einsum("cnh,nh->hc", t, s)
+    g_r = u * (g_u - np.sum(g_u * u, axis=1, keepdims=True))
+    g_b = np.sum(g_s * ev.closeness, axis=0) * ev.beta * (1.0 - ev.beta)
+    g_exponent = -g_s * s                                            # d/d(gamma * d2)
+    g_a = 2.0 * a * np.sum(g_exponent * d2, axis=0)
+    g_d2 = np.where(d2 > 0.0, g_exponent * (a * a), 0.0)
+    g_z = 2.0 * (zv * np.sum(g_d2, axis=1, keepdims=True) - g_d2 @ p)
+    g_p = 2.0 * (p * np.sum(g_d2, axis=0)[:, None] - g_d2.T @ zv)
+    return g_z, g_p, g_a, g_b, g_r
+
+
+def fuse_evidence(evidence) -> FusedEvidence:
+    """Dempster's rule over every source, then the pignistic transform.
+
+    Fused log-commonalities are the sums of the sources' ones.  When any
+    source input is a tape tensor, ``probs`` is one tape node whose
+    parents are all of those tensors and whose backward is the
+    hand-derived VJP.
+    """
+    evidence = list(evidence)
+    log_q = evidence[0].log_q
+    log_q_omega = evidence[0].log_q_omega
+    for ev in evidence[1:]:
+        log_q = log_q + ev.log_q
+        log_q_omega = log_q_omega + ev.log_q_omega
+    q, q_omega, total = _shifted_commonalities(log_q, log_q_omega)
+    m = q.shape[1]
+    probs = (q - q_omega) / total + (q_omega / total) / m
+
+    tensors = tuple(t for ev in evidence for t in ev.inputs if isinstance(t, ad.Tensor))
+    if not tensors:
+        return FusedEvidence(probs, log_q, log_q_omega, evidence)
+
+    def bwd(g):
+        # probs_c = (q_c - (1 - 1/M) q_Omega) / total; the max-shift cancels
+        g_dot_p = np.sum(g * probs, axis=1, keepdims=True)
+        d_log_q = (g - g_dot_p) / total * q
+        d_log_q_omega = ((m - 1) * g_dot_p - (1.0 - 1.0 / m) * np.sum(g, axis=1, keepdims=True)
+                         ) / total * q_omega
+        for ev in evidence:
+            for t, grad in zip(ev.inputs, _source_vjp(ev, d_log_q, d_log_q_omega)):
+                if isinstance(t, ad.Tensor):
+                    t._accumulate(grad)
+
+    node = ad.Tensor(probs, tensors[0].tape, parents=tensors, bwd=bwd)
+    return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 
 def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,

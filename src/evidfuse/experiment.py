@@ -272,11 +272,12 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     report = evaluate(probs, part.labels)
 
     config_like = extra.get("config", {})
+    dataset_id = extra["dataset"] if "dataset" in extra else manifest_hash(manifest_path)
     return {
         "task": config_like.get("task", "eval"),
         "seed": seed,
         "config_hash": doc.get("config_hash", ""),
-        "dataset": extra.get("dataset", manifest_hash(manifest_path)),
+        "dataset": dataset_id,
         "split": split_name,
         "metrics": report.to_json_dict(),
     }

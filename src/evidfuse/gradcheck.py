@@ -1,6 +1,7 @@
 """Finite-difference verification harness for the full model gradient.
 
-``ParamVector`` gives every trainable scalar a stable flat index and a
+``ParamVector`` (defined in ``model``, which trains on the same flat
+layout) gives every trainable scalar a stable flat index and a
 human-readable label, so a disagreement can be pinned to one parameter.
 ``check_gradients`` perturbs each checked scalar by +-step with
 identical dropout masks on every evaluation and compares the resulting
@@ -12,57 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import FusionModel, loss_and_grad, loss_overall, make_dropout_masks, param_dict
+from .model import (
+    FusionModel,
+    ParamVector,
+    loss_and_grad,
+    loss_overall,
+    make_dropout_masks,
+    param_dict,
+)
 from .rng import substream
 
 # differences smaller than this are indistinguishable from float noise
 ABS_FLOOR = 1e-7
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """Bijection between named parameter arrays and one flat vector."""
-
-    names: tuple
-    shapes: tuple
-    offsets: tuple
-    size: int
-
-    @staticmethod
-    def from_params(params: dict) -> "ParamVector":
-        names = tuple(params.keys())
-        shapes = tuple(np.shape(params[n]) for n in names)
-        offsets = []
-        total = 0
-        for shape in shapes:
-            offsets.append(total)
-            total += int(np.prod(shape)) if shape else 1
-        return ParamVector(names, shapes, tuple(offsets), total)
-
-    @staticmethod
-    def from_model(model: FusionModel) -> "ParamVector":
-        return ParamVector.from_params(param_dict(model))
-
-    def flatten(self, params: dict) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(params[n], dtype=np.float64).reshape(-1) for n in self.names]
-        ) if self.names else np.zeros(0)
-
-    def unflatten(self, vec: np.ndarray) -> dict:
-        out = {}
-        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
-            size = int(np.prod(shape)) if shape else 1
-            out[name] = vec[offset:offset + size].reshape(shape).copy()
-        return out
-
-    def entry_label(self, flat_index: int) -> str:
-        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
-            size = int(np.prod(shape)) if shape else 1
-            if offset <= flat_index < offset + size:
-                coords = np.unravel_index(flat_index - offset, shape) if shape else ()
-                suffix = "[" + ",".join(str(c) for c in coords) + "]" if coords else ""
-                return f"{name}{suffix}"
-        raise IndexError(f"flat index {flat_index} out of range 0..{self.size - 1}")
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 fusion, the class-weighted training objective, and the training loop.
 
 Each evidence source owns an encoder, an evidential layer, and an
-auxiliary logit head.  A forward pass maps every source to a mass
-function, fuses the masses with Dempster's rule, and converts the
-result to probabilities with the pignistic transform.  The objective is
-the class-weighted log loss on those probabilities plus per-source
+auxiliary logit head.  A batched forward pass encodes every source, and
+``evidential.fuse_evidence`` fuses all sources' prototype evidence in
+the log-commonality domain and returns pignistic probabilities; on the
+training tape that fusion is one node.  The objective is the
+class-weighted log loss on those probabilities plus per-source
 class-weighted cross-entropies on the auxiliary logits, each scaled by
 the source's auxiliary weight.
 
 Training runs mini-batch Adam with early stopping on the validation
-overall loss, restoring the best-validation parameters.  All internal
-forward code runs on either plain arrays (inference) or tape tensors
-(training); parameters travel as flat name->array dicts.
+overall loss, restoring the best-validation parameters.  Parameters
+travel as name->array dicts; during training every array is a view
+into one flat vector, so an Adam step is a single vectorized update.
+All forward code runs on either plain arrays (inference) or tape
+tensors (training).
 """
 
 import json
@@ -22,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 from .autodiff import Tape
 from .encoders import (
     AuxHead,
-    ENCODER_OUTPUT_DIM,
     MlpEncoder,
     ResNetEncoder,
     TextHeadEncoder,
@@ -35,14 +38,12 @@ from .encoders import (
     sample_dropout_masks,
 )
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .evidential import EnnParams, enn_forward, evidence_batch, init_enn
+from .evidential import EnnParams, enn_forward, evidence_batch, fuse_evidence, init_enn
 from .masses import Frame, SimpleMass, combine_many, degree_of_conflict, pignistic
 from .rng import substream
 
 PROB_FLOOR = 1e-12
 DEFAULT_PROTOTYPES = 20
-DEFAULT_AUX_WEIGHT_STRUCTURED = 2.0
-DEFAULT_AUX_WEIGHT_TEXT = 1.0
 CHECKPOINT_VERSION = 1
 
 
@@ -161,6 +162,57 @@ def _source_param_view(params: dict, i: int, component: str, keys) -> dict:
     return {k: params[f"src{i}.{component}.{k}"] for k in keys}
 
 
+@dataclass(frozen=True)
+class ParamVector:
+    """Bijection between named parameter arrays and one flat vector."""
+
+    names: tuple
+    shapes: tuple
+    offsets: tuple
+    size: int
+
+    @staticmethod
+    def from_params(params: dict) -> "ParamVector":
+        names = tuple(params.keys())
+        shapes = tuple(np.shape(params[n]) for n in names)
+        offsets = []
+        total = 0
+        for shape in shapes:
+            offsets.append(total)
+            total += int(np.prod(shape)) if shape else 1
+        return ParamVector(names, shapes, tuple(offsets), total)
+
+    @staticmethod
+    def from_model(model: FusionModel) -> "ParamVector":
+        return ParamVector.from_params(param_dict(model))
+
+    def flatten(self, params: dict) -> np.ndarray:
+        return np.concatenate(
+            [np.asarray(params[n], dtype=np.float64).reshape(-1) for n in self.names]
+        ) if self.names else np.zeros(0)
+
+    def views(self, vec: np.ndarray) -> dict:
+        """Named arrays that share memory with ``vec``."""
+        out = {}
+        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
+            size = int(np.prod(shape)) if shape else 1
+            out[name] = vec[offset:offset + size].reshape(shape)
+        return out
+
+    def unflatten(self, vec: np.ndarray) -> dict:
+        """Named copies, independent of ``vec``."""
+        return {name: arr.copy() for name, arr in self.views(vec).items()}
+
+    def entry_label(self, flat_index: int) -> str:
+        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
+            size = int(np.prod(shape)) if shape else 1
+            if offset <= flat_index < offset + size:
+                coords = np.unravel_index(flat_index - offset, shape) if shape else ()
+                suffix = "[" + ",".join(str(c) for c in coords) + "]" if coords else ""
+                return f"{name}{suffix}"
+        raise IndexError(f"flat index {flat_index} out of range 0..{self.size - 1}")
+
+
 # ---------------------------------------------------------------------------
 # forward passes
 
@@ -185,26 +237,14 @@ def _check_inputs(model, inputs):
     return mats
 
 
-def combine_batch(pairs):
-    """Fold Dempster combination over (singletons, ignorance) batch pairs."""
-    singles, ign = pairs[0]
-    for s, g in pairs[1:]:
-        cross = singles * s + singles * g + s * ign
-        ign = ign * g
-        denom = ad.sum_along(cross, axis=1, keepdims=True) + ign
-        singles = cross / denom
-        ign = ign / denom
-    return singles, ign
-
-
 def batch_internals(model, inputs, params=None, masks=None):
-    """Per-source evidence, fused evidence, probabilities, aux logits.
+    """Fused evidence (probabilities included) and per-source aux logits.
 
     ``params`` substitutes leaf tensors during training; ``masks`` is a
     per-source list of dropout masks (None disables dropout).
     """
     mats = _check_inputs(model, inputs)
-    source_pairs = []
+    evidence = []
     aux_logit_list = []
     for i, (src, x) in enumerate(zip(model.sources, mats)):
         if params is None:
@@ -214,14 +254,12 @@ def batch_internals(model, inputs, params=None, masks=None):
             enn_p = _source_param_view(params, i, "enn", src.enn.as_param_dict())
             aux_p = _source_param_view(params, i, "aux", src.aux.params)
         z = src.encoder.forward(x, params=enc_p, masks=masks[i] if masks else None)
-        source_pairs.append(evidence_batch(z, **enn_p))
+        evidence.append(evidence_batch(z, **enn_p))
         aux_logit_list.append(src.aux.forward(z, params=aux_p))
-    fused_singles, fused_ign = combine_batch(source_pairs)
-    probs = fused_singles + fused_ign / model.frame.m
+    fused = fuse_evidence(evidence)
     return {
-        "per_source": source_pairs,
-        "fused": (fused_singles, fused_ign),
-        "probs": probs,
+        "fused": fused,
+        "probs": fused.probs,
         "aux_logits": aux_logit_list,
     }
 
@@ -258,32 +296,34 @@ def forward(model: FusionModel, sample_inputs, mode: str = "eval",
 
 
 def predict_batch(model: FusionModel, inputs) -> list:
-    """Eval-mode predictions for a whole split (vectorized forward)."""
-    internals = batch_internals(model, inputs)
-    singles, ign = internals["fused"]
-    probs = internals["probs"]
-    n = probs.shape[0]
-    per_source = [
-        [SimpleMass(model.frame, s[i], float(g[i, 0])) for s, g in internals["per_source"]]
-        for i in range(n)
-    ]
-    out = []
-    for i in range(n):
-        masses = per_source[i]
-        k = len(masses)
-        conflict = np.zeros((k, k))
-        for a in range(k):
-            for b in range(a + 1, k):
-                conflict[a, b] = conflict[b, a] = degree_of_conflict(masses[a], masses[b])
-        out.append(Prediction(
-            fused_mass=SimpleMass(model.frame, singles[i], float(ign[i, 0])),
+    """Eval-mode predictions with explanations for a whole split.
+
+    Per-source and fused masses come from the same forward pass as the
+    probabilities, so ``probs`` equals ``predict_probs`` exactly.
+    """
+    fused = batch_internals(model, inputs)["fused"]
+    probs = fused.probs
+    singles, ign = fused.masses()
+    per_source = [ev.masses() for ev in fused.sources]
+    src_singles = np.stack([s for s, _ in per_source])               # (K, N, M)
+    totals = src_singles.sum(axis=2)                                  # (K, N)
+    # degree of conflict between sources a and b: sum_a * sum_b - a . b
+    conflict = (np.einsum("an,bn->nab", totals, totals)
+                - np.einsum("anm,bnm->nab", src_singles, src_singles))
+    k = len(per_source)
+    conflict[:, np.arange(k), np.arange(k)] = 0.0
+    frame = model.frame
+    return [
+        Prediction(
+            fused_mass=SimpleMass(frame, singles[i], float(ign[i, 0])),
             probs=probs[i],
-            per_source_masses=masses,
+            per_source_masses=[SimpleMass(frame, s[i], float(g[i, 0])) for s, g in per_source],
             predicted_class=int(np.argmax(probs[i])),
             ignorance=float(ign[i, 0]),
-            conflict=conflict,
-        ))
-    return out
+            conflict=conflict[i],
+        )
+        for i in range(probs.shape[0])
+    ]
 
 
 def predict_probs(model: FusionModel, inputs) -> np.ndarray:
@@ -382,6 +422,26 @@ class TrainResult:
     best_val_loss: float = float("inf")
 
 
+class Adam:
+    """Adam over one flat parameter vector, updated in place."""
+
+    def __init__(self, size: int, config: TrainConfig):
+        self.config = config
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step = 0
+
+    def update(self, flat: np.ndarray, grad: np.ndarray):
+        c = self.config
+        self.step += 1
+        correction = np.sqrt(1.0 - c.adam_beta2 ** self.step) / (1.0 - c.adam_beta1 ** self.step)
+        self.m *= c.adam_beta1
+        self.m += (1.0 - c.adam_beta1) * grad
+        self.v *= c.adam_beta2
+        self.v += (1.0 - c.adam_beta2) * (grad * grad)
+        flat -= c.learning_rate * correction * self.m / (np.sqrt(self.v) + c.adam_eps)
+
+
 def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels,
           config: TrainConfig) -> TrainResult:
     """Mini-batch Adam with early stopping on validation overall loss.
@@ -399,12 +459,12 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
 
-    params = {k: v.copy() for k, v in param_dict(model).items()}
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
-    step = 0
+    layout = ParamVector.from_model(model)
+    flat = layout.flatten(param_dict(model))
+    params = layout.views(flat)      # every step updates these in place
+    adam = Adam(layout.size, config)
 
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = flat.copy()
     best_val = float("inf")
     best_epoch = -1
     history = []
@@ -413,12 +473,10 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     def fail(message):
         raise TrainingDivergedError(
             message,
-            checkpoint=with_params(model, best_params),
+            checkpoint=with_params(model, layout.unflatten(best_flat)),
             history=history,
         )
 
-    b1, b2, eps, lr = (config.adam_beta1, config.adam_beta2,
-                       config.adam_eps, config.learning_rate)
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
         train_loss_sum = 0.0
@@ -432,14 +490,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
             except TrainingDivergedError:
                 fail(f"training loss diverged at epoch {epoch}")
             train_loss_sum += loss * len(idx)
-            step += 1
-            correction = np.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
-            for name, g in grads.items():
-                adam_m[name] = b1 * adam_m[name] + (1.0 - b1) * g
-                adam_v[name] = b2 * adam_v[name] + (1.0 - b2) * (g * g)
-                params[name] = params[name] - lr * correction * adam_m[name] / (
-                    np.sqrt(adam_v[name]) + eps
-                )
+            adam.update(flat, layout.flatten(grads))
         val_loss = float(ad.value_of(
             loss_overall(model, val_inputs, val_labels, params=params)
         ))
@@ -453,7 +504,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_flat = flat.copy()
             wait = 0
         else:
             wait += 1
@@ -461,7 +512,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
                 break
 
     return TrainResult(
-        model=with_params(model, best_params),
+        model=with_params(model, layout.unflatten(best_flat)),
         history=history,
         best_epoch=best_epoch,
         best_val_loss=best_val,
@@ -480,6 +531,7 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
     inputs (k-means prototypes, label-frequency memberships).
     """
     train_labels = np.asarray(train_labels)
+    weights = data.class_weights(train_labels, frame.m)
     sources = []
     overrides = encoder_overrides or {}
     for spec, x in zip(specs, train_inputs):
@@ -493,10 +545,6 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
         aux = init_aux_head(encoder.output_dim, frame.m,
                             substream(seed, f"init.aux.{spec.name}"))
         sources.append(FusionSource(spec, encoder, enn, aux))
-    counts = np.bincount(train_labels, minlength=frame.m)
-    if np.any(counts == 0):
-        raise DataError("every class must appear in the training labels")
-    weights = len(train_labels) / (frame.m * counts.astype(np.float64))
     return FusionModel(frame, sources, weights)
 
 

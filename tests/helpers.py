@@ -1,4 +1,5 @@
-"""Shared test utilities: gradient checking and small model fixtures."""
+"""Shared test utilities: gradient checking, small model fixtures, and
+taped reference implementations of the batched evidence and fusion."""
 
 import numpy as np
 import pytest
@@ -68,3 +69,48 @@ def check_gradients(f, arrays, tol=1e-6, step=1e-6):
         got = leaf.grad if leaf.grad is not None else np.zeros_like(fd)
         np.testing.assert_allclose(got, fd, rtol=tol, atol=tol)
     assert float(f(*arrays)) == pytest.approx(float(out.value), abs=1e-14)
+
+
+def product_evidence_batch(x, prototypes, scale_raw, support_raw, membership_raw):
+    """Reference evidential layer built from taped ops: the H prototype
+    masses fused by the commonality product in the linear domain.
+
+    Accepts tape tensors or plain arrays; returns (singletons (N, M),
+    ignorance (N, 1)).  The products underflow for many strongly
+    activated prototypes, so compare against it at moderate sizes only.
+    """
+    n = np.shape(ad.value_of(x))[0]
+    h = np.shape(ad.value_of(prototypes))[0]
+
+    gamma = scale_raw * scale_raw
+    beta = ad.sigmoid(support_raw)
+    mraw = membership_raw - np.max(ad.value_of(membership_raw), axis=1, keepdims=True)
+    mexp = ad.exp(mraw)
+    u = mexp / ad.sum_along(mexp, axis=1, keepdims=True)            # (H, M)
+
+    x2 = ad.sum_along(x * x, axis=1, keepdims=True)                  # (N, 1)
+    p2 = ad.sum_along(prototypes * prototypes, axis=1)               # (H,)
+    d2 = x2 - 2.0 * (x @ ad.transpose(prototypes)) + p2              # (N, H)
+    s = beta * ad.exp(-(gamma * d2))                                 # (N, H)
+
+    s3 = ad.reshape(s, (n, h, 1))
+    ignorance = 1.0 - s3                                             # (N, H, 1)
+    commonality = u * s3 + ignorance                                 # (N, H, M)
+    q_prod = ad.prod_along(commonality, axis=1)                      # (N, M)
+    ign_prod = ad.prod_along(ignorance, axis=1)                      # (N, 1)
+    singletons = q_prod - ign_prod
+    denom = ad.sum_along(singletons, axis=1, keepdims=True) + ign_prod
+    return singletons / denom, ign_prod / denom
+
+
+def combine_batch(pairs):
+    """Reference pairwise Dempster fold over (singletons, ignorance) batch
+    pairs, built from taped ops."""
+    singles, ign = pairs[0]
+    for s, g in pairs[1:]:
+        cross = singles * s + singles * g + s * ign
+        ign = ign * g
+        denom = ad.sum_along(cross, axis=1, keepdims=True) + ign
+        singles = cross / denom
+        ign = ign / denom
+    return singles, ign

@@ -11,13 +11,14 @@ from evidfuse.evidential import (
     EnnParams,
     enn_forward,
     evidence_batch,
+    fuse_evidence,
     init_enn,
     lloyd_kmeans,
     prototype_activations,
     prototype_mass,
 )
-from evidfuse.masses import Frame, SimpleMass, combine_simple, vacuous
-from helpers import check_gradients
+from evidfuse.masses import Frame, SimpleMass, combine_many, combine_simple, pignistic, vacuous
+from helpers import check_gradients, product_evidence_batch
 
 
 def logit(p):
@@ -166,7 +167,7 @@ class TestBatchedPath:
         rng = np.random.default_rng(11)
         params = random_params(rng, h=5, d=4, m=3)
         x = rng.normal(size=(16, 4))
-        singles, ign = evidence_batch(x, **params.as_param_dict())
+        singles, ign = product_evidence_batch(x, **params.as_param_dict())
         for i in range(16):
             ref = enn_forward(x[i], params)
             np.testing.assert_allclose(singles[i], ref.singletons, atol=1e-12)
@@ -179,8 +180,8 @@ class TestBatchedPath:
         weights = rng.normal(size=(6, 2))  # arbitrary scalarization
 
         def f(prototypes, scale_raw, support_raw, membership_raw):
-            singles, ign = evidence_batch(x, prototypes, scale_raw,
-                                          support_raw, membership_raw)
+            singles, ign = product_evidence_batch(x, prototypes, scale_raw,
+                                                  support_raw, membership_raw)
             return ad.sum_along(singles * weights) + ad.sum_along(ign * ign)
 
         check_gradients(
@@ -196,10 +197,96 @@ class TestBatchedPath:
         x = rng.normal(size=(4, 2))
 
         def f(xv):
-            singles, ign = evidence_batch(xv, **params.as_param_dict())
+            singles, ign = product_evidence_batch(xv, **params.as_param_dict())
             return ad.sum_along(singles * singles) + 2.0 * ad.sum_along(ign)
 
         check_gradients(f, [x], tol=1e-5)
+
+
+def random_sources(rng, k, m, n=8, h=4, d=3):
+    """k sources: (inputs (n, d), EnnParams) each."""
+    return [(rng.normal(size=(n, d)), random_params(rng, h=h, d=d, m=m)) for _ in range(k)]
+
+
+class TestFusedEvidence:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_exact_oracle(self, k, m):
+        rng = np.random.default_rng(100 + 10 * k + m)
+        sources = random_sources(rng, k, m)
+        fused = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for x, p in sources])
+        singles, ign = fused.masses()
+        for i in range(8):
+            per_source = [enn_forward(x[i], p) for x, p in sources]
+            ref = combine_many(per_source)
+            np.testing.assert_allclose(fused.probs[i], pignistic(ref), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(singles[i], ref.singletons, rtol=0, atol=1e-12)
+            assert abs(ign[i, 0] - ref.ignorance) <= 1e-12
+            for ev, src_ref in zip(fused.sources, per_source):
+                s_singles, s_ign = ev.masses()
+                np.testing.assert_allclose(s_singles[i], src_ref.singletons, rtol=0, atol=1e-12)
+                assert abs(s_ign[i, 0] - src_ref.ignorance) <= 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(33)
+        sources = random_sources(rng, k=2, m=3, n=5, h=3, d=2)
+        arrays = []
+        for x, p in sources:
+            arrays += [x, p.prototypes, p.scale_raw, p.support_raw, p.membership_raw]
+        weights = rng.normal(size=(5, 3))  # arbitrary scalarization
+
+        def f(*arrs):
+            fused = fuse_evidence([evidence_batch(*arrs[:5]), evidence_batch(*arrs[5:])])
+            return ad.sum_along(fused.probs * weights)
+
+        check_gradients(f, arrays, tol=1e-5)
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(35)
+        tape = ad.Tape()
+        leaves = []
+        for x, p in random_sources(rng, k=3, m=2):
+            leaves.append([tape.leaf(a) for a in (x, *p.as_param_dict().values())])
+        before = len(tape.nodes)
+        fused = fuse_evidence([evidence_batch(*group) for group in leaves])
+        assert len(tape.nodes) == before + 1
+        assert isinstance(fused.probs, ad.Tensor)
+
+    def test_extreme_parameters_finite(self):
+        # H = 1000 strongly supported prototypes: the linear-domain
+        # commonality products underflow to 0/0 here
+        rng = np.random.default_rng(37)
+        h, d, m = 1000, 4, 3
+        params = [
+            EnnParams(prototypes=rng.normal(size=(h, d)) * 0.1,
+                      scale_raw=np.ones(h),
+                      support_raw=support,
+                      membership_raw=rng.normal(size=(h, m)) * 5.0)
+            for support in (np.full(h, 30.0), np.where(np.arange(h) % 2 == 0, 30.0, -30.0))
+        ]
+        near = rng.normal(size=(4, d)) * 0.1
+        far = rng.normal(size=(4, d)) * 0.1 + 1e3
+        between = rng.normal(size=(4, d)) * 0.1 + 13.4  # gamma * d^2 ~ 718: subnormal
+        x = np.vstack([near, far, between])
+
+        with np.errstate(all="ignore"):
+            old_singles, _ = product_evidence_batch(near, **params[0].as_param_dict())
+        assert np.isnan(old_singles).all()
+
+        tape = ad.Tape()
+        groups = [[tape.leaf(a) for a in (x, *p.as_param_dict().values())] for p in params]
+        fused = fuse_evidence([evidence_batch(*g) for g in groups])
+        probs = fused.probs.value
+        assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        for ev in fused.sources:
+            singles, ign = ev.masses()
+            assert np.all(np.isfinite(singles)) and np.all(np.isfinite(ign))
+        # far inputs carry no evidence: vacuous fused mass, uniform probabilities
+        np.testing.assert_allclose(probs[4:8], 1.0 / m, rtol=0, atol=1e-12)
+        tape.backward(ad.sum_along(fused.probs * rng.normal(size=probs.shape)))
+        for leaf in (leaf for g in groups for leaf in g):
+            assert leaf.grad is not None and np.all(np.isfinite(leaf.grad))
 
 
 class TestKMeans:

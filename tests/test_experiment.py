@@ -1,0 +1,30 @@
+"""Experiment driver: runs, artifacts and checkpoint re-evaluation."""
+
+import json
+
+from evidfuse.config import RunConfig
+from evidfuse.data import SyntheticConfig
+from evidfuse.experiment import evaluate_checkpoint, run_experiment
+
+
+def tiny_run(tmp_path, seed=3):
+    config = RunConfig(
+        task="tiny",
+        synthetic=SyntheticConfig(n=120, d_struct=4, d_embed=3, seed=5),
+        prototypes=3,
+        encoder_output_dim=8,
+        text_hidden_dim=8,
+        max_epochs=2,
+        seeds=(seed,),
+        output_dir=str(tmp_path),
+    )
+    run_experiment(config)
+    return tmp_path / "tiny" / f"seed_{seed}"
+
+
+class TestEvaluateCheckpoint:
+    def test_synthetic_checkpoint_without_manifest_reproduces_report(self, tmp_path):
+        seed_dir = tiny_run(tmp_path)
+        report = evaluate_checkpoint(str(seed_dir / "checkpoint.json"))
+        saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
+        assert json.loads(json.dumps(report)) == saved

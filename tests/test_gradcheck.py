@@ -5,8 +5,8 @@ import pytest
 
 from evidfuse import autodiff as ad
 from evidfuse.gradcheck import GradCheckResult, ParamVector, check_gradients
-from evidfuse.model import combine_batch, loss_and_grad, param_dict
-from helpers import check_gradients as fd_check, tiny_fusion_setup
+from evidfuse.model import loss_and_grad, param_dict
+from helpers import check_gradients as fd_check, combine_batch, tiny_fusion_setup
 
 
 class TestParamVector:

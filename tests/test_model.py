@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import evidfuse.model
 from evidfuse import autodiff as ad
 from evidfuse.encoders import AuxHead, MlpEncoder
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
@@ -17,8 +18,10 @@ from evidfuse.masses import (
     vacuous,
 )
 from evidfuse.model import (
+    Adam,
     FusionModel,
     FusionSource,
+    ParamVector,
     SourceSpec,
     TrainConfig,
     forward,
@@ -133,7 +136,20 @@ class TestPredictBatch:
             np.testing.assert_allclose(pred.fused_mass.singletons,
                                        ref.fused_mass.singletons, atol=1e-12)
             np.testing.assert_allclose(pred.conflict, ref.conflict, atol=1e-12)
+            for got, want in zip(pred.per_source_masses, ref.per_source_masses):
+                np.testing.assert_allclose(got.singletons, want.singletons, atol=1e-12)
+                assert abs(got.ignorance - want.ignorance) <= 1e-12
             assert pred.predicted_class == ref.predicted_class
+
+    def test_probs_equal_predict_probs(self):
+        model, inputs, _ = tiny_fusion_setup(seed=4, n=15)
+        preds = predict_batch(model, inputs)
+        assert np.array_equal(np.stack([p.probs for p in preds]), predict_probs(model, inputs))
+
+    def test_conflict_of_worked_example(self):
+        model = two_constant_source_model()
+        (pred,) = predict_batch(model, [np.zeros((1, 3)), np.zeros((1, 3))])
+        np.testing.assert_allclose(pred.conflict, [[0.0, 0.3], [0.3, 0.0]], atol=1e-12)
 
     def test_permutation_equivariance(self):
         model, inputs, _ = tiny_fusion_setup(seed=2, n=10)
@@ -291,6 +307,52 @@ class TestTraining:
                                    learning_rate=0.0, seed=2))
         # flat validation curve: first epoch is best, stop after patience more
         assert len(result.history) == 3
+
+
+class TestFlatAdam:
+    def test_returned_model_does_not_alias_optimizer_buffer(self, monkeypatch):
+        model, inputs, labels = tiny_fusion_setup(seed=22, n=24)
+        seen = []
+        original = evidfuse.model.loss_and_grad
+
+        def recording(model_, inputs_, labels_, params=None, masks=None):
+            seen.append(params)
+            return original(model_, inputs_, labels_, params=params, masks=masks)
+
+        monkeypatch.setattr(evidfuse.model, "loss_and_grad", recording)
+        # steadily falling validation loss: the last epoch is the best one
+        result = train(model, inputs, labels, inputs, labels,
+                       TrainConfig(batch_size=8, max_epochs=2, patience=0, seed=4))
+        assert result.best_epoch == 1
+        returned = {k: v.copy() for k, v in param_dict(result.model).items()}
+        for arr in seen[-1].values():
+            arr[...] = 12345.0   # the optimizer's flat buffer, through its views
+        for k, v in param_dict(result.model).items():
+            np.testing.assert_array_equal(v, returned[k])
+
+    def test_step_matches_per_name_reference(self):
+        rng = np.random.default_rng(23)
+        params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "c": rng.normal(size=())}
+        grads = [{k: rng.normal(size=np.shape(v)) for k, v in params.items()} for _ in range(3)]
+        config = TrainConfig(learning_rate=0.01)
+        layout = ParamVector.from_params(params)
+        flat = layout.flatten(params)
+        adam = Adam(layout.size, config)
+        for g in grads:
+            adam.update(flat, layout.flatten(g))
+
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        for step, g in enumerate(grads, start=1):
+            correction = np.sqrt(1.0 - b2 ** step) / (1.0 - b1 ** step)
+            for name in params:
+                m[name] = b1 * m[name] + (1.0 - b1) * g[name]
+                v[name] = b2 * v[name] + (1.0 - b2) * (g[name] * g[name])
+                ref[name] = ref[name] - lr * correction * m[name] / (np.sqrt(v[name]) + eps)
+        for name, arr in layout.views(flat).items():
+            np.testing.assert_array_equal(arr, ref[name])
 
 
 class TestCheckpoints:
