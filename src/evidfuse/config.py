@@ -49,8 +49,6 @@ class RunConfig:
             raise ConfigError(
                 f"fusion_grouping must be one of {GROUPINGS}, got {self.fusion_grouping!r}"
             )
-        if self.encoder == "ft-transformer":
-            raise ConfigError("the ft-transformer encoder is not provided; use 'mlp' or 'resnet'")
         if self.encoder not in ("mlp", "resnet"):
             raise ConfigError(f"encoder must be 'mlp' or 'resnet', got {self.encoder!r}")
         if self.dataset is None and self.synthetic is None:

@@ -168,10 +168,6 @@ ENCODER_KINDS = {"mlp": init_mlp, "resnet": init_resnet, "text-head": init_text_
 
 
 def init_encoder(kind: str, input_dim: int, rng, **overrides):
-    if kind == "ft-transformer":
-        raise DataError(
-            "the ft-transformer encoder is not provided; choose 'mlp' or 'resnet'"
-        )
     if kind not in ENCODER_KINDS:
         raise DataError(f"unknown encoder kind {kind!r}; expected one of {sorted(ENCODER_KINDS)}")
     return ENCODER_KINDS[kind](input_dim, rng, **overrides)
@@ -200,18 +196,10 @@ def _check_input(x, input_dim, what):
     return x, single
 
 
-def encode(encoder, x, mode: str = "eval", rng=None):
-    """Eval- or train-mode encoding of one vector or a batch of rows."""
+def encode(encoder, x):
+    """Eval-mode encoding of one vector or a batch of rows."""
     x, single = _check_input(x, encoder.input_dim, encoder.kind)
-    if mode == "eval":
-        masks = None
-    elif mode == "train":
-        if encoder.dropout > 0.0 and rng is None:
-            raise DataError("train-mode encoding with dropout needs an rng")
-        masks = sample_dropout_masks(encoder, x.shape[0], encoder.dropout, rng or np.random.default_rng(0))
-    else:
-        raise DataError(f"unknown mode {mode!r}")
-    out = encoder.forward(x, masks=masks)
+    out = encoder.forward(x)
     return out[0] if single else out
 
 

@@ -29,8 +29,9 @@ gradient steps preserve the constraints:
 beta < 1 keeps every prototype's ignorance mass positive, which rules
 out total conflict during fusion.
 
-``enn_forward`` is the exact per-sample path through ``masses``; the
-batched path is tested against it.
+This batched path is the only one in the package.  The tests check it
+against an exact per-sample reference that builds each prototype's mass
+and fuses them pairwise through ``masses``.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DataError
-from .masses import Frame, SimpleMass, combine_many
 
 # beta initialization used by init_enn: sigmoid(log 9) = 0.9
 INIT_SUPPORT_RAW = float(np.log(9.0))
@@ -110,37 +110,6 @@ class EnnParams:
     @staticmethod
     def from_param_dict(d: dict) -> "EnnParams":
         return EnnParams(d["prototypes"], d["scale_raw"], d["support_raw"], d["membership_raw"])
-
-
-def prototype_activations(x: np.ndarray, params: EnnParams) -> np.ndarray:
-    """Distance-discounted activation of every prototype for one input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d,):
-        raise DataError(f"input has shape {x.shape}, prototypes expect ({params.d},)")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite input vector")
-    d2 = np.sum((x - params.prototypes) ** 2, axis=1)
-    return params.beta() * np.exp(-params.gamma() * d2)
-
-
-def prototype_mass(activation: float, membership: np.ndarray,
-                   frame: Frame | None = None) -> SimpleMass:
-    """One prototype's evidence: activation split by class membership."""
-    membership = np.asarray(membership, dtype=np.float64)
-    if frame is None:
-        frame = Frame.of_size(len(membership))
-    if not 0.0 <= activation <= 1.0:
-        raise DataError(f"activation {activation!r} outside [0, 1]")
-    return SimpleMass(frame, membership * activation, 1.0 - activation)
-
-
-def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) -> SimpleMass:
-    """Fuse all prototype evidence for one input by Dempster's rule."""
-    if frame is None:
-        frame = Frame.of_size(params.m)
-    s = prototype_activations(x, params)
-    u = params.membership()
-    return combine_many([prototype_mass(s[h], u[h], frame) for h in range(params.h)])
 
 
 @dataclass(frozen=True, eq=False)

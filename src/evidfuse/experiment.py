@@ -127,11 +127,20 @@ def encoder_overrides(config: RunConfig, specs) -> dict:
 
 
 def load_run_dataset(config: RunConfig):
-    """Returns (dataset, dataset identity string for reports)."""
+    """Returns (dataset, dataset identity string for reports).
+
+    Evaluation is binary-only, so other datasets are rejected here,
+    before any seed trains.
+    """
     if config.synthetic is not None:
-        return generate_synthetic(config.synthetic), f"synthetic:{config.synthetic.seed}"
-    dataset = load_dataset(config.dataset)
-    return dataset, manifest_hash(config.dataset)
+        dataset = generate_synthetic(config.synthetic)
+        dataset_id = f"synthetic:{config.synthetic.seed}"
+    else:
+        dataset = load_dataset(config.dataset)
+        dataset_id = manifest_hash(config.dataset)
+    if dataset.m != 2:
+        raise DataError(f"runs need a binary dataset, got {dataset.m} classes")
+    return dataset, dataset_id
 
 
 def _write_json(path, doc):
@@ -168,8 +177,7 @@ def run_single_seed(config: RunConfig, dataset: Dataset, dataset_id: str,
         "test": assemble_inputs(specs, state, matrices["test"], test_set),
     }
 
-    frame = BINARY_FRAME if dataset.m == 2 else Frame.of_size(dataset.m)
-    model = init_model(frame, specs, inputs["train"], train_set.labels, seed=seed,
+    model = init_model(BINARY_FRAME, specs, inputs["train"], train_set.labels, seed=seed,
                        prototypes=config.prototypes,
                        encoder_overrides=encoder_overrides(config, specs))
     result = train(

@@ -74,17 +74,9 @@ def rates(c: ConfusionCounts) -> dict:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the midrank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    # a tie group of c values ending at rank e shares (e - c + 1 + e) / 2
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def auroc(scores, labels) -> float:

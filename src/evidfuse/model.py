@@ -2,25 +2,28 @@
 fusion, the class-weighted training objective, and the training loop.
 
 Each evidence source owns an encoder, an evidential layer, and an
-auxiliary logit head.  A batched forward pass encodes every source, and
-``evidential.fuse_evidence`` fuses all sources' prototype evidence in
-the log-commonality domain and returns pignistic probabilities; on the
-training tape that fusion is one node.  The objective is the
-class-weighted log loss on those probabilities plus per-source
-class-weighted cross-entropies on the auxiliary logits, each scaled by
-the source's auxiliary weight.
+auxiliary logit head.  There is one forward path and it is batched: it
+encodes every source, and ``evidential.fuse_evidence`` fuses all
+sources' prototype evidence in the log-commonality domain and returns
+pignistic probabilities; on the training tape that fusion is one node.
+Training, ``predict_probs`` and ``predict_batch`` all run it;
+``predict_batch`` adds the fused and per-source masses and the pairwise
+source conflict as one struct of arrays.  The exact per-sample mass
+algebra they are checked against lives in the tests.
 
-Training runs mini-batch Adam with early stopping on the validation
-overall loss, restoring the best-validation parameters.  Parameters
-travel as name->array dicts; during training every array is a view
-into one flat vector, so an Adam step is a single vectorized update.
-All forward code runs on either plain arrays (inference) or tape
-tensors (training).
+The objective is the class-weighted log loss on the fused probabilities
+plus per-source class-weighted cross-entropies on the auxiliary logits,
+each scaled by the source's auxiliary weight.  Training runs mini-batch
+Adam with early stopping on the validation overall loss, restoring the
+best-validation parameters.  Parameters travel as name->array dicts;
+during training every array is a view into one flat vector, so an Adam
+step is a single vectorized update.  All forward code runs on either
+plain arrays (inference) or tape tensors (training).
 """
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,12 +41,11 @@ from .encoders import (
     sample_dropout_masks,
 )
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .evidential import EnnParams, enn_forward, evidence_batch, fuse_evidence, init_enn
-from .masses import Frame, SimpleMass, combine_many, degree_of_conflict, pignistic
+from .evidential import EnnParams, evidence_batch, fuse_evidence, init_enn
+from .masses import Frame
 from .rng import substream
 
 PROB_FLOOR = 1e-12
-DEFAULT_PROTOTYPES = 20
 CHECKPOINT_VERSION = 1
 
 
@@ -108,23 +110,30 @@ class FusionModel:
 
 
 @dataclass(frozen=True, eq=False)
-class Prediction:
-    fused_mass: SimpleMass
-    probs: np.ndarray
-    per_source_masses: list
-    predicted_class: int
-    ignorance: float
-    conflict: np.ndarray  # pairwise degree of conflict between sources
+class Predictions:
+    """Eval-mode predictions of N samples and what explains them.
 
-    def to_json_dict(self):
-        return {
-            "fused_mass": self.fused_mass.to_json_dict(),
-            "probs": self.probs.tolist(),
-            "per_source_masses": [m.to_json_dict() for m in self.per_source_masses],
-            "predicted_class": self.predicted_class,
-            "ignorance": self.ignorance,
-            "conflict": self.conflict.tolist(),
-        }
+    Axis 0 of every field indexes samples, so ``preds[i]`` (any numpy
+    index) selects the same samples from each field.
+    """
+
+    probs: np.ndarray              # (N, M) pignistic probabilities
+    singletons: np.ndarray         # (N, M) fused singleton masses
+    ignorance: np.ndarray          # (N,) fused mass on the whole frame
+    source_singletons: np.ndarray  # (N, K, M) per-source singleton masses
+    source_ignorance: np.ndarray   # (N, K) per-source ignorance
+    conflict: np.ndarray           # (N, K, K) pairwise degree of conflict
+
+    @property
+    def predicted_class(self):
+        """Most probable class; ties go to the lowest index."""
+        return np.argmax(self.probs, axis=-1)
+
+    def __len__(self):
+        return len(self.probs)
+
+    def __getitem__(self, index):
+        return Predictions(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,66 +273,30 @@ def batch_internals(model, inputs, params=None, masks=None):
     }
 
 
-def forward(model: FusionModel, sample_inputs, mode: str = "eval",
-            dropout_rng=None) -> Prediction:
-    """Single-sample prediction via the exact mass-algebra path."""
-    sample_inputs = list(sample_inputs)
-    if len(sample_inputs) != model.n_sources:
-        raise DataError(
-            f"sample provides {len(sample_inputs)} source inputs, model needs {model.n_sources}"
-        )
-    per_source = []
-    for src, x in zip(model.sources, sample_inputs):
-        if x is None:
-            raise DataError(f"missing input for source {src.spec.name!r}")
-        z = encode(src.encoder, np.asarray(x, dtype=np.float64), mode=mode, rng=dropout_rng)
-        per_source.append(enn_forward(z, src.enn, model.frame))
-    fused = combine_many(per_source)
-    probs = pignistic(fused)
-    k = len(per_source)
-    conflict = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            conflict[i, j] = conflict[j, i] = degree_of_conflict(per_source[i], per_source[j])
-    return Prediction(
-        fused_mass=fused,
-        probs=probs,
-        per_source_masses=per_source,
-        predicted_class=int(np.argmax(probs)),
-        ignorance=fused.ignorance,
-        conflict=conflict,
-    )
-
-
-def predict_batch(model: FusionModel, inputs) -> list:
+def predict_batch(model: FusionModel, inputs) -> Predictions:
     """Eval-mode predictions with explanations for a whole split.
 
     Per-source and fused masses come from the same forward pass as the
     probabilities, so ``probs`` equals ``predict_probs`` exactly.
     """
     fused = batch_internals(model, inputs)["fused"]
-    probs = fused.probs
     singles, ign = fused.masses()
     per_source = [ev.masses() for ev in fused.sources]
-    src_singles = np.stack([s for s, _ in per_source])               # (K, N, M)
-    totals = src_singles.sum(axis=2)                                  # (K, N)
+    src_singles = np.stack([s for s, _ in per_source], axis=1)        # (N, K, M)
+    totals = src_singles.sum(axis=2)                                  # (N, K)
     # degree of conflict between sources a and b: sum_a * sum_b - a . b
-    conflict = (np.einsum("an,bn->nab", totals, totals)
-                - np.einsum("anm,bnm->nab", src_singles, src_singles))
+    conflict = (totals[:, :, None] * totals[:, None, :]
+                - np.einsum("nam,nbm->nab", src_singles, src_singles))
     k = len(per_source)
     conflict[:, np.arange(k), np.arange(k)] = 0.0
-    frame = model.frame
-    return [
-        Prediction(
-            fused_mass=SimpleMass(frame, singles[i], float(ign[i, 0])),
-            probs=probs[i],
-            per_source_masses=[SimpleMass(frame, s[i], float(g[i, 0])) for s, g in per_source],
-            predicted_class=int(np.argmax(probs[i])),
-            ignorance=float(ign[i, 0]),
-            conflict=conflict[i],
-        )
-        for i in range(probs.shape[0])
-    ]
+    return Predictions(
+        probs=fused.probs,
+        singletons=singles,
+        ignorance=ign[:, 0],
+        source_singletons=src_singles,
+        source_ignorance=np.concatenate([g for _, g in per_source], axis=1),
+        conflict=conflict,
+    )
 
 
 def predict_probs(model: FusionModel, inputs) -> np.ndarray:
@@ -523,7 +496,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
 # model construction and checkpoints
 
 def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
-               prototypes: int = DEFAULT_PROTOTYPES, encoder_overrides=None) -> FusionModel:
+               prototypes: int, encoder_overrides=None) -> FusionModel:
     """Seeded model construction.
 
     Encoders get random seeded weights; each source's evidential layer

@@ -1,13 +1,18 @@
-"""Shared test utilities: gradient checking, small model fixtures, and
-taped reference implementations of the batched evidence and fusion."""
+"""Shared test utilities: gradient checking, small model fixtures, the
+exact per-sample reference for the evidential layer and the fused
+prediction, and taped reference implementations of the batched evidence
+and fusion."""
 
 import numpy as np
 import pytest
 
 from evidfuse import autodiff as ad
 from evidfuse.autodiff import Tape
-from evidfuse.masses import Frame
-from evidfuse.model import SourceSpec, init_model
+from evidfuse.encoders import encode
+from evidfuse.errors import DataError
+from evidfuse.evidential import EnnParams
+from evidfuse.masses import Frame, SimpleMass, combine_many, degree_of_conflict, pignistic
+from evidfuse.model import Predictions, SourceSpec, init_model
 
 
 def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
@@ -114,3 +119,58 @@ def combine_batch(pairs):
         singles = cross / denom
         ign = ign / denom
     return singles, ign
+
+
+# ---------------------------------------------------------------------------
+# exact per-sample reference: one SimpleMass per prototype, fused pairwise
+
+def prototype_activations(x: np.ndarray, params: EnnParams) -> np.ndarray:
+    """Distance-discounted activation of every prototype for one input."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (params.d,):
+        raise DataError(f"input has shape {x.shape}, prototypes expect ({params.d},)")
+    if not np.all(np.isfinite(x)):
+        raise DataError("non-finite input vector")
+    d2 = np.sum((x - params.prototypes) ** 2, axis=1)
+    return params.beta() * np.exp(-params.gamma() * d2)
+
+
+def prototype_mass(activation: float, membership: np.ndarray,
+                   frame: Frame | None = None) -> SimpleMass:
+    """One prototype's evidence: activation split by class membership."""
+    membership = np.asarray(membership, dtype=np.float64)
+    if frame is None:
+        frame = Frame.of_size(len(membership))
+    if not 0.0 <= activation <= 1.0:
+        raise DataError(f"activation {activation!r} outside [0, 1]")
+    return SimpleMass(frame, membership * activation, 1.0 - activation)
+
+
+def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) -> SimpleMass:
+    """Fuse all prototype evidence for one input by Dempster's rule."""
+    if frame is None:
+        frame = Frame.of_size(params.m)
+    s = prototype_activations(x, params)
+    u = params.membership()
+    return combine_many([prototype_mass(s[h], u[h], frame) for h in range(params.h)])
+
+
+def exact_prediction(model, sample_inputs):
+    """One sample's prediction through the exact mass algebra, as a
+    one-row ``Predictions`` (fields without the sample axis)."""
+    per_source = [enn_forward(encode(src.encoder, x), src.enn, model.frame)
+                  for src, x in zip(model.sources, sample_inputs)]
+    fused = combine_many(per_source)
+    k = len(per_source)
+    conflict = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            conflict[i, j] = conflict[j, i] = degree_of_conflict(per_source[i], per_source[j])
+    return Predictions(
+        probs=pignistic(fused),
+        singletons=fused.singletons,
+        ignorance=np.float64(fused.ignorance),
+        source_singletons=np.stack([m.singletons for m in per_source]),
+        source_ignorance=np.array([m.ignorance for m in per_source]),
+        conflict=conflict,
+    )

@@ -42,14 +42,14 @@ class TestEncode:
     def test_zero_dropout_train_equals_eval(self):
         enc = init_mlp(5, np.random.default_rng(1), dropout=0.0)
         x = RNG.normal(size=(8, 5))
-        train_out = encode(enc, x, mode="train", rng=np.random.default_rng(3))
-        np.testing.assert_allclose(train_out, encode(enc, x), atol=1e-15)
+        masks = sample_dropout_masks(enc, 8, enc.dropout, np.random.default_rng(3))
+        np.testing.assert_allclose(enc.forward(x, masks=masks), encode(enc, x), atol=1e-15)
 
     def test_dropout_changes_train_output(self):
         enc = init_mlp(5, np.random.default_rng(1), dropout=0.5)
         x = RNG.normal(size=(16, 5))
-        train_out = encode(enc, x, mode="train", rng=np.random.default_rng(3))
-        assert not np.allclose(train_out, encode(enc, x))
+        masks = sample_dropout_masks(enc, 16, enc.dropout, np.random.default_rng(3))
+        assert not np.allclose(enc.forward(x, masks=masks), encode(enc, x))
 
     def test_batch_matches_per_row(self):
         enc = init_resnet(6, np.random.default_rng(2))

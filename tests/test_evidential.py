@@ -7,18 +7,15 @@ import pytest
 
 from evidfuse import autodiff as ad
 from evidfuse.errors import DataError
-from evidfuse.evidential import (
-    EnnParams,
+from evidfuse.evidential import EnnParams, evidence_batch, fuse_evidence, init_enn, lloyd_kmeans
+from evidfuse.masses import Frame, SimpleMass, combine_many, combine_simple, pignistic, vacuous
+from helpers import (
+    check_gradients,
     enn_forward,
-    evidence_batch,
-    fuse_evidence,
-    init_enn,
-    lloyd_kmeans,
+    product_evidence_batch,
     prototype_activations,
     prototype_mass,
 )
-from evidfuse.masses import Frame, SimpleMass, combine_many, combine_simple, pignistic, vacuous
-from helpers import check_gradients, product_evidence_batch
 
 
 def logit(p):

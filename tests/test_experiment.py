@@ -2,8 +2,12 @@
 
 import json
 
+import numpy as np
+import pytest
+
 from evidfuse.config import RunConfig
-from evidfuse.data import SyntheticConfig
+from evidfuse.data import Dataset, FeatureSpec, SyntheticConfig, write_dataset
+from evidfuse.errors import DataError
 from evidfuse.experiment import evaluate_checkpoint, run_experiment
 
 
@@ -28,3 +32,22 @@ class TestEvaluateCheckpoint:
         report = evaluate_checkpoint(str(seed_dir / "checkpoint.json"))
         saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
         assert json.loads(json.dumps(report)) == saved
+
+
+class TestBinaryOnly:
+    def test_multiclass_manifest_rejected_before_training(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 60
+        dataset = Dataset(
+            schema=(FeatureSpec("a", "numerical"), FeatureSpec("b", "numerical")),
+            ids=[f"s{i}" for i in range(n)],
+            rows=rng.normal(size=(n, 2)).tolist(),
+            labels=np.arange(n) % 3,
+            m=3,
+        )
+        manifest = write_dataset(dataset, str(tmp_path / "data"))
+        config = RunConfig(task="three", dataset=manifest, prototypes=3, max_epochs=1,
+                           seeds=(0,), output_dir=str(tmp_path / "runs"))
+        with pytest.raises(DataError, match="binary"):
+            run_experiment(config)
+        assert not list((tmp_path / "runs" / "three").glob("seed_*"))

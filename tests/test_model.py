@@ -1,6 +1,7 @@
-"""Fusion model: forward, losses, training loop, checkpoints."""
+"""Fusion model: batched predictions, losses, training loop, checkpoints."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from evidfuse.model import (
     ParamVector,
     SourceSpec,
     TrainConfig,
-    forward,
     init_model,
     load_checkpoint,
     loss_and_grad,
@@ -40,7 +40,7 @@ from evidfuse.model import (
     train,
     with_params,
 )
-from helpers import tiny_fusion_setup
+from helpers import exact_prediction, tiny_fusion_setup
 
 F2 = Frame.of_size(2)
 
@@ -76,42 +76,46 @@ def two_constant_source_model():
     return FusionModel(F2, [src_a, src_b], np.ones(2))
 
 
+def predict_one(model, sample):
+    """One sample's row of a one-row ``predict_batch``."""
+    return predict_batch(model, [x[None] for x in sample])[0]
+
+
 class TestForward:
     def test_single_source_passthrough(self):
         model = FusionModel(F2, [constant_mass_source("a", 3, logit(0.6), [40.0, 0.0])],
                             np.ones(2))
-        pred = forward(model, [np.zeros(3)])
-        np.testing.assert_allclose(pred.fused_mass.singletons,
-                                   pred.per_source_masses[0].singletons, atol=1e-15)
+        pred = predict_one(model, [np.zeros(3)])
+        np.testing.assert_allclose(pred.singletons, pred.source_singletons[0], atol=1e-15)
 
     def test_vacuous_source_absorbed(self):
         src_a = constant_mass_source("a", 3, logit(0.6), [40.0, 0.0])
         src_b = constant_mass_source("b", 3, -40.0, [0.0, 0.0])  # support -> 0: vacuous
         model = FusionModel(F2, [src_a, src_b], np.ones(2))
-        pred = forward(model, [np.zeros(3), np.zeros(3)])
-        np.testing.assert_allclose(pred.fused_mass.singletons, [0.6, 0.0], atol=1e-12)
+        pred = predict_one(model, [np.zeros(3), np.zeros(3)])
+        np.testing.assert_allclose(pred.singletons, [0.6, 0.0], atol=1e-12)
         assert abs(pred.ignorance - 0.4) <= 1e-12
 
     def test_matches_pairwise_combination_example(self):
         model = two_constant_source_model()
-        pred = forward(model, [np.zeros(3), np.zeros(3)])
+        pred = predict_one(model, [np.zeros(3), np.zeros(3)])
         a = SimpleMass(F2, np.array([0.6, 0.0]), 0.4)
         b = SimpleMass(F2, np.array([0.0, 0.5]), 0.5)
         expected = combine_simple(a, b)
-        np.testing.assert_allclose(pred.fused_mass.singletons, expected.singletons, atol=1e-12)
+        np.testing.assert_allclose(pred.singletons, expected.singletons, atol=1e-12)
         np.testing.assert_allclose(pred.probs, pignistic(expected), atol=1e-12)
         assert abs(pred.conflict[0, 1] - 0.3) <= 1e-12
 
     def test_missing_source_input_rejected(self):
         model = two_constant_source_model()
         with pytest.raises(DataError):
-            forward(model, [np.zeros(3)])
+            predict_batch(model, [np.zeros((1, 3))])
         with pytest.raises(DataError):
-            forward(model, [np.zeros(3), None])
+            predict_batch(model, [np.zeros((1, 3)), None])
 
     def test_decision_rule_ties_to_lowest_index(self):
         model = FusionModel(F2, [constant_mass_source("a", 3, -40.0, [0.0, 0.0])], np.ones(2))
-        pred = forward(model, [np.zeros(3)])  # vacuous -> uniform probabilities
+        pred = predict_one(model, [np.zeros(3)])  # vacuous -> uniform probabilities
         assert pred.predicted_class == 0
 
     def test_fused_ignorance_never_exceeds_sources(self):
@@ -130,21 +134,20 @@ class TestPredictBatch:
     def test_matches_single_sample_forward(self):
         model, inputs, _ = tiny_fusion_setup(seed=1, n=12)
         preds = predict_batch(model, inputs)
-        for i, pred in enumerate(preds):
-            ref = forward(model, [x[i] for x in inputs])
-            np.testing.assert_allclose(pred.probs, ref.probs, atol=1e-12)
-            np.testing.assert_allclose(pred.fused_mass.singletons,
-                                       ref.fused_mass.singletons, atol=1e-12)
-            np.testing.assert_allclose(pred.conflict, ref.conflict, atol=1e-12)
-            for got, want in zip(pred.per_source_masses, ref.per_source_masses):
-                np.testing.assert_allclose(got.singletons, want.singletons, atol=1e-12)
-                assert abs(got.ignorance - want.ignorance) <= 1e-12
-            assert pred.predicted_class == ref.predicted_class
+        assert len(preds) == 12
+        for i in range(12):
+            pred, ref = preds[i], exact_prediction(model, [x[i] for x in inputs])
+            for f in fields(ref):
+                got, want = getattr(pred, f.name), getattr(ref, f.name)
+                assert np.shape(got) == np.shape(want), f.name
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f.name)
+            assert pred.predicted_class == np.argmax(ref.probs)
 
     def test_probs_equal_predict_probs(self):
         model, inputs, _ = tiny_fusion_setup(seed=4, n=15)
         preds = predict_batch(model, inputs)
-        assert np.array_equal(np.stack([p.probs for p in preds]), predict_probs(model, inputs))
+        assert np.array_equal(preds.probs, predict_probs(model, inputs))
+        assert np.array_equal(np.stack([p.probs for p in preds]), preds.probs)
 
     def test_conflict_of_worked_example(self):
         model = two_constant_source_model()
@@ -156,8 +159,7 @@ class TestPredictBatch:
         perm = np.random.default_rng(0).permutation(10)
         plain = predict_batch(model, inputs)
         shuffled = predict_batch(model, [x[perm] for x in inputs])
-        for i, j in enumerate(perm):
-            np.testing.assert_array_equal(shuffled[i].probs, plain[j].probs)
+        np.testing.assert_array_equal(shuffled.probs, plain[perm].probs)
 
     def test_repeated_sample_identical(self):
         model, inputs, _ = tiny_fusion_setup(seed=3, n=6)
