@@ -33,10 +33,6 @@ class Tensor:
         self._bwd = bwd
         tape.nodes.append(self)
 
-    @property
-    def shape(self):
-        return np.shape(self.value)
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)

@@ -7,11 +7,10 @@ that affects results, so artifacts can assert exactly which
 configuration produced them.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .data import SyntheticConfig
 from .errors import ConfigError
@@ -78,19 +77,10 @@ class RunConfig:
                                tuple(dict(s) for s in self.custom_sources))
 
     def to_json_dict(self, include_unhashed=True):
-        doc = {}
-        for f in fields(self):
-            if not include_unhashed and f.name in UNHASHED_FIELDS:
-                continue
-            value = getattr(self, f.name)
-            if f.name == "synthetic" and value is not None:
-                value = dataclasses.asdict(value)
-                value["informativeness"] = list(value["informativeness"])
-            elif f.name == "seeds":
-                value = list(value)
-            elif f.name == "custom_sources" and value is not None:
-                value = [dict(s) for s in value]
-            doc[f.name] = value
+        doc = asdict(self)
+        if not include_unhashed:
+            for name in UNHASHED_FIELDS:
+                del doc[name]
         return doc
 
     def config_hash(self) -> str:

@@ -38,7 +38,6 @@ class MlpEncoder:
     dropout: float = DEFAULT_DROPOUT
 
     kind = "mlp"
-    n_dropout_sites = 2
 
     def dropout_shapes(self, n):
         return [(n, self.hidden_dim), (n, self.hidden_dim)]
@@ -66,10 +65,6 @@ class ResNetEncoder:
     n_blocks: int = 3
 
     kind = "resnet"
-
-    @property
-    def n_dropout_sites(self):
-        return self.n_blocks
 
     def dropout_shapes(self, n):
         return [(n, self.hidden_dim)] * self.n_blocks
@@ -100,7 +95,6 @@ class TextHeadEncoder:
     dropout: float = 0.0
 
     kind = "text-head"
-    n_dropout_sites = 0
 
     def dropout_shapes(self, n):
         return []
@@ -184,27 +178,16 @@ def sample_dropout_masks(encoder, n: int, rate: float, rng) -> list:
     ]
 
 
-def _check_input(x, input_dim, what):
+def encode(encoder, x):
+    """Eval-mode encoding of one vector or a batch of rows."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != input_dim:
-        raise DataError(f"{what}: input shape {x.shape} does not match dim {input_dim}")
+    if x.ndim != 2 or x.shape[1] != encoder.input_dim:
+        raise DataError(f"{encoder.kind}: input shape {x.shape} does not match dim "
+                        f"{encoder.input_dim}")
     if not np.all(np.isfinite(x)):
-        raise DataError(f"{what}: non-finite input")
-    return x, single
-
-
-def encode(encoder, x):
-    """Eval-mode encoding of one vector or a batch of rows."""
-    x, single = _check_input(x, encoder.input_dim, encoder.kind)
+        raise DataError(f"{encoder.kind}: non-finite input")
     out = encoder.forward(x)
-    return out[0] if single else out
-
-
-def aux_logits(head: AuxHead, z) -> np.ndarray:
-    """Per-class logits from an encoder representation."""
-    z, single = _check_input(z, head.input_dim, "aux head")
-    out = head.forward(z)
     return out[0] if single else out

@@ -262,8 +262,7 @@ def fuse_evidence(evidence) -> FusedEvidence:
     return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 
-def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-                 iters: int = KMEANS_ITERS):
+def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Plain Lloyd iteration with seeded sampling of initial centers.
 
     Emptied clusters are re-seeded with the point farthest from its
@@ -275,7 +274,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
         raise DataError(f"cannot place {k} prototypes on {n} samples")
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = None
-    for _ in range(iters):
+    for _ in range(KMEANS_ITERS):
         d2 = (
             np.sum(points ** 2, axis=1, keepdims=True)
             - 2.0 * points @ centers.T

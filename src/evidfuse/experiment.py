@@ -11,6 +11,7 @@ bytes.
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .data import (
     manifest_hash,
     split,
     PreprocessState,
+    SyntheticConfig,
 )
 from .errors import ConfigError, DataError
 from .masses import Frame
@@ -149,15 +151,15 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _report_doc(config: RunConfig, seed: int, dataset_id: str, split_name: str,
+def _report_doc(task: str, config_hash: str, seed: int, dataset_id: str, split_name: str,
                 report: MetricsReport) -> dict:
     return {
-        "task": config.task,
+        "task": task,
         "seed": seed,
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash,
         "dataset": dataset_id,
         "split": split_name,
-        "metrics": report.to_json_dict(),
+        "metrics": asdict(report),
     }
 
 
@@ -206,7 +208,8 @@ def run_single_seed(config: RunConfig, dataset: Dataset, dataset_id: str,
         "history": result.history,
     })
     _write_json(os.path.join(out_dir, "report.json"),
-                _report_doc(config, seed, dataset_id, "test", report))
+                _report_doc(config.task, config.config_hash(), seed, dataset_id, "test",
+                            report))
     return report
 
 
@@ -237,7 +240,7 @@ def run_experiment(config: RunConfig) -> dict:
         "config_hash": config.config_hash(),
         "dataset": dataset_id,
         "seeds": list(config.seeds),
-        "per_seed": {str(seed): r.to_json_dict() for seed, r in reports},
+        "per_seed": {str(seed): asdict(r) for seed, r in reports},
         "aggregate": summarize([r for _, r in reports]),
     }
     _write_json(os.path.join(run_dir, "summary.json"), summary)
@@ -264,7 +267,6 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
         if not synth:
             raise DataError("no dataset manifest given and the checkpoint was not "
                             "trained on synthetic data")
-        from .data import SyntheticConfig
         dataset = generate_synthetic(SyntheticConfig(**synth))
     else:
         dataset = load_dataset(manifest_path)
@@ -279,13 +281,6 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     probs = predict_probs(model, inputs)[:, 1]
     report = evaluate(probs, part.labels)
 
-    config_like = extra.get("config", {})
     dataset_id = extra["dataset"] if "dataset" in extra else manifest_hash(manifest_path)
-    return {
-        "task": config_like.get("task", "eval"),
-        "seed": seed,
-        "config_hash": doc.get("config_hash", ""),
-        "dataset": dataset_id,
-        "split": split_name,
-        "metrics": report.to_json_dict(),
-    }
+    return _report_doc(extra.get("config", {}).get("task", "eval"), doc.get("config_hash", ""),
+                       seed, dataset_id, split_name, report)

@@ -7,7 +7,7 @@ All functions are pure and operate on plain numpy arrays.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,6 +79,20 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
+def _scores_and_labels(scores, labels):
+    """Float scores and 0/1 labels, checked to be finite, binary and of
+    one length."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise DataError("scores and labels differ in length")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores must be finite")
+    if not np.all(np.isin(labels, (0, 1))):
+        raise DataError("labels must be binary 0/1")
+    return scores, labels
+
+
 def auroc(scores, labels) -> float:
     """Area under the ROC curve by the Mann-Whitney rank statistic.
 
@@ -86,8 +100,7 @@ def auroc(scores, labels) -> float:
     negative, counting ties as half; identical to the trapezoidal ROC
     area.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    scores, labels = _scores_and_labels(scores, labels)
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -103,8 +116,7 @@ def auprc(scores, labels) -> float:
     Precision is held right-constant between recall steps (no linear
     interpolation). Tied scores are processed as one threshold group.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+    scores, labels = _scores_and_labels(scores, labels)
     n_pos = int(np.sum(labels == 1))
     if n_pos == 0:
         raise DataError("AUPRC requires at least one positive")
@@ -124,15 +136,14 @@ def auprc(scores, labels) -> float:
 
 def brier(probs, labels) -> float:
     """Mean squared error between positive-class probability and outcome."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    probs, labels = _scores_and_labels(probs, labels)
     return float(np.mean((probs - labels) ** 2))
 
 
 def nll(probs, labels) -> float:
     """Binary negative log-likelihood, probabilities clamped at 1e-12."""
-    probs = np.clip(np.asarray(probs, dtype=np.float64), NLL_CLAMP, 1.0 - NLL_CLAMP)
-    labels = np.asarray(labels, dtype=np.float64)
+    probs, labels = _scores_and_labels(probs, labels)
+    probs = np.clip(probs, NLL_CLAMP, 1.0 - NLL_CLAMP)
     return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
 
 
@@ -156,25 +167,6 @@ class MetricsReport:
     nll: float
     undefined_rates: list = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "tn": self.tn,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "specificity": self.specificity,
-            "npv": self.npv,
-            "bacc": self.bacc,
-            "f1": self.f1,
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-            "brier": self.brier,
-            "nll": self.nll,
-            "undefined_rates": list(self.undefined_rates),
-        }
-
 
 SUMMARY_METRICS = (
     "precision", "recall", "specificity", "npv", "bacc", "f1",
@@ -192,23 +184,13 @@ def evaluate(probs, labels, threshold: float = 0.5) -> MetricsReport:
     labels = np.asarray(labels)
     predicted = (probs > threshold).astype(np.int64)
     c = confusion(labels, predicted)
-    r = rates(c)
     return MetricsReport(
-        tp=c.tp,
-        tn=c.tn,
-        fp=c.fp,
-        fn=c.fn,
-        precision=r["precision"],
-        recall=r["recall"],
-        specificity=r["specificity"],
-        npv=r["npv"],
-        bacc=r["bacc"],
-        f1=r["f1"],
+        **asdict(c),
+        **rates(c),
         auroc=auroc(probs, labels),
         auprc=auprc(probs, labels),
         brier=brier(probs, labels),
         nll=nll(probs, labels),
-        undefined_rates=r["undefined_rates"],
     )
 
 

@@ -23,7 +23,7 @@ plain arrays (inference) or tape tensors (training).
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,9 @@ from .rng import substream
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -63,19 +66,6 @@ class SourceSpec:
             raise ConfigError(f"source {self.name!r}: aux weight must be >= 0")
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "encoder_kind": self.encoder_kind,
-            "aux_weight": self.aux_weight,
-            "feature_names": list(self.feature_names) if self.feature_names else None,
-        }
-
-    @staticmethod
-    def from_json_dict(d):
-        return SourceSpec(d["name"], d["encoder_kind"], d["aux_weight"],
-                          tuple(d["feature_names"]) if d.get("feature_names") else None)
 
 
 @dataclass(eq=False)
@@ -157,13 +147,12 @@ def with_params(model: FusionModel, params: dict) -> FusionModel:
     sources = []
     for i, src in enumerate(model.sources):
         enc_params = {k: np.asarray(params[f"src{i}.encoder.{k}"]) for k in src.encoder.params}
-        encoder = type(src.encoder)(**{**src.encoder.__dict__, "params": enc_params})
         enn = EnnParams.from_param_dict(
             {k: np.asarray(params[f"src{i}.enn.{k}"]) for k in src.enn.as_param_dict()}
         )
         aux_params = {k: np.asarray(params[f"src{i}.aux.{k}"]) for k in src.aux.params}
-        aux = AuxHead(params=aux_params, input_dim=src.aux.input_dim, n_classes=src.aux.n_classes)
-        sources.append(FusionSource(src.spec, encoder, enn, aux))
+        sources.append(FusionSource(src.spec, replace(src.encoder, params=enc_params), enn,
+                                    replace(src.aux, params=aux_params)))
     return FusionModel(model.frame, sources, model.class_weights)
 
 
@@ -212,15 +201,6 @@ class ParamVector:
         """Named copies, independent of ``vec``."""
         return {name: arr.copy() for name, arr in self.views(vec).items()}
 
-    def entry_label(self, flat_index: int) -> str:
-        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
-            size = int(np.prod(shape)) if shape else 1
-            if offset <= flat_index < offset + size:
-                coords = np.unravel_index(flat_index - offset, shape) if shape else ()
-                suffix = "[" + ",".join(str(c) for c in coords) + "]" if coords else ""
-                return f"{name}{suffix}"
-        raise IndexError(f"flat index {flat_index} out of range 0..{self.size - 1}")
-
 
 # ---------------------------------------------------------------------------
 # forward passes
@@ -238,6 +218,8 @@ def _check_inputs(model, inputs):
             raise DataError(
                 f"source {src.spec.name!r} expects (N, {src.encoder.input_dim}) inputs, got {x.shape}"
             )
+        if not np.all(np.isfinite(x)):
+            raise DataError(f"source {src.spec.name!r}: non-finite input")
         if n is None:
             n = x.shape[0]
         elif x.shape[0] != n:
@@ -375,9 +357,6 @@ class TrainConfig:
     max_epochs: int = 150
     patience: int = 10
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -399,20 +378,19 @@ class Adam:
     """Adam over one flat parameter vector, updated in place."""
 
     def __init__(self, size: int, config: TrainConfig):
-        self.config = config
+        self.learning_rate = config.learning_rate
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.step = 0
 
     def update(self, flat: np.ndarray, grad: np.ndarray):
-        c = self.config
         self.step += 1
-        correction = np.sqrt(1.0 - c.adam_beta2 ** self.step) / (1.0 - c.adam_beta1 ** self.step)
-        self.m *= c.adam_beta1
-        self.m += (1.0 - c.adam_beta1) * grad
-        self.v *= c.adam_beta2
-        self.v += (1.0 - c.adam_beta2) * (grad * grad)
-        flat -= c.learning_rate * correction * self.m / (np.sqrt(self.v) + c.adam_eps)
+        correction = np.sqrt(1.0 - ADAM_BETA2 ** self.step) / (1.0 - ADAM_BETA1 ** self.step)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * (grad * grad)
+        flat -= self.learning_rate * correction * self.m / (np.sqrt(self.v) + ADAM_EPS)
 
 
 def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels,
@@ -521,31 +499,19 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
     return FusionModel(frame, sources, weights)
 
 
-_ENCODER_CLASSES = {"mlp": MlpEncoder, "resnet": ResNetEncoder, "text-head": TextHeadEncoder}
+_ENCODER_CLASSES = {cls.kind: cls for cls in (MlpEncoder, ResNetEncoder, TextHeadEncoder)}
 
 
-def _encoder_to_json(encoder):
-    meta = {
-        "kind": encoder.kind,
-        "input_dim": encoder.input_dim,
-        "hidden_dim": encoder.hidden_dim,
-        "output_dim": encoder.output_dim,
-        "dropout": encoder.dropout,
-        "params": {k: v.tolist() for k, v in encoder.params.items()},
-    }
-    if isinstance(encoder, ResNetEncoder):
-        meta["n_blocks"] = encoder.n_blocks
-    return meta
+def _component_to_json(component, **extra) -> dict:
+    """An encoder's or aux head's dataclass fields, parameters as lists."""
+    doc = {f.name: getattr(component, f.name) for f in fields(component)}
+    doc["params"] = {k: v.tolist() for k, v in component.params.items()}
+    return {**doc, **extra}
 
 
-def _encoder_from_json(meta):
-    cls = _ENCODER_CLASSES[meta["kind"]]
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in meta["params"].items()}
-    kwargs = dict(params=params, input_dim=meta["input_dim"],
-                  hidden_dim=meta["hidden_dim"], output_dim=meta["output_dim"],
-                  dropout=meta["dropout"])
-    if meta["kind"] == "resnet":
-        kwargs["n_blocks"] = meta["n_blocks"]
+def _component_from_json(cls, doc: dict):
+    kwargs = {f.name: doc[f.name] for f in fields(cls)}
+    kwargs["params"] = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
     return cls(**kwargs)
 
 
@@ -557,14 +523,10 @@ def model_to_json_dict(model: FusionModel, config_hash: str = "", extra=None) ->
         "class_weights": model.class_weights.tolist(),
         "sources": [
             {
-                "spec": src.spec.to_json_dict(),
-                "encoder": _encoder_to_json(src.encoder),
+                "spec": asdict(src.spec),
+                "encoder": _component_to_json(src.encoder, kind=src.encoder.kind),
                 "enn": {k: v.tolist() for k, v in src.enn.as_param_dict().items()},
-                "aux": {
-                    "input_dim": src.aux.input_dim,
-                    "n_classes": src.aux.n_classes,
-                    "params": {k: v.tolist() for k, v in src.aux.params.items()},
-                },
+                "aux": _component_to_json(src.aux),
             }
             for src in model.sources
         ],
@@ -580,17 +542,12 @@ def model_from_json_dict(doc: dict) -> FusionModel:
     frame = Frame(tuple(doc["frame"]["labels"]))
     sources = []
     for sd in doc["sources"]:
-        spec = SourceSpec.from_json_dict(sd["spec"])
-        encoder = _encoder_from_json(sd["encoder"])
+        encoder = _component_from_json(_ENCODER_CLASSES[sd["encoder"]["kind"]], sd["encoder"])
         enn = EnnParams.from_param_dict(
             {k: np.asarray(v, dtype=np.float64) for k, v in sd["enn"].items()}
         )
-        aux = AuxHead(
-            params={k: np.asarray(v, dtype=np.float64) for k, v in sd["aux"]["params"].items()},
-            input_dim=sd["aux"]["input_dim"],
-            n_classes=sd["aux"]["n_classes"],
-        )
-        sources.append(FusionSource(spec, encoder, enn, aux))
+        aux = _component_from_json(AuxHead, sd["aux"])
+        sources.append(FusionSource(SourceSpec(**sd["spec"]), encoder, enn, aux))
     return FusionModel(frame, sources, np.asarray(doc["class_weights"], dtype=np.float64))
 
 

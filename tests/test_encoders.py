@@ -8,7 +8,6 @@ from evidfuse.errors import DataError
 from evidfuse.encoders import (
     AuxHead,
     MlpEncoder,
-    aux_logits,
     encode,
     init_aux_head,
     init_encoder,
@@ -89,13 +88,14 @@ class TestAuxHead:
     def test_selecting_coordinates(self):
         head = AuxHead(params={"w": np.eye(32)[:, :2], "b": np.zeros(2)},
                        input_dim=32, n_classes=2)
-        z = RNG.normal(size=32)
-        np.testing.assert_allclose(aux_logits(head, z), z[:2], atol=1e-15)
+        z = RNG.normal(size=(4, 32))
+        np.testing.assert_allclose(head.forward(z), z[:, :2], atol=1e-15)
 
     def test_zero_weights_give_bias(self):
         bias = np.array([0.3, -0.7])
         head = AuxHead(params={"w": np.zeros((32, 2)), "b": bias}, input_dim=32, n_classes=2)
-        np.testing.assert_array_equal(aux_logits(head, RNG.normal(size=32)), bias)
+        logits = head.forward(RNG.normal(size=(3, 32)))
+        np.testing.assert_array_equal(logits, np.tile(bias, (3, 1)))
 
     def test_gradients(self):
         head = init_aux_head(4, 2, np.random.default_rng(5))

@@ -11,19 +11,40 @@ from evidfuse.errors import DataError
 from evidfuse.experiment import evaluate_checkpoint, run_experiment
 
 
-def tiny_run(tmp_path, seed=3):
-    config = RunConfig(
+def tiny_config(out_dir, seeds=(3,)):
+    return RunConfig(
         task="tiny",
         synthetic=SyntheticConfig(n=120, d_struct=4, d_embed=3, seed=5),
         prototypes=3,
         encoder_output_dim=8,
         text_hidden_dim=8,
         max_epochs=2,
-        seeds=(seed,),
-        output_dir=str(tmp_path),
+        seeds=seeds,
+        output_dir=str(out_dir),
     )
-    run_experiment(config)
+
+
+def tiny_run(tmp_path, seed=3):
+    run_experiment(tiny_config(tmp_path, seeds=(seed,)))
     return tmp_path / "tiny" / f"seed_{seed}"
+
+
+class TestGoldenRun:
+    def test_artifacts_byte_identical_across_output_dirs(self, tmp_path):
+        """Only config.json's unhashed output_dir may tell two runs apart."""
+        run_dirs = []
+        for name in ("a", "b"):
+            run_experiment(tiny_config(tmp_path / name, seeds=(0, 1)))
+            run_dirs.append(tmp_path / name / "tiny")
+        paths = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in run_dirs]
+        assert paths[0] == paths[1]
+        assert len(paths[0]) == 2 + 3 * 2   # config, summary; checkpoint, history, report
+        for rel in paths[0]:
+            a, b = ((d / rel).read_bytes() for d in run_dirs)
+            if rel.name == "config.json":
+                a, b = (json.loads(x) for x in (a, b))
+                assert a["config"].pop("output_dir") != b["config"].pop("output_dir")
+            assert a == b, rel
 
 
 class TestEvaluateCheckpoint:

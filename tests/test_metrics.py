@@ -187,6 +187,19 @@ class TestCalibration:
             assert nll(p, o) >= 0.0
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("metric", [auroc, auprc, brier, nll])
+    @pytest.mark.parametrize("scores,labels", [
+        ([np.nan, 0.2, 0.7, np.nan], [1, 0, 1, 0]),
+        ([0.1, np.inf, 0.5, 0.3], [0, 1, 1, 0]),
+        ([0.1, 0.9, 0.5], [0, 1, 2]),
+        ([0.1, 0.9, 0.5], [0, 1]),
+    ], ids=["nan-score", "inf-score", "label-2", "length-mismatch"])
+    def test_rejected(self, metric, scores, labels):
+        with pytest.raises(DataError):
+            metric(scores, labels)
+
+
 class TestEvaluateAndSummarize:
     def test_report_consistency(self):
         rng = np.random.default_rng(29)

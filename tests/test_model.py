@@ -113,6 +113,14 @@ class TestForward:
         with pytest.raises(DataError):
             predict_batch(model, [np.zeros((1, 3)), None])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("predict", [predict_probs, predict_batch])
+    def test_non_finite_input_rejected(self, predict, bad):
+        model, inputs, _ = tiny_fusion_setup(seed=2, n=6)
+        inputs[1][3, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            predict(model, inputs)
+
     def test_decision_rule_ties_to_lowest_index(self):
         model = FusionModel(F2, [constant_mass_source("a", 3, -40.0, [0.0, 0.0])], np.ones(2))
         pred = predict_one(model, [np.zeros(3)])  # vacuous -> uniform probabilities
