@@ -2,9 +2,16 @@
 
 A ``Tape`` records every operation on ``Tensor`` values in execution
 order; since a tensor is always created after its inputs, walking the
-record backwards is a valid reverse topological order.  The op set is
-exactly what the model forward pass needs; everything is float64 numpy
-underneath.
+record backwards is a valid reverse topological order.  Everything is
+float64 numpy underneath.
+
+Per-op Python overhead, not arithmetic, bounds a small-batch training
+step, so the model records coarse nodes with hand-derived VJPs: one
+``linear`` per affine layer, one ``relu`` per activation (dropout mask
+included), the residual ``add``, and the fused evidence and objective
+nodes built in ``evidential`` and ``model``.  The finer elementwise,
+reduction and shape ops compose reference implementations to check
+those nodes against.
 
 Every function in this module also accepts plain numpy arrays (or
 scalars) and then computes the same value without recording, so forward
@@ -204,6 +211,30 @@ def matmul(a, b):
     return out
 
 
+def linear(x, w, b):
+    """Affine map ``x @ w + b`` of (N, D) rows by (D, K) weights and a
+    (K,) bias, as one node."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    v = xv @ wv + bv
+    tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
+    if not tensors:
+        return v
+    if np.ndim(xv) != 2 or np.ndim(wv) != 2:
+        raise ValueError("taped linear supports 2-D operands only")
+    out = Tensor(v, tensors[0].tape, parents=tensors)
+
+    def bwd(g):
+        if isinstance(x, Tensor):
+            x._accumulate(g @ wv.T)
+        if isinstance(w, Tensor):
+            w._accumulate(xv.T @ g)
+        if isinstance(b, Tensor):
+            b._accumulate(g.sum(axis=0))
+
+    out._bwd = bwd
+    return out
+
+
 def exp(x):
     if not isinstance(x, Tensor):
         return np.exp(x)
@@ -230,12 +261,17 @@ def sigmoid(x):
     return out
 
 
-def relu(x):
+def relu(x, mask=None):
+    """max(x, 0), times a constant (dropout) mask when one is given."""
+    xv = value_of(x)
+    v = np.maximum(xv, 0.0)
+    if mask is not None:
+        v = v * mask
     if not isinstance(x, Tensor):
-        return np.maximum(x, 0.0)
-    v = np.maximum(x.value, 0.0)
+        return v
+    gate = xv > 0.0 if mask is None else mask * (xv > 0.0)
     out = Tensor(v, x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(g * (x.value > 0.0))
+    out._bwd = lambda g: x._accumulate(g * gate)
     return out
 
 

@@ -7,6 +7,12 @@ consumed by the evidential layer.  Parameters are plain name->array
 dicts so the training tape can substitute leaf tensors; dropout masks
 are sampled up front and applied as constants (inverted scaling, so the
 eval path needs no rescaling).
+
+On the training tape each affine layer is one ``autodiff.linear`` node
+and each activation one ``autodiff.relu`` node that also applies its
+dropout mask: an MLP records 5 nodes, a text head 3, an aux head 1 and
+a residual net 1 plus 4 per block (two linears, a ReLU and the
+residual add).
 """
 
 from dataclasses import dataclass
@@ -44,13 +50,10 @@ class MlpEncoder:
 
     def forward(self, x, params=None, masks=None):
         p = self.params if params is None else params
-        h = ad.relu(x @ p["w0"] + p["b0"])
-        if masks is not None:
-            h = h * masks[0]
-        h = ad.relu(h @ p["w1"] + p["b1"])
-        if masks is not None:
-            h = h * masks[1]
-        return h @ p["w2"] + p["b2"]
+        masks = masks or (None, None)
+        h = ad.relu(ad.linear(x, p["w0"], p["b0"]), masks[0])
+        h = ad.relu(ad.linear(h, p["w1"], p["b1"]), masks[1])
+        return ad.linear(h, p["w2"], p["b2"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +74,11 @@ class ResNetEncoder:
 
     def forward(self, x, params=None, masks=None):
         p = self.params if params is None else params
-        h = x @ p["w_in"] + p["b_in"]
+        masks = masks or (None,) * self.n_blocks
+        h = ad.linear(x, p["w_in"], p["b_in"])
         for k in range(self.n_blocks):
-            inner = ad.relu(h @ p[f"block{k}.w1"] + p[f"block{k}.b1"])
-            if masks is not None:
-                inner = inner * masks[k]
-            h = h + (inner @ p[f"block{k}.w2"] + p[f"block{k}.b2"])
+            inner = ad.relu(ad.linear(h, p[f"block{k}.w1"], p[f"block{k}.b1"]), masks[k])
+            h = h + ad.linear(inner, p[f"block{k}.w2"], p[f"block{k}.b2"])
         return h
 
 
@@ -101,8 +103,8 @@ class TextHeadEncoder:
 
     def forward(self, x, params=None, masks=None):
         p = self.params if params is None else params
-        h = ad.relu(x @ p["w0"] + p["b0"])
-        return h @ p["w1"] + p["b1"]
+        h = ad.relu(ad.linear(x, p["w0"], p["b0"]))
+        return ad.linear(h, p["w1"], p["b1"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +117,7 @@ class AuxHead:
 
     def forward(self, z, params=None):
         p = self.params if params is None else params
-        return z @ p["w"] + p["b"]
+        return ad.linear(z, p["w"], p["b"])
 
 
 def init_mlp(input_dim, rng, hidden_dim=ENCODER_HIDDEN_DIM,

@@ -224,11 +224,12 @@ def run_experiment(config: RunConfig) -> dict:
             f"run directory {run_dir!r} already holds a run (config hash "
             f"{existing}); pass --force to overwrite"
         )
+    # a dataset the run rejects must not leave a marker that blocks the rerun
+    dataset, dataset_id = load_run_dataset(config)
     os.makedirs(run_dir, exist_ok=True)
     _write_json(marker, {"config_hash": config.config_hash(),
                          "config": config.to_json_dict()})
 
-    dataset, dataset_id = load_run_dataset(config)
     reports = []
     for seed in config.seeds:
         report = run_single_seed(config, dataset, dataset_id, seed,

@@ -13,12 +13,16 @@ algebra they are checked against lives in the tests.
 
 The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
-each scaled by the source's auxiliary weight.  Training runs mini-batch
-Adam with early stopping on the validation overall loss, restoring the
-best-validation parameters.  Parameters travel as name->array dicts;
-during training every array is a view into one flat vector, so an Adam
-step is a single vectorized update.  All forward code runs on either
-plain arrays (inference) or tape tensors (training).
+each scaled by the source's auxiliary weight.  On the training tape it
+is one node with a hand-derived VJP, so a step records a leaf per
+parameter array, a node per affine layer and activation, one for the
+fusion and one for the objective: 34 for an MLP and a text-head source.
+Training runs mini-batch Adam with early stopping on the validation
+overall loss, restoring the best-validation parameters.  Parameters
+travel as name->array dicts; during training every array is a view into
+one flat vector, so an Adam step is a single vectorized update.  All
+forward code runs on either plain arrays (inference) or tape tensors
+(training).
 """
 
 import json
@@ -288,35 +292,84 @@ def predict_probs(model: FusionModel, inputs) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # losses
+#
+# Both terms are class-weighted means of -log p(true class).  The array
+# functions below give their values on every path; ``loss_overall``
+# records the whole objective as one tape node with a hand-derived VJP.
 
-def loss_main(probs, labels, class_weights):
+def _true_class(labels, class_weights):
+    """Row indices, labels and each row's class weight."""
+    labels = np.asarray(labels)
+    return np.arange(len(labels)), labels, np.asarray(class_weights)[labels]
+
+
+def _weighted_nll(weights, log_p_true):
+    return -(np.sum(weights * log_p_true) * (1.0 / len(weights)))
+
+
+def _shifted_exp(logits):
+    """Max-shifted logits, their exponentials and the row sums of those."""
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, np.sum(e, axis=1, keepdims=True)
+
+
+def loss_main(probs, labels, class_weights) -> float:
     """Class-weighted negative log of the predicted true-class probability."""
-    m = len(ad.value_of(class_weights))
-    onehot = np.eye(m)[np.asarray(labels)]
-    weights = onehot @ np.asarray(ad.value_of(class_weights))
-    p_true = ad.sum_along(probs * onehot, axis=1)
-    return -ad.mean_all(weights * ad.log(ad.maximum(p_true, PROB_FLOOR)))
+    rows, labels, weights = _true_class(labels, class_weights)
+    return _weighted_nll(weights, np.log(np.maximum(probs[rows, labels], PROB_FLOOR)))
 
 
-def loss_aux(logits, labels, class_weights):
+def loss_aux(logits, labels, class_weights) -> float:
     """Class-weighted cross entropy over softmaxed logits (max-shifted)."""
-    m = len(ad.value_of(class_weights))
-    onehot = np.eye(m)[np.asarray(labels)]
-    weights = onehot @ np.asarray(ad.value_of(class_weights))
-    shifted = logits - np.max(ad.value_of(logits), axis=1, keepdims=True)
-    log_norm = ad.log(ad.sum_along(ad.exp(shifted), axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    return -ad.mean_all(weights * ad.sum_along(onehot * log_probs, axis=1))
+    rows, labels, weights = _true_class(labels, class_weights)
+    shifted, _, total = _shifted_exp(logits)
+    return _weighted_nll(weights, (shifted - np.log(total))[rows, labels])
 
 
 def loss_overall(model: FusionModel, inputs, labels, params=None, masks=None):
-    """Main loss plus auxiliary-weighted per-source cross entropies."""
+    """Main loss plus auxiliary-weighted per-source cross entropies.
+
+    When the forward pass ran on tape tensors the result is one node
+    whose parents are the fused probabilities and the logits of every
+    source with a nonzero auxiliary weight.
+    """
     internals = batch_internals(model, inputs, params=params, masks=masks)
-    total = loss_main(internals["probs"], labels, model.class_weights)
-    for src, logits in zip(model.sources, internals["aux_logits"]):
-        if src.spec.aux_weight != 0.0:
-            total = total + src.spec.aux_weight * loss_aux(logits, labels, model.class_weights)
-    return total
+    probs = internals["probs"]
+    aux = [(src.spec.aux_weight, logits)
+           for src, logits in zip(model.sources, internals["aux_logits"])
+           if src.spec.aux_weight != 0.0]
+    total = loss_main(ad.value_of(probs), labels, model.class_weights)
+    for weight, logits in aux:
+        total = total + weight * loss_aux(ad.value_of(logits), labels, model.class_weights)
+    tensors = tuple(t for t in (probs, *(logits for _, logits in aux))
+                    if isinstance(t, ad.Tensor))
+    if not tensors:
+        return total
+    rows, labels, weights = _true_class(labels, model.class_weights)
+
+    def bwd(g):
+        # d/dp of -(1/n) w log max(p_true, floor) is c / p_true with
+        # c = -(1/n) w, zero where the floor clamps; d/dlogits of an aux
+        # term is -(a/n) w (onehot - softmax).  The factors are grouped as
+        # in the chained-op reference, so both round alike.
+        n = len(rows)
+        if isinstance(probs, ad.Tensor):
+            coef = -g * (1.0 / n) * weights
+            p_true = probs.value[rows, labels]
+            g_probs = np.zeros_like(probs.value)
+            g_probs[rows, labels] = np.where(p_true > PROB_FLOOR,
+                                             coef / np.maximum(p_true, PROB_FLOOR), 0.0)
+            probs._accumulate(g_probs)
+        for weight, logits in aux:
+            if isinstance(logits, ad.Tensor):
+                coef = -(g * weight) * (1.0 / n) * weights
+                _, e, row_sums = _shifted_exp(logits.value)
+                g_logits = (-coef[:, None] / row_sums) * e
+                g_logits[rows, labels] += coef
+                logits._accumulate(g_logits)
+
+    return ad.Tensor(total, tensors[0].tape, parents=tensors, bwd=bwd)
 
 
 def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
@@ -554,8 +607,10 @@ def model_from_json_dict(doc: dict) -> FusionModel:
 def save_checkpoint(model: FusionModel, path: str, config_hash: str = "", extra=None):
     doc = model_to_json_dict(model, config_hash=config_hash, extra=extra)
     tmp = f"{path}.tmp"
+    # json.dumps runs the C encoder; json.dump to a file always runs the
+    # pure-Python one
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     os.replace(tmp, path)
 
 

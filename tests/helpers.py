@@ -1,7 +1,7 @@
 """Shared test utilities: gradient checking, small model fixtures, the
 exact per-sample reference for the evidential layer and the fused
-prediction, and taped reference implementations of the batched evidence
-and fusion."""
+prediction, and taped reference implementations of the batched evidence,
+the fusion and the training objective."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from evidfuse.encoders import encode
 from evidfuse.errors import DataError
 from evidfuse.evidential import EnnParams
 from evidfuse.masses import Frame, SimpleMass, combine_many, degree_of_conflict, pignistic
-from evidfuse.model import Predictions, SourceSpec, init_model
+from evidfuse.model import PROB_FLOOR, Predictions, SourceSpec, batch_internals, init_model
 
 
 def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
@@ -119,6 +119,40 @@ def combine_batch(pairs):
         singles = cross / denom
         ign = ign / denom
     return singles, ign
+
+
+def chained_loss_main(probs, labels, class_weights):
+    """Reference main loss from taped ops: class-weighted negative log of
+    the predicted true-class probability."""
+    m = len(ad.value_of(class_weights))
+    onehot = np.eye(m)[np.asarray(labels)]
+    weights = onehot @ np.asarray(ad.value_of(class_weights))
+    p_true = ad.sum_along(probs * onehot, axis=1)
+    return -ad.mean_all(weights * ad.log(ad.maximum(p_true, PROB_FLOOR)))
+
+
+def chained_loss_aux(logits, labels, class_weights):
+    """Reference aux loss from taped ops: class-weighted cross entropy
+    over softmaxed logits (max-shifted)."""
+    m = len(ad.value_of(class_weights))
+    onehot = np.eye(m)[np.asarray(labels)]
+    weights = onehot @ np.asarray(ad.value_of(class_weights))
+    shifted = logits - np.max(ad.value_of(logits), axis=1, keepdims=True)
+    log_norm = ad.log(ad.sum_along(ad.exp(shifted), axis=1, keepdims=True))
+    log_probs = shifted - log_norm
+    return -ad.mean_all(weights * ad.sum_along(onehot * log_probs, axis=1))
+
+
+def chained_loss_overall(model, inputs, labels, params=None, masks=None):
+    """Reference objective: the chained main loss plus each source's
+    chained aux loss scaled by its (nonzero) aux weight."""
+    internals = batch_internals(model, inputs, params=params, masks=masks)
+    total = chained_loss_main(internals["probs"], labels, model.class_weights)
+    for src, logits in zip(model.sources, internals["aux_logits"]):
+        if src.spec.aux_weight != 0.0:
+            total = total + src.spec.aux_weight * chained_loss_aux(logits, labels,
+                                                                   model.class_weights)
+    return total
 
 
 # ---------------------------------------------------------------------------

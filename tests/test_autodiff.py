@@ -43,6 +43,21 @@ class TestElementwiseOps:
         a = RNG.choice([-2.0, -1.0, 1.0, 2.0], size=(8,)) + RNG.uniform(-0.2, 0.2, 8)
         check_gradients(lambda x: ad.sum_along(ad.relu(x) * 3.0), [a])
 
+    def test_relu_with_mask(self):
+        # a dropout mask: zeros and inverted-scaled ones, applied inside the node
+        a = RNG.choice([-2.0, -1.0, 1.0, 2.0], size=(4, 5)) + RNG.uniform(-0.2, 0.2, (4, 5))
+        mask = np.where(RNG.random((4, 5)) < 0.4, 0.0, 1.0 / 0.6)
+        mask[0, :] = 0.0
+        c = RNG.normal(size=(4, 5))
+        check_gradients(lambda x: ad.sum_along(ad.relu(x, mask) * c), [a])
+        np.testing.assert_array_equal(ad.relu(a, mask), np.maximum(a, 0.0) * mask)
+        tape = Tape()
+        leaf = tape.leaf(a)
+        out = ad.relu(leaf, mask)
+        assert len(tape.nodes) == 2
+        tape.backward(ad.sum_along(out))
+        np.testing.assert_array_equal(leaf.grad, mask * (a > 0.0))
+
     def test_maximum_clamp(self):
         a = np.array([0.2, 0.9, 1.5, -0.3])
         check_gradients(lambda x: ad.sum_along(ad.log(ad.maximum(x, 0.5))), [a])
@@ -63,6 +78,30 @@ class TestLinearAlgebraOps:
         c = RNG.normal(size=(5, 3))
         b = RNG.normal(size=(3, 2))
         check_gradients(lambda y: ad.sum_along(c @ y), [b])
+
+    def test_linear_with_bias_broadcast(self):
+        x = RNG.normal(size=(5, 3))
+        w = RNG.normal(size=(3, 4))
+        b = RNG.normal(size=(4,))
+        check_gradients(lambda xv, wv, bv: ad.sum_along(ad.sigmoid(ad.linear(xv, wv, bv))),
+                        [x, w, b])
+        np.testing.assert_array_equal(ad.linear(x, w, b), x @ w + b)
+
+    def test_linear_with_constant_input(self):
+        x = RNG.normal(size=(6, 3))
+        w = RNG.normal(size=(3, 2))
+        b = RNG.normal(size=(2,))
+        c = RNG.normal(size=(6, 2))
+        check_gradients(lambda wv, bv: ad.sum_along(ad.linear(x, wv, bv) * c), [w, b])
+        tape = Tape()
+        ad.linear(x, tape.leaf(w), tape.leaf(b))
+        assert len(tape.nodes) == 3     # two leaves, one node
+
+    def test_linear_rejects_non_2d(self):
+        tape = Tape()
+        w = tape.leaf(RNG.normal(size=(2, 2)))
+        with pytest.raises(ValueError):
+            ad.linear(RNG.normal(size=(2, 2, 2)), w, np.zeros(2))
 
     def test_matmul_rejects_non_2d(self):
         tape = Tape()

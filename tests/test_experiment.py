@@ -69,6 +69,9 @@ class TestBinaryOnly:
         manifest = write_dataset(dataset, str(tmp_path / "data"))
         config = RunConfig(task="three", dataset=manifest, prototypes=3, max_epochs=1,
                            seeds=(0,), output_dir=str(tmp_path / "runs"))
-        with pytest.raises(DataError, match="binary"):
-            run_experiment(config)
+        for _ in range(2):
+            # the rejected run leaves no marker, so the rerun fails the same way
+            with pytest.raises(DataError, match="binary"):
+                run_experiment(config)
+            assert not (tmp_path / "runs" / "three" / "config.json").exists()
         assert not list((tmp_path / "runs" / "three").glob("seed_*"))

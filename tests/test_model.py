@@ -1,7 +1,7 @@
 """Fusion model: batched predictions, losses, training loop, checkpoints."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from evidfuse.model import (
     loss_aux,
     loss_main,
     loss_overall,
+    make_dropout_masks,
     model_from_json_dict,
     model_to_json_dict,
     param_dict,
@@ -40,7 +41,8 @@ from evidfuse.model import (
     train,
     with_params,
 )
-from helpers import exact_prediction, tiny_fusion_setup
+from evidfuse.rng import substream
+from helpers import chained_loss_overall, exact_prediction, tiny_fusion_setup
 
 F2 = Frame.of_size(2)
 
@@ -257,6 +259,59 @@ class TestLossAndGrad:
         model, inputs, labels = tiny_fusion_setup(seed=12, n=6)
         _, grads = loss_and_grad(model, inputs, labels)
         assert set(grads) == set(param_dict(model))
+
+
+class TestFusedObjective:
+    """``loss_overall`` records the whole objective as one node; its value
+    and VJP must match the chained-op reference built from taped ops."""
+
+    @staticmethod
+    def _setup(kind, zero_aux):
+        model, inputs, labels = tiny_fusion_setup(seed=13, n=24, encoder_kind=kind)
+        if zero_aux:
+            src = model.sources[1]
+            src.spec = replace(src.spec, aux_weight=0.0)
+        masks = make_dropout_masks(model, len(labels), substream(4, "dropout"))
+        return model, inputs, labels, masks
+
+    @pytest.mark.parametrize("zero_aux", [False, True])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_matches_chained_oracle(self, kind, zero_aux):
+        model, inputs, labels, masks = self._setup(kind, zero_aux)
+        loss, grads = loss_and_grad(model, inputs, labels, masks=masks)
+
+        tape = ad.Tape()
+        leaves = {k: tape.leaf(v) for k, v in param_dict(model).items()}
+        ref = chained_loss_overall(model, inputs, labels, params=leaves, masks=masks)
+        tape.backward(ref)
+        assert abs(loss - float(ref.value)) <= 1e-12 * abs(loss)
+        plain = loss_overall(model, inputs, labels, masks=masks)
+        assert abs(plain - float(ref.value)) <= 1e-12 * abs(loss)
+        assert set(grads) == set(leaves)
+        for name, leaf in leaves.items():
+            expected = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+            np.testing.assert_allclose(grads[name], expected, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+        if zero_aux:
+            for key in ("w", "b"):
+                np.testing.assert_array_equal(grads[f"src1.aux.{key}"], 0.0)
+
+    # leaves + nodes.  MLP source: 12 leaves, 5 encoder + 1 aux-head nodes;
+    # text source: 10 leaves, 3 + 1 nodes; ResNet source: 20 leaves,
+    # 1 + 3 * 4 + 1 nodes; then one fusion node and one objective node
+    @pytest.mark.parametrize("kind,expected", [("mlp", 34), ("resnet", 50)])
+    def test_tape_nodes_per_step(self, monkeypatch, kind, expected):
+        model, inputs, labels, masks = self._setup(kind, zero_aux=False)
+        seen = []
+
+        class CountingTape(ad.Tape):
+            def backward(self, output):
+                seen.append(len(self.nodes))
+                super().backward(output)
+
+        monkeypatch.setattr(evidfuse.model, "Tape", CountingTape)
+        loss_and_grad(model, inputs, labels, masks=masks)
+        assert seen == [expected]
 
 
 class TestTraining:
