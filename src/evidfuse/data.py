@@ -3,9 +3,10 @@
 On disk a dataset is a manifest JSON pointing at a structured CSV
 (header = feature names + ``label`` + ``id``, empty cells = missing)
 and optionally an embeddings JSONL (one ``{"id", "embedding"}`` record
-per sample).  In memory it is raw rows plus an embedding matrix; all
-numeric encoding happens in ``fit_preprocess``/``apply_preprocess``,
-whose statistics come from the training split only.
+per sample).  In memory it is one raw array per feature (NaN or None =
+missing) plus an embedding matrix; all numeric encoding happens in
+``fit_preprocess``/``apply_preprocess``, whose statistics come from the
+training split only.
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -20,8 +21,7 @@ import json
 import logging
 import math
 import os
-from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -47,11 +47,19 @@ class FeatureSpec:
             raise DataError(f"feature {self.name!r}: unknown kind {self.kind!r}")
 
 
+def _missing(column: np.ndarray) -> np.ndarray:
+    """Missing cells: NaN in a numerical column, None in a categorical one."""
+    return np.isnan(column) if column.dtype == np.float64 else np.equal(column, None)
+
+
 @dataclass(eq=False)
 class Dataset:
+    """``columns[j]`` holds schema feature j for every sample: float64 with
+    NaN for missing, or for a categorical an object array of str with None."""
+
     schema: tuple
     ids: list
-    rows: list                      # raw values per schema order; None = missing
+    columns: tuple
     labels: np.ndarray
     embeddings: np.ndarray | None = None
     m: int = 2
@@ -64,17 +72,23 @@ class Dataset:
             raise DataError(f"duplicate feature names in schema: {names}")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("sample ids must be unique")
-        if len(self.ids) != len(self.rows) or len(self.ids) != len(self.labels):
-            raise DataError("ids, rows, and labels must have equal lengths")
+        columns = tuple(np.asarray(c, dtype=np.float64 if f.kind == "numerical" else object)
+                        for f, c in zip(self.schema, self.columns))
+        if (len(self.columns) != len(self.schema) or len(self.labels) != self.n
+                or any(c.shape != (self.n,) for c in columns)):
+            raise DataError("need one column per schema feature, each as long as ids and labels")
+        self.columns = columns
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.m):
             raise DataError(f"labels must lie in 0..{self.m - 1}")
-        for row in self.rows:
-            if len(row) != len(self.schema):
-                raise DataError("row width does not match schema")
+        for f, c in zip(self.schema, self.columns):
+            if f.kind == "numerical" and np.isinf(c).any():
+                raise DataError(f"feature {f.name!r}: infinite values")
+            if f.kind == "categorical" and not set(map(type, c)) <= {str, type(None)}:
+                raise DataError(f"feature {f.name!r}: categorical values must be str or None")
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-            if self.embeddings.shape[0] != len(self.ids):
-                raise DataError("embedding count does not match sample count")
+            if self.embeddings.ndim != 2 or self.embeddings.shape[0] != self.n:
+                raise DataError("embeddings must be one vector per sample")
 
     @property
     def n(self):
@@ -82,15 +96,10 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
-        return Dataset(
-            schema=self.schema,
-            ids=[self.ids[i] for i in indices],
-            rows=[self.rows[i] for i in indices],
-            labels=self.labels[indices],
-            embeddings=self.embeddings[indices] if self.embeddings is not None else None,
-            m=self.m,
-            generator=self.generator,
-        )
+        return replace(
+            self, ids=np.asarray(self.ids, dtype=object)[indices].tolist(),
+            columns=tuple(c[indices] for c in self.columns), labels=self.labels[indices],
+            embeddings=self.embeddings[indices] if self.embeddings is not None else None)
 
 
 def split(dataset: Dataset, seed: int):
@@ -98,12 +107,9 @@ def split(dataset: Dataset, seed: int):
     if dataset.n < 10:
         raise DataError(f"need at least 10 samples to split, got {dataset.n}")
     order = substream(seed, "split").permutation(dataset.n)
-    n_train = int(SPLIT_FRACTIONS[0] * dataset.n)
-    n_val = int((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * dataset.n) - n_train
-    train_idx = order[:n_train]
-    val_idx = order[n_train:n_train + n_val]
-    test_idx = order[n_train + n_val:]
-    return dataset.subset(train_idx), dataset.subset(val_idx), dataset.subset(test_idx)
+    cuts = [int(SPLIT_FRACTIONS[0] * dataset.n),
+            int((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * dataset.n)]
+    return tuple(dataset.subset(part) for part in np.split(order, cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +142,7 @@ class PreprocessState:
         return np.concatenate(cols)
 
     def to_json_dict(self):
-        return {
-            "numerical": {k: [v[0], v[1]] for k, v in self.numerical.items()},
-            "categorical": {k: [v[0], list(v[1])] for k, v in self.categorical.items()},
-            "dropped": list(self.dropped),
-            "layout": [[n, s, w] for n, s, w in self.layout],
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(d):
@@ -157,29 +158,26 @@ def fit_preprocess(train: Dataset) -> PreprocessState:
     """Fit imputation/scaling/encoding statistics on the training split."""
     numerical, categorical, dropped, layout = {}, {}, [], []
     col = 0
-    for j, feat in enumerate(train.schema):
-        observed = [row[j] for row in train.rows if row[j] is not None]
-        if not observed:
+    for feat, column in zip(train.schema, train.columns):
+        observed = column[~_missing(column)]
+        if not observed.size:
             raise DataError(f"feature {feat.name!r} has no observed values in the training split")
         if feat.kind == "numerical":
-            values = np.asarray(observed, dtype=np.float64)
-            mean = float(values.mean())
-            std = float(values.std())
+            mean, std = float(observed.mean()), float(observed.std())
             if std == 0.0:
                 logger.warning("dropping constant numerical feature %r", feat.name)
                 dropped.append(feat.name)
                 continue
             numerical[feat.name] = (mean, std)
-            layout.append((feat.name, col, 1))
-            col += 1
+            width = 1
         else:
-            counts = Counter(str(v) for v in observed)
-            top = max(counts.values())
-            mode = min(v for v, c in counts.items() if c == top)
-            categories = tuple(sorted(counts))
-            categorical[feat.name] = (mode, categories)
-            layout.append((feat.name, col, len(categories)))
-            col += len(categories)
+            # sorted categories; argmax takes the first (smallest) mode on ties
+            values, counts = np.unique(observed, return_counts=True)
+            categories = tuple(values.tolist())
+            categorical[feat.name] = (categories[int(np.argmax(counts))], categories)
+            width = len(categories)
+        layout.append((feat.name, col, width))
+        col += width
     return PreprocessState(numerical, categorical, tuple(dropped), tuple(layout))
 
 
@@ -190,29 +188,23 @@ def apply_preprocess(state: PreprocessState, dataset: Dataset) -> np.ndarray:
     fatal), so inference never fails on novel category values.
     """
     out = np.zeros((dataset.n, state.width))
-    index = {f.name: j for j, f in enumerate(dataset.schema)}
-    unseen: Counter = Counter()
+    columns = {f.name: c for f, c in zip(dataset.schema, dataset.columns)}
+    unseen = []
     for name, start, width in state.layout:
-        if name not in index:
+        if name not in columns:
             raise DataError(f"dataset lacks feature {name!r} required by the preprocess state")
-        j = index[name]
+        column = columns[name]
         if name in state.numerical:
             mean, std = state.numerical[name]
-            raw = np.array(
-                [mean if row[j] is None else float(row[j]) for row in dataset.rows]
-            )
-            out[:, start] = (raw - mean) / std
+            out[:, start] = (np.where(np.isnan(column), mean, column) - mean) / std
         else:
             mode, categories = state.categorical[name]
-            pos = {c: k for k, c in enumerate(categories)}
-            for i, row in enumerate(dataset.rows):
-                value = mode if row[j] is None else str(row[j])
-                k = pos.get(value)
-                if k is None:
-                    unseen[(name, value)] += 1
-                else:
-                    out[i, start + k] = 1.0
-    for (name, value), count in sorted(unseen.items()):
+            values = np.where(np.equal(column, None), mode, column)
+            onehot = values[:, None] == np.array(categories, dtype=object)
+            out[:, start:start + width] = onehot
+            novel, counts = np.unique(values[~onehot.any(axis=1)], return_counts=True)
+            unseen += [(name, v, c) for v, c in zip(novel.tolist(), counts.tolist())]
+    for name, value, count in sorted(unseen):
         logger.warning("feature %r: unseen category %r in %d rows encoded as zeros",
                        name, value, count)
     return out
@@ -313,7 +305,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     return Dataset(
         schema=schema,
         ids=[f"s{i:06d}" for i in range(n)],
-        rows=[list(map(float, x_struct[i])) for i in range(n)],
+        columns=tuple(x_struct.T),
         labels=labels,
         embeddings=embeddings,
         m=config.m,
@@ -351,10 +343,9 @@ def write_dataset(dataset: Dataset, out_dir: str) -> str:
     with open(os.path.join(out_dir, structured_name), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f.name for f in dataset.schema] + ["label", "id"])
-        for row, label, sample_id in zip(dataset.rows, dataset.labels, dataset.ids):
-            writer.writerow(
-                ["" if v is None else v for v in row] + [int(label), sample_id]
-            )
+        # astype(object) yields Python floats, which csv writes as repr()
+        cells = [np.where(_missing(c), "", c.astype(object)) for c in dataset.columns]
+        writer.writerows(zip(*cells, dataset.labels.tolist(), dataset.ids))
     embeddings_name = None
     if dataset.embeddings is not None:
         embeddings_name = "embeddings.jsonl"
@@ -385,15 +376,57 @@ def manifest_hash(manifest_path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _parse_cell(value: str, kind: str):
-    if value == "":
-        return None
-    if kind == "numerical":
+def _bad_cell(path: str, what: str, cells, parse) -> DataError:
+    """The error naming the first CSV cell that ``parse`` rejects or reads as
+    non-finite; a column is re-scanned this way only after it failed to load."""
+    for line_no, cell in enumerate(cells, start=2):
         try:
-            return float(value)
-        except ValueError as exc:
-            raise DataError(f"expected a number, got {value!r}") from exc
-    return value
+            if math.isfinite(parse(cell)):
+                continue
+        except ValueError:
+            pass
+        return DataError(f"{path}:{line_no}: {what} {cell!r}")
+
+
+def _parse_column(cells, feat: FeatureSpec, path: str) -> np.ndarray:
+    if feat.kind == "categorical":
+        return np.array([cell or None for cell in cells], dtype=object)
+    try:
+        column = np.array([float(cell) if cell else math.nan for cell in cells])
+        # only an empty cell may stand for missing; a literal nan or inf is an error
+        if not any(cells[i] for i in np.flatnonzero(~np.isfinite(column))):
+            return column
+    except ValueError:
+        pass
+    raise _bad_cell(path, f"feature {feat.name!r}: not a finite number", cells,
+                    lambda cell: float(cell or 0))
+
+
+def _load_embeddings(path: str, ids) -> np.ndarray:
+    vectors = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if record["id"] in vectors:
+                    raise DataError(f"{path}:{line_no}: duplicate id {record['id']!r}")
+                vectors[record["id"]] = record["embedding"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}:{line_no}: bad record") from exc
+    try:
+        embeddings = np.array([vectors[i] for i in ids], dtype=np.float64)
+        if embeddings.ndim != 2:  # scalar or nested embeddings, or no rows
+            raise ValueError(f"read as a {embeddings.ndim}-D array")
+    except KeyError as exc:
+        raise DataError(f"{path}: no embedding for id {exc.args[0]!r}") from exc
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{path}: need one equal-length number list per sample ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: non-finite or null embedding value for id {ids[bad[0]]!r}")
+    return embeddings
 
 
 def load_dataset(manifest_path: str) -> Dataset:
@@ -410,47 +443,27 @@ def load_dataset(manifest_path: str) -> Dataset:
     schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
 
     structured_path = os.path.join(base, manifest["files"]["structured"])
-    ids, rows, labels = [], [], []
     with open(structured_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         expected = [f.name for f in schema] + ["label", "id"]
         if header != expected:
             raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise DataError(f"{structured_path}:{line_no}: wrong column count")
-            rows.append([_parse_cell(v, f.kind) for v, f in zip(row, schema)])
-            try:
-                labels.append(int(row[-2]))
-            except ValueError as exc:
-                raise DataError(f"{structured_path}:{line_no}: bad label {row[-2]!r}") from exc
-            ids.append(row[-1])
-
-    embeddings = None
-    if manifest["files"].get("embeddings"):
-        embeddings_path = os.path.join(base, manifest["files"]["embeddings"])
-        vectors = {}
-        with open(embeddings_path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    vectors[record["id"]] = record["embedding"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DataError(f"{embeddings_path}:{line_no}: bad record") from exc
-        missing = [i for i in ids if i not in vectors]
-        if missing:
-            raise DataError(f"embeddings missing for ids {missing[:5]!r}...")
-        embeddings = np.asarray([vectors[i] for i in ids], dtype=np.float64)
-
+        records = list(reader)
+    bad = np.flatnonzero(np.fromiter(map(len, records), np.int64, len(records)) != len(expected))
+    if bad.size:
+        raise DataError(f"{structured_path}:{bad[0] + 2}: wrong column count")
+    cells = list(zip(*records)) or [()] * len(expected)
+    try:
+        labels = np.array([int(cell) for cell in cells[-2]], dtype=np.int64)
+    except ValueError:
+        raise _bad_cell(structured_path, "bad label", cells[-2], int) from None
+    ids = list(cells[-1])
+    columns = tuple(_parse_column(c, f, structured_path) for c, f in zip(cells, schema))
+    del records, cells  # the CSV text is not needed while the embeddings load
+    embeddings_name = manifest["files"].get("embeddings")
     return Dataset(
-        schema=schema,
-        ids=ids,
-        rows=rows,
-        labels=np.asarray(labels),
-        embeddings=embeddings,
-        m=manifest["m"],
-        generator=manifest.get("generator"),
-    )
+        schema=schema, ids=ids, labels=labels, columns=columns,
+        embeddings=(_load_embeddings(os.path.join(base, embeddings_name), ids)
+                    if embeddings_name else None),
+        m=manifest["m"], generator=manifest.get("generator"))

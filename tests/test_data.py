@@ -1,6 +1,7 @@
 """Data pipeline: splitting, preprocessing, weights, synthetic generation."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -25,11 +26,12 @@ from evidfuse.errors import ConfigError, DataError
 
 
 def toy_dataset(rows, schema, labels=None, **kw):
+    """A dataset from row lists (None = missing), stored as columns."""
     n = len(rows)
     return Dataset(
         schema=tuple(schema),
         ids=[f"r{i}" for i in range(n)],
-        rows=[list(r) for r in rows],
+        columns=[[row[j] for row in rows] for j in range(len(schema))],
         labels=np.array(labels if labels is not None else [i % 2 for i in range(n)]),
         **kw,
     )
@@ -98,6 +100,21 @@ class TestPreprocess:
         out = apply_preprocess(fit_preprocess(ds), ds)
         np.testing.assert_array_equal(out[3], [1, 0])
 
+    def test_categorical_mode_tie_takes_smallest(self):
+        ds = toy_dataset([["B"], ["A"], ["B"], ["A"], [None]], [CAT], labels=[0, 1, 0, 1, 0])
+        assert fit_preprocess(ds).categorical["group"] == ("A", ("A", "B"))
+
+    def test_unseen_categories_logged_per_value(self, caplog):
+        train = toy_dataset([["A"], ["B"]], [CAT], labels=[0, 1])
+        fresh = toy_dataset([["D"], ["C"], ["A"], ["D"]], [CAT], labels=[0, 1, 0, 1])
+        with caplog.at_level(logging.WARNING, logger="evidfuse.data"):
+            out = apply_preprocess(fit_preprocess(train), fresh)
+        np.testing.assert_array_equal(out, [[0, 0], [0, 0], [1, 0], [0, 0]])
+        assert [r.getMessage() for r in caplog.records] == [
+            "feature 'group': unseen category 'C' in 1 rows encoded as zeros",
+            "feature 'group': unseen category 'D' in 2 rows encoded as zeros",
+        ]
+
     def test_unseen_category_encodes_as_zeros(self):
         train = toy_dataset([["A"], ["B"]], [CAT], labels=[0, 1])
         state = fit_preprocess(train)
@@ -132,6 +149,20 @@ class TestPreprocess:
         ds = toy_dataset([[None], [None]], [NUM], labels=[0, 1])
         with pytest.raises(DataError):
             fit_preprocess(ds)
+
+    def test_json_text_is_the_list_form(self):
+        ds = toy_dataset([[1.0, "A"], [2.0, "B"], [3.0, "A"]], [NUM, CAT], labels=[0, 1, 0])
+        state = fit_preprocess(ds)
+        from evidfuse.data import PreprocessState
+        listed = {
+            "numerical": {k: list(v) for k, v in state.numerical.items()},
+            "categorical": {k: [v[0], list(v[1])] for k, v in state.categorical.items()},
+            "dropped": list(state.dropped),
+            "layout": [list(entry) for entry in state.layout],
+        }
+        text = json.dumps(state.to_json_dict(), sort_keys=True)
+        assert text == json.dumps(listed, sort_keys=True)
+        assert PreprocessState.from_json_dict(json.loads(text)) == state
 
     def test_json_round_trip(self):
         ds = toy_dataset([[1.0, "A"], [2.0, "B"], [3.0, "A"]], [NUM, CAT], labels=[0, 1, 0])
@@ -169,7 +200,7 @@ class TestSyntheticGeneration:
         a, b = generate_synthetic(cfg), generate_synthetic(cfg)
         assert a.ids == b.ids
         np.testing.assert_array_equal(a.labels, b.labels)
-        np.testing.assert_array_equal(np.asarray(a.rows), np.asarray(b.rows))
+        np.testing.assert_array_equal(np.asarray(a.columns), np.asarray(b.columns))
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
 
     def test_identical_bytes_on_disk(self, tmp_path):
@@ -194,7 +225,7 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(n=4000, d_struct=3, d_embed=2,
                               informativeness=(0.0, 0.0), seed=17)
         ds = generate_synthetic(cfg)
-        x = np.asarray(ds.rows)
+        x = np.column_stack(ds.columns)
         pos, neg = x[ds.labels == 1], x[ds.labels == 0]
         assert np.linalg.norm(pos.mean(axis=0) - neg.mean(axis=0)) <= 0.15
         assert bayes_optimal_auroc(ds.generator) == pytest.approx(0.5)
@@ -253,8 +284,8 @@ class TestRoundTrip:
         loaded = load_dataset(manifest_path)
         assert loaded.ids == ds.ids
         np.testing.assert_array_equal(loaded.labels, ds.labels)
-        np.testing.assert_allclose(np.asarray(loaded.rows, dtype=float),
-                                   np.asarray(ds.rows, dtype=float), rtol=0, atol=0)
+        np.testing.assert_allclose(np.column_stack(loaded.columns),
+                                   np.column_stack(ds.columns), rtol=0, atol=0)
         np.testing.assert_allclose(loaded.embeddings, ds.embeddings, rtol=0, atol=0)
         assert loaded.m == ds.m
 
@@ -263,8 +294,9 @@ class TestRoundTrip:
                          labels=[0, 1, 0])
         manifest_path = write_dataset(ds, str(tmp_path / "gap"))
         loaded = load_dataset(manifest_path)
-        assert loaded.rows[1] == [None, None]
-        assert loaded.rows[0] == [1.0, "A"]
+        value, group = loaded.columns
+        assert np.isnan(value[1]) and group[1] is None
+        assert (value[0], group[0]) == (1.0, "A")
 
     def test_header_mismatch_rejected(self, tmp_path):
         ds = toy_dataset([[1.0]], [NUM], labels=[0])
@@ -281,5 +313,113 @@ class TestRoundTrip:
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
-            Dataset(schema=(NUM,), ids=["a", "a"], rows=[[1.0], [2.0]],
+            Dataset(schema=(NUM,), ids=["a", "a"], columns=[[1.0, 2.0]],
                     labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_numerical_value_rejected(self, value):
+        with pytest.raises(DataError, match="'value'"):
+            toy_dataset([[1.0], [value]], [NUM], labels=[0, 1])
+
+    @pytest.mark.parametrize("value", [math.nan, 1, 1.5])
+    def test_non_str_categorical_value_rejected(self, value):
+        with pytest.raises(DataError, match="'group'.*str or None"):
+            toy_dataset([["A"], [value]], [CAT], labels=[0, 1])
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(DataError):
+            Dataset(schema=(NUM, CAT), ids=["a", "b"], columns=[[1.0, 2.0], ["A"]],
+                    labels=np.array([0, 1]))
+        with pytest.raises(DataError):
+            Dataset(schema=(NUM, CAT), ids=["a", "b"], columns=[[1.0, 2.0]],
+                    labels=np.array([0, 1]))
+
+
+class TestLoadRejects:
+    """Malformed files fail at load with a DataError naming the file."""
+
+    @staticmethod
+    def _written(tmp_path):
+        ds = toy_dataset([[1.0, "A"], [2.0, "B"], [None, None]], [NUM, CAT],
+                         labels=[0, 1, 0], embeddings=np.arange(6.0).reshape(3, 2))
+        return write_dataset(ds, str(tmp_path / "ds")), tmp_path / "ds"
+
+    @staticmethod
+    def _replace_line(path, line_no, text):
+        lines = path.read_text().splitlines()
+        lines[line_no - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+    def test_non_finite_numerical_cell(self, tmp_path, literal):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 3, f"{literal},B,1,r1")
+        with pytest.raises(DataError, match=r"structured\.csv:3: .*'value'"):
+            load_dataset(manifest)
+
+    def test_unparsable_numerical_cell(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 4, "abc,,0,r2")
+        with pytest.raises(DataError, match=r"structured\.csv:4: feature 'value': .*'abc'"):
+            load_dataset(manifest)
+
+    def test_bad_label(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 3, "2.0,B,yes,r1")
+        with pytest.raises(DataError, match=r"structured\.csv:3: bad label 'yes'"):
+            load_dataset(manifest)
+
+    def test_wrong_column_count(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 4, ",,0")
+        with pytest.raises(DataError, match=r"structured\.csv:4: wrong column count"):
+            load_dataset(manifest)
+
+    def test_missing_embedding_id(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "embeddings.jsonl", 2, "")
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: no embedding for id 'r1'"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("embedding", ["1.5", "[[2.0,3.0]]"])
+    def test_scalar_or_nested_embeddings(self, tmp_path, embedding):
+        manifest, d = self._written(tmp_path)
+        lines = (d / "embeddings.jsonl").read_text().splitlines()
+        (d / "embeddings.jsonl").write_text("".join(
+            '{"embedding":%s,"id":"%s"}\n' % (embedding, json.loads(line)["id"])
+            for line in lines))
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+            load_dataset(manifest)
+
+    def test_embeddings_without_rows(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        csv_path = d / "structured.csv"
+        csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+            load_dataset(manifest)
+
+    def test_ragged_embeddings(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "embeddings.jsonl", 2, '{"embedding":[2.0],"id":"r1"}')
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+            load_dataset(manifest)
+
+    def test_non_numeric_embedding_entry(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "embeddings.jsonl", 2, '{"embedding":[2.0,"abc"],"id":"r1"}')
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "null"])
+    def test_non_finite_embedding_entry(self, tmp_path, literal):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "embeddings.jsonl", 2,
+                           '{"embedding":[2.0,%s],"id":"r1"}' % literal)
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: non-finite .*'r1'"):
+            load_dataset(manifest)
+
+    def test_duplicate_embedding_id(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "embeddings.jsonl", 3, '{"embedding":[4.0,5.0],"id":"r0"}')
+        with pytest.raises(DataError, match=r"embeddings\.jsonl:3: duplicate id 'r0'"):
+            load_dataset(manifest)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from evidfuse.config import RunConfig
-from evidfuse.data import Dataset, FeatureSpec, SyntheticConfig, write_dataset
-from evidfuse.errors import DataError
-from evidfuse.experiment import evaluate_checkpoint, run_experiment
+from evidfuse.data import Dataset, FeatureSpec, SyntheticConfig, fit_preprocess, write_dataset
+from evidfuse.errors import ConfigError, DataError
+from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
+from evidfuse.model import SourceSpec
 
 
 def tiny_config(out_dir, seeds=(3,)):
@@ -24,6 +25,27 @@ def tiny_config(out_dir, seeds=(3,)):
     )
 
 
+def mixed_dataset(n=120, seed=0, embeddings=True):
+    """Numerical and categorical features with missing cells, a constant
+    column, and (optionally) note embeddings."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    num = rng.normal(size=(n, 2)) + labels[:, None]
+    num[rng.random((n, 2)) < 0.1] = np.nan
+    cat = np.array(["a", "b", "c"], dtype=object)[(rng.integers(0, 3, size=(n, 2))
+                                                   + labels[:, None]) % 3]
+    cat[rng.random((n, 2)) < 0.1] = None
+    return Dataset(
+        schema=(FeatureSpec("n0", "numerical"), FeatureSpec("c0", "categorical"),
+                FeatureSpec("flat", "numerical"), FeatureSpec("n1", "numerical"),
+                FeatureSpec("c1", "categorical")),
+        ids=[f"p{i}" for i in range(n)],
+        columns=[num[:, 0], cat[:, 0], np.ones(n), num[:, 1], cat[:, 1]],
+        labels=labels,
+        embeddings=rng.normal(size=(n, 3)) + labels[:, None] if embeddings else None,
+    )
+
+
 def tiny_run(tmp_path, seed=3):
     run_experiment(tiny_config(tmp_path, seeds=(seed,)))
     return tmp_path / "tiny" / f"seed_{seed}"
@@ -32,10 +54,24 @@ def tiny_run(tmp_path, seed=3):
 class TestGoldenRun:
     def test_artifacts_byte_identical_across_output_dirs(self, tmp_path):
         """Only config.json's unhashed output_dir may tell two runs apart."""
+        self._assert_identical_runs(tmp_path, lambda out: tiny_config(out, seeds=(0, 1)))
+
+    def test_data_types_run_byte_identical(self, tmp_path):
+        """The categorical path end to end: a manifest with categorical
+        columns and missing cells, split by data type."""
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "data"))
+        self._assert_identical_runs(tmp_path, lambda out: RunConfig(
+            task="tiny", dataset=manifest, fusion_grouping="data-types", prototypes=3,
+            encoder_output_dim=8, text_hidden_dim=8, max_epochs=2, seeds=(0, 1),
+            output_dir=str(out)))
+
+    @staticmethod
+    def _assert_identical_runs(tmp_path, make_config):
         run_dirs = []
         for name in ("a", "b"):
-            run_experiment(tiny_config(tmp_path / name, seeds=(0, 1)))
-            run_dirs.append(tmp_path / name / "tiny")
+            config = make_config(tmp_path / name)
+            run_experiment(config)
+            run_dirs.append(tmp_path / name / config.task)
         paths = [sorted(p.relative_to(d) for p in d.rglob("*") if p.is_file()) for d in run_dirs]
         assert paths[0] == paths[1]
         assert len(paths[0]) == 2 + 3 * 2   # config, summary; checkpoint, history, report
@@ -62,7 +98,7 @@ class TestBinaryOnly:
         dataset = Dataset(
             schema=(FeatureSpec("a", "numerical"), FeatureSpec("b", "numerical")),
             ids=[f"s{i}" for i in range(n)],
-            rows=rng.normal(size=(n, 2)).tolist(),
+            columns=rng.normal(size=(n, 2)).T,
             labels=np.arange(n) % 3,
             m=3,
         )
@@ -75,3 +111,83 @@ class TestBinaryOnly:
                 run_experiment(config)
             assert not (tmp_path / "runs" / "three" / "config.json").exists()
         assert not list((tmp_path / "runs" / "three").glob("seed_*"))
+
+
+class TestResolveSourceSpecs:
+    @staticmethod
+    def _resolve(dataset=None, **kw):
+        dataset = dataset if dataset is not None else mixed_dataset()
+        config = RunConfig(dataset="unused.json", **kw)
+        return resolve_source_specs(config, dataset, fit_preprocess(dataset))
+
+    def test_modalities_skips_dropped_features(self):
+        specs = self._resolve()
+        assert specs == [
+            SourceSpec("structured", "mlp", 2.0, ("n0", "c0", "n1", "c1")),
+            SourceSpec("notes", "text-head", 1.0, None),
+        ]
+
+    def test_data_types(self):
+        specs = self._resolve(fusion_grouping="data-types", encoder="resnet",
+                              aux_weight_structured=0.5, aux_weight_text=0.25)
+        assert specs == [
+            SourceSpec("numerical", "resnet", 0.5, ("n0", "n1")),
+            SourceSpec("categorical", "resnet", 0.5, ("c0", "c1")),
+            SourceSpec("notes", "text-head", 0.25, None),
+        ]
+
+    @pytest.mark.parametrize("kind", ["numerical", "categorical"])
+    def test_data_types_needs_both_kinds(self, kind):
+        full = mixed_dataset()
+        keep = [j for j, f in enumerate(full.schema) if f.kind == kind]
+        one_kind = Dataset(schema=tuple(full.schema[j] for j in keep), ids=full.ids,
+                           columns=[full.columns[j] for j in keep], labels=full.labels,
+                           embeddings=full.embeddings)
+        with pytest.raises(ConfigError, match="both numerical and categorical"):
+            self._resolve(one_kind, fusion_grouping="data-types")
+
+    def test_data_sources_split_in_schema_order(self):
+        specs = self._resolve(fusion_grouping="data-sources", n_source_blocks=3)
+        assert [(s.name, s.feature_names) for s in specs] == [
+            ("block0", ("n0", "c0")), ("block1", ("n1",)), ("block2", ("c1",)),
+            ("notes", None),
+        ]
+        assert all(type(name) is str for s in specs[:-1] for name in s.feature_names)
+
+    def test_data_sources_too_many_blocks(self):
+        with pytest.raises(ConfigError, match="cannot split 4 features into 5 blocks"):
+            self._resolve(fusion_grouping="data-sources", n_source_blocks=5)
+
+    def test_custom(self):
+        specs = self._resolve(fusion_grouping="custom", custom_sources=(
+            {"name": "labs", "features": ["n1", "n0"]},
+            {"name": "codes", "features": ["c0"], "encoder": "resnet", "aux_weight": 0.5},
+            {"name": "text", "embedding": True},
+        ))
+        assert specs == [
+            SourceSpec("labs", "mlp", 2.0, ("n1", "n0")),
+            SourceSpec("codes", "resnet", 0.5, ("c0",)),
+            SourceSpec("notes", "text-head", 1.0, None),
+        ]
+
+    @pytest.mark.parametrize("features,message", [
+        (["n0", "flat"], r"unknown features \['flat'\]"),
+        (["n0", "absent"], r"unknown features \['absent'\]"),
+        ([], "lists no features"),
+    ])
+    def test_custom_rejects_bad_feature_lists(self, features, message):
+        with pytest.raises(ConfigError, match=message):
+            self._resolve(fusion_grouping="custom",
+                          custom_sources=({"name": "labs", "features": features},))
+
+    @pytest.mark.parametrize("grouping,extra", [
+        ("modalities", {}), ("data-types", {}), ("data-sources", {"n_source_blocks": 2}),
+        ("custom", {"custom_sources": ({"name": "labs", "features": ["n0"]},)}),
+    ])
+    def test_notes_source_appended_last_only_with_embeddings(self, grouping, extra):
+        with_text = self._resolve(fusion_grouping=grouping, **extra)
+        assert with_text[-1] == SourceSpec("notes", "text-head", 1.0, None)
+        assert [s.name for s in with_text].count("notes") == 1
+        without = self._resolve(mixed_dataset(embeddings=False), fusion_grouping=grouping,
+                                **extra)
+        assert without == with_text[:-1]

@@ -296,6 +296,32 @@ class TestFusedObjective:
             for key in ("w", "b"):
                 np.testing.assert_array_equal(grads[f"src1.aux.{key}"], 0.0)
 
+    def test_floored_rows_match_chained_oracle(self):
+        """Saturated prototypes that all favour class 1 push two class-0
+        rows' true-class probability below PROB_FLOOR (one to ~1e-13, close
+        enough that an unclamped 1/p gradient would show); the main loss
+        clamps and passes no gradient to those rows, as the reference does."""
+        model, inputs, labels = tiny_fusion_setup(seed=1, n=8)
+        for src in model.sources:
+            h = src.enn.support_raw.shape[0]
+            src.enn = replace(src.enn, support_raw=np.full(h, 25.0),
+                              scale_raw=np.full(h, 0.1),
+                              membership_raw=np.tile([0.0, 20.0], (h, 1)))
+        p_true = predict_probs(model, inputs)[np.arange(len(labels)), labels]
+        floored = p_true <= evidfuse.model.PROB_FLOOR
+        assert floored.sum() == 2 and np.all(p_true[floored] > 1e-20)
+
+        loss, grads = loss_and_grad(model, inputs, labels)
+        tape = ad.Tape()
+        leaves = {k: tape.leaf(v) for k, v in param_dict(model).items()}
+        ref = chained_loss_overall(model, inputs, labels, params=leaves)
+        tape.backward(ref)
+        assert abs(loss - float(ref.value)) <= 1e-12 * abs(loss)
+        for name, leaf in leaves.items():
+            expected = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+            np.testing.assert_allclose(grads[name], expected, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+
     # leaves + nodes.  MLP source: 12 leaves, 5 encoder + 1 aux-head nodes;
     # text source: 10 leaves, 3 + 1 nodes; ResNet source: 20 leaves,
     # 1 + 3 * 4 + 1 nodes; then one fusion node and one objective node
