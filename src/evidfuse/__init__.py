@@ -1,22 +1,11 @@
 """Belief-function multimodal classification toolkit."""
 
-from .masses import (
-    Frame,
-    PowerSetMass,
-    SimpleMass,
-    combine_many,
-    combine_powerset,
-    combine_simple,
-    degree_of_conflict,
-    pignistic,
-    vacuous,
-)
+from .model import Frame
 from .errors import (
     ConfigError,
     DataError,
     EvidFuseError,
     NumericalError,
-    TotalConflictError,
     TrainingDivergedError,
 )
 
@@ -24,19 +13,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Frame",
-    "SimpleMass",
-    "PowerSetMass",
-    "vacuous",
-    "combine_simple",
-    "combine_powerset",
-    "combine_many",
-    "pignistic",
-    "degree_of_conflict",
     "EvidFuseError",
     "ConfigError",
     "DataError",
     "NumericalError",
-    "TotalConflictError",
     "TrainingDivergedError",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericalError -> 4.
+Each family has a process exit code for a command line to map it to:
+ConfigError -> 2, DataError -> 3, NumericalError -> 4.  The package
+ships no command line yet, so nothing applies the mapping today.
 """
 
 
@@ -19,10 +20,6 @@ class DataError(EvidFuseError):
 
 class NumericalError(EvidFuseError):
     """A numerical operation produced an unusable result."""
-
-
-class TotalConflictError(NumericalError):
-    """Dempster combination of fully contradictory evidence (1 - conflict ~ 0)."""
 
 
 class TrainingDivergedError(NumericalError):

@@ -31,7 +31,7 @@ out total conflict during fusion.
 
 This batched path is the only one in the package.  The tests check it
 against an exact per-sample reference that builds each prototype's mass
-and fuses them pairwise through ``masses``.
+and fuses them pairwise with the exact mass algebra kept in the tests.
 """
 
 from dataclasses import dataclass
@@ -77,27 +77,8 @@ class EnnParams:
         object.__setattr__(self, "membership_raw", mr)
 
     @property
-    def h(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.prototypes.shape[1]
-
-    @property
     def m(self) -> int:
         return self.membership_raw.shape[1]
-
-    def gamma(self) -> np.ndarray:
-        return self.scale_raw ** 2
-
-    def beta(self) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-self.support_raw))
-
-    def membership(self) -> np.ndarray:
-        shifted = self.membership_raw - self.membership_raw.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
 
     def as_param_dict(self) -> dict:
         return {
@@ -266,12 +247,11 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Plain Lloyd iteration with seeded sampling of initial centers.
 
     Emptied clusters are re-seeded with the point farthest from its
-    assigned center, so every cluster ends non-empty.
+    assigned center, so every cluster ends non-empty as long as there
+    are at least k distinct points.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if k > n:
-        raise DataError(f"cannot place {k} prototypes on {n} samples")
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = None
     for _ in range(KMEANS_ITERS):
@@ -297,18 +277,21 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
 
 
 def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
-             m: int | None = None) -> EnnParams:
+             m: int) -> EnnParams:
     """Data-driven initialization: k-means prototypes, per-cluster label
     frequencies for memberships, per-cluster spread for precisions."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
         raise DataError(f"features must be (N, D), got {features.shape}")
-    n = features.shape[0]
-    if h > n:
-        raise DataError(f"requested {h} prototypes on only {n} samples")
-    if m is None:
-        m = int(labels.max()) + 1
+    # k-means needs h distinct points; stop counting once there are h
+    distinct = set()
+    for row in features:
+        distinct.add((row + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+        if len(distinct) == h:
+            break
+    if len(distinct) < h:
+        raise DataError(f"cannot place {h} prototypes on {len(distinct)} distinct rows")
     rng = np.random.default_rng(seed)
     centers, assign = lloyd_kmeans(features, h, rng)
 

@@ -28,10 +28,9 @@ from .data import (
     SyntheticConfig,
 )
 from .errors import ConfigError, DataError
-from .masses import Frame
 from .metrics import evaluate, summarize, MetricsReport
 from .model import (
-    FusionModel,
+    Frame,
     SourceSpec,
     TrainConfig,
     init_model,
@@ -257,6 +256,9 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     Without a manifest, a synthetic training dataset is regenerated
     from the configuration embedded in the checkpoint.
     """
+    splits = ("train", "val", "test")
+    if split_name not in splits:
+        raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")
     model, doc = load_checkpoint(checkpoint_path)
     extra = doc.get("extra", {})
     if "preprocess" not in extra or "seed" not in extra:
@@ -272,10 +274,7 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     else:
         dataset = load_dataset(manifest_path)
 
-    parts = dict(zip(("train", "val", "test"), split(dataset, seed)))
-    if split_name not in parts:
-        raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")
-    part = parts[split_name]
+    part = split(dataset, seed)[splits.index(split_name)]
     matrix = apply_preprocess(state, part)
     specs = [src.spec for src in model.sources]
     inputs = assemble_inputs(specs, state, matrix, part)

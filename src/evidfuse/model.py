@@ -46,7 +46,6 @@ from .encoders import (
 )
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .evidential import EnnParams, evidence_batch, fuse_evidence, init_enn
-from .masses import Frame
 from .rng import substream
 
 PROB_FLOOR = 1e-12
@@ -78,6 +77,29 @@ class FusionSource:
     encoder: object
     enn: EnnParams
     aux: AuxHead
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Finite set of mutually exclusive class hypotheses."""
+
+    labels: tuple
+
+    def __post_init__(self):
+        labels = tuple(str(x) for x in self.labels)
+        object.__setattr__(self, "labels", labels)
+        if len(labels) < 2:
+            raise DataError(f"frame needs at least 2 classes, got {len(labels)}")
+        if len(set(labels)) != len(labels):
+            raise DataError(f"frame labels must be unique: {labels}")
+
+    @property
+    def m(self) -> int:
+        return len(self.labels)
+
+    @staticmethod
+    def of_size(m: int) -> "Frame":
+        return Frame(tuple(f"class_{c}" for c in range(m)))
 
 
 @dataclass(eq=False)
@@ -545,7 +567,10 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
                                **overrides.get(spec.name, {}))
         z = encode(encoder, x)
         enn_seed = int(substream(seed, f"init.enn.{spec.name}").integers(0, 2 ** 31 - 1))
-        enn = init_enn(z, train_labels, prototypes, enn_seed, m=frame.m)
+        try:
+            enn = init_enn(z, train_labels, prototypes, enn_seed, m=frame.m)
+        except DataError as exc:
+            raise DataError(f"source {spec.name!r}: {exc}") from exc
         aux = init_aux_head(encoder.output_dim, frame.m,
                             substream(seed, f"init.aux.{spec.name}"))
         sources.append(FusionSource(spec, encoder, enn, aux))
@@ -616,6 +641,11 @@ def save_checkpoint(model: FusionModel, path: str, config_hash: str = "", extra=
 
 def load_checkpoint(path: str):
     """Returns (model, full checkpoint document)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError as exc:
+        raise DataError(f"checkpoint not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc}") from exc
     return model_from_json_dict(doc), doc

@@ -11,8 +11,9 @@ from evidfuse.autodiff import Tape
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
 from evidfuse.evidential import EnnParams
-from evidfuse.masses import Frame, SimpleMass, combine_many, degree_of_conflict, pignistic
-from evidfuse.model import PROB_FLOOR, Predictions, SourceSpec, batch_internals, init_model
+from evidfuse.model import PROB_FLOOR, Frame, Predictions, SourceSpec, batch_internals, init_model
+from reference import (SimpleMass, beta, combine_many, degree_of_conflict, gamma, membership,
+                       pignistic)
 
 
 def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
@@ -161,12 +162,13 @@ def chained_loss_overall(model, inputs, labels, params=None, masks=None):
 def prototype_activations(x: np.ndarray, params: EnnParams) -> np.ndarray:
     """Distance-discounted activation of every prototype for one input."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d,):
-        raise DataError(f"input has shape {x.shape}, prototypes expect ({params.d},)")
+    d = params.prototypes.shape[1]
+    if x.shape != (d,):
+        raise DataError(f"input has shape {x.shape}, prototypes expect ({d},)")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite input vector")
     d2 = np.sum((x - params.prototypes) ** 2, axis=1)
-    return params.beta() * np.exp(-params.gamma() * d2)
+    return beta(params) * np.exp(-gamma(params) * d2)
 
 
 def prototype_mass(activation: float, membership: np.ndarray,
@@ -185,8 +187,8 @@ def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) ->
     if frame is None:
         frame = Frame.of_size(params.m)
     s = prototype_activations(x, params)
-    u = params.membership()
-    return combine_many([prototype_mass(s[h], u[h], frame) for h in range(params.h)])
+    u = membership(params)
+    return combine_many([prototype_mass(s[h], u[h], frame) for h in range(len(s))])
 
 
 def exact_prediction(model, sample_inputs):

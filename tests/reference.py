@@ -1,4 +1,5 @@
-"""Exact mass-function algebra on a finite frame of classes.
+"""Exact mass-function algebra on a finite frame of classes: the test
+reference for the log-commonality fusion in ``evidfuse.evidential``.
 
 Two representations are provided.  ``SimpleMass`` stores one mass per
 singleton class plus one ignorance mass on the whole frame; this family
@@ -8,14 +9,18 @@ keyed) and exists as the brute-force reference for combination; it is
 exponential in M and capped accordingly.
 
 All values are immutable after construction and every operation is a
-pure function, so concurrent use needs no locking.
+pure function.  The constrained quantities of an ``EnnParams`` (gamma,
+beta, membership) are computed here from its raw parameters, directly
+from their definitions.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, TotalConflictError
+from evidfuse.errors import DataError, NumericalError
+from evidfuse.evidential import EnnParams
+from evidfuse.model import Frame
 
 # Inputs whose total mass drifts from 1 by more than REJECT_TOL are
 # treated as logic bugs and rejected; drifts above RENORM_TOL are
@@ -26,27 +31,25 @@ RENORM_TOL = 1e-9
 CONFLICT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Finite set of mutually exclusive class hypotheses."""
+class TotalConflictError(NumericalError):
+    """Dempster combination of fully contradictory evidence (1 - conflict ~ 0)."""
 
-    labels: tuple
 
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(labels) < 2:
-            raise DataError(f"frame needs at least 2 classes, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            raise DataError(f"frame labels must be unique: {labels}")
+def gamma(params: EnnParams) -> np.ndarray:
+    """Per-prototype precision scale_raw**2."""
+    return params.scale_raw ** 2
 
-    @property
-    def m(self) -> int:
-        return len(self.labels)
 
-    @staticmethod
-    def of_size(m: int) -> "Frame":
-        return Frame(tuple(f"class_{c}" for c in range(m)))
+def beta(params: EnnParams) -> np.ndarray:
+    """Per-prototype support ceiling sigmoid(support_raw)."""
+    return 1.0 / (1.0 + np.exp(-params.support_raw))
+
+
+def membership(params: EnnParams) -> np.ndarray:
+    """Per-prototype class membership, the row softmax of membership_raw."""
+    shifted = params.membership_raw - params.membership_raw.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _normalize_total(values: np.ndarray, what: str) -> np.ndarray:
@@ -84,20 +87,6 @@ class SimpleMass:
         s.flags.writeable = False
         object.__setattr__(self, "singletons", s)
         object.__setattr__(self, "ignorance", float(full[-1]))
-
-    def to_json_dict(self) -> dict:
-        return {"singletons": self.singletons.tolist(), "ignorance": self.ignorance}
-
-    @staticmethod
-    def from_json_dict(data: dict, frame: Frame | None = None) -> "SimpleMass":
-        try:
-            singletons = data["singletons"]
-            ignorance = data["ignorance"]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"mass JSON must have 'singletons' and 'ignorance': {data!r}") from exc
-        if frame is None:
-            frame = Frame.of_size(len(singletons))
-        return SimpleMass(frame, np.asarray(singletons, dtype=np.float64), float(ignorance))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +166,6 @@ def embed_simple(m: SimpleMass) -> PowerSetMass:
     masses = {1 << c: float(m.singletons[c]) for c in range(m.frame.m) if m.singletons[c] > 0.0}
     if m.ignorance > 0.0:
         masses[(1 << m.frame.m) - 1] = m.ignorance
-    if not masses:  # all singletons zero and ignorance zero cannot happen, guard anyway
-        masses[(1 << m.frame.m) - 1] = 0.0
     return PowerSetMass(m.frame, masses)
 
 

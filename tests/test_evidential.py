@@ -8,7 +8,7 @@ import pytest
 from evidfuse import autodiff as ad
 from evidfuse.errors import DataError
 from evidfuse.evidential import EnnParams, evidence_batch, fuse_evidence, init_enn, lloyd_kmeans
-from evidfuse.masses import Frame, SimpleMass, combine_many, combine_simple, pignistic, vacuous
+from evidfuse.model import Frame
 from helpers import (
     check_gradients,
     enn_forward,
@@ -16,6 +16,7 @@ from helpers import (
     prototype_activations,
     prototype_mass,
 )
+from reference import SimpleMass, beta, combine_many, combine_simple, gamma, membership, pignistic
 
 
 def logit(p):
@@ -74,7 +75,7 @@ class TestActivations:
         for _ in range(100):
             s = prototype_activations(rng.normal(size=4), params)
             assert np.all(s > 0.0)
-            assert np.all(s <= params.beta() + 1e-15)
+            assert np.all(s <= beta(params) + 1e-15)
 
 
 class TestPrototypeMass:
@@ -100,7 +101,7 @@ class TestForward:
         params = random_params(rng, h=1, d=2)
         x = rng.normal(size=2)
         expected = prototype_mass(
-            prototype_activations(x, params)[0], params.membership()[0]
+            prototype_activations(x, params)[0], membership(params)[0]
         )
         got = enn_forward(x, params)
         np.testing.assert_allclose(got.singletons, expected.singletons, atol=1e-15)
@@ -315,8 +316,8 @@ class TestInit:
         rng = np.random.default_rng(23)
         feats = rng.normal(size=(60, 4))
         labels = rng.integers(0, 2, size=60)
-        p1 = init_enn(feats, labels, 6, seed=7)
-        p2 = init_enn(feats, labels, 6, seed=7)
+        p1 = init_enn(feats, labels, 6, seed=7, m=2)
+        p2 = init_enn(feats, labels, 6, seed=7, m=2)
         np.testing.assert_array_equal(p1.prototypes, p2.prototypes)
         np.testing.assert_array_equal(p1.scale_raw, p2.scale_raw)
         np.testing.assert_array_equal(p1.support_raw, p2.support_raw)
@@ -327,7 +328,7 @@ class TestInit:
         feats = rng.normal(size=(50, 3))
         labels = np.zeros(50, dtype=int)
         params = init_enn(feats, labels, 1, seed=3, m=2)
-        assert params.membership()[0, 0] >= 0.9
+        assert membership(params)[0, 0] >= 0.9
 
     def test_degenerate_prototype_count_keeps_inputs(self):
         rng = np.random.default_rng(27)
@@ -340,8 +341,8 @@ class TestInit:
     def test_support_initialized_at_point_nine(self):
         rng = np.random.default_rng(29)
         feats = rng.normal(size=(30, 2))
-        params = init_enn(feats, rng.integers(0, 2, 30), 4, seed=1)
-        np.testing.assert_allclose(params.beta(), 0.9, atol=1e-12)
+        params = init_enn(feats, rng.integers(0, 2, 30), 4, seed=1, m=2)
+        np.testing.assert_allclose(beta(params), 0.9, atol=1e-12)
 
     def test_scale_reflects_cluster_spread(self):
         rng = np.random.default_rng(31)
@@ -349,9 +350,22 @@ class TestInit:
         loose = rng.normal(size=(25, 2)) * 2.0 - 10.0
         feats = np.vstack([tight, loose])
         params = init_enn(feats, np.zeros(50, dtype=int), 2, seed=2, m=2)
-        gammas = sorted(params.gamma().tolist())
+        gammas = sorted(gamma(params).tolist())
         assert gammas[1] / gammas[0] > 50.0  # tight cluster gets much higher precision
 
     def test_too_many_prototypes_rejected(self):
         with pytest.raises(DataError):
             init_enn(np.zeros((3, 2)), np.zeros(3, dtype=int), 4, seed=0, m=2)
+        # more rows than prototypes, but fewer distinct rows
+        with pytest.raises(DataError, match="cannot place 4 prototypes on 1 distinct rows"):
+            init_enn(np.zeros((10, 2)), np.zeros(10, dtype=int), 4, seed=0, m=2)
+
+    def test_one_prototype_per_distinct_row(self):
+        # duplicates and a signed zero: k-means sees 3 distinct points
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 0.0], [5.0, 5.0]])
+        feats = rows[np.arange(12) % 4]
+        params = init_enn(feats, np.arange(12) % 2, 3, seed=0, m=2)
+        got = sorted(map(tuple, params.prototypes.tolist()))
+        assert got == [(0.0, 1.0), (2.0, 0.0), (5.0, 5.0)]
+        with pytest.raises(DataError, match="4 prototypes on 3 distinct rows"):
+            init_enn(feats, np.arange(12) % 2, 4, seed=0, m=2)

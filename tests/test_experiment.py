@@ -90,6 +90,22 @@ class TestEvaluateCheckpoint:
         saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
         assert json.loads(json.dumps(report)) == saved
 
+    def test_bad_split_rejected_before_loading(self, tmp_path):
+        # neither file exists: only a check made before loading can answer
+        with pytest.raises(ConfigError, match="split must be one of"):
+            evaluate_checkpoint(str(tmp_path / "none.json"), str(tmp_path / "none"), "dev")
+
+    def test_missing_checkpoint_is_data_error(self, tmp_path):
+        path = str(tmp_path / "none.json")
+        with pytest.raises(DataError, match="checkpoint not found: .*none.json"):
+            evaluate_checkpoint(path)
+
+    def test_malformed_checkpoint_is_data_error(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text('{"format_version": 1,', encoding="utf-8")
+        with pytest.raises(DataError, match="malformed checkpoint .*checkpoint.json"):
+            evaluate_checkpoint(str(path))
+
 
 class TestBinaryOnly:
     def test_multiclass_manifest_rejected_before_training(self, tmp_path):
@@ -111,6 +127,31 @@ class TestBinaryOnly:
                 run_experiment(config)
             assert not (tmp_path / "runs" / "three" / "config.json").exists()
         assert not list((tmp_path / "runs" / "three").glob("seed_*"))
+
+
+class TestTooFewDistinctRows:
+    def test_binary_categoricals_cannot_hold_default_prototypes(self, tmp_path):
+        """Two binary categoricals one-hot encode to at most 4 distinct rows,
+        fewer than the default 20 prototypes."""
+        rng = np.random.default_rng(0)
+        n = 120
+        labels = np.arange(n) % 2
+        cat = np.array(["a", "b"], dtype=object)[rng.integers(0, 2, size=(n, 2))]
+        dataset = Dataset(
+            schema=(FeatureSpec("n0", "numerical"), FeatureSpec("c0", "categorical"),
+                    FeatureSpec("c1", "categorical")),
+            ids=[f"p{i}" for i in range(n)],
+            columns=[rng.normal(size=n) + labels, cat[:, 0], cat[:, 1]],
+            labels=labels,
+        )
+        manifest = write_dataset(dataset, str(tmp_path / "data"))
+        config = RunConfig(task="few", dataset=manifest, fusion_grouping="data-types",
+                           encoder_output_dim=8, max_epochs=1, seeds=(0,),
+                           output_dir=str(tmp_path / "runs"))
+        assert config.prototypes == 20
+        with pytest.raises(DataError, match="source 'categorical': cannot place 20 "
+                                            "prototypes on 4 distinct rows"):
+            run_experiment(config)
 
 
 class TestResolveSourceSpecs:

@@ -1,4 +1,5 @@
-"""Unit and property tests for the mass-function algebra.
+"""Unit and property tests for the exact mass-function algebra that the
+tests use as their reference (``reference.py``).
 
 The power-set representation acts as the brute-force oracle for the
 closed-form singleton+ignorance combination throughout.
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidfuse.errors import DataError, TotalConflictError
-from evidfuse.masses import (
-    Frame,
+from evidfuse.errors import DataError
+from evidfuse.model import Frame
+from reference import (
     PowerSetMass,
     SimpleMass,
+    TotalConflictError,
     combine_many,
     combine_powerset,
     combine_simple,
@@ -291,9 +293,3 @@ class TestAlgebraProperties:
     def test_conflict_in_unit_interval(self, a, b):
         kappa = degree_of_conflict(a, b)
         assert -1e-12 <= kappa <= 1.0 + 1e-12
-
-    @settings(max_examples=200, deadline=None)
-    @given(simple_masses())
-    def test_json_round_trip(self, m):
-        copy = SimpleMass.from_json_dict(m.to_json_dict(), m.frame)
-        assert_mass_close(copy, m, 0.0)

@@ -11,15 +11,9 @@ from evidfuse import autodiff as ad
 from evidfuse.encoders import AuxHead, MlpEncoder
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
 from evidfuse.evidential import EnnParams
-from evidfuse.masses import (
-    Frame,
-    SimpleMass,
-    combine_simple,
-    pignistic,
-    vacuous,
-)
 from evidfuse.model import (
     Adam,
+    Frame,
     FusionModel,
     FusionSource,
     ParamVector,
@@ -43,6 +37,7 @@ from evidfuse.model import (
 )
 from evidfuse.rng import substream
 from helpers import chained_loss_overall, exact_prediction, tiny_fusion_setup
+from reference import SimpleMass, combine_simple, pignistic
 
 F2 = Frame.of_size(2)
 
