@@ -9,9 +9,9 @@ Per-op Python overhead, not arithmetic, bounds a small-batch training
 step, so the model records coarse nodes with hand-derived VJPs: one
 ``linear`` per affine layer, one ``relu`` per activation (dropout mask
 included), the residual ``add``, and the fused evidence and objective
-nodes built in ``evidential`` and ``model``.  The finer elementwise,
-reduction and shape ops compose reference implementations to check
-those nodes against.
+nodes built in ``evidential`` and ``model``.  Besides those, only the
+ops that ``Tensor``'s operator methods reach stay here; the finer ops
+the chained-op references call by name live in ``tests/tape_ops.py``.
 
 Every function in this module also accepts plain numpy arrays (or
 scalars) and then computes the same value without recording, so forward
@@ -27,16 +27,15 @@ import numpy as np
 class Tensor:
     """A node on the tape: a value, its gradient slot, and a backward rule."""
 
-    __slots__ = ("value", "grad", "tape", "_parents", "_bwd")
+    __slots__ = ("value", "grad", "tape", "_bwd")
 
     # keep numpy from hijacking ndarray <op> Tensor expressions
     __array_ufunc__ = None
 
-    def __init__(self, value, tape, parents=(), bwd=None):
+    def __init__(self, value, tape, bwd=None):
         self.value = value
         self.grad = None
         self.tape = tape
-        self._parents = parents
         self._bwd = bwd
         tape.nodes.append(self)
 
@@ -129,7 +128,7 @@ def add(a, b):
     va, vb = value_of(a), value_of(b)
     if tape is None:
         return va + vb
-    out = Tensor(va + vb, tape, parents=(a, b))
+    out = Tensor(va + vb, tape)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -146,7 +145,7 @@ def sub(a, b):
     va, vb = value_of(a), value_of(b)
     if tape is None:
         return va - vb
-    out = Tensor(va - vb, tape, parents=(a, b))
+    out = Tensor(va - vb, tape)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -163,7 +162,7 @@ def mul(a, b):
     va, vb = value_of(a), value_of(b)
     if tape is None:
         return va * vb
-    out = Tensor(va * vb, tape, parents=(a, b))
+    out = Tensor(va * vb, tape)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -180,7 +179,7 @@ def div(a, b):
     va, vb = value_of(a), value_of(b)
     if tape is None:
         return va / vb
-    out = Tensor(va / vb, tape, parents=(a, b))
+    out = Tensor(va / vb, tape)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -199,7 +198,7 @@ def matmul(a, b):
         return va @ vb
     if np.ndim(va) != 2 or np.ndim(vb) != 2:
         raise ValueError("taped matmul supports 2-D operands only")
-    out = Tensor(va @ vb, tape, parents=(a, b))
+    out = Tensor(va @ vb, tape)
 
     def bwd(g):
         if isinstance(a, Tensor):
@@ -221,7 +220,7 @@ def linear(x, w, b):
         return v
     if np.ndim(xv) != 2 or np.ndim(wv) != 2:
         raise ValueError("taped linear supports 2-D operands only")
-    out = Tensor(v, tensors[0].tape, parents=tensors)
+    out = Tensor(v, tensors[0].tape)
 
     def bwd(g):
         if isinstance(x, Tensor):
@@ -235,32 +234,6 @@ def linear(x, w, b):
     return out
 
 
-def exp(x):
-    if not isinstance(x, Tensor):
-        return np.exp(x)
-    v = np.exp(x.value)
-    out = Tensor(v, x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(g * v)
-    return out
-
-
-def log(x):
-    if not isinstance(x, Tensor):
-        return np.log(x)
-    out = Tensor(np.log(x.value), x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(g / x.value)
-    return out
-
-
-def sigmoid(x):
-    if not isinstance(x, Tensor):
-        return 1.0 / (1.0 + np.exp(-x))
-    v = 1.0 / (1.0 + np.exp(-x.value))
-    out = Tensor(v, x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(g * v * (1.0 - v))
-    return out
-
-
 def relu(x, mask=None):
     """max(x, 0), times a constant (dropout) mask when one is given."""
     xv = value_of(x)
@@ -270,74 +243,6 @@ def relu(x, mask=None):
     if not isinstance(x, Tensor):
         return v
     gate = xv > 0.0 if mask is None else mask * (xv > 0.0)
-    out = Tensor(v, x.tape, parents=(x,))
+    out = Tensor(v, x.tape)
     out._bwd = lambda g: x._accumulate(g * gate)
-    return out
-
-
-def maximum(x, floor):
-    """Elementwise max against a constant; gradient is 0 on the clamped side."""
-    if not isinstance(x, Tensor):
-        return np.maximum(x, floor)
-    v = np.maximum(x.value, floor)
-    out = Tensor(v, x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(g * (x.value > floor))
-    return out
-
-
-def sum_along(x, axis=None, keepdims=False):
-    if not isinstance(x, Tensor):
-        return np.sum(x, axis=axis, keepdims=keepdims)
-    v = np.sum(x.value, axis=axis, keepdims=keepdims)
-    out = Tensor(v, x.tape, parents=(x,))
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, np.shape(x.value)))
-
-    out._bwd = bwd
-    return out
-
-
-def prod_along(x, axis, keepdims=False):
-    """Product along an axis; inputs must be nonzero for the gradient."""
-    if not isinstance(x, Tensor):
-        return np.prod(x, axis=axis, keepdims=keepdims)
-    full = np.prod(x.value, axis=axis, keepdims=True)
-    v = full if keepdims else np.squeeze(full, axis=axis)
-    out = Tensor(v, x.tape, parents=(x,))
-
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accumulate(g * full / x.value)
-
-    out._bwd = bwd
-    return out
-
-
-def mean_all(x):
-    if not isinstance(x, Tensor):
-        return np.mean(x)
-    n = np.size(x.value)
-    return mul(sum_along(x), 1.0 / n)
-
-
-def reshape(x, shape):
-    if not isinstance(x, Tensor):
-        return np.reshape(x, shape)
-    old_shape = np.shape(x.value)
-    out = Tensor(np.reshape(x.value, shape), x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(np.reshape(g, old_shape))
-    return out
-
-
-def transpose(x):
-    if not isinstance(x, Tensor):
-        return np.transpose(x)
-    if np.ndim(x.value) != 2:
-        raise ValueError("taped transpose supports 2-D operands only")
-    out = Tensor(x.value.T, x.tape, parents=(x,))
-    out._bwd = lambda g: x._accumulate(g.T)
     return out

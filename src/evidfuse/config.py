@@ -16,9 +16,23 @@ from .data import SyntheticConfig
 from .errors import ConfigError
 
 GROUPINGS = ("modalities", "data-types", "data-sources", "custom")
+ENCODERS = ("mlp", "resnet")
 OUTPUT_ROOT_ENV = "EVIDFUSE_OUTPUT_ROOT"
 # fields that do not change results and stay out of the config hash
 UNHASHED_FIELDS = ("output_dir", "force")
+
+
+def _check_custom_source(entry: dict):
+    """Checks of a custom source entry that need no dataset."""
+    where = f"custom source {entry.get('name')!r}"
+    unknown = set(entry) - {"name", "features", "encoder", "aux_weight", "embedding"}
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    if entry.get("encoder", "mlp") not in ENCODERS:
+        raise ConfigError(f"{where}: encoder must be 'mlp' or 'resnet', got {entry['encoder']!r}")
+    weight = entry.get("aux_weight", 0.0)
+    if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not weight >= 0:
+        raise ConfigError(f"{where}: aux_weight must be a number >= 0, got {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -48,7 +62,7 @@ class RunConfig:
             raise ConfigError(
                 f"fusion_grouping must be one of {GROUPINGS}, got {self.fusion_grouping!r}"
             )
-        if self.encoder not in ("mlp", "resnet"):
+        if self.encoder not in ENCODERS:
             raise ConfigError(f"encoder must be 'mlp' or 'resnet', got {self.encoder!r}")
         if self.dataset is None and self.synthetic is None:
             raise ConfigError("config needs either a dataset manifest or a synthetic block")
@@ -75,6 +89,8 @@ class RunConfig:
         if self.custom_sources is not None:
             object.__setattr__(self, "custom_sources",
                                tuple(dict(s) for s in self.custom_sources))
+            for entry in self.custom_sources:
+                _check_custom_source(entry)
 
     def to_json_dict(self, include_unhashed=True):
         doc = asdict(self)
@@ -107,15 +123,15 @@ def _parse_value(name, raw, target_field):
                 (int if name == "seeds" else float)(part)
                 for part in raw.split(",") if part.strip() != ""
             )
-        if kind in ("bool", bool):
+        if kind is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        if kind in ("int", int):
+        if kind is int:
             return int(raw)
-        if kind in ("float", float):
+        if kind is float:
             return float(raw)
         return raw
     except (ValueError, json.JSONDecodeError) as exc:

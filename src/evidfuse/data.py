@@ -365,10 +365,15 @@ def write_dataset(dataset: Dataset, out_dir: str) -> str:
         "generator": dataset.generator,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
+
+
+def write_json(path, doc):
+    """Manifests and run artifacts: sorted keys, indent 1, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def manifest_hash(manifest_path: str) -> str:

@@ -3,10 +3,11 @@
 Three encoder families: a 3-layer MLP and a 3-block residual net for
 structured features, and a single trainable hidden layer over frozen
 precomputed text embeddings.  Each produces the 32-dim representation
-consumed by the evidential layer.  Parameters are plain name->array
-dicts so the training tape can substitute leaf tensors; dropout masks
-are sampled up front and applied as constants (inverted scaling, so the
-eval path needs no rescaling).
+consumed by the evidential layer (the residual blocks run at that
+width).  Parameters are plain name->array dicts so the training tape can
+substitute leaf tensors; dropout masks are sampled up front at the
+encoder's ``dropout`` rate and applied as constants (inverted scaling,
+so the eval path needs no rescaling).  ``encode`` takes (N, D) rows.
 
 On the training tape each affine layer is one ``autodiff.linear`` node
 and each activation one ``autodiff.relu`` node that also applies its
@@ -121,29 +122,24 @@ class AuxHead:
 
 
 def init_mlp(input_dim, rng, hidden_dim=ENCODER_HIDDEN_DIM,
-             output_dim=ENCODER_OUTPUT_DIM, dropout=DEFAULT_DROPOUT) -> MlpEncoder:
+             output_dim=ENCODER_OUTPUT_DIM) -> MlpEncoder:
     w0, b0 = _he_linear(rng, input_dim, hidden_dim)
     w1, b1 = _he_linear(rng, hidden_dim, hidden_dim)
     w2, b2 = _he_linear(rng, hidden_dim, output_dim)
     return MlpEncoder(
         params={"w0": w0, "b0": b0, "w1": w1, "b1": b1, "w2": w2, "b2": b2},
         input_dim=input_dim, hidden_dim=hidden_dim, output_dim=output_dim,
-        dropout=dropout,
     )
 
 
-def init_resnet(input_dim, rng, hidden_dim=ENCODER_HIDDEN_DIM,
-                output_dim=ENCODER_OUTPUT_DIM, dropout=DEFAULT_DROPOUT,
-                n_blocks=3) -> ResNetEncoder:
-    if hidden_dim != output_dim:
-        raise DataError("residual encoder requires hidden_dim == output_dim")
+def init_resnet(input_dim, rng, output_dim=ENCODER_OUTPUT_DIM) -> ResNetEncoder:
     params = {}
-    params["w_in"], params["b_in"] = _he_linear(rng, input_dim, hidden_dim)
-    for k in range(n_blocks):
-        params[f"block{k}.w1"], params[f"block{k}.b1"] = _he_linear(rng, hidden_dim, hidden_dim)
-        params[f"block{k}.w2"], params[f"block{k}.b2"] = _he_linear(rng, hidden_dim, hidden_dim)
-    return ResNetEncoder(params=params, input_dim=input_dim, hidden_dim=hidden_dim,
-                         output_dim=output_dim, dropout=dropout, n_blocks=n_blocks)
+    params["w_in"], params["b_in"] = _he_linear(rng, input_dim, output_dim)
+    for k in range(ResNetEncoder.n_blocks):
+        params[f"block{k}.w1"], params[f"block{k}.b1"] = _he_linear(rng, output_dim, output_dim)
+        params[f"block{k}.w2"], params[f"block{k}.b2"] = _he_linear(rng, output_dim, output_dim)
+    return ResNetEncoder(params=params, input_dim=input_dim, hidden_dim=output_dim,
+                         output_dim=output_dim)
 
 
 def init_text_head(input_dim, rng, hidden_dim=TEXT_HIDDEN_DIM,
@@ -169,8 +165,9 @@ def init_encoder(kind: str, input_dim: int, rng, **overrides):
     return ENCODER_KINDS[kind](input_dim, rng, **overrides)
 
 
-def sample_dropout_masks(encoder, n: int, rate: float, rng) -> list:
-    """Inverted-scaling dropout masks for one training step."""
+def sample_dropout_masks(encoder, n: int, rng) -> list:
+    """Inverted-scaling dropout masks at the encoder's rate for one step."""
+    rate = encoder.dropout
     if rate <= 0.0:
         return [np.ones(shape) for shape in encoder.dropout_shapes(n)]
     keep = 1.0 - rate
@@ -181,15 +178,11 @@ def sample_dropout_masks(encoder, n: int, rate: float, rng) -> list:
 
 
 def encode(encoder, x):
-    """Eval-mode encoding of one vector or a batch of rows."""
+    """Eval-mode encoding of an (N, input_dim) batch of rows."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != encoder.input_dim:
         raise DataError(f"{encoder.kind}: input shape {x.shape} does not match dim "
                         f"{encoder.input_dim}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"{encoder.kind}: non-finite input")
-    out = encoder.forward(x)
-    return out[0] if single else out
+    return encoder.forward(x)

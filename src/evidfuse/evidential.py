@@ -239,7 +239,7 @@ def fuse_evidence(evidence) -> FusedEvidence:
                 if isinstance(t, ad.Tensor):
                     t._accumulate(grad)
 
-    node = ad.Tensor(probs, tensors[0].tape, parents=tensors, bwd=bwd)
+    node = ad.Tensor(probs, tensors[0].tape, bwd=bwd)
     return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 

@@ -26,6 +26,7 @@ from .data import (
     split,
     PreprocessState,
     SyntheticConfig,
+    write_json,
 )
 from .errors import ConfigError, DataError
 from .metrics import evaluate, summarize, MetricsReport
@@ -113,17 +114,21 @@ def assemble_inputs(specs, state: PreprocessState, matrix: np.ndarray,
     return inputs
 
 
+def split_inputs(specs, state: PreprocessState, part: Dataset) -> list:
+    """One split's per-source inputs, with the training split's statistics."""
+    return assemble_inputs(specs, state, apply_preprocess(state, part), part)
+
+
+def score_split(model, inputs, labels) -> MetricsReport:
+    """Metrics of the model's positive-class probabilities on one split."""
+    return evaluate(predict_probs(model, inputs)[:, 1], labels)
+
+
 def encoder_overrides(config: RunConfig, specs) -> dict:
-    out = {}
+    out = {spec.name: {"output_dim": config.encoder_output_dim} for spec in specs}
     for spec in specs:
         if spec.encoder_kind == "text-head":
-            out[spec.name] = {"hidden_dim": config.text_hidden_dim,
-                              "output_dim": config.encoder_output_dim}
-        elif spec.encoder_kind == "resnet":
-            out[spec.name] = {"hidden_dim": config.encoder_output_dim,
-                              "output_dim": config.encoder_output_dim}
-        else:
-            out[spec.name] = {"output_dim": config.encoder_output_dim}
+            out[spec.name]["hidden_dim"] = config.text_hidden_dim
     return out
 
 
@@ -142,12 +147,6 @@ def load_run_dataset(config: RunConfig):
     if dataset.m != 2:
         raise DataError(f"runs need a binary dataset, got {dataset.m} classes")
     return dataset, dataset_id
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _report_doc(task: str, config_hash: str, seed: int, dataset_id: str, split_name: str,
@@ -170,13 +169,8 @@ def run_single_seed(config: RunConfig, dataset: Dataset, dataset_id: str,
     state = fit_preprocess(train_set)
     specs = resolve_source_specs(config, dataset, state)
 
-    matrices = {name: apply_preprocess(state, part)
-                for name, part in (("train", train_set), ("val", val_set), ("test", test_set))}
-    inputs = {
-        "train": assemble_inputs(specs, state, matrices["train"], train_set),
-        "val": assemble_inputs(specs, state, matrices["val"], val_set),
-        "test": assemble_inputs(specs, state, matrices["test"], test_set),
-    }
+    inputs = {name: split_inputs(specs, state, part)
+              for name, part in (("train", train_set), ("val", val_set), ("test", test_set))}
 
     model = init_model(BINARY_FRAME, specs, inputs["train"], train_set.labels, seed=seed,
                        prototypes=config.prototypes,
@@ -188,8 +182,7 @@ def run_single_seed(config: RunConfig, dataset: Dataset, dataset_id: str,
                     seed=seed),
     )
 
-    probs = predict_probs(result.model, inputs["test"])[:, 1]
-    report = evaluate(probs, test_set.labels)
+    report = score_split(result.model, inputs["test"], test_set.labels)
 
     save_checkpoint(result.model, os.path.join(out_dir, "checkpoint.json"),
                     config_hash=config.config_hash(),
@@ -199,14 +192,14 @@ def run_single_seed(config: RunConfig, dataset: Dataset, dataset_id: str,
                         "preprocess": state.to_json_dict(),
                         "config": config.to_json_dict(include_unhashed=False),
                     })
-    _write_json(os.path.join(out_dir, "history.json"), {
+    write_json(os.path.join(out_dir, "history.json"), {
         "seed": seed,
         "config_hash": config.config_hash(),
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
         "history": result.history,
     })
-    _write_json(os.path.join(out_dir, "report.json"),
+    write_json(os.path.join(out_dir, "report.json"),
                 _report_doc(config.task, config.config_hash(), seed, dataset_id, "test",
                             report))
     return report
@@ -226,7 +219,7 @@ def run_experiment(config: RunConfig) -> dict:
     # a dataset the run rejects must not leave a marker that blocks the rerun
     dataset, dataset_id = load_run_dataset(config)
     os.makedirs(run_dir, exist_ok=True)
-    _write_json(marker, {"config_hash": config.config_hash(),
+    write_json(marker, {"config_hash": config.config_hash(),
                          "config": config.to_json_dict()})
 
     reports = []
@@ -243,7 +236,7 @@ def run_experiment(config: RunConfig) -> dict:
         "per_seed": {str(seed): asdict(r) for seed, r in reports},
         "aggregate": summarize([r for _, r in reports]),
     }
-    _write_json(os.path.join(run_dir, "summary.json"), summary)
+    write_json(os.path.join(run_dir, "summary.json"), summary)
     return summary
 
 
@@ -275,11 +268,8 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
         dataset = load_dataset(manifest_path)
 
     part = split(dataset, seed)[splits.index(split_name)]
-    matrix = apply_preprocess(state, part)
     specs = [src.spec for src in model.sources]
-    inputs = assemble_inputs(specs, state, matrix, part)
-    probs = predict_probs(model, inputs)[:, 1]
-    report = evaluate(probs, part.labels)
+    report = score_split(model, split_inputs(specs, state, part), part.labels)
 
     dataset_id = extra["dataset"] if "dataset" in extra else manifest_hash(manifest_path)
     return _report_doc(extra.get("config", {}).get("task", "eval"), doc.get("config_hash", ""),

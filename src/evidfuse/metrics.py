@@ -174,15 +174,15 @@ SUMMARY_METRICS = (
 )
 
 
-def evaluate(probs, labels, threshold: float = 0.5) -> MetricsReport:
+def evaluate(probs, labels) -> MetricsReport:
     """Full report for positive-class probabilities against 0/1 labels.
 
-    The decision rule is p(positive) > threshold, ties to negative,
-    matching the argmax-with-lowest-index decision of the model.
+    The decision rule is p(positive) > 0.5, ties to negative: the
+    model's own argmax-with-lowest-index decision for two classes.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    predicted = (probs > threshold).astype(np.int64)
+    predicted = (probs > 0.5).astype(np.int64)
     c = confusion(labels, predicted)
     return MetricsReport(
         **asdict(c),

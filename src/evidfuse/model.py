@@ -44,7 +44,7 @@ from .encoders import (
     init_encoder,
     sample_dropout_masks,
 )
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import ConfigError, DataError, EvidFuseError, TrainingDivergedError
 from .evidential import EnnParams, evidence_batch, fuse_evidence, init_enn
 from .rng import substream
 
@@ -254,8 +254,14 @@ def _check_inputs(model, inputs):
     return mats
 
 
+def _check_labels(inputs, labels):
+    if {len(x) for x in inputs} != {len(labels)}:
+        raise DataError(f"{len(labels)} labels for input blocks of "
+                        f"{sorted({len(x) for x in inputs})} rows")
+
+
 def batch_internals(model, inputs, params=None, masks=None):
-    """Fused evidence (probabilities included) and per-source aux logits.
+    """Fused evidence (``fused.probs`` included) and per-source aux logits.
 
     ``params`` substitutes leaf tensors during training; ``masks`` is a
     per-source list of dropout masks (None disables dropout).
@@ -273,12 +279,7 @@ def batch_internals(model, inputs, params=None, masks=None):
         z = src.encoder.forward(x, params=enc_p, masks=masks[i] if masks else None)
         evidence.append(evidence_batch(z, **enn_p))
         aux_logit_list.append(src.aux.forward(z, params=aux_p))
-    fused = fuse_evidence(evidence)
-    return {
-        "fused": fused,
-        "probs": fused.probs,
-        "aux_logits": aux_logit_list,
-    }
+    return fuse_evidence(evidence), aux_logit_list
 
 
 def predict_batch(model: FusionModel, inputs) -> Predictions:
@@ -287,7 +288,7 @@ def predict_batch(model: FusionModel, inputs) -> Predictions:
     Per-source and fused masses come from the same forward pass as the
     probabilities, so ``probs`` equals ``predict_probs`` exactly.
     """
-    fused = batch_internals(model, inputs)["fused"]
+    fused, _ = batch_internals(model, inputs)
     singles, ign = fused.masses()
     per_source = [ev.masses() for ev in fused.sources]
     src_singles = np.stack([s for s, _ in per_source], axis=1)        # (N, K, M)
@@ -309,7 +310,7 @@ def predict_batch(model: FusionModel, inputs) -> Predictions:
 
 def predict_probs(model: FusionModel, inputs) -> np.ndarray:
     """(N, M) pignistic probabilities, eval mode."""
-    return batch_internals(model, inputs)["probs"]
+    return batch_internals(model, inputs)[0].probs
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +357,11 @@ def loss_overall(model: FusionModel, inputs, labels, params=None, masks=None):
     whose parents are the fused probabilities and the logits of every
     source with a nonzero auxiliary weight.
     """
-    internals = batch_internals(model, inputs, params=params, masks=masks)
-    probs = internals["probs"]
+    _check_labels(inputs, labels)
+    fused, aux_logits = batch_internals(model, inputs, params=params, masks=masks)
+    probs = fused.probs
     aux = [(src.spec.aux_weight, logits)
-           for src, logits in zip(model.sources, internals["aux_logits"])
+           for src, logits in zip(model.sources, aux_logits)
            if src.spec.aux_weight != 0.0]
     total = loss_main(ad.value_of(probs), labels, model.class_weights)
     for weight, logits in aux:
@@ -391,12 +393,12 @@ def loss_overall(model: FusionModel, inputs, labels, params=None, masks=None):
                 g_logits[rows, labels] += coef
                 logits._accumulate(g_logits)
 
-    return ad.Tensor(total, tensors[0].tape, parents=tensors, bwd=bwd)
+    return ad.Tensor(total, tensors[0].tape, bwd=bwd)
 
 
 def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
     return [
-        sample_dropout_masks(src.encoder, n, src.encoder.dropout, rng)
+        sample_dropout_masks(src.encoder, n, rng)
         for src in model.sources
     ]
 
@@ -481,6 +483,8 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     n = len(train_labels)
     if n == 0 or len(val_labels) == 0:
         raise DataError("training and validation splits must be non-empty")
+    _check_labels(train_inputs, train_labels)
+    _check_labels(val_inputs, val_labels)
 
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
@@ -644,8 +648,9 @@ def load_checkpoint(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        return model_from_json_dict(doc), doc
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed checkpoint {path}: {exc}") from exc
-    return model_from_json_dict(doc), doc
+    # a JSONDecodeError is a ValueError
+    except (LookupError, AttributeError, TypeError, ValueError, EvidFuseError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc

@@ -6,12 +6,12 @@ the fusion and the training objective."""
 import numpy as np
 import pytest
 
-from evidfuse import autodiff as ad
 from evidfuse.autodiff import Tape
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
 from evidfuse.evidential import EnnParams
 from evidfuse.model import PROB_FLOOR, Frame, Predictions, SourceSpec, batch_internals, init_model
+import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, gamma, membership,
                        pignistic)
 
@@ -35,9 +35,11 @@ def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
         SourceSpec("notes", "text-head", aux_weight=1.0),
     ]
     overrides = {
-        "struct": {"hidden_dim": hidden, "output_dim": hidden},
+        "struct": {"output_dim": hidden},
         "notes": {"hidden_dim": hidden, "output_dim": hidden},
     }
+    if encoder_kind == "mlp":
+        overrides["struct"]["hidden_dim"] = hidden
     model = init_model(Frame.of_size(2), specs, [x_struct, x_text], labels,
                        seed=seed, prototypes=prototypes, encoder_overrides=overrides)
     return model, [x_struct, x_text], labels
@@ -147,9 +149,9 @@ def chained_loss_aux(logits, labels, class_weights):
 def chained_loss_overall(model, inputs, labels, params=None, masks=None):
     """Reference objective: the chained main loss plus each source's
     chained aux loss scaled by its (nonzero) aux weight."""
-    internals = batch_internals(model, inputs, params=params, masks=masks)
-    total = chained_loss_main(internals["probs"], labels, model.class_weights)
-    for src, logits in zip(model.sources, internals["aux_logits"]):
+    fused, aux_logits = batch_internals(model, inputs, params=params, masks=masks)
+    total = chained_loss_main(fused.probs, labels, model.class_weights)
+    for src, logits in zip(model.sources, aux_logits):
         if src.spec.aux_weight != 0.0:
             total = total + src.spec.aux_weight * chained_loss_aux(logits, labels,
                                                                    model.class_weights)
@@ -194,7 +196,7 @@ def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) ->
 def exact_prediction(model, sample_inputs):
     """One sample's prediction through the exact mass algebra, as a
     one-row ``Predictions`` (fields without the sample axis)."""
-    per_source = [enn_forward(encode(src.encoder, x), src.enn, model.frame)
+    per_source = [enn_forward(encode(src.encoder, x[None])[0], src.enn, model.frame)
                   for src, x in zip(model.sources, sample_inputs)]
     fused = combine_many(per_source)
     k = len(per_source)

@@ -8,8 +8,8 @@ dual-mode value consistency is exercised for free.
 import numpy as np
 import pytest
 
-from evidfuse import autodiff as ad
 from evidfuse.autodiff import Tape
+import tape_ops as ad
 from helpers import check_gradients
 
 

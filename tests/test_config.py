@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from evidfuse.config import RunConfig, parse_config_text
+from evidfuse.config import RunConfig, load_config, parse_config_text
 from evidfuse.data import SyntheticConfig
 from evidfuse.errors import ConfigError
 
@@ -40,6 +40,24 @@ class TestParse:
         assert config.synthetic.n == 50
         assert config.prototypes == 4
 
+    def test_load_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# ICU mortality, synthetic stand-in\n"
+                        "task = icu\n"
+                        "synthetic.n = 200\n"
+                        "synthetic.informativeness = 0.5, 1.0\n"
+                        "seeds = 3, 4, 5\n"
+                        "force = yes\n"
+                        "batch_size = 8\n", encoding="utf-8")
+        config = load_config(str(path), overrides={"batch_size": "64"})
+        assert config == RunConfig(
+            task="icu", synthetic=SyntheticConfig(n=200, informativeness=(0.5, 1.0)),
+            seeds=(3, 4, 5), force=True, batch_size=64, output_dir=config.output_dir)
+
+    def test_load_config_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found: .*absent.cfg"):
+            load_config(str(tmp_path / "absent.cfg"))
+
     def test_ft_transformer_rejected(self):
         with pytest.raises(ConfigError, match="ft-transformer"):
             RunConfig(encoder="ft-transformer", synthetic=SyntheticConfig(n=100))
@@ -50,6 +68,13 @@ class TestHash:
         config = parse_config_text(BASE)
         moved = dataclasses.replace(config, output_dir="elsewhere", force=True)
         assert moved.config_hash() == config.config_hash()
+
+    def test_custom_sources_hash_is_stable(self):
+        config = RunConfig(synthetic=SyntheticConfig(n=100), fusion_grouping="custom",
+                           custom_sources=({"name": "labs", "features": ["x0", "x1"],
+                                            "encoder": "resnet", "aux_weight": 0.5},
+                                           {"name": "text", "embedding": True}))
+        assert config.config_hash() == "a5a5b635f361cb4d"
 
     def test_changes_with_prototypes(self):
         config = parse_config_text(BASE)

@@ -1,9 +1,10 @@
 """Encoder and auxiliary-head behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evidfuse import autodiff as ad
 from evidfuse.errors import DataError
 from evidfuse.encoders import (
     AuxHead,
@@ -16,6 +17,7 @@ from evidfuse.encoders import (
     init_text_head,
     sample_dropout_masks,
 )
+import tape_ops as ad
 from helpers import check_gradients
 
 RNG = np.random.default_rng(42)
@@ -25,10 +27,10 @@ class TestEncode:
     @pytest.mark.parametrize("kind,dim", [("mlp", 7), ("resnet", 7), ("text-head", 24)])
     def test_eval_mode_deterministic(self, kind, dim):
         enc = init_encoder(kind, dim, np.random.default_rng(0))
-        x = RNG.normal(size=dim)
+        x = RNG.normal(size=(1, dim))
         out1, out2 = encode(enc, x), encode(enc, x)
         np.testing.assert_array_equal(out1, out2)
-        assert out1.shape == (32,)
+        assert out1.shape == (1, 32)
 
     def test_zero_parameters_give_zero_output(self):
         enc = init_mlp(5, np.random.default_rng(0))
@@ -36,18 +38,18 @@ class TestEncode:
             params={k: np.zeros_like(v) for k, v in enc.params.items()},
             input_dim=5,
         )
-        np.testing.assert_array_equal(encode(zeroed, RNG.normal(size=5)), np.zeros(32))
+        np.testing.assert_array_equal(encode(zeroed, RNG.normal(size=(1, 5))), np.zeros((1, 32)))
 
     def test_zero_dropout_train_equals_eval(self):
-        enc = init_mlp(5, np.random.default_rng(1), dropout=0.0)
+        enc = replace(init_mlp(5, np.random.default_rng(1)), dropout=0.0)
         x = RNG.normal(size=(8, 5))
-        masks = sample_dropout_masks(enc, 8, enc.dropout, np.random.default_rng(3))
+        masks = sample_dropout_masks(enc, 8, np.random.default_rng(3))
         np.testing.assert_allclose(enc.forward(x, masks=masks), encode(enc, x), atol=1e-15)
 
     def test_dropout_changes_train_output(self):
-        enc = init_mlp(5, np.random.default_rng(1), dropout=0.5)
+        enc = replace(init_mlp(5, np.random.default_rng(1)), dropout=0.5)
         x = RNG.normal(size=(16, 5))
-        masks = sample_dropout_masks(enc, 16, enc.dropout, np.random.default_rng(3))
+        masks = sample_dropout_masks(enc, 16, np.random.default_rng(3))
         assert not np.allclose(enc.forward(x, masks=masks), encode(enc, x))
 
     def test_batch_matches_per_row(self):
@@ -55,17 +57,17 @@ class TestEncode:
         x = RNG.normal(size=(5, 6))
         batch = encode(enc, x)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], encode(enc, x[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode(enc, x[i][None])[0], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         enc = init_mlp(5, np.random.default_rng(0))
         with pytest.raises(DataError):
-            encode(enc, RNG.normal(size=6))
+            encode(enc, RNG.normal(size=(1, 6)))
 
     def test_non_finite_rejected(self):
         enc = init_mlp(3, np.random.default_rng(0))
         with pytest.raises(DataError):
-            encode(enc, np.array([1.0, np.nan, 0.0]))
+            encode(enc, np.array([[1.0, np.nan, 0.0]]))
 
     def test_ft_transformer_rejected_with_message(self):
         with pytest.raises(DataError, match="ft-transformer"):
@@ -110,9 +112,9 @@ class TestAuxHead:
 class TestEncoderGradients:
     @pytest.mark.parametrize("maker,dim", [(init_mlp, 4), (init_resnet, 4), (init_text_head, 9)])
     def test_match_finite_differences(self, maker, dim):
-        enc = maker(dim, np.random.default_rng(6))
+        enc = replace(maker(dim, np.random.default_rng(6)), dropout=0.3)
         x = RNG.normal(size=(5, dim))
-        masks = sample_dropout_masks(enc, 5, 0.3, np.random.default_rng(7))
+        masks = sample_dropout_masks(enc, 5, np.random.default_rng(7))
         names = sorted(enc.params)
 
         def f(*arrays):
@@ -125,13 +127,13 @@ class TestEncoderGradients:
 
 class TestDropoutMasks:
     def test_inverted_scaling_preserves_mean(self):
-        enc = init_mlp(4, np.random.default_rng(8), dropout=0.25)
-        masks = sample_dropout_masks(enc, 20000, 0.25, np.random.default_rng(9))
+        enc = replace(init_mlp(4, np.random.default_rng(8)), dropout=0.25)
+        masks = sample_dropout_masks(enc, 20000, np.random.default_rng(9))
         for m in masks:
             assert set(np.unique(m)).issubset({0.0, 1.0 / 0.75})
             assert abs(m.mean() - 1.0) < 0.02
 
     def test_zero_rate_is_identity(self):
-        enc = init_mlp(4, np.random.default_rng(8), dropout=0.0)
-        for m in sample_dropout_masks(enc, 10, 0.0, np.random.default_rng(9)):
+        enc = replace(init_mlp(4, np.random.default_rng(8)), dropout=0.0)
+        for m in sample_dropout_masks(enc, 10, np.random.default_rng(9)):
             np.testing.assert_array_equal(m, np.ones_like(m))

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evidfuse import autodiff as ad
 from evidfuse.errors import DataError
 from evidfuse.evidential import EnnParams, evidence_batch, fuse_evidence, init_enn, lloyd_kmeans
 from evidfuse.model import Frame
+import tape_ops as ad
 from helpers import (
     check_gradients,
     enn_forward,
@@ -206,6 +208,27 @@ def random_sources(rng, k, m, n=8, h=4, d=3):
     return [(rng.normal(size=(n, d)), random_params(rng, h=h, d=d, m=m)) for _ in range(k)]
 
 
+@st.composite
+def extreme_sources(draw):
+    """Rows and 1-3 sources of up to 1000 prototypes, with support_raw
+    anywhere in [-30, 30] and inputs up to 100x the prototype scale."""
+    k, m, d = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    h, n = draw(st.integers(1, 1000)), draw(st.integers(1, 6))
+    low = draw(st.floats(-30.0, 30.0))
+    high = draw(st.floats(low, 30.0))
+    scale = 10.0 ** draw(st.floats(-2.0, 1.0))
+    reach = draw(st.floats(0.0, 100.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [
+        (rng.normal(size=(n, d)) * scale * reach,
+         EnnParams(prototypes=rng.normal(size=(h, d)) * scale,
+                   scale_raw=rng.uniform(0.3, 1.2, size=h),
+                   support_raw=rng.uniform(low, high, size=h),
+                   membership_raw=rng.normal(size=(h, m)) * 5.0))
+        for _ in range(k)
+    ]
+
+
 class TestFusedEvidence:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3])
@@ -283,6 +306,21 @@ class TestFusedEvidence:
         # far inputs carry no evidence: vacuous fused mass, uniform probabilities
         np.testing.assert_allclose(probs[4:8], 1.0 / m, rtol=0, atol=1e-12)
         tape.backward(ad.sum_along(fused.probs * rng.normal(size=probs.shape)))
+        for leaf in (leaf for g in groups for leaf in g):
+            assert leaf.grad is not None and np.all(np.isfinite(leaf.grad))
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(extreme_sources())
+    def test_extreme_parameters_property(self, sources):
+        tape = ad.Tape()
+        groups = [[tape.leaf(a) for a in (x, *p.as_param_dict().values())] for x, p in sources]
+        fused = fuse_evidence([evidence_batch(*g) for g in groups])
+        probs = fused.probs.value
+        assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        weights = np.random.default_rng(0).normal(size=probs.shape)
+        tape.backward(ad.sum_along(fused.probs * weights))
         for leaf in (leaf for g in groups for leaf in g):
             assert leaf.grad is not None and np.all(np.isfinite(leaf.grad))
 

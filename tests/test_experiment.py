@@ -9,7 +9,8 @@ from evidfuse.config import RunConfig
 from evidfuse.data import Dataset, FeatureSpec, SyntheticConfig, fit_preprocess, write_dataset
 from evidfuse.errors import ConfigError, DataError
 from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
-from evidfuse.model import SourceSpec
+from evidfuse.model import SourceSpec, model_to_json_dict
+from helpers import tiny_fusion_setup
 
 
 def tiny_config(out_dir, seeds=(3,)):
@@ -44,6 +45,13 @@ def mixed_dataset(n=120, seed=0, embeddings=True):
         labels=labels,
         embeddings=rng.normal(size=(n, 3)) + labels[:, None] if embeddings else None,
     )
+
+
+def checkpoint_without_encoder():
+    model, _, _ = tiny_fusion_setup(n=20)
+    doc = model_to_json_dict(model)
+    del doc["sources"][0]["encoder"]
+    return doc
 
 
 def tiny_run(tmp_path, seed=3):
@@ -106,6 +114,17 @@ class TestEvaluateCheckpoint:
         with pytest.raises(DataError, match="malformed checkpoint .*checkpoint.json"):
             evaluate_checkpoint(str(path))
 
+    @pytest.mark.parametrize("make_doc,raised", [
+        (lambda: {"format_version": 1}, "KeyError"),
+        (lambda: [], "AttributeError"),
+        (checkpoint_without_encoder, "KeyError"),
+    ], ids=["no-frame", "list", "source-without-encoder"])
+    def test_parseable_non_checkpoint_is_data_error(self, tmp_path, make_doc, raised):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(make_doc()), encoding="utf-8")
+        with pytest.raises(DataError, match=f"malformed checkpoint .*checkpoint.json: {raised}"):
+            evaluate_checkpoint(str(path))
+
 
 class TestBinaryOnly:
     def test_multiclass_manifest_rejected_before_training(self, tmp_path):
@@ -127,6 +146,27 @@ class TestBinaryOnly:
                 run_experiment(config)
             assert not (tmp_path / "runs" / "three" / "config.json").exists()
         assert not list((tmp_path / "runs" / "three").glob("seed_*"))
+
+
+class TestCustomSourceEntries:
+    @pytest.mark.parametrize("entry,message", [
+        ({"encoder": "cnn"}, "encoder must be 'mlp' or 'resnet', got 'cnn'"),
+        ({"aux_weight": -1}, "aux_weight must be a number >= 0, got -1"),
+        ({"aux_weight": "2"}, "aux_weight must be a number >= 0, got '2'"),
+        ({"aux_wieght": 0.5}, r"unknown keys \['aux_wieght'\]"),
+        ({"encodr": "resnet"}, r"unknown keys \['encodr'\]"),
+    ], ids=["cnn-encoder", "negative-aux-weight", "string-aux-weight", "misspelled-aux-weight",
+            "misspelled-encoder"])
+    def test_rejected_before_the_run_is_marked(self, tmp_path, entry, message):
+        sources = ({"name": "labs", "features": ["x0"], **entry},)
+        for _ in range(2):
+            # nothing marks the run directory, so the rerun fails the same way
+            with pytest.raises(ConfigError, match=f"custom source 'labs': {message}"):
+                run_experiment(RunConfig(
+                    task="custom", synthetic=SyntheticConfig(n=120, seed=5),
+                    fusion_grouping="custom", custom_sources=sources, max_epochs=1,
+                    seeds=(0,), output_dir=str(tmp_path)))
+            assert not (tmp_path / "custom" / "config.json").exists()
 
 
 class TestTooFewDistinctRows:

@@ -3,9 +3,9 @@ finite differences, and Dempster combination near total conflict."""
 
 import numpy as np
 
-from evidfuse import autodiff as ad
 from evidfuse.model import ParamVector, loss_overall, make_dropout_masks, param_dict
 from evidfuse.rng import substream
+import tape_ops as ad
 from helpers import check_gradients, combine_batch, tiny_fusion_setup
 
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import evidfuse.model
-from evidfuse import autodiff as ad
 from evidfuse.encoders import AuxHead, MlpEncoder
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
 from evidfuse.evidential import EnnParams
@@ -36,6 +35,7 @@ from evidfuse.model import (
     with_params,
 )
 from evidfuse.rng import substream
+import tape_ops as ad
 from helpers import chained_loss_overall, exact_prediction, tiny_fusion_setup
 from reference import SimpleMass, combine_simple, pignistic
 
@@ -210,9 +210,9 @@ class TestLosses:
         model, inputs, labels = tiny_fusion_setup(seed=8, n=16)
         total = float(ad.value_of(loss_overall(model, inputs, labels)))
         from evidfuse.model import batch_internals
-        internals = batch_internals(model, inputs)
-        manual = float(loss_main(internals["probs"], labels, model.class_weights))
-        for src, logits in zip(model.sources, internals["aux_logits"]):
+        fused, aux_logits = batch_internals(model, inputs)
+        manual = float(loss_main(fused.probs, labels, model.class_weights))
+        for src, logits in zip(model.sources, aux_logits):
             manual += src.spec.aux_weight * float(loss_aux(logits, labels, model.class_weights))
         assert abs(total - manual) <= 1e-12
 
@@ -222,11 +222,16 @@ class TestLosses:
             object.__setattr__(src.spec, "aux_weight", 0.0)
         from evidfuse.model import batch_internals
         total = float(ad.value_of(loss_overall(model, inputs, labels)))
-        probs = batch_internals(model, inputs)["probs"]
+        probs = batch_internals(model, inputs)[0].probs
         assert abs(total - float(loss_main(probs, labels, model.class_weights))) <= 1e-12
 
 
 class TestLossAndGrad:
+    def test_label_count_mismatch_rejected(self):
+        model, inputs, labels = tiny_fusion_setup(seed=23, n=40)
+        with pytest.raises(DataError, match="30 labels for input blocks of \\[40\\] rows"):
+            loss_overall(model, inputs, labels[:30])
+
     def test_deterministic(self):
         model, inputs, labels = tiny_fusion_setup(seed=10, n=10)
         l1, g1 = loss_and_grad(model, inputs, labels)
@@ -393,6 +398,16 @@ class TestTraining:
                                    learning_rate=0.0, seed=2))
         # flat validation curve: first epoch is best, stop after patience more
         assert len(result.history) == 3
+
+    @pytest.mark.parametrize("cut", ["train", "val"])
+    def test_label_count_mismatch_rejected_before_any_step(self, monkeypatch, cut):
+        model, inputs, labels = tiny_fusion_setup(seed=22, n=40)
+        monkeypatch.setattr(evidfuse.model, "loss_and_grad",
+                            lambda *a, **k: pytest.fail("a training step ran"))
+        train_labels, val_labels = (labels[:30], labels) if cut == "train" else (labels, labels[:30])
+        with pytest.raises(DataError, match="30 labels for input blocks of \\[40\\] rows"):
+            train(model, inputs, train_labels, inputs, val_labels,
+                  TrainConfig(batch_size=8, max_epochs=1, seed=0))
 
 
 class TestFlatAdam:
