@@ -28,6 +28,8 @@ def _check_custom_source(entry: dict):
     unknown = set(entry) - {"name", "features", "encoder", "aux_weight", "embedding"}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    if not entry.get("embedding") and not isinstance(entry.get("name"), str):
+        raise ConfigError(f"{where}: a feature source needs a string 'name'")
     if entry.get("encoder", "mlp") not in ENCODERS:
         raise ConfigError(f"{where}: encoder must be 'mlp' or 'resnet', got {entry['encoder']!r}")
     weight = entry.get("aux_weight", 0.0)

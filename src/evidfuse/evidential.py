@@ -243,36 +243,63 @@ def fuse_evidence(evidence) -> FusedEvidence:
     return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 
+def _group_by_cluster(points: np.ndarray, assign: np.ndarray, k: int):
+    """Rows sorted by cluster and each cluster's (lo, hi) bounds.
+
+    The sort is stable, so ``grouped[lo:hi]`` holds a cluster's rows in
+    index order, as a boolean-mask copy of ``points`` would.
+    """
+    order = np.argsort(assign, kind="stable")
+    ends = np.cumsum(np.bincount(assign, minlength=k))
+    return points[order], zip((0, *ends[:-1].tolist()), ends.tolist())
+
+
 def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Plain Lloyd iteration with seeded sampling of initial centers.
 
-    Emptied clusters are re-seeded with the point farthest from its
-    assigned center, so every cluster ends non-empty as long as there
-    are at least k distinct points.
+    Reseeding: after each assignment, the empty clusters, in index order,
+    each take the point currently farthest from its own center, which
+    then counts as that cluster's member at distance 0.  A reseed can
+    empty a later cluster, which then reseeds in turn; an earlier one is
+    not visited again.  Every cluster ends non-empty as long as there are
+    at least k distinct points.
+
+    Each center is the mean of a contiguous slice of the rows sorted by
+    cluster, taken as ``mean(axis=0)`` takes it (a sum over axis 0, then
+    a division by the count).  The slice has the same shape, strides and
+    row order as a boolean-mask copy, so the sum adds in the same order
+    and the centers have the same bits as a per-cluster mask loop;
+    ``np.add.reduceat`` and weighted ``bincount`` add in another order
+    and move the last bit.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
+    p2 = np.sum(points ** 2, axis=1, keepdims=True)
+    twice = 2.0 * points
     assign = None
     for _ in range(KMEANS_ITERS):
-        d2 = (
-            np.sum(points ** 2, axis=1, keepdims=True)
-            - 2.0 * points @ centers.T
-            + np.sum(centers ** 2, axis=1)
-        )
+        d2 = twice @ centers.T
+        np.subtract(p2, d2, out=d2)
+        d2 += np.sum(centers ** 2, axis=1)
         new_assign = np.argmin(d2, axis=1)
-        own_d2 = d2[np.arange(n), new_assign]
-        for c in range(k):
-            if not np.any(new_assign == c):
-                far = int(np.argmax(own_d2))
-                centers[c] = points[far]
-                new_assign[far] = c
-                own_d2[far] = 0.0
+        counts = np.bincount(new_assign, minlength=k)
+        if not counts.all():
+            own_d2 = d2[np.arange(n), new_assign]
+            for c in range(k):
+                if counts[c] == 0:
+                    far = int(np.argmax(own_d2))
+                    centers[c] = points[far]
+                    counts[new_assign[far]] -= 1
+                    counts[c] += 1
+                    new_assign[far] = c
+                    own_d2[far] = 0.0
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(k):
-            centers[c] = points[assign == c].mean(axis=0)
+        grouped, bounds = _group_by_cluster(points, assign, k)
+        for c, (lo, hi) in enumerate(bounds):
+            centers[c] = np.add.reduce(grouped[lo:hi], axis=0) / (hi - lo)
     return centers, assign
 
 
@@ -284,6 +311,10 @@ def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
         raise DataError(f"features must be (N, D), got {features.shape}")
+    if labels.shape != features.shape[:1]:
+        raise DataError(f"labels of shape {labels.shape} for {features.shape[0]} rows")
+    if labels.size and not (labels.min() >= 0 and labels.max() < m):
+        raise DataError(f"labels must lie in [0, {m}), got [{labels.min()}, {labels.max()}]")
     # k-means needs h distinct points; stop counting once there are h
     distinct = set()
     for row in features:
@@ -295,14 +326,13 @@ def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
     rng = np.random.default_rng(seed)
     centers, assign = lloyd_kmeans(features, h, rng)
 
-    membership_raw = np.zeros((h, m))
+    membership_raw = np.log(np.bincount(assign * m + labels, minlength=h * m)
+                            .reshape(h, m) + 1.0)
     msd = np.zeros(h)
-    for c in range(h):
-        members = assign == c
-        counts = np.bincount(labels[members], minlength=m).astype(np.float64)
-        membership_raw[c] = np.log(counts + 1.0)
-        if np.any(members):
-            msd[c] = np.mean(np.sum((features[members] - centers[c]) ** 2, axis=1))
+    grouped, bounds = _group_by_cluster(features, assign, h)
+    for c, (lo, hi) in enumerate(bounds):
+        if hi > lo:
+            msd[c] = np.mean(np.sum((grouped[lo:hi] - centers[c]) ** 2, axis=1))
     # singleton or zero-spread clusters borrow the average spread
     positive = msd[msd > 0.0]
     fallback = float(positive.mean()) if positive.size else 1.0

@@ -49,6 +49,21 @@ def _structured_feature_names(dataset: Dataset, state: PreprocessState):
     return [f.name for f in dataset.schema if f.name not in dropped]
 
 
+def _check_custom_features(config: RunConfig, names):
+    """Every feature source of a custom grouping lists at least one
+    feature, and only features in ``names``."""
+    if config.fusion_grouping != "custom":
+        return
+    for entry in config.custom_sources:
+        if entry.get("embedding"):
+            continue
+        unknown = set(entry.get("features", ())) - set(names)
+        if unknown:
+            raise ConfigError(f"custom source {entry['name']!r}: unknown features {sorted(unknown)}")
+        if not entry.get("features"):
+            raise ConfigError(f"custom source {entry['name']!r}: lists no features")
+
+
 def resolve_source_specs(config: RunConfig, dataset: Dataset,
                          state: PreprocessState) -> list:
     """Translate the fusion grouping into concrete source specs."""
@@ -78,14 +93,10 @@ def resolve_source_specs(config: RunConfig, dataset: Dataset,
             specs.append(SourceSpec(f"block{i}", config.encoder, alpha,
                                     tuple(str(n) for n in block)))
     else:  # custom
+        _check_custom_features(config, names)
         for entry in config.custom_sources:
             if entry.get("embedding"):
                 continue  # handled below with the text defaults
-            unknown = set(entry.get("features", ())) - set(names)
-            if unknown:
-                raise ConfigError(f"custom source {entry.get('name')!r}: unknown features {sorted(unknown)}")
-            if not entry.get("features"):
-                raise ConfigError(f"custom source {entry.get('name')!r} lists no features")
             specs.append(SourceSpec(
                 entry["name"],
                 entry.get("encoder", config.encoder),
@@ -216,8 +227,10 @@ def run_experiment(config: RunConfig) -> dict:
             f"run directory {run_dir!r} already holds a run (config hash "
             f"{existing}); pass --force to overwrite"
         )
-    # a dataset the run rejects must not leave a marker that blocks the rerun
+    # a dataset or source list the run rejects must not leave a marker
+    # that blocks the rerun
     dataset, dataset_id = load_run_dataset(config)
+    _check_custom_features(config, [f.name for f in dataset.schema])
     os.makedirs(run_dir, exist_ok=True)
     write_json(marker, {"config_hash": config.config_hash(),
                          "config": config.to_json_dict()})

@@ -1,7 +1,8 @@
 """Shared test utilities: gradient checking, small model fixtures, the
 exact per-sample reference for the evidential layer and the fused
-prediction, and taped reference implementations of the batched evidence,
-the fusion and the training objective."""
+prediction, taped reference implementations of the batched evidence,
+the fusion and the training objective, and the per-cluster loops of
+k-means and the evidential-layer init."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from evidfuse.autodiff import Tape
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
-from evidfuse.evidential import EnnParams
+from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams
 from evidfuse.model import PROB_FLOOR, Frame, Predictions, SourceSpec, batch_internals, init_model
 import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, gamma, membership,
@@ -211,4 +212,66 @@ def exact_prediction(model, sample_inputs):
         source_singletons=np.stack([m.singletons for m in per_source]),
         source_ignorance=np.array([m.ignorance for m in per_source]),
         conflict=conflict,
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-cluster loops of k-means and the evidential-layer init: the
+# vectorized ones in evidfuse.evidential must match them byte for byte
+
+def reference_lloyd_kmeans(points, k, rng, reseeds=None):
+    """Lloyd iteration with one boolean mask per cluster; empty clusters,
+    in index order, take the currently farthest point.  Each reseeded
+    cluster index is appended to ``reseeds`` when a list is given."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    assign = None
+    for _ in range(KMEANS_ITERS):
+        d2 = (
+            np.sum(points ** 2, axis=1, keepdims=True)
+            - 2.0 * points @ centers.T
+            + np.sum(centers ** 2, axis=1)
+        )
+        new_assign = np.argmin(d2, axis=1)
+        own_d2 = d2[np.arange(n), new_assign]
+        for c in range(k):
+            if not np.any(new_assign == c):
+                far = int(np.argmax(own_d2))
+                centers[c] = points[far]
+                new_assign[far] = c
+                own_d2[far] = 0.0
+                if reseeds is not None:
+                    reseeds.append(c)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for c in range(k):
+            centers[c] = points[assign == c].mean(axis=0)
+    return centers, assign
+
+
+def reference_init_enn(features, labels, h, seed, m):
+    """k-means prototypes, then memberships and precisions cluster by
+    cluster (the caller passes valid labels and at least h distinct rows)."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    centers, assign = reference_lloyd_kmeans(features, h, np.random.default_rng(seed))
+    membership_raw = np.zeros((h, m))
+    msd = np.zeros(h)
+    for c in range(h):
+        members = assign == c
+        counts = np.bincount(labels[members], minlength=m).astype(np.float64)
+        membership_raw[c] = np.log(counts + 1.0)
+        if np.any(members):
+            msd[c] = np.mean(np.sum((features[members] - centers[c]) ** 2, axis=1))
+    positive = msd[msd > 0.0]
+    fallback = float(positive.mean()) if positive.size else 1.0
+    msd = np.where(msd > 0.0, msd, fallback)
+    gamma = 1.0 / (2.0 * msd)
+    return EnnParams(
+        prototypes=centers,
+        scale_raw=np.sqrt(gamma),
+        support_raw=np.full(h, INIT_SUPPORT_RAW),
+        membership_raw=membership_raw,
     )

@@ -17,6 +17,8 @@ from helpers import (
     product_evidence_batch,
     prototype_activations,
     prototype_mass,
+    reference_init_enn,
+    reference_lloyd_kmeans,
 )
 from reference import SimpleMass, beta, combine_many, combine_simple, gamma, membership, pignistic
 
@@ -349,7 +351,46 @@ class TestKMeans:
         assert abs(xs[0] + 10.0) < 1.0 and abs(xs[1] - 10.0) < 1.0
 
 
+def _oracle_cases():
+    """(features, h) pairs: continuous rows; rows repeated from 100-400
+    distinct values at h = 100, which forces reseeds; h = 1; and h equal
+    to the distinct-row count."""
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        n, d = int(rng.integers(40, 400)), int(rng.integers(1, 10))
+        yield rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0), int(rng.integers(2, 30))
+    for _ in range(4):
+        n_distinct = int(rng.integers(100, 401))
+        base = rng.normal(size=(n_distinct, int(rng.integers(1, 6))))
+        # every distinct value at least once, then repeats
+        pick = np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, 2 * n_distinct)])
+        yield base[rng.permutation(pick)], 100
+    for _ in range(2):
+        yield rng.normal(size=(int(rng.integers(2, 60)), 3)), 1
+    for _ in range(3):
+        base = rng.normal(size=(int(rng.integers(3, 40)), int(rng.integers(1, 4))))
+        yield base[rng.integers(0, len(base), size=200)], None
+
+
 class TestInit:
+    def test_matches_per_cluster_loops_byte_for_byte(self):
+        reseeds = []
+        for seed, (features, h) in enumerate(_oracle_cases()):
+            if h is None:
+                h = len(np.unique(features, axis=0))
+            m = 2 + seed % 3
+            labels = np.random.default_rng(seed).integers(0, m, features.shape[0])
+            centers, assign = lloyd_kmeans(features, h, np.random.default_rng(seed))
+            want_centers, want_assign = reference_lloyd_kmeans(
+                features, h, np.random.default_rng(seed), reseeds)
+            assert centers.tobytes() == want_centers.tobytes()
+            assert assign.tobytes() == want_assign.tobytes()
+            got = init_enn(features, labels, h, seed, m).as_param_dict()
+            want = reference_init_enn(features, labels, h, seed, m).as_param_dict()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+        assert reseeds  # the duplicate-heavy cases exercise reseeding
+
     def test_bit_identical_across_runs(self):
         rng = np.random.default_rng(23)
         feats = rng.normal(size=(60, 4))
@@ -397,6 +438,16 @@ class TestInit:
         # more rows than prototypes, but fewer distinct rows
         with pytest.raises(DataError, match="cannot place 4 prototypes on 1 distinct rows"):
             init_enn(np.zeros((10, 2)), np.zeros(10, dtype=int), 4, seed=0, m=2)
+
+    @pytest.mark.parametrize("labels,message", [
+        (np.r_[np.zeros(39, dtype=int), 2], r"labels must lie in \[0, 2\), got \[0, 2\]"),
+        (np.r_[-1, np.zeros(39, dtype=int)], r"labels must lie in \[0, 2\), got \[-1, 0\]"),
+        (np.zeros(30, dtype=int), r"labels of shape \(30,\) for 40 rows"),
+    ], ids=["label-equal-to-m", "negative-label", "too-few-labels"])
+    def test_bad_labels_rejected(self, labels, message):
+        feats = np.random.default_rng(33).normal(size=(40, 3))
+        with pytest.raises(DataError, match=message):
+            init_enn(feats, labels, 4, seed=0, m=2)
 
     def test_one_prototype_per_distinct_row(self):
         # duplicates and a signed zero: k-means sees 3 distinct points

@@ -168,6 +168,20 @@ class TestCustomSourceEntries:
                     seeds=(0,), output_dir=str(tmp_path)))
             assert not (tmp_path / "custom" / "config.json").exists()
 
+    @pytest.mark.parametrize("entry,message", [
+        ({"name": "a", "features": ["nope"]}, r"custom source 'a': unknown features \['nope'\]"),
+        ({"name": "a", "features": []}, "custom source 'a': lists no features"),
+        ({"features": ["x0"]}, "custom source None: a feature source needs a string 'name'"),
+    ], ids=["unknown-feature", "no-features", "no-name"])
+    def test_bad_feature_list_or_name_leaves_no_marker(self, tmp_path, entry, message):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=message):
+                run_experiment(RunConfig(
+                    task="custom", synthetic=SyntheticConfig(n=120, seed=5),
+                    fusion_grouping="custom", custom_sources=(entry,), max_epochs=1,
+                    seeds=(0,), output_dir=str(tmp_path)))
+            assert not (tmp_path / "custom" / "config.json").exists()
+
 
 class TestTooFewDistinctRows:
     def test_binary_categoricals_cannot_hold_default_prototypes(self, tmp_path):
