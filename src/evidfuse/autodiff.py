@@ -18,6 +18,13 @@ scalars) and then computes the same value without recording, so forward
 code can be written once and run in taped (training) or plain
 (inference) mode.
 
+Gradients accumulate in place.  A node's first gradient is a copy
+unless its slot was set beforehand: the training step gives every
+parameter leaf a zeroed view of one flat gradient vector, so the sweep
+writes the parameter gradients straight into it.  The sweep frees each
+interior gradient once that node's VJP has consumed it; only leaves
+keep theirs.
+
 One tape per training step; tapes are not shared across threads.
 """
 
@@ -89,13 +96,19 @@ class Tape:
         return Tensor(np.asarray(value, dtype=np.float64), self)
 
     def backward(self, output: Tensor):
-        """Seed d(output)/d(output) = 1 and sweep the record in reverse."""
+        """Seed d(output)/d(output) = 1 and sweep the record in reverse.
+
+        Each node's gradient is complete when the sweep reaches it (its
+        consumers were all recorded later); its VJP consumes it and the
+        node then drops it, so only leaves hold a gradient afterwards.
+        """
         if np.shape(output.value) != ():
             raise ValueError("backward expects a scalar output")
         output._accumulate(1.0)
         for node in reversed(self.nodes):
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
+                node.grad = None
 
 
 def value_of(x):

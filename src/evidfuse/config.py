@@ -10,6 +10,7 @@ configuration produced them.
 import hashlib
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 
 from .data import SyntheticConfig
@@ -22,19 +23,26 @@ OUTPUT_ROOT_ENV = "EVIDFUSE_OUTPUT_ROOT"
 UNHASHED_FIELDS = ("output_dir", "force")
 
 
-def _check_custom_source(entry: dict):
-    """Checks of a custom source entry that need no dataset."""
+def _check_custom_source(entry) -> dict:
+    """Checks of a custom source entry that need no dataset; returns it
+    as a dict."""
+    if not isinstance(entry, Mapping):
+        raise ConfigError(f"custom source entry {entry!r} is not an object")
     where = f"custom source {entry.get('name')!r}"
     unknown = set(entry) - {"name", "features", "encoder", "aux_weight", "embedding"}
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     if not entry.get("embedding") and not isinstance(entry.get("name"), str):
         raise ConfigError(f"{where}: a feature source needs a string 'name'")
+    features = entry.get("features", [])
+    if not (isinstance(features, (list, tuple)) and all(isinstance(f, str) for f in features)):
+        raise ConfigError(f"{where}: features must be a list of names, got {features!r}")
     if entry.get("encoder", "mlp") not in ENCODERS:
         raise ConfigError(f"{where}: encoder must be 'mlp' or 'resnet', got {entry['encoder']!r}")
     weight = entry.get("aux_weight", 0.0)
     if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not weight >= 0:
         raise ConfigError(f"{where}: aux_weight must be a number >= 0, got {weight!r}")
+    return dict(entry)
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,7 @@ class RunConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.custom_sources is not None:
             object.__setattr__(self, "custom_sources",
-                               tuple(dict(s) for s in self.custom_sources))
-            for entry in self.custom_sources:
-                _check_custom_source(entry)
+                               tuple(_check_custom_source(s) for s in self.custom_sources))
 
     def to_json_dict(self, include_unhashed=True):
         doc = asdict(self)

@@ -142,10 +142,10 @@ def _shifted_commonalities(log_q, log_q_omega):
     sum_c (Q({c}) - Q(Omega)) + Q(Omega) lies in [1, M]: neither
     underflows, whatever the number of prototypes and sources.
     """
-    shift = np.max(log_q, axis=1, keepdims=True)
+    shift = np.maximum.reduce(log_q, axis=1, keepdims=True)
     q = np.exp(log_q - shift)
     q_omega = np.exp(log_q_omega - shift)
-    total = np.sum(q - q_omega, axis=1, keepdims=True) + q_omega
+    total = np.add.reduce(q - q_omega, axis=1, keepdims=True) + q_omega
     return q, q_omega, total
 
 
@@ -165,11 +165,12 @@ def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> Sou
     inputs = (z, prototypes, scale_raw, support_raw, membership_raw)
     zv, p, a, b, r = (np.asarray(ad.value_of(t), dtype=np.float64) for t in inputs)
     beta = 1.0 / (1.0 + np.exp(-b))
-    mexp = np.exp(r - np.max(r, axis=1, keepdims=True))
-    u = mexp / np.sum(mexp, axis=1, keepdims=True)
+    mexp = np.exp(r - np.maximum.reduce(r, axis=1, keepdims=True))
+    u = mexp / np.add.reduce(mexp, axis=1, keepdims=True)
     # the expanded form can round below 0, which would push s above beta
     d2 = np.maximum(
-        np.sum(zv * zv, axis=1, keepdims=True) - 2.0 * (zv @ p.T) + np.sum(p * p, axis=1),
+        np.add.reduce(zv * zv, axis=1, keepdims=True) - 2.0 * (zv @ p.T)
+        + np.add.reduce(p * p, axis=1),
         0.0,
     )
     e = np.exp(-(a * a) * d2)
@@ -179,8 +180,8 @@ def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> Sou
     terms = (1.0 - u).T.copy()[:, None, :] * s
     np.negative(terms, out=terms)
     np.log1p(terms, out=terms)
-    log_q = np.sum(terms, axis=2).T
-    log_q_omega = np.sum(np.log1p(-s), axis=1, keepdims=True)
+    log_q = np.add.reduce(terms, axis=2).T
+    log_q_omega = np.add.reduce(np.log1p(-s), axis=1, keepdims=True)
     return SourceEvidence(inputs, log_q, log_q_omega, d2, e, s, beta, u)
 
 
@@ -196,13 +197,13 @@ def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
     np.divide(d_log_q.T[:, :, None], t, out=t)
     g_s = -np.einsum("cnh,ch->nh", t, w) - d_log_q_omega / (1.0 - s)
     g_u = np.einsum("cnh,nh->hc", t, s)
-    g_r = u * (g_u - np.sum(g_u * u, axis=1, keepdims=True))
-    g_b = np.sum(g_s * ev.closeness, axis=0) * ev.beta * (1.0 - ev.beta)
+    g_r = u * (g_u - np.add.reduce(g_u * u, axis=1, keepdims=True))
+    g_b = np.add.reduce(g_s * ev.closeness, axis=0) * ev.beta * (1.0 - ev.beta)
     g_exponent = -g_s * s                                            # d/d(gamma * d2)
-    g_a = 2.0 * a * np.sum(g_exponent * d2, axis=0)
+    g_a = 2.0 * a * np.add.reduce(g_exponent * d2, axis=0)
     g_d2 = np.where(d2 > 0.0, g_exponent * (a * a), 0.0)
-    g_z = 2.0 * (zv * np.sum(g_d2, axis=1, keepdims=True) - g_d2 @ p)
-    g_p = 2.0 * (p * np.sum(g_d2, axis=0)[:, None] - g_d2.T @ zv)
+    g_z = 2.0 * (zv * np.add.reduce(g_d2, axis=1, keepdims=True) - g_d2 @ p)
+    g_p = 2.0 * (p * np.add.reduce(g_d2, axis=0)[:, None] - g_d2.T @ zv)
     return g_z, g_p, g_a, g_b, g_r
 
 
@@ -230,9 +231,10 @@ def fuse_evidence(evidence) -> FusedEvidence:
 
     def bwd(g):
         # probs_c = (q_c - (1 - 1/M) q_Omega) / total; the max-shift cancels
-        g_dot_p = np.sum(g * probs, axis=1, keepdims=True)
+        g_dot_p = np.add.reduce(g * probs, axis=1, keepdims=True)
         d_log_q = (g - g_dot_p) / total * q
-        d_log_q_omega = ((m - 1) * g_dot_p - (1.0 - 1.0 / m) * np.sum(g, axis=1, keepdims=True)
+        d_log_q_omega = ((m - 1) * g_dot_p
+                         - (1.0 - 1.0 / m) * np.add.reduce(g, axis=1, keepdims=True)
                          ) / total * q_omega
         for ev in evidence:
             for t, grad in zip(ev.inputs, _source_vjp(ev, d_log_q, d_log_q_omega)):

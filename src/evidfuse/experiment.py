@@ -49,19 +49,36 @@ def _structured_feature_names(dataset: Dataset, state: PreprocessState):
     return [f.name for f in dataset.schema if f.name not in dropped]
 
 
-def _check_custom_features(config: RunConfig, names):
+def _constant_features(dataset: Dataset):
+    """Numerical features whose observed values have zero spread over
+    the whole dataset, by the test ``fit_preprocess`` drops them with."""
+    out = []
+    for feat, column in zip(dataset.schema, dataset.columns):
+        if feat.kind == "numerical":
+            observed = column[~np.isnan(column)]
+            if observed.size and observed.std() == 0.0:
+                out.append(feat.name)
+    return out
+
+
+def _check_custom_features(config: RunConfig, names, dropped):
     """Every feature source of a custom grouping lists at least one
-    feature, and only features in ``names``."""
-    if config.fusion_grouping != "custom":
-        return
+    feature, and only features in ``names`` that preprocessing keeps
+    (not in ``dropped``)."""
     for entry in config.custom_sources:
         if entry.get("embedding"):
             continue
-        unknown = set(entry.get("features", ())) - set(names)
+        where = f"custom source {entry['name']!r}"
+        features = set(entry.get("features", ()))
+        unknown = features - set(names)
         if unknown:
-            raise ConfigError(f"custom source {entry['name']!r}: unknown features {sorted(unknown)}")
-        if not entry.get("features"):
-            raise ConfigError(f"custom source {entry['name']!r}: lists no features")
+            raise ConfigError(f"{where}: unknown features {sorted(unknown)}")
+        constant = features & set(dropped)
+        if constant:
+            raise ConfigError(f"{where}: features {sorted(constant)} are constant, "
+                              f"so preprocessing drops them")
+        if not features:
+            raise ConfigError(f"{where}: lists no features")
 
 
 def resolve_source_specs(config: RunConfig, dataset: Dataset,
@@ -93,7 +110,7 @@ def resolve_source_specs(config: RunConfig, dataset: Dataset,
             specs.append(SourceSpec(f"block{i}", config.encoder, alpha,
                                     tuple(str(n) for n in block)))
     else:  # custom
-        _check_custom_features(config, names)
+        _check_custom_features(config, [f.name for f in dataset.schema], state.dropped)
         for entry in config.custom_sources:
             if entry.get("embedding"):
                 continue  # handled below with the text defaults
@@ -230,7 +247,9 @@ def run_experiment(config: RunConfig) -> dict:
     # a dataset or source list the run rejects must not leave a marker
     # that blocks the rerun
     dataset, dataset_id = load_run_dataset(config)
-    _check_custom_features(config, [f.name for f in dataset.schema])
+    if config.fusion_grouping == "custom":
+        _check_custom_features(config, [f.name for f in dataset.schema],
+                               _constant_features(dataset))
     os.makedirs(run_dir, exist_ok=True)
     write_json(marker, {"config_hash": config.config_hash(),
                          "config": config.to_json_dict()})

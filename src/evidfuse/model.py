@@ -16,13 +16,17 @@ plus per-source class-weighted cross-entropies on the auxiliary logits,
 each scaled by the source's auxiliary weight.  On the training tape it
 is one node with a hand-derived VJP, so a step records a leaf per
 parameter array, a node per affine layer and activation, one for the
-fusion and one for the objective: 34 for an MLP and a text-head source.
-Training runs mini-batch Adam with early stopping on the validation
-overall loss, restoring the best-validation parameters.  Parameters
-travel as name->array dicts; during training every array is a view into
-one flat vector, so an Adam step is a single vectorized update.  All
-forward code runs on either plain arrays (inference) or tape tensors
-(training).
+fusion and one for the objective: 34 for an MLP and a text-head source
+(22 of them parameter leaves).  Training runs mini-batch Adam with early
+stopping on the validation overall loss, restoring the best-validation
+parameters.  Parameters travel as name->array dicts.  During training
+they and their gradients live in two flat vectors (``FlatParams``),
+built once per ``train``: every parameter array is a view into the
+first, and each step's leaf takes its view into the second as its
+gradient slot, so the tape sweep accumulates straight into one flat
+gradient and an Adam step is a single vectorized update, with no
+per-step gradient dict and no flattening.  All forward code runs on
+either plain arrays (inference) or tape tensors (training).
 """
 
 import json
@@ -188,7 +192,11 @@ def _source_param_view(params: dict, i: int, component: str, keys) -> dict:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Bijection between named parameter arrays and one flat vector."""
+    """Bijection between named parameter arrays and one flat vector.
+
+    ``FlatParams`` lays a model's parameters and gradients out with it
+    once per ``train``; the training step itself never flattens.
+    """
 
     names: tuple
     shapes: tuple
@@ -206,10 +214,6 @@ class ParamVector:
             total += int(np.prod(shape)) if shape else 1
         return ParamVector(names, shapes, tuple(offsets), total)
 
-    @staticmethod
-    def from_model(model: FusionModel) -> "ParamVector":
-        return ParamVector.from_params(param_dict(model))
-
     def flatten(self, params: dict) -> np.ndarray:
         return np.concatenate(
             [np.asarray(params[n], dtype=np.float64).reshape(-1) for n in self.names]
@@ -226,6 +230,31 @@ class ParamVector:
     def unflatten(self, vec: np.ndarray) -> dict:
         """Named copies, independent of ``vec``."""
         return {name: arr.copy() for name, arr in self.views(vec).items()}
+
+
+@dataclass(frozen=True, eq=False)
+class FlatParams:
+    """A model's parameters and their gradients as two flat vectors.
+
+    ``params`` and ``grads`` are named views into ``flat`` and ``grad``:
+    an Adam step updates ``flat`` in place, and the leaves of a training
+    step take the ``grads`` views as their gradient slots, so the tape
+    sweep accumulates straight into ``grad``.
+    """
+
+    layout: ParamVector
+    flat: np.ndarray
+    grad: np.ndarray
+    params: dict
+    grads: dict
+
+    @staticmethod
+    def from_model(model: FusionModel) -> "FlatParams":
+        params = param_dict(model)
+        layout = ParamVector.from_params(params)
+        flat = layout.flatten(params)
+        grad = np.zeros(layout.size)
+        return FlatParams(layout, flat, grad, layout.views(flat), layout.views(grad))
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +356,14 @@ def _true_class(labels, class_weights):
 
 
 def _weighted_nll(weights, log_p_true):
-    return -(np.sum(weights * log_p_true) * (1.0 / len(weights)))
+    return -(np.add.reduce(weights * log_p_true) * (1.0 / len(weights)))
 
 
 def _shifted_exp(logits):
     """Max-shifted logits, their exponentials and the row sums of those."""
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return shifted, e, np.sum(e, axis=1, keepdims=True)
+    return shifted, e, np.add.reduce(e, axis=1, keepdims=True)
 
 
 def loss_main(probs, labels, class_weights) -> float:
@@ -404,25 +433,31 @@ def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
 
 
 def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
-    """Overall loss and its gradient for every trainable parameter.
+    """Overall loss and its gradient as one flat vector.
 
-    Frozen inputs (e.g. precomputed text embeddings) are data, not
-    parameters, so they never get gradient slots.
+    ``params`` is a ``FlatParams`` (by default, a fresh one of the
+    model).  Each parameter's leaf takes its view of ``params.grad``,
+    zeroed first, as its gradient slot; the returned gradient is
+    ``params.grad`` itself, laid out by ``params.layout``, so the next
+    call on the same ``params`` overwrites it.  A parameter the loss
+    does not reach keeps a zero gradient.  Frozen inputs (e.g.
+    precomputed text embeddings) are data, not parameters, so they
+    never get gradient slots.
     """
     if params is None:
-        params = param_dict(model)
+        params = FlatParams.from_model(model)
+    params.grad.fill(0.0)
     tape = Tape()
-    leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+    leaves = {}
+    for (name, value), slot in zip(params.params.items(), params.grads.values()):
+        leaf = leaves[name] = tape.leaf(value)
+        leaf.grad = slot
     loss_t = loss_overall(model, inputs, labels, params=leaves, masks=masks)
     loss_value = float(loss_t.value)
     if not np.isfinite(loss_value):
         raise TrainingDivergedError(f"non-finite loss {loss_value!r}")
     tape.backward(loss_t)
-    grads = {
-        name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value))
-        for name, leaf in leaves.items()
-    }
-    return loss_value, grads
+    return loss_value, params.grad
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +524,9 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
 
-    layout = ParamVector.from_model(model)
-    flat = layout.flatten(param_dict(model))
-    params = layout.views(flat)      # every step updates these in place
+    # built once: every step updates flat in place and backward writes grad
+    slots = FlatParams.from_model(model)
+    layout, flat = slots.layout, slots.flat
     adam = Adam(layout.size, config)
 
     best_flat = flat.copy()
@@ -515,14 +550,14 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
             batch_inputs = [x[idx] for x in train_inputs]
             masks = make_dropout_masks(model, len(idx), dropout_rng)
             try:
-                loss, grads = loss_and_grad(model, batch_inputs, train_labels[idx],
-                                            params=params, masks=masks)
+                loss, grad = loss_and_grad(model, batch_inputs, train_labels[idx],
+                                           params=slots, masks=masks)
             except TrainingDivergedError:
                 fail(f"training loss diverged at epoch {epoch}")
             train_loss_sum += loss * len(idx)
-            adam.update(flat, layout.flatten(grads))
+            adam.update(flat, grad)
         val_loss = float(ad.value_of(
-            loss_overall(model, val_inputs, val_labels, params=params)
+            loss_overall(model, val_inputs, val_labels, params=slots.params)
         ))
         if not np.isfinite(val_loss):
             fail(f"validation loss diverged at epoch {epoch}")

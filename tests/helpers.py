@@ -1,8 +1,9 @@
 """Shared test utilities: gradient checking, small model fixtures, the
 exact per-sample reference for the evidential layer and the fused
 prediction, taped reference implementations of the batched evidence,
-the fusion and the training objective, and the per-cluster loops of
-k-means and the evidential-layer init."""
+the fusion and the training objective, the training step with
+per-name gradients, and the per-cluster loops of k-means and the
+evidential-layer init."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from evidfuse.autodiff import Tape
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
 from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams
-from evidfuse.model import PROB_FLOOR, Frame, Predictions, SourceSpec, batch_internals, init_model
+from evidfuse.model import (PROB_FLOOR, Frame, ParamVector, Predictions, SourceSpec,
+                            batch_internals, init_model, loss_overall, param_dict)
 import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, gamma, membership,
                        pignistic)
@@ -157,6 +159,21 @@ def chained_loss_overall(model, inputs, labels, params=None, masks=None):
             total = total + src.spec.aux_weight * chained_loss_aux(logits, labels,
                                                                    model.class_weights)
     return total
+
+
+def reference_loss_and_grad(model, inputs, labels, masks=None):
+    """The training step with per-name gradients: a plain leaf per
+    parameter (the tape copies its first gradient), zeros for a
+    parameter the loss does not reach, then ``ParamVector.flatten`` of
+    the named gradients.  Returns (loss, flat gradient)."""
+    params = param_dict(model)
+    tape = Tape()
+    leaves = {name: tape.leaf(arr) for name, arr in params.items()}
+    loss = loss_overall(model, inputs, labels, params=leaves, masks=masks)
+    tape.backward(loss)
+    grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+             for name, leaf in leaves.items()}
+    return float(loss.value), ParamVector.from_params(params).flatten(grads)
 
 
 # ---------------------------------------------------------------------------

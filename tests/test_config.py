@@ -1,6 +1,7 @@
 """Run configuration: parsing, overrides, validation and the config hash."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestParse:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config file not found: .*absent.cfg"):
             load_config(str(tmp_path / "absent.cfg"))
+
+    @pytest.mark.parametrize("sources,message", [
+        (["a"], "custom source entry 'a' is not an object"),
+        ([5], "custom source entry 5 is not an object"),
+        ([{"name": "a", "features": "n0"}],
+         "custom source 'a': features must be a list of names, got 'n0'"),
+        ([{"name": "a", "features": [1, 2]}],
+         r"custom source 'a': features must be a list of names, got \[1, 2\]"),
+    ], ids=["string-entry", "number-entry", "features-string", "features-not-names"])
+    def test_malformed_custom_source_rejected(self, sources, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(BASE + "fusion_grouping = custom\n"
+                              f"custom_sources = {json.dumps(sources)}\n")
 
     def test_ft_transformer_rejected(self):
         with pytest.raises(ConfigError, match="ft-transformer"):

@@ -155,8 +155,10 @@ class TestCustomSourceEntries:
         ({"aux_weight": "2"}, "aux_weight must be a number >= 0, got '2'"),
         ({"aux_wieght": 0.5}, r"unknown keys \['aux_wieght'\]"),
         ({"encodr": "resnet"}, r"unknown keys \['encodr'\]"),
+        ({"features": "x0"}, "features must be a list of names, got 'x0'"),
+        ({"features": [1, 2]}, r"features must be a list of names, got \[1, 2\]"),
     ], ids=["cnn-encoder", "negative-aux-weight", "string-aux-weight", "misspelled-aux-weight",
-            "misspelled-encoder"])
+            "misspelled-encoder", "features-string", "features-not-names"])
     def test_rejected_before_the_run_is_marked(self, tmp_path, entry, message):
         sources = ({"name": "labs", "features": ["x0"], **entry},)
         for _ in range(2):
@@ -181,6 +183,30 @@ class TestCustomSourceEntries:
                     fusion_grouping="custom", custom_sources=(entry,), max_epochs=1,
                     seeds=(0,), output_dir=str(tmp_path)))
             assert not (tmp_path / "custom" / "config.json").exists()
+
+    @pytest.mark.parametrize("entry", ["a", 5, ["name", "a"]])
+    def test_non_object_entry_leaves_no_marker(self, tmp_path, entry):
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"custom source entry .* is not an object"):
+                run_experiment(RunConfig(
+                    task="custom", synthetic=SyntheticConfig(n=120, seed=5),
+                    fusion_grouping="custom", custom_sources=(entry,), max_epochs=1,
+                    seeds=(0,), output_dir=str(tmp_path)))
+            assert not (tmp_path / "custom" / "config.json").exists()
+
+    def test_constant_feature_leaves_no_marker(self, tmp_path):
+        """``flat`` is constant, so preprocessing would drop it after the
+        marker is written; the run is rejected before."""
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "data"))
+        config = RunConfig(task="custom", dataset=manifest, fusion_grouping="custom",
+                           custom_sources=({"name": "a", "features": ["n0", "flat"]},),
+                           prototypes=3, max_epochs=1, seeds=(0,),
+                           output_dir=str(tmp_path / "runs"))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match=r"custom source 'a': features \['flat'\] "
+                                                  "are constant, so preprocessing drops them"):
+                run_experiment(config)
+            assert not (tmp_path / "runs" / "custom" / "config.json").exists()
 
 
 class TestTooFewDistinctRows:
@@ -266,7 +292,7 @@ class TestResolveSourceSpecs:
         ]
 
     @pytest.mark.parametrize("features,message", [
-        (["n0", "flat"], r"unknown features \['flat'\]"),
+        (["n0", "flat"], r"features \['flat'\] are constant, so preprocessing drops them"),
         (["n0", "absent"], r"unknown features \['absent'\]"),
         ([], "lists no features"),
     ])

@@ -13,7 +13,7 @@ class TestParamVector:
     def test_round_trip_exact(self):
         model, _, _ = tiny_fusion_setup(seed=0, n=20)
         params = param_dict(model)
-        pv = ParamVector.from_model(model)
+        pv = ParamVector.from_params(params)
         flat = pv.flatten(params)
         assert flat.size == pv.size
         restored = pv.unflatten(flat)

@@ -12,6 +12,7 @@ from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
 from evidfuse.evidential import EnnParams
 from evidfuse.model import (
     Adam,
+    FlatParams,
     Frame,
     FusionModel,
     FusionSource,
@@ -36,7 +37,8 @@ from evidfuse.model import (
 )
 from evidfuse.rng import substream
 import tape_ops as ad
-from helpers import chained_loss_overall, exact_prediction, tiny_fusion_setup
+from helpers import (chained_loss_overall, exact_prediction, reference_loss_and_grad,
+                     tiny_fusion_setup)
 from reference import SimpleMass, combine_simple, pignistic
 
 F2 = Frame.of_size(2)
@@ -237,8 +239,7 @@ class TestLossAndGrad:
         l1, g1 = loss_and_grad(model, inputs, labels)
         l2, g2 = loss_and_grad(model, inputs, labels)
         assert l1 == l2
-        for k in g1:
-            np.testing.assert_array_equal(g1[k], g2[k])
+        np.testing.assert_array_equal(g1, g2)
 
     def test_duplicated_sample_contributes_additively(self):
         model, inputs, labels = tiny_fusion_setup(seed=11, n=4)
@@ -251,14 +252,75 @@ class TestLossAndGrad:
             [np.vstack([x[0], x[1], x[1]]) for x in inputs],
             np.array([labels[0], labels[1], labels[1]]),
         )
-        for k in combined:
-            expected = (single[0][k] + 2.0 * single[1][k]) / 3.0
-            np.testing.assert_allclose(combined[k], expected, atol=1e-10)
+        expected = (single[0] + 2.0 * single[1]) / 3.0
+        np.testing.assert_allclose(combined, expected, atol=1e-10)
 
     def test_every_parameter_has_a_slot(self):
         model, inputs, labels = tiny_fusion_setup(seed=12, n=6)
-        _, grads = loss_and_grad(model, inputs, labels)
-        assert set(grads) == set(param_dict(model))
+        _, grad = loss_and_grad(model, inputs, labels)
+        params = param_dict(model)
+        layout = FlatParams.from_model(model).layout
+        assert layout.names == tuple(params)
+        assert grad.shape == (layout.size,) == (sum(v.size for v in params.values()),)
+        assert {k: v.shape for k, v in layout.views(grad).items()} == {
+            k: v.shape for k, v in params.items()}
+
+
+class TestGradientSlots:
+    """The leaves of a step accumulate into views of one flat gradient."""
+
+    @staticmethod
+    def _setup(kind, dropout):
+        model, inputs, labels = tiny_fusion_setup(seed=24, n=24, encoder_kind=kind)
+        masks = make_dropout_masks(model, len(labels), substream(6, "dropout")) if dropout else None
+        return model, inputs, labels, masks
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_matches_per_name_gradients(self, kind, dropout):
+        model, inputs, labels, masks = self._setup(kind, dropout)
+        slots = FlatParams.from_model(model)
+        ref_loss, ref_grad = reference_loss_and_grad(model, inputs, labels, masks=masks)
+        # twice on the same slots: each call starts from a zeroed gradient
+        for _ in range(2):
+            loss, grad = loss_and_grad(model, inputs, labels, params=slots, masks=masks)
+            assert grad is slots.grad
+            assert loss == ref_loss
+            # a zeroed slot turns a -0.0 gradient into +0.0: equal as values
+            assert np.array_equal(grad, ref_grad)
+
+        # ... and Adam cannot tell them apart either
+        config = TrainConfig(learning_rate=1e-3)
+        stepped = []
+        for g in (grad, ref_grad):
+            flat = slots.flat.copy()
+            adam = Adam(slots.layout.size, config)
+            for _ in range(3):
+                adam.update(flat, g)
+            stepped.append(flat.tobytes())
+        assert stepped[0] == stepped[1]
+
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_backward_keeps_leaf_gradients_only(self, monkeypatch, kind):
+        model, inputs, labels, masks = self._setup(kind, dropout=True)
+        tapes = []
+
+        class RecordingTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(evidfuse.model, "Tape", RecordingTape)
+        _, grad = loss_and_grad(model, inputs, labels, masks=masks)
+        (tape,) = tapes
+        leaves = [node for node in tape.nodes if node._bwd is None]
+        interior = [node for node in tape.nodes if node._bwd is not None]
+        assert len(leaves) == len(param_dict(model)) and interior
+        views = FlatParams.from_model(model).layout.views(grad)
+        for leaf, slot in zip(leaves, views.values()):
+            assert leaf.grad is not None and np.shares_memory(leaf.grad, grad)
+            np.testing.assert_array_equal(leaf.grad, slot)
+        assert all(node.grad is None for node in interior)
 
 
 class TestFusedObjective:
@@ -278,7 +340,8 @@ class TestFusedObjective:
     @pytest.mark.parametrize("kind", ["mlp", "resnet"])
     def test_matches_chained_oracle(self, kind, zero_aux):
         model, inputs, labels, masks = self._setup(kind, zero_aux)
-        loss, grads = loss_and_grad(model, inputs, labels, masks=masks)
+        loss, grad = loss_and_grad(model, inputs, labels, masks=masks)
+        grads = FlatParams.from_model(model).layout.views(grad)
 
         tape = ad.Tape()
         leaves = {k: tape.leaf(v) for k, v in param_dict(model).items()}
@@ -311,7 +374,8 @@ class TestFusedObjective:
         floored = p_true <= evidfuse.model.PROB_FLOOR
         assert floored.sum() == 2 and np.all(p_true[floored] > 1e-20)
 
-        loss, grads = loss_and_grad(model, inputs, labels)
+        loss, grad = loss_and_grad(model, inputs, labels)
+        grads = FlatParams.from_model(model).layout.views(grad)
         tape = ad.Tape()
         leaves = {k: tape.leaf(v) for k, v in param_dict(model).items()}
         ref = chained_loss_overall(model, inputs, labels, params=leaves)
@@ -426,7 +490,7 @@ class TestFlatAdam:
                        TrainConfig(batch_size=8, max_epochs=2, patience=0, seed=4))
         assert result.best_epoch == 1
         returned = {k: v.copy() for k, v in param_dict(result.model).items()}
-        for arr in seen[-1].values():
+        for arr in seen[-1].params.values():
             arr[...] = 12345.0   # the optimizer's flat buffer, through its views
         for k, v in param_dict(result.model).items():
             np.testing.assert_array_equal(v, returned[k])
