@@ -8,6 +8,15 @@ missing) plus an embedding matrix; all numeric encoding happens in
 ``fit_preprocess``/``apply_preprocess``, whose statistics come from the
 training split only.
 
+``load_dataset`` parses and checks every cell.  ``load_split`` returns
+one train/val/test part and parses less: the checks that cover every
+row (CSV header, row width, label parse and range, CSV id uniqueness,
+and every embeddings check: bad record, duplicate or missing id, shape,
+finiteness) still run on every row, but numerical and categorical cells
+are parsed and checked only in the part's rows.  A bad cell outside the
+part is therefore caught by a training run, which loads every row, and
+not by re-evaluation.
+
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
 source is drawn from the wrong class.  Generation is a pure function of
@@ -31,6 +40,7 @@ from .rng import substream
 logger = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
+SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # class-mean separation per unit of source informativeness; at 1.0 the
 # classes are essentially linearly separable
@@ -102,14 +112,19 @@ class Dataset:
             embeddings=self.embeddings[indices] if self.embeddings is not None else None)
 
 
+def split_indices(n: int, seed: int):
+    """Row indices of the train/val/test parts of ``n`` samples: a seeded
+    uniform shuffle, then a 60/20/20 cut."""
+    if n < 10:
+        raise DataError(f"need at least 10 samples to split, got {n}")
+    order = substream(seed, "split").permutation(n)
+    cuts = [int(SPLIT_FRACTIONS[0] * n), int((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * n)]
+    return tuple(np.split(order, cuts))
+
+
 def split(dataset: Dataset, seed: int):
-    """Seeded uniform shuffle, then a 60/20/20 train/val/test cut."""
-    if dataset.n < 10:
-        raise DataError(f"need at least 10 samples to split, got {dataset.n}")
-    order = substream(seed, "split").permutation(dataset.n)
-    cuts = [int(SPLIT_FRACTIONS[0] * dataset.n),
-            int((SPLIT_FRACTIONS[0] + SPLIT_FRACTIONS[1]) * dataset.n)]
-    return tuple(dataset.subset(part) for part in np.split(order, cuts))
+    """The train/val/test datasets of ``split_indices``."""
+    return tuple(dataset.subset(part) for part in split_indices(dataset.n, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +396,11 @@ def manifest_hash(manifest_path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _bad_cell(path: str, what: str, cells, parse) -> DataError:
+def _bad_cell(path: str, what: str, cells, parse, lines) -> DataError:
     """The error naming the first CSV cell that ``parse`` rejects or reads as
-    non-finite; a column is re-scanned this way only after it failed to load."""
-    for line_no, cell in enumerate(cells, start=2):
+    non-finite, with ``lines`` giving each cell's line number; a column is
+    re-scanned this way only after it failed to load."""
+    for line_no, cell in zip(lines, cells):
         try:
             if math.isfinite(parse(cell)):
                 continue
@@ -393,7 +409,28 @@ def _bad_cell(path: str, what: str, cells, parse) -> DataError:
         return DataError(f"{path}:{line_no}: {what} {cell!r}")
 
 
-def _parse_column(cells, feat: FeatureSpec, path: str) -> np.ndarray:
+def _duplicate_id(path: str, ids) -> DataError:
+    """The error naming the first repeated CSV id; the ids are re-scanned
+    this way only after they failed to be unique."""
+    seen = set()
+    for line_no, sample_id in enumerate(ids, start=2):
+        if sample_id in seen:
+            return DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+        seen.add(sample_id)
+
+
+def _parse_labels(cells, m: int, path: str) -> np.ndarray:
+    try:
+        labels = np.array([int(cell) for cell in cells], dtype=np.int64)
+    except ValueError:
+        raise _bad_cell(path, "bad label", cells, int, range(2, len(cells) + 2)) from None
+    bad = np.flatnonzero((labels < 0) | (labels >= m))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 2}: label {labels[bad[0]]} outside 0..{m - 1}")
+    return labels
+
+
+def _parse_column(cells, feat: FeatureSpec, path: str, lines) -> np.ndarray:
     if feat.kind == "categorical":
         return np.array([cell or None for cell in cells], dtype=object)
     try:
@@ -404,12 +441,88 @@ def _parse_column(cells, feat: FeatureSpec, path: str) -> np.ndarray:
     except ValueError:
         pass
     raise _bad_cell(path, f"feature {feat.name!r}: not a finite number", cells,
-                    lambda cell: float(cell or 0))
+                    lambda cell: float(cell or 0), lines)
+
+
+def _read_manifest(manifest_path: str):
+    """(schema, m, structured CSV path, embeddings JSONL path or None,
+    generator); a manifest that is missing, not JSON or lacks a field
+    raises a DataError naming it."""
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError as exc:
+        raise DataError(f"dataset manifest not found: {manifest_path}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"malformed manifest {manifest_path}: not a JSON object")
+    if manifest.get("format_version") != MANIFEST_VERSION:
+        raise DataError(f"unsupported manifest version {manifest.get('format_version')!r}")
+    base = os.path.dirname(manifest_path)
+    try:
+        schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
+        files, m = manifest["files"], manifest["m"]
+        structured_path = os.path.join(base, files["structured"])
+        embeddings_name = files.get("embeddings")
+        embeddings_path = os.path.join(base, embeddings_name) if embeddings_name else None
+    except (LookupError, AttributeError, TypeError) as exc:
+        raise DataError(
+            f"malformed manifest {manifest_path}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(m, int):
+        raise DataError(f"malformed manifest {manifest_path}: m must be an integer, got {m!r}")
+    return schema, m, structured_path, embeddings_path, manifest.get("generator")
+
+
+def _read_structured(path: str, schema, m: int, pick):
+    """(ids, labels, rows, columns) of the structured CSV.
+
+    Every row: the header, the row width, the label parse and range and
+    id uniqueness; ``ids`` and ``labels`` cover every row.  ``pick`` maps
+    the row count to ``rows``, the indices of the rows whose numerical
+    and categorical cells are parsed and checked into ``columns``; with
+    ``pick`` None every row is parsed and ``rows`` is None.
+    """
+    expected = [f.name for f in schema] + ["label", "id"]
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"structured data file not found: {path}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != expected:
+            raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
+        records = list(reader)
+    bad = np.flatnonzero(np.fromiter(map(len, records), np.int64, len(records)) != len(expected))
+    if bad.size:
+        raise DataError(f"{path}:{bad[0] + 2}: wrong column count")
+    if pick is None:
+        cells = list(zip(*records)) or [()] * len(expected)
+        label_cells, ids = cells[-2], list(cells[-1])
+    else:
+        # the label and id columns alone: transposing every row would cost
+        # twice as much as this and the picked rows' transpose together
+        label_cells, ids = [r[-2] for r in records], [r[-1] for r in records]
+    labels = _parse_labels(label_cells, m, path)
+    if len(set(ids)) != len(ids):
+        raise _duplicate_id(path, ids)
+    rows, lines = None, range(2, len(ids) + 2)
+    if pick is not None:
+        rows = pick(len(ids))
+        cells = list(zip(*[records[i] for i in rows])) or [()] * len(expected)
+        lines = rows + 2
+    return ids, labels, rows, tuple(_parse_column(c, f, path, lines)
+                                    for c, f in zip(cells, schema))
 
 
 def _load_embeddings(path: str, ids) -> np.ndarray:
     vectors = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"embeddings file not found: {path}") from exc
+    with fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -434,41 +547,33 @@ def _load_embeddings(path: str, ids) -> np.ndarray:
     return embeddings
 
 
-def load_dataset(manifest_path: str) -> Dataset:
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset manifest not found: {manifest_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
-    if manifest.get("format_version") != MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version {manifest.get('format_version')!r}")
-    base = os.path.dirname(manifest_path)
-    schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
+def _load(manifest_path: str, pick) -> Dataset:
+    schema, m, structured_path, embeddings_path, generator = _read_manifest(manifest_path)
+    # the CSV text is freed on return, before the embeddings load
+    ids, labels, rows, columns = _read_structured(structured_path, schema, m, pick)
+    embeddings = _load_embeddings(embeddings_path, ids) if embeddings_path else None
+    if rows is not None:
+        ids, labels = [ids[i] for i in rows], labels[rows]
+        embeddings = embeddings[rows] if embeddings is not None else None
+    return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
+                   embeddings=embeddings, m=m, generator=generator)
 
-    structured_path = os.path.join(base, manifest["files"]["structured"])
-    with open(structured_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = [f.name for f in schema] + ["label", "id"]
-        if header != expected:
-            raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
-        records = list(reader)
-    bad = np.flatnonzero(np.fromiter(map(len, records), np.int64, len(records)) != len(expected))
-    if bad.size:
-        raise DataError(f"{structured_path}:{bad[0] + 2}: wrong column count")
-    cells = list(zip(*records)) or [()] * len(expected)
-    try:
-        labels = np.array([int(cell) for cell in cells[-2]], dtype=np.int64)
-    except ValueError:
-        raise _bad_cell(structured_path, "bad label", cells[-2], int) from None
-    ids = list(cells[-1])
-    columns = tuple(_parse_column(c, f, structured_path) for c, f in zip(cells, schema))
-    del records, cells  # the CSV text is not needed while the embeddings load
-    embeddings_name = manifest["files"].get("embeddings")
-    return Dataset(
-        schema=schema, ids=ids, labels=labels, columns=columns,
-        embeddings=(_load_embeddings(os.path.join(base, embeddings_name), ids)
-                    if embeddings_name else None),
-        m=manifest["m"], generator=manifest.get("generator"))
+
+def load_dataset(manifest_path: str) -> Dataset:
+    """Every row of a manifest's dataset, every cell parsed and checked."""
+    return _load(manifest_path, None)
+
+
+def load_split(manifest_path: str, seed: int, part: str) -> Dataset:
+    """One part ("train", "val" or "test") of a manifest's dataset, equal
+    to ``split(load_dataset(manifest_path), seed)`` at that part.
+
+    The checks that cover every row still run on every row: the CSV
+    header, row width, label parse and range and id uniqueness, and every
+    embeddings check.  Numerical and categorical cells are parsed and
+    checked only in the part's rows, so a bad cell outside the part goes
+    unreported here; ``load_dataset`` still rejects it.
+    """
+    if part not in SPLIT_NAMES:
+        raise ConfigError(f"split must be one of train/val/test, got {part!r}")
+    return _load(manifest_path, lambda n: split_indices(n, seed)[SPLIT_NAMES.index(part)])

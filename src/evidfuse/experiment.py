@@ -22,8 +22,10 @@ from .data import (
     fit_preprocess,
     generate_synthetic,
     load_dataset,
+    load_split,
     manifest_hash,
     split,
+    SPLIT_NAMES,
     PreprocessState,
     SyntheticConfig,
     write_json,
@@ -279,10 +281,12 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     The checkpoint carries the training seed and preprocess statistics,
     so evaluating a run's own dataset reproduces its report exactly.
     Without a manifest, a synthetic training dataset is regenerated
-    from the configuration embedded in the checkpoint.
+    from the configuration embedded in the checkpoint.  With one, only
+    the scored split is parsed (``data.load_split``): the CSV header, row
+    width, labels and ids and the embeddings are checked on every row,
+    numerical and categorical cells only in the split's rows.
     """
-    splits = ("train", "val", "test")
-    if split_name not in splits:
+    if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")
     model, doc = load_checkpoint(checkpoint_path)
     extra = doc.get("extra", {})
@@ -296,10 +300,10 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
             raise DataError("no dataset manifest given and the checkpoint was not "
                             "trained on synthetic data")
         dataset = generate_synthetic(SyntheticConfig(**synth))
+        part = split(dataset, seed)[SPLIT_NAMES.index(split_name)]
     else:
-        dataset = load_dataset(manifest_path)
+        part = load_split(manifest_path, seed, split_name)
 
-    part = split(dataset, seed)[splits.index(split_name)]
     specs = [src.spec for src in model.sources]
     report = score_split(model, split_inputs(specs, state, part), part.labels)
 

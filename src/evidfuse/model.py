@@ -101,10 +101,6 @@ class Frame:
     def m(self) -> int:
         return len(self.labels)
 
-    @staticmethod
-    def of_size(m: int) -> "Frame":
-        return Frame(tuple(f"class_{c}" for c in range(m)))
-
 
 @dataclass(eq=False)
 class FusionModel:

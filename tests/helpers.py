@@ -1,22 +1,23 @@
-"""Shared test utilities: gradient checking, small model fixtures, the
-exact per-sample reference for the evidential layer and the fused
-prediction, taped reference implementations of the batched evidence,
-the fusion and the training objective, the training step with
-per-name gradients, and the per-cluster loops of k-means and the
-evidential-layer init."""
+"""Shared test utilities: gradient checking, small model fixtures, a
+mixed-type dataset, the exact per-sample reference for the evidential
+layer and the fused prediction, taped reference implementations of the
+batched evidence, the fusion and the training objective, the training
+step with per-name gradients, and the per-cluster loops of k-means and
+the evidential-layer init."""
 
 import numpy as np
 import pytest
 
 from evidfuse.autodiff import Tape
+from evidfuse.data import Dataset, FeatureSpec
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
 from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams
 from evidfuse.model import (PROB_FLOOR, Frame, ParamVector, Predictions, SourceSpec,
                             batch_internals, init_model, loss_overall, param_dict)
 import tape_ops as ad
-from reference import (SimpleMass, beta, combine_many, degree_of_conflict, gamma, membership,
-                       pignistic)
+from reference import (SimpleMass, beta, combine_many, degree_of_conflict, frame_of_size, gamma,
+                       membership, pignistic)
 
 
 def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
@@ -43,9 +44,30 @@ def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
     }
     if encoder_kind == "mlp":
         overrides["struct"]["hidden_dim"] = hidden
-    model = init_model(Frame.of_size(2), specs, [x_struct, x_text], labels,
+    model = init_model(frame_of_size(2), specs, [x_struct, x_text], labels,
                        seed=seed, prototypes=prototypes, encoder_overrides=overrides)
     return model, [x_struct, x_text], labels
+
+
+def mixed_dataset(n=120, seed=0, embeddings=True):
+    """Numerical and categorical features with missing cells, a constant
+    column, and (optionally) note embeddings."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    num = rng.normal(size=(n, 2)) + labels[:, None]
+    num[rng.random((n, 2)) < 0.1] = np.nan
+    cat = np.array(["a", "b", "c"], dtype=object)[(rng.integers(0, 3, size=(n, 2))
+                                                   + labels[:, None]) % 3]
+    cat[rng.random((n, 2)) < 0.1] = None
+    return Dataset(
+        schema=(FeatureSpec("n0", "numerical"), FeatureSpec("c0", "categorical"),
+                FeatureSpec("flat", "numerical"), FeatureSpec("n1", "numerical"),
+                FeatureSpec("c1", "categorical")),
+        ids=[f"p{i}" for i in range(n)],
+        columns=[num[:, 0], cat[:, 0], np.ones(n), num[:, 1], cat[:, 1]],
+        labels=labels,
+        embeddings=rng.normal(size=(n, 3)) + labels[:, None] if embeddings else None,
+    )
 
 
 def finite_difference_gradients(f, arrays, step=1e-6):
@@ -196,7 +218,7 @@ def prototype_mass(activation: float, membership: np.ndarray,
     """One prototype's evidence: activation split by class membership."""
     membership = np.asarray(membership, dtype=np.float64)
     if frame is None:
-        frame = Frame.of_size(len(membership))
+        frame = frame_of_size(len(membership))
     if not 0.0 <= activation <= 1.0:
         raise DataError(f"activation {activation!r} outside [0, 1]")
     return SimpleMass(frame, membership * activation, 1.0 - activation)
@@ -205,7 +227,7 @@ def prototype_mass(activation: float, membership: np.ndarray,
 def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) -> SimpleMass:
     """Fuse all prototype evidence for one input by Dempster's rule."""
     if frame is None:
-        frame = Frame.of_size(params.m)
+        frame = frame_of_size(params.m)
     s = prototype_activations(x, params)
     u = membership(params)
     return combine_many([prototype_mass(s[h], u[h], frame) for h in range(len(s))])

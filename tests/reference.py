@@ -31,6 +31,11 @@ RENORM_TOL = 1e-9
 CONFLICT_EPS = 1e-12
 
 
+def frame_of_size(m: int) -> Frame:
+    """The frame of ``m`` classes named class_0 .. class_{m-1}."""
+    return Frame(tuple(f"class_{c}" for c in range(m)))
+
+
 class TotalConflictError(NumericalError):
     """Dempster combination of fully contradictory evidence (1 - conflict ~ 0)."""
 

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from evidfuse.data import (
     fit_preprocess,
     generate_synthetic,
     load_dataset,
+    load_split,
     manifest_hash,
     split,
     write_dataset,
 )
 from evidfuse.errors import ConfigError, DataError
+from helpers import mixed_dataset
 
 
 def toy_dataset(rows, schema, labels=None, **kw):
@@ -276,6 +279,15 @@ class TestBayesOracle:
         assert bayes_optimal_auroc(generator) > 0.999
 
 
+def drop(*keys):
+    """A manifest edit: delete the entry at path ``keys``."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
 class TestRoundTrip:
     def test_write_then_load_preserves_everything(self, tmp_path):
         cfg = SyntheticConfig(n=40, d_struct=3, d_embed=2, seed=29)
@@ -310,6 +322,34 @@ class TestRoundTrip:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(str(tmp_path / "nope" / "manifest.json"))
+
+    @pytest.mark.parametrize("edit", [
+        None, drop("schema"), drop("files"), drop("files", "structured"), drop("m"),
+        drop("schema", 0, "name"), drop("schema", 0, "kind"), lambda doc: doc.update(m="2"),
+    ], ids=["list", "no-schema", "no-files", "no-structured-file", "no-m",
+            "feature-without-name", "feature-without-kind", "m-not-integer"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, edit):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if edit is None:
+            doc = []
+        else:
+            edit(doc)
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=f"malformed manifest {re.escape(manifest)}"):
+                load(manifest)
+
+    @pytest.mark.parametrize("name,what", [("structured.csv", "structured data file"),
+                                           ("embeddings.jsonl", "embeddings file")])
+    def test_missing_data_file_is_data_error(self, tmp_path, name, what):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        (tmp_path / "ds" / name).unlink()
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=f"{what} not found: .*ds.{re.escape(name)}$"):
+                load(manifest)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
@@ -418,8 +458,57 @@ class TestLoadRejects:
         with pytest.raises(DataError, match=r"embeddings\.jsonl: non-finite .*'r1'"):
             load_dataset(manifest)
 
+    def test_label_out_of_range(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 3, "2.0,B,2,r1")
+        with pytest.raises(DataError, match=r"structured\.csv:3: label 2 outside 0\.\.1"):
+            load_dataset(manifest)
+
+    def test_duplicate_csv_id(self, tmp_path):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 4, ",,0,r0")
+        with pytest.raises(DataError, match=r"structured\.csv:4: duplicate id 'r0'"):
+            load_dataset(manifest)
+
     def test_duplicate_embedding_id(self, tmp_path):
         manifest, d = self._written(tmp_path)
         self._replace_line(d / "embeddings.jsonl", 3, '{"embedding":[4.0,5.0],"id":"r0"}')
         with pytest.raises(DataError, match=r"embeddings\.jsonl:3: duplicate id 'r0'"):
             load_dataset(manifest)
+
+
+class TestLoadSplit:
+    @pytest.mark.parametrize("index,part", enumerate(("train", "val", "test")))
+    def test_equals_the_split_of_the_whole_dataset(self, tmp_path, index, part):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        expected = split(load_dataset(manifest), seed=7)[index]
+        loaded = load_split(manifest, 7, part)
+        assert loaded.ids == expected.ids
+        assert loaded.labels.dtype == expected.labels.dtype
+        assert loaded.labels.tobytes() == expected.labels.tobytes()
+        assert (loaded.schema, loaded.m, loaded.generator) == (
+            expected.schema, expected.m, expected.generator)
+        gaps = set()
+        for feat, a, b in zip(expected.schema, loaded.columns, expected.columns):
+            assert a.dtype == b.dtype
+            missing = np.isnan(b) if feat.kind == "numerical" else np.equal(b, None)
+            if missing.any():
+                gaps.add(feat.kind)
+            if feat.kind == "numerical":
+                assert a.tobytes() == b.tobytes(), feat.name
+                assert np.array_equal(np.isnan(a), missing)
+            else:
+                assert a.tolist() == b.tolist(), feat.name
+                assert np.array_equal(np.equal(a, None), missing)
+        assert gaps == {"numerical", "categorical"}
+        assert loaded.embeddings.tobytes() == expected.embeddings.tobytes()
+
+    def test_without_embeddings(self, tmp_path):
+        manifest = write_dataset(mixed_dataset(embeddings=False), str(tmp_path / "ds"))
+        loaded = load_split(manifest, 2, "val")
+        assert loaded.embeddings is None
+        assert loaded.ids == split(load_dataset(manifest), seed=2)[1].ids
+
+    def test_unknown_part_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="split must be one of"):
+            load_split(str(tmp_path / "none.json"), 0, "dev")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from evidfuse.errors import DataError
 from evidfuse.evidential import EnnParams, evidence_batch, fuse_evidence, init_enn, lloyd_kmeans
-from evidfuse.model import Frame
 import tape_ops as ad
 from helpers import (
     check_gradients,
@@ -20,7 +19,8 @@ from helpers import (
     reference_init_enn,
     reference_lloyd_kmeans,
 )
-from reference import SimpleMass, beta, combine_many, combine_simple, gamma, membership, pignistic
+from reference import (SimpleMass, beta, combine_many, combine_simple, frame_of_size, gamma,
+                       membership, pignistic)
 
 
 def logit(p):
@@ -113,7 +113,7 @@ class TestForward:
     def test_matches_pairwise_combination(self):
         # two prototypes placed on the query point, engineered to emit the
         # mass-algebra worked examples
-        frame = Frame.of_size(2)
+        frame = frame_of_size(2)
         x = np.array([0.5, 0.5])
         params = EnnParams(
             prototypes=np.array([x, x]),

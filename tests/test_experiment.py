@@ -1,16 +1,18 @@
 """Experiment driver: runs, artifacts and checkpoint re-evaluation."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from evidfuse.config import RunConfig
-from evidfuse.data import Dataset, FeatureSpec, SyntheticConfig, fit_preprocess, write_dataset
+from evidfuse.data import (Dataset, FeatureSpec, SyntheticConfig, fit_preprocess, load_dataset,
+                           split_indices, write_dataset)
 from evidfuse.errors import ConfigError, DataError
 from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
 from evidfuse.model import SourceSpec, model_to_json_dict
-from helpers import tiny_fusion_setup
+from helpers import mixed_dataset, tiny_fusion_setup
 
 
 def tiny_config(out_dir, seeds=(3,)):
@@ -23,27 +25,6 @@ def tiny_config(out_dir, seeds=(3,)):
         max_epochs=2,
         seeds=seeds,
         output_dir=str(out_dir),
-    )
-
-
-def mixed_dataset(n=120, seed=0, embeddings=True):
-    """Numerical and categorical features with missing cells, a constant
-    column, and (optionally) note embeddings."""
-    rng = np.random.default_rng(seed)
-    labels = np.arange(n) % 2
-    num = rng.normal(size=(n, 2)) + labels[:, None]
-    num[rng.random((n, 2)) < 0.1] = np.nan
-    cat = np.array(["a", "b", "c"], dtype=object)[(rng.integers(0, 3, size=(n, 2))
-                                                   + labels[:, None]) % 3]
-    cat[rng.random((n, 2)) < 0.1] = None
-    return Dataset(
-        schema=(FeatureSpec("n0", "numerical"), FeatureSpec("c0", "categorical"),
-                FeatureSpec("flat", "numerical"), FeatureSpec("n1", "numerical"),
-                FeatureSpec("c1", "categorical")),
-        ids=[f"p{i}" for i in range(n)],
-        columns=[num[:, 0], cat[:, 0], np.ones(n), num[:, 1], cat[:, 1]],
-        labels=labels,
-        embeddings=rng.normal(size=(n, 3)) + labels[:, None] if embeddings else None,
     )
 
 
@@ -124,6 +105,84 @@ class TestEvaluateCheckpoint:
         path.write_text(json.dumps(make_doc()), encoding="utf-8")
         with pytest.raises(DataError, match=f"malformed checkpoint .*checkpoint.json: {raised}"):
             evaluate_checkpoint(str(path))
+
+
+MANIFEST_SEED = 3
+# a training row and a test row of mixed_dataset() split at MANIFEST_SEED
+OUTSIDE, INSIDE = (int(rows[0]) for rows in split_indices(120, MANIFEST_SEED)[::2])
+
+
+def set_cell(row, column, value):
+    """A structured.csv edit: one cell of data row ``row``."""
+    def edit(lines):
+        cells = lines[row + 1].split(",")
+        cells[column] = value
+        lines[row + 1] = ",".join(cells)
+    return edit
+
+
+class TestEvaluateManifestCheckpoint:
+    """With a manifest, ``evaluate_checkpoint`` parses the numerical and
+    categorical cells of the scored split only; every other check still
+    covers every row."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest-run")
+        manifest = write_dataset(mixed_dataset(), str(root / "data"))
+        run_experiment(RunConfig(task="tiny", dataset=manifest, prototypes=3,
+                                 encoder_output_dim=8, text_hidden_dim=8, max_epochs=1,
+                                 seeds=(MANIFEST_SEED,), output_dir=str(root / "runs")))
+        return root
+
+    @staticmethod
+    def _evaluate(run, manifest):
+        seed_dir = run / "runs" / "tiny" / f"seed_{MANIFEST_SEED}"
+        report = evaluate_checkpoint(str(seed_dir / "checkpoint.json"), manifest)
+        saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
+        return json.loads(json.dumps(report)), saved
+
+    @staticmethod
+    def _tampered(run, tmp_path, name, edit):
+        """A copy of the run's data with ``edit`` applied to the lines of
+        file ``name``; returns the copy's manifest path."""
+        shutil.copytree(run / "data", tmp_path / "data")
+        path = tmp_path / "data" / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(tmp_path / "data" / "manifest.json")
+
+    def test_reproduces_the_runs_report(self, run):
+        report, saved = self._evaluate(run, str(run / "data" / "manifest.json"))
+        assert report == saved
+
+    def test_bad_cell_outside_the_split_is_not_parsed(self, run, tmp_path):
+        manifest = self._tampered(run, tmp_path, "structured.csv", set_cell(OUTSIDE, 0, "nan"))
+        report, saved = self._evaluate(run, manifest)
+        assert report == saved
+        with pytest.raises(DataError, match=rf"structured\.csv:{OUTSIDE + 2}: feature 'n0'"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("structured.csv", set_cell(INSIDE, 0, "nan"),
+         rf"structured\.csv:{INSIDE + 2}: feature 'n0': not a finite number 'nan'"),
+        ("structured.csv", set_cell(OUTSIDE, 5, "yes"),
+         rf"structured\.csv:{OUTSIDE + 2}: bad label 'yes'"),
+        ("structured.csv", set_cell(OUTSIDE, 5, "2"),
+         rf"structured\.csv:{OUTSIDE + 2}: label 2 outside 0\.\.1"),
+        ("structured.csv", set_cell(OUTSIDE, 6, f"p{OUTSIDE},extra"),
+         rf"structured\.csv:{OUTSIDE + 2}: wrong column count"),
+        ("structured.csv", set_cell(OUTSIDE, 6, f"p{INSIDE}"),
+         rf"structured\.csv:{max(OUTSIDE, INSIDE) + 2}: duplicate id 'p{INSIDE}'"),
+        ("embeddings.jsonl", lambda lines: lines.append(lines[OUTSIDE]),
+         rf"embeddings\.jsonl:121: duplicate id 'p{OUTSIDE}'"),
+    ], ids=["bad-cell-inside", "bad-label", "label-out-of-range", "wrong-width",
+            "duplicate-csv-id", "duplicate-jsonl-id"])
+    def test_every_row_checks_still_cover_every_row(self, run, tmp_path, name, edit, message):
+        manifest = self._tampered(run, tmp_path, name, edit)
+        with pytest.raises(DataError, match=message):
+            self._evaluate(run, manifest)
 
 
 class TestBinaryOnly:

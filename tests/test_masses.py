@@ -21,13 +21,14 @@ from reference import (
     combine_simple,
     degree_of_conflict,
     embed_simple,
+    frame_of_size,
     pignistic,
     project_simple,
     vacuous,
 )
 
-F2 = Frame.of_size(2)
-F3 = Frame.of_size(3)
+F2 = frame_of_size(2)
+F3 = frame_of_size(3)
 
 
 def random_mass(frame, rng):
@@ -121,7 +122,7 @@ class TestCombineSimple:
     def test_commutative(self):
         rng = np.random.default_rng(11)
         for m_classes in (2, 3, 4, 8):
-            frame = Frame.of_size(m_classes)
+            frame = frame_of_size(m_classes)
             for _ in range(250):
                 a, b = random_mass(frame, rng), random_mass(frame, rng)
                 assert_mass_close(combine_simple(a, b), combine_simple(b, a), 1e-12)
@@ -129,7 +130,7 @@ class TestCombineSimple:
     def test_associative(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
-            frame = Frame.of_size(int(rng.integers(2, 5)))
+            frame = frame_of_size(int(rng.integers(2, 5)))
             a, b, c = (random_mass(frame, rng) for _ in range(3))
             left = combine_simple(combine_simple(a, b), c)
             right = combine_simple(a, combine_simple(b, c))
@@ -138,7 +139,7 @@ class TestCombineSimple:
     def test_output_normalized(self):
         rng = np.random.default_rng(17)
         for _ in range(500):
-            frame = Frame.of_size(int(rng.integers(2, 6)))
+            frame = frame_of_size(int(rng.integers(2, 6)))
             out = combine_simple(random_mass(frame, rng), random_mass(frame, rng))
             assert abs(out.singletons.sum() + out.ignorance - 1.0) <= 1e-9
 
@@ -154,7 +155,7 @@ class TestPowerSetOracle:
     def test_matches_simple_randomized(self):
         rng = np.random.default_rng(19)
         for m_classes in (2, 3, 4):
-            frame = Frame.of_size(m_classes)
+            frame = frame_of_size(m_classes)
             for _ in range(300):
                 a, b = random_mass(frame, rng), random_mass(frame, rng)
                 via_oracle = project_simple(combine_powerset(embed_simple(a), embed_simple(b)))
@@ -163,7 +164,7 @@ class TestPowerSetOracle:
     def test_family_closure_under_combination(self):
         # No compound focal set other than the full frame ever appears.
         rng = np.random.default_rng(23)
-        frame = Frame.of_size(3)
+        frame = frame_of_size(3)
         full = (1 << 3) - 1
         for _ in range(200):
             a, b = random_mass(frame, rng), random_mass(frame, rng)
@@ -194,7 +195,7 @@ class TestPowerSetOracle:
 
     def test_oversized_frame_rejected(self):
         with pytest.raises(DataError):
-            PowerSetMass(Frame.of_size(17), {1: 1.0})
+            PowerSetMass(frame_of_size(17), {1: 1.0})
 
 
 class TestCombineMany:
@@ -209,7 +210,7 @@ class TestCombineMany:
     def test_order_irrelevant(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            frame = Frame.of_size(int(rng.integers(2, 5)))
+            frame = frame_of_size(int(rng.integers(2, 5)))
             ms = [random_mass(frame, rng) for _ in range(5)]
             assert_mass_close(combine_many(ms), combine_many(ms[::-1]), 1e-10)
 
@@ -224,7 +225,7 @@ class TestPignistic:
         np.testing.assert_allclose(pignistic(m), [0.6, 0.4], atol=1e-15)
 
     def test_vacuous_is_uniform(self):
-        np.testing.assert_allclose(pignistic(vacuous(Frame.of_size(4))), [0.25] * 4, atol=1e-15)
+        np.testing.assert_allclose(pignistic(vacuous(frame_of_size(4))), [0.25] * 4, atol=1e-15)
 
     def test_bayesian_is_unchanged(self):
         m = SimpleMass(F3, np.array([0.2, 0.5, 0.3]), 0.0)
@@ -233,7 +234,7 @@ class TestPignistic:
     def test_simplex_under_fuzzing(self):
         rng = np.random.default_rng(31)
         for _ in range(2000):
-            frame = Frame.of_size(int(rng.integers(2, 9)))
+            frame = frame_of_size(int(rng.integers(2, 9)))
             p = pignistic(random_mass(frame, rng))
             assert np.all(p >= 0.0)
             assert abs(p.sum() - 1.0) <= 1e-12
@@ -259,7 +260,7 @@ class TestDegreeOfConflict:
     def test_matches_powerset_conflict(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
-            frame = Frame.of_size(int(rng.integers(2, 5)))
+            frame = frame_of_size(int(rng.integers(2, 5)))
             a, b = random_mass(frame, rng), random_mass(frame, rng)
             kappa = degree_of_conflict(a, b)
             conflict = 0.0
@@ -278,7 +279,7 @@ def simple_masses(draw, m_classes=3):
         for _ in range(m_classes + 1)
     ]
     parts = np.asarray(weights) / np.sum(weights)
-    return SimpleMass(Frame.of_size(m_classes), parts[:-1], float(parts[-1]))
+    return SimpleMass(frame_of_size(m_classes), parts[:-1], float(parts[-1]))
 
 
 class TestAlgebraProperties:

@@ -13,7 +13,6 @@ from evidfuse.evidential import EnnParams
 from evidfuse.model import (
     Adam,
     FlatParams,
-    Frame,
     FusionModel,
     FusionSource,
     ParamVector,
@@ -39,9 +38,9 @@ from evidfuse.rng import substream
 import tape_ops as ad
 from helpers import (chained_loss_overall, exact_prediction, reference_loss_and_grad,
                      tiny_fusion_setup)
-from reference import SimpleMass, combine_simple, pignistic
+from reference import SimpleMass, combine_simple, frame_of_size, pignistic
 
-F2 = Frame.of_size(2)
+F2 = frame_of_size(2)
 
 
 def logit(p):
