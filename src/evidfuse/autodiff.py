@@ -7,11 +7,12 @@ float64 numpy underneath.
 
 Per-op Python overhead, not arithmetic, bounds a small-batch training
 step, so the model records coarse nodes with hand-derived VJPs: one
-``linear`` per affine layer, one ``relu`` per activation (dropout mask
-included), the residual ``add``, and the fused evidence and objective
-nodes built in ``evidential`` and ``model``.  Besides those, only the
-ops that ``Tensor``'s operator methods reach stay here; the finer ops
-the chained-op references call by name live in ``tests/tape_ops.py``.
+``linear_relu`` per hidden layer (affine map, ReLU and dropout mask),
+one ``linear`` per output layer, the residual ``add``, and the fused
+evidence and objective nodes built in ``evidential`` and ``model``.
+Besides those, only the ops that ``Tensor``'s operator methods reach
+stay here; ``relu`` and the finer ops the chained-op references call by
+name live in ``tests/tape_ops.py``.
 
 Every function in this module also accepts plain numpy arrays (or
 scalars) and then computes the same value without recording, so forward
@@ -23,7 +24,10 @@ unless its slot was set beforehand: the training step gives every
 parameter leaf a zeroed view of one flat gradient vector, so the sweep
 writes the parameter gradients straight into it.  The sweep frees each
 interior gradient once that node's VJP has consumed it; only leaves
-keep theirs.
+keep theirs.  It also drops every node's VJP closure as it passes, so
+the forward arrays a closure captured (distances, activations, layer
+inputs) are freed by reference counting during the sweep rather than
+by the cyclic collector; node values stay.  A tape is swept once.
 
 One tape per training step; tapes are not shared across threads.
 """
@@ -87,10 +91,11 @@ class Tensor:
 class Tape:
     """Execution record for one forward pass."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "swept")
 
     def __init__(self):
         self.nodes = []
+        self.swept = False
 
     def leaf(self, value) -> Tensor:
         return Tensor(np.asarray(value, dtype=np.float64), self)
@@ -101,13 +106,20 @@ class Tape:
         Each node's gradient is complete when the sweep reaches it (its
         consumers were all recorded later); its VJP consumes it and the
         node then drops it, so only leaves hold a gradient afterwards.
+        Every node drops its VJP as the sweep passes, whether it ran or
+        not, which releases the forward state it captured; sweeping the
+        same tape again raises ``ValueError``.
         """
+        if self.swept:
+            raise ValueError("backward already ran on this tape")
         if np.shape(output.value) != ():
             raise ValueError("backward expects a scalar output")
+        self.swept = True
         output._accumulate(1.0)
         for node in reversed(self.nodes):
-            if node._bwd is not None and node.grad is not None:
-                node._bwd(node.grad)
+            bwd, node._bwd = node._bwd, None
+            if bwd is not None and node.grad is not None:
+                bwd(node.grad)
                 node.grad = None
 
 
@@ -234,7 +246,12 @@ def linear(x, w, b):
     if np.ndim(xv) != 2 or np.ndim(wv) != 2:
         raise ValueError("taped linear supports 2-D operands only")
     out = Tensor(v, tensors[0].tape)
+    out._bwd = _linear_vjp(x, w, b, xv, wv)
+    return out
 
+
+def _linear_vjp(x, w, b, xv, wv):
+    """Backward of ``x @ w + b`` into whichever operands are tensors."""
     def bwd(g):
         if isinstance(x, Tensor):
             x._accumulate(g @ wv.T)
@@ -243,19 +260,33 @@ def linear(x, w, b):
         if isinstance(b, Tensor):
             b._accumulate(g.sum(axis=0))
 
-    out._bwd = bwd
-    return out
+    return bwd
 
 
-def relu(x, mask=None):
-    """max(x, 0), times a constant (dropout) mask when one is given."""
-    xv = value_of(x)
-    v = np.maximum(xv, 0.0)
+def linear_relu(x, w, b, mask=None):
+    """ReLU of the affine map ``x @ w + b``, times a constant (dropout)
+    mask when one is given, as one node.
+
+    ReLU and mask are applied in place on the fresh affine output, and
+    the VJP gates by ``out > 0`` (times the mask): for a mask whose
+    nonzero entries are at least 1, as inverted dropout's are, that is
+    the gate ``pre > 0`` elementwise, so no pre-activation outlives the
+    forward.
+    """
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    v = xv @ wv + bv
+    np.maximum(v, 0.0, out=v)
     if mask is not None:
-        v = v * mask
-    if not isinstance(x, Tensor):
+        v *= mask
+    tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
+    if not tensors:
         return v
-    gate = xv > 0.0 if mask is None else mask * (xv > 0.0)
-    out = Tensor(v, x.tape)
-    out._bwd = lambda g: x._accumulate(g * gate)
+    if np.ndim(xv) != 2 or np.ndim(wv) != 2:
+        raise ValueError("taped linear_relu supports 2-D operands only")
+    out = Tensor(v, tensors[0].tape)
+    affine_bwd = _linear_vjp(x, w, b, xv, wv)
+    if mask is None:
+        out._bwd = lambda g: affine_bwd(g * (v > 0.0))
+    else:
+        out._bwd = lambda g: affine_bwd(g * (mask * (v > 0.0)))
     return out

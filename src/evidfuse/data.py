@@ -65,7 +65,9 @@ def _missing(column: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class Dataset:
     """``columns[j]`` holds schema feature j for every sample: float64 with
-    NaN for missing, or for a categorical an object array of str with None."""
+    NaN for missing, or for a categorical an object array of str with None.
+    Ids are unique ``str`` and embeddings finite, so whatever validates
+    here also survives ``write_dataset`` and ``load_dataset``."""
 
     schema: tuple
     ids: list
@@ -80,6 +82,9 @@ class Dataset:
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
             raise DataError(f"duplicate feature names in schema: {names}")
+        bad_ids = [i for i in self.ids if not isinstance(i, str)]
+        if bad_ids:
+            raise DataError(f"sample ids must be str, got {bad_ids[0]!r}")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("sample ids must be unique")
         columns = tuple(np.asarray(c, dtype=np.float64 if f.kind == "numerical" else object)
@@ -99,6 +104,8 @@ class Dataset:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
             if self.embeddings.ndim != 2 or self.embeddings.shape[0] != self.n:
                 raise DataError("embeddings must be one vector per sample")
+            if not np.isfinite(self.embeddings).all():
+                raise DataError("embeddings must be finite")
 
     @property
     def n(self):

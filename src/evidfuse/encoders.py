@@ -9,11 +9,11 @@ substitute leaf tensors; dropout masks are sampled up front at the
 encoder's ``dropout`` rate and applied as constants (inverted scaling,
 so the eval path needs no rescaling).  ``encode`` takes (N, D) rows.
 
-On the training tape each affine layer is one ``autodiff.linear`` node
-and each activation one ``autodiff.relu`` node that also applies its
-dropout mask: an MLP records 5 nodes, a text head 3, an aux head 1 and
-a residual net 1 plus 4 per block (two linears, a ReLU and the
-residual add).
+On the training tape each hidden layer is one ``autodiff.linear_relu``
+node (affine map, ReLU and dropout mask) and each output layer one
+``autodiff.linear`` node: an MLP records 3 nodes, a text head 2, an aux
+head 1 and a residual net 1 plus 3 per block (a ``linear_relu``, a
+``linear`` and the residual add).
 """
 
 from dataclasses import dataclass
@@ -52,8 +52,8 @@ class MlpEncoder:
     def forward(self, x, params=None, masks=None):
         p = self.params if params is None else params
         masks = masks or (None, None)
-        h = ad.relu(ad.linear(x, p["w0"], p["b0"]), masks[0])
-        h = ad.relu(ad.linear(h, p["w1"], p["b1"]), masks[1])
+        h = ad.linear_relu(x, p["w0"], p["b0"], masks[0])
+        h = ad.linear_relu(h, p["w1"], p["b1"], masks[1])
         return ad.linear(h, p["w2"], p["b2"])
 
 
@@ -78,7 +78,7 @@ class ResNetEncoder:
         masks = masks or (None,) * self.n_blocks
         h = ad.linear(x, p["w_in"], p["b_in"])
         for k in range(self.n_blocks):
-            inner = ad.relu(ad.linear(h, p[f"block{k}.w1"], p[f"block{k}.b1"]), masks[k])
+            inner = ad.linear_relu(h, p[f"block{k}.w1"], p[f"block{k}.b1"], masks[k])
             h = h + ad.linear(inner, p[f"block{k}.w2"], p[f"block{k}.b2"])
         return h
 
@@ -104,7 +104,7 @@ class TextHeadEncoder:
 
     def forward(self, x, params=None, masks=None):
         p = self.params if params is None else params
-        h = ad.relu(ad.linear(x, p["w0"], p["b0"]))
+        h = ad.linear_relu(x, p["w0"], p["b0"])
         return ad.linear(h, p["w1"], p["b1"])
 
 

@@ -15,9 +15,13 @@ The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
 each scaled by the source's auxiliary weight.  On the training tape it
 is one node with a hand-derived VJP, so a step records a leaf per
-parameter array, a node per affine layer and activation, one for the
-fusion and one for the objective: 34 for an MLP and a text-head source
-(22 of them parameter leaves).  Training runs mini-batch Adam with early
+parameter array, a node per layer (a hidden layer's affine map, ReLU and
+dropout mask are one node) and per residual add, one for the fusion and
+one for the objective: 31 for an MLP and a text-head source (22 of them
+parameter leaves), 46 for a ResNet and a text-head source.  The sweep
+drops each node's VJP as it passes, so the forward state those captured
+is freed before the step returns; the node values stay until the cyclic
+collector takes the step's tape.  Training runs mini-batch Adam with early
 stopping on the validation overall loss, restoring the best-validation
 parameters.  Parameters travel as name->array dicts.  During training
 they and their gradients live in two flat vectors (``FlatParams``),

@@ -1,12 +1,14 @@
 """Tape ops that only the chained-op reference implementations use.
 
 The production tape in ``evidfuse.autodiff`` keeps the ops the model
-records (``add``, ``linear``, ``relu``) and the ones ``Tensor``'s
+records (``add``, ``linear``, ``linear_relu``) and the ones ``Tensor``'s
 operator methods reach (``sub``, ``mul``, ``div``, ``matmul``).  The
 elementwise, reduction and shape ops below are called by name from the
 reference evidence, fusion and loss implementations in ``helpers`` and
-from the tape's own tests.  This module re-exports the production ones,
-so a test imports one namespace: ``import tape_ops as ad``.
+from the tape's own tests; ``relu(linear(...))`` is the two-node
+reference that ``linear_relu`` is checked against.  This module
+re-exports the production ones, so a test imports one namespace:
+``import tape_ops as ad``.
 """
 
 import numpy as np
@@ -17,12 +19,26 @@ from evidfuse.autodiff import (  # noqa: F401  (re-exported)
     add,
     div,
     linear,
+    linear_relu,
     matmul,
     mul,
-    relu,
     sub,
     value_of,
 )
+
+
+def relu(x, mask=None):
+    """max(x, 0), times a constant (dropout) mask when one is given."""
+    xv = value_of(x)
+    v = np.maximum(xv, 0.0)
+    if mask is not None:
+        v = v * mask
+    if not isinstance(x, Tensor):
+        return v
+    gate = xv > 0.0 if mask is None else mask * (xv > 0.0)
+    out = Tensor(v, x.tape)
+    out._bwd = lambda g: x._accumulate(g * gate)
+    return out
 
 
 def exp(x):

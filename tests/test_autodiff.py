@@ -97,6 +97,40 @@ class TestLinearAlgebraOps:
         ad.linear(x, tape.leaf(w), tape.leaf(b))
         assert len(tape.nodes) == 3     # two leaves, one node
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_linear_relu_matches_relu_of_linear_bit_for_bit(self, masked):
+        # small integers make many pre-activations exactly zero
+        rng = np.random.default_rng(8)
+        x = rng.integers(-2, 3, size=(12, 4)).astype(np.float64)
+        w = rng.integers(-2, 3, size=(4, 6)).astype(np.float64)
+        b = rng.integers(-2, 3, size=6).astype(np.float64)
+        c = rng.normal(size=(12, 6))
+        pre = x @ w + b
+        assert (pre == 0.0).any() and (pre > 0.0).any() and (pre < 0.0).any()
+        mask = None
+        if masked:
+            mask = np.where(rng.random((12, 6)) < 0.3, 0.0, 1.0 / 0.7)
+            assert ((pre > 0.0) & (mask == 0.0)).any()
+        assert ad.linear_relu(x, w, b, mask).tobytes() == ad.relu(x @ w + b, mask).tobytes()
+
+        def run(f):
+            tape = Tape()
+            leaves = [tape.leaf(v) for v in (x, w, b)]
+            out = f(*leaves)
+            tape.backward(ad.sum_along(out * c))
+            return [out.value.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+        fused = run(lambda xv, wv, bv: ad.linear_relu(xv, wv, bv, mask))
+        assert fused == run(lambda xv, wv, bv: ad.relu(ad.linear(xv, wv, bv), mask))
+
+    def test_linear_relu_is_one_node(self):
+        tape = Tape()
+        x = RNG.normal(size=(3, 2))
+        ad.linear_relu(x, tape.leaf(RNG.normal(size=(2, 2))), tape.leaf(np.zeros(2)))
+        assert len(tape.nodes) == 3     # two leaves, one node
+        with pytest.raises(ValueError):
+            ad.linear_relu(RNG.normal(size=(2, 2, 2)), tape.nodes[0], np.zeros(2))
+
     def test_linear_rejects_non_2d(self):
         tape = Tape()
         w = tape.leaf(RNG.normal(size=(2, 2)))
@@ -168,6 +202,17 @@ class TestComposites:
         x = tape.leaf(np.ones(3))
         with pytest.raises(ValueError):
             tape.backward(x + 1.0)
+
+    def test_second_backward_raises(self):
+        tape = Tape()
+        x = tape.leaf(np.arange(3.0))
+        out = ad.sum_along(x * x)
+        tape.backward(out)
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
+        assert all(node._bwd is None for node in tape.nodes)
+        with pytest.raises(ValueError, match="already ran"):
+            tape.backward(out)
+        np.testing.assert_array_equal(x.grad, [0.0, 2.0, 4.0])
 
     def test_determinism(self):
         a = RNG.normal(size=(4, 4))

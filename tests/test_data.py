@@ -351,6 +351,33 @@ class TestRoundTrip:
             with pytest.raises(DataError, match=f"{what} not found: .*ds.{re.escape(name)}$"):
                 load(manifest)
 
+    def test_mixed_dataset_round_trips_bit_for_bit(self, tmp_path):
+        ds = mixed_dataset()
+        loaded = load_dataset(write_dataset(ds, str(tmp_path / "ds")))
+        assert (loaded.ids, loaded.schema, loaded.m) == (ds.ids, ds.schema, ds.m)
+        assert loaded.labels.tobytes() == ds.labels.tobytes()
+        for feat, a, b in zip(ds.schema, loaded.columns, ds.columns):
+            if feat.kind == "numerical":
+                assert a.tobytes() == b.tobytes(), feat.name
+            else:
+                assert a.tolist() == b.tolist(), feat.name
+        assert loaded.embeddings.tobytes() == ds.embeddings.tobytes()
+
+    @pytest.mark.parametrize("bad_id", [0, None, 1.5, b"r1"])
+    def test_non_str_id_rejected(self, bad_id):
+        # an int id would come back from the CSV as "0" but stay 0 in the JSONL
+        with pytest.raises(DataError, match="ids must be str"):
+            Dataset(schema=(NUM,), ids=["r0", bad_id], columns=[[1.0, 2.0]],
+                    labels=np.array([0, 1]), embeddings=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_rejected(self, value):
+        # write_dataset would write it as NaN/Infinity, which load_dataset refuses
+        embeddings = np.zeros((2, 3))
+        embeddings[1, 2] = value
+        with pytest.raises(DataError, match="embeddings must be finite"):
+            toy_dataset([[1.0], [2.0]], [NUM], labels=[0, 1], embeddings=embeddings)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
             Dataset(schema=(NUM,), ids=["a", "a"], columns=[[1.0, 2.0]],

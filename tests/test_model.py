@@ -1,6 +1,8 @@
 """Fusion model: batched predictions, losses, training loop, checkpoints."""
 
+import gc
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import evidfuse.model
 from evidfuse.encoders import AuxHead, MlpEncoder
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
-from evidfuse.evidential import EnnParams
+from evidfuse.evidential import EnnParams, evidence_batch
 from evidfuse.model import (
     Adam,
     FlatParams,
@@ -302,24 +304,24 @@ class TestGradientSlots:
     @pytest.mark.parametrize("kind", ["mlp", "resnet"])
     def test_backward_keeps_leaf_gradients_only(self, monkeypatch, kind):
         model, inputs, labels, masks = self._setup(kind, dropout=True)
-        tapes = []
+        swept = []
 
         class RecordingTape(ad.Tape):
-            def __init__(self):
-                super().__init__()
-                tapes.append(self)
+            def backward(self, output):
+                # the sweep drops every VJP, so leaves are told apart before it
+                swept.append(([n for n in self.nodes if n._bwd is None],
+                              [n for n in self.nodes if n._bwd is not None]))
+                super().backward(output)
 
         monkeypatch.setattr(evidfuse.model, "Tape", RecordingTape)
         _, grad = loss_and_grad(model, inputs, labels, masks=masks)
-        (tape,) = tapes
-        leaves = [node for node in tape.nodes if node._bwd is None]
-        interior = [node for node in tape.nodes if node._bwd is not None]
+        ((leaves, interior),) = swept
         assert len(leaves) == len(param_dict(model)) and interior
         views = FlatParams.from_model(model).layout.views(grad)
         for leaf, slot in zip(leaves, views.values()):
             assert leaf.grad is not None and np.shares_memory(leaf.grad, grad)
             np.testing.assert_array_equal(leaf.grad, slot)
-        assert all(node.grad is None for node in interior)
+        assert all(node.grad is None and node._bwd is None for node in interior)
 
 
 class TestFusedObjective:
@@ -385,10 +387,32 @@ class TestFusedObjective:
             np.testing.assert_allclose(grads[name], expected, rtol=1e-12, atol=1e-12,
                                        err_msg=name)
 
-    # leaves + nodes.  MLP source: 12 leaves, 5 encoder + 1 aux-head nodes;
-    # text source: 10 leaves, 3 + 1 nodes; ResNet source: 20 leaves,
-    # 1 + 3 * 4 + 1 nodes; then one fusion node and one objective node
-    @pytest.mark.parametrize("kind,expected", [("mlp", 34), ("resnet", 50)])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_sweep_frees_each_sources_forward_state(self, monkeypatch, kind):
+        """With the cyclic collector off, reference counting alone frees
+        every source's (N, H) distances, closeness and activations by the
+        time the step returns: the sweep drops the closures holding them."""
+        model, inputs, labels, masks = self._setup(kind, zero_aux=False)
+        refs = []
+
+        def recording_evidence_batch(*args, **kwargs):
+            ev = evidence_batch(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in (ev.sq_dist, ev.closeness, ev.activation))
+            return ev
+
+        monkeypatch.setattr(evidfuse.model, "evidence_batch", recording_evidence_batch)
+        gc.disable()
+        try:
+            loss_and_grad(model, inputs, labels, masks=masks)
+            alive = [ref() is not None for ref in refs]
+        finally:
+            gc.enable()
+        assert len(alive) == 3 * len(model.sources) and not any(alive)
+
+    # leaves + nodes.  MLP source: 12 leaves, 3 encoder + 1 aux-head nodes;
+    # text source: 10 leaves, 2 + 1 nodes; ResNet source: 20 leaves,
+    # 1 + 3 * 3 + 1 nodes; then one fusion node and one objective node
+    @pytest.mark.parametrize("kind,expected", [("mlp", 31), ("resnet", 46)])
     def test_tape_nodes_per_step(self, monkeypatch, kind, expected):
         model, inputs, labels, masks = self._setup(kind, zero_aux=False)
         seen = []
