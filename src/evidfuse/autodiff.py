@@ -10,6 +10,8 @@ step, so the model records coarse nodes with hand-derived VJPs: one
 ``linear_relu`` per hidden layer (affine map, ReLU and dropout mask),
 one ``linear`` per output layer, the residual ``add``, and the fused
 evidence and objective nodes built in ``evidential`` and ``model``.
+Both affine nodes add the bias in place on the fresh ``x @ w`` product,
+the same IEEE add as ``x @ w + b`` without a second (N, K) array.
 Besides those, only the ops that ``Tensor``'s operator methods reach
 stay here; ``relu`` and the finer ops the chained-op references call by
 name live in ``tests/tape_ops.py``.
@@ -239,7 +241,8 @@ def linear(x, w, b):
     """Affine map ``x @ w + b`` of (N, D) rows by (D, K) weights and a
     (K,) bias, as one node."""
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    v = xv @ wv + bv
+    v = xv @ wv
+    v += bv
     tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
     if not tensors:
         return v
@@ -274,7 +277,8 @@ def linear_relu(x, w, b, mask=None):
     forward.
     """
     xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    v = xv @ wv + bv
+    v = xv @ wv
+    v += bv
     np.maximum(v, 0.0, out=v)
     if mask is not None:
         v *= mask

@@ -96,6 +96,9 @@ class RunConfig:
             if not check:
                 raise ConfigError(message)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if len(set(self.seeds)) != len(self.seeds):
+            # each seed owns one seed_<s>/ directory and one summary entry
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.custom_sources is not None:
             object.__setattr__(self, "custom_sources",
                                tuple(_check_custom_source(s) for s in self.custom_sources))

@@ -17,6 +17,13 @@ are parsed and checked only in the part's rows.  A bad cell outside the
 part is therefore caught by a training run, which loads every row, and
 not by re-evaluation.
 
+Both read the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, so a load holds
+one block's cell strings at a time (plus, in ``load_split``, the
+records of the part) rather than every row's.  The manifest's ``n``
+only plans which rows ``load_split`` keeps; a file holding another
+number of rows costs a second pass, never a different result.  Errors
+come in the same order as from a whole-file read.
+
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
 source is drawn from the wrong class.  Generation is a pure function of
@@ -26,6 +33,7 @@ recover the Bayes-optimal baseline in closed form.
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -45,6 +53,9 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # class-mean separation per unit of source informativeness; at 1.0 the
 # classes are essentially linearly separable
 SEPARATION_SCALE = 6.0
+# rows of the structured CSV read, checked and parsed at a time, so that a
+# load never holds the cell strings of every row at once
+CSV_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -452,7 +463,7 @@ def _parse_column(cells, feat: FeatureSpec, path: str, lines) -> np.ndarray:
 
 
 def _read_manifest(manifest_path: str):
-    """(schema, m, structured CSV path, embeddings JSONL path or None,
+    """(schema, n, m, structured CSV path, embeddings JSONL path or None,
     generator); a manifest that is missing, not JSON or lacks a field
     raises a DataError naming it."""
     try:
@@ -469,7 +480,7 @@ def _read_manifest(manifest_path: str):
     base = os.path.dirname(manifest_path)
     try:
         schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
-        files, m = manifest["files"], manifest["m"]
+        files, n, m = manifest["files"], manifest["n"], manifest["m"]
         structured_path = os.path.join(base, files["structured"])
         embeddings_name = files.get("embeddings")
         embeddings_path = os.path.join(base, embeddings_name) if embeddings_name else None
@@ -478,19 +489,16 @@ def _read_manifest(manifest_path: str):
             f"malformed manifest {manifest_path}: {type(exc).__name__}: {exc}") from exc
     if not isinstance(m, int):
         raise DataError(f"malformed manifest {manifest_path}: m must be an integer, got {m!r}")
-    return schema, m, structured_path, embeddings_path, manifest.get("generator")
+    if not isinstance(n, int) or n < 0:
+        raise DataError(
+            f"malformed manifest {manifest_path}: n must be an integer >= 0, got {n!r}")
+    return schema, n, m, structured_path, embeddings_path, manifest.get("generator")
 
 
-def _read_structured(path: str, schema, m: int, pick):
-    """(ids, labels, rows, columns) of the structured CSV.
-
-    Every row: the header, the row width, the label parse and range and
-    id uniqueness; ``ids`` and ``labels`` cover every row.  ``pick`` maps
-    the row count to ``rows``, the indices of the rows whose numerical
-    and categorical cells are parsed and checked into ``columns``; with
-    ``pick`` None every row is parsed and ``rows`` is None.
-    """
-    expected = [f.name for f in schema] + ["label", "id"]
+def _csv_blocks(path: str, expected):
+    """The structured CSV after its header check, as (index of the first
+    row, rows) blocks of up to ``CSV_BLOCK_ROWS`` rows, each checked for
+    width before it is yielded."""
     try:
         fh = open(path, newline="", encoding="utf-8")
     except FileNotFoundError as exc:
@@ -500,27 +508,98 @@ def _read_structured(path: str, schema, m: int, pick):
         header = next(reader, None)
         if header != expected:
             raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
-        records = list(reader)
-    bad = np.flatnonzero(np.fromiter(map(len, records), np.int64, len(records)) != len(expected))
-    if bad.size:
-        raise DataError(f"{path}:{bad[0] + 2}: wrong column count")
-    if pick is None:
-        cells = list(zip(*records)) or [()] * len(expected)
-        label_cells, ids = cells[-2], list(cells[-1])
-    else:
-        # the label and id columns alone: transposing every row would cost
-        # twice as much as this and the picked rows' transpose together
-        label_cells, ids = [r[-2] for r in records], [r[-1] for r in records]
+        start = 0
+        while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+            widths = np.fromiter(map(len, block), np.int64, len(block))
+            bad = np.flatnonzero(widths != len(expected))
+            if bad.size:
+                raise DataError(f"{path}:{start + bad[0] + 2}: wrong column count")
+            yield start, block
+            start += len(block)
+
+
+def _scan(path: str, expected, m: int, take):
+    """One pass over the structured CSV: (ids, labels) of every row, with
+    the width, label and id-uniqueness checks in that order; ``take(start,
+    block)`` sees each block of rows as it is read."""
+    label_cells, ids = [], []
+    for start, block in _csv_blocks(path, expected):
+        label_cells += [r[-2] for r in block]
+        ids += [r[-1] for r in block]
+        take(start, block)
     labels = _parse_labels(label_cells, m, path)
     if len(set(ids)) != len(ids):
         raise _duplicate_id(path, ids)
-    rows, lines = None, range(2, len(ids) + 2)
+    return ids, labels
+
+
+def _scan_keeping(path: str, expected, m: int, rows):
+    """``_scan`` that also returns the records of ``rows`` (none when
+    None), keyed by row index."""
+    wanted = np.sort(rows) if rows is not None else np.empty(0, np.int64)
+    kept = {}
+
+    def take(start, block):
+        lo, hi = np.searchsorted(wanted, (start, start + len(block)))
+        for i in wanted[lo:hi].tolist():
+            kept[i] = block[i - start]
+
+    return (*_scan(path, expected, m, take), kept)
+
+
+def _read_structured(path: str, schema, m: int, pick, n: int):
+    """(ids, labels, rows, columns) of the structured CSV, read in blocks
+    of ``CSV_BLOCK_ROWS`` rows, so the cell strings of every row never
+    exist at once.
+
+    Every row: the header, the row width, the label parse and range and
+    id uniqueness; ``ids`` and ``labels`` cover every row.  With ``pick``
+    None, each block's numerical and categorical cells are parsed into
+    per-column parts, concatenated into ``columns`` at the end, and
+    ``rows`` is None.  Otherwise ``pick`` maps the row count to ``rows``,
+    whose cells are parsed in that order into ``columns``: the pass keeps
+    the records of ``pick(n)``, ``n`` being the manifest's row count, and
+    a file holding another number of rows is read again with the counted
+    one.  Errors come in the order of a whole-file read: the first row of
+    wrong width, the labels, a duplicate id, then the first bad cell of
+    the lowest failing column, held back from whichever block found it.
+    """
+    expected = [f.name for f in schema] + ["label", "id"]
     if pick is not None:
-        rows = pick(len(ids))
-        cells = list(zip(*[records[i] for i in rows])) or [()] * len(expected)
-        lines = rows + 2
-    return ids, labels, rows, tuple(_parse_column(c, f, path, lines)
-                                    for c, f in zip(cells, schema))
+        try:
+            # a row takes at least len(expected) bytes (commas and newline), so
+            # a count the file cannot hold is not planned for, nor allocated
+            planned = pick(n) if n * len(expected) <= os.path.getsize(path) + 1 else None
+        except (OSError, DataError):
+            # a missing file, or too few rows to split, is reported in its turn
+            planned = None
+        ids, labels, kept = _scan_keeping(path, expected, m, planned)
+        rows = planned
+        if planned is None or len(ids) != n:
+            rows = pick(len(ids))
+            ids, labels, kept = _scan_keeping(path, expected, m, rows)
+        cells = list(zip(*[kept[i] for i in rows.tolist()])) or [()] * len(expected)
+        return ids, labels, rows, tuple(_parse_column(c, f, path, rows + 2)
+                                        for c, f in zip(cells, schema))
+
+    # each column starts with an empty part, which gives it its dtype at 0 rows
+    parts = [[_parse_column((), f, path, ())] for f in schema]
+    errors = {}  # column index -> its first bad cell's error
+
+    def take(start, block):
+        lines = range(start + 2, start + 2 + len(block))
+        for j, (cells, feat) in enumerate(zip(zip(*block), schema)):
+            if j >= min(errors, default=len(schema)):
+                break
+            try:
+                parts[j].append(_parse_column(cells, feat, path, lines))
+            except DataError as exc:
+                errors[j] = exc
+
+    ids, labels = _scan(path, expected, m, take)
+    if errors:
+        raise errors[min(errors)]
+    return ids, labels, None, tuple(np.concatenate(p) for p in parts)
 
 
 def _load_embeddings(path: str, ids) -> np.ndarray:
@@ -555,9 +634,8 @@ def _load_embeddings(path: str, ids) -> np.ndarray:
 
 
 def _load(manifest_path: str, pick) -> Dataset:
-    schema, m, structured_path, embeddings_path, generator = _read_manifest(manifest_path)
-    # the CSV text is freed on return, before the embeddings load
-    ids, labels, rows, columns = _read_structured(structured_path, schema, m, pick)
+    schema, n, m, structured_path, embeddings_path, generator = _read_manifest(manifest_path)
+    ids, labels, rows, columns = _read_structured(structured_path, schema, m, pick, n)
     embeddings = _load_embeddings(embeddings_path, ids) if embeddings_path else None
     if rows is not None:
         ids, labels = [ids[i] for i in rows], labels[rows]

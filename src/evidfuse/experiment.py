@@ -281,7 +281,9 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     The checkpoint carries the training seed and preprocess statistics,
     so evaluating a run's own dataset reproduces its report exactly.
     Without a manifest, a synthetic training dataset is regenerated
-    from the configuration embedded in the checkpoint.  With one, only
+    from the configuration embedded in the checkpoint.  The report names
+    the dataset the checkpoint records, or else ``synthetic:<seed>`` or
+    the manifest's hash, as a run's report does.  With a manifest, only
     the scored split is parsed (``data.load_split``): the CSV header, row
     width, labels and ids and the embeddings are checked on every row,
     numerical and categorical cells only in the split's rows.
@@ -299,14 +301,15 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
         if not synth:
             raise DataError("no dataset manifest given and the checkpoint was not "
                             "trained on synthetic data")
-        dataset = generate_synthetic(SyntheticConfig(**synth))
-        part = split(dataset, seed)[SPLIT_NAMES.index(split_name)]
+        synthetic = SyntheticConfig(**synth)
+        part = split(generate_synthetic(synthetic), seed)[SPLIT_NAMES.index(split_name)]
+        dataset_id = f"synthetic:{synthetic.seed}"
     else:
         part = load_split(manifest_path, seed, split_name)
+        dataset_id = manifest_hash(manifest_path)
 
     specs = [src.spec for src in model.sources]
     report = score_split(model, split_inputs(specs, state, part), part.labels)
 
-    dataset_id = extra["dataset"] if "dataset" in extra else manifest_hash(manifest_path)
     return _report_doc(extra.get("config", {}).get("task", "eval"), doc.get("config_hash", ""),
-                       seed, dataset_id, split_name, report)
+                       seed, extra.get("dataset", dataset_id), split_name, report)

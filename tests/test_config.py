@@ -29,6 +29,7 @@ class TestParse:
         "force = maybe\n",               # bad bool
         "custom_sources = {}\n",         # not a JSON array
         "prototypes = 0\n",              # fails validation
+        "seeds = 1, 2, 1\n",             # a seed twice
     ])
     def test_rejected(self, text):
         with pytest.raises(ConfigError):

@@ -1,14 +1,18 @@
 """Data pipeline: splitting, preprocessing, weights, synthetic generation."""
 
+import csv
 import json
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evidfuse import data
 from evidfuse.data import (
+    SPLIT_NAMES,
     Dataset,
     FeatureSpec,
     SyntheticConfig,
@@ -326,8 +330,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("edit", [
         None, drop("schema"), drop("files"), drop("files", "structured"), drop("m"),
         drop("schema", 0, "name"), drop("schema", 0, "kind"), lambda doc: doc.update(m="2"),
+        drop("n"), lambda doc: doc.update(n="120"), lambda doc: doc.update(n=-1),
     ], ids=["list", "no-schema", "no-files", "no-structured-file", "no-m",
-            "feature-without-name", "feature-without-kind", "m-not-integer"])
+            "feature-without-name", "feature-without-kind", "m-not-integer",
+            "no-n", "n-not-integer", "n-negative"])
     def test_malformed_manifest_is_data_error(self, tmp_path, edit):
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
         with open(manifest, encoding="utf-8") as fh:
@@ -539,3 +545,113 @@ class TestLoadSplit:
     def test_unknown_part_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="split must be one of"):
             load_split(str(tmp_path / "none.json"), 0, "dev")
+
+
+def assert_same_dataset(a, b):
+    """Equal ids, labels, columns and embeddings, bit for bit."""
+    assert (a.ids, a.schema, a.m, a.generator) == (b.ids, b.schema, b.m, b.generator)
+    assert a.labels.tobytes() == b.labels.tobytes()
+    for feat, x, y in zip(a.schema, a.columns, b.columns):
+        assert x.dtype == y.dtype, feat.name
+        if feat.kind == "numerical":
+            assert x.tobytes() == y.tobytes(), feat.name
+        else:
+            assert x.tolist() == y.tolist(), feat.name
+    if a.embeddings is None or b.embeddings is None:
+        assert a.embeddings is b.embeddings
+    else:
+        assert a.embeddings.tobytes() == b.embeddings.tobytes()
+
+
+def edit_lines(path, edits):
+    """Rewrite a CSV with ``edits`` = {(data row, column): new cell text}."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for (row, column), text in edits.items():
+        cells = lines[row + 1].split(",")
+        cells[column] = text
+        lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestBlockwiseRead:
+    """The structured CSV is read in blocks of ``CSV_BLOCK_ROWS`` rows;
+    loads return, and fail with, what a whole-file read would."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_counts_around_the_block_size(self, tmp_path, offset):
+        ds = mixed_dataset(n=data.CSV_BLOCK_ROWS + offset)
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        loaded = load_dataset(manifest)
+        assert_same_dataset(loaded, ds)
+        for part, expected in zip(SPLIT_NAMES, split(loaded, seed=4)):
+            assert_same_dataset(load_split(manifest, 4, part), expected)
+
+    def test_zero_rows(self, tmp_path):
+        ds = mixed_dataset(n=0, embeddings=False)
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        assert_same_dataset(load_dataset(manifest), ds)
+        with pytest.raises(DataError, match="need at least 10 samples to split, got 0"):
+            load_split(manifest, 0, "test")
+
+    @pytest.mark.parametrize("n", [0, 5, 119, 121, 10**15])
+    def test_wrong_manifest_row_count_changes_nothing(self, tmp_path, monkeypatch, n):
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        whole = load_dataset(manifest)
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["n"] = n
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert_same_dataset(load_dataset(manifest), whole)
+        for part, expected in zip(SPLIT_NAMES, split(whole, seed=7)):
+            assert_same_dataset(load_split(manifest, 7, part), expected)
+
+    # mixed_dataset's columns: n0, c0, flat, n1, c1, label, id; with blocks
+    # of 16 rows each fault below lies in a different block
+    @pytest.mark.parametrize("edits,message,every_row", [
+        ({(1, 0): "abc", (60, 5): "yes"}, r"csv:62: bad label 'yes'", True),
+        ({(1, 0): "abc", (20, 5): "yes", (100, 6): "p100,x"}, r"csv:102: wrong column count",
+         True),
+        ({(1, 3): "abc", (90, 0): "nan"}, r"csv:92: feature 'n0': not a finite number 'nan'",
+         False),
+        ({(1, 3): "abc", (40, 6): "p2"}, r"csv:42: duplicate id 'p2'", True),
+        ({(1, 5): "2", (70, 5): "no"}, r"csv:72: bad label 'no'", True),
+    ], ids=["cell-then-label", "cell-label-then-width", "two-columns", "cell-then-id",
+            "label-range-then-parse"])
+    def test_errors_keep_their_whole_file_order(self, tmp_path, monkeypatch, edits, message,
+                                                every_row):
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        edit_lines(tmp_path / "ds" / "structured.csv", edits)
+        loads = (load_dataset, lambda path: load_split(path, 0, "train"))
+        for load in loads if every_row else loads[:1]:
+            with pytest.raises(DataError, match=rf"structured\.{message}$"):
+                load(manifest)
+
+    def test_load_never_holds_every_rows_cell_strings(self, tmp_path, monkeypatch):
+        """Peak traced memory of a load stays well below what the CSV's
+        cell strings take as ``csv.reader`` rows: a load holds one block
+        of them at a time, and ``load_split`` also the records of its part,
+        a fifth of the rows for the parts re-evaluation scores."""
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
+        ds = generate_synthetic(SyntheticConfig(n=8 * 256, d_struct=16, d_embed=0,
+                                                informativeness=(0.5,), seed=3))
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def records():
+            with open(tmp_path / "ds" / "structured.csv", newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))
+
+        bound = 0.75 * peak(records)
+        assert peak(lambda: load_dataset(manifest)) < bound
+        for part in ("val", "test"):
+            assert peak(lambda: load_split(manifest, 0, part)) < bound, part

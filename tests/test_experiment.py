@@ -79,6 +79,17 @@ class TestEvaluateCheckpoint:
         saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
         assert json.loads(json.dumps(report)) == saved
 
+    def test_checkpoint_without_dataset_id_names_the_synthetic_seed(self, tmp_path):
+        seed_dir = tiny_run(tmp_path)
+        path = seed_dir / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["extra"]["dataset"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        report = evaluate_checkpoint(str(path))
+        saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
+        assert saved["dataset"] == "synthetic:5"
+        assert json.loads(json.dumps(report)) == saved
+
     def test_bad_split_rejected_before_loading(self, tmp_path):
         # neither file exists: only a check made before loading can answer
         with pytest.raises(ConfigError, match="split must be one of"):
