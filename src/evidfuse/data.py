@@ -17,12 +17,16 @@ are parsed and checked only in the part's rows.  A bad cell outside the
 part is therefore caught by a training run, which loads every row, and
 not by re-evaluation.
 
-Both read the CSV in blocks of ``CSV_BLOCK_ROWS`` rows, so a load holds
-one block's cell strings at a time (plus, in ``load_split``, the
-records of the part) rather than every row's.  The manifest's ``n``
-only plans which rows ``load_split`` keeps; a file holding another
-number of rows costs a second pass, never a different result.  Errors
-come in the same order as from a whole-file read.
+Both files are written and read in blocks of ``CSV_BLOCK_ROWS`` rows
+(JSONL: lines).  ``write_dataset`` formats a block's cells itself, in
+the bytes ``csv.writer`` and ``json.dumps`` would write, and writes the
+block at once.  A load holds one block's cell strings at a time (plus,
+in ``load_split``, the records of the part) rather than every row's,
+and writes each block's embeddings straight into their rows of one
+array.  The manifest's ``n`` only plans which rows ``load_split``
+keeps; a file holding another number of rows costs a second pass, never
+a different result.  Errors come in the same order as from a whole-file
+read.
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -53,8 +57,9 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # class-mean separation per unit of source informativeness; at 1.0 the
 # classes are essentially linearly separable
 SEPARATION_SCALE = 6.0
-# rows of the structured CSV read, checked and parsed at a time, so that a
-# load never holds the cell strings of every row at once
+# rows of the structured CSV (lines of the embeddings JSONL) formatted and
+# written, or read, checked and parsed, at a time, so that neither a write
+# nor a load holds the text of every row at once
 CSV_BLOCK_ROWS = 2048
 
 
@@ -76,9 +81,9 @@ def _missing(column: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class Dataset:
     """``columns[j]`` holds schema feature j for every sample: float64 with
-    NaN for missing, or for a categorical an object array of str with None.
-    Ids are unique ``str`` and embeddings finite, so whatever validates
-    here also survives ``write_dataset`` and ``load_dataset``."""
+    NaN for missing, or for a categorical an object array of non-empty str
+    with None.  Ids are unique ``str`` and embeddings finite, so whatever
+    validates here also survives ``write_dataset`` and ``load_dataset``."""
 
     schema: tuple
     ids: list
@@ -111,6 +116,10 @@ class Dataset:
                 raise DataError(f"feature {f.name!r}: infinite values")
             if f.kind == "categorical" and not set(map(type, c)) <= {str, type(None)}:
                 raise DataError(f"feature {f.name!r}: categorical values must be str or None")
+            if f.kind == "categorical" and (c == "").any():
+                # an empty CSV cell reads back as missing
+                raise DataError(f"feature {f.name!r}: the empty string is not a category; "
+                                "use None for missing")
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
             if self.embeddings.ndim != 2 or self.embeddings.shape[0] != self.n:
@@ -368,27 +377,63 @@ def bayes_optimal_auroc(generator: dict, sources=None) -> float:
 # ---------------------------------------------------------------------------
 # file formats
 
+def _csv_cell(cell: str) -> str:
+    """A str cell as ``csv.writer`` writes it in the default dialect
+    (QUOTE_MINIMAL): quoted, with each quote doubled, when it holds a
+    comma, a quote or a line break, and as it is otherwise."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_rows(dataset: Dataset, lo: int, hi: int) -> str:
+    """Rows ``lo:hi`` of the structured CSV, as ``csv.writer`` writes them:
+    floats as ``repr``, missing cells empty, lines ending in CRLF."""
+    cells = []
+    for column in dataset.columns:
+        part = column[lo:hi]
+        if part.dtype == np.float64:
+            text = list(map(repr, part.tolist()))
+            for i in np.flatnonzero(np.isnan(part)).tolist():
+                text[i] = ""
+        else:
+            text = ["" if value is None else _csv_cell(value) for value in part.tolist()]
+        cells.append(text)
+    cells.append(list(map(str, dataset.labels[lo:hi].tolist())))
+    cells.append(list(map(_csv_cell, dataset.ids[lo:hi])))
+    return "".join(",".join(row) + "\r\n" for row in zip(*cells))
+
+
+def _jsonl_lines(ids, embeddings) -> str:
+    """One ``{"embedding", "id"}`` line per sample, the bytes of
+    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, whose
+    floats are ``repr`` (embeddings are finite)."""
+    encode = json.encoder.encode_basestring_ascii
+    return "".join('{"embedding":[' + ",".join(map(repr, vec)) + '],"id":' + encode(sample_id)
+                   + "}\n" for sample_id, vec in zip(ids, embeddings.tolist()))
+
+
 def write_dataset(dataset: Dataset, out_dir: str) -> str:
     """Write structured CSV + embeddings JSONL + manifest; returns the
-    manifest path.  Output bytes are a pure function of the dataset."""
+    manifest path.  Output bytes are a pure function of the dataset.
+
+    Both data files are formatted and written ``CSV_BLOCK_ROWS`` rows at a
+    time, in the bytes of ``csv.writer`` (default dialect) and of one
+    ``json.dumps`` per line."""
     os.makedirs(out_dir, exist_ok=True)
+    blocks = range(0, dataset.n, CSV_BLOCK_ROWS)
     structured_name = "structured.csv"
     with open(os.path.join(out_dir, structured_name), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in dataset.schema] + ["label", "id"])
-        # astype(object) yields Python floats, which csv writes as repr()
-        cells = [np.where(_missing(c), "", c.astype(object)) for c in dataset.columns]
-        writer.writerows(zip(*cells, dataset.labels.tolist(), dataset.ids))
+        csv.writer(fh).writerow([f.name for f in dataset.schema] + ["label", "id"])
+        for lo in blocks:
+            fh.write(_csv_rows(dataset, lo, lo + CSV_BLOCK_ROWS))
     embeddings_name = None
     if dataset.embeddings is not None:
         embeddings_name = "embeddings.jsonl"
         with open(os.path.join(out_dir, embeddings_name), "w", encoding="utf-8") as fh:
-            for sample_id, vec in zip(dataset.ids, dataset.embeddings):
-                fh.write(json.dumps(
-                    {"id": sample_id, "embedding": vec.tolist()},
-                    sort_keys=True, separators=(",", ":"),
-                ))
-                fh.write("\n")
+            for lo in blocks:
+                hi = lo + CSV_BLOCK_ROWS
+                fh.write(_jsonl_lines(dataset.ids[lo:hi], dataset.embeddings[lo:hi]))
     manifest = {
         "format_version": MANIFEST_VERSION,
         "n": dataset.n,
@@ -602,31 +647,103 @@ def _read_structured(path: str, schema, m: int, pick, n: int):
     return ids, labels, None, tuple(np.concatenate(p) for p in parts)
 
 
-def _load_embeddings(path: str, ids) -> np.ndarray:
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _json_line(line: str):
+    """``json.loads(line)``, with less per-call overhead for the usual line:
+    one value from its first character, then at most a newline."""
+    try:
+        value, end = _JSON_DECODER.raw_decode(line)
+        if end == len(line) or line[end:] == "\n":
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # leading or trailing whitespace, or the error
+
+
+def _shape_error(path: str, ids) -> DataError:
+    """The error for embeddings that do not form one (len(ids), d) array of
+    numbers, with numpy's reason for the vectors of ``ids`` in that order;
+    the file is re-read this way only after its blocks failed to convert."""
     vectors = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.isspace():
+                record = json.loads(line)
+                vectors[record["id"]] = record["embedding"]
+    try:
+        # scalar or nested embeddings, or no rows
+        reason = f"read as a {np.array([vectors[i] for i in ids], dtype=np.float64).ndim}-D array"
+    except (ValueError, TypeError, OverflowError) as exc:
+        reason = str(exc)
+    return DataError(f"{path}: need one equal-length number list per sample ({reason})")
+
+
+def _load_embeddings(path: str, ids) -> np.ndarray:
+    """The (len(ids), d) embeddings, row i for ``ids[i]``, read in blocks of
+    ``CSV_BLOCK_ROWS`` lines: each line is decoded on its own, and each
+    block's vectors of CSV ids are converted at once and written into a
+    preallocated array, so no more than one block's numbers are ever
+    Python floats.  Blank lines are skipped but counted.
+
+    Errors come in the order of a whole-file read: a bad record or a
+    duplicate id (ids the CSV lacks included), first in line order; the
+    first CSV id without a record; vectors that are not numbers of one
+    length, or no rows, held back from whichever block found them; then
+    the first row holding a non-finite or null value.
+    """
+    row_of = dict(zip(ids, itertools.count()))
+    seen = bytearray(len(ids))  # 1 where a CSV id's record has been read
+    others = set()              # ids of records the CSV lacks
+    embeddings, shaped = None, True
     try:
         fh = open(path, encoding="utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"embeddings file not found: {path}") from exc
     with fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+        start = 1
+        while block := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
+            rows, vectors = [], []
+            for line_no, line in enumerate(block, start):
+                if line.isspace():
+                    continue
+                try:
+                    record = _json_line(line)
+                    sample_id = record["id"]
+                    row = row_of.get(sample_id)
+                    duplicate = sample_id in others if row is None else seen[row]
+                    if duplicate:
+                        raise DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+                    vector = record["embedding"]
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise DataError(f"{path}:{line_no}: bad record") from exc
+                if row is None:
+                    others.add(sample_id)
+                else:
+                    seen[row] = 1
+                    rows.append(row)
+                    vectors.append(vector)
+            start += len(block)
+            if not (shaped and vectors):
                 continue
             try:
-                record = json.loads(line)
-                if record["id"] in vectors:
-                    raise DataError(f"{path}:{line_no}: duplicate id {record['id']!r}")
-                vectors[record["id"]] = record["embedding"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{line_no}: bad record") from exc
-    try:
-        embeddings = np.array([vectors[i] for i in ids], dtype=np.float64)
-        if embeddings.ndim != 2:  # scalar or nested embeddings, or no rows
-            raise ValueError(f"read as a {embeddings.ndim}-D array")
-    except KeyError as exc:
-        raise DataError(f"{path}: no embedding for id {exc.args[0]!r}") from exc
-    except (ValueError, TypeError) as exc:
-        raise DataError(f"{path}: need one equal-length number list per sample ({exc})") from exc
+                part = np.array(vectors, dtype=np.float64)
+            except (ValueError, TypeError, OverflowError):
+                shaped = False
+                continue
+            if embeddings is None and part.ndim == 2:
+                embeddings = np.empty((len(ids), part.shape[1]))
+            # checked, not broadcast: a (k, 1) part would fill (k, d) rows
+            if embeddings is None or part.shape[1:] != embeddings.shape[1:]:
+                shaped = False
+            else:
+                embeddings[rows] = part
+    missing = seen.find(0)
+    if missing >= 0:
+        raise DataError(f"{path}: no embedding for id {ids[missing]!r}")
+    if not shaped or embeddings is None:
+        raise _shape_error(path, ids)
     bad = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))
     if bad.size:
         raise DataError(f"{path}: non-finite or null embedding value for id {ids[bad[0]]!r}")

@@ -2,8 +2,13 @@
 mixed-type dataset, the exact per-sample reference for the evidential
 layer and the fused prediction, taped reference implementations of the
 batched evidence, the fusion and the training objective, the training
-step with per-name gradients, and the per-cluster loops of k-means and
-the evidential-layer init."""
+step with per-name gradients, the per-cluster loops of k-means and
+the evidential-layer init, and the dataset files as ``csv.writer`` and
+``json.dumps`` write them."""
+
+import csv
+import json
+import os
 
 import numpy as np
 import pytest
@@ -314,3 +319,27 @@ def reference_init_enn(features, labels, h, seed, m):
         support_raw=np.full(h, INIT_SUPPORT_RAW),
         membership_raw=membership_raw,
     )
+
+
+# ---------------------------------------------------------------------------
+# the dataset files as csv.writer and json.dumps write them: evidfuse.data's
+# block-wise write_dataset must write the same bytes
+
+def reference_write_data_files(dataset, out_dir):
+    """``structured.csv`` by ``csv.writer`` over ``astype(object)`` cells
+    (floats as ``repr``, missing as empty) and, with embeddings,
+    ``embeddings.jsonl`` by one ``json.dumps`` per line."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "structured.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in dataset.schema] + ["label", "id"])
+        missing = [np.isnan(c) if c.dtype == np.float64 else np.equal(c, None)
+                   for c in dataset.columns]
+        cells = [np.where(gap, "", c.astype(object)) for gap, c in zip(missing, dataset.columns)]
+        writer.writerows(zip(*cells, dataset.labels.tolist(), dataset.ids))
+    if dataset.embeddings is not None:
+        with open(os.path.join(out_dir, "embeddings.jsonl"), "w", encoding="utf-8") as fh:
+            for sample_id, vec in zip(dataset.ids, dataset.embeddings):
+                fh.write(json.dumps({"id": sample_id, "embedding": vec.tolist()},
+                                    sort_keys=True, separators=(",", ":")))
+                fh.write("\n")

@@ -1,6 +1,7 @@
 """Data pipeline: splitting, preprocessing, weights, synthetic generation."""
 
 import csv
+import io
 import json
 import logging
 import math
@@ -9,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidfuse import data
 from evidfuse.data import (
@@ -29,7 +32,7 @@ from evidfuse.data import (
     write_dataset,
 )
 from evidfuse.errors import ConfigError, DataError
-from helpers import mixed_dataset
+from helpers import mixed_dataset, reference_write_data_files
 
 
 def toy_dataset(rows, schema, labels=None, **kw):
@@ -399,6 +402,11 @@ class TestRoundTrip:
         with pytest.raises(DataError, match="'group'.*str or None"):
             toy_dataset([["A"], [value]], [CAT], labels=[0, 1])
 
+    def test_empty_string_category_rejected(self):
+        # written as an empty cell, it would load back as missing
+        with pytest.raises(DataError, match="'group': the empty string is not a category"):
+            toy_dataset([[""], ["x"], [None]], [CAT])
+
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             Dataset(schema=(NUM, CAT), ids=["a", "b"], columns=[[1.0, 2.0], ["A"]],
@@ -655,3 +663,201 @@ class TestBlockwiseRead:
         assert peak(lambda: load_dataset(manifest)) < bound
         for part in ("val", "test"):
             assert peak(lambda: load_split(manifest, 0, part)) < bound, part
+
+
+# text that csv.writer quotes (a comma, a quote, CR, LF, CRLF) or keeps
+# as it is (a leading space, non-ASCII)
+QUOTABLE = ["a,b", 'say "hi"', "two\nlines", "cr\ronly", "crlf\r\n", " leading", "ünï©ødé €", "plain"]
+
+
+def quotable_dataset(n=40, embeddings=True):
+    """Ids and categoricals that need quoting, missing cells, and floats
+    at the edges of ``repr``: -0.0, the smallest subnormal, 1e300."""
+    rng = np.random.default_rng(5)
+    num = rng.normal(size=n)
+    num[rng.random(n) < 0.2] = np.nan
+    num[:3] = [-0.0, 5e-324, 1e300]
+    vectors = rng.normal(size=(n, 3))
+    vectors[0] = [-0.0, 5e-324, 1e300]
+    return Dataset(
+        schema=(NUM, FeatureSpec('kind, "quoted"', "categorical")),
+        ids=[f"{QUOTABLE[i % len(QUOTABLE)]}#{i}" for i in range(n)],
+        columns=[num, np.array(QUOTABLE + [None], dtype=object)[rng.integers(0, 9, n)]],
+        labels=np.arange(n) % 2,
+        embeddings=vectors if embeddings else None,
+    )
+
+
+WRITE_CASES = {
+    "quotable": lambda: quotable_dataset(),
+    "three-blocks": lambda: quotable_dataset(n=2 * data.CSV_BLOCK_ROWS + 1),
+    "zero-rows": lambda: Dataset(schema=(NUM, CAT), ids=[], columns=[[], []], labels=[],
+                                 embeddings=np.zeros((0, 3))),
+    "zero-features": lambda: Dataset(schema=(), ids=["a", "b,c"], columns=[], labels=[0, 1],
+                                     embeddings=np.ones((2, 2))),
+    "no-embeddings": lambda: quotable_dataset(embeddings=False),
+    "zero-wide-embeddings": lambda: Dataset(schema=(NUM,), ids=["a", "b"], columns=[[1.0, None]],
+                                            labels=[1, 0], embeddings=np.zeros((2, 0))),
+}
+
+
+class TestBlockwiseWrite:
+    """``write_dataset`` formats the files in row blocks itself and writes
+    the bytes of ``csv.writer`` and ``json.dumps``."""
+
+    @pytest.mark.parametrize("case", list(WRITE_CASES))
+    def test_bytes_equal_csv_writer_and_json_dumps(self, tmp_path, case):
+        ds = WRITE_CASES[case]()
+        write_dataset(ds, str(tmp_path / "change"))
+        reference_write_data_files(ds, str(tmp_path / "reference"))
+        for name in ("structured.csv", "embeddings.jsonl"):
+            written, expected = tmp_path / "change" / name, tmp_path / "reference" / name
+            assert written.exists() == expected.exists() == (
+                name == "structured.csv" or ds.embeddings is not None), name
+            if expected.exists():
+                assert written.read_bytes() == expected.read_bytes(), name
+
+    @pytest.mark.parametrize("case", ["quotable", "three-blocks", "no-embeddings",
+                                      "zero-features", "zero-wide-embeddings"])
+    def test_round_trips_bit_for_bit(self, tmp_path, case):
+        ds = WRITE_CASES[case]()
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        assert_same_dataset(load_dataset(manifest), ds)
+        if ds.n >= 10:
+            for part, expected in zip(SPLIT_NAMES, split(ds, seed=3)):
+                assert_same_dataset(load_split(manifest, 3, part), expected)
+
+    # NUL is left out: Python 3.10's csv.writer refuses it ("need to
+    # escape"), where 3.11's writes it as it is, like _csv_cell
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters(min_codepoint=1))))
+    def test_quoting_matches_csv_writer(self, cell):
+        out = io.StringIO()
+        csv.writer(out).writerow([cell, "x"])
+        assert data._csv_cell(cell) + ",x\r\n" == out.getvalue()
+
+
+def record(sample_id, embedding="[1.0,2.0,3.0]"):
+    return '{"embedding":%s,"id":%s}' % (embedding, json.dumps(sample_id))
+
+
+def edit_records(path, edits, blanks=0):
+    """Rewrite a JSONL file with ``edits`` = {line number: new line}, then
+    put ``blanks`` blank lines before its first line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line_no, text in edits.items():
+        lines[line_no - 1] = text
+    path.write_text("\n" * blanks + "\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestBlockwiseJsonlRead:
+    """The embeddings JSONL is read in blocks of ``CSV_BLOCK_ROWS`` lines;
+    loads return, and fail with, what a whole-file read would.  With 16-line
+    blocks, mixed_dataset's 120 records (line i holds id p{i-1}) fill 8."""
+
+    @pytest.fixture
+    def written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+        ds = mixed_dataset()
+        return ds, write_dataset(ds, str(tmp_path / "ds")), tmp_path / "ds" / "embeddings.jsonl"
+
+    @staticmethod
+    def assert_rejected(manifest, message):
+        for load in (load_dataset, lambda path: load_split(path, 0, "val")):
+            with pytest.raises(DataError, match=rf"embeddings\.jsonl{message}"):
+                load(manifest)
+
+    def test_bad_record_after_blank_lines_names_its_line(self, written):
+        _, manifest, path = written
+        # five blank lines move file line 41 (block 3) to 46
+        edit_records(path, {41: '{"embedding":[1.0,2.0,3.0],"id":"p40"'}, blanks=5)
+        self.assert_rejected(manifest, r":46: bad record$")
+
+    @pytest.mark.parametrize("line_no,sample_id", [(50, "p2"), (120, "p0")])
+    def test_duplicate_id_across_blocks(self, written, line_no, sample_id):
+        _, manifest, path = written
+        edit_records(path, {line_no: record(sample_id)})
+        self.assert_rejected(manifest, rf":{line_no}: duplicate id '{sample_id}'$")
+
+    def test_duplicate_id_the_csv_lacks(self, written):
+        _, manifest, path = written
+        edit_records(path, {5: record("extra"), 70: record("extra", "[1.0]")})
+        self.assert_rejected(manifest, r":70: duplicate id 'extra'$")
+
+    def test_shuffled_lines_load_the_same_bits(self, written):
+        ds, manifest, path = written
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        order = np.random.default_rng(1).permutation(len(lines))
+        # blank lines between records, and whitespace around every other one
+        path.write_text("\n  \n".join(lines[i] if i % 2 else f" {lines[i][:-1]}\t\n"
+                                       for i in order), encoding="utf-8")
+        assert_same_dataset(load_dataset(manifest), ds)
+        for part, expected in zip(SPLIT_NAMES, split(ds, seed=0)):
+            assert_same_dataset(load_split(manifest, 0, part), expected)
+
+    def test_records_that_parse_only_as_one_block_are_bad(self, written):
+        """Joined into one array, these two lines would decode as two
+        records (p1 and p2, padded); each on its own is not a JSON value."""
+        _, manifest, path = written
+        edit_records(path, {2: record("p1") + "," + record("p2")[:-1] + ',"pad":[{}',
+                            3: "{}]}"})
+        self.assert_rejected(manifest, r":2: bad record$")
+
+    # whatever block found it, a fault reads as in a whole-file read: bad
+    # records and duplicates in line order, then the first CSV id without a
+    # record, then shape, then a non-finite or null value
+    @pytest.mark.parametrize("edits,message", [
+        ({2: record("p1", "[1.0]"), 40: "[]"}, r":40: bad record$"),
+        ({2: record("p1", "[1.0]"), 40: record("p3")}, r":40: duplicate id 'p3'$"),
+        ({2: record("p1", "[1.0]"), 30: record("zz"), 99: record("zz")},
+         r":99: duplicate id 'zz'$"),
+        ({2: record("p1", "[1.0]"), 90: record("other")}, r": no embedding for id 'p29'$"),
+        ({2: record("p1", "[1.0,null,3.0]"), 100: record("p99", "[[1.0,2.0,3.0]]")},
+         r": need one equal-length number list per sample \(.+\)$"),
+        ({2: record("p1", "[1.0,NaN,3.0]"), 100: record("p99", "[1.0,2.0,Infinity]")},
+         r": non-finite or null embedding value for id 'p1'$"),
+    ], ids=["shape-then-bad-record", "shape-then-duplicate", "shape-then-foreign-duplicate",
+            "shape-then-missing-id", "null-then-shape", "two-non-finite"])
+    def test_faults_keep_their_whole_file_order(self, written, edits, message):
+        _, manifest, path = written
+        if 90 in edits:
+            edits[30] = record("p89")  # p89's record moves; p29 has none
+        edit_records(path, edits)
+        self.assert_rejected(manifest, message)
+
+    def test_a_whole_block_of_another_width(self, written):
+        # block 2 alone converts to a (16, 1) array, which would broadcast
+        _, manifest, path = written
+        edit_records(path, {i: record(f"p{i - 1}", "[1.0]") for i in range(17, 33)})
+        self.assert_rejected(
+            manifest, r": need one equal-length number list per sample \(.+\)$")
+
+    def test_integer_too_large_for_a_float(self, written):
+        # numpy raises OverflowError for it, not ValueError
+        _, manifest, path = written
+        edit_records(path, {60: record("p59", "[1.0,%s,3.0]" % ("9" * 400))})
+        self.assert_rejected(
+            manifest, r": need one equal-length number list per sample \(int too large .*\)$")
+
+    def test_embeddings_never_all_python_floats(self, tmp_path, monkeypatch):
+        """Peak traced memory of reading the embeddings stays well below what
+        every record's vector takes as a list of Python floats: a read holds
+        one block of them at a time, beside the (n, d) array it fills."""
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
+        ds = generate_synthetic(SyntheticConfig(n=16 * 256, d_struct=1, d_embed=32, seed=3))
+        write_dataset(ds, str(tmp_path / "ds"))
+        path = str(tmp_path / "ds" / "embeddings.jsonl")
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def vectors():
+            with open(path, encoding="utf-8") as fh:
+                return [json.loads(line)["embedding"] for line in fh]
+
+        assert peak(lambda: data._load_embeddings(path, ds.ids)) < 0.75 * peak(vectors)
