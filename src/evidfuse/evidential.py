@@ -32,6 +32,15 @@ out total conflict during fusion.
 This batched path is the only one in the package.  The tests check it
 against an exact per-sample reference that builds each prototype's mass
 and fuses them pairwise with the exact mass algebra kept in the tests.
+
+Allocation contract: of (N, H) size the forward keeps exactly three
+arrays (squared distances, closeness, activation), and its transients
+live in the (M, N, H) term array it reduces and then drops.  The VJP
+allocates its own (M, N, H) array and one (N, H) gradient, and uses a
+class slice of the former as scratch.  Both compute in place with the
+same IEEE operations, order and memory layouts as code that makes one
+array per step, so every output has the same bits; the tests keep that
+code as the byte reference.
 """
 
 from dataclasses import dataclass
@@ -100,7 +109,10 @@ class SourceEvidence:
     ``log_q`` (N, M) and ``log_q_omega`` (N, 1) are the logs of the
     commonalities Q({c}) and Q(Omega) of the source's fused prototype
     masses.  ``inputs`` holds the five operands as given (tape tensors
-    or arrays); the other fields are forward values the VJP reuses.
+    or arrays); the other fields are forward values the VJP reuses and
+    only reads.  ``sq_dist``, ``closeness`` and ``activation`` are the
+    only (N, H) arrays the forward keeps; its transients live in the
+    (M, N, H) term array, which is freed when ``evidence_batch`` returns.
     """
 
     inputs: tuple               # (z, prototypes, scale_raw, support_raw, membership_raw)
@@ -160,34 +172,49 @@ def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> Sou
     """One source's evidential layer on a batch of encoder outputs.
 
     Accepts tape tensors or arrays and records nothing: the tape node
-    that differentiates it is made by ``fuse_evidence``.
+    that differentiates it is made by ``fuse_evidence``.  Every (N, H)
+    intermediate is computed in place in ``sq_dist``, ``closeness``,
+    ``activation`` or the term array.
     """
     inputs = (z, prototypes, scale_raw, support_raw, membership_raw)
     zv, p, a, b, r = (np.asarray(ad.value_of(t), dtype=np.float64) for t in inputs)
     beta = 1.0 / (1.0 + np.exp(-b))
     mexp = np.exp(r - np.maximum.reduce(r, axis=1, keepdims=True))
     u = mexp / np.add.reduce(mexp, axis=1, keepdims=True)
-    # the expanded form can round below 0, which would push s above beta
-    d2 = np.maximum(
-        np.add.reduce(zv * zv, axis=1, keepdims=True) - 2.0 * (zv @ p.T)
-        + np.add.reduce(p * p, axis=1),
-        0.0,
-    )
-    e = np.exp(-(a * a) * d2)
+    # |z|^2 - 2 z.p + |p|^2, clamped: the expanded form can round below 0,
+    # which would push s above beta
+    d2 = zv @ p.T
+    np.multiply(d2, 2.0, out=d2)
+    np.subtract(np.add.reduce(zv * zv, axis=1, keepdims=True), d2, out=d2)
+    np.add(d2, np.add.reduce(p * p, axis=1), out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    e = np.multiply(-(a * a), d2)
+    np.exp(e, out=e)
     s = beta * e
-    # class-major (M, N, H) so reductions run along contiguous rows, and
-    # in place: this is the largest array of the layer
-    terms = (1.0 - u).T.copy()[:, None, :] * s
-    np.negative(terms, out=terms)
+    # class-major (M, N, H) so reductions run along contiguous rows.  The
+    # copy makes -(1 - u)^T C-contiguous, which fixes the layout of terms
+    # and so the order of the sums; negating 1 - u rather than computing
+    # u - 1 keeps the sign of a zero, as -(w * s) would
+    w = (1.0 - u).T.copy()
+    np.negative(w, out=w)
+    terms = w[:, None, :] * s
     np.log1p(terms, out=terms)
     log_q = np.add.reduce(terms, axis=2).T
-    log_q_omega = np.add.reduce(np.log1p(-s), axis=1, keepdims=True)
+    omega = terms[0]
+    np.negative(s, out=omega)
+    np.log1p(omega, out=omega)
+    log_q_omega = np.add.reduce(omega, axis=1, keepdims=True)
     return SourceEvidence(inputs, log_q, log_q_omega, d2, e, s, beta, u)
 
 
 def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
     """Gradients of the five inputs of one source from the gradients of
-    its log-commonalities."""
+    its log-commonalities.
+
+    Of (N, H) size it allocates the (M, N, H) array ``t`` and ``g_s``;
+    once ``t`` is reduced, ``t[0]`` serves as scratch.  The forward
+    values in ``ev`` are only read.
+    """
     zv, p, a = (np.asarray(ad.value_of(t), dtype=np.float64) for t in ev.inputs[:3])
     s, u, d2 = ev.activation, ev.membership, ev.sq_dist
     w = (1.0 - u).T.copy()                                           # (M, H)
@@ -195,13 +222,24 @@ def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
     t = w[:, None, :] * s                                            # (M, N, H)
     np.subtract(1.0, t, out=t)
     np.divide(d_log_q.T[:, :, None], t, out=t)
-    g_s = -np.einsum("cnh,ch->nh", t, w) - d_log_q_omega / (1.0 - s)
+    g_s = np.einsum("cnh,ch->nh", t, w)
     g_u = np.einsum("cnh,nh->hc", t, s)
+    scratch = t[0]
+    # g_s = -sum_c t_c w_c - d_log_q_omega / (1 - s)
+    np.negative(g_s, out=g_s)
+    np.subtract(1.0, s, out=scratch)
+    np.divide(d_log_q_omega, scratch, out=scratch)
+    np.subtract(g_s, scratch, out=g_s)
     g_r = u * (g_u - np.add.reduce(g_u * u, axis=1, keepdims=True))
-    g_b = np.add.reduce(g_s * ev.closeness, axis=0) * ev.beta * (1.0 - ev.beta)
-    g_exponent = -g_s * s                                            # d/d(gamma * d2)
-    g_a = 2.0 * a * np.add.reduce(g_exponent * d2, axis=0)
-    g_d2 = np.where(d2 > 0.0, g_exponent * (a * a), 0.0)
+    np.multiply(g_s, ev.closeness, out=scratch)
+    g_b = np.add.reduce(scratch, axis=0) * ev.beta * (1.0 - ev.beta)
+    # from here on g_s's array holds -g_s * s = d/d(gamma * d2), then g_d2
+    g_exponent = np.negative(g_s, out=g_s)
+    np.multiply(g_exponent, s, out=g_exponent)
+    np.multiply(g_exponent, d2, out=scratch)
+    g_a = 2.0 * a * np.add.reduce(scratch, axis=0)
+    g_d2 = np.multiply(g_exponent, a * a, out=g_exponent)
+    np.copyto(g_d2, 0.0, where=np.logical_not(d2 > 0.0))
     g_z = 2.0 * (zv * np.add.reduce(g_d2, axis=1, keepdims=True) - g_d2 @ p)
     g_p = 2.0 * (p * np.add.reduce(g_d2, axis=0)[:, None] - g_d2.T @ zv)
     return g_z, g_p, g_a, g_b, g_r
@@ -245,15 +283,18 @@ def fuse_evidence(evidence) -> FusedEvidence:
     return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 
-def _group_by_cluster(points: np.ndarray, assign: np.ndarray, k: int):
-    """Rows sorted by cluster and each cluster's (lo, hi) bounds.
+def _group_by_cluster(points: np.ndarray, assign: np.ndarray, counts: np.ndarray, out=None):
+    """Rows sorted by cluster and each cluster's (lo, hi) bounds, from the
+    cluster sizes ``counts``; the rows go into ``out`` when it is given.
 
     The sort is stable, so ``grouped[lo:hi]`` holds a cluster's rows in
     index order, as a boolean-mask copy of ``points`` would.
     """
     order = np.argsort(assign, kind="stable")
-    ends = np.cumsum(np.bincount(assign, minlength=k))
-    return points[order], zip((0, *ends[:-1].tolist()), ends.tolist())
+    ends = np.cumsum(counts)
+    # every index is in range; "clip" lets take write into out unbuffered
+    grouped = np.take(points, order, axis=0, out=out, mode="clip")
+    return grouped, zip((0, *ends[:-1].tolist()), ends.tolist())
 
 
 def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
@@ -273,15 +314,20 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     and the centers have the same bits as a per-cluster mask loop;
     ``np.add.reduceat`` and weighted ``bincount`` add in another order
     and move the last bit.
+
+    The (n, k) distance matrix and the (n, D) sorted rows are scratch
+    arrays allocated once per call and rewritten on every iteration.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     p2 = np.sum(points ** 2, axis=1, keepdims=True)
     twice = 2.0 * points
+    d2 = np.empty((n, k))
+    grouped = np.empty(points.shape)
     assign = None
     for _ in range(KMEANS_ITERS):
-        d2 = twice @ centers.T
+        np.matmul(twice, centers.T, out=d2)
         np.subtract(p2, d2, out=d2)
         d2 += np.sum(centers ** 2, axis=1)
         new_assign = np.argmin(d2, axis=1)
@@ -299,7 +345,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        grouped, bounds = _group_by_cluster(points, assign, k)
+        _, bounds = _group_by_cluster(points, assign, counts, out=grouped)
         for c, (lo, hi) in enumerate(bounds):
             centers[c] = np.add.reduce(grouped[lo:hi], axis=0) / (hi - lo)
     return centers, assign
@@ -331,7 +377,8 @@ def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
     membership_raw = np.log(np.bincount(assign * m + labels, minlength=h * m)
                             .reshape(h, m) + 1.0)
     msd = np.zeros(h)
-    grouped, bounds = _group_by_cluster(features, assign, h)
+    grouped, bounds = _group_by_cluster(features, assign,
+                                        np.bincount(assign, minlength=h))
     for c, (lo, hi) in enumerate(bounds):
         if hi > lo:
             msd[c] = np.mean(np.sum((grouped[lo:hi] - centers[c]) ** 2, axis=1))

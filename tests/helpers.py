@@ -2,9 +2,10 @@
 mixed-type dataset, the exact per-sample reference for the evidential
 layer and the fused prediction, taped reference implementations of the
 batched evidence, the fusion and the training objective, the training
-step with per-name gradients, the per-cluster loops of k-means and
-the evidential-layer init, and the dataset files as ``csv.writer`` and
-``json.dumps`` write them."""
+step with per-name gradients, the evidential layer and its VJP with
+fresh arrays, the per-cluster loops of k-means and the evidential-layer
+init, and the dataset files as ``csv.writer`` and ``json.dumps`` write
+them."""
 
 import csv
 import json
@@ -17,7 +18,7 @@ from evidfuse.autodiff import Tape
 from evidfuse.data import Dataset, FeatureSpec
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
-from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams
+from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, SourceEvidence
 from evidfuse.model import (PROB_FLOOR, Frame, ParamVector, Predictions, SourceSpec,
                             batch_internals, init_model, loss_overall, param_dict)
 import tape_ops as ad
@@ -257,6 +258,52 @@ def exact_prediction(model, sample_inputs):
         source_ignorance=np.array([m.ignorance for m in per_source]),
         conflict=conflict,
     )
+
+
+# ---------------------------------------------------------------------------
+# the evidential layer and its VJP written with fresh arrays: the in-place
+# kernels in evidfuse.evidential must match them byte for byte
+
+def reference_evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw):
+    """``evidence_batch`` with one new array per operation."""
+    inputs = (z, prototypes, scale_raw, support_raw, membership_raw)
+    zv, p, a, b, r = (np.asarray(ad.value_of(t), dtype=np.float64) for t in inputs)
+    beta = 1.0 / (1.0 + np.exp(-b))
+    mexp = np.exp(r - np.maximum.reduce(r, axis=1, keepdims=True))
+    u = mexp / np.add.reduce(mexp, axis=1, keepdims=True)
+    d2 = np.maximum(
+        np.add.reduce(zv * zv, axis=1, keepdims=True) - 2.0 * (zv @ p.T)
+        + np.add.reduce(p * p, axis=1),
+        0.0,
+    )
+    e = np.exp(-(a * a) * d2)
+    s = beta * e
+    terms = (1.0 - u).T.copy()[:, None, :] * s
+    np.negative(terms, out=terms)
+    np.log1p(terms, out=terms)
+    log_q = np.add.reduce(terms, axis=2).T
+    log_q_omega = np.add.reduce(np.log1p(-s), axis=1, keepdims=True)
+    return SourceEvidence(inputs, log_q, log_q_omega, d2, e, s, beta, u)
+
+
+def reference_source_vjp(ev, d_log_q, d_log_q_omega):
+    """``_source_vjp`` with one new array per operation."""
+    zv, p, a = (np.asarray(ad.value_of(t), dtype=np.float64) for t in ev.inputs[:3])
+    s, u, d2 = ev.activation, ev.membership, ev.sq_dist
+    w = (1.0 - u).T.copy()
+    t = w[:, None, :] * s
+    np.subtract(1.0, t, out=t)
+    np.divide(d_log_q.T[:, :, None], t, out=t)
+    g_s = -np.einsum("cnh,ch->nh", t, w) - d_log_q_omega / (1.0 - s)
+    g_u = np.einsum("cnh,nh->hc", t, s)
+    g_r = u * (g_u - np.add.reduce(g_u * u, axis=1, keepdims=True))
+    g_b = np.add.reduce(g_s * ev.closeness, axis=0) * ev.beta * (1.0 - ev.beta)
+    g_exponent = -g_s * s
+    g_a = 2.0 * a * np.add.reduce(g_exponent * d2, axis=0)
+    g_d2 = np.where(d2 > 0.0, g_exponent * (a * a), 0.0)
+    g_z = 2.0 * (zv * np.add.reduce(g_d2, axis=1, keepdims=True) - g_d2 @ p)
+    g_p = 2.0 * (p * np.add.reduce(g_d2, axis=0)[:, None] - g_d2.T @ zv)
+    return g_z, g_p, g_a, g_b, g_r
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the prototype-based evidential layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidfuse.errors import DataError
-from evidfuse.evidential import EnnParams, evidence_batch, fuse_evidence, init_enn, lloyd_kmeans
+from evidfuse.evidential import (EnnParams, _source_vjp, evidence_batch, fuse_evidence, init_enn,
+                                 lloyd_kmeans)
 import tape_ops as ad
 from helpers import (
     check_gradients,
@@ -16,8 +18,10 @@ from helpers import (
     product_evidence_batch,
     prototype_activations,
     prototype_mass,
+    reference_evidence_batch,
     reference_init_enn,
     reference_lloyd_kmeans,
+    reference_source_vjp,
 )
 from reference import (SimpleMass, beta, combine_many, combine_simple, frame_of_size, gamma,
                        membership, pignistic)
@@ -325,6 +329,95 @@ class TestFusedEvidence:
         tape.backward(ad.sum_along(fused.probs * weights))
         for leaf in (leaf for g in groups for leaf in g):
             assert leaf.grad is not None and np.all(np.isfinite(leaf.grad))
+
+
+def _kernel_case(rng, n, h, d, m, spread=1.0):
+    """(z, prototypes, scale_raw, support_raw, membership_raw)."""
+    return [rng.normal(size=(n, d)) * spread, rng.normal(size=(h, d)),
+            rng.uniform(0.1, 1.0, h), rng.normal(size=h), rng.normal(size=(h, m)) * 2.0]
+
+
+def _kernel_cases():
+    """Inputs for the byte oracles of the evidential kernels."""
+    rng = np.random.default_rng(4242)
+    for i in range(12):
+        yield f"random-{i}", _kernel_case(
+            rng, int(rng.integers(1, 60)), int(rng.integers(1, 30)), int(rng.integers(1, 8)),
+            int(rng.integers(2, 5)), spread=rng.uniform(0.2, 3.0))
+    # integer coordinates: the expanded distance from a row to the
+    # prototype it copies is exactly 0
+    z, p, a, b, r = _kernel_case(rng, 20, 6, 3, 3)
+    z, p = np.round(z * 4.0), np.round(p * 4.0)
+    z[[0, 7, 8]] = p[[2, 5, 5]]
+    yield "row-on-prototype", [z, p, a * 0.3, b, r]
+    # exp(-1000) is 0, so these prototypes have u == 1.0 for one class
+    z, p, a, b, r = _kernel_case(rng, 16, 5, 2, 3)
+    r[1] = [0.0, -1000.0, -1000.0]
+    r[3] = [-900.0, 0.0, -900.0]
+    yield "saturated-membership", [z, p, a, b, r]
+    yield "one-row-one-prototype", _kernel_case(rng, 1, 1, 4, 2)
+    yield "one-row", _kernel_case(rng, 1, 7, 3, 4)
+    yield "one-prototype", _kernel_case(rng, 9, 1, 3, 3)
+    yield "1024x100x2", _kernel_case(rng, 1024, 100, 8, 2, spread=0.3)
+
+
+KERNEL_CASES = dict(_kernel_cases())
+EVIDENCE_FIELDS = ("log_q", "log_q_omega", "sq_dist", "closeness", "activation", "beta",
+                   "membership")
+
+
+class TestInPlaceKernels:
+    """``evidence_batch`` and ``_source_vjp`` compute in place; they must
+    give the bytes of the versions that allocate one array per step."""
+
+    def test_cases_reach_the_edges(self):
+        evs = {name: evidence_batch(*case) for name, case in KERNEL_CASES.items()}
+        assert np.any(evs["row-on-prototype"].sq_dist == 0.0)
+        assert np.any(evs["saturated-membership"].membership == 1.0)
+        assert evs["one-row-one-prototype"].sq_dist.shape == (1, 1)
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_forward_and_vjp_match_byte_for_byte(self, name):
+        case = KERNEL_CASES[name]
+        ev = evidence_batch(*case)
+        want = reference_evidence_batch(*case)
+        for field in EVIDENCE_FIELDS:
+            got, ref = getattr(ev, field), getattr(want, field)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
+        rng = np.random.default_rng(len(name))
+        d_log_q = rng.normal(size=want.log_q.shape)
+        d_log_q_omega = rng.normal(size=want.log_q_omega.shape)
+        grads = _source_vjp(ev, d_log_q, d_log_q_omega)
+        want_grads = reference_source_vjp(want, d_log_q, d_log_q_omega)
+        for k, (got, ref) in enumerate(zip(grads, want_grads)):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), k
+        # the VJP only reads the forward values
+        for field in EVIDENCE_FIELDS:
+            assert getattr(ev, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_allocation_budget(self):
+        """In (N, H) float64 units at (N, H, M) = (1024, 100, 2): the
+        forward keeps d2, e and s and a 2-unit term array; the VJP a
+        2-unit t, g_s and two boolean masks."""
+        case = KERNEL_CASES["1024x100x2"]
+        unit = 1024 * 100 * 8
+        rng = np.random.default_rng(5)
+        d_log_q, d_log_q_omega = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ev = evidence_batch(*case)
+            forward = (tracemalloc.get_traced_memory()[1] - base) / unit
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = _source_vjp(ev, d_log_q, d_log_q_omega)
+            vjp = (tracemalloc.get_traced_memory()[1] - base) / unit
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == 5
+        assert forward < 6.0, forward
+        assert vjp < 5.0, vjp
 
 
 class TestKMeans:
