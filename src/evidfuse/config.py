@@ -1,24 +1,21 @@
-"""Run configuration: validation, key=value config files, and hashing.
+"""Run configuration: validation and hashing.
 
-A config file is flat ``key = value`` lines (# comments allowed);
-nested synthetic-generator fields use a ``synthetic.`` prefix.  Command
-line flags override file values.  The config hash covers every field
-that affects results, so artifacts can assert exactly which
+A run is configured by building a ``RunConfig`` in Python; it checks
+every field it can without the dataset.  The config hash covers every
+field that affects results, so artifacts can assert exactly which
 configuration produced them.
 """
 
 import hashlib
 import json
-import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 from .data import SyntheticConfig
 from .errors import ConfigError
 
 GROUPINGS = ("modalities", "data-types", "data-sources", "custom")
 ENCODERS = ("mlp", "resnet")
-OUTPUT_ROOT_ENV = "EVIDFUSE_OUTPUT_ROOT"
 # fields that do not change results and stay out of the config hash
 UNHASHED_FIELDS = ("output_dir", "force")
 
@@ -64,7 +61,7 @@ class RunConfig:
     patience: int = 10
     learning_rate: float = 1e-3
     seeds: tuple = (0, 1, 2, 3, 4)
-    output_dir: str = field(default_factory=lambda: os.environ.get(OUTPUT_ROOT_ENV, "runs"))
+    output_dir: str = "runs"
     force: bool = False
 
     def __post_init__(self):
@@ -114,84 +111,3 @@ class RunConfig:
         canonical = json.dumps(self.to_json_dict(include_unhashed=False),
                                sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-_RUN_FIELDS = {f.name: f for f in fields(RunConfig)}
-_SYNTH_FIELDS = {f.name: f for f in fields(SyntheticConfig)}
-
-
-def _parse_value(name, raw, target_field):
-    raw = raw.strip()
-    kind = target_field.type
-    try:
-        if name == "custom_sources":
-            parsed = json.loads(raw)
-            if not isinstance(parsed, list):
-                raise ConfigError(f"{name} must be a JSON array")
-            return tuple(parsed)
-        if name in ("seeds", "informativeness"):
-            return tuple(
-                (int if name == "seeds" else float)(part)
-                for part in raw.split(",") if part.strip() != ""
-            )
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad value for {name!r}: {raw!r}") from exc
-
-
-def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from key=value text plus override pairs.
-
-    Unknown keys are rejected.  ``synthetic.*`` keys populate the
-    synthetic generator block.
-    """
-    run_kwargs: dict = {}
-    synth_kwargs: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line {line_no}: expected key = value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        _assign(key.strip(), raw, run_kwargs, synth_kwargs)
-    for key, raw in (overrides or {}).items():
-        _assign(key.strip(), raw, run_kwargs, synth_kwargs)
-    if synth_kwargs:
-        if "n" not in synth_kwargs:
-            raise ConfigError("synthetic block needs at least synthetic.n")
-        run_kwargs["synthetic"] = SyntheticConfig(**synth_kwargs)
-    return RunConfig(**run_kwargs)
-
-
-def _assign(key, raw, run_kwargs, synth_kwargs):
-    if key.startswith("synthetic."):
-        name = key[len("synthetic."):]
-        if name not in _SYNTH_FIELDS:
-            raise ConfigError(f"unknown synthetic config key {name!r}")
-        synth_kwargs[name] = _parse_value(name, str(raw), _SYNTH_FIELDS[name])
-    else:
-        if key not in _RUN_FIELDS or key == "synthetic":
-            raise ConfigError(f"unknown config key {key!r}")
-        run_kwargs[key] = _parse_value(key, str(raw), _RUN_FIELDS[key])
-
-
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    text = ""
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-    return parse_config_text(text, overrides)

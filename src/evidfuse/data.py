@@ -341,9 +341,6 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         )
 
     schema = tuple(FeatureSpec(f"x{j:03d}", "numerical") for j in range(config.d_struct))
-    generator = dict(asdict(config))
-    generator["separation_scale"] = SEPARATION_SCALE
-    generator["informativeness"] = list(config.informativeness)
     return Dataset(
         schema=schema,
         ids=[f"s{i:06d}" for i in range(n)],
@@ -351,8 +348,14 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
         labels=labels,
         embeddings=embeddings,
         m=config.m,
-        generator=generator,
+        generator=synthetic_generator(config),
     )
+
+
+def synthetic_generator(config: SyntheticConfig) -> dict:
+    """The ``generator`` record of ``generate_synthetic(config)``'s dataset."""
+    return dict(asdict(config), separation_scale=SEPARATION_SCALE,
+                informativeness=list(config.informativeness))
 
 
 def _phi(x):

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Each family has a process exit code for a command line to map it to:
-ConfigError -> 2, DataError -> 3, NumericalError -> 4.  The package
-ships no command line yet, so nothing applies the mapping today.
+Bad configuration, bad input data and numerical failure each raise a
+subclass of ``EvidFuseError``, so a caller can tell them apart from
+programming faults.
 """
 
 
@@ -23,9 +23,4 @@ class NumericalError(EvidFuseError):
 
 
 class TrainingDivergedError(NumericalError):
-    """Training produced a non-finite loss; last good parameters are attached."""
-
-    def __init__(self, message, checkpoint=None, history=None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
-        self.history = history
+    """Training produced a non-finite loss; ``train`` names the epoch."""

@@ -28,6 +28,7 @@ from .data import (
     SPLIT_NAMES,
     PreprocessState,
     SyntheticConfig,
+    synthetic_generator,
     write_json,
 )
 from .errors import ConfigError, DataError
@@ -244,7 +245,7 @@ def run_experiment(config: RunConfig) -> dict:
             existing = json.load(fh).get("config_hash")
         raise ConfigError(
             f"run directory {run_dir!r} already holds a run (config hash "
-            f"{existing}); pass --force to overwrite"
+            f"{existing}); set force=True to overwrite"
         )
     # a dataset or source list the run rejects must not leave a marker
     # that blocks the rerun
@@ -282,8 +283,10 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     so evaluating a run's own dataset reproduces its report exactly.
     Without a manifest, a synthetic training dataset is regenerated
     from the configuration embedded in the checkpoint.  The report names
-    the dataset the checkpoint records, or else ``synthetic:<seed>`` or
-    the manifest's hash, as a run's report does.  With a manifest, only
+    the dataset it scored, as a run's report does: ``synthetic:<seed>``
+    for the checkpoint's own synthetic data (regenerated, or a manifest
+    whose recorded generator is the checkpoint's synthetic
+    configuration), else the manifest's hash.  With a manifest, only
     the scored split is parsed (``data.load_split``): the CSV header, row
     width, labels and ids and the embeddings are checked on every row,
     numerical and categorical cells only in the split's rows.
@@ -296,20 +299,22 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
         raise DataError("checkpoint lacks the preprocess/seed metadata needed for evaluation")
     state = PreprocessState.from_json_dict(extra["preprocess"])
     seed = int(extra["seed"])
-    if manifest_path is None:
-        synth = (extra.get("config") or {}).get("synthetic")
-        if not synth:
-            raise DataError("no dataset manifest given and the checkpoint was not "
-                            "trained on synthetic data")
-        synthetic = SyntheticConfig(**synth)
+    synth = (extra.get("config") or {}).get("synthetic")
+    synthetic = SyntheticConfig(**synth) if synth else None
+    if manifest_path is not None:
+        part = load_split(manifest_path, seed, split_name)
+    elif synthetic is not None:
         part = split(generate_synthetic(synthetic), seed)[SPLIT_NAMES.index(split_name)]
+    else:
+        raise DataError("no dataset manifest given and the checkpoint was not "
+                        "trained on synthetic data")
+    if synthetic is not None and part.generator == synthetic_generator(synthetic):
         dataset_id = f"synthetic:{synthetic.seed}"
     else:
-        part = load_split(manifest_path, seed, split_name)
         dataset_id = manifest_hash(manifest_path)
 
     specs = [src.spec for src in model.sources]
     report = score_split(model, split_inputs(specs, state, part), part.labels)
 
     return _report_doc(extra.get("config", {}).get("task", "eval"), doc.get("config_hash", ""),
-                       seed, extra.get("dataset", dataset_id), split_name, report)
+                       seed, dataset_id, split_name, report)

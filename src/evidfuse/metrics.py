@@ -23,10 +23,6 @@ class ConfusionCounts:
     fp: int
     fn: int
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
 
 def confusion(labels, predicted) -> ConfusionCounts:
     """Exact confusion counts for 0/1 labels and 0/1 predictions."""

@@ -535,13 +535,6 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     history = []
     wait = 0
 
-    def fail(message):
-        raise TrainingDivergedError(
-            message,
-            checkpoint=with_params(model, layout.unflatten(best_flat)),
-            history=history,
-        )
-
     for epoch in range(config.max_epochs):
         order = shuffle_rng.permutation(n)
         train_loss_sum = 0.0
@@ -552,15 +545,15 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
             try:
                 loss, grad = loss_and_grad(model, batch_inputs, train_labels[idx],
                                            params=slots, masks=masks)
-            except TrainingDivergedError:
-                fail(f"training loss diverged at epoch {epoch}")
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"training loss diverged at epoch {epoch}") from exc
             train_loss_sum += loss * len(idx)
             adam.update(flat, grad)
         val_loss = float(ad.value_of(
             loss_overall(model, val_inputs, val_labels, params=slots.params)
         ))
         if not np.isfinite(val_loss):
-            fail(f"validation loss diverged at epoch {epoch}")
+            raise TrainingDivergedError(f"validation loss diverged at epoch {epoch}")
         history.append({
             "epoch": epoch,
             "train_loss": train_loss_sum / n,

@@ -1,5 +1,6 @@
 """Experiment driver: runs, artifacts and checkpoint re-evaluation."""
 
+import dataclasses
 import json
 import shutil
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from evidfuse.config import RunConfig
-from evidfuse.data import (Dataset, FeatureSpec, SyntheticConfig, fit_preprocess, load_dataset,
-                           split_indices, write_dataset)
+from evidfuse.data import (Dataset, FeatureSpec, SyntheticConfig, fit_preprocess,
+                           generate_synthetic, load_dataset, manifest_hash, split_indices,
+                           write_dataset)
 from evidfuse.errors import ConfigError, DataError
 from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
 from evidfuse.model import SourceSpec, model_to_json_dict
@@ -72,6 +74,23 @@ class TestGoldenRun:
             assert a == b, rel
 
 
+def run_files(run_dir):
+    return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+
+class TestRunDirectoryMarker:
+    def test_rerun_needs_force_and_writes_the_same_bytes(self, tmp_path):
+        config = dataclasses.replace(tiny_config(tmp_path), force=True)
+        run_experiment(config)
+        first = run_files(tmp_path / "tiny")
+        with pytest.raises(ConfigError, match=rf"already holds a run \(config hash "
+                                              rf"{config.config_hash()}\); set force=True"):
+            run_experiment(dataclasses.replace(config, force=False))
+        assert run_files(tmp_path / "tiny") == first
+        run_experiment(config)
+        assert run_files(tmp_path / "tiny") == first
+
+
 class TestEvaluateCheckpoint:
     def test_synthetic_checkpoint_without_manifest_reproduces_report(self, tmp_path):
         seed_dir = tiny_run(tmp_path)
@@ -89,6 +108,19 @@ class TestEvaluateCheckpoint:
         saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
         assert saved["dataset"] == "synthetic:5"
         assert json.loads(json.dumps(report)) == saved
+
+    def test_synthetic_checkpoint_on_a_manifest_names_what_it_scored(self, tmp_path):
+        """A manifest of the run's own synthetic data reproduces its report;
+        one of other synthetic data is named by its hash."""
+        seed_dir = tiny_run(tmp_path)
+        saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
+        synthetic = tiny_config(tmp_path).synthetic
+        own = write_dataset(generate_synthetic(synthetic), str(tmp_path / "own"))
+        other = write_dataset(generate_synthetic(dataclasses.replace(synthetic, seed=6)),
+                              str(tmp_path / "other"))
+        checkpoint = str(seed_dir / "checkpoint.json")
+        assert json.loads(json.dumps(evaluate_checkpoint(checkpoint, own))) == saved
+        assert evaluate_checkpoint(checkpoint, other)["dataset"] == manifest_hash(other)
 
     def test_bad_split_rejected_before_loading(self, tmp_path):
         # neither file exists: only a check made before loading can answer
@@ -167,6 +199,12 @@ class TestEvaluateManifestCheckpoint:
     def test_reproduces_the_runs_report(self, run):
         report, saved = self._evaluate(run, str(run / "data" / "manifest.json"))
         assert report == saved
+
+    def test_report_names_the_manifest_it_scored(self, run, tmp_path):
+        other = write_dataset(mixed_dataset(n=140, seed=1), str(tmp_path / "other"))
+        report, saved = self._evaluate(run, other)
+        assert saved["dataset"] == manifest_hash(str(run / "data" / "manifest.json"))
+        assert report["dataset"] == manifest_hash(other) != saved["dataset"]
 
     def test_bad_cell_outside_the_split_is_not_parsed(self, run, tmp_path):
         manifest = self._tampered(run, tmp_path, "structured.csv", set_cell(OUTSIDE, 0, "nan"))

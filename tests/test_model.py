@@ -469,14 +469,26 @@ class TestTraining:
         replayed = float(ad.value_of(loss_overall(result.model, inputs, labels)))
         assert abs(replayed - best_recorded) <= 1e-12
 
-    def test_divergence_aborts_with_checkpoint(self):
+    def test_divergence_names_the_epoch(self):
         model, inputs, labels = tiny_fusion_setup(seed=17, n=20)
         with np.errstate(all="ignore"):  # the blow-up itself is the point
-            with pytest.raises(TrainingDivergedError) as excinfo:
+            with pytest.raises(TrainingDivergedError,
+                               match="^training loss diverged at epoch 0$") as excinfo:
                 train(model, inputs, labels, inputs, labels,
                       TrainConfig(batch_size=8, max_epochs=10, patience=0,
                                   learning_rate=1e200, seed=1))
-        assert excinfo.value.checkpoint is not None
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, TrainingDivergedError)
+        assert str(cause).startswith("non-finite loss")
+
+    def test_validation_divergence_names_the_epoch(self):
+        model, inputs, labels = tiny_fusion_setup(seed=17, n=20)
+        huge = [np.sign(x) * np.finfo(float).max for x in inputs]
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError,
+                               match="^validation loss diverged at epoch 0$"):
+                train(model, inputs, labels, huge, labels,
+                      TrainConfig(batch_size=8, max_epochs=2, patience=0, seed=1))
 
     def test_early_stopping_bounds_epochs(self):
         model, inputs, labels = tiny_fusion_setup(seed=18, n=30)
