@@ -7,7 +7,21 @@ consumed by the evidential layer (the residual blocks run at that
 width).  Parameters are plain name->array dicts so the training tape can
 substitute leaf tensors; dropout masks are sampled up front at the
 encoder's ``dropout`` rate and applied as constants (inverted scaling,
-so the eval path needs no rescaling).  ``encode`` takes (N, D) rows.
+so the eval path needs no rescaling).
+
+An eval-mode pass over a whole split (``encode``, ``encode_blocks``)
+runs ``forward`` in row blocks of at most ``ENCODE_BLOCK_ROWS`` rows and
+writes each block into one preallocated (N, output_dim) array, so no
+(N, hidden) layer is ever whole.  It keeps the bits of one whole-split
+``forward`` because a row's product does not depend on the rows beside
+it once a block is large enough for OpenBLAS's blocked kernels: a 1-row
+product takes its gemv path, and at hidden width 512 blocks of 2 to 128
+rows changed the output's bits where blocks of 256 to 4096 rows did not.
+So a split of more than ``ENCODE_BLOCK_ROWS`` rows is cut into blocks of
+nearly equal size, none smaller than half the constant, and a smaller
+split runs as one block: there is never a 1-row block unless the split
+has exactly one row.  ``encode`` checks its (N, D) rows;
+``encode_blocks`` trusts its caller to have done so.
 
 On the training tape each hidden layer is one ``autodiff.linear_relu``
 node (affine map, ReLU and dropout mask) and each output layer one
@@ -27,6 +41,7 @@ ENCODER_OUTPUT_DIM = 32
 ENCODER_HIDDEN_DIM = 32
 TEXT_HIDDEN_DIM = 128
 DEFAULT_DROPOUT = 0.1
+ENCODE_BLOCK_ROWS = 2048
 
 
 def _he_linear(rng, fan_in, fan_out):
@@ -177,6 +192,27 @@ def sample_dropout_masks(encoder, n: int, rng) -> list:
     ]
 
 
+def row_blocks(n: int):
+    """(lo, hi) bounds of the fewest blocks of at most
+    ``ENCODE_BLOCK_ROWS`` rows that cover n rows, their sizes differing
+    by at most one (one block when n <= ``ENCODE_BLOCK_ROWS``)."""
+    k = max(1, -(-n // ENCODE_BLOCK_ROWS))
+    bounds = [i * n // k for i in range(k + 1)]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def encode_blocks(encoder, x, params=None):
+    """Eval-mode encoding of checked (N, input_dim) float64 rows, in row
+    blocks; ``params`` substitutes plain parameter arrays."""
+    if len(x) <= ENCODE_BLOCK_ROWS:
+        # one block: its output needs no copy into a preallocated array
+        return encoder.forward(x, params=params)
+    out = np.empty((len(x), encoder.output_dim))
+    for lo, hi in row_blocks(len(x)):
+        out[lo:hi] = encoder.forward(x[lo:hi], params=params)
+    return out
+
+
 def encode(encoder, x):
     """Eval-mode encoding of an (N, input_dim) batch of rows."""
     x = np.asarray(x, dtype=np.float64)
@@ -185,4 +221,4 @@ def encode(encoder, x):
                         f"{encoder.input_dim}")
     if not np.all(np.isfinite(x)):
         raise DataError(f"{encoder.kind}: non-finite input")
-    return encoder.forward(x)
+    return encode_blocks(encoder, x)

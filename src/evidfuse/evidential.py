@@ -283,22 +283,19 @@ def fuse_evidence(evidence) -> FusedEvidence:
     return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 
-def _group_by_cluster(points: np.ndarray, assign: np.ndarray, counts: np.ndarray, out=None):
-    """Rows sorted by cluster and each cluster's (lo, hi) bounds, from the
-    cluster sizes ``counts``; the rows go into ``out`` when it is given.
-
-    The sort is stable, so ``grouped[lo:hi]`` holds a cluster's rows in
-    index order, as a boolean-mask copy of ``points`` would.
-    """
-    order = np.argsort(assign, kind="stable")
+def _cluster_bounds(counts: np.ndarray):
+    """Each cluster's (lo, hi) bounds in the rows sorted by cluster, from
+    the cluster sizes ``counts``."""
     ends = np.cumsum(counts)
-    # every index is in range; "clip" lets take write into out unbuffered
-    grouped = np.take(points, order, axis=0, out=out, mode="clip")
-    return grouped, zip((0, *ends[:-1].tolist()), ends.tolist())
+    return zip((0, *ends[:-1].tolist()), ends.tolist())
 
 
 def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Plain Lloyd iteration with seeded sampling of initial centers.
+
+    Returns the centers, each point's cluster and the points sorted by
+    cluster (a stable sort, so ``grouped[lo:hi]`` holds a cluster's rows
+    in index order, as a boolean-mask copy of ``points`` would).
 
     Reseeding: after each assignment, the empty clusters, in index order,
     each take the point currently farthest from its own center, which
@@ -315,19 +312,22 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     ``np.add.reduceat`` and weighted ``bincount`` add in another order
     and move the last bit.
 
-    The (n, k) distance matrix and the (n, D) sorted rows are scratch
-    arrays allocated once per call and rewritten on every iteration.
+    Its only (n, .) scratch arrays are the (n, k) distances ``d2`` and
+    the (n, D) sorted rows ``grouped``, allocated once per call and
+    rewritten on every iteration; ``grouped`` first holds the squares
+    that ``|p|^2`` sums.  The cross term is ``(p . c) * 2`` rather than
+    ``(2 p) . c``: scaling by 2 is exact, so both have the same bits.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
-    p2 = np.sum(points ** 2, axis=1, keepdims=True)
-    twice = 2.0 * points
     d2 = np.empty((n, k))
     grouped = np.empty(points.shape)
+    p2 = np.sum(np.square(points, out=grouped), axis=1, keepdims=True)
     assign = None
     for _ in range(KMEANS_ITERS):
-        np.matmul(twice, centers.T, out=d2)
+        np.matmul(points, centers.T, out=d2)
+        d2 *= 2.0
         np.subtract(p2, d2, out=d2)
         d2 += np.sum(centers ** 2, axis=1)
         new_assign = np.argmin(d2, axis=1)
@@ -345,10 +345,11 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        _, bounds = _group_by_cluster(points, assign, counts, out=grouped)
-        for c, (lo, hi) in enumerate(bounds):
+        # every index is in range; "clip" lets take write into grouped unbuffered
+        np.take(points, np.argsort(assign, kind="stable"), axis=0, out=grouped, mode="clip")
+        for c, (lo, hi) in enumerate(_cluster_bounds(counts)):
             centers[c] = np.add.reduce(grouped[lo:hi], axis=0) / (hi - lo)
-    return centers, assign
+    return centers, assign, grouped
 
 
 def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
@@ -372,14 +373,12 @@ def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
     if len(distinct) < h:
         raise DataError(f"cannot place {h} prototypes on {len(distinct)} distinct rows")
     rng = np.random.default_rng(seed)
-    centers, assign = lloyd_kmeans(features, h, rng)
+    centers, assign, grouped = lloyd_kmeans(features, h, rng)
 
     membership_raw = np.log(np.bincount(assign * m + labels, minlength=h * m)
                             .reshape(h, m) + 1.0)
     msd = np.zeros(h)
-    grouped, bounds = _group_by_cluster(features, assign,
-                                        np.bincount(assign, minlength=h))
-    for c, (lo, hi) in enumerate(bounds):
+    for c, (lo, hi) in enumerate(_cluster_bounds(np.bincount(assign, minlength=h))):
         if hi > lo:
             msd[c] = np.mean(np.sum((grouped[lo:hi] - centers[c]) ** 2, axis=1))
     # singleton or zero-spread clusters borrow the average spread

@@ -254,8 +254,10 @@ def run_experiment(config: RunConfig) -> dict:
         _check_custom_features(config, [f.name for f in dataset.schema],
                                _constant_features(dataset))
     os.makedirs(run_dir, exist_ok=True)
+    # the hashed fields only, as in the checkpoint's extra["config"], so a
+    # forced rerun writes the same bytes
     write_json(marker, {"config_hash": config.config_hash(),
-                         "config": config.to_json_dict()})
+                         "config": config.to_json_dict(include_unhashed=False)})
 
     reports = []
     for seed in config.seeds:

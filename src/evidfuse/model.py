@@ -11,6 +11,16 @@ Training, ``predict_probs`` and ``predict_batch`` all run it;
 source conflict as one struct of arrays.  The exact per-sample mass
 algebra they are checked against lives in the tests.
 
+Off the tape (``predict_probs``, ``predict_batch``, the per-epoch
+validation loss, and ``init_model``'s encoding of the training rows)
+the encoders run in ``encoders.ENCODE_BLOCK_ROWS``-row blocks, so memory
+does not grow with rows times hidden width; the inputs are checked once
+per pass.  The blocks keep the bits of a whole-split forward (see
+``encoders``).  Everything from the distance product ``z @ p.T`` on
+(evidence, fusion, auxiliary logits, loss) stays whole-split: that
+product's bits depend on its row count, so blocking it would change
+them.  A taped training step runs each encoder on its whole batch.
+
 The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
 each scaled by the source's auxiliary weight.  On the training tape it
@@ -48,6 +58,7 @@ from .encoders import (
     ResNetEncoder,
     TextHeadEncoder,
     encode,
+    encode_blocks,
     init_aux_head,
     init_encoder,
     sample_dropout_masks,
@@ -292,10 +303,13 @@ def _check_labels(inputs, labels):
 def batch_internals(model, inputs, params=None, masks=None):
     """Fused evidence (``fused.probs`` included) and per-source aux logits.
 
-    ``params`` substitutes leaf tensors during training; ``masks`` is a
-    per-source list of dropout masks (None disables dropout).
+    ``params`` substitutes leaf tensors during training, or plain arrays;
+    ``masks`` is a per-source list of dropout masks (None disables
+    dropout).  Without masks or tensors the encoders run in row blocks.
     """
     mats = _check_inputs(model, inputs)
+    blocked = masks is None and not any(isinstance(v, ad.Tensor)
+                                        for v in (params or {}).values())
     evidence = []
     aux_logit_list = []
     for i, (src, x) in enumerate(zip(model.sources, mats)):
@@ -305,7 +319,10 @@ def batch_internals(model, inputs, params=None, masks=None):
             enc_p = _source_param_view(params, i, "encoder", src.encoder.params)
             enn_p = _source_param_view(params, i, "enn", src.enn.as_param_dict())
             aux_p = _source_param_view(params, i, "aux", src.aux.params)
-        z = src.encoder.forward(x, params=enc_p, masks=masks[i] if masks else None)
+        if blocked:
+            z = encode_blocks(src.encoder, x, params=enc_p)
+        else:
+            z = src.encoder.forward(x, params=enc_p, masks=masks[i] if masks else None)
         evidence.append(evidence_batch(z, **enn_p))
         aux_logit_list.append(src.aux.forward(z, params=aux_p))
     return fuse_evidence(evidence), aux_logit_list

@@ -1,5 +1,6 @@
 """Encoder and auxiliary-head behavior."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from evidfuse.errors import DataError
 from evidfuse.encoders import (
+    ENCODE_BLOCK_ROWS,
     AuxHead,
     MlpEncoder,
     encode,
@@ -15,6 +17,7 @@ from evidfuse.encoders import (
     init_mlp,
     init_resnet,
     init_text_head,
+    row_blocks,
     sample_dropout_masks,
 )
 import tape_ops as ad
@@ -72,6 +75,38 @@ class TestEncode:
     def test_ft_transformer_rejected_with_message(self):
         with pytest.raises(DataError, match="ft-transformer"):
             init_encoder("ft-transformer", 5, np.random.default_rng(0))
+
+
+B = ENCODE_BLOCK_ROWS
+
+
+class TestBlockedEncode:
+    """``encode`` runs in row blocks and keeps the bits of one whole
+    ``forward``.  The 512-wide text head is the case where blocks of 2
+    to 128 rows change the bits."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("kind,dim,overrides", [
+        ("mlp", 16, {}), ("resnet", 4, {}), ("text-head", 8, {}),
+        ("text-head", 8, {"hidden_dim": 512}),
+    ], ids=["mlp", "resnet", "text-head", "text-head-512"])
+    def test_matches_one_whole_forward(self, kind, dim, overrides, n):
+        enc = init_encoder(kind, dim, np.random.default_rng(0), **overrides)
+        x = np.random.default_rng(n).normal(size=(n, dim))
+        got, want = encode(enc, x), enc.forward(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1,
+                                   5 * B + 3])
+    def test_row_blocks_cover_the_rows_without_small_blocks(self, n):
+        bounds = list(row_blocks(n))
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        sizes = [hi - lo for lo, hi in bounds]
+        assert len(sizes) == max(1, math.ceil(n / B))
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= B
+        # a block is never smaller than half the constant unless the split is
+        assert min(sizes) >= min(n, B // 2)
 
 
 class TestResidualProperty:

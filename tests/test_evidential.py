@@ -424,22 +424,22 @@ class TestKMeans:
     def test_deterministic(self):
         rng_data = np.random.default_rng(17)
         pts = rng_data.normal(size=(40, 3))
-        c1, a1 = lloyd_kmeans(pts, 5, np.random.default_rng(99))
-        c2, a2 = lloyd_kmeans(pts, 5, np.random.default_rng(99))
+        c1, a1, _ = lloyd_kmeans(pts, 5, np.random.default_rng(99))
+        c2, a2, _ = lloyd_kmeans(pts, 5, np.random.default_rng(99))
         np.testing.assert_array_equal(c1, c2)
         np.testing.assert_array_equal(a1, a2)
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(30, 2))
-        _, assign = lloyd_kmeans(pts, 8, np.random.default_rng(1))
+        _, assign, _ = lloyd_kmeans(pts, 8, np.random.default_rng(1))
         assert set(assign.tolist()) == set(range(8))
 
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(21)
         blob_a = rng.normal(size=(25, 2)) * 0.1 + np.array([10.0, 0.0])
         blob_b = rng.normal(size=(25, 2)) * 0.1 - np.array([10.0, 0.0])
-        centers, _ = lloyd_kmeans(np.vstack([blob_a, blob_b]), 2, np.random.default_rng(2))
+        centers, _, _ = lloyd_kmeans(np.vstack([blob_a, blob_b]), 2, np.random.default_rng(2))
         xs = sorted(centers[:, 0].tolist())
         assert abs(xs[0] + 10.0) < 1.0 and abs(xs[1] - 10.0) < 1.0
 
@@ -473,11 +473,14 @@ class TestInit:
                 h = len(np.unique(features, axis=0))
             m = 2 + seed % 3
             labels = np.random.default_rng(seed).integers(0, m, features.shape[0])
-            centers, assign = lloyd_kmeans(features, h, np.random.default_rng(seed))
+            centers, assign, grouped = lloyd_kmeans(features, h, np.random.default_rng(seed))
             want_centers, want_assign = reference_lloyd_kmeans(
                 features, h, np.random.default_rng(seed), reseeds)
             assert centers.tobytes() == want_centers.tobytes()
             assert assign.tobytes() == want_assign.tobytes()
+            # the rows init_enn takes its spreads from, cluster by cluster
+            want_grouped = np.concatenate([features[want_assign == c] for c in range(h)])
+            assert grouped.tobytes() == want_grouped.tobytes()
             got = init_enn(features, labels, h, seed, m).as_param_dict()
             want = reference_init_enn(features, labels, h, seed, m).as_param_dict()
             for name in want:

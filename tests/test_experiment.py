@@ -44,7 +44,7 @@ def tiny_run(tmp_path, seed=3):
 
 class TestGoldenRun:
     def test_artifacts_byte_identical_across_output_dirs(self, tmp_path):
-        """Only config.json's unhashed output_dir may tell two runs apart."""
+        """No file, config.json included, names the output directory."""
         self._assert_identical_runs(tmp_path, lambda out: tiny_config(out, seeds=(0, 1)))
 
     def test_data_types_run_byte_identical(self, tmp_path):
@@ -68,9 +68,6 @@ class TestGoldenRun:
         assert len(paths[0]) == 2 + 3 * 2   # config, summary; checkpoint, history, report
         for rel in paths[0]:
             a, b = ((d / rel).read_bytes() for d in run_dirs)
-            if rel.name == "config.json":
-                a, b = (json.loads(x) for x in (a, b))
-                assert a["config"].pop("output_dir") != b["config"].pop("output_dir")
             assert a == b, rel
 
 
@@ -80,14 +77,14 @@ def run_files(run_dir):
 
 class TestRunDirectoryMarker:
     def test_rerun_needs_force_and_writes_the_same_bytes(self, tmp_path):
-        config = dataclasses.replace(tiny_config(tmp_path), force=True)
+        config = tiny_config(tmp_path)
         run_experiment(config)
         first = run_files(tmp_path / "tiny")
         with pytest.raises(ConfigError, match=rf"already holds a run \(config hash "
                                               rf"{config.config_hash()}\); set force=True"):
-            run_experiment(dataclasses.replace(config, force=False))
+            run_experiment(config)
         assert run_files(tmp_path / "tiny") == first
-        run_experiment(config)
+        run_experiment(dataclasses.replace(config, force=True))
         assert run_files(tmp_path / "tiny") == first
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import evidfuse.model
-from evidfuse.encoders import AuxHead, MlpEncoder
+from evidfuse.encoders import ENCODE_BLOCK_ROWS, AuxHead, MlpEncoder
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
 from evidfuse.evidential import EnnParams, evidence_batch
 from evidfuse.model import (
@@ -425,6 +426,68 @@ class TestFusedObjective:
         monkeypatch.setattr(evidfuse.model, "Tape", CountingTape)
         loss_and_grad(model, inputs, labels, masks=masks)
         assert seen == [expected]
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedPasses:
+    """Off the tape the encoders run in row blocks; each result keeps the
+    bits of one whole-split forward."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_match_one_whole_forward(self, monkeypatch, kind):
+        def run():
+            model, inputs, labels = tiny_fusion_setup(
+                seed=3, n=2 * ENCODE_BLOCK_ROWS + 1, encoder_kind=kind, hidden=32)
+            preds = predict_batch(model, inputs)
+            result = train(model, inputs, labels, inputs, labels,
+                           TrainConfig(batch_size=1024, max_epochs=1, patience=0, seed=4))
+            return (param_dict(model), preds, predict_probs(model, inputs),
+                    result.history, param_dict(result.model))
+
+        got = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(evidfuse.model, "encode", lambda encoder, x: encoder.forward(x))
+            mp.setattr(evidfuse.model, "encode_blocks",
+                       lambda encoder, x, params=None: encoder.forward(x, params=params))
+            want = run()
+        init_params, preds, probs, history, trained = got
+        for name, value in want[0].items():   # init_model's prototypes among them
+            assert init_params[name].tobytes() == value.tobytes(), name
+        for f in fields(preds):
+            assert getattr(preds, f.name).tobytes() == getattr(want[1], f.name).tobytes(), f.name
+        assert probs.tobytes() == want[2].tobytes()
+        assert history == want[3]               # the per-epoch validation loss
+        for name, value in want[4].items():
+            assert trained[name].tobytes() == value.tobytes(), name
+
+    def test_memory_does_not_grow_with_rows_times_hidden_width(self):
+        """Adding n rows grows the peaks of init_model and predict_probs
+        by under a quarter of the n * hidden * 8 bytes that a whole-split
+        hidden layer would add."""
+        hidden = 512
+        specs = [SourceSpec("struct", "mlp", aux_weight=1.0),
+                 SourceSpec("notes", "text-head", aux_weight=1.0)]
+        overrides = {"struct": {"hidden_dim": 8, "output_dim": 8},
+                     "notes": {"hidden_dim": hidden, "output_dim": 8}}
+
+        def peaks(n):
+            rng = np.random.default_rng(0)
+            inputs, labels = [rng.normal(size=(n, 4)), rng.normal(size=(n, 8))], rng.integers(0, 2, n)
+            model, init_peak = _traced_peak(init_model, F2, specs, inputs, labels, seed=0,
+                                            prototypes=3, encoder_overrides=overrides)
+            return init_peak, _traced_peak(predict_probs, model, inputs)[1]
+
+        n = 2 * ENCODE_BLOCK_ROWS
+        for small, large in zip(peaks(n), peaks(2 * n)):
+            assert large - small < n * hidden * 8 / 4, (small, large)
 
 
 class TestTraining:
