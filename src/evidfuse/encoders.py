@@ -204,9 +204,6 @@ def row_blocks(n: int):
 def encode_blocks(encoder, x, params=None):
     """Eval-mode encoding of checked (N, input_dim) float64 rows, in row
     blocks; ``params`` substitutes plain parameter arrays."""
-    if len(x) <= ENCODE_BLOCK_ROWS:
-        # one block: its output needs no copy into a preallocated array
-        return encoder.forward(x, params=params)
     out = np.empty((len(x), encoder.output_dim))
     for lo, hi in row_blocks(len(x)):
         out[lo:hi] = encoder.forward(x[lo:hi], params=params)

@@ -315,8 +315,10 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     Its only (n, .) scratch arrays are the (n, k) distances ``d2`` and
     the (n, D) sorted rows ``grouped``, allocated once per call and
     rewritten on every iteration; ``grouped`` first holds the squares
-    that ``|p|^2`` sums.  The cross term is ``(p . c) * 2`` rather than
-    ``(2 p) . c``: scaling by 2 is exact, so both have the same bits.
+    that ``|p|^2`` sums.  The cross term is ``p . (2 c)`` rather than
+    ``(2 p) . c``: scaling by 2 is exact, so both have the same bits, and
+    doubling the (k, D) centers costs less than an (n, D) copy or a pass
+    over ``d2``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -326,8 +328,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     p2 = np.sum(np.square(points, out=grouped), axis=1, keepdims=True)
     assign = None
     for _ in range(KMEANS_ITERS):
-        np.matmul(points, centers.T, out=d2)
-        d2 *= 2.0
+        np.matmul(points, (2.0 * centers).T, out=d2)
         np.subtract(p2, d2, out=d2)
         d2 += np.sum(centers ** 2, axis=1)
         new_assign = np.argmin(d2, axis=1)
