@@ -304,28 +304,35 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     not visited again.  Every cluster ends non-empty as long as there are
     at least k distinct points.
 
-    Each center is the mean of a contiguous slice of the rows sorted by
-    cluster, taken as ``mean(axis=0)`` takes it (a sum over axis 0, then
-    a division by the count).  The slice has the same shape, strides and
-    row order as a boolean-mask copy, so the sum adds in the same order
-    and the centers have the same bits as a per-cluster mask loop;
-    ``np.add.reduceat`` and weighted ``bincount`` add in another order
-    and move the last bit.
+    Each center has the bits of ``mean(axis=0)`` over a boolean-mask copy
+    of its rows: a sum over axis 0, then a division by the count.  For
+    D >= 2 numpy reduces that C-contiguous (cnt, D) copy by adding its
+    rows one at a time in index order, starting from +0.0, the identity
+    of ``add`` (so a coordinate that is -0.0 on every member also sums to
+    +0.0).  A weighted ``bincount`` per coordinate does exactly that: it
+    starts each cluster's sum at +0.0 and adds the weights in index
+    order.  Negated coordinates and sums would turn every exact zero sum
+    into -0.0.  For D = 1 numpy sums the (cnt, 1) copy pairwise, which
+    neither ``bincount`` nor ``np.add.reduceat`` reproduces, so there
+    each center is the sum of that copy.
 
     Its only (n, .) scratch arrays are the (n, k) distances ``d2`` and
-    the (n, D) sorted rows ``grouped``, allocated once per call and
-    rewritten on every iteration; ``grouped`` first holds the squares
-    that ``|p|^2`` sums.  The cross term is ``p . (2 c)`` rather than
-    ``(2 p) . c``: scaling by 2 is exact, so both have the same bits, and
-    doubling the (k, D) centers costs less than an (n, D) copy or a pass
-    over ``d2``.
+    the (n, D) ``grouped``, allocated once per call.  ``grouped`` first
+    holds the squares that ``|p|^2`` sums, then the coordinates laid out
+    (D, n), so each ``bincount`` reads one contiguous row, and after the
+    last iteration the rows sorted by cluster.  The cross term is
+    ``p . (2 c)`` rather than ``(2 p) . c``: scaling by 2 is exact, so
+    both have the same bits, and doubling the (k, D) centers costs less
+    than an (n, D) copy or a pass over ``d2``.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    n, dim = points.shape
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     d2 = np.empty((n, k))
     grouped = np.empty(points.shape)
     p2 = np.sum(np.square(points, out=grouped), axis=1, keepdims=True)
+    coords = grouped.reshape(dim, n)
+    np.copyto(coords, points.T)
     assign = None
     for _ in range(KMEANS_ITERS):
         np.matmul(points, (2.0 * centers).T, out=d2)
@@ -346,10 +353,15 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        # every index is in range; "clip" lets take write into grouped unbuffered
-        np.take(points, np.argsort(assign, kind="stable"), axis=0, out=grouped, mode="clip")
-        for c, (lo, hi) in enumerate(_cluster_bounds(counts)):
-            centers[c] = np.add.reduce(grouped[lo:hi], axis=0) / (hi - lo)
+        if dim == 1:
+            for c in range(k):
+                centers[c] = np.add.reduce(points[assign == c], axis=0) / counts[c]
+        else:
+            for j, coord in enumerate(coords):
+                centers[:, j] = np.bincount(assign, weights=coord, minlength=k)
+            centers /= counts[:, None]
+    # every index is in range; "clip" lets take write into grouped unbuffered
+    np.take(points, np.argsort(assign, kind="stable"), axis=0, out=grouped, mode="clip")
     return centers, assign, grouped
 
 

@@ -535,6 +535,8 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     n = len(train_labels)
     if n == 0 or len(val_labels) == 0:
         raise DataError("training and validation splits must be non-empty")
+    train_inputs = _check_inputs(model, train_inputs)
+    val_inputs = _check_inputs(model, val_inputs)
     _check_labels(train_inputs, train_labels)
     _check_labels(val_inputs, val_labels)
 
@@ -605,6 +607,8 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
     is initialized on its encoder's untrained output for the training
     inputs (k-means prototypes, label-frequency memberships).
     """
+    if len(specs) != len(train_inputs):
+        raise DataError(f"{len(specs)} source specs for {len(train_inputs)} input blocks")
     train_labels = np.asarray(train_labels)
     weights = data.class_weights(train_labels, frame.m)
     sources = []

@@ -435,6 +435,21 @@ class TestKMeans:
         _, assign, _ = lloyd_kmeans(pts, 8, np.random.default_rng(1))
         assert set(assign.tolist()) == set(range(8))
 
+    @pytest.mark.parametrize("n,h", [(3000, 100), (15000, 20)])
+    def test_scratch_beyond_distances_and_grouped_rows(self, n, h):
+        """At the workloads' shapes, the peak beyond the (n, h) distances
+        and the (n, 32) grouped rows stays under 8 float64 vectors of
+        length n: no (D, n) index array or per-iteration (n, D) copy."""
+        points = np.random.default_rng(n).normal(size=(n, 32))
+        tracemalloc.start()
+        try:
+            lloyd_kmeans(points, h, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak / (8 * n) - h - 32
+        assert extra < 8.0, extra
+
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(21)
         blob_a = rng.normal(size=(25, 2)) * 0.1 + np.array([10.0, 0.0])
@@ -446,8 +461,9 @@ class TestKMeans:
 
 def _oracle_cases():
     """(features, h) pairs: continuous rows; rows repeated from 100-400
-    distinct values at h = 100, which forces reseeds; h = 1; and h equal
-    to the distinct-row count."""
+    distinct values at h = 100, which forces reseeds; h = 1; h equal to
+    the distinct-row count; the workloads' k-means shapes; and a blob
+    whose members all hold a signed zero in one coordinate."""
     rng = np.random.default_rng(2024)
     for _ in range(4):
         n, d = int(rng.integers(40, 400)), int(rng.integers(1, 10))
@@ -463,11 +479,19 @@ def _oracle_cases():
     for _ in range(3):
         base = rng.normal(size=(int(rng.integers(3, 40)), int(rng.integers(1, 4))))
         yield base[rng.integers(0, len(base), size=200)], None
+    yield rng.normal(size=(3000, 32)), 100
+    yield rng.normal(size=(15000, 32)), 20
+    # every cluster inside the far blob sums -0.0 in one coordinate and
+    # +0.0 in another; numpy's sum of either starts at +0.0
+    blob = rng.normal(size=(120, 4)) + np.array([50.0, 0.0, 0.0, 0.0])
+    blob[:, 1], blob[:, 2] = -0.0, 0.0
+    yield np.vstack([rng.normal(size=(80, 4)), blob]), 4
 
 
 class TestInit:
     def test_matches_per_cluster_loops_byte_for_byte(self):
         reseeds = []
+        zero_coordinates = 0
         for seed, (features, h) in enumerate(_oracle_cases()):
             if h is None:
                 h = len(np.unique(features, axis=0))
@@ -477,6 +501,7 @@ class TestInit:
             want_centers, want_assign = reference_lloyd_kmeans(
                 features, h, np.random.default_rng(seed), reseeds)
             assert centers.tobytes() == want_centers.tobytes()
+            zero_coordinates += np.count_nonzero(want_centers == 0.0)
             assert assign.tobytes() == want_assign.tobytes()
             # the rows init_enn takes its spreads from, cluster by cluster
             want_grouped = np.concatenate([features[want_assign == c] for c in range(h)])
@@ -486,6 +511,7 @@ class TestInit:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
         assert reseeds  # the duplicate-heavy cases exercise reseeding
+        assert zero_coordinates  # and the blob, centers that sum to zero
 
     def test_bit_identical_across_runs(self):
         rng = np.random.default_rng(23)

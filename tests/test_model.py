@@ -561,14 +561,26 @@ class TestTraining:
         # flat validation curve: first epoch is best, stop after patience more
         assert len(result.history) == 3
 
-    @pytest.mark.parametrize("cut", ["train", "val"])
-    def test_label_count_mismatch_rejected_before_any_step(self, monkeypatch, cut):
+    @pytest.mark.parametrize("fault", ["train", "val", "val-nan", "train-last-nan"])
+    def test_label_count_mismatch_rejected_before_any_step(self, monkeypatch, fault):
+        """Bad labels or inputs in either split fail before the first step."""
         model, inputs, labels = tiny_fusion_setup(seed=22, n=40)
         monkeypatch.setattr(evidfuse.model, "loss_and_grad",
                             lambda *a, **k: pytest.fail("a training step ran"))
-        train_labels, val_labels = (labels[:30], labels) if cut == "train" else (labels, labels[:30])
-        with pytest.raises(DataError, match="30 labels for input blocks of \\[40\\] rows"):
-            train(model, inputs, train_labels, inputs, val_labels,
+        train_inputs, val_inputs = list(inputs), list(inputs)
+        train_labels, val_labels = labels, labels
+        match = "30 labels for input blocks of \\[40\\] rows"
+        if fault == "train":
+            train_labels = labels[:30]
+        elif fault == "val":
+            val_labels = labels[:30]
+        else:
+            split = val_inputs if fault == "val-nan" else train_inputs
+            split[1] = inputs[1].copy()
+            split[1][-1, 0] = np.nan
+            match = "source 'notes': non-finite input"
+        with pytest.raises(DataError, match=match):
+            train(model, train_inputs, train_labels, val_inputs, val_labels,
                   TrainConfig(batch_size=8, max_epochs=1, seed=0))
 
 
@@ -650,6 +662,13 @@ class TestCheckpoints:
 
 
 class TestValidation:
+    def test_init_model_rejects_spec_and_input_counts_that_differ(self):
+        _, inputs, labels = tiny_fusion_setup(seed=22, n=40)
+        specs = [SourceSpec("struct", "mlp", aux_weight=1.0),
+                 SourceSpec("notes", "text-head", aux_weight=1.0)]
+        with pytest.raises(DataError, match="2 source specs for 1 input blocks"):
+            init_model(F2, specs, inputs[:1], labels, seed=0, prototypes=3)
+
     def test_duplicate_source_names_rejected(self):
         src = constant_mass_source("same", 3, 0.0, [0.0, 0.0])
         src2 = constant_mass_source("same", 3, 0.0, [0.0, 0.0])
