@@ -11,7 +11,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
-from .data import SyntheticConfig
+from .data import SyntheticConfig, require_integer
 from .errors import ConfigError
 
 GROUPINGS = ("modalities", "data-types", "data-sources", "custom")
@@ -77,6 +77,11 @@ class RunConfig:
             raise ConfigError("dataset and synthetic are mutually exclusive")
         if self.fusion_grouping == "custom" and not self.custom_sources:
             raise ConfigError("custom grouping requires custom_sources")
+        for name in ("prototypes", "encoder_output_dim", "text_hidden_dim", "batch_size",
+                     "max_epochs", "patience", "n_source_blocks"):
+            require_integer(name, getattr(self, name))
+        for seed in self.seeds:
+            require_integer("each seed", seed)
         for check, message in (
             (self.prototypes >= 1, "prototypes must be >= 1"),
             (self.encoder_output_dim >= 1, "encoder_output_dim must be >= 1"),
@@ -92,7 +97,7 @@ class RunConfig:
         ):
             if not check:
                 raise ConfigError(message)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if len(set(self.seeds)) != len(self.seeds):
             # each seed owns one seed_<s>/ directory and one summary entry
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")

@@ -9,24 +9,21 @@ missing) plus an embedding matrix; all numeric encoding happens in
 training split only.
 
 ``load_dataset`` parses and checks every cell.  ``load_split`` returns
-one train/val/test part and parses less: the checks that cover every
-row (CSV header, row width, label parse and range, CSV id uniqueness,
-and every embeddings check: bad record, duplicate or missing id, shape,
-finiteness) still run on every row, but numerical and categorical cells
-are parsed and checked only in the part's rows.  A bad cell outside the
-part is therefore caught by a training run, which loads every row, and
-not by re-evaluation.
+one train/val/test part and parses less: numerical and categorical
+cells are parsed and checked only in the part's rows, and every other
+check runs on every row.  A bad cell outside the part is therefore
+caught by a training run, which loads every row, and not by
+re-evaluation.
 
 Both files are written and read in blocks of ``CSV_BLOCK_ROWS`` rows
 (JSONL: lines).  ``write_dataset`` formats a block's cells itself, in
 the bytes ``csv.writer`` and ``json.dumps`` would write, and writes the
-block at once.  A load holds one block's cell strings at a time (plus,
-in ``load_split``, the records of the part) rather than every row's,
-and writes each block's embeddings straight into their rows of one
-array.  The manifest's ``n`` only plans which rows ``load_split``
-keeps; a file holding another number of rows costs a second pass, never
-a different result.  Errors come in the same order as from a whole-file
-read.
+block at once.  A load reads each file in one pass that holds one
+block's cell strings at a time and writes each block's embeddings
+straight into their rows of one array.  The pass checks each block as it
+reads it, so the first faulty line raises, whatever its fault; the
+faults of a whole file (a row count other than the manifest's ``n``, an
+id without an embedding) come after its pass.
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -272,6 +269,12 @@ def class_weights(labels, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # synthetic generation
 
+def require_integer(name: str, value):
+    """A count or seed must be an int, and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     n: int
@@ -285,6 +288,8 @@ class SyntheticConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "informativeness", tuple(float(x) for x in self.informativeness))
+        for name in ("n", "d_struct", "d_embed", "m", "seed"):
+            require_integer(name, getattr(self, name))
         if self.m != 2:
             raise ConfigError("synthetic generation targets binary tasks (m = 2)")
         if self.n < 1 or self.d_struct < 1:
@@ -462,52 +467,11 @@ def manifest_hash(manifest_path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _bad_cell(path: str, what: str, cells, parse, lines) -> DataError:
-    """The error naming the first CSV cell that ``parse`` rejects or reads as
-    non-finite, with ``lines`` giving each cell's line number; a column is
-    re-scanned this way only after it failed to load."""
-    for line_no, cell in zip(lines, cells):
-        try:
-            if math.isfinite(parse(cell)):
-                continue
-        except ValueError:
-            pass
-        return DataError(f"{path}:{line_no}: {what} {cell!r}")
-
-
-def _duplicate_id(path: str, ids) -> DataError:
-    """The error naming the first repeated CSV id; the ids are re-scanned
-    this way only after they failed to be unique."""
-    seen = set()
-    for line_no, sample_id in enumerate(ids, start=2):
-        if sample_id in seen:
-            return DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
-        seen.add(sample_id)
-
-
-def _parse_labels(cells, m: int, path: str) -> np.ndarray:
+def _open(path: str, what: str, **kwargs):
     try:
-        labels = np.array([int(cell) for cell in cells], dtype=np.int64)
-    except ValueError:
-        raise _bad_cell(path, "bad label", cells, int, range(2, len(cells) + 2)) from None
-    bad = np.flatnonzero((labels < 0) | (labels >= m))
-    if bad.size:
-        raise DataError(f"{path}:{bad[0] + 2}: label {labels[bad[0]]} outside 0..{m - 1}")
-    return labels
-
-
-def _parse_column(cells, feat: FeatureSpec, path: str, lines) -> np.ndarray:
-    if feat.kind == "categorical":
-        return np.array([cell or None for cell in cells], dtype=object)
-    try:
-        column = np.array([float(cell) if cell else math.nan for cell in cells])
-        # only an empty cell may stand for missing; a literal nan or inf is an error
-        if not any(cells[i] for i in np.flatnonzero(~np.isfinite(column))):
-            return column
-    except ValueError:
-        pass
-    raise _bad_cell(path, f"feature {feat.name!r}: not a finite number", cells,
-                    lambda cell: float(cell or 0), lines)
+        return open(path, encoding="utf-8", **kwargs)
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} not found: {path}") from exc
 
 
 def _read_manifest(manifest_path: str):
@@ -515,10 +479,8 @@ def _read_manifest(manifest_path: str):
     generator); a manifest that is missing, not JSON or lacks a field
     raises a DataError naming it."""
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with _open(manifest_path, "dataset manifest") as fh:
             manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"dataset manifest not found: {manifest_path}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -543,111 +505,86 @@ def _read_manifest(manifest_path: str):
     return schema, n, m, structured_path, embeddings_path, manifest.get("generator")
 
 
-def _csv_blocks(path: str, expected):
-    """The structured CSV after its header check, as (index of the first
-    row, rows) blocks of up to ``CSV_BLOCK_ROWS`` rows, each checked for
-    width before it is yielded."""
+def _line_fault(row, schema, m: int, seen: set, check_cells: bool):
+    """The first fault of one structured CSV row, or None: its width, its
+    label, an id that an earlier row holds (``seen``, which gets its id),
+    then, with ``check_cells``, its numerical cells left to right."""
+    if len(row) != len(schema) + 2:
+        return "wrong column count"
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"structured data file not found: {path}") from exc
-    with fh:
+        label = int(row[-2])
+    except ValueError:
+        return f"bad label {row[-2]!r}"
+    if not 0 <= label < m:
+        return f"label {label} outside 0..{m - 1}"
+    if row[-1] in seen:
+        return f"duplicate id {row[-1]!r}"
+    seen.add(row[-1])
+    for feat, cell in zip(schema, row if check_cells else ()):
+        try:
+            _column((cell,), feat)
+        except ValueError:
+            return f"feature {feat.name!r}: not a finite number {cell!r}"
+    return None
+
+
+def _column(cells, feat: FeatureSpec) -> np.ndarray:
+    """One feature's cells as an array; a ValueError when a numerical cell
+    is neither empty (missing) nor a finite number."""
+    if feat.kind == "categorical":
+        return np.array([cell or None for cell in cells], dtype=object)
+    column = np.array([float(cell) if cell else math.nan for cell in cells])
+    if any(cells[i] for i in np.flatnonzero(~np.isfinite(column)).tolist()):
+        raise ValueError("a literal nan or inf")
+    return column
+
+
+def _read_structured(path: str, schema, m: int, keep):
+    """(ids, labels, columns) of the structured CSV, in one pass of
+    ``CSV_BLOCK_ROWS``-row blocks.  ``columns`` hold every row, or the rows
+    ``keep`` (sorted indices) alone, whose cells alone are parsed.  A block
+    that fails to parse raises at its first faulty line."""
+    expected = [f.name for f in schema] + ["label", "id"]
+    ids, labels, seen = [], [], set()
+    parts = [[] for _ in schema]
+    with _open(path, "structured data file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
         start = 0
         while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-            widths = np.fromiter(map(len, block), np.int64, len(block))
-            bad = np.flatnonzero(widths != len(expected))
-            if bad.size:
-                raise DataError(f"{path}:{start + bad[0] + 2}: wrong column count")
-            yield start, block
-            start += len(block)
-
-
-def _scan(path: str, expected, m: int, take):
-    """One pass over the structured CSV: (ids, labels) of every row, with
-    the width, label and id-uniqueness checks in that order; ``take(start,
-    block)`` sees each block of rows as it is read."""
-    label_cells, ids = [], []
-    for start, block in _csv_blocks(path, expected):
-        label_cells += [r[-2] for r in block]
-        ids += [r[-1] for r in block]
-        take(start, block)
-    labels = _parse_labels(label_cells, m, path)
-    if len(set(ids)) != len(ids):
-        raise _duplicate_id(path, ids)
-    return ids, labels
-
-
-def _scan_keeping(path: str, expected, m: int, rows):
-    """``_scan`` that also returns the records of ``rows`` (none when
-    None), keyed by row index."""
-    wanted = np.sort(rows) if rows is not None else np.empty(0, np.int64)
-    kept = {}
-
-    def take(start, block):
-        lo, hi = np.searchsorted(wanted, (start, start + len(block)))
-        for i in wanted[lo:hi].tolist():
-            kept[i] = block[i - start]
-
-    return (*_scan(path, expected, m, take), kept)
-
-
-def _read_structured(path: str, schema, m: int, pick, n: int):
-    """(ids, labels, rows, columns) of the structured CSV, read in blocks
-    of ``CSV_BLOCK_ROWS`` rows, so the cell strings of every row never
-    exist at once.
-
-    Every row: the header, the row width, the label parse and range and
-    id uniqueness; ``ids`` and ``labels`` cover every row.  With ``pick``
-    None, each block's numerical and categorical cells are parsed into
-    per-column parts, concatenated into ``columns`` at the end, and
-    ``rows`` is None.  Otherwise ``pick`` maps the row count to ``rows``,
-    whose cells are parsed in that order into ``columns``: the pass keeps
-    the records of ``pick(n)``, ``n`` being the manifest's row count, and
-    a file holding another number of rows is read again with the counted
-    one.  Errors come in the order of a whole-file read: the first row of
-    wrong width, the labels, a duplicate id, then the first bad cell of
-    the lowest failing column, held back from whichever block found it.
-    """
-    expected = [f.name for f in schema] + ["label", "id"]
-    if pick is not None:
-        try:
-            # a row takes at least len(expected) bytes (commas and newline), so
-            # a count the file cannot hold is not planned for, nor allocated
-            planned = pick(n) if n * len(expected) <= os.path.getsize(path) + 1 else None
-        except (OSError, DataError):
-            # a missing file, or too few rows to split, is reported in its turn
-            planned = None
-        ids, labels, kept = _scan_keeping(path, expected, m, planned)
-        rows = planned
-        if planned is None or len(ids) != n:
-            rows = pick(len(ids))
-            ids, labels, kept = _scan_keeping(path, expected, m, rows)
-        cells = list(zip(*[kept[i] for i in rows.tolist()])) or [()] * len(expected)
-        return ids, labels, rows, tuple(_parse_column(c, f, path, rows + 2)
-                                        for c, f in zip(cells, schema))
-
-    # each column starts with an empty part, which gives it its dtype at 0 rows
-    parts = [[_parse_column((), f, path, ())] for f in schema]
-    errors = {}  # column index -> its first bad cell's error
-
-    def take(start, block):
-        lines = range(start + 2, start + 2 + len(block))
-        for j, (cells, feat) in enumerate(zip(zip(*block), schema)):
-            if j >= min(errors, default=len(schema)):
-                break
+            if keep is None:
+                local, rows = range(len(block)), block
+            else:
+                lo, hi = np.searchsorted(keep, (start, start + len(block)))
+                local = (keep[lo:hi] - start).tolist()
+                rows = [block[i] for i in local]
             try:
-                parts[j].append(_parse_column(cells, feat, path, lines))
-            except DataError as exc:
-                errors[j] = exc
-
-    ids, labels = _scan(path, expected, m, take)
-    if errors:
-        raise errors[min(errors)]
-    return ids, labels, None, tuple(np.concatenate(p) for p in parts)
+                if set(map(len, block)) != {len(expected)}:
+                    raise ValueError("wrong column count")
+                block_ids = [row[-1] for row in block]
+                block_labels = [int(row[-2]) for row in block]
+                seen.update(block_ids)
+                if (min(block_labels) < 0 or max(block_labels) >= m
+                        or len(seen) != len(ids) + len(block)):
+                    raise ValueError("label out of range or repeated id")
+                cells = zip(*rows) if rows else [()] * len(schema)
+                columns = [_column(c, f) for c, f in zip(cells, schema)]
+            except ValueError:
+                checked, earlier = set(local), set(ids)
+                for i, row in enumerate(block):
+                    fault = _line_fault(row, schema, m, earlier, i in checked)
+                    if fault:
+                        raise DataError(f"{path}:{start + i + 2}: {fault}") from None
+                raise  # a fault that _line_fault misses
+            ids += block_ids
+            labels += block_labels
+            for part, column in zip(parts, columns):
+                part.append(column)
+            start += len(block)
+    return ids, np.array(labels, dtype=np.int64), tuple(
+        np.concatenate(p) if p else _column((), f) for p, f in zip(parts, schema))
 
 
 _JSON_DECODER = json.JSONDecoder()
@@ -665,100 +602,106 @@ def _json_line(line: str):
     return json.loads(line)  # leading or trailing whitespace, or the error
 
 
-def _shape_error(path: str, ids) -> DataError:
-    """The error for embeddings that do not form one (len(ids), d) array of
-    numbers, with numpy's reason for the vectors of ``ids`` in that order;
-    the file is re-read this way only after its blocks failed to convert."""
-    vectors = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.isspace():
-                record = json.loads(line)
-                vectors[record["id"]] = record["embedding"]
-    try:
-        # scalar or nested embeddings, or no rows
-        reason = f"read as a {np.array([vectors[i] for i in ids], dtype=np.float64).ndim}-D array"
-    except (ValueError, TypeError, OverflowError) as exc:
-        reason = str(exc)
-    return DataError(f"{path}: need one equal-length number list per sample ({reason})")
+def _vector_fault(path: str, records, d) -> DataError:
+    """The error of the first of ``records`` (line, id, vector) whose vector
+    is not a flat list of ``d`` (None: the first one's size) finite numbers."""
+    for line_no, sample_id, vector in records:
+        try:
+            values = np.array(vector, dtype=np.float64)
+            d = values.size if d is None else d
+            if values.shape != (d,):
+                raise ValueError(f"read as shape {values.shape}, not ({d},)")
+        except (ValueError, TypeError, OverflowError) as exc:
+            return DataError(
+                f"{path}:{line_no}: need one equal-length number list per sample ({exc})")
+        if not np.isfinite(values).all():
+            return DataError(f"{path}: non-finite or null embedding value for id {sample_id!r}")
+    raise AssertionError("a block that fails to convert holds a faulty vector")
 
 
 def _load_embeddings(path: str, ids) -> np.ndarray:
-    """The (len(ids), d) embeddings, row i for ``ids[i]``, read in blocks of
-    ``CSV_BLOCK_ROWS`` lines: each line is decoded on its own, and each
-    block's vectors of CSV ids are converted at once and written into a
-    preallocated array, so no more than one block's numbers are ever
-    Python floats.  Blank lines are skipped but counted.
-
-    Errors come in the order of a whole-file read: a bad record or a
-    duplicate id (ids the CSV lacks included), first in line order; the
-    first CSV id without a record; vectors that are not numbers of one
-    length, or no rows, held back from whichever block found them; then
-    the first row holding a non-finite or null value.
-    """
+    """The (len(ids), d) embeddings, row i for ``ids[i]``, in one pass of
+    ``CSV_BLOCK_ROWS``-line blocks: each line is decoded on its own, and a
+    block's vectors of CSV ids are converted at once into their rows of one
+    array.  Blank lines are skipped but counted.  The first faulty line
+    raises, for the first of: a bad record, a repeated id, a CSV id's
+    vector that is not a flat list of as many numbers as the first one's,
+    a non-finite or null value.  After the pass, so do the first CSV id
+    without a record and a CSV without rows, which gives no width."""
     row_of = dict(zip(ids, itertools.count()))
     seen = bytearray(len(ids))  # 1 where a CSV id's record has been read
     others = set()              # ids of records the CSV lacks
-    embeddings, shaped = None, True
-    try:
-        fh = open(path, encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"embeddings file not found: {path}") from exc
-    with fh:
+    embeddings = None
+    with _open(path, "embeddings file") as fh:
         start = 1
         while block := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
-            rows, vectors = [], []
+            # CSV ids' lines, rows and vectors before the first bad record or
+            # repeated id, checked before that is raised
+            lines, rows, vectors, fault = [], [], [], None
             for line_no, line in enumerate(block, start):
                 if line.isspace():
                     continue
                 try:
                     record = _json_line(line)
-                    sample_id = record["id"]
+                    sample_id, vector = record["id"], record["embedding"]
                     row = row_of.get(sample_id)
-                    duplicate = sample_id in others if row is None else seen[row]
-                    if duplicate:
-                        raise DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
-                    vector = record["embedding"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DataError(f"{path}:{line_no}: bad record") from exc
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    fault = DataError(f"{path}:{line_no}: bad record")
+                    break
+                if (sample_id in others) if row is None else seen[row]:
+                    fault = DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+                    break
                 if row is None:
                     others.add(sample_id)
                 else:
                     seen[row] = 1
+                    lines.append(line_no)
                     rows.append(row)
                     vectors.append(vector)
             start += len(block)
-            if not (shaped and vectors):
-                continue
-            try:
-                part = np.array(vectors, dtype=np.float64)
-            except (ValueError, TypeError, OverflowError):
-                shaped = False
-                continue
-            if embeddings is None and part.ndim == 2:
-                embeddings = np.empty((len(ids), part.shape[1]))
-            # checked, not broadcast: a (k, 1) part would fill (k, d) rows
-            if embeddings is None or part.shape[1:] != embeddings.shape[1:]:
-                shaped = False
-            else:
-                embeddings[rows] = part
+            if vectors:
+                try:
+                    part = np.array(vectors, dtype=np.float64)
+                    if embeddings is None:
+                        embeddings = np.empty((len(ids), len(vectors[0])))
+                    # checked, not broadcast: a (k, 1) part would fill (k, d) rows
+                    if part.shape[1:] != embeddings.shape[1:] or not np.isfinite(part).all():
+                        raise ValueError("not (k, d) finite numbers")
+                    embeddings[rows] = part
+                except (ValueError, TypeError, OverflowError):
+                    raise _vector_fault(path, zip(lines, [ids[r] for r in rows], vectors),
+                                        None if embeddings is None
+                                        else embeddings.shape[1]) from None
+            if fault:
+                raise fault
     missing = seen.find(0)
     if missing >= 0:
         raise DataError(f"{path}: no embedding for id {ids[missing]!r}")
-    if not shaped or embeddings is None:
-        raise _shape_error(path, ids)
-    bad = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: non-finite or null embedding value for id {ids[bad[0]]!r}")
+    if embeddings is None:
+        raise DataError(f"{path}: need one equal-length number list per sample (no rows)")
     return embeddings
 
 
 def _load(manifest_path: str, pick) -> Dataset:
     schema, n, m, structured_path, embeddings_path, generator = _read_manifest(manifest_path)
-    ids, labels, rows, columns = _read_structured(structured_path, schema, m, pick, n)
+    # load_split plans the rows whose cells it parses from n before the
+    # pass, except an n the file cannot hold (a row takes a byte per column)
+    # or too small to split; the pass reports a missing file
+    keep = None if pick is None else np.empty(0, np.int64)
+    try:
+        if pick is not None and n * (len(schema) + 2) <= os.path.getsize(structured_path) + 1:
+            keep = np.sort(pick(n))
+    except (OSError, DataError):
+        pass
+    ids, labels, columns = _read_structured(structured_path, schema, m, keep)
+    if len(ids) != n:
+        raise DataError(f"{structured_path} holds {len(ids)} rows, "
+                        f"but manifest {manifest_path} says n = {n}")
     embeddings = _load_embeddings(embeddings_path, ids) if embeddings_path else None
-    if rows is not None:
+    if pick is not None:
+        rows = pick(n)  # now n is the row count: the rows kept, or the split's error
         ids, labels = [ids[i] for i in rows], labels[rows]
+        columns = tuple(c[np.searchsorted(keep, rows)] for c in columns)
         embeddings = embeddings[rows] if embeddings is not None else None
     return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
                    embeddings=embeddings, m=m, generator=generator)
@@ -773,11 +716,8 @@ def load_split(manifest_path: str, seed: int, part: str) -> Dataset:
     """One part ("train", "val" or "test") of a manifest's dataset, equal
     to ``split(load_dataset(manifest_path), seed)`` at that part.
 
-    The checks that cover every row still run on every row: the CSV
-    header, row width, label parse and range and id uniqueness, and every
-    embeddings check.  Numerical and categorical cells are parsed and
-    checked only in the part's rows, so a bad cell outside the part goes
-    unreported here; ``load_dataset`` still rejects it.
+    Cells are parsed and checked only in the part's rows, planned from the
+    manifest's ``n``; every other check runs on every row.
     """
     if part not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {part!r}")

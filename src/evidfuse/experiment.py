@@ -25,6 +25,7 @@ from .data import (
     load_split,
     manifest_hash,
     split,
+    split_indices,
     SPLIT_NAMES,
     PreprocessState,
     SyntheticConfig,
@@ -180,6 +181,18 @@ def load_run_dataset(config: RunConfig):
     return dataset, dataset_id
 
 
+def _check_classes(dataset: Dataset, seeds):
+    """Every seed's train part holds every class, which training weighs by
+    their counts, and so does its test part, which AUROC scores."""
+    for seed in seeds:
+        train, _, test = split_indices(dataset.n, seed)
+        for name, part in (("train", train), ("test", test)):
+            counts = np.bincount(dataset.labels[part], minlength=dataset.m)
+            if not counts.all():
+                raise DataError(f"seed {seed}: the {name} split holds no sample of class "
+                                f"{int(np.argmin(counts))}")
+
+
 def _report_doc(task: str, config_hash: str, seed: int, dataset_id: str, split_name: str,
                 report: MetricsReport) -> dict:
     return {
@@ -247,9 +260,10 @@ def run_experiment(config: RunConfig) -> dict:
             f"run directory {run_dir!r} already holds a run (config hash "
             f"{existing}); set force=True to overwrite"
         )
-    # a dataset or source list the run rejects must not leave a marker
-    # that blocks the rerun
+    # a dataset, split or source list the run rejects must not leave a
+    # marker that blocks the rerun
     dataset, dataset_id = load_run_dataset(config)
+    _check_classes(dataset, config.seeds)
     if config.fusion_grouping == "custom":
         _check_custom_features(config, [f.name for f in dataset.schema],
                                _constant_features(dataset))

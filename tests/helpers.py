@@ -4,18 +4,19 @@ layer and the fused prediction, taped reference implementations of the
 batched evidence, the fusion and the training objective, the training
 step with per-name gradients, the evidential layer and its VJP with
 fresh arrays, the per-cluster loops of k-means and the evidential-layer
-init, and the dataset files as ``csv.writer`` and ``json.dumps`` write
-them."""
+init, the dataset files as ``csv.writer`` and ``json.dumps`` write
+them, and the dataset read from them line by line."""
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from evidfuse.autodiff import Tape
-from evidfuse.data import Dataset, FeatureSpec
+from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices
 from evidfuse.encoders import encode
 from evidfuse.errors import DataError
 from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, SourceEvidence
@@ -390,3 +391,106 @@ def reference_write_data_files(dataset, out_dir):
                 fh.write(json.dumps({"id": sample_id, "embedding": vec.tolist()},
                                     sort_keys=True, separators=(",", ":")))
                 fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# the dataset files read line by line, the whole file at once: what
+# evidfuse.data's block-wise loaders must return, or raise
+
+def _finite_or_empty(cell):
+    try:
+        return not cell or math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def reference_load(manifest_path, seed=None, part=None):
+    """The dataset ``load_dataset`` returns (``part`` None) or that
+    ``load_split(manifest_path, seed, part)`` returns, or the DataError
+    either raises, a shape fault's message without its reason.  Each file
+    raises at its first faulty line, then for its whole-file faults."""
+    with open(manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
+    n, m = manifest["n"], manifest["m"]
+    csv_path = os.path.join(os.path.dirname(manifest_path), manifest["files"]["structured"])
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [f.name for f in schema] + ["label", "id"]
+    try:
+        # load_split parses the cells of the part it plans from the manifest's n
+        kept = set(range(len(rows)) if part is None
+                   else split_indices(n, seed)[SPLIT_NAMES.index(part)].tolist())
+    except DataError:
+        kept = set()
+    ids, labels = [], []
+    for i, row in enumerate(rows):
+        where = f"{csv_path}:{i + 2}:"
+        if len(row) != len(schema) + 2:
+            raise DataError(f"{where} wrong column count")
+        try:
+            label = int(row[-2])
+        except ValueError:
+            raise DataError(f"{where} bad label {row[-2]!r}") from None
+        if not 0 <= label < m:
+            raise DataError(f"{where} label {label} outside 0..{m - 1}")
+        if row[-1] in ids:
+            raise DataError(f"{where} duplicate id {row[-1]!r}")
+        for feat, cell in zip(schema, row):
+            if i in kept and feat.kind == "numerical" and not _finite_or_empty(cell):
+                raise DataError(f"{where} feature {feat.name!r}: not a finite number {cell!r}")
+        ids.append(row[-1])
+        labels.append(label)
+    if len(rows) != n:
+        raise DataError(f"{csv_path} holds {len(rows)} rows, "
+                        f"but manifest {manifest_path} says n = {n}")
+
+    embeddings = None
+    if manifest["files"].get("embeddings"):
+        path = os.path.join(os.path.dirname(manifest_path), manifest["files"]["embeddings"])
+        vectors, width = {}, None
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    sample_id, vector = record["id"], record["embedding"]
+                    hash(sample_id)
+                except (ValueError, KeyError, TypeError):
+                    raise DataError(f"{path}:{line_no}: bad record") from None
+                if sample_id in vectors:
+                    raise DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+                vectors[sample_id] = vector
+                if sample_id not in ids:
+                    continue
+                shape_fault = DataError(
+                    f"{path}:{line_no}: need one equal-length number list per sample")
+                try:
+                    values = np.array(vector, dtype=np.float64)
+                except (ValueError, TypeError, OverflowError):
+                    raise shape_fault from None
+                width = len(values) if width is None and values.ndim == 1 else width
+                if values.shape != (width,):
+                    raise shape_fault
+                if not np.isfinite(values).all():
+                    raise DataError(f"{path}: non-finite or null embedding value for id "
+                                    f"{sample_id!r}")
+        for sample_id in ids:
+            if sample_id not in vectors:
+                raise DataError(f"{path}: no embedding for id {sample_id!r}")
+        if not ids:
+            raise DataError(f"{path}: need one equal-length number list per sample")
+        embeddings = np.array([vectors[i] for i in ids], dtype=np.float64)
+
+    out = range(len(rows)) if part is None else split_indices(n, seed)[SPLIT_NAMES.index(part)]
+    columns = []
+    for j, feat in enumerate(schema):
+        cells = [rows[i][j] for i in out]
+        columns.append(np.array([float(c) if c else math.nan for c in cells])
+                       if feat.kind == "numerical" else
+                       np.array([c or None for c in cells], dtype=object))
+    return Dataset(schema=schema, ids=[ids[i] for i in out], columns=columns,
+                   labels=np.array([labels[i] for i in out], dtype=np.int64),
+                   embeddings=None if embeddings is None else embeddings[list(out)], m=m,
+                   generator=manifest.get("generator"))

@@ -21,7 +21,18 @@ class TestParse:
     @pytest.mark.parametrize("fields,message", [
         ({"prototypes": 0}, "prototypes must be >= 1"),
         ({"seeds": (1, 2, 1)}, r"seeds must be distinct, got \[1, 2, 1\]"),
-    ], ids=["no-prototypes", "repeated-seed"])
+        ({"max_epochs": 1.5}, "max_epochs must be an integer, got 1.5"),
+        ({"prototypes": 2.5}, "prototypes must be an integer, got 2.5"),
+        ({"encoder_output_dim": 8.0}, "encoder_output_dim must be an integer, got 8.0"),
+        ({"text_hidden_dim": "64"}, "text_hidden_dim must be an integer, got '64'"),
+        ({"batch_size": True}, "batch_size must be an integer, got True"),
+        ({"patience": None}, "patience must be an integer, got None"),
+        ({"n_source_blocks": 2.0}, "n_source_blocks must be an integer, got 2.0"),
+        ({"seeds": (0, 1.9)}, "each seed must be an integer, got 1.9"),
+        ({"seeds": (False,)}, "each seed must be an integer, got False"),
+    ], ids=["no-prototypes", "repeated-seed", "float-epochs", "float-prototypes",
+            "integral-float-width", "string-hidden-width", "bool-batch", "no-patience",
+            "float-blocks", "float-seed", "bool-seed"])
     def test_invalid_field_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(synthetic=SYNTHETIC, **fields)

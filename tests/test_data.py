@@ -32,7 +32,7 @@ from evidfuse.data import (
     write_dataset,
 )
 from evidfuse.errors import ConfigError, DataError
-from helpers import mixed_dataset, reference_write_data_files
+from helpers import mixed_dataset, reference_load, reference_write_data_files
 
 
 def toy_dataset(rows, schema, labels=None, **kw):
@@ -270,6 +270,10 @@ class TestSyntheticGeneration:
             SyntheticConfig(n=10, m=3)
         with pytest.raises(ConfigError):
             SyntheticConfig(n=10, informativeness=(0.5,))  # needs two entries
+        for field, value in (("n", 60.5), ("n", 60.0), ("d_struct", True), ("d_embed", "8"),
+                             ("m", 2.0), ("seed", 1.9), ("seed", None)):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+                SyntheticConfig(**{"n": 10, field: value})
 
 
 class TestBayesOracle:
@@ -469,26 +473,28 @@ class TestLoadRejects:
         (d / "embeddings.jsonl").write_text("".join(
             '{"embedding":%s,"id":"%s"}\n' % (embedding, json.loads(line)["id"])
             for line in lines))
-        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+        with pytest.raises(DataError, match=r"embeddings\.jsonl:1: need one equal-length"):
             load_dataset(manifest)
 
     def test_embeddings_without_rows(self, tmp_path):
         manifest, d = self._written(tmp_path)
         csv_path = d / "structured.csv"
         csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
-        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+        doc = json.loads((d / "manifest.json").read_text())
+        (d / "manifest.json").write_text(json.dumps(dict(doc, n=0)))
+        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length .*\(no rows\)"):
             load_dataset(manifest)
 
     def test_ragged_embeddings(self, tmp_path):
         manifest, d = self._written(tmp_path)
         self._replace_line(d / "embeddings.jsonl", 2, '{"embedding":[2.0],"id":"r1"}')
-        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+        with pytest.raises(DataError, match=r"embeddings\.jsonl:2: need one equal-length"):
             load_dataset(manifest)
 
     def test_non_numeric_embedding_entry(self, tmp_path):
         manifest, d = self._written(tmp_path)
         self._replace_line(d / "embeddings.jsonl", 2, '{"embedding":[2.0,"abc"],"id":"r1"}')
-        with pytest.raises(DataError, match=r"embeddings\.jsonl: .*equal-length"):
+        with pytest.raises(DataError, match=r"embeddings\.jsonl:2: need one equal-length"):
             load_dataset(manifest)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "null"])
@@ -583,7 +589,8 @@ def edit_lines(path, edits):
 
 class TestBlockwiseRead:
     """The structured CSV is read in blocks of ``CSV_BLOCK_ROWS`` rows;
-    loads return, and fail with, what a whole-file read would."""
+    loads return, and fail with, what a whole-file read line by line
+    would: the first faulty line raises."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_row_counts_around_the_block_size(self, tmp_path, offset):
@@ -602,38 +609,62 @@ class TestBlockwiseRead:
             load_split(manifest, 0, "test")
 
     @pytest.mark.parametrize("n", [0, 5, 119, 121, 10**15])
-    def test_wrong_manifest_row_count_changes_nothing(self, tmp_path, monkeypatch, n):
+    def test_wrong_manifest_row_count_rejected(self, tmp_path, monkeypatch, n):
+        """After the CSV pass, by both loaders: below 10 rows as the mismatch,
+        not as too few rows to split, and 10**15 rows are never planned
+        (numpy would raise MemoryError for them)."""
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
-        whole = load_dataset(manifest)
         with open(manifest, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["n"] = n
         with open(manifest, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        assert_same_dataset(load_dataset(manifest), whole)
-        for part, expected in zip(SPLIT_NAMES, split(whole, seed=7)):
-            assert_same_dataset(load_split(manifest, 7, part), expected)
+        for load in (load_dataset, lambda path: load_split(path, 7, "test")):
+            with pytest.raises(DataError, match=rf"structured\.csv holds 120 rows, "
+                                                rf"but manifest .*manifest\.json says n = {n}$"):
+                load(manifest)
 
     # mixed_dataset's columns: n0, c0, flat, n1, c1, label, id; with blocks
-    # of 16 rows each fault below lies in a different block
-    @pytest.mark.parametrize("edits,message,every_row", [
-        ({(1, 0): "abc", (60, 5): "yes"}, r"csv:62: bad label 'yes'", True),
-        ({(1, 0): "abc", (20, 5): "yes", (100, 6): "p100,x"}, r"csv:102: wrong column count",
-         True),
-        ({(1, 3): "abc", (90, 0): "nan"}, r"csv:92: feature 'n0': not a finite number 'nan'",
-         False),
-        ({(1, 3): "abc", (40, 6): "p2"}, r"csv:42: duplicate id 'p2'", True),
-        ({(1, 5): "2", (70, 5): "no"}, r"csv:72: bad label 'no'", True),
+    # of 16 rows each fault below lies in a different block.  Rows 1 and 43
+    # lie in seed 0's train and val parts, so load_split's val part parses
+    # row 43's cells and not row 1's
+    @pytest.mark.parametrize("edits,message,val_message", [
+        ({(1, 0): "abc", (60, 5): "yes"}, r"csv:3: feature 'n0': not a finite number 'abc'",
+         r"csv:62: bad label 'yes'"),
+        ({(1, 0): "abc", (20, 5): "yes", (100, 6): "p100,x"},
+         r"csv:3: feature 'n0': not a finite number 'abc'", r"csv:22: bad label 'yes'"),
+        ({(1, 3): "abc", (43, 0): "nan"}, r"csv:3: feature 'n1': not a finite number 'abc'",
+         r"csv:45: feature 'n0': not a finite number 'nan'"),
+        ({(1, 3): "abc", (40, 6): "p2"}, r"csv:3: feature 'n1': not a finite number 'abc'",
+         r"csv:42: duplicate id 'p2'"),
+        ({(1, 5): "2", (70, 5): "no"}, r"csv:3: label 2 outside 0\.\.1",
+         r"csv:3: label 2 outside 0\.\.1"),
     ], ids=["cell-then-label", "cell-label-then-width", "two-columns", "cell-then-id",
             "label-range-then-parse"])
     def test_errors_keep_their_whole_file_order(self, tmp_path, monkeypatch, edits, message,
-                                                every_row):
+                                                val_message):
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
         edit_lines(tmp_path / "ds" / "structured.csv", edits)
-        loads = (load_dataset, lambda path: load_split(path, 0, "train"))
-        for load in loads if every_row else loads[:1]:
+        for load, expected in ((load_dataset, message),
+                               (lambda path: load_split(path, 0, "val"), val_message)):
+            with pytest.raises(DataError, match=rf"structured\.{expected}$"):
+                load(manifest)
+
+    # row 5 (line 7) lies in seed 0's test part
+    @pytest.mark.parametrize("edits,message", [
+        ({(5, 6): "p1,x", (5, 5): "yes"}, r"csv:7: wrong column count"),
+        ({(5, 5): "yes", (5, 6): "p1"}, r"csv:7: bad label 'yes'"),
+        ({(5, 5): "2", (5, 6): "p1"}, r"csv:7: label 2 outside 0\.\.1"),
+        ({(5, 6): "p1", (5, 0): "abc"}, r"csv:7: duplicate id 'p1'"),
+        ({(5, 3): "nan", (5, 0): "abc"}, r"csv:7: feature 'n0': not a finite number 'abc'"),
+    ], ids=["width-then-label", "label-then-id", "label-range-then-id", "id-then-cell",
+            "cells-left-to-right"])
+    def test_faults_of_one_line_in_order(self, tmp_path, edits, message):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        edit_lines(tmp_path / "ds" / "structured.csv", edits)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
             with pytest.raises(DataError, match=rf"structured\.{message}$"):
                 load(manifest)
 
@@ -752,8 +783,9 @@ def edit_records(path, edits, blanks=0):
 
 class TestBlockwiseJsonlRead:
     """The embeddings JSONL is read in blocks of ``CSV_BLOCK_ROWS`` lines;
-    loads return, and fail with, what a whole-file read would.  With 16-line
-    blocks, mixed_dataset's 120 records (line i holds id p{i-1}) fill 8."""
+    loads return, and fail with, what a whole-file read line by line would.
+    With 16-line blocks, mixed_dataset's 120 records (line i holds id
+    p{i-1}) fill 8."""
 
     @pytest.fixture
     def written(self, tmp_path, monkeypatch):
@@ -803,21 +835,24 @@ class TestBlockwiseJsonlRead:
                             3: "{}]}"})
         self.assert_rejected(manifest, r":2: bad record$")
 
-    # whatever block found it, a fault reads as in a whole-file read: bad
-    # records and duplicates in line order, then the first CSV id without a
-    # record, then shape, then a non-finite or null value
+    # the first faulty line wins, whatever the kinds of the faults: line 2's
+    # shape or value fault comes before a bad record, a duplicate or a
+    # shape fault in later blocks, and before the file's missing id
     @pytest.mark.parametrize("edits,message", [
-        ({2: record("p1", "[1.0]"), 40: "[]"}, r":40: bad record$"),
-        ({2: record("p1", "[1.0]"), 40: record("p3")}, r":40: duplicate id 'p3'$"),
+        ({2: record("p1", "[1.0]"), 40: "[]"}, r":2: need one equal-length number list "
+                                               r"per sample \(read as shape \(1,\), not \(3,\)\)$"),
+        ({2: record("p1", "[1.0]"), 5: "[]"}, r":2: need one equal-length"),
+        ({2: record("p1", "[1.0]"), 40: record("p3")}, r":2: need one equal-length"),
         ({2: record("p1", "[1.0]"), 30: record("zz"), 99: record("zz")},
-         r":99: duplicate id 'zz'$"),
-        ({2: record("p1", "[1.0]"), 90: record("other")}, r": no embedding for id 'p29'$"),
+         r":2: need one equal-length"),
+        ({2: record("p1", "[1.0]"), 90: record("other")}, r":2: need one equal-length"),
         ({2: record("p1", "[1.0,null,3.0]"), 100: record("p99", "[[1.0,2.0,3.0]]")},
-         r": need one equal-length number list per sample \(.+\)$"),
+         r": non-finite or null embedding value for id 'p1'$"),
         ({2: record("p1", "[1.0,NaN,3.0]"), 100: record("p99", "[1.0,2.0,Infinity]")},
          r": non-finite or null embedding value for id 'p1'$"),
-    ], ids=["shape-then-bad-record", "shape-then-duplicate", "shape-then-foreign-duplicate",
-            "shape-then-missing-id", "null-then-shape", "two-non-finite"])
+    ], ids=["shape-then-bad-record", "shape-then-bad-record-in-its-block", "shape-then-duplicate",
+            "shape-then-foreign-duplicate", "shape-then-missing-id", "null-then-shape",
+            "two-non-finite"])
     def test_faults_keep_their_whole_file_order(self, written, edits, message):
         _, manifest, path = written
         if 90 in edits:
@@ -825,19 +860,30 @@ class TestBlockwiseJsonlRead:
         edit_records(path, edits)
         self.assert_rejected(manifest, message)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"id":"p1"}', r":5: bad record$"),
+        (record("p1", "[1.0]"), r":5: duplicate id 'p1'$"),
+        (record("p4", "[1.0,null]"), r":5: need one equal-length number list per sample "
+                                     r"\(read as shape \(2,\), not \(3,\)\)$"),
+    ], ids=["bad-record-then-duplicate", "duplicate-then-shape", "shape-then-null"])
+    def test_faults_of_one_line_in_order(self, written, text, message):
+        _, manifest, path = written
+        edit_records(path, {5: text})
+        self.assert_rejected(manifest, message)
+
     def test_a_whole_block_of_another_width(self, written):
         # block 2 alone converts to a (16, 1) array, which would broadcast
         _, manifest, path = written
         edit_records(path, {i: record(f"p{i - 1}", "[1.0]") for i in range(17, 33)})
-        self.assert_rejected(
-            manifest, r": need one equal-length number list per sample \(.+\)$")
+        self.assert_rejected(manifest, r":17: need one equal-length number list per sample "
+                                       r"\(read as shape \(1,\), not \(3,\)\)$")
 
     def test_integer_too_large_for_a_float(self, written):
         # numpy raises OverflowError for it, not ValueError
         _, manifest, path = written
         edit_records(path, {60: record("p59", "[1.0,%s,3.0]" % ("9" * 400))})
         self.assert_rejected(
-            manifest, r": need one equal-length number list per sample \(int too large .*\)$")
+            manifest, r":60: need one equal-length number list per sample \(int too large .*\)$")
 
     def test_embeddings_never_all_python_floats(self, tmp_path, monkeypatch):
         """Peak traced memory of reading the embeddings stays well below what
@@ -861,3 +907,92 @@ class TestBlockwiseJsonlRead:
                 return [json.loads(line)["embedding"] for line in fh]
 
         assert peak(lambda: data._load_embeddings(path, ds.ids)) < 0.75 * peak(vectors)
+
+
+def _csv_fault(rng, rows, n):
+    """Put one fault in a random data row of ``rows`` (split CSV lines);
+    mixed_dataset's numerical columns are 0, 2 and 3."""
+    row = rows[int(rng.integers(n)) + 1]
+    kind = rng.integers(5)
+    if kind == 0:
+        row[:] = row[:-1] if rng.random() < 0.5 else row + ["x"]
+    elif kind == 1:
+        row[-2] = str(rng.choice(["yes", "1.5", "", "2", "-1", "9" * 20]))
+    elif kind == 2:
+        row[-1] = f"p{rng.integers(n)}"  # a repeat unless it is the row's own id
+    else:
+        row[int(rng.choice([0, 2, 3]))] = str(rng.choice(["abc", "nan", "inf", "-inf"]))
+
+
+def _jsonl_fault(rng, lines, n):
+    """Put one fault in a record of ``lines`` (JSONL lines of 3-wide vectors)."""
+    i = int(rng.choice([j for j, line in enumerate(lines)
+                        if '"embedding":' in line and '"id":' in line]))
+    sample_id = json.loads(lines[i])["id"]
+    kind = rng.integers(6)
+    if kind == 0:
+        lines[i] = str(rng.choice(["[]", "{", "null", '{"id":"p0"}', '{"embedding":[]}']))
+    elif kind == 1:
+        lines[i] = record(f"p{rng.integers(n)}")
+    elif kind == 2:
+        lines[i] = lines[int(rng.integers(len(lines)))] = record("foreign")
+    elif kind == 3:
+        lines[i] = record(sample_id, str(rng.choice(["[1.0,2.0]", "[1,2,3,4]", "1.5",
+                                                    "[[1.0,2.0,3.0]]", '[1.0,"a",3.0]'])))
+    elif kind == 4:
+        value = rng.choice(["null", "NaN", "Infinity", "-Infinity"])
+        lines[i] = record(sample_id, f"[1.0,{value},3.0]")
+    else:
+        lines[i] = " "  # that id's record goes missing
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loads_match_the_line_by_line_reference(tmp_path, monkeypatch, seed):
+    """Random small manifests with 0, 1 or 2 faults, in 16-row blocks: each
+    load returns what ``helpers.reference_load`` returns, bit for bit, or
+    raises its message; a valid file loads back the dataset written."""
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+    rng = np.random.default_rng(seed)
+    for case in range(40):
+        n = int(rng.integers(10, 60))
+        ds = mixed_dataset(n=n, seed=case)
+        manifest = write_dataset(ds, str(tmp_path / f"{seed}-{case}"))
+        csv_path, jsonl_path = (tmp_path / f"{seed}-{case}" / name
+                                for name in ("structured.csv", "embeddings.jsonl"))
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        lines = jsonl_path.read_text().splitlines()
+        if rng.random() < 0.5:
+            rng.shuffle(lines)
+        faults = int(rng.integers(3))
+        for _ in range(faults):
+            kind = rng.integers(5)
+            if kind < 2:
+                _csv_fault(rng, rows, n)
+            elif kind < 4:
+                _jsonl_fault(rng, lines, n)
+            else:
+                with open(manifest, encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                doc["n"] = int(rng.choice([n - 1, n + 1, n + 7, 5, 0]))
+                with open(manifest, "w", encoding="utf-8") as fh:
+                    json.dump(doc, fh)
+        csv_path.write_text("\n".join(map(",".join, rows)) + "\n")
+        jsonl_path.write_text("\n".join(lines) + "\n" * int(rng.integers(1, 3)))
+
+        split_seed, part = int(rng.integers(4)), str(rng.choice(SPLIT_NAMES))
+        for load, args, written in (
+                (load_dataset, (), ds),
+                (load_split, (split_seed, part),
+                 split(ds, split_seed)[SPLIT_NAMES.index(part)])):
+            where = f"case {seed}-{case}, {faults} faults, {load.__name__}"
+            try:
+                expected = reference_load(manifest, *args)
+            except DataError as exc:
+                with pytest.raises(DataError) as raised:
+                    load(manifest, *args)
+                # a shape fault's reason comes from how the block was converted
+                assert re.sub(r" \(.*\)$", "", str(raised.value)) == str(exc), where
+                continue
+            assert_same_dataset(load(manifest, *args), expected)
+            if not faults:
+                assert_same_dataset(expected, written)

@@ -252,6 +252,23 @@ class TestBinaryOnly:
             assert not (tmp_path / "runs" / "three" / "config.json").exists()
         assert not list((tmp_path / "runs" / "three").glob("seed_*"))
 
+    @pytest.mark.parametrize("n,rate,data_seed,message", [
+        (40, 0.08, 1, "the test split holds no sample of class 1"),
+        (20, 0.05, 1, "the train split holds no sample of class 1"),
+    ], ids=["test-part", "train-part"])
+    def test_split_without_a_class_rejected_before_training(self, tmp_path, n, rate,
+                                                             data_seed, message):
+        config = RunConfig(task="rare", synthetic=SyntheticConfig(
+                               n=n, positive_rate=rate, seed=data_seed),
+                           prototypes=3, max_epochs=1, seeds=(0,),
+                           output_dir=str(tmp_path / "runs"))
+        for _ in range(2):
+            # the rejected run leaves no marker, so the rerun fails the same way
+            with pytest.raises(DataError, match=f"seed 0: {message}$"):
+                run_experiment(config)
+            assert not (tmp_path / "runs" / "rare" / "config.json").exists()
+        assert not list((tmp_path / "runs" / "rare").glob("seed_*"))
+
 
 class TestCustomSourceEntries:
     @pytest.mark.parametrize("entry,message", [

@@ -19,6 +19,7 @@ from evidfuse.model import (
     FusionModel,
     FusionSource,
     ParamVector,
+    Predictions,
     SourceSpec,
     TrainConfig,
     init_model,
@@ -157,6 +158,21 @@ class TestPredictBatch:
         preds = predict_batch(model, inputs)
         assert np.array_equal(preds.probs, predict_probs(model, inputs))
         assert np.array_equal(np.stack([p.probs for p in preds]), preds.probs)
+
+    def test_iteration_yields_each_sample(self):
+        """Iterating predictions (``__getitem__`` until IndexError) yields N
+        single-sample Predictions, whose stacked probs are predict_probs'."""
+        model, inputs, _ = tiny_fusion_setup(seed=5, n=9)
+        preds = predict_batch(model, inputs)
+        samples = list(preds)
+        assert len(samples) == len(preds) == 9
+        for i, sample in enumerate(samples):
+            assert isinstance(sample, Predictions)
+            for f in fields(Predictions):
+                got, want = getattr(sample, f.name), getattr(preds, f.name)[i]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+        stacked = np.stack([p.probs for p in preds])
+        assert stacked.tobytes() == predict_probs(model, inputs).tobytes()
 
     def test_conflict_of_worked_example(self):
         model = two_constant_source_model()
