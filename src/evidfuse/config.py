@@ -105,14 +105,13 @@ class RunConfig:
             object.__setattr__(self, "custom_sources",
                                tuple(_check_custom_source(s) for s in self.custom_sources))
 
-    def to_json_dict(self, include_unhashed=True):
+    def to_json_dict(self):
+        """The hashed fields: every field but ``UNHASHED_FIELDS``."""
         doc = asdict(self)
-        if not include_unhashed:
-            for name in UNHASHED_FIELDS:
-                del doc[name]
+        for name in UNHASHED_FIELDS:
+            del doc[name]
         return doc
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_json_dict(include_unhashed=False),
-                               sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

@@ -23,7 +23,9 @@ block's cell strings at a time and writes each block's embeddings
 straight into their rows of one array.  The pass checks each block as it
 reads it, so the first faulty line raises, whatever its fault; the
 faults of a whole file (a row count other than the manifest's ``n``, an
-id without an embedding) come after its pass.
+id without an embedding) come after its pass.  A load takes labels and
+embedding values only as ``write_dataset`` writes them: a label is ASCII
+digits, an embedding value a JSON number.
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -511,10 +513,9 @@ def _line_fault(row, schema, m: int, seen: set, check_cells: bool):
     then, with ``check_cells``, its numerical cells left to right."""
     if len(row) != len(schema) + 2:
         return "wrong column count"
-    try:
-        label = int(row[-2])
-    except ValueError:
+    if not (row[-2].isascii() and row[-2].isdigit()):
         return f"bad label {row[-2]!r}"
+    label = int(row[-2])
     if not 0 <= label < m:
         return f"label {label} outside 0..{m - 1}"
     if row[-1] in seen:
@@ -564,7 +565,11 @@ def _read_structured(path: str, schema, m: int, keep):
                 if set(map(len, block)) != {len(expected)}:
                     raise ValueError("wrong column count")
                 block_ids = [row[-1] for row in block]
-                block_labels = [int(row[-2]) for row in block]
+                label_cells = [row[-2] for row in block]
+                digits = "".join(label_cells)  # int() also takes " 1", "+1" and "0_1"
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError("a label that is not ASCII digits")
+                block_labels = list(map(int, label_cells))
                 seen.update(block_ids)
                 if (min(block_labels) < 0 or max(block_labels) >= m
                         or len(seen) != len(ids) + len(block)):
@@ -611,6 +616,8 @@ def _vector_fault(path: str, records, d) -> DataError:
             d = values.size if d is None else d
             if values.shape != (d,):
                 raise ValueError(f"read as shape {values.shape}, not ({d},)")
+            if not set(map(type, vector)) <= {int, float, type(None)}:  # true is a bool
+                raise ValueError("a value that is not a number")
         except (ValueError, TypeError, OverflowError) as exc:
             return DataError(
                 f"{path}:{line_no}: need one equal-length number list per sample ({exc})")
@@ -661,6 +668,9 @@ def _load_embeddings(path: str, ids) -> np.ndarray:
             start += len(block)
             if vectors:
                 try:
+                    # numpy would also convert true, false and numeric strings
+                    if not set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}:
+                        raise ValueError("a value that is not a number")
                     part = np.array(vectors, dtype=np.float64)
                     if embeddings is None:
                         embeddings = np.empty((len(ids), len(vectors[0])))

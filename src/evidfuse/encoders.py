@@ -9,8 +9,8 @@ substitute leaf tensors; dropout masks are sampled up front at the
 encoder's ``dropout`` rate and applied as constants (inverted scaling,
 so the eval path needs no rescaling).
 
-An eval-mode pass over a whole split (``encode``, ``encode_blocks``)
-runs ``forward`` in row blocks of at most ``ENCODE_BLOCK_ROWS`` rows and
+An eval-mode pass over a whole split (``encode_blocks``) runs
+``forward`` in row blocks of at most ``ENCODE_BLOCK_ROWS`` rows and
 writes each block into one preallocated (N, output_dim) array, so no
 (N, hidden) layer is ever whole.  It keeps the bits of one whole-split
 ``forward`` because a row's product does not depend on the rows beside
@@ -20,8 +20,8 @@ rows changed the output's bits where blocks of 256 to 4096 rows did not.
 So a split of more than ``ENCODE_BLOCK_ROWS`` rows is cut into blocks of
 nearly equal size, none smaller than half the constant, and a smaller
 split runs as one block: there is never a 1-row block unless the split
-has exactly one row.  ``encode`` checks its (N, D) rows;
-``encode_blocks`` trusts its caller to have done so.
+has exactly one row.  ``encode_blocks`` trusts its rows: the model
+checks them where they enter it.
 
 On the training tape each hidden layer is one ``autodiff.linear_relu``
 node (affine map, ReLU and dropout mask) and each output layer one
@@ -208,14 +208,3 @@ def encode_blocks(encoder, x, params=None):
     for lo, hi in row_blocks(len(x)):
         out[lo:hi] = encoder.forward(x[lo:hi], params=params)
     return out
-
-
-def encode(encoder, x):
-    """Eval-mode encoding of an (N, input_dim) batch of rows."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != encoder.input_dim:
-        raise DataError(f"{encoder.kind}: input shape {x.shape} does not match dim "
-                        f"{encoder.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"{encoder.kind}: non-finite input")
-    return encode_blocks(encoder, x)

@@ -171,13 +171,14 @@ def masses_from_log_commonality(log_q, log_q_omega):
 def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> SourceEvidence:
     """One source's evidential layer on a batch of encoder outputs.
 
-    Accepts tape tensors or arrays and records nothing: the tape node
-    that differentiates it is made by ``fuse_evidence``.  Every (N, H)
-    intermediate is computed in place in ``sq_dist``, ``closeness``,
-    ``activation`` or the term array.
+    Accepts tape tensors or arrays, float64 all of them (checked rows'
+    encodings and a model's parameters), and records nothing: the tape
+    node that differentiates it is made by ``fuse_evidence``.  Every
+    (N, H) intermediate is computed in place in ``sq_dist``,
+    ``closeness``, ``activation`` or the term array.
     """
     inputs = (z, prototypes, scale_raw, support_raw, membership_raw)
-    zv, p, a, b, r = (np.asarray(ad.value_of(t), dtype=np.float64) for t in inputs)
+    zv, p, a, b, r = map(ad.value_of, inputs)
     beta = 1.0 / (1.0 + np.exp(-b))
     mexp = np.exp(r - np.maximum.reduce(r, axis=1, keepdims=True))
     u = mexp / np.add.reduce(mexp, axis=1, keepdims=True)
@@ -213,9 +214,9 @@ def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
 
     Of (N, H) size it allocates the (M, N, H) array ``t`` and ``g_s``;
     once ``t`` is reduced, ``t[0]`` serves as scratch.  The forward
-    values in ``ev`` are only read.
+    values in ``ev`` and its float64 inputs are only read.
     """
-    zv, p, a = (np.asarray(ad.value_of(t), dtype=np.float64) for t in ev.inputs[:3])
+    zv, p, a = map(ad.value_of, ev.inputs[:3])
     s, u, d2 = ev.activation, ev.membership, ev.sq_dist
     w = (1.0 - u).T.copy()                                           # (M, H)
     # log Q_c = sum_h log(1 - s_h w_ch),  log Q_Omega = sum_h log(1 - s_h)
@@ -283,19 +284,10 @@ def fuse_evidence(evidence) -> FusedEvidence:
     return FusedEvidence(node, log_q, log_q_omega, evidence)
 
 
-def _cluster_bounds(counts: np.ndarray):
-    """Each cluster's (lo, hi) bounds in the rows sorted by cluster, from
-    the cluster sizes ``counts``."""
-    ends = np.cumsum(counts)
-    return zip((0, *ends[:-1].tolist()), ends.tolist())
-
-
 def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     """Plain Lloyd iteration with seeded sampling of initial centers.
 
-    Returns the centers, each point's cluster and the points sorted by
-    cluster (a stable sort, so ``grouped[lo:hi]`` holds a cluster's rows
-    in index order, as a boolean-mask copy of ``points`` would).
+    Returns the centers and each point's cluster.
 
     Reseeding: after each assignment, the empty clusters, in index order,
     each take the point currently farthest from its own center, which
@@ -317,10 +309,9 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     each center is the sum of that copy.
 
     Its only (n, .) scratch arrays are the (n, k) distances ``d2`` and
-    the (n, D) ``grouped``, allocated once per call.  ``grouped`` first
-    holds the squares that ``|p|^2`` sums, then the coordinates laid out
-    (D, n), so each ``bincount`` reads one contiguous row, and after the
-    last iteration the rows sorted by cluster.  The cross term is
+    an (n, D) buffer, allocated once per call.  The buffer first holds
+    the squares that ``|p|^2`` sums, then the coordinates laid out
+    (D, n), so each ``bincount`` reads one contiguous row.  The cross term is
     ``p . (2 c)`` rather than ``(2 p) . c``: scaling by 2 is exact, so
     both have the same bits, and doubling the (k, D) centers costs less
     than an (n, D) copy or a pass over ``d2``.
@@ -329,9 +320,8 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
     n, dim = points.shape
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     d2 = np.empty((n, k))
-    grouped = np.empty(points.shape)
-    p2 = np.sum(np.square(points, out=grouped), axis=1, keepdims=True)
-    coords = grouped.reshape(dim, n)
+    coords = np.empty((dim, n))
+    p2 = np.sum(np.square(points, out=coords.reshape(n, dim)), axis=1, keepdims=True)
     np.copyto(coords, points.T)
     assign = None
     for _ in range(KMEANS_ITERS):
@@ -360,9 +350,7 @@ def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):
             for j, coord in enumerate(coords):
                 centers[:, j] = np.bincount(assign, weights=coord, minlength=k)
             centers /= counts[:, None]
-    # every index is in range; "clip" lets take write into grouped unbuffered
-    np.take(points, np.argsort(assign, kind="stable"), axis=0, out=grouped, mode="clip")
-    return centers, assign, grouped
+    return centers, assign
 
 
 def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
@@ -386,14 +374,16 @@ def init_enn(features: np.ndarray, labels: np.ndarray, h: int, seed: int,
     if len(distinct) < h:
         raise DataError(f"cannot place {h} prototypes on {len(distinct)} distinct rows")
     rng = np.random.default_rng(seed)
-    centers, assign, grouped = lloyd_kmeans(features, h, rng)
+    centers, assign = lloyd_kmeans(features, h, rng)
 
     membership_raw = np.log(np.bincount(assign * m + labels, minlength=h * m)
                             .reshape(h, m) + 1.0)
-    msd = np.zeros(h)
-    for c, (lo, hi) in enumerate(_cluster_bounds(np.bincount(assign, minlength=h))):
-        if hi > lo:
-            msd[c] = np.mean(np.sum((grouped[lo:hi] - centers[c]) ** 2, axis=1))
+    # each row's squared distance to its centre; a cluster's mask copy
+    # holds its rows' distances in index order (no cluster is empty)
+    own = centers[assign]
+    np.subtract(features, own, out=own)
+    own = np.sum(np.square(own, out=own), axis=1)
+    msd = np.array([np.mean(own[assign == c]) for c in range(h)])
     # singleton or zero-spread clusters borrow the average spread
     positive = msd[msd > 0.0]
     fallback = float(positive.mean()) if positive.size else 1.0

@@ -234,7 +234,7 @@ def run_single_seed(config: RunConfig, dataset: Dataset, dataset_id: str,
                         "seed": seed,
                         "dataset": dataset_id,
                         "preprocess": state.to_json_dict(),
-                        "config": config.to_json_dict(include_unhashed=False),
+                        "config": config.to_json_dict(),
                     })
     write_json(os.path.join(out_dir, "history.json"), {
         "seed": seed,
@@ -271,7 +271,7 @@ def run_experiment(config: RunConfig) -> dict:
     # the hashed fields only, as in the checkpoint's extra["config"], so a
     # forced rerun writes the same bytes
     write_json(marker, {"config_hash": config.config_hash(),
-                         "config": config.to_json_dict(include_unhashed=False)})
+                         "config": config.to_json_dict()})
 
     reports = []
     for seed in config.seeds:

@@ -14,12 +14,18 @@ algebra they are checked against lives in the tests.
 Off the tape (``predict_probs``, ``predict_batch``, the per-epoch
 validation loss, and ``init_model``'s encoding of the training rows)
 the encoders run in ``encoders.ENCODE_BLOCK_ROWS``-row blocks, so memory
-does not grow with rows times hidden width; the inputs are checked once
-per pass.  The blocks keep the bits of a whole-split forward (see
-``encoders``).  Everything from the distance product ``z @ p.T`` on
-(evidence, fusion, auxiliary logits, loss) stays whole-split: that
-product's bits depend on its row count, so blocking it would change
-them.  A taped training step runs each encoder on its whole batch.
+does not grow with rows times hidden width.  The blocks keep the bits of
+a whole-split forward (see ``encoders``).  Everything from the distance
+product ``z @ p.T`` on (evidence, fusion, auxiliary logits, loss) stays
+whole-split: that product's bits depend on its row count, so blocking it
+would change them.  A taped training step runs each encoder on its whole batch.
+
+Input rows are checked once, where they enter: ``init_model``,
+``train`` (each split), ``predict_probs`` and ``predict_batch`` run
+``_check_inputs`` on them, and every pass inside (``batch_internals``,
+``loss_overall``, ``loss_and_grad``, the encoders and the evidential
+layer) trusts the float64 arrays it returns, so no training step or
+validation epoch checks them again.
 
 The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
@@ -57,7 +63,6 @@ from .encoders import (
     MlpEncoder,
     ResNetEncoder,
     TextHeadEncoder,
-    encode,
     encode_blocks,
     init_aux_head,
     init_encoder,
@@ -271,27 +276,29 @@ class FlatParams:
 # ---------------------------------------------------------------------------
 # forward passes
 
-def _check_inputs(model, inputs):
-    if len(inputs) != model.n_sources:
-        raise DataError(
-            f"model has {model.n_sources} sources but got {len(inputs)} input blocks"
-        )
+def _check_inputs(specs, inputs, widths=None):
+    """The input blocks as float64 arrays, checked where they enter the
+    model: one (N, D) block per source spec, D = ``widths[i]`` when given,
+    the same N in every block and every value finite."""
+    if len(inputs) != len(specs):
+        raise DataError(f"{len(specs)} source specs for {len(inputs)} input blocks")
     mats = []
-    n = None
-    for src, x in zip(model.sources, inputs):
+    for i, (spec, x) in enumerate(zip(specs, inputs)):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != src.encoder.input_dim:
-            raise DataError(
-                f"source {src.spec.name!r} expects (N, {src.encoder.input_dim}) inputs, got {x.shape}"
-            )
+        width = "D" if widths is None else widths[i]
+        if x.ndim != 2 or (widths is not None and x.shape[1] != width):
+            raise DataError(f"source {spec.name!r} expects (N, {width}) inputs, got {x.shape}")
         if not np.all(np.isfinite(x)):
-            raise DataError(f"source {src.spec.name!r}: non-finite input")
-        if n is None:
-            n = x.shape[0]
-        elif x.shape[0] != n:
+            raise DataError(f"source {spec.name!r}: non-finite input")
+        if mats and len(x) != len(mats[0]):
             raise DataError("per-source input blocks disagree on batch size")
         mats.append(x)
     return mats
+
+
+def _model_inputs(model, inputs):
+    return _check_inputs([s.spec for s in model.sources], inputs,
+                         [s.encoder.input_dim for s in model.sources])
 
 
 def _check_labels(inputs, labels):
@@ -303,16 +310,16 @@ def _check_labels(inputs, labels):
 def batch_internals(model, inputs, params=None, masks=None):
     """Fused evidence (``fused.probs`` included) and per-source aux logits.
 
-    ``params`` substitutes leaf tensors during training, or plain arrays;
-    ``masks`` is a per-source list of dropout masks (None disables
+    ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
+    of them; ``params`` substitutes leaf tensors during training, or plain
+    arrays; ``masks`` is a per-source list of dropout masks (None disables
     dropout).  Without masks or tensors the encoders run in row blocks.
     """
-    mats = _check_inputs(model, inputs)
     blocked = masks is None and not any(isinstance(v, ad.Tensor)
                                         for v in (params or {}).values())
     evidence = []
     aux_logit_list = []
-    for i, (src, x) in enumerate(zip(model.sources, mats)):
+    for i, (src, x) in enumerate(zip(model.sources, inputs)):
         if params is None:
             enc_p, enn_p, aux_p = src.encoder.params, src.enn.as_param_dict(), src.aux.params
         else:
@@ -334,7 +341,7 @@ def predict_batch(model: FusionModel, inputs) -> Predictions:
     Per-source and fused masses come from the same forward pass as the
     probabilities, so ``probs`` equals ``predict_probs`` exactly.
     """
-    fused, _ = batch_internals(model, inputs)
+    fused, _ = batch_internals(model, _model_inputs(model, inputs))
     singles, ign = fused.masses()
     per_source = [ev.masses() for ev in fused.sources]
     src_singles = np.stack([s for s, _ in per_source], axis=1)        # (N, K, M)
@@ -356,7 +363,7 @@ def predict_batch(model: FusionModel, inputs) -> Predictions:
 
 def predict_probs(model: FusionModel, inputs) -> np.ndarray:
     """(N, M) pignistic probabilities, eval mode."""
-    return batch_internals(model, inputs)[0].probs
+    return batch_internals(model, _model_inputs(model, inputs))[0].probs
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +406,10 @@ def loss_aux(logits, labels, class_weights) -> float:
 def loss_overall(model: FusionModel, inputs, labels, params=None, masks=None):
     """Main loss plus auxiliary-weighted per-source cross entropies.
 
-    When the forward pass ran on tape tensors the result is one node
-    whose parents are the fused probabilities and the logits of every
-    source with a nonzero auxiliary weight.
+    ``inputs`` are checked blocks, as in ``batch_internals``; the label
+    count is checked here.  When the forward pass ran on tape tensors the
+    result is one node whose parents are the fused probabilities and the
+    logits of every source with a nonzero auxiliary weight.
     """
     _check_labels(inputs, labels)
     fused, aux_logits = batch_internals(model, inputs, params=params, masks=masks)
@@ -456,8 +464,9 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     model).  Each parameter's leaf takes its view of ``params.grad``,
     zeroed first, as its gradient slot; the returned gradient is
     ``params.grad`` itself, laid out by ``params.layout``, so the next
-    call on the same ``params`` overwrites it.  A parameter the loss
-    does not reach keeps a zero gradient.  Frozen inputs (e.g.
+    call on the same ``params`` overwrites it.  ``inputs`` are checked
+    blocks, as in ``batch_internals``.  A parameter the loss does not
+    reach keeps a zero gradient.  Frozen inputs (e.g.
     precomputed text embeddings) are data, not parameters, so they
     never get gradient slots.
     """
@@ -535,8 +544,8 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     n = len(train_labels)
     if n == 0 or len(val_labels) == 0:
         raise DataError("training and validation splits must be non-empty")
-    train_inputs = _check_inputs(model, train_inputs)
-    val_inputs = _check_inputs(model, val_inputs)
+    train_inputs = _model_inputs(model, train_inputs)
+    val_inputs = _model_inputs(model, val_inputs)
     _check_labels(train_inputs, train_labels)
     _check_labels(val_inputs, val_labels)
 
@@ -607,18 +616,16 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
     is initialized on its encoder's untrained output for the training
     inputs (k-means prototypes, label-frequency memberships).
     """
-    if len(specs) != len(train_inputs):
-        raise DataError(f"{len(specs)} source specs for {len(train_inputs)} input blocks")
+    train_inputs = _check_inputs(specs, train_inputs)
     train_labels = np.asarray(train_labels)
     weights = data.class_weights(train_labels, frame.m)
     sources = []
     overrides = encoder_overrides or {}
     for spec, x in zip(specs, train_inputs):
-        x = np.asarray(x, dtype=np.float64)
         encoder = init_encoder(spec.encoder_kind, x.shape[1],
                                substream(seed, f"init.encoder.{spec.name}"),
                                **overrides.get(spec.name, {}))
-        z = encode(encoder, x)
+        z = encode_blocks(encoder, x)
         enn_seed = int(substream(seed, f"init.enn.{spec.name}").integers(0, 2 ** 31 - 1))
         try:
             enn = init_enn(z, train_labels, prototypes, enn_seed, m=frame.m)
@@ -667,18 +674,48 @@ def model_to_json_dict(model: FusionModel, config_hash: str = "", extra=None) ->
     return doc
 
 
+def _check_component(what, component, fresh):
+    """A loaded encoder or aux head matches ``fresh``, one initialized with
+    its dimensions: the same fields, and parameters of the same names and
+    shapes, all finite."""
+    for f in fields(component):
+        got, want = getattr(component, f.name), getattr(fresh, f.name)
+        if f.name != "params" and got != want:
+            raise DataError(f"{what} {f.name} {got!r}, expected {want!r}")
+    params, expected = component.params, fresh.params
+    for key in sorted(params.keys() | expected.keys()):
+        got = params[key].shape if key in params else "missing"
+        want = expected[key].shape if key in expected else "no such parameter"
+        if got != want:
+            raise DataError(f"{what} parameter {key!r}: {got}, expected {want}")
+        if not np.all(np.isfinite(params[key])):
+            raise DataError(f"{what} parameter {key!r}: non-finite values")
+
+
 def model_from_json_dict(doc: dict) -> FusionModel:
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {doc.get('format_version')!r}")
     frame = Frame(tuple(doc["frame"]["labels"]))
     sources = []
+    rng = np.random.default_rng(0)  # the fresh components give only their shapes
     for sd in doc["sources"]:
+        spec = SourceSpec(**sd["spec"])
         encoder = _component_from_json(_ENCODER_CLASSES[sd["encoder"]["kind"]], sd["encoder"])
         enn = EnnParams.from_param_dict(
             {k: np.asarray(v, dtype=np.float64) for k, v in sd["enn"].items()}
         )
         aux = _component_from_json(AuxHead, sd["aux"])
-        sources.append(FusionSource(SourceSpec(**sd["spec"]), encoder, enn, aux))
+        dims = {"output_dim": encoder.output_dim}
+        if encoder.kind != "resnet":  # a residual net's hidden width is its output width
+            dims["hidden_dim"] = encoder.hidden_dim
+        _check_component(f"source {spec.name!r} encoder", encoder,
+                         init_encoder(encoder.kind, encoder.input_dim, rng, **dims))
+        _check_component(f"source {spec.name!r} aux head", aux,
+                         init_aux_head(encoder.output_dim, frame.m, rng))
+        if enn.prototypes.shape[1] != encoder.output_dim:
+            raise DataError(f"source {spec.name!r}: prototypes of width "
+                            f"{enn.prototypes.shape[1]} for a {encoder.output_dim}-wide encoder")
+        sources.append(FusionSource(spec, encoder, enn, aux))
     return FusionModel(frame, sources, np.asarray(doc["class_weights"], dtype=np.float64))
 
 

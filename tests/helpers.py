@@ -11,13 +11,14 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from evidfuse.autodiff import Tape
 from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices
-from evidfuse.encoders import encode
+from evidfuse.encoders import encode_blocks
 from evidfuse.errors import DataError
 from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, SourceEvidence
 from evidfuse.model import (PROB_FLOOR, Frame, ParamVector, Predictions, SourceSpec,
@@ -243,7 +244,7 @@ def enn_forward(x: np.ndarray, params: EnnParams, frame: Frame | None = None) ->
 def exact_prediction(model, sample_inputs):
     """One sample's prediction through the exact mass algebra, as a
     one-row ``Predictions`` (fields without the sample axis)."""
-    per_source = [enn_forward(encode(src.encoder, x[None])[0], src.enn, model.frame)
+    per_source = [enn_forward(encode_blocks(src.encoder, x[None])[0], src.enn, model.frame)
                   for src, x in zip(model.sources, sample_inputs)]
     fused = combine_many(per_source)
     k = len(per_source)
@@ -428,10 +429,9 @@ def reference_load(manifest_path, seed=None, part=None):
         where = f"{csv_path}:{i + 2}:"
         if len(row) != len(schema) + 2:
             raise DataError(f"{where} wrong column count")
-        try:
-            label = int(row[-2])
-        except ValueError:
-            raise DataError(f"{where} bad label {row[-2]!r}") from None
+        if not re.fullmatch("[0-9]+", row[-2]):
+            raise DataError(f"{where} bad label {row[-2]!r}")
+        label = int(row[-2])
         if not 0 <= label < m:
             raise DataError(f"{where} label {label} outside 0..{m - 1}")
         if row[-1] in ids:
@@ -471,7 +471,8 @@ def reference_load(manifest_path, seed=None, part=None):
                 except (ValueError, TypeError, OverflowError):
                     raise shape_fault from None
                 width = len(values) if width is None and values.ndim == 1 else width
-                if values.shape != (width,):
+                if values.shape != (width,) or not all(
+                        v is None or type(v) in (int, float) for v in vector):
                     raise shape_fault
                 if not np.isfinite(values).all():
                     raise DataError(f"{path}: non-finite or null embedding value for id "

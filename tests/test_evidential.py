@@ -424,21 +424,21 @@ class TestKMeans:
     def test_deterministic(self):
         rng_data = np.random.default_rng(17)
         pts = rng_data.normal(size=(40, 3))
-        c1, a1, _ = lloyd_kmeans(pts, 5, np.random.default_rng(99))
-        c2, a2, _ = lloyd_kmeans(pts, 5, np.random.default_rng(99))
+        c1, a1 = lloyd_kmeans(pts, 5, np.random.default_rng(99))
+        c2, a2 = lloyd_kmeans(pts, 5, np.random.default_rng(99))
         np.testing.assert_array_equal(c1, c2)
         np.testing.assert_array_equal(a1, a2)
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(19)
         pts = rng.normal(size=(30, 2))
-        _, assign, _ = lloyd_kmeans(pts, 8, np.random.default_rng(1))
+        _, assign = lloyd_kmeans(pts, 8, np.random.default_rng(1))
         assert set(assign.tolist()) == set(range(8))
 
     @pytest.mark.parametrize("n,h", [(3000, 100), (15000, 20)])
     def test_scratch_beyond_distances_and_grouped_rows(self, n, h):
         """At the workloads' shapes, the peak beyond the (n, h) distances
-        and the (n, 32) grouped rows stays under 8 float64 vectors of
+        and the (n, 32) coordinate buffer stays under 8 float64 vectors of
         length n: no (D, n) index array or per-iteration (n, D) copy."""
         points = np.random.default_rng(n).normal(size=(n, 32))
         tracemalloc.start()
@@ -454,7 +454,7 @@ class TestKMeans:
         rng = np.random.default_rng(21)
         blob_a = rng.normal(size=(25, 2)) * 0.1 + np.array([10.0, 0.0])
         blob_b = rng.normal(size=(25, 2)) * 0.1 - np.array([10.0, 0.0])
-        centers, _, _ = lloyd_kmeans(np.vstack([blob_a, blob_b]), 2, np.random.default_rng(2))
+        centers, _ = lloyd_kmeans(np.vstack([blob_a, blob_b]), 2, np.random.default_rng(2))
         xs = sorted(centers[:, 0].tolist())
         assert abs(xs[0] + 10.0) < 1.0 and abs(xs[1] - 10.0) < 1.0
 
@@ -497,15 +497,12 @@ class TestInit:
                 h = len(np.unique(features, axis=0))
             m = 2 + seed % 3
             labels = np.random.default_rng(seed).integers(0, m, features.shape[0])
-            centers, assign, grouped = lloyd_kmeans(features, h, np.random.default_rng(seed))
+            centers, assign = lloyd_kmeans(features, h, np.random.default_rng(seed))
             want_centers, want_assign = reference_lloyd_kmeans(
                 features, h, np.random.default_rng(seed), reseeds)
             assert centers.tobytes() == want_centers.tobytes()
             zero_coordinates += np.count_nonzero(want_centers == 0.0)
             assert assign.tobytes() == want_assign.tobytes()
-            # the rows init_enn takes its spreads from, cluster by cluster
-            want_grouped = np.concatenate([features[want_assign == c] for c in range(h)])
-            assert grouped.tobytes() == want_grouped.tobytes()
             got = init_enn(features, labels, h, seed, m).as_param_dict()
             want = reference_init_enn(features, labels, h, seed, m).as_param_dict()
             for name in want:

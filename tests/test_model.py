@@ -1,7 +1,9 @@
 """Fusion model: batched predictions, losses, training loop, checkpoints."""
 
 import gc
+import json
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -470,7 +472,6 @@ class TestBlockedPasses:
 
         got = run()
         with monkeypatch.context() as mp:
-            mp.setattr(evidfuse.model, "encode", lambda encoder, x: encoder.forward(x))
             mp.setattr(evidfuse.model, "encode_blocks",
                        lambda encoder, x, params=None: encoder.forward(x, params=params))
             want = run()
@@ -600,6 +601,66 @@ class TestTraining:
                   TrainConfig(batch_size=8, max_epochs=1, seed=0))
 
 
+class TestInputChecks:
+    """Rows are checked once, by the public call that receives them; the
+    training steps and validation epochs inside ``train`` trust them."""
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        calls = []
+        original = evidfuse.model._check_inputs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evidfuse.model, "_check_inputs", counting)
+        return calls
+
+    def test_train_checks_each_split_once(self, monkeypatch):
+        model, inputs, labels = tiny_fusion_setup(seed=25, n=40)
+        calls = self._count_checks(monkeypatch)
+        steps = []
+        original = evidfuse.model.loss_and_grad
+        monkeypatch.setattr(evidfuse.model, "loss_and_grad",
+                            lambda *a, **k: steps.append(1) or original(*a, **k))
+        result = train(model, inputs, labels, inputs, labels,
+                       TrainConfig(batch_size=8, max_epochs=3, patience=0, seed=1))
+        assert len(result.history) == 3 and len(steps) == 15
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("predict", [predict_probs, predict_batch])
+    def test_a_prediction_checks_its_rows_once(self, monkeypatch, predict):
+        model, inputs, _ = tiny_fusion_setup(seed=26, n=12)
+        calls = self._count_checks(monkeypatch)
+        predict(model, inputs)
+        assert len(calls) == 1
+
+    def test_init_model_checks_its_rows_once(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        tiny_fusion_setup(seed=27, n=12)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("fault,match", [
+        ("not-a-matrix", r"source 'notes' expects \(N, D\) inputs, got \(40,\)"),
+        ("non-finite", "source 'notes': non-finite input"),
+        ("rows-disagree", "per-source input blocks disagree on batch size"),
+    ], ids=["not-a-matrix", "non-finite", "rows-disagree"])
+    def test_init_model_rejects_bad_rows(self, fault, match):
+        _, inputs, labels = tiny_fusion_setup(seed=22, n=40)
+        specs = [SourceSpec("struct", "mlp", aux_weight=1.0),
+                 SourceSpec("notes", "text-head", aux_weight=1.0)]
+        notes = inputs[1].copy()
+        if fault == "not-a-matrix":
+            notes = notes[:, 0]
+        elif fault == "non-finite":
+            notes[5, 1] = np.inf
+        else:
+            notes = notes[:-1]
+        with pytest.raises(DataError, match=match):
+            init_model(F2, specs, [inputs[0], notes], labels, seed=0, prototypes=3)
+
+
 class TestFlatAdam:
     def test_returned_model_does_not_alias_optimizer_buffer(self, monkeypatch):
         model, inputs, labels = tiny_fusion_setup(seed=22, n=24)
@@ -668,6 +729,47 @@ class TestCheckpoints:
         doc["format_version"] = 99
         with pytest.raises(DataError):
             model_from_json_dict(doc)
+
+    @pytest.mark.parametrize("fault", [
+        "encoder-weight-shape", "encoder-weight-missing", "encoder-bias-nan",
+        "prototype-width", "aux-weight-shape", "aux-bias-missing", "aux-extra-parameter",
+        "aux-input-width", "aux-class-count", "resnet-block-count",
+    ])
+    def test_malformed_component_rejected(self, tmp_path, fault):
+        model, inputs, _ = tiny_fusion_setup(
+            seed=19, n=20, encoder_kind="resnet" if fault == "resnet-block-count" else "mlp")
+        doc = model_to_json_dict(model)
+        struct = doc["sources"][0]
+        encoder, aux = struct["encoder"]["params"], struct["aux"]["params"]
+        if fault == "encoder-weight-shape":
+            encoder["w0"] = encoder["w0"][:-1]
+        elif fault == "encoder-weight-missing":
+            del encoder["w2"]
+        elif fault == "encoder-bias-nan":
+            encoder["b1"][0] = float("nan")
+        elif fault == "prototype-width":
+            struct["enn"]["prototypes"] = [row[:5] for row in struct["enn"]["prototypes"]]
+        elif fault == "aux-weight-shape":
+            aux["w"] = aux["w"][:-1]
+        elif fault == "aux-bias-missing":
+            del aux["b"]
+        elif fault == "aux-extra-parameter":
+            aux["z"] = [0.0]
+        elif fault == "aux-input-width":
+            struct["aux"]["input_dim"] += 1
+        elif fault == "aux-class-count":
+            struct["aux"]["n_classes"] = 3
+        else:  # the third block's parameters would go unused
+            struct["encoder"]["n_blocks"] = 2
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^malformed checkpoint {re.escape(str(path))}: "
+                                            "DataError: source 'struct'"):
+            load_checkpoint(str(path))
+        # the unedited document loads and scores
+        path.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")
+        np.testing.assert_array_equal(predict_probs(load_checkpoint(str(path))[0], inputs),
+                                      predict_probs(model, inputs))
 
     def test_with_params_round_trip(self):
         model, _, _ = tiny_fusion_setup(seed=21, n=20)
