@@ -11,7 +11,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
-from .data import SyntheticConfig, require_integer
+from .data import SyntheticConfig, require_integer, require_nonnegative
 from .errors import ConfigError
 
 GROUPINGS = ("modalities", "data-types", "data-sources", "custom")
@@ -36,9 +36,7 @@ def _check_custom_source(entry) -> dict:
         raise ConfigError(f"{where}: features must be a list of names, got {features!r}")
     if entry.get("encoder", "mlp") not in ENCODERS:
         raise ConfigError(f"{where}: encoder must be 'mlp' or 'resnet', got {entry['encoder']!r}")
-    weight = entry.get("aux_weight", 0.0)
-    if isinstance(weight, bool) or not isinstance(weight, (int, float)) or not weight >= 0:
-        raise ConfigError(f"{where}: aux_weight must be a number >= 0, got {weight!r}")
+    require_nonnegative(f"{where}: aux_weight", entry.get("aux_weight", 0.0))
     return dict(entry)
 
 
@@ -82,6 +80,8 @@ class RunConfig:
             require_integer(name, getattr(self, name))
         for seed in self.seeds:
             require_integer("each seed", seed)
+        for name in ("learning_rate", "aux_weight_structured", "aux_weight_text"):
+            require_nonnegative(name, getattr(self, name))
         for check, message in (
             (self.prototypes >= 1, "prototypes must be >= 1"),
             (self.encoder_output_dim >= 1, "encoder_output_dim must be >= 1"),
@@ -89,9 +89,6 @@ class RunConfig:
             (self.batch_size >= 1, "batch_size must be >= 1"),
             (self.max_epochs >= 1, "max_epochs must be >= 1"),
             (self.patience >= 0, "patience must be >= 0"),
-            (self.learning_rate >= 0, "learning_rate must be >= 0"),
-            (self.aux_weight_structured >= 0, "aux_weight_structured must be >= 0"),
-            (self.aux_weight_text >= 0, "aux_weight_text must be >= 0"),
             (self.n_source_blocks >= 2, "n_source_blocks must be >= 2"),
             (len(self.seeds) >= 1, "seeds must be non-empty"),
         ):

@@ -20,10 +20,13 @@ Both files are written and read in blocks of ``CSV_BLOCK_ROWS`` rows
 the bytes ``csv.writer`` and ``json.dumps`` would write, and writes the
 block at once.  A load reads each file in one pass that holds one
 block's cell strings at a time and writes each block's embeddings
-straight into their rows of one array.  The pass checks each block as it
-reads it, so the first faulty line raises, whatever its fault; the
-faults of a whole file (a row count other than the manifest's ``n``, an
-id without an embedding) come after its pass.  A load takes labels and
+straight into their rows of one array.  The CSV pass checks each line's
+width, label and id as it reads it and parses a block's cells column by
+column; the JSONL pass decodes each line and converts a block's vectors
+at once.  Either way the first faulty line raises, whatever its fault;
+the faults of a whole file (a row count other than the manifest's ``n``,
+an id without an embedding) come after its pass.  One id -> row dict,
+built by the CSV pass, serves both passes.  A load takes labels and
 embedding values only as ``write_dataset`` writes them: a label is ASCII
 digits, an embedding value a JSON number.
 
@@ -41,6 +44,7 @@ import json
 import logging
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -277,6 +281,14 @@ def require_integer(name: str, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_nonnegative(name: str, value):
+    """A learning rate or weight must be an int or float from 0 to the
+    largest finite float, and a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a number >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     n: int
@@ -507,28 +519,6 @@ def _read_manifest(manifest_path: str):
     return schema, n, m, structured_path, embeddings_path, manifest.get("generator")
 
 
-def _line_fault(row, schema, m: int, seen: set, check_cells: bool):
-    """The first fault of one structured CSV row, or None: its width, its
-    label, an id that an earlier row holds (``seen``, which gets its id),
-    then, with ``check_cells``, its numerical cells left to right."""
-    if len(row) != len(schema) + 2:
-        return "wrong column count"
-    if not (row[-2].isascii() and row[-2].isdigit()):
-        return f"bad label {row[-2]!r}"
-    label = int(row[-2])
-    if not 0 <= label < m:
-        return f"label {label} outside 0..{m - 1}"
-    if row[-1] in seen:
-        return f"duplicate id {row[-1]!r}"
-    seen.add(row[-1])
-    for feat, cell in zip(schema, row if check_cells else ()):
-        try:
-            _column((cell,), feat)
-        except ValueError:
-            return f"feature {feat.name!r}: not a finite number {cell!r}"
-    return None
-
-
 def _column(cells, feat: FeatureSpec) -> np.ndarray:
     """One feature's cells as an array; a ValueError when a numerical cell
     is neither empty (missing) nor a finite number."""
@@ -541,12 +531,15 @@ def _column(cells, feat: FeatureSpec) -> np.ndarray:
 
 
 def _read_structured(path: str, schema, m: int, keep):
-    """(ids, labels, columns) of the structured CSV, in one pass of
-    ``CSV_BLOCK_ROWS``-row blocks.  ``columns`` hold every row, or the rows
-    ``keep`` (sorted indices) alone, whose cells alone are parsed.  A block
-    that fails to parse raises at its first faulty line."""
+    """(row_of, labels, columns) of the structured CSV, in one pass of
+    ``CSV_BLOCK_ROWS``-row blocks; ``row_of`` maps each id to its row, in
+    row order.  ``columns`` hold every row, or the rows ``keep`` (sorted
+    indices) alone, whose cells alone are parsed.  Each line's width,
+    label and id are checked as it is read; a block's kept rows before its
+    first faulty line are parsed before that line's fault is raised, so
+    the first faulty line wins."""
     expected = [f.name for f in schema] + ["label", "id"]
-    ids, labels, seen = [], [], set()
+    row_of, labels = {}, []
     parts = [[] for _ in schema]
     with _open(path, "structured data file", newline="") as fh:
         reader = csv.reader(fh)
@@ -555,40 +548,46 @@ def _read_structured(path: str, schema, m: int, keep):
             raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
         start = 0
         while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
+            fault = None
+            for i, row in enumerate(block, start):
+                if len(row) != len(expected):
+                    fault = "wrong column count"
+                # int() also takes " 1", "+1" and "0_1"
+                elif not (row[-2].isascii() and row[-2].isdigit()):
+                    fault = f"bad label {row[-2]!r}"
+                elif (label := int(row[-2])) >= m:
+                    fault = f"label {label} outside 0..{m - 1}"
+                elif row[-1] in row_of:
+                    fault = f"duplicate id {row[-1]!r}"
+                else:
+                    row_of[row[-1]] = i
+                    labels.append(label)
+                    continue
+                break
             if keep is None:
-                local, rows = range(len(block)), block
+                local = range(len(row_of) - start)
             else:
-                lo, hi = np.searchsorted(keep, (start, start + len(block)))
+                lo, hi = np.searchsorted(keep, (start, len(row_of)))
                 local = (keep[lo:hi] - start).tolist()
-                rows = [block[i] for i in local]
+            rows = [block[i] for i in local]
             try:
-                if set(map(len, block)) != {len(expected)}:
-                    raise ValueError("wrong column count")
-                block_ids = [row[-1] for row in block]
-                label_cells = [row[-2] for row in block]
-                digits = "".join(label_cells)  # int() also takes " 1", "+1" and "0_1"
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError("a label that is not ASCII digits")
-                block_labels = list(map(int, label_cells))
-                seen.update(block_ids)
-                if (min(block_labels) < 0 or max(block_labels) >= m
-                        or len(seen) != len(ids) + len(block)):
-                    raise ValueError("label out of range or repeated id")
                 cells = zip(*rows) if rows else [()] * len(schema)
                 columns = [_column(c, f) for c, f in zip(cells, schema)]
             except ValueError:
-                checked, earlier = set(local), set(ids)
-                for i, row in enumerate(block):
-                    fault = _line_fault(row, schema, m, earlier, i in checked)
-                    if fault:
-                        raise DataError(f"{path}:{start + i + 2}: {fault}") from None
-                raise  # a fault that _line_fault misses
-            ids += block_ids
-            labels += block_labels
+                for i, row in zip(local, rows):
+                    for feat, cell in zip(schema, row):
+                        try:
+                            _column((cell,), feat)
+                        except ValueError:
+                            raise DataError(f"{path}:{start + i + 2}: feature {feat.name!r}: "
+                                            f"not a finite number {cell!r}") from None
+                raise
+            if fault:
+                raise DataError(f"{path}:{len(row_of) + 2}: {fault}")
             for part, column in zip(parts, columns):
                 part.append(column)
             start += len(block)
-    return ids, np.array(labels, dtype=np.int64), tuple(
+    return row_of, np.array(labels, dtype=np.int64), tuple(
         np.concatenate(p) if p else _column((), f) for p, f in zip(parts, schema))
 
 
@@ -626,8 +625,9 @@ def _vector_fault(path: str, records, d) -> DataError:
     raise AssertionError("a block that fails to convert holds a faulty vector")
 
 
-def _load_embeddings(path: str, ids) -> np.ndarray:
-    """The (len(ids), d) embeddings, row i for ``ids[i]``, in one pass of
+def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
+    """The (len(row_of), d) embeddings, row ``row_of[id]`` for each CSV id
+    (``row_of`` lists them in row order), in one pass of
     ``CSV_BLOCK_ROWS``-line blocks: each line is decoded on its own, and a
     block's vectors of CSV ids are converted at once into their rows of one
     array.  Blank lines are skipped but counted.  The first faulty line
@@ -635,8 +635,7 @@ def _load_embeddings(path: str, ids) -> np.ndarray:
     vector that is not a flat list of as many numbers as the first one's,
     a non-finite or null value.  After the pass, so do the first CSV id
     without a record and a CSV without rows, which gives no width."""
-    row_of = dict(zip(ids, itertools.count()))
-    seen = bytearray(len(ids))  # 1 where a CSV id's record has been read
+    seen = bytearray(len(row_of))  # 1 where a CSV id's record has been read
     others = set()              # ids of records the CSV lacks
     embeddings = None
     with _open(path, "embeddings file") as fh:
@@ -673,12 +672,13 @@ def _load_embeddings(path: str, ids) -> np.ndarray:
                         raise ValueError("a value that is not a number")
                     part = np.array(vectors, dtype=np.float64)
                     if embeddings is None:
-                        embeddings = np.empty((len(ids), len(vectors[0])))
+                        embeddings = np.empty((len(row_of), len(vectors[0])))
                     # checked, not broadcast: a (k, 1) part would fill (k, d) rows
                     if part.shape[1:] != embeddings.shape[1:] or not np.isfinite(part).all():
                         raise ValueError("not (k, d) finite numbers")
                     embeddings[rows] = part
                 except (ValueError, TypeError, OverflowError):
+                    ids = list(row_of)
                     raise _vector_fault(path, zip(lines, [ids[r] for r in rows], vectors),
                                         None if embeddings is None
                                         else embeddings.shape[1]) from None
@@ -686,7 +686,7 @@ def _load_embeddings(path: str, ids) -> np.ndarray:
                 raise fault
     missing = seen.find(0)
     if missing >= 0:
-        raise DataError(f"{path}: no embedding for id {ids[missing]!r}")
+        raise DataError(f"{path}: no embedding for id {list(row_of)[missing]!r}")
     if embeddings is None:
         raise DataError(f"{path}: need one equal-length number list per sample (no rows)")
     return embeddings
@@ -703,11 +703,12 @@ def _load(manifest_path: str, pick) -> Dataset:
             keep = np.sort(pick(n))
     except (OSError, DataError):
         pass
-    ids, labels, columns = _read_structured(structured_path, schema, m, keep)
-    if len(ids) != n:
-        raise DataError(f"{structured_path} holds {len(ids)} rows, "
+    row_of, labels, columns = _read_structured(structured_path, schema, m, keep)
+    if len(row_of) != n:
+        raise DataError(f"{structured_path} holds {len(row_of)} rows, "
                         f"but manifest {manifest_path} says n = {n}")
-    embeddings = _load_embeddings(embeddings_path, ids) if embeddings_path else None
+    embeddings = _load_embeddings(embeddings_path, row_of) if embeddings_path else None
+    ids = list(row_of)
     if pick is not None:
         rows = pick(n)  # now n is the row count: the rows kept, or the split's error
         ids, labels = [ids[i] for i in rows], labels[rows]

@@ -201,10 +201,10 @@ def row_blocks(n: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def encode_blocks(encoder, x, params=None):
+def encode_blocks(encoder, x):
     """Eval-mode encoding of checked (N, input_dim) float64 rows, in row
-    blocks; ``params`` substitutes plain parameter arrays."""
+    blocks."""
     out = np.empty((len(x), encoder.output_dim))
     for lo, hi in row_blocks(len(x)):
-        out[lo:hi] = encoder.forward(x[lo:hi], params=params)
+        out[lo:hi] = encoder.forward(x[lo:hi])
     return out

@@ -11,6 +11,8 @@ bytes.
 
 import json
 import os
+import re
+import shutil
 from dataclasses import asdict
 
 import numpy as np
@@ -30,9 +32,10 @@ from .data import (
     PreprocessState,
     SyntheticConfig,
     synthetic_generator,
+    require_integer,
     write_json,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, EvidFuseError
 from .metrics import evaluate, summarize, MetricsReport
 from .model import (
     Frame,
@@ -268,6 +271,14 @@ def run_experiment(config: RunConfig) -> dict:
         _check_custom_features(config, [f.name for f in dataset.schema],
                                _constant_features(dataset))
     os.makedirs(run_dir, exist_ok=True)
+    if config.force:
+        # a forced rerun leaves only its own seeds' directories and summary
+        for entry in os.listdir(run_dir):
+            path = os.path.join(run_dir, entry)
+            if entry == "summary.json":
+                os.remove(path)
+            elif re.fullmatch(r"seed_\d+", entry) and os.path.isdir(path):
+                shutil.rmtree(path)
     # the hashed fields only, as in the checkpoint's extra["config"], so a
     # forced rerun writes the same bytes
     write_json(marker, {"config_hash": config.config_hash(),
@@ -310,13 +321,20 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")
     model, doc = load_checkpoint(checkpoint_path)
-    extra = doc.get("extra", {})
-    if "preprocess" not in extra or "seed" not in extra:
-        raise DataError("checkpoint lacks the preprocess/seed metadata needed for evaluation")
-    state = PreprocessState.from_json_dict(extra["preprocess"])
-    seed = int(extra["seed"])
-    synth = (extra.get("config") or {}).get("synthetic")
-    synthetic = SyntheticConfig(**synth) if synth else None
+    try:
+        extra = doc.get("extra", {})
+        if "preprocess" not in extra or "seed" not in extra:
+            raise DataError("no preprocess/seed metadata, which evaluation needs")
+        state = PreprocessState.from_json_dict(extra["preprocess"])
+        seed = extra["seed"]
+        require_integer("seed", seed)
+        run_config = extra.get("config") or {}
+        task = run_config.get("task", "eval")
+        synth = run_config.get("synthetic")
+        synthetic = SyntheticConfig(**synth) if synth else None
+    except (LookupError, AttributeError, TypeError, ValueError, EvidFuseError) as exc:
+        raise DataError(f"malformed checkpoint {checkpoint_path}: "
+                        f"{type(exc).__name__}: {exc}") from exc
     if manifest_path is not None:
         part = load_split(manifest_path, seed, split_name)
     elif synthetic is not None:
@@ -332,5 +350,4 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     specs = [src.spec for src in model.sources]
     report = score_split(model, split_inputs(specs, state, part), part.labels)
 
-    return _report_doc(extra.get("config", {}).get("task", "eval"), doc.get("config_hash", ""),
-                       seed, dataset_id, split_name, report)
+    return _report_doc(task, doc.get("config_hash", ""), seed, dataset_id, split_name, report)

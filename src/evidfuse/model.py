@@ -39,14 +39,17 @@ drops each node's VJP as it passes, so the forward state those captured
 is freed before the step returns; the node values stay until the cyclic
 collector takes the step's tape.  Training runs mini-batch Adam with early
 stopping on the validation overall loss, restoring the best-validation
-parameters.  Parameters travel as name->array dicts.  During training
-they and their gradients live in two flat vectors (``FlatParams``),
-built once per ``train``: every parameter array is a view into the
-first, and each step's leaf takes its view into the second as its
-gradient slot, so the tape sweep accumulates straight into one flat
-gradient and an Adam step is a single vectorized update, with no
-per-step gradient dict and no flattening.  All forward code runs on
-either plain arrays (inference) or tape tensors (training).
+parameters.  Parameters travel as name->array dicts.  ``FlatParams`` is
+their one flat layout: during training they and their gradients live in
+two flat vectors, built once per ``train``.  Each step's leaf takes its
+view into the gradient vector as its gradient slot, so the tape sweep
+accumulates straight into one flat gradient and an Adam step is a single
+vectorized update of the parameter vector, with no per-step gradient
+dict and no flattening.  ``train`` also builds, once, a model whose
+arrays are views into the parameter vector; the per-epoch validation
+loss is that model's eval-mode loss, so it sees every step.  All forward
+code runs on either the model's own arrays (eval mode, in row blocks) or
+a step's tape tensors (training).
 """
 
 import json
@@ -89,8 +92,7 @@ class SourceSpec:
     feature_names: tuple | None = None  # structured columns; None = embedding input
 
     def __post_init__(self):
-        if self.aux_weight < 0:
-            raise ConfigError(f"source {self.name!r}: aux weight must be >= 0")
+        data.require_nonnegative(f"source {self.name!r}: aux weight", self.aux_weight)
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
@@ -139,10 +141,6 @@ class FusionModel:
             if s.enn.m != self.frame.m:
                 raise ConfigError(f"source {s.spec.name!r} evidential layer has wrong class count")
         object.__setattr__(self, "class_weights", w)
-
-    @property
-    def n_sources(self):
-        return len(self.sources)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,51 +204,10 @@ def _source_param_view(params: dict, i: int, component: str, keys) -> dict:
     return {k: params[f"src{i}.{component}.{k}"] for k in keys}
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Bijection between named parameter arrays and one flat vector.
-
-    ``FlatParams`` lays a model's parameters and gradients out with it
-    once per ``train``; the training step itself never flattens.
-    """
-
-    names: tuple
-    shapes: tuple
-    offsets: tuple
-    size: int
-
-    @staticmethod
-    def from_params(params: dict) -> "ParamVector":
-        names = tuple(params.keys())
-        shapes = tuple(np.shape(params[n]) for n in names)
-        offsets = []
-        total = 0
-        for shape in shapes:
-            offsets.append(total)
-            total += int(np.prod(shape)) if shape else 1
-        return ParamVector(names, shapes, tuple(offsets), total)
-
-    def flatten(self, params: dict) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(params[n], dtype=np.float64).reshape(-1) for n in self.names]
-        ) if self.names else np.zeros(0)
-
-    def views(self, vec: np.ndarray) -> dict:
-        """Named arrays that share memory with ``vec``."""
-        out = {}
-        for name, shape, offset in zip(self.names, self.shapes, self.offsets):
-            size = int(np.prod(shape)) if shape else 1
-            out[name] = vec[offset:offset + size].reshape(shape)
-        return out
-
-    def unflatten(self, vec: np.ndarray) -> dict:
-        """Named copies, independent of ``vec``."""
-        return {name: arr.copy() for name, arr in self.views(vec).items()}
-
-
 @dataclass(frozen=True, eq=False)
 class FlatParams:
-    """A model's parameters and their gradients as two flat vectors.
+    """A model's parameters and their gradients as two flat vectors, laid
+    out in ``param_dict`` order.
 
     ``params`` and ``grads`` are named views into ``flat`` and ``grad``:
     an Adam step updates ``flat`` in place, and the leaves of a training
@@ -258,19 +215,32 @@ class FlatParams:
     sweep accumulates straight into ``grad``.
     """
 
-    layout: ParamVector
+    shapes: dict                      # name -> shape, in layout order
     flat: np.ndarray
     grad: np.ndarray
-    params: dict
-    grads: dict
+    params: dict = field(init=False)
+    grads: dict = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", self.views(self.flat))
+        object.__setattr__(self, "grads", self.views(self.grad))
 
     @staticmethod
     def from_model(model: FusionModel) -> "FlatParams":
         params = param_dict(model)
-        layout = ParamVector.from_params(params)
-        flat = layout.flatten(params)
-        grad = np.zeros(layout.size)
-        return FlatParams(layout, flat, grad, layout.views(flat), layout.views(grad))
+        flat = np.concatenate([np.asarray(v, dtype=np.float64).reshape(-1)
+                               for v in params.values()])
+        return FlatParams({k: np.shape(v) for k, v in params.items()}, flat,
+                          np.zeros(flat.size))
+
+    def views(self, vec: np.ndarray) -> dict:
+        """Named arrays of this layout that share memory with ``vec``."""
+        out, offset = {}, 0
+        for name, shape in self.shapes.items():
+            size = int(np.prod(shape))
+            out[name] = vec[offset:offset + size].reshape(shape)
+            offset += size
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +281,11 @@ def batch_internals(model, inputs, params=None, masks=None):
     """Fused evidence (``fused.probs`` included) and per-source aux logits.
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
-    of them; ``params`` substitutes leaf tensors during training, or plain
-    arrays; ``masks`` is a per-source list of dropout masks (None disables
-    dropout).  Without masks or tensors the encoders run in row blocks.
+    of them; ``params`` substitutes the leaf tensors of a training step;
+    ``masks`` is a per-source list of dropout masks (None disables
+    dropout).  Without either the encoders run in row blocks.
     """
-    blocked = masks is None and not any(isinstance(v, ad.Tensor)
-                                        for v in (params or {}).values())
+    blocked = params is None and masks is None
     evidence = []
     aux_logit_list = []
     for i, (src, x) in enumerate(zip(model.sources, inputs)):
@@ -327,7 +296,7 @@ def batch_internals(model, inputs, params=None, masks=None):
             enn_p = _source_param_view(params, i, "enn", src.enn.as_param_dict())
             aux_p = _source_param_view(params, i, "aux", src.aux.params)
         if blocked:
-            z = encode_blocks(src.encoder, x, params=enc_p)
+            z = encode_blocks(src.encoder, x)
         else:
             z = src.encoder.forward(x, params=enc_p, masks=masks[i] if masks else None)
         evidence.append(evidence_batch(z, **enn_p))
@@ -463,7 +432,7 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     ``params`` is a ``FlatParams`` (by default, a fresh one of the
     model).  Each parameter's leaf takes its view of ``params.grad``,
     zeroed first, as its gradient slot; the returned gradient is
-    ``params.grad`` itself, laid out by ``params.layout``, so the next
+    ``params.grad`` itself, laid out as ``params.flat``, so the next
     call on the same ``params`` overwrites it.  ``inputs`` are checked
     blocks, as in ``batch_internals``.  A parameter the loss does not
     reach keeps a zero gradient.  Frozen inputs (e.g.
@@ -500,8 +469,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ConfigError("batch_size/max_epochs must be >= 1 and patience >= 0")
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be >= 0")
+        data.require_nonnegative("learning rate", self.learning_rate)
 
 
 @dataclass
@@ -552,10 +520,12 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
 
-    # built once: every step updates flat in place and backward writes grad
+    # built once: every step updates flat in place and backward writes grad;
+    # live's arrays are views of flat, so its validation loss sees each step
     slots = FlatParams.from_model(model)
-    layout, flat = slots.layout, slots.flat
-    adam = Adam(layout.size, config)
+    flat = slots.flat
+    live = with_params(model, slots.params)
+    adam = Adam(flat.size, config)
 
     best_flat = flat.copy()
     best_val = float("inf")
@@ -577,9 +547,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
                 raise TrainingDivergedError(f"training loss diverged at epoch {epoch}") from exc
             train_loss_sum += loss * len(idx)
             adam.update(flat, grad)
-        val_loss = float(ad.value_of(
-            loss_overall(model, val_inputs, val_labels, params=slots.params)
-        ))
+        val_loss = float(loss_overall(live, val_inputs, val_labels))
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"validation loss diverged at epoch {epoch}")
         history.append({
@@ -598,7 +566,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
                 break
 
     return TrainResult(
-        model=with_params(model, layout.unflatten(best_flat)),
+        model=with_params(model, {k: v.copy() for k, v in slots.views(best_flat).items()}),
         history=history,
         best_epoch=best_epoch,
         best_val_loss=best_val,

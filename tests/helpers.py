@@ -21,7 +21,7 @@ from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices
 from evidfuse.encoders import encode_blocks
 from evidfuse.errors import DataError
 from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, SourceEvidence
-from evidfuse.model import (PROB_FLOOR, Frame, ParamVector, Predictions, SourceSpec,
+from evidfuse.model import (PROB_FLOOR, Frame, Predictions, SourceSpec,
                             batch_internals, init_model, loss_overall, param_dict)
 import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, frame_of_size, gamma,
@@ -194,8 +194,8 @@ def chained_loss_overall(model, inputs, labels, params=None, masks=None):
 def reference_loss_and_grad(model, inputs, labels, masks=None):
     """The training step with per-name gradients: a plain leaf per
     parameter (the tape copies its first gradient), zeros for a
-    parameter the loss does not reach, then ``ParamVector.flatten`` of
-    the named gradients.  Returns (loss, flat gradient)."""
+    parameter the loss does not reach, then the named gradients
+    concatenated in ``param_dict`` order.  Returns (loss, flat gradient)."""
     params = param_dict(model)
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in params.items()}
@@ -203,7 +203,7 @@ def reference_loss_and_grad(model, inputs, labels, masks=None):
     tape.backward(loss)
     grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
              for name, leaf in leaves.items()}
-    return float(loss.value), ParamVector.from_params(params).flatten(grads)
+    return float(loss.value), np.concatenate([g.reshape(-1) for g in grads.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Run configuration: validation, defaults and the config hash."""
 
 import dataclasses
+import math
 
 import pytest
 
 from evidfuse.config import RunConfig
 from evidfuse.data import SyntheticConfig
 from evidfuse.errors import ConfigError
+from evidfuse.model import SourceSpec, TrainConfig
 
 SYNTHETIC = SyntheticConfig(n=100)
 
@@ -36,6 +38,29 @@ class TestParse:
     def test_invalid_field_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(synthetic=SYNTHETIC, **fields)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: base_config(learning_rate=math.inf), "learning_rate must be a number >= 0"),
+        (lambda: base_config(learning_rate=True), "learning_rate must be a number >= 0"),
+        (lambda: base_config(learning_rate="0.1"), "learning_rate must be a number >= 0"),
+        (lambda: base_config(learning_rate=math.nan), "learning_rate must be a number >= 0"),
+        (lambda: base_config(learning_rate=10 ** 400), "learning_rate must be a number >= 0"),
+        (lambda: base_config(aux_weight_text=math.inf), "aux_weight_text must be a number >= 0"),
+        (lambda: base_config(aux_weight_structured=-1.0),
+         "aux_weight_structured must be a number >= 0"),
+        (lambda: base_config(fusion_grouping="custom", custom_sources=(
+            {"name": "a", "features": ["n0"], "aux_weight": math.inf},)),
+         "custom source 'a': aux_weight must be a number >= 0"),
+        (lambda: TrainConfig(learning_rate=math.nan), "learning rate must be a number >= 0"),
+        (lambda: TrainConfig(learning_rate=-math.inf), "learning rate must be a number >= 0"),
+        (lambda: SourceSpec("s", "mlp", math.nan), "source 's': aux weight must be a number"),
+        (lambda: SourceSpec("s", "mlp", math.inf), "source 's': aux weight must be a number"),
+    ], ids=["inf-rate", "bool-rate", "string-rate", "nan-rate", "huge-int-rate", "inf-text-weight",
+            "negative-structured-weight", "inf-custom-weight", "nan-train-rate",
+            "minus-inf-train-rate", "nan-source-weight", "inf-source-weight"])
+    def test_rate_or_weight_must_be_a_finite_number(self, make, message):
+        with pytest.raises(ConfigError, match=message):
+            make()
 
     def test_output_dir_default_ignores_the_environment(self, monkeypatch):
         monkeypatch.setenv("EVIDFUSE_OUTPUT_ROOT", "elsewhere")

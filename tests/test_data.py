@@ -927,7 +927,8 @@ class TestBlockwiseJsonlRead:
             with open(path, encoding="utf-8") as fh:
                 return [json.loads(line)["embedding"] for line in fh]
 
-        assert peak(lambda: data._load_embeddings(path, ds.ids)) < 0.75 * peak(vectors)
+        row_of = {sample_id: row for row, sample_id in enumerate(ds.ids)}
+        assert peak(lambda: data._load_embeddings(path, row_of)) < 0.75 * peak(vectors)
 
 
 def _csv_fault(rng, rows, n):

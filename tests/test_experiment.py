@@ -87,6 +87,27 @@ class TestRunDirectoryMarker:
         run_experiment(dataclasses.replace(config, force=True))
         assert run_files(tmp_path / "tiny") == first
 
+    def test_forced_rerun_leaves_only_its_own_seeds(self, tmp_path):
+        config = tiny_config(tmp_path, seeds=(0, 1))
+        run_experiment(config)
+        run_dir = tmp_path / "tiny"
+        (run_dir / "notes.txt").write_text("kept", encoding="utf-8")
+        (run_dir / "seed_x").mkdir()
+        before = run_files(run_dir)
+        # a rerun that its checks reject leaves the old run as it was
+        rejected = dataclasses.replace(
+            config, seeds=(0,), force=True, fusion_grouping="custom",
+            custom_sources=({"name": "a", "features": ["nope"]},))
+        with pytest.raises(ConfigError, match="unknown features"):
+            run_experiment(rejected)
+        assert run_files(run_dir) == before
+        rerun = dataclasses.replace(config, seeds=(0,), force=True)
+        summary = run_experiment(rerun)
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.json", "notes.txt", "seed_0", "seed_x", "summary.json"]
+        assert json.loads((run_dir / "summary.json").read_text(encoding="utf-8")) == summary
+        assert summary["seeds"] == [0]
+
 
 class TestEvaluateCheckpoint:
     def test_synthetic_checkpoint_without_manifest_reproduces_report(self, tmp_path):
@@ -133,6 +154,22 @@ class TestEvaluateCheckpoint:
         path = tmp_path / "checkpoint.json"
         path.write_text('{"format_version": 1,', encoding="utf-8")
         with pytest.raises(DataError, match="malformed checkpoint .*checkpoint.json"):
+            evaluate_checkpoint(str(path))
+
+    @pytest.mark.parametrize("edit,raised", [
+        (lambda extra: extra["preprocess"].pop("layout"), "KeyError"),
+        (lambda extra: extra.update(seed="x"), "ConfigError: seed must be an integer"),
+        (lambda extra: extra.update(seed=7.5), "ConfigError: seed must be an integer"),
+        (lambda extra: extra["config"]["synthetic"].update(bogus=1), "TypeError"),
+        (lambda extra: extra.pop("seed"), "DataError: no preprocess/seed metadata"),
+    ], ids=["preprocess-without-layout", "string-seed", "float-seed",
+            "unknown-synthetic-key", "no-seed"])
+    def test_malformed_extra_names_the_checkpoint(self, tmp_path, edit, raised):
+        path = tiny_run(tmp_path) / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc["extra"])
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=f"malformed checkpoint .*checkpoint.json: {raised}"):
             evaluate_checkpoint(str(path))
 
     @pytest.mark.parametrize("make_doc,raised", [

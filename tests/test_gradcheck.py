@@ -3,35 +3,30 @@ finite differences, and Dempster combination near total conflict."""
 
 import numpy as np
 
-from evidfuse.model import ParamVector, loss_overall, make_dropout_masks, param_dict
+from evidfuse.model import FlatParams, loss_overall, make_dropout_masks, param_dict
 from evidfuse.rng import substream
 import tape_ops as ad
 from helpers import check_gradients, combine_batch, tiny_fusion_setup
 
 
-class TestParamVector:
+class TestFlatParams:
     def test_round_trip_exact(self):
         model, _, _ = tiny_fusion_setup(seed=0, n=20)
         params = param_dict(model)
-        pv = ParamVector.from_params(params)
-        flat = pv.flatten(params)
-        assert flat.size == pv.size
-        restored = pv.unflatten(flat)
-        assert set(restored) == set(params)
+        slots = FlatParams.from_model(model)
+        assert slots.flat.size == slots.grad.size == sum(v.size for v in params.values())
+        assert list(slots.params) == list(slots.grads) == list(params)
         for k in params:
-            np.testing.assert_array_equal(restored[k], params[k])
+            np.testing.assert_array_equal(slots.params[k], params[k])
+            assert np.shares_memory(slots.params[k], slots.flat)
+            assert not np.shares_memory(slots.params[k], params[k])
 
     def test_bijective_index_map(self):
-        pv = ParamVector.from_params({"a": np.zeros((2, 3)), "b": np.zeros(4)})
-        assert pv.size == 10
-        views = pv.views(np.arange(10.0))
+        slots = FlatParams({"a": (2, 3), "b": (4,), "c": ()}, np.zeros(11), np.zeros(11))
+        views = slots.views(np.arange(11.0))
         np.testing.assert_array_equal(views["a"], [[0, 1, 2], [3, 4, 5]])
         np.testing.assert_array_equal(views["b"], [6, 7, 8, 9])
-
-    def test_empty_param_set(self):
-        pv = ParamVector.from_params({})
-        assert pv.size == 0
-        assert pv.flatten({}).size == 0
+        assert views["c"].shape == () and views["c"] == 10
 
 
 class TestCheckGradients:

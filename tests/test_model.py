@@ -20,7 +20,6 @@ from evidfuse.model import (
     FlatParams,
     FusionModel,
     FusionSource,
-    ParamVector,
     Predictions,
     SourceSpec,
     TrainConfig,
@@ -279,10 +278,10 @@ class TestLossAndGrad:
         model, inputs, labels = tiny_fusion_setup(seed=12, n=6)
         _, grad = loss_and_grad(model, inputs, labels)
         params = param_dict(model)
-        layout = FlatParams.from_model(model).layout
-        assert layout.names == tuple(params)
-        assert grad.shape == (layout.size,) == (sum(v.size for v in params.values()),)
-        assert {k: v.shape for k, v in layout.views(grad).items()} == {
+        slots = FlatParams.from_model(model)
+        assert tuple(slots.shapes) == tuple(params)
+        assert grad.shape == slots.flat.shape == (sum(v.size for v in params.values()),)
+        assert {k: v.shape for k, v in slots.views(grad).items()} == {
             k: v.shape for k, v in params.items()}
 
 
@@ -314,7 +313,7 @@ class TestGradientSlots:
         stepped = []
         for g in (grad, ref_grad):
             flat = slots.flat.copy()
-            adam = Adam(slots.layout.size, config)
+            adam = Adam(slots.flat.size, config)
             for _ in range(3):
                 adam.update(flat, g)
             stepped.append(flat.tobytes())
@@ -336,7 +335,7 @@ class TestGradientSlots:
         _, grad = loss_and_grad(model, inputs, labels, masks=masks)
         ((leaves, interior),) = swept
         assert len(leaves) == len(param_dict(model)) and interior
-        views = FlatParams.from_model(model).layout.views(grad)
+        views = FlatParams.from_model(model).views(grad)
         for leaf, slot in zip(leaves, views.values()):
             assert leaf.grad is not None and np.shares_memory(leaf.grad, grad)
             np.testing.assert_array_equal(leaf.grad, slot)
@@ -361,7 +360,7 @@ class TestFusedObjective:
     def test_matches_chained_oracle(self, kind, zero_aux):
         model, inputs, labels, masks = self._setup(kind, zero_aux)
         loss, grad = loss_and_grad(model, inputs, labels, masks=masks)
-        grads = FlatParams.from_model(model).layout.views(grad)
+        grads = FlatParams.from_model(model).views(grad)
 
         tape = ad.Tape()
         leaves = {k: tape.leaf(v) for k, v in param_dict(model).items()}
@@ -395,7 +394,7 @@ class TestFusedObjective:
         assert floored.sum() == 2 and np.all(p_true[floored] > 1e-20)
 
         loss, grad = loss_and_grad(model, inputs, labels)
-        grads = FlatParams.from_model(model).layout.views(grad)
+        grads = FlatParams.from_model(model).views(grad)
         tape = ad.Tape()
         leaves = {k: tape.leaf(v) for k, v in param_dict(model).items()}
         ref = chained_loss_overall(model, inputs, labels, params=leaves)
@@ -473,7 +472,7 @@ class TestBlockedPasses:
         got = run()
         with monkeypatch.context() as mp:
             mp.setattr(evidfuse.model, "encode_blocks",
-                       lambda encoder, x, params=None: encoder.forward(x, params=params))
+                       lambda encoder, x: encoder.forward(x))
             want = run()
         init_params, preds, probs, history, trained = got
         for name, value in want[0].items():   # init_model's prototypes among them
@@ -687,11 +686,13 @@ class TestFlatAdam:
         params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4), "c": rng.normal(size=())}
         grads = [{k: rng.normal(size=np.shape(v)) for k, v in params.items()} for _ in range(3)]
         config = TrainConfig(learning_rate=0.01)
-        layout = ParamVector.from_params(params)
-        flat = layout.flatten(params)
-        adam = Adam(layout.size, config)
+        def flatten(named):
+            return np.concatenate([np.reshape(v, -1) for v in named.values()])
+
+        flat = flatten(params)
+        adam = Adam(flat.size, config)
         for g in grads:
-            adam.update(flat, layout.flatten(g))
+            adam.update(flat, flatten(g))
 
         b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
         ref = {k: v.copy() for k, v in params.items()}
@@ -703,8 +704,7 @@ class TestFlatAdam:
                 m[name] = b1 * m[name] + (1.0 - b1) * g[name]
                 v[name] = b2 * v[name] + (1.0 - b2) * (g[name] * g[name])
                 ref[name] = ref[name] - lr * correction * m[name] / (np.sqrt(v[name]) + eps)
-        for name, arr in layout.views(flat).items():
-            np.testing.assert_array_equal(arr, ref[name])
+        np.testing.assert_array_equal(flat, flatten(ref))
 
 
 class TestCheckpoints:
