@@ -1,24 +1,41 @@
 """Dataset ingestion, preprocessing, splitting, and synthetic generation.
 
-On disk a dataset is a manifest JSON pointing at a structured CSV
-(header = feature names + ``label`` + ``id``, empty cells = missing)
-and optionally an embeddings JSONL (one ``{"id", "embedding"}`` record
-per sample).  In memory it is one raw array per feature (NaN or None =
-missing) plus an embedding matrix; all numeric encoding happens in
-``fit_preprocess``/``apply_preprocess``, whose statistics come from the
-training split only.
+On disk a dataset is a manifest JSON beside its data files.  In memory it
+is one raw array per feature (NaN or None = missing) plus an embedding
+matrix; all numeric encoding happens in ``fit_preprocess``/
+``apply_preprocess``, whose statistics come from the training split only.
 
-``load_dataset`` parses and checks every cell.  ``load_split`` returns
-one train/val/test part and parses less: numerical and categorical
-cells are parsed and checked only in the part's rows, and every other
-check runs on every row.  A bad cell outside the part is therefore
-caught by a training run, which loads every row, and not by
+``write_dataset`` writes two copies of the data and a version-2 manifest:
+
+* the readable copy: a structured CSV (header = feature names + ``label``
+  + ``id``, empty cells = missing) and, with embeddings, a JSONL of one
+  ``{"id", "embedding"}`` record per sample;
+* the binary copy: one NumPy ``.npy`` file per array (labels ``int64``
+  (N,), ids fixed-width unicode (N,), numerical columns ``float64``
+  (N, Dn) with NaN for missing, categorical columns fixed-width unicode
+  (N, Dc) with ``""`` for missing, embeddings ``float64`` (N, De)),
+  whose names, sizes and sha256 the manifest records.  Since the manifest
+  records those hashes, its own hash (a run's ``dataset_id``) covers the
+  data.
+
+For a version-2 manifest ``load_dataset`` and ``load_split`` read only
+the binary files.  Each file's size, then sha256, then exact dtype and
+shape (``n`` rows, the schema's widths) are checked, then its content as
+whole arrays: labels in ``[0, m)``, unique ids, no infinite numerical
+value, finite embeddings.  Each fault raises a DataError naming the file.
+
+For a version-1 manifest (the CSV and JSONL alone) both loaders parse the
+text.  ``load_dataset`` parses and checks every cell.  ``load_split``
+returns one train/val/test part and parses less: numerical and
+categorical cells are parsed and checked only in the part's rows, and
+every other check runs on every row.  A bad cell outside the part is
+therefore caught by a training run, which loads every row, and not by
 re-evaluation.
 
-Both files are written and read in blocks of ``CSV_BLOCK_ROWS`` rows
+The text files are written and read in blocks of ``CSV_BLOCK_ROWS`` rows
 (JSONL: lines).  ``write_dataset`` formats a block's cells itself, in
 the bytes ``csv.writer`` and ``json.dumps`` would write, and writes the
-block at once.  A load reads each file in one pass that holds one
+block at once.  A text load reads each file in one pass that holds one
 block's cell strings at a time and writes each block's embeddings
 straight into their rows of one array.  The CSV pass checks each line's
 width, label and id as it reads it and parses a block's cells column by
@@ -39,6 +56,7 @@ recover the Bayes-optimal baseline in closed form.
 
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -54,7 +72,7 @@ from .rng import substream
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # class-mean separation per unit of source informativeness; at 1.0 the
@@ -64,6 +82,9 @@ SEPARATION_SCALE = 6.0
 # written, or read, checked and parsed, at a time, so that neither a write
 # nor a load holds the text of every row at once
 CSV_BLOCK_ROWS = 2048
+# the arrays of the binary copy, each in a file <key>.npy; "embeddings"
+# only when the dataset has them
+BINARY_KEYS = ("labels", "ids", "numerical", "categorical", "embeddings")
 
 
 @dataclass(frozen=True)
@@ -72,6 +93,9 @@ class FeatureSpec:
     kind: str  # "numerical" | "categorical"
 
     def __post_init__(self):
+        # a version-2 load checks no CSV header against the names
+        if not isinstance(self.name, str):
+            raise DataError(f"feature names must be str, got {self.name!r}")
         if self.kind not in ("numerical", "categorical"):
             raise DataError(f"feature {self.name!r}: unknown kind {self.kind!r}")
 
@@ -85,8 +109,9 @@ def _missing(column: np.ndarray) -> np.ndarray:
 class Dataset:
     """``columns[j]`` holds schema feature j for every sample: float64 with
     NaN for missing, or for a categorical an object array of non-empty str
-    with None.  Ids are unique ``str`` and embeddings finite, so whatever
-    validates here also survives ``write_dataset`` and ``load_dataset``."""
+    with None.  Ids are unique ``str``, no id or category holds NUL and
+    embeddings are finite, so whatever validates here also survives
+    ``write_dataset`` and ``load_dataset`` in either file format."""
 
     schema: tuple
     ids: list
@@ -106,6 +131,9 @@ class Dataset:
             raise DataError(f"sample ids must be str, got {bad_ids[0]!r}")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("sample ids must be unique")
+        if "\x00" in "".join(self.ids):
+            # the binary copy's fixed-width unicode drops a trailing NUL
+            raise DataError("sample ids must not hold NUL characters")
         columns = tuple(np.asarray(c, dtype=np.float64 if f.kind == "numerical" else object)
                         for f, c in zip(self.schema, self.columns))
         if (len(self.columns) != len(self.schema) or len(self.labels) != self.n
@@ -123,6 +151,9 @@ class Dataset:
                 # an empty CSV cell reads back as missing
                 raise DataError(f"feature {f.name!r}: the empty string is not a category; "
                                 "use None for missing")
+            if f.kind == "categorical" and "\x00" in "".join(c[~np.equal(c, None)].tolist()):
+                raise DataError(f"feature {f.name!r}: categorical values must not hold "
+                                "NUL characters")
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
             if self.embeddings.ndim != 2 or self.embeddings.shape[0] != self.n:
@@ -435,11 +466,40 @@ def _jsonl_lines(ids, embeddings) -> str:
                    + "}\n" for sample_id, vec in zip(ids, embeddings.tolist()))
 
 
-def write_dataset(dataset: Dataset, out_dir: str) -> str:
-    """Write structured CSV + embeddings JSONL + manifest; returns the
-    manifest path.  Output bytes are a pure function of the dataset.
+def _binary_arrays(dataset: Dataset) -> dict:
+    """The arrays of the binary copy, by manifest key."""
+    numerical = [c for f, c in zip(dataset.schema, dataset.columns) if f.kind == "numerical"]
+    categorical = [np.where(np.equal(c, None), "", c)
+                   for f, c in zip(dataset.schema, dataset.columns) if f.kind == "categorical"]
+    arrays = {
+        "labels": dataset.labels,
+        "ids": np.array(dataset.ids, dtype=str),
+        # transposed views: each column is contiguous in the file
+        "numerical": np.array(numerical, dtype=np.float64).reshape(len(numerical), dataset.n).T,
+        "categorical": np.array(categorical, dtype=str).reshape(len(categorical), dataset.n).T,
+    }
+    if dataset.embeddings is not None:
+        arrays["embeddings"] = dataset.embeddings
+    return arrays
 
-    Both data files are formatted and written ``CSV_BLOCK_ROWS`` rows at a
+
+def _write_npy(out_dir: str, key: str, array: np.ndarray) -> dict:
+    """Write ``<key>.npy``; returns its manifest entry (file, size, sha256)."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    raw = buffer.getvalue()
+    name = f"{key}.npy"
+    with open(os.path.join(out_dir, name), "wb") as fh:
+        fh.write(raw)
+    return {"file": name, "size": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+
+
+def write_dataset(dataset: Dataset, out_dir: str) -> str:
+    """Write structured CSV + embeddings JSONL, the binary ``.npy`` copy
+    and a version-2 manifest; returns the manifest path.  Output bytes are
+    a pure function of the dataset.
+
+    Both text files are formatted and written ``CSV_BLOCK_ROWS`` rows at a
     time, in the bytes of ``csv.writer`` (default dialect) and of one
     ``json.dumps`` per line."""
     os.makedirs(out_dir, exist_ok=True)
@@ -461,6 +521,8 @@ def write_dataset(dataset: Dataset, out_dir: str) -> str:
         "n": dataset.n,
         "m": dataset.m,
         "files": {"structured": structured_name, "embeddings": embeddings_name},
+        "binary": {key: _write_npy(out_dir, key, array)
+                   for key, array in _binary_arrays(dataset).items()},
         "schema": [{"name": f.name, "kind": f.kind} for f in dataset.schema],
         "generator": dataset.generator,
     }
@@ -490,17 +552,21 @@ def _open(path: str, what: str, **kwargs):
 
 def _read_manifest(manifest_path: str):
     """(schema, n, m, structured CSV path, embeddings JSONL path or None,
-    generator); a manifest that is missing, not JSON or lacks a field
-    raises a DataError naming it."""
+    binary files or None, generator); the binary files, of a version-2
+    manifest only, map each array's key to its (path, size, sha256).  A
+    manifest that is missing, not JSON, of another version or lacks a
+    field raises a DataError naming it."""
     try:
         with _open(manifest_path, "dataset manifest") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"malformed manifest {manifest_path}: not a JSON object")
-    if manifest.get("format_version") != MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version {manifest.get('format_version')!r}")
+    version = manifest.get("format_version")
+    if type(version) is not int or version not in (1, MANIFEST_VERSION):  # not True or 2.0
+        raise DataError(f"unsupported manifest version {version!r} in {manifest_path}; "
+                        f"supported versions: 1, {MANIFEST_VERSION}")
     base = os.path.dirname(manifest_path)
     try:
         schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
@@ -508,6 +574,12 @@ def _read_manifest(manifest_path: str):
         structured_path = os.path.join(base, files["structured"])
         embeddings_name = files.get("embeddings")
         embeddings_path = os.path.join(base, embeddings_name) if embeddings_name else None
+        binary = None
+        if version == MANIFEST_VERSION:
+            entries = manifest["binary"]
+            keys = BINARY_KEYS if "embeddings" in entries else BINARY_KEYS[:-1]
+            binary = {key: (os.path.join(base, entries[key]["file"]), entries[key]["size"],
+                            entries[key]["sha256"]) for key in keys}
     except (LookupError, AttributeError, TypeError) as exc:
         raise DataError(
             f"malformed manifest {manifest_path}: {type(exc).__name__}: {exc}") from exc
@@ -516,7 +588,91 @@ def _read_manifest(manifest_path: str):
     if not isinstance(n, int) or n < 0:
         raise DataError(
             f"malformed manifest {manifest_path}: n must be an integer >= 0, got {n!r}")
-    return schema, n, m, structured_path, embeddings_path, manifest.get("generator")
+    return (schema, n, m, structured_path, embeddings_path, binary,
+            manifest.get("generator"))
+
+
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
+    """The array of one binary file, once its size and then its sha256
+    equal the manifest's; the array's data is checked to fill the file
+    before any of it is copied."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise DataError(f"binary data file not found: {path}") from exc
+    with fh:
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != size:
+            raise DataError(f"{path} holds {actual} bytes, "
+                            f"but manifest {manifest_path} records {size!r}")
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != sha256:
+        raise DataError(f"{path}: sha256 differs from the one manifest {manifest_path} records")
+    fp = io.BytesIO(raw)
+    try:
+        shape, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(fp)](fp)
+        count = math.prod(shape)
+        if fp.tell() + count * dtype.itemsize != len(raw):
+            raise ValueError(f"the data of shape {shape} does not fill the file")
+        flat = np.frombuffer(raw, dtype, count, fp.tell())  # object arrays raise
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}: not a .npy array file ({exc})") from None
+    return flat.reshape(shape, order="F" if fortran_order else "C").copy(order="K")
+
+
+def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
+    """(labels, ids, columns, embeddings or None) of a version-2 manifest,
+    each file checked whole: dtype, shape, content."""
+    numerical_names = [f.name for f in schema if f.kind == "numerical"]
+    unicode = "fixed-width unicode"
+    # dtype and the widths after the n rows; any embedding width De
+    expected = {"labels": ("int64", ()), "ids": (unicode, ()),
+                "numerical": ("float64", (len(numerical_names),)),
+                "categorical": (unicode, (len(schema) - len(numerical_names),)),
+                "embeddings": ("float64", ("De",))}
+    arrays = {}
+    for key, (path, size, sha256) in binary.items():
+        array = _read_npy(path, size, sha256, manifest_path)
+        dtype, widths = expected[key]
+        if not (array.dtype.kind == "U" and array.dtype.isnative if dtype == unicode
+                else array.dtype == np.dtype(dtype)):
+            raise DataError(f"{path}: dtype {array.dtype.str}, need {dtype}")
+        if array.ndim != 1 + len(widths) or any(
+                w not in ("De", got) for w, got in zip(widths, array.shape[1:])):
+            raise DataError(f"{path}: shape {array.shape}, "
+                            f"need (n{''.join(f', {w}' for w in widths)})")
+        if len(array) != n:
+            raise DataError(f"{path} holds {len(array)} rows, "
+                            f"but manifest {manifest_path} says n = {n}")
+        arrays[key] = array, path
+    (labels, labels_path), (ids, ids_path) = arrays["labels"], arrays["ids"]
+    outside = np.flatnonzero((labels < 0) | (labels >= m))
+    if outside.size:
+        raise DataError(f"{labels_path}: row {outside[0]}: label {labels[outside[0]]} "
+                        f"outside 0..{m - 1}")
+    ids = ids.tolist()
+    if len(set(ids)) != n:
+        seen = set()
+        duplicate = next(i for i in ids if i in seen or seen.add(i))
+        raise DataError(f"{ids_path}: duplicate id {duplicate!r}")
+    numerical, numerical_path = arrays["numerical"]
+    rows, features = np.nonzero(np.isinf(numerical))
+    if rows.size:
+        raise DataError(f"{numerical_path}: row {rows[0]}: feature "
+                        f"{numerical_names[features[0]]!r}: infinite value")
+    embeddings, embeddings_path = arrays.get("embeddings", (None, None))
+    if embeddings is not None and not np.isfinite(embeddings).all():
+        row = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))[0]
+        raise DataError(f"{embeddings_path}: non-finite embedding value for id {ids[row]!r}")
+    numerical = iter(numerical.T)
+    categorical = arrays["categorical"][0]
+    categorical = iter(np.where(categorical == "", None, categorical.astype(object)).T)
+    columns = tuple(next(numerical if f.kind == "numerical" else categorical) for f in schema)
+    return labels, ids, columns, embeddings
 
 
 def _column(cells, feat: FeatureSpec) -> np.ndarray:
@@ -539,6 +695,7 @@ def _read_structured(path: str, schema, m: int, keep):
     first faulty line are parsed before that line's fault is raised, so
     the first faulty line wins."""
     expected = [f.name for f in schema] + ["label", "id"]
+    label_digits = len(str(m))
     row_of, labels = {}, []
     parts = [[] for _ in schema]
     with _open(path, "structured data file", newline="") as fh:
@@ -555,8 +712,11 @@ def _read_structured(path: str, schema, m: int, keep):
                 # int() also takes " 1", "+1" and "0_1"
                 elif not (row[-2].isascii() and row[-2].isdigit()):
                     fault = f"bad label {row[-2]!r}"
-                elif (label := int(row[-2])) >= m:
-                    fault = f"label {label} outside 0..{m - 1}"
+                # more digits than m has is out of range, and int() refuses
+                # more than 4300
+                elif (len(digits := row[-2].lstrip("0") or "0") > label_digits
+                      or (label := int(digits)) >= m):
+                    fault = f"label {digits} outside 0..{m - 1}"
                 elif row[-1] in row_of:
                     fault = f"duplicate id {row[-1]!r}"
                 else:
@@ -693,33 +853,39 @@ def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
 
 
 def _load(manifest_path: str, pick) -> Dataset:
-    schema, n, m, structured_path, embeddings_path, generator = _read_manifest(manifest_path)
-    # load_split plans the rows whose cells it parses from n before the
-    # pass, except an n the file cannot hold (a row takes a byte per column)
-    # or too small to split; the pass reports a missing file
-    keep = None if pick is None else np.empty(0, np.int64)
-    try:
-        if pick is not None and n * (len(schema) + 2) <= os.path.getsize(structured_path) + 1:
-            keep = np.sort(pick(n))
-    except (OSError, DataError):
-        pass
-    row_of, labels, columns = _read_structured(structured_path, schema, m, keep)
-    if len(row_of) != n:
-        raise DataError(f"{structured_path} holds {len(row_of)} rows, "
-                        f"but manifest {manifest_path} says n = {n}")
-    embeddings = _load_embeddings(embeddings_path, row_of) if embeddings_path else None
-    ids = list(row_of)
+    (schema, n, m, structured_path, embeddings_path, binary,
+     generator) = _read_manifest(manifest_path)
+    keep = None  # the rows of columns, when not every row
+    if binary is not None:
+        labels, ids, columns, embeddings = _read_binary(manifest_path, schema, n, m, binary)
+    else:
+        # load_split plans the rows whose cells it parses from n before the
+        # pass, except an n the file cannot hold (a row takes a byte per
+        # column) or too small to split; the pass reports a missing file
+        keep = None if pick is None else np.empty(0, np.int64)
+        try:
+            if pick is not None and n * (len(schema) + 2) <= os.path.getsize(structured_path) + 1:
+                keep = np.sort(pick(n))
+        except (OSError, DataError):
+            pass
+        row_of, labels, columns = _read_structured(structured_path, schema, m, keep)
+        if len(row_of) != n:
+            raise DataError(f"{structured_path} holds {len(row_of)} rows, "
+                            f"but manifest {manifest_path} says n = {n}")
+        embeddings = _load_embeddings(embeddings_path, row_of) if embeddings_path else None
+        ids = list(row_of)
     if pick is not None:
         rows = pick(n)  # now n is the row count: the rows kept, or the split's error
         ids, labels = [ids[i] for i in rows], labels[rows]
-        columns = tuple(c[np.searchsorted(keep, rows)] for c in columns)
+        columns = tuple(c[rows if keep is None else np.searchsorted(keep, rows)] for c in columns)
         embeddings = embeddings[rows] if embeddings is not None else None
     return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
                    embeddings=embeddings, m=m, generator=generator)
 
 
 def load_dataset(manifest_path: str) -> Dataset:
-    """Every row of a manifest's dataset, every cell parsed and checked."""
+    """Every row of a manifest's dataset, every array (version 2) or every
+    cell (version 1) checked."""
     return _load(manifest_path, None)
 
 
@@ -727,8 +893,10 @@ def load_split(manifest_path: str, seed: int, part: str) -> Dataset:
     """One part ("train", "val" or "test") of a manifest's dataset, equal
     to ``split(load_dataset(manifest_path), seed)`` at that part.
 
-    Cells are parsed and checked only in the part's rows, planned from the
-    manifest's ``n``; every other check runs on every row.
+    A version-2 manifest's binary files are read and checked whole.  Of a
+    version-1 manifest, cells are parsed and checked only in the part's
+    rows, planned from the manifest's ``n``; every other check runs on
+    every row.
     """
     if part not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {part!r}")

@@ -313,10 +313,11 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     the dataset it scored, as a run's report does: ``synthetic:<seed>``
     for the checkpoint's own synthetic data (regenerated, or a manifest
     whose recorded generator is the checkpoint's synthetic
-    configuration), else the manifest's hash.  With a manifest, only
-    the scored split is parsed (``data.load_split``): the CSV header, row
-    width, labels and ids and the embeddings are checked on every row,
-    numerical and categorical cells only in the split's rows.
+    configuration), else the manifest's hash.  A manifest's split comes
+    from ``data.load_split``: of version 2, from the binary files, each
+    checked whole; of version 1, only the scored split is parsed, so the
+    CSV header, row width, labels and ids and the embeddings are checked
+    on every row, numerical and categorical cells only in the split's rows.
     """
     if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")

@@ -5,9 +5,12 @@ batched evidence, the fusion and the training objective, the training
 step with per-name gradients, the evidential layer and its VJP with
 fresh arrays, the per-cluster loops of k-means and the evidential-layer
 init, the dataset files as ``csv.writer`` and ``json.dumps`` write
-them, and the dataset read from them line by line."""
+them, a written manifest rewritten as version 1 or with a tampered binary
+file, and the dataset read from the text files line by line."""
 
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from evidfuse.autodiff import Tape
-from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices
+from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices, write_json
 from evidfuse.encoders import encode_blocks
 from evidfuse.errors import DataError
 from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, SourceEvidence
@@ -392,6 +395,49 @@ def reference_write_data_files(dataset, out_dir):
                 fh.write(json.dumps({"id": sample_id, "embedding": vec.tolist()},
                                     sort_keys=True, separators=(",", ":")))
                 fh.write("\n")
+
+
+def as_version_1(manifest_path):
+    """Rewrite a written manifest as version 1, which names the CSV and
+    JSONL alone, so that loads parse the text; returns its path.  Its bytes
+    are those of a version-1 writer."""
+    with open(manifest_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc["binary"]
+    doc["format_version"] = 1
+    write_json(manifest_path, doc)
+    return manifest_path
+
+
+def tamper(manifest, key, how, edit):
+    """Edit binary file ``key``: ``edit`` of its bytes, left unrecorded
+    (``how`` "file") or recorded in the manifest ("recorded"), or ``edit``
+    of its array, saved again and recorded ("array")."""
+    with open(manifest, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    path = os.path.join(os.path.dirname(manifest), doc["binary"][key]["file"])
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if how == "array":
+        out = io.BytesIO()
+        np.save(out, edit(np.load(io.BytesIO(raw), allow_pickle=False)))
+        raw = out.getvalue()
+    else:
+        raw = edit(raw)
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    if how != "file":
+        doc["binary"][key].update(size=len(raw), sha256=hashlib.sha256(raw).hexdigest())
+        write_json(manifest, doc)
+
+
+def set_item(index, value):
+    """An array edit: a copy with ``value`` at ``index``."""
+    def edit(array):
+        out = array.copy()
+        out[index] = value
+        return out
+    return edit
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Data pipeline: splitting, preprocessing, weights, synthetic generation."""
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -32,7 +33,8 @@ from evidfuse.data import (
     write_dataset,
 )
 from evidfuse.errors import ConfigError, DataError
-from helpers import mixed_dataset, reference_load, reference_write_data_files
+from helpers import (as_version_1, mixed_dataset, reference_load, reference_write_data_files,
+                     set_item, tamper)
 
 
 def toy_dataset(rows, schema, labels=None, **kw):
@@ -217,7 +219,8 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(n=50, d_struct=3, d_embed=2, seed=7)
         p1 = write_dataset(generate_synthetic(cfg), str(tmp_path / "a"))
         p2 = write_dataset(generate_synthetic(cfg), str(tmp_path / "b"))
-        for name in ("manifest.json", "structured.csv", "embeddings.jsonl"):
+        for name in ("manifest.json", "structured.csv", "embeddings.jsonl", "labels.npy",
+                     "ids.npy", "numerical.npy", "categorical.npy", "embeddings.npy"):
             f1 = (tmp_path / "a" / name).read_bytes()
             f2 = (tmp_path / "b" / name).read_bytes()
             assert f1 == f2
@@ -323,7 +326,7 @@ class TestRoundTrip:
 
     def test_header_mismatch_rejected(self, tmp_path):
         ds = toy_dataset([[1.0]], [NUM], labels=[0])
-        manifest_path = write_dataset(ds, str(tmp_path / "bad"))
+        manifest_path = as_version_1(write_dataset(ds, str(tmp_path / "bad")))
         csv_path = tmp_path / "bad" / "structured.csv"
         text = csv_path.read_text().replace("value", "renamed")
         csv_path.write_text(text)
@@ -342,7 +345,7 @@ class TestRoundTrip:
             "feature-without-name", "feature-without-kind", "m-not-integer",
             "no-n", "n-not-integer", "n-negative"])
     def test_malformed_manifest_is_data_error(self, tmp_path, edit):
-        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         with open(manifest, encoding="utf-8") as fh:
             doc = json.load(fh)
         if edit is None:
@@ -358,10 +361,75 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name,what", [("structured.csv", "structured data file"),
                                            ("embeddings.jsonl", "embeddings file")])
     def test_missing_data_file_is_data_error(self, tmp_path, name, what):
-        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         (tmp_path / "ds" / name).unlink()
         for load in (load_dataset, lambda path: load_split(path, 0, "test")):
             with pytest.raises(DataError, match=f"{what} not found: .*ds.{re.escape(name)}$"):
+                load(manifest)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, 2.0, 1.0, None])
+    def test_unsupported_version_names_the_manifest(self, tmp_path, version):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["format_version"] = version
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        message = f"unsupported manifest version {version!r} in {manifest}; supported versions: 1, 2"
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                load(manifest)
+
+    def test_integer_of_too_many_digits_is_malformed(self, tmp_path):
+        # json.load raises a ValueError that is not a JSONDecodeError for it
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        with open(manifest, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(text.replace('"m": 2', '"m": ' + "2" * 5000))
+        with pytest.raises(DataError, match=rf"malformed manifest {re.escape(manifest)}: "
+                                            r"Exceeds the limit"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("edit", [
+        drop("binary"), drop("binary", "labels"), drop("binary", "categorical"),
+        drop("binary", "ids", "file"), drop("binary", "numerical", "sha256"),
+        drop("binary", "embeddings", "size"), lambda doc: doc.update(binary=[]),
+        drop("files", "structured"), lambda doc: doc.update(n="120"),
+    ], ids=["no-binary", "no-labels", "no-categorical", "ids-without-file",
+            "numerical-without-sha256", "embeddings-without-size", "binary-list",
+            "no-structured-file", "n-not-integer"])
+    def test_malformed_version_2_manifest_is_data_error(self, tmp_path, edit):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=f"malformed manifest {re.escape(manifest)}"):
+                load(manifest)
+
+    @pytest.mark.parametrize("name", [5, None, ["n0"]])
+    def test_feature_name_that_is_not_str(self, tmp_path, name):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["schema"][0]["name"] = name
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=re.escape(f"feature names must be str, got {name!r}")):
+                load(manifest)
+
+    @pytest.mark.parametrize("name", ["labels.npy", "ids.npy", "numerical.npy",
+                                      "categorical.npy", "embeddings.npy"])
+    def test_missing_binary_file_is_data_error(self, tmp_path, name):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        (tmp_path / "ds" / name).unlink()
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError,
+                               match=f"binary data file not found: .*ds.{re.escape(name)}$"):
                 load(manifest)
 
     def test_mixed_dataset_round_trips_bit_for_bit(self, tmp_path):
@@ -390,6 +458,18 @@ class TestRoundTrip:
         embeddings[1, 2] = value
         with pytest.raises(DataError, match="embeddings must be finite"):
             toy_dataset([[1.0], [2.0]], [NUM], labels=[0, 1], embeddings=embeddings)
+
+    @pytest.mark.parametrize("bad_id", ["a\x00", "\x00", "a\x00b"])
+    def test_nul_in_id_rejected(self, bad_id):
+        # fixed-width unicode would read "a\x00" back as "a", a repeat
+        with pytest.raises(DataError, match="ids must not hold NUL"):
+            Dataset(schema=(NUM,), ids=[bad_id, "a"], columns=[[1.0, 2.0]],
+                    labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("value", ["x\x00", "\x00"])
+    def test_nul_in_category_rejected(self, value):
+        with pytest.raises(DataError, match="'group': categorical values must not hold NUL"):
+            toy_dataset([["x"], [value], [None]], [CAT])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
@@ -427,7 +507,7 @@ class TestLoadRejects:
     def _written(tmp_path):
         ds = toy_dataset([[1.0, "A"], [2.0, "B"], [None, None]], [NUM, CAT],
                          labels=[0, 1, 0], embeddings=np.arange(6.0).reshape(3, 2))
-        return write_dataset(ds, str(tmp_path / "ds")), tmp_path / "ds"
+        return as_version_1(write_dataset(ds, str(tmp_path / "ds"))), tmp_path / "ds"
 
     @staticmethod
     def _replace_line(path, line_no, text):
@@ -462,6 +542,18 @@ class TestLoadRejects:
         for load in (load_dataset, lambda path: load_split(path, 0, "test")):
             with pytest.raises(DataError,
                                match=rf"structured\.csv:3: bad label {re.escape(repr(cell))}$"):
+                load(manifest)
+
+    # int() refuses more than 4300 digits
+    @pytest.mark.parametrize("cell,message", [
+        ("1" * 5000, f"label {'1' * 5000} outside 0..1"),
+        ("0" * 5000 + "3", "label 3 outside 0..1"),
+    ], ids=["5000-digits", "leading-zeros"])
+    def test_label_of_too_many_digits(self, tmp_path, cell, message):
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 3, f"2.0,B,{cell},r1")
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=rf"structured\.csv:3: {re.escape(message)}$"):
                 load(manifest)
 
     def test_wrong_column_count(self, tmp_path):
@@ -616,7 +708,7 @@ class TestBlockwiseRead:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_row_counts_around_the_block_size(self, tmp_path, offset):
         ds = mixed_dataset(n=data.CSV_BLOCK_ROWS + offset)
-        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(ds, str(tmp_path / "ds")))
         loaded = load_dataset(manifest)
         assert_same_dataset(loaded, ds)
         for part, expected in zip(SPLIT_NAMES, split(loaded, seed=4)):
@@ -624,7 +716,7 @@ class TestBlockwiseRead:
 
     def test_zero_rows(self, tmp_path):
         ds = mixed_dataset(n=0, embeddings=False)
-        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(ds, str(tmp_path / "ds")))
         assert_same_dataset(load_dataset(manifest), ds)
         with pytest.raises(DataError, match="need at least 10 samples to split, got 0"):
             load_split(manifest, 0, "test")
@@ -635,7 +727,7 @@ class TestBlockwiseRead:
         not as too few rows to split, and 10**15 rows are never planned
         (numpy would raise MemoryError for them)."""
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
-        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         with open(manifest, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["n"] = n
@@ -666,7 +758,7 @@ class TestBlockwiseRead:
     def test_errors_keep_their_whole_file_order(self, tmp_path, monkeypatch, edits, message,
                                                 val_message):
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
-        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         edit_lines(tmp_path / "ds" / "structured.csv", edits)
         for load, expected in ((load_dataset, message),
                                (lambda path: load_split(path, 0, "val"), val_message)):
@@ -683,7 +775,7 @@ class TestBlockwiseRead:
     ], ids=["width-then-label", "label-then-id", "label-range-then-id", "id-then-cell",
             "cells-left-to-right"])
     def test_faults_of_one_line_in_order(self, tmp_path, edits, message):
-        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         edit_lines(tmp_path / "ds" / "structured.csv", edits)
         for load in (load_dataset, lambda path: load_split(path, 0, "test")):
             with pytest.raises(DataError, match=rf"structured\.{message}$"):
@@ -697,7 +789,7 @@ class TestBlockwiseRead:
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
         ds = generate_synthetic(SyntheticConfig(n=8 * 256, d_struct=16, d_embed=0,
                                                 informativeness=(0.5,), seed=3))
-        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        manifest = as_version_1(write_dataset(ds, str(tmp_path / "ds")))
 
         def peak(fn):
             tracemalloc.start()
@@ -789,6 +881,139 @@ class TestBlockwiseWrite:
         assert data._csv_cell(cell) + ",x\r\n" == out.getvalue()
 
 
+def outcome(load, manifest):
+    """What ``load(manifest)`` returns, or the DataError it raises."""
+    try:
+        return load(manifest)
+    except DataError as exc:
+        return exc
+
+
+# mixed_dataset(): numerical columns n0, flat, n1; categorical c0, c1
+TAMPERED = {
+    "flipped-byte": ("numerical", "file", lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+                     r"numerical\.npy: sha256 differs from the one manifest .* records$"),
+    "truncated": ("ids", "file", lambda raw: raw[:-4],
+                  r"ids\.npy holds \d+ bytes, but manifest .* records \d+$"),
+    "trailing-bytes": ("labels", "recorded", lambda raw: raw + bytes(8),
+                       r"labels\.npy: not a \.npy array file \(the data of shape \(120,\) "
+                       r"does not fill the file\)$"),
+    "not-npy": ("categorical", "recorded", lambda raw: b"a,b\n",
+                r"categorical\.npy: not a \.npy array file"),
+    "labels-int32": ("labels", "array", lambda a: a.astype(np.int32),
+                     r"labels\.npy: dtype <i4, need int64$"),
+    "ids-bytes": ("ids", "array", lambda a: a.astype(bytes),
+                  r"ids\.npy: dtype \|S4, need fixed-width unicode$"),
+    "embeddings-float32": ("embeddings", "array", lambda a: a.astype(np.float32),
+                           r"embeddings\.npy: dtype <f4, need float64$"),
+    "numerical-big-endian": ("numerical", "array", lambda a: a.astype(">f8"),
+                             r"numerical\.npy: dtype >f8, need float64$"),
+    "numerical-one-column-short": ("numerical", "array", lambda a: a[:, :2],
+                                   r"numerical\.npy: shape \(120, 2\), need \(n, 3\)$"),
+    "categorical-flat": ("categorical", "array", lambda a: a[:, 0],
+                         r"categorical\.npy: shape \(120,\), need \(n, 2\)$"),
+    "embeddings-row-short": ("embeddings", "array", lambda a: a[:-1],
+                             r"embeddings\.npy holds 119 rows, but manifest .* says n = 120$"),
+    "inf": ("numerical", "array", set_item((7, 1), np.inf),
+            r"numerical\.npy: row 7: feature 'flat': infinite value$"),
+    "-inf": ("numerical", "array", set_item((9, 2), -np.inf),
+             r"numerical\.npy: row 9: feature 'n1': infinite value$"),
+    "nan-embedding": ("embeddings", "array", set_item((11, 2), np.nan),
+                      r"embeddings\.npy: non-finite embedding value for id 'p11'$"),
+    "duplicate-id": ("ids", "array", set_item(5, "p2"), r"ids\.npy: duplicate id 'p2'$"),
+    "label-2": ("labels", "array", set_item(4, 2),
+                r"labels\.npy: row 4: label 2 outside 0\.\.1$"),
+    "label-negative": ("labels", "array", set_item(6, -1),
+                       r"labels\.npy: row 6: label -1 outside 0\.\.1$"),
+}
+
+
+class TestBinaryCopy:
+    """A version-2 manifest loads from the ``.npy`` files alone, each
+    checked against the manifest and as whole arrays."""
+
+    @pytest.mark.parametrize("case", list(WRITE_CASES))
+    def test_loads_equal_the_text_loads(self, tmp_path, case):
+        """On the same written files, each load of the binary copy returns
+        the text load's dataset bit for bit, or raises its message.  Only
+        the binary copy keeps the embedding width of zero rows."""
+        ds = WRITE_CASES[case]()
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        loads = [load_dataset] + [lambda path, part=part: load_split(path, 3, part)
+                                  for part in SPLIT_NAMES]
+        binary = [outcome(load, manifest) for load in loads]
+        as_version_1(manifest)
+        text = [outcome(load, manifest) for load in loads]
+        if case == "zero-rows":
+            assert all(str(t).endswith("need one equal-length number list per sample (no rows)")
+                       for t in text)
+            assert_same_dataset(binary[0], ds)
+            assert all(str(b) == "need at least 10 samples to split, got 0" for b in binary[1:])
+            return
+        for b, t in zip(binary, text):
+            if isinstance(t, DataError):
+                assert str(b) == str(t) == f"need at least 10 samples to split, got {ds.n}"
+            else:
+                assert_same_dataset(b, t)
+        if ds.n >= 10:
+            assert all(isinstance(t, Dataset) for t in text)
+
+    def test_reads_only_the_binary_files(self, tmp_path):
+        ds = mixed_dataset()
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        (tmp_path / "ds" / "structured.csv").unlink()
+        (tmp_path / "ds" / "embeddings.jsonl").unlink()
+        assert_same_dataset(load_dataset(manifest), ds)
+        for part, expected in zip(SPLIT_NAMES, split(ds, seed=5)):
+            assert_same_dataset(load_split(manifest, 5, part), expected)
+
+    def test_manifest_records_each_file(self, tmp_path):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
+        assert doc["format_version"] == data.MANIFEST_VERSION == 2
+        assert sorted(doc["binary"]) == sorted(data.BINARY_KEYS)
+        layout = {"labels": ("<i8", (120,)), "ids": ("<U4", (120,)),
+                  "numerical": ("<f8", (120, 3)), "categorical": ("<U1", (120, 2)),
+                  "embeddings": ("<f8", (120, 3))}
+        for key, entry in doc["binary"].items():
+            raw = (tmp_path / "ds" / f"{key}.npy").read_bytes()
+            assert entry == {"file": f"{key}.npy", "size": len(raw),
+                             "sha256": hashlib.sha256(raw).hexdigest()}
+            array = np.load(tmp_path / "ds" / entry["file"], allow_pickle=False)
+            assert (array.dtype.str, array.shape) == layout[key], key
+        write_dataset(mixed_dataset(embeddings=False), str(tmp_path / "plain"))
+        plain = json.loads((tmp_path / "plain" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(plain["binary"]) == sorted(set(data.BINARY_KEYS) - {"embeddings"})
+        assert not (tmp_path / "plain" / "embeddings.npy").exists()
+
+    @pytest.mark.parametrize("case", list(TAMPERED))
+    def test_tampered_file_is_named(self, tmp_path, case):
+        key, how, edit, message = TAMPERED[case]
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        tamper(manifest, key, how, edit)
+        for load in (load_dataset, lambda path: load_split(path, 0, "val")):
+            with pytest.raises(DataError, match=message):
+                load(manifest)
+
+    def test_manifest_row_count_mismatch(self, tmp_path):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
+        for n in (0, 119, 121, 10**15):
+            data.write_json(manifest, dict(doc, n=n))
+            for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+                with pytest.raises(DataError, match=rf"labels\.npy holds 120 rows, but manifest "
+                                                    rf".*manifest\.json says n = {n}$"):
+                    load(manifest)
+
+    def test_version_1_manifest_keeps_its_bytes(self, tmp_path):
+        """Rewritten as version 1, a written manifest has the bytes, and so
+        the ``dataset_id``, that the version-1 writer gave it."""
+        cfg = SyntheticConfig(n=60, d_struct=3, d_embed=2, seed=31)
+        manifest = as_version_1(write_dataset(generate_synthetic(cfg), str(tmp_path / "ds")))
+        assert manifest_hash(manifest) == (
+            "b82a8a9fb2f88c03abe23d5c0a5388c42ae8875a29f7f2a5cf59b23d2d7b4a03")
+
+
 def record(sample_id, embedding="[1.0,2.0,3.0]"):
     return '{"embedding":%s,"id":%s}' % (embedding, json.dumps(sample_id))
 
@@ -812,7 +1037,8 @@ class TestBlockwiseJsonlRead:
     def written(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
         ds = mixed_dataset()
-        return ds, write_dataset(ds, str(tmp_path / "ds")), tmp_path / "ds" / "embeddings.jsonl"
+        return (ds, as_version_1(write_dataset(ds, str(tmp_path / "ds"))),
+                tmp_path / "ds" / "embeddings.jsonl")
 
     @staticmethod
     def assert_rejected(manifest, message):
@@ -979,7 +1205,7 @@ def test_loads_match_the_line_by_line_reference(tmp_path, monkeypatch, seed):
     for case in range(40):
         n = int(rng.integers(10, 60))
         ds = mixed_dataset(n=n, seed=case)
-        manifest = write_dataset(ds, str(tmp_path / f"{seed}-{case}"))
+        manifest = as_version_1(write_dataset(ds, str(tmp_path / f"{seed}-{case}")))
         csv_path, jsonl_path = (tmp_path / f"{seed}-{case}" / name
                                 for name in ("structured.csv", "embeddings.jsonl"))
         rows = [line.split(",") for line in csv_path.read_text().splitlines()]

@@ -1,6 +1,7 @@
 """Experiment driver: runs, artifacts and checkpoint re-evaluation."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -14,7 +15,7 @@ from evidfuse.data import (Dataset, FeatureSpec, SyntheticConfig, fit_preprocess
 from evidfuse.errors import ConfigError, DataError
 from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
 from evidfuse.model import SourceSpec, model_to_json_dict
-from helpers import mixed_dataset, tiny_fusion_setup
+from helpers import as_version_1, mixed_dataset, set_item, tamper, tiny_fusion_setup
 
 
 def tiny_config(out_dir, seeds=(3,)):
@@ -199,9 +200,10 @@ def set_cell(row, column, value):
 
 
 class TestEvaluateManifestCheckpoint:
-    """With a manifest, ``evaluate_checkpoint`` parses the numerical and
-    categorical cells of the scored split only; every other check still
-    covers every row."""
+    """With a version-1 manifest, ``evaluate_checkpoint`` parses the
+    numerical and categorical cells of the scored split only; every other
+    check still covers every row.  A version-2 manifest's binary files are
+    checked whole."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -221,14 +223,15 @@ class TestEvaluateManifestCheckpoint:
 
     @staticmethod
     def _tampered(run, tmp_path, name, edit):
-        """A copy of the run's data with ``edit`` applied to the lines of
-        file ``name``; returns the copy's manifest path."""
+        """A copy of the run's data, its manifest rewritten as version 1,
+        with ``edit`` applied to the lines of text file ``name``; returns
+        the copy's manifest path."""
         shutil.copytree(run / "data", tmp_path / "data")
         path = tmp_path / "data" / name
         lines = path.read_text(encoding="utf-8").splitlines()
         edit(lines)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(tmp_path / "data" / "manifest.json")
+        return as_version_1(str(tmp_path / "data" / "manifest.json"))
 
     def test_reproduces_the_runs_report(self, run):
         report, saved = self._evaluate(run, str(run / "data" / "manifest.json"))
@@ -240,10 +243,18 @@ class TestEvaluateManifestCheckpoint:
         assert saved["dataset"] == manifest_hash(str(run / "data" / "manifest.json"))
         assert report["dataset"] == manifest_hash(other) != saved["dataset"]
 
+    def test_version_1_manifest_reports_its_unchanged_sha256(self, run, tmp_path):
+        manifest = self._tampered(run, tmp_path, "structured.csv", lambda lines: None)
+        with open(manifest, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        report, saved = self._evaluate(run, manifest)
+        assert report == dict(saved, dataset=digest) != saved
+        assert manifest_hash(manifest) == digest
+
     def test_bad_cell_outside_the_split_is_not_parsed(self, run, tmp_path):
         manifest = self._tampered(run, tmp_path, "structured.csv", set_cell(OUTSIDE, 0, "nan"))
         report, saved = self._evaluate(run, manifest)
-        assert report == saved
+        assert report == dict(saved, dataset=manifest_hash(manifest))
         with pytest.raises(DataError, match=rf"structured\.csv:{OUTSIDE + 2}: feature 'n0'"):
             load_dataset(manifest)
 
@@ -265,6 +276,16 @@ class TestEvaluateManifestCheckpoint:
     def test_every_row_checks_still_cover_every_row(self, run, tmp_path, name, edit, message):
         manifest = self._tampered(run, tmp_path, name, edit)
         with pytest.raises(DataError, match=message):
+            self._evaluate(run, manifest)
+
+    def test_binary_copy_is_checked_whole(self, run, tmp_path):
+        """Of a version-2 manifest, a bad value outside the scored split
+        fails evaluation too."""
+        shutil.copytree(run / "data", tmp_path / "data")
+        manifest = str(tmp_path / "data" / "manifest.json")
+        tamper(manifest, "numerical", "array", set_item((OUTSIDE, 0), np.inf))
+        with pytest.raises(DataError, match=rf"numerical\.npy: row {OUTSIDE}: feature 'n0': "
+                                            r"infinite value$"):
             self._evaluate(run, manifest)
 
 
