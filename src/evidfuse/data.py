@@ -592,14 +592,28 @@ def _read_manifest(manifest_path: str):
             manifest.get("generator"))
 
 
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
+# .npy format version -> (bytes of its header-length field, header reader)
+_NPY_HEADERS = {(1, 0): (2, np.lib.format.read_array_header_1_0),
+                (2, 0): (4, np.lib.format.read_array_header_2_0)}
+
+
+def _npy_layout(buf: bytearray):
+    """(shape, fortran_order, dtype, data offset) of the .npy bytes
+    ``buf``; the header readers see a copy of the header alone."""
+    start = np.lib.format.MAGIC_LEN
+    length_bytes, read_header = _NPY_HEADERS[np.lib.format.read_magic(io.BytesIO(buf[:start]))]
+    end = start + length_bytes
+    fp = io.BytesIO(buf[:end + int.from_bytes(buf[start:end], "little")])
+    fp.seek(start)
+    shape, fortran_order, dtype = read_header(fp)
+    return shape, fortran_order, dtype, fp.tell()
 
 
 def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
     """The array of one binary file, once its size and then its sha256
     equal the manifest's; the array's data is checked to fill the file
-    before any of it is copied."""
+    before the array is made.  The file is read once, into a writable
+    buffer that the array then uses."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError as exc:
@@ -609,19 +623,19 @@ def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
         if actual != size:
             raise DataError(f"{path} holds {actual} bytes, "
                             f"but manifest {manifest_path} records {size!r}")
-        raw = fh.read()
-    if hashlib.sha256(raw).hexdigest() != sha256:
+        buf = bytearray(size)
+        fh.readinto(buf)
+    if hashlib.sha256(buf).hexdigest() != sha256:
         raise DataError(f"{path}: sha256 differs from the one manifest {manifest_path} records")
-    fp = io.BytesIO(raw)
     try:
-        shape, fortran_order, dtype = _NPY_HEADERS[np.lib.format.read_magic(fp)](fp)
+        shape, fortran_order, dtype, offset = _npy_layout(buf)
         count = math.prod(shape)
-        if fp.tell() + count * dtype.itemsize != len(raw):
+        if offset + count * dtype.itemsize != len(buf):
             raise ValueError(f"the data of shape {shape} does not fill the file")
-        flat = np.frombuffer(raw, dtype, count, fp.tell())  # object arrays raise
+        flat = np.frombuffer(buf, dtype, count, offset)  # object arrays raise
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: not a .npy array file ({exc})") from None
-    return flat.reshape(shape, order="F" if fortran_order else "C").copy(order="K")
+    return flat.reshape(shape, order="F" if fortran_order else "C")
 
 
 def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):

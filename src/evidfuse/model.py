@@ -50,9 +50,21 @@ arrays are views into the parameter vector; the per-epoch validation
 loss is that model's eval-mode loss, so it sees every step.  All forward
 code runs on either the model's own arrays (eval mode, in row blocks) or
 a step's tape tensors (training).
+
+A checkpoint is one JSON document.  ``save_checkpoint`` writes format
+version 2, where each parameter array is ``{"shape", "f8"}``, the base64
+of its little-endian float64 bytes, so saving and loading neither print
+nor parse a decimal and a load gets back the saved bits.
+``load_checkpoint`` also reads version 1, whose arrays are nested lists;
+the format version picks the array decoder and every check after it
+(each component against a fresh one of its dimensions, finite values,
+prototype width, finite positive class weights) is shared.
 """
 
+import base64
+import binascii
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -76,7 +88,7 @@ from .evidential import EnnParams, evidence_batch, fuse_evidence, init_enn
 from .rng import substream
 
 PROB_FLOOR = 1e-12
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -132,8 +144,8 @@ class FusionModel:
 
     def __post_init__(self):
         w = np.asarray(self.class_weights, dtype=np.float64)
-        if w.shape != (self.frame.m,) or np.any(w <= 0):
-            raise ConfigError("class weights must be positive, one per class")
+        if w.shape != (self.frame.m,) or not np.all(np.isfinite(w) & (w > 0)):
+            raise ConfigError("class weights must be finite and positive, one per class")
         names = [s.spec.name for s in self.sources]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate source names: {names}")
@@ -608,20 +620,63 @@ def init_model(frame: Frame, specs, train_inputs, train_labels, seed: int,
 _ENCODER_CLASSES = {cls.kind: cls for cls in (MlpEncoder, ResNetEncoder, TextHeadEncoder)}
 
 
+def _array_to_json(arr) -> dict:
+    """A version-2 parameter array: its shape and the base64 of its
+    little-endian float64 bytes, in C order."""
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _array_from_list(value) -> np.ndarray:
+    """A version-1 parameter array: nested lists of JSON numbers."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _array_from_f8(value) -> np.ndarray:
+    """A version-2 parameter array, its shape and byte count checked
+    before anything is reshaped; a native-endian, writable copy."""
+    shape = value["shape"]
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+    try:
+        raw = base64.b64decode(value["f8"], validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"f8 is not base64 ({exc})") from None
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise ValueError(f"{len(raw)} bytes for shape {tuple(shape)}, which needs {size}")
+    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+
+
+# checkpoint format version -> the decoder of its parameter arrays
+_ARRAY_DECODERS = {1: _array_from_list, CHECKPOINT_VERSION: _array_from_f8}
+
+
+def _params_from_json(decode, params: dict, what: str) -> dict:
+    out = {}
+    for key, value in params.items():
+        try:
+            out[key] = decode(value)
+        except (LookupError, TypeError, ValueError) as exc:
+            raise DataError(f"{what} parameter {key!r}: {type(exc).__name__}: {exc}") from exc
+    return out
+
+
 def _component_to_json(component, **extra) -> dict:
-    """An encoder's or aux head's dataclass fields, parameters as lists."""
+    """An encoder's or aux head's dataclass fields and its parameters."""
     doc = {f.name: getattr(component, f.name) for f in fields(component)}
-    doc["params"] = {k: v.tolist() for k, v in component.params.items()}
+    doc["params"] = {k: _array_to_json(v) for k, v in component.params.items()}
     return {**doc, **extra}
 
 
-def _component_from_json(cls, doc: dict):
+def _component_from_json(cls, doc: dict, decode, what: str):
     kwargs = {f.name: doc[f.name] for f in fields(cls)}
-    kwargs["params"] = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
+    kwargs["params"] = _params_from_json(decode, doc["params"], what)
     return cls(**kwargs)
 
 
 def model_to_json_dict(model: FusionModel, config_hash: str = "", extra=None) -> dict:
+    """The checkpoint document of ``model``, in format version 2."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
@@ -631,7 +686,7 @@ def model_to_json_dict(model: FusionModel, config_hash: str = "", extra=None) ->
             {
                 "spec": asdict(src.spec),
                 "encoder": _component_to_json(src.encoder, kind=src.encoder.kind),
-                "enn": {k: v.tolist() for k, v in src.enn.as_param_dict().items()},
+                "enn": {k: _array_to_json(v) for k, v in src.enn.as_param_dict().items()},
                 "aux": _component_to_json(src.aux),
             }
             for src in model.sources
@@ -661,33 +716,48 @@ def _check_component(what, component, fresh):
 
 
 def model_from_json_dict(doc: dict) -> FusionModel:
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {doc.get('format_version')!r}")
+    """The model of a checkpoint document of either format version."""
+    version = doc.get("format_version")
+    if type(version) is not int or version not in _ARRAY_DECODERS:  # not True or 2.0
+        raise DataError(f"unsupported checkpoint version {version!r}; "
+                        f"supported versions: {', '.join(map(str, _ARRAY_DECODERS))}")
+    decode = _ARRAY_DECODERS[version]
     frame = Frame(tuple(doc["frame"]["labels"]))
     sources = []
     rng = np.random.default_rng(0)  # the fresh components give only their shapes
     for sd in doc["sources"]:
         spec = SourceSpec(**sd["spec"])
-        encoder = _component_from_json(_ENCODER_CLASSES[sd["encoder"]["kind"]], sd["encoder"])
+        what = f"source {spec.name!r}"
+        encoder = _component_from_json(_ENCODER_CLASSES[sd["encoder"]["kind"]], sd["encoder"],
+                                       decode, f"{what} encoder")
         enn = EnnParams.from_param_dict(
-            {k: np.asarray(v, dtype=np.float64) for k, v in sd["enn"].items()}
-        )
-        aux = _component_from_json(AuxHead, sd["aux"])
+            _params_from_json(decode, sd["enn"], f"{what} evidential layer"))
+        aux = _component_from_json(AuxHead, sd["aux"], decode, f"{what} aux head")
         dims = {"output_dim": encoder.output_dim}
         if encoder.kind != "resnet":  # a residual net's hidden width is its output width
             dims["hidden_dim"] = encoder.hidden_dim
-        _check_component(f"source {spec.name!r} encoder", encoder,
+        _check_component(f"{what} encoder", encoder,
                          init_encoder(encoder.kind, encoder.input_dim, rng, **dims))
-        _check_component(f"source {spec.name!r} aux head", aux,
+        _check_component(f"{what} aux head", aux,
                          init_aux_head(encoder.output_dim, frame.m, rng))
         if enn.prototypes.shape[1] != encoder.output_dim:
-            raise DataError(f"source {spec.name!r}: prototypes of width "
+            raise DataError(f"{what}: prototypes of width "
                             f"{enn.prototypes.shape[1]} for a {encoder.output_dim}-wide encoder")
         sources.append(FusionSource(spec, encoder, enn, aux))
     return FusionModel(frame, sources, np.asarray(doc["class_weights"], dtype=np.float64))
 
 
 def save_checkpoint(model: FusionModel, path: str, config_hash: str = "", extra=None):
+    """Write ``model`` as one JSON document of format version 2, replacing
+    ``path`` atomically.
+
+    Every parameter array (encoder, evidential layer, aux head) is
+    ``{"shape": [...], "f8": ...}``: ``f8`` is the RFC 4648 base64 of the
+    array's IEEE 754 binary64 little-endian bytes in C order, so a load
+    gets exactly the bits the model held without printing or parsing a
+    decimal.  Everything else (fields, ``class_weights``, ``extra``) is
+    plain JSON.
+    """
     doc = model_to_json_dict(model, config_hash=config_hash, extra=extra)
     tmp = f"{path}.tmp"
     # json.dumps runs the C encoder; json.dump to a file always runs the
@@ -698,7 +768,21 @@ def save_checkpoint(model: FusionModel, path: str, config_hash: str = "", extra=
 
 
 def load_checkpoint(path: str):
-    """Returns (model, full checkpoint document)."""
+    """Returns (model, full checkpoint document).
+
+    Reads format version 2 (see ``save_checkpoint``) and version 1, whose
+    parameter arrays are nested lists of numbers; the version picks the
+    one array decoder, and everything after it is shared.  A version-2
+    array's ``shape`` must be a list of non-negative ``int``s, its ``f8``
+    strict base64 of exactly 8 bytes per entry (checked before anything
+    is reshaped); its array is a native-endian, writable copy.  Each
+    component is then checked against a freshly initialized one of its
+    dimensions (fields, parameter names and shapes), its values must be
+    finite, each source's prototypes as wide as its encoder's output, and
+    the class weights finite and positive.  Any fault, an unsupported
+    version included, is a ``DataError("malformed checkpoint <path>: …")``;
+    a faulty parameter is named with its source.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -6,8 +6,10 @@ step with per-name gradients, the evidential layer and its VJP with
 fresh arrays, the per-cluster loops of k-means and the evidential-layer
 init, the dataset files as ``csv.writer`` and ``json.dumps`` write
 them, a written manifest rewritten as version 1 or with a tampered binary
-file, and the dataset read from the text files line by line."""
+file, a checkpoint rewritten as version 1, and the dataset read from the
+text files line by line."""
 
+import base64
 import csv
 import hashlib
 import io
@@ -429,6 +431,46 @@ def tamper(manifest, key, how, edit):
     if how != "file":
         doc["binary"][key].update(size=len(raw), sha256=hashlib.sha256(raw).hexdigest())
         write_json(manifest, doc)
+
+
+def checkpoint_arrays(doc, convert):
+    """Replace every parameter array of checkpoint document ``doc``
+    (encoders, evidential layers, aux heads) by ``convert`` of it, in
+    place; returns ``doc``."""
+    for source in doc["sources"]:
+        for params in (source["encoder"]["params"], source["enn"], source["aux"]["params"]):
+            for key, value in params.items():
+                params[key] = convert(value)
+    return doc
+
+
+def f8_as_list(value):
+    """A version-2 checkpoint array as the nested lists of version 1."""
+    raw = base64.b64decode(value["f8"], validate=True)
+    return np.frombuffer(raw, "<f8").reshape(value["shape"]).tolist()
+
+
+def list_as_f8(value):
+    """A version-1 checkpoint array (nested lists) as version 2 writes it."""
+    array = np.asarray(value, dtype="<f8")
+    return {"shape": list(array.shape), "f8": base64.b64encode(array.tobytes()).decode("ascii")}
+
+
+def checkpoint_doc_as_version_1(doc):
+    """A version-2 checkpoint document rewritten as version 1, in place."""
+    doc["format_version"] = 1
+    return checkpoint_arrays(doc, f8_as_list)
+
+
+def checkpoint_as_version_1(path):
+    """Rewrite a version-2 checkpoint file as version 1, whose arrays are
+    nested lists; returns its path.  Its bytes are those of a version-1
+    writer."""
+    with open(path, encoding="utf-8") as fh:
+        doc = checkpoint_doc_as_version_1(json.load(fh))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    return path
 
 
 def set_item(index, value):

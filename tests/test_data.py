@@ -1005,6 +1005,26 @@ class TestBinaryCopy:
                                                     rf".*manifest\.json says n = {n}$"):
                     load(manifest)
 
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+    def test_read_npy_returns_the_read_buffer(self, tmp_path, version):
+        """Each array comes back with its dtype, memory order and bits, as
+        a writable view of the buffer the file was read into."""
+        rng = np.random.default_rng(4)
+        arrays = {"c": rng.normal(size=(5, 3)), "f": np.asfortranarray(rng.normal(size=(5, 3))),
+                  "int": np.arange(7, dtype=np.int64), "unicode": np.array([["ab", ""], ["c", "d"]]),
+                  "empty": np.zeros((0, 4))}
+        for name, array in arrays.items():
+            path = tmp_path / f"{name}.npy"
+            with open(path, "wb") as fh:
+                np.lib.format.write_array(fh, array, version=version)
+            raw = path.read_bytes()
+            got = data._read_npy(str(path), len(raw), hashlib.sha256(raw).hexdigest(), "m.json")
+            assert (got.dtype, got.shape) == (array.dtype, array.shape), name
+            assert got.flags.f_contiguous == array.flags.f_contiguous, name
+            assert got.flags.c_contiguous == array.flags.c_contiguous, name
+            assert got.tobytes(order="A") == array.tobytes(order="A"), name
+            assert got.flags.writeable and not got.flags.owndata, name
+
     def test_version_1_manifest_keeps_its_bytes(self, tmp_path):
         """Rewritten as version 1, a written manifest has the bytes, and so
         the ``dataset_id``, that the version-1 writer gave it."""

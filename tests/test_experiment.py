@@ -15,7 +15,8 @@ from evidfuse.data import (Dataset, FeatureSpec, SyntheticConfig, fit_preprocess
 from evidfuse.errors import ConfigError, DataError
 from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
 from evidfuse.model import SourceSpec, model_to_json_dict
-from helpers import as_version_1, mixed_dataset, set_item, tamper, tiny_fusion_setup
+from helpers import (as_version_1, checkpoint_as_version_1, mixed_dataset, set_item, tamper,
+                     tiny_fusion_setup)
 
 
 def tiny_config(out_dir, seeds=(3,)):
@@ -114,6 +115,15 @@ class TestEvaluateCheckpoint:
     def test_synthetic_checkpoint_without_manifest_reproduces_report(self, tmp_path):
         seed_dir = tiny_run(tmp_path)
         report = evaluate_checkpoint(str(seed_dir / "checkpoint.json"))
+        saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
+        assert json.loads(json.dumps(report)) == saved
+
+    def test_version_1_checkpoint_reproduces_report(self, tmp_path):
+        seed_dir = tiny_run(tmp_path)
+        path = str(seed_dir / "checkpoint.json")
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["format_version"] == 2
+        report = evaluate_checkpoint(checkpoint_as_version_1(path))
         saved = json.loads((seed_dir / "report.json").read_text(encoding="utf-8"))
         assert json.loads(json.dumps(report)) == saved
 

@@ -1,6 +1,8 @@
 """Fusion model: batched predictions, losses, training loop, checkpoints."""
 
+import base64
 import gc
+import hashlib
 import json
 import math
 import re
@@ -12,12 +14,14 @@ import numpy as np
 import pytest
 
 import evidfuse.model
-from evidfuse.encoders import ENCODE_BLOCK_ROWS, AuxHead, MlpEncoder
+from evidfuse.encoders import (ENCODE_BLOCK_ROWS, AuxHead, MlpEncoder, init_aux_head,
+                               init_encoder)
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
 from evidfuse.evidential import EnnParams, evidence_batch
 from evidfuse.model import (
     Adam,
     FlatParams,
+    Frame,
     FusionModel,
     FusionSource,
     Predictions,
@@ -30,7 +34,6 @@ from evidfuse.model import (
     loss_main,
     loss_overall,
     make_dropout_masks,
-    model_from_json_dict,
     model_to_json_dict,
     param_dict,
     predict_batch,
@@ -41,11 +44,14 @@ from evidfuse.model import (
 )
 from evidfuse.rng import substream
 import tape_ops as ad
-from helpers import (chained_loss_overall, exact_prediction, reference_loss_and_grad,
-                     tiny_fusion_setup)
+from helpers import (chained_loss_overall, checkpoint_arrays, checkpoint_as_version_1,
+                     checkpoint_doc_as_version_1, exact_prediction, f8_as_list, list_as_f8,
+                     reference_loss_and_grad, tiny_fusion_setup)
 from reference import SimpleMass, combine_simple, frame_of_size, pignistic
 
 F2 = frame_of_size(2)
+# sha256 of the version-1 writer's checkpoint.json of seeded_model()
+VERSION_1_SHA256 = "5a2fe48e1bb839dafac4cf2baa8148544c871e04545394bc9596028d46404cc5"
 
 
 def logit(p):
@@ -707,28 +713,113 @@ class TestFlatAdam:
         np.testing.assert_array_equal(flat, flatten(ref))
 
 
+def seeded_model():
+    """A model of three sources (MLP, ResNet, text head) from seeded draws
+    alone, with a -0.0 entry: no matrix product made its bits, so they do
+    not depend on the BLAS."""
+    rng = np.random.default_rng(41)
+    sources = []
+    for name, kind, width, dims in (("struct", "mlp", 4, {"hidden_dim": 5}),
+                                    ("blocks", "resnet", 3, {}),
+                                    ("notes", "text-head", 2, {"hidden_dim": 5})):
+        encoder = init_encoder(kind, width, rng, output_dim=4, **dims)
+        enn = EnnParams(rng.normal(size=(3, 4)), rng.normal(size=3), rng.normal(size=3),
+                        rng.normal(size=(3, 2)))
+        sources.append(FusionSource(SourceSpec(name, kind, aux_weight=0.5), encoder, enn,
+                                    init_aux_head(4, 2, rng)))
+    sources[0].enn.prototypes[0, 1] = -0.0
+    return FusionModel(Frame(("0", "1")), sources, np.array([0.75, 1.5]))
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def malformed(path):
+    return f"^malformed checkpoint {re.escape(str(path))}: "
+
+
+def set_f8(array, values):
+    """Replace a version-2 array's bytes by those of ``values``."""
+    array["f8"] = list_as_f8(values)["f8"]
+
+
+def decoded(array):
+    return np.asarray(f8_as_list(array))
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
-        model, _, _ = tiny_fusion_setup(seed=19, n=20)
+        """MLP and ResNet models alike: every array loads with the bits it
+        was saved with, -0.0 included, as a native-endian, writable float64
+        array."""
+        for kind in ("mlp", "resnet"):
+            self._assert_round_trip(tmp_path, kind)
+
+    @staticmethod
+    def _assert_round_trip(tmp_path, kind):
+        model, _, _ = tiny_fusion_setup(seed=19, n=20, encoder_kind=kind)
+        params = param_dict(model)
+        params["src0.encoder.w0" if kind == "mlp" else "src0.encoder.w_in"][0, 1] = -0.0
+        params["src1.enn.prototypes"][1, 0] = -0.0
         path = tmp_path / "model.json"
         save_checkpoint(model, str(path), config_hash="abc123", extra={"seed": 7})
         loaded, doc = load_checkpoint(str(path))
+        assert doc["format_version"] == 2
         assert doc["config_hash"] == "abc123"
         assert doc["extra"] == {"seed": 7}
-        original = param_dict(model)
         restored = param_dict(loaded)
-        assert set(original) == set(restored)
-        for k in original:
-            np.testing.assert_array_equal(original[k], restored[k])
+        assert list(restored) == list(params)
+        for k, v in params.items():
+            got = restored[k]
+            assert got.dtype == np.float64 and got.dtype.isnative, k
+            assert got.flags.writeable and got.shape == v.shape, k
+            assert got.tobytes() == v.tobytes(), k
         assert loaded.frame == model.frame
-        np.testing.assert_array_equal(loaded.class_weights, model.class_weights)
+        assert loaded.class_weights.tobytes() == model.class_weights.tobytes()
 
-    def test_version_checked(self):
-        model, _, _ = tiny_fusion_setup(seed=20, n=20)
-        doc = model_to_json_dict(model)
-        doc["format_version"] = 99
-        with pytest.raises(DataError):
-            model_from_json_dict(doc)
+    def test_arrays_are_base64_of_little_endian_float64(self, tmp_path):
+        model = seeded_model()
+        path = tmp_path / "model.json"
+        save_checkpoint(model, str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        w = model.sources[1].encoder.params["w_in"]
+        assert doc["sources"][1]["encoder"]["params"]["w_in"] == {
+            "shape": [3, 4], "f8": base64.b64encode(w.astype("<f8").tobytes()).decode("ascii")}
+        assert doc["class_weights"] == [0.75, 1.5]
+
+    def test_version_1_rewrite_has_the_version_1_writer_bytes(self, tmp_path):
+        """Pinned: the sha256 of the version-1 writer's checkpoint of
+        ``seeded_model``."""
+        path = tmp_path / "model.json"
+        save_checkpoint(seeded_model(), str(path), config_hash="abc123", extra={"seed": 7})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() != VERSION_1_SHA256
+        checkpoint_as_version_1(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == VERSION_1_SHA256
+
+    def test_both_versions_load_the_same_bits(self, tmp_path):
+        model, inputs, _ = tiny_fusion_setup(seed=19, n=20, encoder_kind="resnet")
+        path = tmp_path / "model.json"
+        save_checkpoint(model, str(path))
+        version_2 = param_dict(load_checkpoint(str(path))[0])
+        loaded, doc = load_checkpoint(checkpoint_as_version_1(str(path)))
+        assert doc["format_version"] == 1
+        assert isinstance(doc["sources"][0]["encoder"]["params"]["w_in"], list)
+        for k, v in param_dict(loaded).items():
+            assert v.tobytes() == version_2[k].tobytes() and v.flags.writeable, k
+        assert predict_probs(loaded, inputs).tobytes() == predict_probs(model, inputs).tobytes()
+
+    def test_version_checked(self, tmp_path):
+        """An unsupported version names the path and the supported versions."""
+        doc = model_to_json_dict(tiny_fusion_setup(seed=20, n=20)[0])
+        for version in (0, 3, 99, True, 2.0, "2", None):
+            doc["format_version"] = version
+            path = write_doc(tmp_path / "model.json", doc)
+            with pytest.raises(DataError, match=malformed(path) + re.escape(
+                    f"DataError: unsupported checkpoint version {version!r}; "
+                    "supported versions: 1, 2") + "$"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("fault", [
         "encoder-weight-shape", "encoder-weight-missing", "encoder-bias-nan",
@@ -736,40 +827,95 @@ class TestCheckpoints:
         "aux-input-width", "aux-class-count", "resnet-block-count",
     ])
     def test_malformed_component_rejected(self, tmp_path, fault):
+        """Each fault, made on the nested lists of a version-1 document, is
+        rejected in that document and in its version-2 encoding."""
         model, inputs, _ = tiny_fusion_setup(
             seed=19, n=20, encoder_kind="resnet" if fault == "resnet-block-count" else "mlp")
-        doc = model_to_json_dict(model)
-        struct = doc["sources"][0]
-        encoder, aux = struct["encoder"]["params"], struct["aux"]["params"]
-        if fault == "encoder-weight-shape":
-            encoder["w0"] = encoder["w0"][:-1]
-        elif fault == "encoder-weight-missing":
-            del encoder["w2"]
-        elif fault == "encoder-bias-nan":
-            encoder["b1"][0] = float("nan")
-        elif fault == "prototype-width":
-            struct["enn"]["prototypes"] = [row[:5] for row in struct["enn"]["prototypes"]]
-        elif fault == "aux-weight-shape":
-            aux["w"] = aux["w"][:-1]
-        elif fault == "aux-bias-missing":
-            del aux["b"]
-        elif fault == "aux-extra-parameter":
-            aux["z"] = [0.0]
-        elif fault == "aux-input-width":
-            struct["aux"]["input_dim"] += 1
-        elif fault == "aux-class-count":
-            struct["aux"]["n_classes"] = 3
-        else:  # the third block's parameters would go unused
-            struct["encoder"]["n_blocks"] = 2
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DataError, match=f"^malformed checkpoint {re.escape(str(path))}: "
-                                            "DataError: source 'struct'"):
-            load_checkpoint(str(path))
+        for version in (1, 2):
+            doc = checkpoint_doc_as_version_1(model_to_json_dict(model))
+            struct = doc["sources"][0]
+            encoder, aux = struct["encoder"]["params"], struct["aux"]["params"]
+            if fault == "encoder-weight-shape":
+                encoder["w0"] = encoder["w0"][:-1]
+            elif fault == "encoder-weight-missing":
+                del encoder["w2"]
+            elif fault == "encoder-bias-nan":
+                encoder["b1"][0] = float("nan")
+            elif fault == "prototype-width":
+                struct["enn"]["prototypes"] = [row[:5] for row in struct["enn"]["prototypes"]]
+            elif fault == "aux-weight-shape":
+                aux["w"] = aux["w"][:-1]
+            elif fault == "aux-bias-missing":
+                del aux["b"]
+            elif fault == "aux-extra-parameter":
+                aux["z"] = [0.0]
+            elif fault == "aux-input-width":
+                struct["aux"]["input_dim"] += 1
+            elif fault == "aux-class-count":
+                struct["aux"]["n_classes"] = 3
+            else:  # the third block's parameters would go unused
+                struct["encoder"]["n_blocks"] = 2
+            if version == 2:
+                doc["format_version"] = 2
+                checkpoint_arrays(doc, list_as_f8)
+            path = write_doc(tmp_path / f"model-{version}.json", doc)
+            with pytest.raises(DataError, match=malformed(path) + "DataError: source 'struct'"):
+                load_checkpoint(path)
         # the unedited document loads and scores
-        path.write_text(json.dumps(model_to_json_dict(model)), encoding="utf-8")
-        np.testing.assert_array_equal(predict_probs(load_checkpoint(str(path))[0], inputs),
+        path = write_doc(tmp_path / "model.json", model_to_json_dict(model))
+        np.testing.assert_array_equal(predict_probs(load_checkpoint(path)[0], inputs),
                                       predict_probs(model, inputs))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda w: w.update(shape=32), "ValueError: shape 32 is not a list of non-negative integers"),
+        (lambda w: w.update(shape=[4, -8]),
+         r"ValueError: shape \[4, -8\] is not a list of non-negative integers"),
+        (lambda w: w.update(shape=[True, 32]),
+         r"ValueError: shape \[True, 32\] is not a list of non-negative integers"),
+        (lambda w: w.update(shape=[4.0, 8]),
+         r"ValueError: shape \[4.0, 8\] is not a list of non-negative integers"),
+        (lambda w: w.update(f8="!" + w["f8"][1:]), r"ValueError: f8 is not base64 \("),
+        (lambda w: w.update(f8=w["f8"] + "\n"), r"ValueError: f8 is not base64 \("),
+        (lambda w: w.update(f8=3), "TypeError: "),
+        (lambda w: set_f8(w, decoded(w)[:, :-1]),
+         r"ValueError: 224 bytes for shape \(4, 8\), which needs 256$"),
+        (lambda w: set_f8(w, np.append(decoded(w), 0.0)),
+         r"ValueError: 264 bytes for shape \(4, 8\), which needs 256$"),
+        (lambda w: w.pop("f8"), "KeyError: 'f8'$"),
+        (lambda w: w.pop("shape"), "KeyError: 'shape'$"),
+        (lambda w: set_f8(w, np.where(np.arange(32).reshape(4, 8) == 9, np.nan, decoded(w))),
+         "non-finite values$"),
+    ], ids=["shape-not-a-list", "negative-dimension", "bool-dimension", "float-dimension",
+            "non-base64-character", "newline", "f8-not-a-string", "bytes-too-few",
+            "bytes-too-many", "no-f8", "no-shape", "nan-in-the-bytes"])
+    def test_malformed_version_2_array_rejected(self, tmp_path, edit, message):
+        model, _, _ = tiny_fusion_setup(seed=19, n=20)
+        doc = model_to_json_dict(model)
+        w0 = doc["sources"][0]["encoder"]["params"]["w0"]
+        assert w0["shape"] == [4, 8]
+        edit(w0)
+        path = write_doc(tmp_path / "model.json", doc)
+        with pytest.raises(DataError, match=malformed(path) + "DataError: source 'struct' "
+                                            "encoder parameter 'w0': " + message):
+            load_checkpoint(path)
+
+    def test_version_1_array_in_a_version_2_document_rejected(self, tmp_path):
+        doc = model_to_json_dict(tiny_fusion_setup(seed=19, n=20)[0])
+        enn = doc["sources"][1]["enn"]
+        enn["scale_raw"] = f8_as_list(enn["scale_raw"])
+        path = write_doc(tmp_path / "model.json", doc)
+        with pytest.raises(DataError, match=malformed(path) + "DataError: source 'notes' "
+                                            "evidential layer parameter 'scale_raw': TypeError"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_non_finite_class_weight_rejected(self, tmp_path, weight):
+        doc = model_to_json_dict(tiny_fusion_setup(seed=19, n=20)[0])
+        doc["class_weights"] = [1.0, weight]
+        path = write_doc(tmp_path / "model.json", doc)
+        with pytest.raises(DataError, match=malformed(path) + "ConfigError: class weights "
+                                            "must be finite and positive"):
+            load_checkpoint(path)
 
     def test_with_params_round_trip(self):
         model, _, _ = tiny_fusion_setup(seed=21, n=20)
@@ -797,6 +943,12 @@ class TestValidation:
         src = constant_mass_source("a", 3, 0.0, [0.0, 0.0])
         with pytest.raises(ConfigError):
             FusionModel(F2, [src], np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_class_weights_rejected(self, weight):
+        src = constant_mass_source("a", 3, 0.0, [0.0, 0.0])
+        with pytest.raises(ConfigError, match="class weights must be finite and positive"):
+            FusionModel(F2, [src], np.array([1.0, weight]))
 
     def test_negative_aux_weight_rejected(self):
         with pytest.raises(ConfigError):
