@@ -24,28 +24,23 @@ shape (``n`` rows, the schema's widths) are checked, then its content as
 whole arrays: labels in ``[0, m)``, unique ids, no infinite numerical
 value, finite embeddings.  Each fault raises a DataError naming the file.
 
-For a version-1 manifest (the CSV and JSONL alone) both loaders parse the
-text.  ``load_dataset`` parses and checks every cell.  ``load_split``
-returns one train/val/test part and parses less: numerical and
-categorical cells are parsed and checked only in the part's rows, and
-every other check runs on every row.  A bad cell outside the part is
-therefore caught by a training run, which loads every row, and not by
-re-evaluation.
+For a version-1 manifest (the CSV and JSONL alone) both loaders read
+the text line by line and check every row; ``load_split`` then picks its
+part, so both versions check every row in every load.  Each CSV line is
+checked for its width, label and id and then its numerical cells, left
+to right, as it is read.  Each JSONL record is checked for a bad record,
+a repeated id, its vector's shape and type and then its finiteness, and
+the vector goes straight into its row of one array.  So the first faulty
+line raises, with its first fault; the faults of a whole file (a row
+count other than the manifest's ``n``, an id without an embedding) come
+after its pass.  One id -> row dict, built by the CSV pass, serves both
+passes.  A load takes labels and embedding values only as
+``write_dataset`` writes them: a label is ASCII digits, an embedding
+value a JSON number.
 
-The text files are written and read in blocks of ``CSV_BLOCK_ROWS`` rows
-(JSONL: lines).  ``write_dataset`` formats a block's cells itself, in
-the bytes ``csv.writer`` and ``json.dumps`` would write, and writes the
-block at once.  A text load reads each file in one pass that holds one
-block's cell strings at a time and writes each block's embeddings
-straight into their rows of one array.  The CSV pass checks each line's
-width, label and id as it reads it and parses a block's cells column by
-column; the JSONL pass decodes each line and converts a block's vectors
-at once.  Either way the first faulty line raises, whatever its fault;
-the faults of a whole file (a row count other than the manifest's ``n``,
-an id without an embedding) come after its pass.  One id -> row dict,
-built by the CSV pass, serves both passes.  A load takes labels and
-embedding values only as ``write_dataset`` writes them: a label is ASCII
-digits, an embedding value a JSON number.
+``write_dataset`` formats the text files itself, in the bytes
+``csv.writer`` and ``json.dumps`` would write, and writes them in blocks
+of ``CSV_BLOCK_ROWS`` rows (JSONL: lines).
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -57,12 +52,12 @@ recover the Bayes-optimal baseline in closed form.
 import csv
 import hashlib
 import io
-import itertools
 import json
 import logging
 import math
 import os
 import sys
+from array import array
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -79,8 +74,7 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # classes are essentially linearly separable
 SEPARATION_SCALE = 6.0
 # rows of the structured CSV (lines of the embeddings JSONL) formatted and
-# written, or read, checked and parsed, at a time, so that neither a write
-# nor a load holds the text of every row at once
+# written at a time, so that a write never holds the text of every row
 CSV_BLOCK_ROWS = 2048
 # the arrays of the binary copy, each in a file <key>.npy; "embeddings"
 # only when the dataset has them
@@ -583,9 +577,11 @@ def _read_manifest(manifest_path: str):
     except (LookupError, AttributeError, TypeError) as exc:
         raise DataError(
             f"malformed manifest {manifest_path}: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(m, int):
-        raise DataError(f"malformed manifest {manifest_path}: m must be an integer, got {m!r}")
-    if not isinstance(n, int) or n < 0:
+    # type(): a bool is not a count
+    if type(m) is not int or m < 2:
+        raise DataError(
+            f"malformed manifest {manifest_path}: m must be an integer >= 2, got {m!r}")
+    if type(n) is not int or n < 0:
         raise DataError(
             f"malformed manifest {manifest_path}: n must be an integer >= 0, got {n!r}")
     return (schema, n, m, structured_path, embeddings_path, binary,
@@ -689,175 +685,99 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
     return labels, ids, columns, embeddings
 
 
-def _column(cells, feat: FeatureSpec) -> np.ndarray:
-    """One feature's cells as an array; a ValueError when a numerical cell
-    is neither empty (missing) nor a finite number."""
-    if feat.kind == "categorical":
-        return np.array([cell or None for cell in cells], dtype=object)
-    column = np.array([float(cell) if cell else math.nan for cell in cells])
-    if any(cells[i] for i in np.flatnonzero(~np.isfinite(column)).tolist()):
-        raise ValueError("a literal nan or inf")
-    return column
-
-
-def _read_structured(path: str, schema, m: int, keep):
-    """(row_of, labels, columns) of the structured CSV, in one pass of
-    ``CSV_BLOCK_ROWS``-row blocks; ``row_of`` maps each id to its row, in
-    row order.  ``columns`` hold every row, or the rows ``keep`` (sorted
-    indices) alone, whose cells alone are parsed.  Each line's width,
-    label and id are checked as it is read; a block's kept rows before its
-    first faulty line are parsed before that line's fault is raised, so
-    the first faulty line wins."""
+def _read_structured(path: str, schema, m: int):
+    """(row_of, labels, columns) of the structured CSV, read line by line;
+    ``row_of`` maps each id to its row, in row order.  Each line's width,
+    label and id and then its numerical cells, left to right, are checked
+    as it is read, so the first faulty line raises, with its first fault."""
     expected = [f.name for f in schema] + ["label", "id"]
     label_digits = len(str(m))
     row_of, labels = {}, []
-    parts = [[] for _ in schema]
+    parts = [array("d") if f.kind == "numerical" else [] for f in schema]
+    numerical = [(j, f.name, parts[j]) for j, f in enumerate(schema) if f.kind == "numerical"]
+    categorical = [(j, parts[j]) for j, f in enumerate(schema) if f.kind == "categorical"]
     with _open(path, "structured data file", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
-        start = 0
-        while block := list(itertools.islice(reader, CSV_BLOCK_ROWS)):
-            fault = None
-            for i, row in enumerate(block, start):
-                if len(row) != len(expected):
-                    fault = "wrong column count"
-                # int() also takes " 1", "+1" and "0_1"
-                elif not (row[-2].isascii() and row[-2].isdigit()):
-                    fault = f"bad label {row[-2]!r}"
-                # more digits than m has is out of range, and int() refuses
-                # more than 4300
-                elif (len(digits := row[-2].lstrip("0") or "0") > label_digits
-                      or (label := int(digits)) >= m):
-                    fault = f"label {digits} outside 0..{m - 1}"
-                elif row[-1] in row_of:
-                    fault = f"duplicate id {row[-1]!r}"
-                else:
-                    row_of[row[-1]] = i
-                    labels.append(label)
-                    continue
-                break
-            if keep is None:
-                local = range(len(row_of) - start)
-            else:
-                lo, hi = np.searchsorted(keep, (start, len(row_of)))
-                local = (keep[lo:hi] - start).tolist()
-            rows = [block[i] for i in local]
-            try:
-                cells = zip(*rows) if rows else [()] * len(schema)
-                columns = [_column(c, f) for c, f in zip(cells, schema)]
-            except ValueError:
-                for i, row in zip(local, rows):
-                    for feat, cell in zip(schema, row):
-                        try:
-                            _column((cell,), feat)
-                        except ValueError:
-                            raise DataError(f"{path}:{start + i + 2}: feature {feat.name!r}: "
-                                            f"not a finite number {cell!r}") from None
-                raise
-            if fault:
-                raise DataError(f"{path}:{len(row_of) + 2}: {fault}")
-            for part, column in zip(parts, columns):
-                part.append(column)
-            start += len(block)
+        for line_no, row in enumerate(reader, 2):
+            if len(row) != len(expected):
+                raise DataError(f"{path}:{line_no}: wrong column count")
+            # int() also takes " 1", "+1" and "0_1"
+            if not (row[-2].isascii() and row[-2].isdigit()):
+                raise DataError(f"{path}:{line_no}: bad label {row[-2]!r}")
+            # more digits than m has is out of range, and int() refuses more
+            # than 4300
+            if (len(digits := row[-2].lstrip("0") or "0") > label_digits
+                    or (label := int(digits)) >= m):
+                raise DataError(f"{path}:{line_no}: label {digits} outside 0..{m - 1}")
+            if row[-1] in row_of:
+                raise DataError(f"{path}:{line_no}: duplicate id {row[-1]!r}")
+            row_of[row[-1]] = line_no - 2
+            labels.append(label)
+            for j, name, values in numerical:
+                cell = row[j]
+                try:
+                    value = float(cell) if cell else math.nan
+                    if cell and not math.isfinite(value):
+                        raise ValueError
+                except ValueError:
+                    raise DataError(f"{path}:{line_no}: feature {name!r}: "
+                                    f"not a finite number {cell!r}") from None
+                values.append(value)
+            for j, values in categorical:
+                values.append(row[j] or None)
     return row_of, np.array(labels, dtype=np.int64), tuple(
-        np.concatenate(p) if p else _column((), f) for p, f in zip(parts, schema))
-
-
-_JSON_DECODER = json.JSONDecoder()
-
-
-def _json_line(line: str):
-    """``json.loads(line)``, with less per-call overhead for the usual line:
-    one value from its first character, then at most a newline."""
-    try:
-        value, end = _JSON_DECODER.raw_decode(line)
-        if end == len(line) or line[end:] == "\n":
-            return value
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)  # leading or trailing whitespace, or the error
-
-
-def _vector_fault(path: str, records, d) -> DataError:
-    """The error of the first of ``records`` (line, id, vector) whose vector
-    is not a flat list of ``d`` (None: the first one's size) finite numbers."""
-    for line_no, sample_id, vector in records:
-        try:
-            values = np.array(vector, dtype=np.float64)
-            d = values.size if d is None else d
-            if values.shape != (d,):
-                raise ValueError(f"read as shape {values.shape}, not ({d},)")
-            if not set(map(type, vector)) <= {int, float, type(None)}:  # true is a bool
-                raise ValueError("a value that is not a number")
-        except (ValueError, TypeError, OverflowError) as exc:
-            return DataError(
-                f"{path}:{line_no}: need one equal-length number list per sample ({exc})")
-        if not np.isfinite(values).all():
-            return DataError(f"{path}: non-finite or null embedding value for id {sample_id!r}")
-    raise AssertionError("a block that fails to convert holds a faulty vector")
+        np.array(p, dtype=np.float64 if f.kind == "numerical" else object)
+        for p, f in zip(parts, schema))
 
 
 def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
     """The (len(row_of), d) embeddings, row ``row_of[id]`` for each CSV id
-    (``row_of`` lists them in row order), in one pass of
-    ``CSV_BLOCK_ROWS``-line blocks: each line is decoded on its own, and a
-    block's vectors of CSV ids are converted at once into their rows of one
-    array.  Blank lines are skipped but counted.  The first faulty line
-    raises, for the first of: a bad record, a repeated id, a CSV id's
-    vector that is not a flat list of as many numbers as the first one's,
-    a non-finite or null value.  After the pass, so do the first CSV id
+    (``row_of`` lists them in row order), read line by line; d is the size
+    of the first CSV id's vector.  Blank lines are skipped but counted.
+    Each line raises as it is read, for the first of: a bad record, a
+    repeated id, a CSV id's vector that is not a flat list of d numbers, a
+    non-finite or null value.  After the pass, so do the first CSV id
     without a record and a CSV without rows, which gives no width."""
     seen = bytearray(len(row_of))  # 1 where a CSV id's record has been read
     others = set()              # ids of records the CSV lacks
     embeddings = None
     with _open(path, "embeddings file") as fh:
-        start = 1
-        while block := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
-            # CSV ids' lines, rows and vectors before the first bad record or
-            # repeated id, checked before that is raised
-            lines, rows, vectors, fault = [], [], [], None
-            for line_no, line in enumerate(block, start):
-                if line.isspace():
-                    continue
-                try:
-                    record = _json_line(line)
-                    sample_id, vector = record["id"], record["embedding"]
-                    row = row_of.get(sample_id)
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    fault = DataError(f"{path}:{line_no}: bad record")
-                    break
-                if (sample_id in others) if row is None else seen[row]:
-                    fault = DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
-                    break
-                if row is None:
-                    others.add(sample_id)
-                else:
-                    seen[row] = 1
-                    lines.append(line_no)
-                    rows.append(row)
-                    vectors.append(vector)
-            start += len(block)
-            if vectors:
-                try:
-                    # numpy would also convert true, false and numeric strings
-                    if not set(map(type, itertools.chain.from_iterable(vectors))) <= {int, float}:
-                        raise ValueError("a value that is not a number")
-                    part = np.array(vectors, dtype=np.float64)
-                    if embeddings is None:
-                        embeddings = np.empty((len(row_of), len(vectors[0])))
-                    # checked, not broadcast: a (k, 1) part would fill (k, d) rows
-                    if part.shape[1:] != embeddings.shape[1:] or not np.isfinite(part).all():
-                        raise ValueError("not (k, d) finite numbers")
-                    embeddings[rows] = part
-                except (ValueError, TypeError, OverflowError):
-                    ids = list(row_of)
-                    raise _vector_fault(path, zip(lines, [ids[r] for r in rows], vectors),
-                                        None if embeddings is None
-                                        else embeddings.shape[1]) from None
-            if fault:
-                raise fault
+        for line_no, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            try:
+                record = json.loads(line)
+                sample_id, vector = record["id"], record["embedding"]
+                row = row_of.get(sample_id)
+            # ValueError: also an integer of more than 4300 digits
+            except (ValueError, KeyError, TypeError):
+                raise DataError(f"{path}:{line_no}: bad record") from None
+            if (sample_id in others) if row is None else seen[row]:
+                raise DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+            if row is None:
+                others.add(sample_id)
+                continue
+            seen[row] = 1
+            try:
+                values = np.array(vector, dtype=np.float64)
+                d = values.size if embeddings is None else embeddings.shape[1]
+                if values.shape != (d,):
+                    raise ValueError(f"read as shape {values.shape}, not ({d},)")
+                # numpy also converts true, false and numeric strings
+                if not set(map(type, vector)) <= {int, float, type(None)}:
+                    raise ValueError("a value that is not a number")
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise DataError(f"{path}:{line_no}: need one equal-length number list "
+                                f"per sample ({exc})") from None
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: non-finite or null embedding value for id "
+                                f"{sample_id!r}")
+            if embeddings is None:
+                embeddings = np.empty((len(row_of), d))
+            embeddings[row] = values
     missing = seen.find(0)
     if missing >= 0:
         raise DataError(f"{path}: no embedding for id {list(row_of)[missing]!r}")
@@ -867,31 +787,23 @@ def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
 
 
 def _load(manifest_path: str, pick) -> Dataset:
+    """Every row of a manifest's dataset, checked, then the rows ``pick(n)``
+    picks when ``pick`` is given."""
     (schema, n, m, structured_path, embeddings_path, binary,
      generator) = _read_manifest(manifest_path)
-    keep = None  # the rows of columns, when not every row
     if binary is not None:
         labels, ids, columns, embeddings = _read_binary(manifest_path, schema, n, m, binary)
     else:
-        # load_split plans the rows whose cells it parses from n before the
-        # pass, except an n the file cannot hold (a row takes a byte per
-        # column) or too small to split; the pass reports a missing file
-        keep = None if pick is None else np.empty(0, np.int64)
-        try:
-            if pick is not None and n * (len(schema) + 2) <= os.path.getsize(structured_path) + 1:
-                keep = np.sort(pick(n))
-        except (OSError, DataError):
-            pass
-        row_of, labels, columns = _read_structured(structured_path, schema, m, keep)
+        row_of, labels, columns = _read_structured(structured_path, schema, m)
         if len(row_of) != n:
             raise DataError(f"{structured_path} holds {len(row_of)} rows, "
                             f"but manifest {manifest_path} says n = {n}")
         embeddings = _load_embeddings(embeddings_path, row_of) if embeddings_path else None
         ids = list(row_of)
     if pick is not None:
-        rows = pick(n)  # now n is the row count: the rows kept, or the split's error
+        rows = pick(n)
         ids, labels = [ids[i] for i in rows], labels[rows]
-        columns = tuple(c[rows if keep is None else np.searchsorted(keep, rows)] for c in columns)
+        columns = tuple(c[rows] for c in columns)
         embeddings = embeddings[rows] if embeddings is not None else None
     return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
                    embeddings=embeddings, m=m, generator=generator)
@@ -907,10 +819,9 @@ def load_split(manifest_path: str, seed: int, part: str) -> Dataset:
     """One part ("train", "val" or "test") of a manifest's dataset, equal
     to ``split(load_dataset(manifest_path), seed)`` at that part.
 
-    A version-2 manifest's binary files are read and checked whole.  Of a
-    version-1 manifest, cells are parsed and checked only in the part's
-    rows, planned from the manifest's ``n``; every other check runs on
-    every row.
+    Either version is read and checked whole, as ``load_dataset`` reads
+    it, so a fault anywhere in the files raises what ``load_dataset``
+    raises; then the part's rows are picked.
     """
     if part not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {part!r}")

@@ -314,10 +314,10 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     for the checkpoint's own synthetic data (regenerated, or a manifest
     whose recorded generator is the checkpoint's synthetic
     configuration), else the manifest's hash.  A manifest's split comes
-    from ``data.load_split``: of version 2, from the binary files, each
-    checked whole; of version 1, only the scored split is parsed, so the
-    CSV header, row width, labels and ids and the embeddings are checked
-    on every row, numerical and categorical cells only in the split's rows.
+    from ``data.load_split``, which checks every row of either version
+    (the binary files of version 2, each checked whole; the CSV and JSONL
+    of version 1, line by line), so a fault outside the scored split fails
+    evaluation too.
     """
     if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")

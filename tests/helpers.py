@@ -484,7 +484,7 @@ def set_item(index, value):
 
 # ---------------------------------------------------------------------------
 # the dataset files read line by line, the whole file at once: what
-# evidfuse.data's block-wise loaders must return, or raise
+# evidfuse.data's loaders must return, or raise
 
 def _finite_or_empty(cell):
     try:
@@ -506,12 +506,6 @@ def reference_load(manifest_path, seed=None, part=None):
     with open(csv_path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert header == [f.name for f in schema] + ["label", "id"]
-    try:
-        # load_split parses the cells of the part it plans from the manifest's n
-        kept = set(range(len(rows)) if part is None
-                   else split_indices(n, seed)[SPLIT_NAMES.index(part)].tolist())
-    except DataError:
-        kept = set()
     ids, labels = [], []
     for i, row in enumerate(rows):
         where = f"{csv_path}:{i + 2}:"
@@ -525,7 +519,7 @@ def reference_load(manifest_path, seed=None, part=None):
         if row[-1] in ids:
             raise DataError(f"{where} duplicate id {row[-1]!r}")
         for feat, cell in zip(schema, row):
-            if i in kept and feat.kind == "numerical" and not _finite_or_empty(cell):
+            if feat.kind == "numerical" and not _finite_or_empty(cell):
                 raise DataError(f"{where} feature {feat.name!r}: not a finite number {cell!r}")
         ids.append(row[-1])
         labels.append(label)

@@ -391,6 +391,26 @@ class TestRoundTrip:
                                             r"Exceeds the limit"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("field,value", [("n", True), ("n", False), ("m", True),
+                                             ("m", False), ("m", 1), ("m", 0), ("m", -2)])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_bool_count_or_fewer_than_two_classes(self, tmp_path, version, field, value):
+        # a bool is an int to isinstance: n = true read as 1 row, m = true as 1 class
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        if version == 1:
+            as_version_1(manifest)
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[field] = value
+        with open(manifest, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        least = 0 if field == "n" else 2
+        message = (f"malformed manifest {manifest}: {field} must be an integer >= {least}, "
+                   f"got {value!r}")
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                load(manifest)
+
     @pytest.mark.parametrize("edit", [
         drop("binary"), drop("binary", "labels"), drop("binary", "categorical"),
         drop("binary", "ids", "file"), drop("binary", "numerical", "sha256"),
@@ -701,9 +721,9 @@ def edit_lines(path, edits):
 
 
 class TestBlockwiseRead:
-    """The structured CSV is read in blocks of ``CSV_BLOCK_ROWS`` rows;
-    loads return, and fail with, what a whole-file read line by line
-    would: the first faulty line raises."""
+    """The structured CSV, written in blocks of ``CSV_BLOCK_ROWS`` rows,
+    is read line by line: loads return, and fail with, what a whole-file
+    read would, and the first faulty line raises, in either loader."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_row_counts_around_the_block_size(self, tmp_path, offset):
@@ -724,8 +744,8 @@ class TestBlockwiseRead:
     @pytest.mark.parametrize("n", [0, 5, 119, 121, 10**15])
     def test_wrong_manifest_row_count_rejected(self, tmp_path, monkeypatch, n):
         """After the CSV pass, by both loaders: below 10 rows as the mismatch,
-        not as too few rows to split, and 10**15 rows are never planned
-        (numpy would raise MemoryError for them)."""
+        not as too few rows to split, and 10**15 rows without allocating
+        them (numpy would raise MemoryError)."""
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
         manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         with open(manifest, encoding="utf-8") as fh:
@@ -738,31 +758,25 @@ class TestBlockwiseRead:
                                                 rf"but manifest .*manifest\.json says n = {n}$"):
                 load(manifest)
 
-    # mixed_dataset's columns: n0, c0, flat, n1, c1, label, id; with blocks
-    # of 16 rows each fault below lies in a different block.  Rows 1 and 43
-    # lie in seed 0's train and val parts, so load_split's val part parses
-    # row 43's cells and not row 1's
-    @pytest.mark.parametrize("edits,message,val_message", [
-        ({(1, 0): "abc", (60, 5): "yes"}, r"csv:3: feature 'n0': not a finite number 'abc'",
-         r"csv:62: bad label 'yes'"),
+    # mixed_dataset's columns: n0, c0, flat, n1, c1, label, id; written in
+    # blocks of 16 rows, each fault below lies in a different block.  Row 1
+    # lies in seed 0's train part: load_split's val part raises its fault
+    # too, as load_dataset does
+    @pytest.mark.parametrize("edits,message", [
+        ({(1, 0): "abc", (60, 5): "yes"}, r"csv:3: feature 'n0': not a finite number 'abc'"),
         ({(1, 0): "abc", (20, 5): "yes", (100, 6): "p100,x"},
-         r"csv:3: feature 'n0': not a finite number 'abc'", r"csv:22: bad label 'yes'"),
-        ({(1, 3): "abc", (43, 0): "nan"}, r"csv:3: feature 'n1': not a finite number 'abc'",
-         r"csv:45: feature 'n0': not a finite number 'nan'"),
-        ({(1, 3): "abc", (40, 6): "p2"}, r"csv:3: feature 'n1': not a finite number 'abc'",
-         r"csv:42: duplicate id 'p2'"),
-        ({(1, 5): "2", (70, 5): "no"}, r"csv:3: label 2 outside 0\.\.1",
-         r"csv:3: label 2 outside 0\.\.1"),
+         r"csv:3: feature 'n0': not a finite number 'abc'"),
+        ({(1, 3): "abc", (43, 0): "nan"}, r"csv:3: feature 'n1': not a finite number 'abc'"),
+        ({(1, 3): "abc", (40, 6): "p2"}, r"csv:3: feature 'n1': not a finite number 'abc'"),
+        ({(1, 5): "2", (70, 5): "no"}, r"csv:3: label 2 outside 0\.\.1"),
     ], ids=["cell-then-label", "cell-label-then-width", "two-columns", "cell-then-id",
             "label-range-then-parse"])
-    def test_errors_keep_their_whole_file_order(self, tmp_path, monkeypatch, edits, message,
-                                                val_message):
+    def test_errors_keep_their_whole_file_order(self, tmp_path, monkeypatch, edits, message):
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
         manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         edit_lines(tmp_path / "ds" / "structured.csv", edits)
-        for load, expected in ((load_dataset, message),
-                               (lambda path: load_split(path, 0, "val"), val_message)):
-            with pytest.raises(DataError, match=rf"structured\.{expected}$"):
+        for load in (load_dataset, lambda path: load_split(path, 0, "val")):
+            with pytest.raises(DataError, match=rf"structured\.{message}$"):
                 load(manifest)
 
     # row 5 (line 7) lies in seed 0's test part
@@ -783,9 +797,8 @@ class TestBlockwiseRead:
 
     def test_load_never_holds_every_rows_cell_strings(self, tmp_path, monkeypatch):
         """Peak traced memory of a load stays well below what the CSV's
-        cell strings take as ``csv.reader`` rows: a load holds one block
-        of them at a time, and ``load_split`` also the records of its part,
-        a fifth of the rows for the parts re-evaluation scores."""
+        cell strings take as ``csv.reader`` rows: a load holds one row of
+        them at a time, beside the parsed columns."""
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
         ds = generate_synthetic(SyntheticConfig(n=8 * 256, d_struct=16, d_embed=0,
                                                 informativeness=(0.5,), seed=3))
@@ -1048,10 +1061,10 @@ def edit_records(path, edits, blanks=0):
 
 
 class TestBlockwiseJsonlRead:
-    """The embeddings JSONL is read in blocks of ``CSV_BLOCK_ROWS`` lines;
-    loads return, and fail with, what a whole-file read line by line would.
-    With 16-line blocks, mixed_dataset's 120 records (line i holds id
-    p{i-1}) fill 8."""
+    """The embeddings JSONL, written in blocks of ``CSV_BLOCK_ROWS`` lines,
+    is read line by line: loads return, and fail with, what a whole-file
+    read would, in either loader.  Written in 16-line blocks,
+    mixed_dataset's 120 records (line i holds id p{i-1}) fill 8."""
 
     @pytest.fixture
     def written(self, tmp_path, monkeypatch):
@@ -1152,10 +1165,18 @@ class TestBlockwiseJsonlRead:
         self.assert_rejected(
             manifest, r":60: need one equal-length number list per sample \(int too large .*\)$")
 
+    def test_integer_of_too_many_digits_is_a_bad_record(self, written):
+        # json.loads raises a ValueError that is not a JSONDecodeError for it
+        _, manifest, path = written
+        edit_records(path, {60: record("p59", "[1.0,%s,3.0]" % ("9" * 5000))})
+        self.assert_rejected(manifest, r":60: bad record$")
+        with pytest.raises(DataError, match=r"embeddings\.jsonl:60: bad record$"):
+            reference_load(manifest)
+
     def test_embeddings_never_all_python_floats(self, tmp_path, monkeypatch):
         """Peak traced memory of reading the embeddings stays well below what
         every record's vector takes as a list of Python floats: a read holds
-        one block of them at a time, beside the (n, d) array it fills."""
+        one record's at a time, beside the (n, d) array it fills."""
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
         ds = generate_synthetic(SyntheticConfig(n=16 * 256, d_struct=1, d_embed=32, seed=3))
         write_dataset(ds, str(tmp_path / "ds"))
@@ -1217,9 +1238,10 @@ def _jsonl_fault(rng, lines, n):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_loads_match_the_line_by_line_reference(tmp_path, monkeypatch, seed):
-    """Random small manifests with 0, 1 or 2 faults, in 16-row blocks: each
-    load returns what ``helpers.reference_load`` returns, bit for bit, or
-    raises its message; a valid file loads back the dataset written."""
+    """Random small manifests with 0, 1 or 2 faults, written in 16-row
+    blocks: each load returns what ``helpers.reference_load`` returns, bit
+    for bit, or raises its message; a valid file loads back the dataset
+    written."""
     monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
     rng = np.random.default_rng(seed)
     for case in range(40):
@@ -1259,7 +1281,7 @@ def test_loads_match_the_line_by_line_reference(tmp_path, monkeypatch, seed):
             except DataError as exc:
                 with pytest.raises(DataError) as raised:
                     load(manifest, *args)
-                # a shape fault's reason comes from how the block was converted
+                # the reference gives no reason for a shape fault
                 assert re.sub(r" \(.*\)$", "", str(raised.value)) == str(exc), where
                 continue
             assert_same_dataset(load(manifest, *args), expected)

@@ -210,10 +210,9 @@ def set_cell(row, column, value):
 
 
 class TestEvaluateManifestCheckpoint:
-    """With a version-1 manifest, ``evaluate_checkpoint`` parses the
-    numerical and categorical cells of the scored split only; every other
-    check still covers every row.  A version-2 manifest's binary files are
-    checked whole."""
+    """``evaluate_checkpoint`` checks every row of a manifest, not only the
+    scored split's: every line of a version-1 manifest's text files, every
+    array of a version-2 manifest's binary files."""
 
     @pytest.fixture(scope="class")
     def run(self, tmp_path_factory):
@@ -261,11 +260,12 @@ class TestEvaluateManifestCheckpoint:
         assert report == dict(saved, dataset=digest) != saved
         assert manifest_hash(manifest) == digest
 
-    def test_bad_cell_outside_the_split_is_not_parsed(self, run, tmp_path):
+    def test_bad_cell_outside_the_split_is_rejected(self, run, tmp_path):
         manifest = self._tampered(run, tmp_path, "structured.csv", set_cell(OUTSIDE, 0, "nan"))
-        report, saved = self._evaluate(run, manifest)
-        assert report == dict(saved, dataset=manifest_hash(manifest))
-        with pytest.raises(DataError, match=rf"structured\.csv:{OUTSIDE + 2}: feature 'n0'"):
+        message = rf"structured\.csv:{OUTSIDE + 2}: feature 'n0': not a finite number 'nan'$"
+        with pytest.raises(DataError, match=message):
+            self._evaluate(run, manifest)
+        with pytest.raises(DataError, match=message):
             load_dataset(manifest)
 
     @pytest.mark.parametrize("name,edit,message", [

@@ -3,6 +3,7 @@
 import base64
 import gc
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import evidfuse.model
-from evidfuse.encoders import (ENCODE_BLOCK_ROWS, AuxHead, MlpEncoder, init_aux_head,
-                               init_encoder)
+from evidfuse.encoders import (ENCODE_BLOCK_ROWS, AuxHead, MlpEncoder, encode_blocks,
+                               init_aux_head, init_encoder)
 from evidfuse.errors import ConfigError, DataError, TrainingDivergedError
 from evidfuse.evidential import EnnParams, evidence_batch
 from evidfuse.model import (
@@ -510,6 +511,63 @@ class TestBlockedPasses:
         n = 2 * ENCODE_BLOCK_ROWS
         for small, large in zip(peaks(n), peaks(2 * n)):
             assert large - small < n * hidden * 8 / 4, (small, large)
+
+
+class TestFusionLaws:
+    """Dempster's rule as the production path runs it: a source with no
+    evidence is its neutral element, and relabelling the classes or
+    reordering the sources changes nothing it fuses."""
+
+    @staticmethod
+    def with_sources(model, sources, class_weights=None):
+        return FusionModel(model.frame, sources,
+                           model.class_weights if class_weights is None else class_weights)
+
+    def test_source_without_evidence_changes_no_bits(self):
+        """Prototypes far from every row make each activation exactly 0;
+        with aux weight 0 such a source changes no probability and no
+        other gradient, and gets an all-zero gradient itself."""
+        model, inputs, labels = tiny_fusion_setup()
+        src = model.sources[0]
+        far = FusionSource(SourceSpec("far", src.spec.encoder_kind, aux_weight=0.0), src.encoder,
+                           replace(src.enn, prototypes=src.enn.prototypes + 1e3), src.aux)
+        z = encode_blocks(far.encoder, inputs[0])
+        assert not evidence_batch(z, **far.enn.as_param_dict()).activation.any()
+        probs = predict_probs(model, inputs)
+        for at in range(3):
+            sources, blocks = list(model.sources), list(inputs)
+            sources.insert(at, far)
+            blocks.insert(at, inputs[0])
+            assert predict_probs(self.with_sources(model, sources), blocks).tobytes() == (
+                probs.tobytes()), at
+        loss, grad = loss_and_grad(model, inputs, labels)
+        far_loss, far_grad = loss_and_grad(self.with_sources(model, [*model.sources, far]),
+                                           [*inputs, inputs[0]], labels)
+        assert far_loss == loss
+        assert far_grad[:grad.size].tobytes() == grad.tobytes()
+        assert far_grad.size > grad.size and not far_grad[grad.size:].any()
+
+    def test_swapping_the_classes_swaps_the_probabilities(self):
+        model, inputs, _ = tiny_fusion_setup()
+        swapped = self.with_sources(model, [
+            FusionSource(src.spec, src.encoder,
+                         replace(src.enn, membership_raw=src.enn.membership_raw[:, ::-1]),
+                         replace(src.aux, params={"w": src.aux.params["w"][:, ::-1],
+                                                  "b": src.aux.params["b"][::-1]}))
+            for src in model.sources], model.class_weights[::-1])
+        probs = predict_probs(model, inputs)
+        assert predict_probs(swapped, inputs)[:, ::-1].tobytes() == probs.tobytes()
+
+    def test_reordering_the_sources_moves_no_probability_by_more_than_1e_15(self):
+        model, inputs, _ = tiny_fusion_setup(seed=0)
+        other, other_inputs, _ = tiny_fusion_setup(seed=1)
+        third = replace(other.sources[0], spec=replace(other.sources[0].spec, name="struct2"))
+        sources, blocks = [*model.sources, third], [*inputs, other_inputs[0]]
+        probs = predict_probs(self.with_sources(model, sources), blocks)
+        for order in itertools.permutations(range(3)):
+            moved = predict_probs(self.with_sources(model, [sources[i] for i in order]),
+                                  [blocks[i] for i in order])
+            assert np.abs(moved - probs).max() <= 1e-15, order
 
 
 class TestTraining:
