@@ -1,37 +1,36 @@
 """Reverse-mode automatic differentiation over a dynamically recorded tape.
 
+No code in the package records on a tape: a training step runs the
+hand-written backward passes in ``encoders``, ``evidential`` and
+``model`` (``model.loss_and_grad``).  What stays here, ``Tape``,
+``Tensor`` and the ops that ``Tensor``'s operator methods reach
+(``add``, ``sub``, ``mul``, ``div``, ``matmul``), stays only because the
+benchmark's tracer and smoke test look up ``Tape`` (as
+``evidfuse.autodiff.Tape`` and ``evidfuse.model.Tape``) and the tests
+build their references on it: ``tests/tape_ops.py`` adds ``linear``,
+``linear_relu`` and the finer ops, and ``tests/helpers.py`` builds the
+tape step that is ``loss_and_grad``'s byte oracle.  Once the benchmark
+looks up other names (ROADMAP item 1), these move to the tests too.
+
 A ``Tape`` records every operation on ``Tensor`` values in execution
 order; since a tensor is always created after its inputs, walking the
 record backwards is a valid reverse topological order.  Everything is
-float64 numpy underneath.
-
-Per-op Python overhead, not arithmetic, bounds a small-batch training
-step, so the model records coarse nodes with hand-derived VJPs: one
-``linear_relu`` per hidden layer (affine map, ReLU and dropout mask),
-one ``linear`` per output layer, the residual ``add``, and the fused
-evidence and objective nodes built in ``evidential`` and ``model``.
-Both affine nodes add the bias in place on the fresh ``x @ w`` product,
-the same IEEE add as ``x @ w + b`` without a second (N, K) array.
-Besides those, only the ops that ``Tensor``'s operator methods reach
-stay here; ``relu`` and the finer ops the chained-op references call by
-name live in ``tests/tape_ops.py``.
-
-Every function in this module also accepts plain numpy arrays (or
-scalars) and then computes the same value without recording, so forward
-code can be written once and run in taped (training) or plain
-(inference) mode.
+float64 numpy underneath.  Every function in this module also accepts
+plain numpy arrays (or scalars) and then computes the same value without
+recording, so forward code can be written once and run in taped or
+plain mode.
 
 Gradients accumulate in place.  A node's first gradient is a copy
-unless its slot was set beforehand: the training step gives every
-parameter leaf a zeroed view of one flat gradient vector, so the sweep
-writes the parameter gradients straight into it.  The sweep frees each
+unless its slot was set beforehand: the reference training step gives
+every parameter leaf a zeroed view of one flat gradient vector, so the
+sweep writes the parameter gradients straight into it.  The sweep frees each
 interior gradient once that node's VJP has consumed it; only leaves
 keep theirs.  It also drops every node's VJP closure as it passes, so
 the forward arrays a closure captured (distances, activations, layer
 inputs) are freed by reference counting during the sweep rather than
 by the cyclic collector; node values stay.  A tape is swept once.
 
-One tape per training step; tapes are not shared across threads.
+One tape per step; tapes are not shared across threads.
 """
 
 import numpy as np
@@ -234,63 +233,4 @@ def matmul(a, b):
             b._accumulate(va.T @ g)
 
     out._bwd = bwd
-    return out
-
-
-def linear(x, w, b):
-    """Affine map ``x @ w + b`` of (N, D) rows by (D, K) weights and a
-    (K,) bias, as one node."""
-    xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    v = xv @ wv
-    v += bv
-    tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
-    if not tensors:
-        return v
-    if np.ndim(xv) != 2 or np.ndim(wv) != 2:
-        raise ValueError("taped linear supports 2-D operands only")
-    out = Tensor(v, tensors[0].tape)
-    out._bwd = _linear_vjp(x, w, b, xv, wv)
-    return out
-
-
-def _linear_vjp(x, w, b, xv, wv):
-    """Backward of ``x @ w + b`` into whichever operands are tensors."""
-    def bwd(g):
-        if isinstance(x, Tensor):
-            x._accumulate(g @ wv.T)
-        if isinstance(w, Tensor):
-            w._accumulate(xv.T @ g)
-        if isinstance(b, Tensor):
-            b._accumulate(g.sum(axis=0))
-
-    return bwd
-
-
-def linear_relu(x, w, b, mask=None):
-    """ReLU of the affine map ``x @ w + b``, times a constant (dropout)
-    mask when one is given, as one node.
-
-    ReLU and mask are applied in place on the fresh affine output, and
-    the VJP gates by ``out > 0`` (times the mask): for a mask whose
-    nonzero entries are at least 1, as inverted dropout's are, that is
-    the gate ``pre > 0`` elementwise, so no pre-activation outlives the
-    forward.
-    """
-    xv, wv, bv = value_of(x), value_of(w), value_of(b)
-    v = xv @ wv
-    v += bv
-    np.maximum(v, 0.0, out=v)
-    if mask is not None:
-        v *= mask
-    tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
-    if not tensors:
-        return v
-    if np.ndim(xv) != 2 or np.ndim(wv) != 2:
-        raise ValueError("taped linear_relu supports 2-D operands only")
-    out = Tensor(v, tensors[0].tape)
-    affine_bwd = _linear_vjp(x, w, b, xv, wv)
-    if mask is None:
-        out._bwd = lambda g: affine_bwd(g * (v > 0.0))
-    else:
-        out._bwd = lambda g: affine_bwd(g * (mask * (v > 0.0)))
     return out

@@ -553,7 +553,9 @@ def _read_manifest(manifest_path: str):
     try:
         with _open(manifest_path, "dataset manifest") as fh:
             manifest = json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+    # a JSONDecodeError, an integer of too many digits, or JSON nested too
+    # deeply for the parser
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"malformed manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError(f"malformed manifest {manifest_path}: not a JSON object")
@@ -752,8 +754,9 @@ def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
                 record = json.loads(line)
                 sample_id, vector = record["id"], record["embedding"]
                 row = row_of.get(sample_id)
-            # ValueError: also an integer of more than 4300 digits
-            except (ValueError, KeyError, TypeError):
+            # ValueError: also an integer of more than 4300 digits;
+            # RecursionError: JSON nested too deeply for the parser
+            except (ValueError, RecursionError, KeyError, TypeError):
                 raise DataError(f"{path}:{line_no}: bad record") from None
             if (sample_id in others) if row is None else seen[row]:
                 raise DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")

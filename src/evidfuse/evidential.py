@@ -16,8 +16,10 @@ sum in the log domain:
 ``evidence_batch`` computes one source's log-commonalities and
 ``fuse_evidence`` sums them, normalizes after a max-shift (so nothing
 underflows however many prototypes there are) and applies the pignistic
-transform.  On tape tensors the fusion is a single node with a
-hand-derived VJP; on arrays the same code runs without recording.
+transform.  A training step differentiates them with hand-derived VJPs:
+``fusion_vjp`` takes the gradient of the fused probabilities to that of
+the fused log-commonalities, which every source shares, and
+``_source_vjp`` takes that to the gradients of one source's five inputs.
 
 Constrained quantities live in raw (unconstrained) form so plain
 gradient steps preserve the constraints:
@@ -36,21 +38,26 @@ This batched path is the only one in the package.  The tests check it
 against an exact per-sample reference that builds each prototype's mass
 and fuses them pairwise with the exact mass algebra kept in the tests.
 
-Allocation contract: of (N, H) size the forward keeps exactly three
-arrays (squared distances, closeness, activation), and its transients
-live in the (M, N, H) term array it reduces and then drops.  The VJP
-allocates its own (M, N, H) array and one (N, H) gradient, and uses a
-class slice of the former as scratch.  Both compute in place with the
-same IEEE operations, order and memory layouts as code that makes one
-array per step, so every output has the same bits; the tests keep that
-code as the byte reference.
+Allocation contract: of (N, H) size the forward writes exactly three
+arrays (squared distances, closeness, activation) and does every other
+step in place in them or in an (M, N, H) term array, which it reduces.
+The VJP computes in the same kind of term array, uses a class slice of
+it as scratch once it is reduced, and allocates one (N, H) gradient.
+Those four arrays are an ``EvidenceBuffers``: a training step passes
+the ones its workspace keeps for the source (the term array shared by
+every source's forward and VJP), and the ``SourceEvidence`` (N, H)
+fields are then those buffers, which the next step overwrites; without
+one, ``evidence_batch`` and ``_source_vjp`` allocate their own.  Both
+compute with the same IEEE operations, order and memory layouts as code
+that makes one array per step, so every output has the same bits; the
+tests keep that code as the byte reference.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import DataError
 
 # beta initialization used by init_enn: sigmoid(log 9) = 0.9
@@ -105,17 +112,29 @@ class EnnParams:
         return EnnParams(d["prototypes"], d["scale_raw"], d["support_raw"], d["membership_raw"])
 
 
+class EvidenceBuffers(NamedTuple):
+    """Where one source's evidential layer computes on N rows: the
+    forward's three (N, H) arrays and the (M, N, H) term array that its
+    forward and VJP reduce."""
+
+    sq_dist: np.ndarray
+    closeness: np.ndarray
+    activation: np.ndarray
+    terms: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SourceEvidence:
     """One source's evidence for a batch, in log-commonality form.
 
     ``log_q`` (N, M) and ``log_q_omega`` (N, 1) are the logs of the
     commonalities Q({c}) and Q(Omega) of the source's fused prototype
-    masses.  ``inputs`` holds the five operands as given (tape tensors
-    or arrays); the other fields are forward values the VJP reuses and
-    only reads.  ``sq_dist``, ``closeness`` and ``activation`` are the
-    only (N, H) arrays the forward keeps; its transients live in the
-    (M, N, H) term array, which is freed when ``evidence_batch`` returns.
+    masses.  ``inputs`` holds the five operands as given; the other
+    fields are forward values the VJP reuses and only reads.
+    ``sq_dist``, ``closeness`` and ``activation`` are the only (N, H)
+    arrays the forward keeps, the buffers it computed in; its transients
+    live in the term array.  A pass outside training, which needs no VJP,
+    sets those three to None (``model.batch_internals``).
     """
 
     inputs: tuple               # (z, prototypes, scale_raw, support_raw, membership_raw)
@@ -136,18 +155,22 @@ class SourceEvidence:
 class FusedEvidence:
     """All sources fused by Dempster's rule, plus pignistic probabilities.
 
-    ``probs`` is a tape tensor when any source input is one, else an
-    array; the fused log-commonalities are always plain arrays.
+    ``q``, ``q_omega`` and ``total`` are the max-shifted fused
+    commonalities and their mass total (``_shifted_commonalities``),
+    which the masses and ``fusion_vjp`` reuse.
     """
 
-    probs: object               # (N, M)
+    probs: np.ndarray           # (N, M)
     log_q: np.ndarray           # (N, M)
     log_q_omega: np.ndarray     # (N, 1)
     sources: list               # SourceEvidence per source
+    q: np.ndarray               # (N, M)
+    q_omega: np.ndarray         # (N, 1)
+    total: np.ndarray           # (N, 1)
 
     def masses(self):
         """Normalized fused (singletons (N, M), ignorance (N, 1))."""
-        return masses_from_log_commonality(self.log_q, self.log_q_omega)
+        return (self.q - self.q_omega) / self.total, self.q_omega / self.total
 
 
 def _shifted_commonalities(log_q, log_q_omega):
@@ -171,37 +194,40 @@ def masses_from_log_commonality(log_q, log_q_omega):
     return (q - q_omega) / total, q_omega / total
 
 
-def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> SourceEvidence:
+def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw,
+                   out: EvidenceBuffers | None = None) -> SourceEvidence:
     """One source's evidential layer on a batch of encoder outputs.
 
-    Accepts tape tensors or arrays, float64 all of them (checked rows'
-    encodings and a model's parameters), and records nothing: the tape
-    node that differentiates it is made by ``fuse_evidence``.  Every
-    (N, H) intermediate is computed in place in ``sq_dist``,
-    ``closeness``, ``activation`` or the term array.
+    Takes float64 arrays (checked rows' encodings and a model's
+    parameters) and computes in ``out``, or in fresh arrays when it is
+    None.  Every (N, H) intermediate is computed in place in
+    ``sq_dist``, ``closeness``, ``activation`` or the term array.
     """
     inputs = (z, prototypes, scale_raw, support_raw, membership_raw)
-    zv, p, a, b, r = map(ad.value_of, inputs)
+    p, a, b, r = prototypes, scale_raw, support_raw, membership_raw
+    n, h = len(z), len(p)
+    d2, e, s, terms = out or (np.empty((n, h)), np.empty((n, h)), np.empty((n, h)),
+                              np.empty((r.shape[1], n, h)))
     beta = 1.0 / (1.0 + np.exp(-b))
     mexp = np.exp(r - np.maximum.reduce(r, axis=1, keepdims=True))
     u = mexp / np.add.reduce(mexp, axis=1, keepdims=True)
     # |z|^2 - 2 z.p + |p|^2, clamped: the expanded form can round below 0,
     # which would push s above beta
-    d2 = zv @ p.T
+    np.matmul(z, p.T, out=d2)
     np.multiply(d2, 2.0, out=d2)
-    np.subtract(np.add.reduce(zv * zv, axis=1, keepdims=True), d2, out=d2)
+    np.subtract(np.add.reduce(z * z, axis=1, keepdims=True), d2, out=d2)
     np.add(d2, np.add.reduce(p * p, axis=1), out=d2)
     np.maximum(d2, 0.0, out=d2)
-    e = np.multiply(-(a * a), d2)
+    np.multiply(-(a * a), d2, out=e)
     np.exp(e, out=e)
-    s = beta * e
+    np.multiply(beta, e, out=s)
     # class-major (M, N, H) so reductions run along contiguous rows.  The
     # copy makes -(1 - u)^T C-contiguous, which fixes the layout of terms
     # and so the order of the sums; negating 1 - u rather than computing
     # u - 1 keeps the sign of a zero, as -(w * s) would
     w = (1.0 - u).T.copy()
     np.negative(w, out=w)
-    terms = w[:, None, :] * s
+    np.multiply(w[:, None, :], s, out=terms)
     np.log1p(terms, out=terms)
     log_q = np.add.reduce(terms, axis=2).T
     omega = terms[0]
@@ -211,19 +237,20 @@ def evidence_batch(z, prototypes, scale_raw, support_raw, membership_raw) -> Sou
     return SourceEvidence(inputs, log_q, log_q_omega, d2, e, s, beta, u)
 
 
-def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
+def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega, terms=None):
     """Gradients of the five inputs of one source from the gradients of
     its log-commonalities.
 
-    Of (N, H) size it allocates the (M, N, H) array ``t`` and ``g_s``;
-    once ``t`` is reduced, ``t[0]`` serves as scratch.  The forward
-    values in ``ev`` and its float64 inputs are only read.
+    It computes in the (M, N, H) array ``terms`` (fresh when None) and
+    allocates the (N, H) ``g_s``; once ``terms`` is reduced, its class-0
+    slice serves as scratch.  The forward values in ``ev`` and its
+    inputs are only read.
     """
-    zv, p, a = map(ad.value_of, ev.inputs[:3])
+    zv, p, a = ev.inputs[:3]
     s, u, d2 = ev.activation, ev.membership, ev.sq_dist
     w = (1.0 - u).T.copy()                                           # (M, H)
     # log Q_c = sum_h log(1 - s_h w_ch),  log Q_Omega = sum_h log(1 - s_h)
-    t = w[:, None, :] * s                                            # (M, N, H)
+    t = np.multiply(w[:, None, :], s, out=terms)                     # (M, N, H)
     np.subtract(1.0, t, out=t)
     np.divide(d_log_q.T[:, :, None], t, out=t)
     g_s = np.einsum("cnh,ch->nh", t, w)
@@ -252,10 +279,7 @@ def _source_vjp(ev: SourceEvidence, d_log_q, d_log_q_omega):
 def fuse_evidence(evidence) -> FusedEvidence:
     """Dempster's rule over every source, then the pignistic transform.
 
-    Fused log-commonalities are the sums of the sources' ones.  When any
-    source input is a tape tensor, ``probs`` is one tape node whose
-    parents are all of those tensors and whose backward is the
-    hand-derived VJP.
+    Fused log-commonalities are the sums of the sources' ones.
     """
     evidence = list(evidence)
     log_q = evidence[0].log_q
@@ -266,25 +290,22 @@ def fuse_evidence(evidence) -> FusedEvidence:
     q, q_omega, total = _shifted_commonalities(log_q, log_q_omega)
     m = q.shape[1]
     probs = (q - q_omega) / total + (q_omega / total) / m
+    return FusedEvidence(probs, log_q, log_q_omega, evidence, q, q_omega, total)
 
-    tensors = tuple(t for ev in evidence for t in ev.inputs if isinstance(t, ad.Tensor))
-    if not tensors:
-        return FusedEvidence(probs, log_q, log_q_omega, evidence)
 
-    def bwd(g):
-        # probs_c = (q_c - (1 - 1/M) q_Omega) / total; the max-shift cancels
-        g_dot_p = np.add.reduce(g * probs, axis=1, keepdims=True)
-        d_log_q = (g - g_dot_p) / total * q
-        d_log_q_omega = ((m - 1) * g_dot_p
-                         - (1.0 - 1.0 / m) * np.add.reduce(g, axis=1, keepdims=True)
-                         ) / total * q_omega
-        for ev in evidence:
-            for t, grad in zip(ev.inputs, _source_vjp(ev, d_log_q, d_log_q_omega)):
-                if isinstance(t, ad.Tensor):
-                    t._accumulate(grad)
-
-    node = ad.Tensor(probs, tensors[0].tape, bwd=bwd)
-    return FusedEvidence(node, log_q, log_q_omega, evidence)
+def fusion_vjp(fused: FusedEvidence, g):
+    """Gradients of the fused log-commonalities, (N, M) and (N, 1), from
+    the gradient ``g`` of ``fused.probs``; every source's log-commonalities
+    get these same gradients."""
+    # probs_c = (q_c - (1 - 1/M) q_Omega) / total; the max-shift cancels
+    q, q_omega, total = fused.q, fused.q_omega, fused.total
+    m = q.shape[1]
+    g_dot_p = np.add.reduce(g * fused.probs, axis=1, keepdims=True)
+    d_log_q = (g - g_dot_p) / total * q
+    d_log_q_omega = ((m - 1) * g_dot_p
+                     - (1.0 - 1.0 / m) * np.add.reduce(g, axis=1, keepdims=True)
+                     ) / total * q_omega
+    return d_log_q, d_log_q_omega
 
 
 def lloyd_kmeans(points: np.ndarray, k: int, rng: np.random.Generator):

@@ -5,20 +5,21 @@ Each evidence source owns an encoder, an evidential layer, and an
 auxiliary logit head.  There is one forward path and it is batched: it
 encodes every source, and ``evidential.fuse_evidence`` fuses all
 sources' prototype evidence in the log-commonality domain and returns
-pignistic probabilities; on the training tape that fusion is one node.
-Training, ``predict_probs`` and ``predict_batch`` all run it;
-``predict_batch`` adds the fused and per-source masses and the pairwise
-source conflict as one struct of arrays.  The exact per-sample mass
-algebra they are checked against lives in the tests.
+pignistic probabilities.  Training, ``predict_probs`` and
+``predict_batch`` all run it; ``predict_batch`` adds the fused and
+per-source masses and the pairwise source conflict as one struct of
+arrays.  The exact per-sample mass algebra they are checked against
+lives in the tests.
 
-Off the tape (``predict_probs``, ``predict_batch``, the per-epoch
-validation loss, and ``init_model``'s encoding of the training rows)
-the encoders run in ``encoders.ENCODE_BLOCK_ROWS``-row blocks, so memory
-does not grow with rows times hidden width.  The blocks keep the bits of
-a whole-split forward (see ``encoders``).  Everything from the distance
-product ``z @ p.T`` on (evidence, fusion, auxiliary logits, loss) stays
-whole-split: that product's bits depend on its row count, so blocking it
-would change them.  A taped training step runs each encoder on its whole batch.
+Outside a training step (``predict_probs``, ``predict_batch``, the
+per-epoch validation loss, and ``init_model``'s encoding of the training
+rows) the encoders run in ``encoders.ENCODE_BLOCK_ROWS``-row blocks, so
+memory does not grow with rows times hidden width.  The blocks keep the
+bits of a whole-split forward (see ``encoders``).  Everything from the
+distance product ``z @ p.T`` on (evidence, fusion, auxiliary logits,
+loss) stays whole-split: that product's bits depend on its row count, so
+blocking it would change them.  A training step runs each encoder on its
+whole batch.
 
 Input rows are checked once, where they enter: ``init_model``,
 ``train`` (each split), ``predict_probs`` and ``predict_batch`` run
@@ -29,27 +30,36 @@ validation epoch checks them again.
 
 The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
-each scaled by the source's auxiliary weight.  On the training tape it
-is one node with a hand-derived VJP, so a step records a leaf per
-parameter array, a node per layer (a hidden layer's affine map, ReLU and
-dropout mask are one node) and per residual add, one for the fusion and
-one for the objective: 31 for an MLP and a text-head source (22 of them
-parameter leaves), 46 for a ResNet and a text-head source.  The sweep
-drops each node's VJP as it passes, so the forward state those captured
-is freed before the step returns; the node values stay until the cyclic
-collector takes the step's tape.  Training runs mini-batch Adam with early
-stopping on the validation overall loss, restoring the best-validation
-parameters.  Parameters travel as name->array dicts.  ``FlatParams`` is
-their one flat layout: during training they and their gradients live in
-two flat vectors, built once per ``train``.  Each step's leaf takes its
-view into the gradient vector as its gradient slot, so the tape sweep
-accumulates straight into one flat gradient and an Adam step is a single
-vectorized update of the parameter vector, with no per-step gradient
-dict and no flattening.  ``train`` also builds, once, a model whose
-arrays are views into the parameter vector; the per-epoch validation
-loss is that model's eval-mode loss, so it sees every step.  All forward
-code runs on either the model's own arrays (eval mode, in row blocks) or
-a step's tape tensors (training).
+each scaled by the source's auxiliary weight.  A training step
+(``loss_and_grad``) records nothing: its forward keeps what the backward
+reads (each encoder's cache, each source's evidence), and the backward
+runs hand-derived VJPs, the objective's, the fusion's
+(``evidential.fusion_vjp``) and each source's (``_source_vjp``, then its
+aux head's and its encoder's ``backward``).  Nothing in it refers back
+to itself, so reference counting frees the step when it returns and the
+cyclic collector has nothing to do.  Training runs mini-batch Adam with
+early stopping on the validation overall loss, restoring the
+best-validation parameters.
+
+Parameters travel as name->array dicts.  ``FlatParams`` is their one
+flat layout: during training they and their gradients live in two flat
+vectors, built once per ``train``; each component's ``backward`` adds
+its gradients into its views of the gradient vector, so an Adam step is
+a single vectorized update of the parameter vector, with no per-step
+gradient dict and no flattening.  ``train`` also builds, once, a model
+whose arrays are views into the parameter vector; every step and the
+per-epoch validation loss run on it, so they see every update.
+
+The same ``FlatParams`` carries the run's ``Workspace``, made once per
+``train`` call for its batch size and reused, through views, by the
+ragged last batch: each source's encoder layer outputs and three (N, H)
+evidential arrays, and one (M, N, H) term array that every source's
+forward and VJP share.  A step that allocated them afresh would hand
+them all back to the allocator at its end, which trims the heap and
+faults the pages in again on the next step.  A pass outside training
+gets fresh arrays but keeps only each source's log-commonalities, so
+one source's (N, H) arrays are freed before the next source's are made
+and the pass's memory does not grow with the number of sources.
 
 A checkpoint is one JSON document.  ``save_checkpoint`` writes format
 version 2, where each parameter array is ``{"shape", "f8"}``, the base64
@@ -57,7 +67,7 @@ of its little-endian float64 bytes, so saving and loading neither print
 nor parse a decimal and a load gets back the saved bits.
 ``load_checkpoint`` also reads version 1, whose arrays are nested lists;
 the format version picks the array decoder and every check after it
-(each component against a fresh one of its dimensions, finite values,
+(each component against the layout its dimensions imply, finite values,
 prototype width, finite positive class weights) is shared.
 """
 
@@ -70,9 +80,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import data
-from .autodiff import Tape
+# Tape is used by no code here: the benchmark's tracer and smoke test look
+# up evidfuse.model.Tape (ROADMAP item 1)
+from .autodiff import Tape  # noqa: F401
 from .encoders import (
     AuxHead,
     MlpEncoder,
@@ -81,10 +92,12 @@ from .encoders import (
     encode_blocks,
     init_aux_head,
     init_encoder,
+    layer_widths,
     sample_dropout_masks,
 )
 from .errors import ConfigError, DataError, EvidFuseError, TrainingDivergedError
-from .evidential import EnnParams, evidence_batch, fuse_evidence, init_enn
+from .evidential import (EnnParams, EvidenceBuffers, _source_vjp, evidence_batch, fuse_evidence,
+                         fusion_vjp, init_enn)
 from .rng import substream
 
 PROB_FLOOR = 1e-12
@@ -212,19 +225,66 @@ def with_params(model: FusionModel, params: dict) -> FusionModel:
     return FusionModel(model.frame, sources, model.class_weights)
 
 
-def _source_param_view(params: dict, i: int, component: str, keys) -> dict:
-    return {k: params[f"src{i}.{component}.{k}"] for k in keys}
+class Workspace:
+    """The arrays that the training steps on one ``FlatParams`` reuse; a
+    ``train`` call makes one.
+
+    ``grad_model(model)`` is the model's layout over the gradient vector:
+    a ``FusionModel`` whose arrays are the ``grads`` views, so each
+    component's ``backward`` adds into its own slots.  ``buffers(model,
+    n)`` gives each source's arrays for an n-row step: the (n, width)
+    output of each encoder layer (``encoders.layer_widths``), and an
+    ``EvidenceBuffers`` of three (n, H) arrays of its own and a view of
+    one (M, n, H) term array that every source's forward and VJP share.
+    The storage is sized for the largest step so far, and a row count's
+    views are built once, so the ragged last batch of an epoch reuses
+    the storage of the full ones.  Both serve the model layout of the
+    first call.
+    """
+
+    def __init__(self, grads: dict):
+        self._grads = grads
+        self._grad_model = None
+        self._rows = 0
+        self._storage = None
+        self._views = {}
+
+    def grad_model(self, model):
+        if self._grad_model is None:
+            self._grad_model = with_params(model, self._grads)
+        return self._grad_model
+
+    def buffers(self, model, n: int) -> list:
+        views = self._views.get(n)
+        if views is None:
+            widths = [layer_widths(src.encoder) for src in model.sources]
+            shapes = [src.enn.membership_raw.shape for src in model.sources]   # (H, M)
+            if n > self._rows:
+                self._rows = n
+                self._storage = ([[np.empty(n * w) for w in ws] for ws in widths],
+                                 [[np.empty(n * h) for _ in range(3)] for h, _ in shapes],
+                                 np.empty(n * max(h * m for h, m in shapes)))
+                self._views.clear()
+            layers, evidence, terms = self._storage
+            views = self._views[n] = [
+                ([a[:n * w].reshape(n, w) for a, w in zip(arrays, ws)],
+                 EvidenceBuffers(*(a[:n * h].reshape(n, h) for a in own),
+                                 terms[:m * n * h].reshape(m, n, h)))
+                for ws, arrays, own, (h, m) in zip(widths, layers, evidence, shapes)]
+        return views
+
+
 
 
 @dataclass(frozen=True, eq=False)
 class FlatParams:
     """A model's parameters and their gradients as two flat vectors, laid
-    out in ``param_dict`` order.
+    out in ``param_dict`` order, and the workspace of the training steps
+    that write that gradient.
 
     ``params`` and ``grads`` are named views into ``flat`` and ``grad``:
-    an Adam step updates ``flat`` in place, and the leaves of a training
-    step take the ``grads`` views as their gradient slots, so the tape
-    sweep accumulates straight into ``grad``.
+    an Adam step updates ``flat`` in place, and a training step adds each
+    parameter's gradient into its ``grads`` view.
     """
 
     shapes: dict                      # name -> shape, in layout order
@@ -232,10 +292,12 @@ class FlatParams:
     grad: np.ndarray
     params: dict = field(init=False)
     grads: dict = field(init=False)
+    workspace: Workspace = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", self.views(self.flat))
         object.__setattr__(self, "grads", self.views(self.grad))
+        object.__setattr__(self, "workspace", Workspace(self.grads))
 
     @staticmethod
     def from_model(model: FusionModel) -> "FlatParams":
@@ -289,30 +351,34 @@ def _check_labels(inputs, labels):
                         f"{sorted({len(x) for x in inputs})} rows")
 
 
-def batch_internals(model, inputs, params=None, masks=None):
+def batch_internals(model, inputs, masks=None, buffers=None, caches=None):
     """Fused evidence (``fused.probs`` included) and per-source aux logits.
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
-    of them; ``params`` substitutes the leaf tensors of a training step;
-    ``masks`` is a per-source list of dropout masks (None disables
-    dropout).  Without either the encoders run in row blocks.
+    of them; ``masks`` is a per-source list of dropout masks (None
+    disables dropout).  A training step passes ``buffers``, each source's
+    arrays from ``Workspace.buffers``, and ``caches``, a list that
+    receives each source's encoder cache.  Without masks or caches the
+    encoders run in row blocks.  Without buffers the arrays are fresh,
+    and each source's evidence keeps only what the fusion reads: its
+    (N, H) fields are None, so its arrays are freed before the next
+    source's are made.
     """
-    blocked = params is None and masks is None
     evidence = []
     aux_logit_list = []
     for i, (src, x) in enumerate(zip(model.sources, inputs)):
-        if params is None:
-            enc_p, enn_p, aux_p = src.encoder.params, src.enn.as_param_dict(), src.aux.params
-        else:
-            enc_p = _source_param_view(params, i, "encoder", src.encoder.params)
-            enn_p = _source_param_view(params, i, "enn", src.enn.as_param_dict())
-            aux_p = _source_param_view(params, i, "aux", src.aux.params)
-        if blocked:
+        layers, out = (None, None) if buffers is None else buffers[i]
+        if masks is None and caches is None:
             z = encode_blocks(src.encoder, x)
         else:
-            z = src.encoder.forward(x, params=enc_p, masks=masks[i] if masks else None)
-        evidence.append(evidence_batch(z, **enn_p))
-        aux_logit_list.append(src.aux.forward(z, params=aux_p))
+            z, cache = src.encoder.forward(x, masks[i] if masks else None, layers)
+            if caches is not None:
+                caches.append(cache)
+        ev = evidence_batch(z, **src.enn.as_param_dict(), out=out)
+        if buffers is None:
+            ev = replace(ev, sq_dist=None, closeness=None, activation=None)
+        evidence.append(ev)
+        aux_logit_list.append(src.aux.forward(z))
     return fuse_evidence(evidence), aux_logit_list
 
 
@@ -351,8 +417,8 @@ def predict_probs(model: FusionModel, inputs) -> np.ndarray:
 # losses
 #
 # Both terms are class-weighted means of -log p(true class).  The array
-# functions below give their values on every path; ``loss_overall``
-# records the whole objective as one tape node with a hand-derived VJP.
+# functions below give their values on every path; ``_objective_vjp`` is
+# the whole objective's hand-derived VJP.
 
 def _true_class(labels, class_weights):
     """Row indices, labels and each row's class weight."""
@@ -384,51 +450,53 @@ def loss_aux(logits, labels, class_weights) -> float:
     return _weighted_nll(weights, (shifted - np.log(total))[rows, labels])
 
 
-def loss_overall(model: FusionModel, inputs, labels, params=None, masks=None):
+def _objective(model, probs, aux_logits, labels):
+    """Main loss plus each nonzero auxiliary weight times its source's
+    aux loss."""
+    total = loss_main(probs, labels, model.class_weights)
+    for src, logits in zip(model.sources, aux_logits):
+        if src.spec.aux_weight != 0.0:
+            total = total + src.spec.aux_weight * loss_aux(logits, labels, model.class_weights)
+    return total
+
+
+def _objective_vjp(model, probs, aux_logits, labels):
+    """Gradients of ``_objective`` with respect to the fused probabilities
+    and to each source's aux logits (None where its aux weight is 0)."""
+    # d/dp of -(1/n) w log max(p_true, floor) is c / p_true with
+    # c = -(1/n) w, zero where the floor clamps; d/dlogits of an aux
+    # term is -(a/n) w (onehot - softmax).  The factors are grouped as
+    # in the chained-op reference, so both round alike.
+    rows, labels, weights = _true_class(labels, model.class_weights)
+    n = len(rows)
+    coef = -(1.0 / n) * weights
+    p_true = probs[rows, labels]
+    g_probs = np.zeros_like(probs)
+    g_probs[rows, labels] = np.where(p_true > PROB_FLOOR,
+                                     coef / np.maximum(p_true, PROB_FLOOR), 0.0)
+    g_aux = []
+    for src, logits in zip(model.sources, aux_logits):
+        weight = src.spec.aux_weight
+        if weight == 0.0:
+            g_aux.append(None)
+            continue
+        coef = -weight * (1.0 / n) * weights
+        _, e, row_sums = _shifted_exp(logits)
+        g_logits = (-coef[:, None] / row_sums) * e
+        g_logits[rows, labels] += coef
+        g_aux.append(g_logits)
+    return g_probs, g_aux
+
+
+def loss_overall(model: FusionModel, inputs, labels, masks=None):
     """Main loss plus auxiliary-weighted per-source cross entropies.
 
     ``inputs`` are checked blocks, as in ``batch_internals``; the label
-    count is checked here.  When the forward pass ran on tape tensors the
-    result is one node whose parents are the fused probabilities and the
-    logits of every source with a nonzero auxiliary weight.
+    count is checked here.
     """
     _check_labels(inputs, labels)
-    fused, aux_logits = batch_internals(model, inputs, params=params, masks=masks)
-    probs = fused.probs
-    aux = [(src.spec.aux_weight, logits)
-           for src, logits in zip(model.sources, aux_logits)
-           if src.spec.aux_weight != 0.0]
-    total = loss_main(ad.value_of(probs), labels, model.class_weights)
-    for weight, logits in aux:
-        total = total + weight * loss_aux(ad.value_of(logits), labels, model.class_weights)
-    tensors = tuple(t for t in (probs, *(logits for _, logits in aux))
-                    if isinstance(t, ad.Tensor))
-    if not tensors:
-        return total
-    rows, labels, weights = _true_class(labels, model.class_weights)
-
-    def bwd(g):
-        # d/dp of -(1/n) w log max(p_true, floor) is c / p_true with
-        # c = -(1/n) w, zero where the floor clamps; d/dlogits of an aux
-        # term is -(a/n) w (onehot - softmax).  The factors are grouped as
-        # in the chained-op reference, so both round alike.
-        n = len(rows)
-        if isinstance(probs, ad.Tensor):
-            coef = -g * (1.0 / n) * weights
-            p_true = probs.value[rows, labels]
-            g_probs = np.zeros_like(probs.value)
-            g_probs[rows, labels] = np.where(p_true > PROB_FLOOR,
-                                             coef / np.maximum(p_true, PROB_FLOOR), 0.0)
-            probs._accumulate(g_probs)
-        for weight, logits in aux:
-            if isinstance(logits, ad.Tensor):
-                coef = -(g * weight) * (1.0 / n) * weights
-                _, e, row_sums = _shifted_exp(logits.value)
-                g_logits = (-coef[:, None] / row_sums) * e
-                g_logits[rows, labels] += coef
-                logits._accumulate(g_logits)
-
-    return ad.Tensor(total, tensors[0].tape, bwd=bwd)
+    fused, aux_logits = batch_internals(model, inputs, masks=masks)
+    return _objective(model, fused.probs, aux_logits, labels)
 
 
 def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
@@ -441,30 +509,51 @@ def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
 def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     """Overall loss and its gradient as one flat vector.
 
-    ``params`` is a ``FlatParams`` (by default, a fresh one of the
-    model).  Each parameter's leaf takes its view of ``params.grad``,
-    zeroed first, as its gradient slot; the returned gradient is
-    ``params.grad`` itself, laid out as ``params.flat``, so the next
-    call on the same ``params`` overwrites it.  ``inputs`` are checked
-    blocks, as in ``batch_internals``.  A parameter the loss does not
-    reach keeps a zero gradient.  Frozen inputs (e.g.
-    precomputed text embeddings) are data, not parameters, so they
-    never get gradient slots.
+    ``params`` is a ``FlatParams`` of the model's layout (by default, a
+    fresh one); the parameter values are the model's own (``train``
+    passes a model whose arrays are views of ``params.flat``).  The
+    gradient is written into ``params.grad``, zeroed first, and returned,
+    so the next call on the same ``params`` overwrites it; the step's
+    encoder layers and evidential arrays come from ``params.workspace``.
+    ``inputs`` are checked blocks, as in ``batch_internals``.  A
+    parameter the loss does not reach keeps a zero gradient.  Frozen
+    inputs (e.g. precomputed text embeddings) are data, not parameters,
+    so they get no gradient.
+
+    The forward keeps what the backward reads (each encoder's cache, each
+    source's evidence); the backward runs the objective's VJP,
+    ``fusion_vjp`` and, per source, ``_source_vjp``, the aux head's and
+    the encoder's backward.  A component adds each parameter's gradient
+    into its zeroed slot, and an encoder output's gradient is its
+    evidence term, then plus its aux head's, so every gradient has the
+    bits of the tape step that the tests keep as the reference.  Nothing
+    the step makes refers back to itself, so reference counting frees it
+    all when the step returns, except the workspace's arrays.
     """
+    _check_labels(inputs, labels)
     if params is None:
         params = FlatParams.from_model(model)
+    work = params.workspace
+    buffers = work.buffers(model, len(labels))
+    caches = []
+    fused, aux_logits = batch_internals(model, inputs, masks=masks, buffers=buffers,
+                                        caches=caches)
+    loss = float(_objective(model, fused.probs, aux_logits, labels))
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(f"non-finite loss {loss!r}")
     params.grad.fill(0.0)
-    tape = Tape()
-    leaves = {}
-    for (name, value), slot in zip(params.params.items(), params.grads.values()):
-        leaf = leaves[name] = tape.leaf(value)
-        leaf.grad = slot
-    loss_t = loss_overall(model, inputs, labels, params=leaves, masks=masks)
-    loss_value = float(loss_t.value)
-    if not np.isfinite(loss_value):
-        raise TrainingDivergedError(f"non-finite loss {loss_value!r}")
-    tape.backward(loss_t)
-    return loss_value, params.grad
+    g_probs, g_aux = _objective_vjp(model, fused.probs, aux_logits, labels)
+    d_log_q, d_log_q_omega = fusion_vjp(fused, g_probs)
+    steps = zip(model.sources, work.grad_model(model).sources, fused.sources, caches, g_aux,
+                buffers)
+    for src, grads, ev, cache, g_logits, (_, out) in steps:
+        g_z, *g_enn = _source_vjp(ev, d_log_q, d_log_q_omega, out.terms)
+        for slot, g in zip(grads.enn.as_param_dict().values(), g_enn):
+            slot += g
+        if g_logits is not None:
+            g_z += src.aux.backward(ev.inputs[0], g_logits, grads.aux.params)
+        src.encoder.backward(cache, g_z, grads.encoder.params)
+    return loss, params.grad
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +621,9 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     shuffle_rng = substream(config.seed, "shuffle")
     dropout_rng = substream(config.seed, "dropout")
 
-    # built once: every step updates flat in place and backward writes grad;
-    # live's arrays are views of flat, so its validation loss sees each step
+    # built once: every step updates flat in place and writes grad, and
+    # reuses the workspace; live's arrays are views of flat, so each step
+    # and the validation loss read the current parameters
     slots = FlatParams.from_model(model)
     flat = slots.flat
     live = with_params(model, slots.params)
@@ -553,7 +643,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
             batch_inputs = [x[idx] for x in train_inputs]
             masks = make_dropout_masks(model, len(idx), dropout_rng)
             try:
-                loss, grad = loss_and_grad(model, batch_inputs, train_labels[idx],
+                loss, grad = loss_and_grad(live, batch_inputs, train_labels[idx],
                                            params=slots, masks=masks)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(f"training loss diverged at epoch {epoch}") from exc
@@ -697,18 +787,18 @@ def model_to_json_dict(model: FusionModel, config_hash: str = "", extra=None) ->
     return doc
 
 
-def _check_component(what, component, fresh):
-    """A loaded encoder or aux head matches ``fresh``, one initialized with
-    its dimensions: the same fields, and parameters of the same names and
-    shapes, all finite."""
+def _check_component(what, component, expected):
+    """A loaded encoder or aux head matches ``expected``, a parameterless
+    one of its dimensions: the same fields, and parameters of the names
+    and shapes they imply (``shapes()``), all finite."""
     for f in fields(component):
-        got, want = getattr(component, f.name), getattr(fresh, f.name)
+        got, want = getattr(component, f.name), getattr(expected, f.name)
         if f.name != "params" and got != want:
             raise DataError(f"{what} {f.name} {got!r}, expected {want!r}")
-    params, expected = component.params, fresh.params
-    for key in sorted(params.keys() | expected.keys()):
+    params, shapes = component.params, expected.shapes()
+    for key in sorted(params.keys() | shapes.keys()):
         got = params[key].shape if key in params else "missing"
-        want = expected[key].shape if key in expected else "no such parameter"
+        want = shapes[key] if key in shapes else "no such parameter"
         if got != want:
             raise DataError(f"{what} parameter {key!r}: {got}, expected {want}")
         if not np.all(np.isfinite(params[key])):
@@ -724,7 +814,6 @@ def model_from_json_dict(doc: dict) -> FusionModel:
     decode = _ARRAY_DECODERS[version]
     frame = Frame(tuple(doc["frame"]["labels"]))
     sources = []
-    rng = np.random.default_rng(0)  # the fresh components give only their shapes
     for sd in doc["sources"]:
         spec = SourceSpec(**sd["spec"])
         what = f"source {spec.name!r}"
@@ -733,13 +822,12 @@ def model_from_json_dict(doc: dict) -> FusionModel:
         enn = EnnParams.from_param_dict(
             _params_from_json(decode, sd["enn"], f"{what} evidential layer"))
         aux = _component_from_json(AuxHead, sd["aux"], decode, f"{what} aux head")
-        dims = {"output_dim": encoder.output_dim}
-        if encoder.kind != "resnet":  # a residual net's hidden width is its output width
-            dims["hidden_dim"] = encoder.hidden_dim
+        # the other fields take their defaults, as init_encoder leaves them;
+        # a residual net's hidden width is its output width
+        hidden = encoder.output_dim if encoder.kind == "resnet" else encoder.hidden_dim
         _check_component(f"{what} encoder", encoder,
-                         init_encoder(encoder.kind, encoder.input_dim, rng, **dims))
-        _check_component(f"{what} aux head", aux,
-                         init_aux_head(encoder.output_dim, frame.m, rng))
+                         type(encoder)({}, encoder.input_dim, hidden, encoder.output_dim))
+        _check_component(f"{what} aux head", aux, AuxHead({}, encoder.output_dim, frame.m))
         if enn.prototypes.shape[1] != encoder.output_dim:
             raise DataError(f"{what}: prototypes of width "
                             f"{enn.prototypes.shape[1]} for a {encoder.output_dim}-wide encoder")
@@ -776,9 +864,9 @@ def load_checkpoint(path: str):
     array's ``shape`` must be a list of non-negative ``int``s, its ``f8``
     strict base64 of exactly 8 bytes per entry (checked before anything
     is reshaped); its array is a native-endian, writable copy.  Each
-    component is then checked against a freshly initialized one of its
-    dimensions (fields, parameter names and shapes), its values must be
-    finite, each source's prototypes as wide as its encoder's output, and
+    component is then checked against the layout of its dimensions (the
+    fields a fresh one would have, the parameter names and shapes of its
+    ``shapes()``), its values must be finite, each source's prototypes as wide as its encoder's output, and
     the class weights finite and positive.  Any fault, an unsupported
     version included, is a ``DataError("malformed checkpoint <path>: …")``;
     a faulty parameter is named with its source.
@@ -790,5 +878,7 @@ def load_checkpoint(path: str):
     except FileNotFoundError as exc:
         raise DataError(f"checkpoint not found: {path}") from exc
     # a JSONDecodeError is a ValueError
-    except (LookupError, AttributeError, TypeError, ValueError, EvidFuseError) as exc:
+    # RecursionError: JSON nested too deeply for the parser
+    except (LookupError, AttributeError, TypeError, ValueError, RecursionError,
+            EvidFuseError) as exc:
         raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc

@@ -1,8 +1,9 @@
 """Shared test utilities: gradient checking, small model fixtures, a
 mixed-type dataset, the exact per-sample reference for the evidential
 layer and the fused prediction, taped reference implementations of the
-batched evidence, the fusion and the training objective, the training
-step with per-name gradients, the evidential layer and its VJP with
+batched evidence, the fusion and the training objective, the tape
+training step that is ``loss_and_grad``'s byte oracle (with flat or
+per-name gradients), the evidential layer and its VJP with
 fresh arrays, the per-cluster loops of k-means and the evidential-layer
 init, the dataset files as ``csv.writer`` and ``json.dumps`` write
 them, a written manifest rewritten as version 1 or with a tampered binary
@@ -25,9 +26,10 @@ from evidfuse.autodiff import Tape
 from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices, write_json
 from evidfuse.encoders import encode_blocks
 from evidfuse.errors import DataError
-from evidfuse.evidential import INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, SourceEvidence
-from evidfuse.model import (PROB_FLOOR, Frame, Predictions, SourceSpec,
-                            batch_internals, init_model, loss_overall, param_dict)
+from evidfuse.evidential import (INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, FusedEvidence,
+                                 SourceEvidence, _shifted_commonalities)
+from evidfuse.model import (PROB_FLOOR, FlatParams, Frame, Predictions, SourceSpec, _shifted_exp,
+                            _true_class, init_model, loss_aux, loss_main, param_dict)
 import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, frame_of_size, gamma,
                        membership, pignistic)
@@ -186,8 +188,11 @@ def chained_loss_aux(logits, labels, class_weights):
 
 def chained_loss_overall(model, inputs, labels, params=None, masks=None):
     """Reference objective: the chained main loss plus each source's
-    chained aux loss scaled by its (nonzero) aux weight."""
-    fused, aux_logits = batch_internals(model, inputs, params=params, masks=masks)
+    chained aux loss scaled by its (nonzero) aux weight, on the taped
+    forward (``params`` maps each ``param_dict`` name to a tape leaf or an
+    array; by default the model's own arrays)."""
+    fused, aux_logits = taped_batch_internals(
+        model, inputs, param_dict(model) if params is None else params, masks)
     total = chained_loss_main(fused.probs, labels, model.class_weights)
     for src, logits in zip(model.sources, aux_logits):
         if src.spec.aux_weight != 0.0:
@@ -196,15 +201,145 @@ def chained_loss_overall(model, inputs, labels, params=None, masks=None):
     return total
 
 
+# ---------------------------------------------------------------------------
+# the training step as a tape records it: the taped encoder forwards, one
+# node for the fusion and one for the objective, each with the
+# hand-derived VJP that evidfuse's backward passes now run without a tape.
+# loss_and_grad must return its loss and the bytes of its gradients
+
+def taped_encoder_forward(encoder, x, params, masks=None):
+    """An encoder's forward on ``params`` (name -> tape leaf or array):
+    one ``linear_relu`` node per hidden layer (affine map, ReLU and
+    dropout mask), one ``linear`` per output layer, and the residual adds."""
+    p = params
+    if encoder.kind == "mlp":
+        masks = masks or (None, None)
+        h = ad.linear_relu(x, p["w0"], p["b0"], masks[0])
+        h = ad.linear_relu(h, p["w1"], p["b1"], masks[1])
+        return ad.linear(h, p["w2"], p["b2"])
+    if encoder.kind == "resnet":
+        masks = masks or (None,) * encoder.n_blocks
+        h = ad.linear(x, p["w_in"], p["b_in"])
+        for k in range(encoder.n_blocks):
+            inner = ad.linear_relu(h, p[f"block{k}.w1"], p[f"block{k}.b1"], masks[k])
+            h = h + ad.linear(inner, p[f"block{k}.w2"], p[f"block{k}.b2"])
+        return h
+    h = ad.linear_relu(x, p["w0"], p["b0"])
+    return ad.linear(h, p["w1"], p["b1"])
+
+
+def taped_fuse_evidence(evidence):
+    """``fuse_evidence`` of sources whose inputs may be tape tensors:
+    ``probs`` is then one node whose parents are all of those tensors and
+    whose backward is the hand-derived VJP (``reference_source_vjp`` per
+    source)."""
+    evidence = list(evidence)
+    log_q = evidence[0].log_q
+    log_q_omega = evidence[0].log_q_omega
+    for ev in evidence[1:]:
+        log_q = log_q + ev.log_q
+        log_q_omega = log_q_omega + ev.log_q_omega
+    q, q_omega, total = _shifted_commonalities(log_q, log_q_omega)
+    m = q.shape[1]
+    probs = (q - q_omega) / total + (q_omega / total) / m
+    fused = FusedEvidence(probs, log_q, log_q_omega, evidence, q, q_omega, total)
+    tensors = tuple(t for ev in evidence for t in ev.inputs if isinstance(t, ad.Tensor))
+    if not tensors:
+        return fused
+
+    def bwd(g):
+        # probs_c = (q_c - (1 - 1/M) q_Omega) / total; the max-shift cancels
+        g_dot_p = np.add.reduce(g * probs, axis=1, keepdims=True)
+        d_log_q = (g - g_dot_p) / total * q
+        d_log_q_omega = ((m - 1) * g_dot_p
+                         - (1.0 - 1.0 / m) * np.add.reduce(g, axis=1, keepdims=True)
+                         ) / total * q_omega
+        for ev in evidence:
+            for t, grad in zip(ev.inputs, reference_source_vjp(ev, d_log_q, d_log_q_omega)):
+                if isinstance(t, ad.Tensor):
+                    t._accumulate(grad)
+
+    node = ad.Tensor(probs, tensors[0].tape, bwd=bwd)
+    return FusedEvidence(node, log_q, log_q_omega, evidence, q, q_omega, total)
+
+
+def taped_batch_internals(model, inputs, params, masks=None):
+    """Fused evidence and per-source aux logits of the taped forward, the
+    encoders on the whole batch; ``params`` maps each ``param_dict`` name
+    to a tape leaf or an array."""
+    evidence, aux_logits = [], []
+    for i, (src, x) in enumerate(zip(model.sources, inputs)):
+        def view(component, keys):
+            return {k: params[f"src{i}.{component}.{k}"] for k in keys}
+
+        z = taped_encoder_forward(src.encoder, x, view("encoder", src.encoder.params),
+                                  masks[i] if masks else None)
+        evidence.append(reference_evidence_batch(z, **view("enn", src.enn.as_param_dict())))
+        aux = view("aux", src.aux.params)
+        aux_logits.append(ad.linear(z, aux["w"], aux["b"]))
+    return taped_fuse_evidence(evidence), aux_logits
+
+
+def taped_loss_overall(model, inputs, labels, params, masks=None):
+    """The objective on the taped forward: one node whose parents are the
+    fused probabilities and the logits of every source with a nonzero
+    auxiliary weight."""
+    fused, aux_logits = taped_batch_internals(model, inputs, params, masks)
+    probs = fused.probs
+    aux = [(src.spec.aux_weight, logits)
+           for src, logits in zip(model.sources, aux_logits)
+           if src.spec.aux_weight != 0.0]
+    total = loss_main(ad.value_of(probs), labels, model.class_weights)
+    for weight, logits in aux:
+        total = total + weight * loss_aux(ad.value_of(logits), labels, model.class_weights)
+    rows, labels, weights = _true_class(labels, model.class_weights)
+
+    def bwd(g):
+        # d/dp of -(1/n) w log max(p_true, floor) is c / p_true with
+        # c = -(1/n) w, zero where the floor clamps; d/dlogits of an aux
+        # term is -(a/n) w (onehot - softmax)
+        n = len(rows)
+        coef = -g * (1.0 / n) * weights
+        p_true = probs.value[rows, labels]
+        g_probs = np.zeros_like(probs.value)
+        g_probs[rows, labels] = np.where(p_true > PROB_FLOOR,
+                                         coef / np.maximum(p_true, PROB_FLOOR), 0.0)
+        probs._accumulate(g_probs)
+        for weight, logits in aux:
+            coef = -(g * weight) * (1.0 / n) * weights
+            _, e, row_sums = _shifted_exp(logits.value)
+            g_logits = (-coef[:, None] / row_sums) * e
+            g_logits[rows, labels] += coef
+            logits._accumulate(g_logits)
+
+    return ad.Tensor(total, probs.tape, bwd=bwd)
+
+
+def taped_loss_and_grad(model, inputs, labels, masks=None, tape=None):
+    """The tape step whose loss and gradient bytes ``loss_and_grad`` must
+    give: each parameter's leaf, on ``tape`` (a fresh one by default),
+    takes a zeroed view of one flat gradient vector as its gradient slot.
+    Returns (loss, flat gradient in ``param_dict`` order)."""
+    slots = FlatParams.from_model(model)
+    tape = ad.Tape() if tape is None else tape
+    leaves = {}
+    for (name, value), slot in zip(slots.params.items(), slots.grads.values()):
+        leaf = leaves[name] = tape.leaf(value)
+        leaf.grad = slot
+    loss = taped_loss_overall(model, inputs, labels, leaves, masks)
+    tape.backward(loss)
+    return float(loss.value), slots.grad
+
+
 def reference_loss_and_grad(model, inputs, labels, masks=None):
-    """The training step with per-name gradients: a plain leaf per
-    parameter (the tape copies its first gradient), zeros for a
-    parameter the loss does not reach, then the named gradients
-    concatenated in ``param_dict`` order.  Returns (loss, flat gradient)."""
+    """The tape step with per-name gradients: a plain leaf per parameter
+    (the tape copies its first gradient), zeros for a parameter the loss
+    does not reach, then the named gradients concatenated in
+    ``param_dict`` order.  Returns (loss, flat gradient)."""
     params = param_dict(model)
     tape = Tape()
     leaves = {name: tape.leaf(arr) for name, arr in params.items()}
-    loss = loss_overall(model, inputs, labels, params=leaves, masks=masks)
+    loss = taped_loss_overall(model, inputs, labels, leaves, masks)
     tape.backward(loss)
     grads = {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
              for name, leaf in leaves.items()}
@@ -499,7 +634,10 @@ def reference_load(manifest_path, seed=None, part=None):
     either raises, a shape fault's message without its reason.  Each file
     raises at its first faulty line, then for its whole-file faults."""
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"malformed manifest {manifest_path}: {exc}") from None
     schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
     n, m = manifest["n"], manifest["m"]
     csv_path = os.path.join(os.path.dirname(manifest_path), manifest["files"]["structured"])
@@ -539,7 +677,7 @@ def reference_load(manifest_path, seed=None, part=None):
                     record = json.loads(line)
                     sample_id, vector = record["id"], record["embedding"]
                     hash(sample_id)
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, RecursionError, KeyError, TypeError):
                     raise DataError(f"{path}:{line_no}: bad record") from None
                 if sample_id in vectors:
                     raise DataError(f"{path}:{line_no}: duplicate id {sample_id!r}")

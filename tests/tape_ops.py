@@ -1,14 +1,16 @@
-"""Tape ops that only the chained-op reference implementations use.
+"""Tape ops of the reference implementations in ``helpers``.
 
-The production tape in ``evidfuse.autodiff`` keeps the ops the model
-records (``add``, ``linear``, ``linear_relu``) and the ones ``Tensor``'s
-operator methods reach (``sub``, ``mul``, ``div``, ``matmul``).  The
-elementwise, reduction and shape ops below are called by name from the
-reference evidence, fusion and loss implementations in ``helpers`` and
-from the tape's own tests; ``relu(linear(...))`` is the two-node
-reference that ``linear_relu`` is checked against.  This module
-re-exports the production ones, so a test imports one namespace:
-``import tape_ops as ad``.
+``evidfuse.autodiff`` keeps ``Tape``, ``Tensor`` and the ops that
+``Tensor``'s operator methods reach (``add``, ``sub``, ``mul``, ``div``,
+``matmul``); no production code records on a tape.  The ops below are
+called by name: ``linear`` and ``linear_relu`` by the tape step that
+``loss_and_grad`` is checked against byte for byte (``helpers``'s taped
+encoder forwards), the elementwise, reduction and shape ops by the
+chained-op reference evidence, fusion and loss implementations and by
+the tape's own tests; ``relu(linear(...))`` is the two-node reference
+that ``linear_relu`` is checked against.  This module re-exports the
+``evidfuse.autodiff`` names, so a test imports one namespace: ``import
+tape_ops as ad``.
 """
 
 import numpy as np
@@ -18,13 +20,71 @@ from evidfuse.autodiff import (  # noqa: F401  (re-exported)
     Tensor,
     add,
     div,
-    linear,
-    linear_relu,
     matmul,
     mul,
     sub,
     value_of,
 )
+
+
+def linear(x, w, b):
+    """Affine map ``x @ w + b`` of (N, D) rows by (D, K) weights and a
+    (K,) bias, as one node; the bias is added in place on the fresh
+    ``x @ w`` product, the same IEEE add as ``x @ w + b``."""
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    v = xv @ wv
+    v += bv
+    tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
+    if not tensors:
+        return v
+    if np.ndim(xv) != 2 or np.ndim(wv) != 2:
+        raise ValueError("taped linear supports 2-D operands only")
+    out = Tensor(v, tensors[0].tape)
+    out._bwd = _linear_vjp(x, w, b, xv, wv)
+    return out
+
+
+def _linear_vjp(x, w, b, xv, wv):
+    """Backward of ``x @ w + b`` into whichever operands are tensors."""
+    def bwd(g):
+        if isinstance(x, Tensor):
+            x._accumulate(g @ wv.T)
+        if isinstance(w, Tensor):
+            w._accumulate(xv.T @ g)
+        if isinstance(b, Tensor):
+            b._accumulate(g.sum(axis=0))
+
+    return bwd
+
+
+def linear_relu(x, w, b, mask=None):
+    """ReLU of the affine map ``x @ w + b``, times a constant (dropout)
+    mask when one is given, as one node.
+
+    ReLU and mask are applied in place on the fresh affine output, and
+    the VJP gates by ``out > 0`` (times the mask): for a mask whose
+    nonzero entries are at least 1, as inverted dropout's are, that is
+    the gate ``pre > 0`` elementwise, so no pre-activation outlives the
+    forward.
+    """
+    xv, wv, bv = value_of(x), value_of(w), value_of(b)
+    v = xv @ wv
+    v += bv
+    np.maximum(v, 0.0, out=v)
+    if mask is not None:
+        v *= mask
+    tensors = tuple(t for t in (x, w, b) if isinstance(t, Tensor))
+    if not tensors:
+        return v
+    if np.ndim(xv) != 2 or np.ndim(wv) != 2:
+        raise ValueError("taped linear_relu supports 2-D operands only")
+    out = Tensor(v, tensors[0].tape)
+    affine_bwd = _linear_vjp(x, w, b, xv, wv)
+    if mask is None:
+        out._bwd = lambda g: affine_bwd(g * (v > 0.0))
+    else:
+        out._bwd = lambda g: affine_bwd(g * (mask * (v > 0.0)))
+    return out
 
 
 def relu(x, mask=None):

@@ -391,6 +391,19 @@ class TestRoundTrip:
                                             r"Exceeds the limit"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_deeply_nested_json_is_malformed(self, tmp_path, version):
+        # json.load raises a RecursionError, which is not a ValueError
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        if version == 1:
+            as_version_1(manifest)
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000)
+        message = rf"^malformed manifest {re.escape(manifest)}: maximum recursion depth"
+        for load in (load_dataset, lambda path: load_split(path, 0, "test"), reference_load):
+            with pytest.raises(DataError, match=message):
+                load(manifest)
+
     @pytest.mark.parametrize("field,value", [("n", True), ("n", False), ("m", True),
                                              ("m", False), ("m", 1), ("m", 0), ("m", -2)])
     @pytest.mark.parametrize("version", [1, 2])
@@ -1169,6 +1182,14 @@ class TestBlockwiseJsonlRead:
         # json.loads raises a ValueError that is not a JSONDecodeError for it
         _, manifest, path = written
         edit_records(path, {60: record("p59", "[1.0,%s,3.0]" % ("9" * 5000))})
+        self.assert_rejected(manifest, r":60: bad record$")
+        with pytest.raises(DataError, match=r"embeddings\.jsonl:60: bad record$"):
+            reference_load(manifest)
+
+    def test_deeply_nested_record_is_a_bad_record(self, written):
+        # json.loads raises a RecursionError, which is not a ValueError
+        _, manifest, path = written
+        edit_records(path, {60: "[" * 100_000 + "]" * 100_000})
         self.assert_rejected(manifest, r":60: bad record$")
         with pytest.raises(DataError, match=r"embeddings\.jsonl:60: bad record$"):
             reference_load(manifest)

@@ -17,13 +17,17 @@ from evidfuse.encoders import (
     init_mlp,
     init_resnet,
     init_text_head,
+    layer_widths,
     row_blocks,
     sample_dropout_masks,
 )
-import tape_ops as ad
-from helpers import check_gradients
+from helpers import finite_difference_gradients
 
 RNG = np.random.default_rng(42)
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 class TestEncode:
@@ -48,13 +52,14 @@ class TestEncode:
         enc = replace(init_mlp(5, np.random.default_rng(1)), dropout=0.0)
         x = RNG.normal(size=(8, 5))
         masks = sample_dropout_masks(enc, 8, np.random.default_rng(3))
-        np.testing.assert_allclose(enc.forward(x, masks=masks), encode_blocks(enc, x), atol=1e-15)
+        np.testing.assert_allclose(enc.forward(x, masks=masks)[0], encode_blocks(enc, x),
+                                   atol=1e-15)
 
     def test_dropout_changes_train_output(self):
         enc = replace(init_mlp(5, np.random.default_rng(1)), dropout=0.5)
         x = RNG.normal(size=(16, 5))
         masks = sample_dropout_masks(enc, 16, np.random.default_rng(3))
-        assert not np.allclose(enc.forward(x, masks=masks), encode_blocks(enc, x))
+        assert not np.allclose(enc.forward(x, masks=masks)[0], encode_blocks(enc, x))
 
     def test_batch_matches_per_row(self):
         enc = init_resnet(6, np.random.default_rng(2))
@@ -84,8 +89,21 @@ class TestBlockedEncode:
     def test_matches_one_whole_forward(self, kind, dim, overrides, n):
         enc = init_encoder(kind, dim, np.random.default_rng(0), **overrides)
         x = np.random.default_rng(n).normal(size=(n, dim))
-        got, want = encode_blocks(enc, x), enc.forward(x)
+        got, want = encode_blocks(enc, x), enc.forward(x)[0]
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,dim", [("mlp", 7), ("resnet", 7), ("text-head", 24)])
+    def test_forward_into_given_arrays_keeps_the_bits(self, kind, dim):
+        """A training workspace's layer arrays, one per ``layer_widths``
+        entry: the forward writes every layer output into them, with the
+        bits of fresh arrays."""
+        enc = init_encoder(kind, dim, np.random.default_rng(0))
+        x = RNG.normal(size=(9, dim))
+        masks = sample_dropout_masks(enc, 9, np.random.default_rng(1))
+        out = [np.full((9, w), np.nan) for w in layer_widths(enc)]
+        z, _ = enc.forward(x, masks, out)
+        assert z is out[-1] and not any(np.isnan(a).any() for a in out)
+        assert z.tobytes() == enc.forward(x, masks)[0].tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1,
                                    5 * B + 3])
@@ -108,7 +126,7 @@ class TestResidualProperty:
             if k.startswith("block"):
                 params[k] = np.zeros_like(params[k])
         x = RNG.normal(size=(3, 6))
-        out = enc.forward(x, params=params)
+        out, _ = replace(enc, params=params).forward(x)
         np.testing.assert_allclose(out, x @ params["w_in"] + params["b_in"], atol=1e-15)
 
 
@@ -126,29 +144,56 @@ class TestAuxHead:
         np.testing.assert_array_equal(logits, np.tile(bias, (3, 1)))
 
     def test_gradients(self):
+        """``backward`` adds the parameter gradients of sum(sigmoid(logits))
+        into zeroed slots and returns the input's; central differences agree."""
         head = init_aux_head(4, 2, np.random.default_rng(5))
         z = RNG.normal(size=(6, 4))
 
-        def f(w, b):
-            return ad.sum_along(ad.sigmoid(head.forward(z, params={"w": w, "b": b})))
+        def f(zv, w, b):
+            return np.sum(sigmoid(replace(head, params={"w": w, "b": b}).forward(zv)))
 
-        check_gradients(f, [head.params["w"], head.params["b"]], tol=1e-5)
+        sig = sigmoid(head.forward(z))
+        grads = {k: np.zeros_like(v) for k, v in head.params.items()}
+        g_z = head.backward(z, sig * (1.0 - sig), grads)
+        numeric = finite_difference_gradients(f, [z, head.params["w"], head.params["b"]])
+        for got, want in zip([g_z, grads["w"], grads["b"]], numeric):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 class TestEncoderGradients:
     @pytest.mark.parametrize("maker,dim", [(init_mlp, 4), (init_resnet, 4), (init_text_head, 9)])
     def test_match_finite_differences(self, maker, dim):
+        """``backward`` adds the gradients of sum(sigmoid(out)), dropout on,
+        into zeroed slots; central differences agree."""
         enc = replace(maker(dim, np.random.default_rng(6)), dropout=0.3)
         x = RNG.normal(size=(5, dim))
         masks = sample_dropout_masks(enc, 5, np.random.default_rng(7))
         names = sorted(enc.params)
 
         def f(*arrays):
-            params = dict(zip(names, arrays))
-            out = enc.forward(x, params=params, masks=masks)
-            return ad.sum_along(ad.sigmoid(out))
+            out, _ = replace(enc, params=dict(zip(names, arrays))).forward(x, masks=masks)
+            return np.sum(sigmoid(out))
 
-        check_gradients(f, [enc.params[k] for k in names], tol=1e-5)
+        out, cache = enc.forward(x, masks=masks)
+        sig = sigmoid(out)
+        grads = {k: np.zeros_like(v) for k, v in enc.params.items()}
+        assert enc.backward(cache, sig * (1.0 - sig), grads) is None
+        numeric = finite_difference_gradients(f, [enc.params[k] for k in names])
+        for name, want in zip(names, numeric):
+            np.testing.assert_allclose(grads[name], want, rtol=1e-5, atol=1e-5, err_msg=name)
+
+    @pytest.mark.parametrize("kind,dim,overrides", [
+        ("mlp", 4, {"hidden_dim": 5, "output_dim": 3}), ("resnet", 4, {"output_dim": 6}),
+        ("text-head", 9, {"hidden_dim": 7, "output_dim": 2}),
+    ], ids=["mlp", "resnet", "text-head"])
+    def test_shapes_are_the_initialized_layout(self, kind, dim, overrides):
+        """``shapes()``, which ``load_checkpoint`` checks a component
+        against, is the layout the initializer draws, in its order."""
+        enc = init_encoder(kind, dim, np.random.default_rng(0), **overrides)
+        head = init_aux_head(enc.output_dim, 3, np.random.default_rng(0))
+        for component in (enc, head):
+            layout = [(name, value.shape) for name, value in component.params.items()]
+            assert layout == list(component.shapes().items())
 
 
 class TestDropoutMasks:

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidfuse.errors import DataError
-from evidfuse.evidential import (EnnParams, _source_vjp, evidence_batch, fuse_evidence, init_enn,
-                                 lloyd_kmeans)
+from evidfuse.evidential import (EnnParams, EvidenceBuffers, _source_vjp, evidence_batch,
+                                 fuse_evidence, fusion_vjp, init_enn, lloyd_kmeans)
 import tape_ops as ad
 from helpers import (
     check_gradients,
     enn_forward,
+    finite_difference_gradients,
     product_evidence_batch,
     prototype_activations,
     prototype_mass,
@@ -22,6 +23,7 @@ from helpers import (
     reference_init_enn,
     reference_lloyd_kmeans,
     reference_source_vjp,
+    taped_fuse_evidence,
 )
 from reference import (SimpleMass, beta, combine_many, combine_simple, frame_of_size, gamma,
                        membership, pignistic)
@@ -209,6 +211,13 @@ class TestBatchedPath:
         check_gradients(f, [x], tol=1e-5)
 
 
+def fusion_grads(fused, g):
+    """Each source's five input gradients, from the gradient ``g`` of
+    ``fused.probs``: ``fusion_vjp``, then ``_source_vjp`` per source."""
+    d_log_q, d_log_q_omega = fusion_vjp(fused, g)
+    return [_source_vjp(ev, d_log_q, d_log_q_omega) for ev in fused.sources]
+
+
 def random_sources(rng, k, m, n=8, h=4, d=3):
     """k sources: (inputs (n, d), EnnParams) each."""
     return [(rng.normal(size=(n, d)), random_params(rng, h=h, d=d, m=m)) for _ in range(k)]
@@ -264,20 +273,34 @@ class TestFusedEvidence:
 
         def f(*arrs):
             fused = fuse_evidence([evidence_batch(*arrs[:5]), evidence_batch(*arrs[5:])])
-            return ad.sum_along(fused.probs * weights)
+            return np.sum(fused.probs * weights)
 
-        check_gradients(f, arrays, tol=1e-5)
+        fused = fuse_evidence([evidence_batch(*arrays[:5]), evidence_batch(*arrays[5:])])
+        got = [g for grads in fusion_grads(fused, weights) for g in grads]
+        for k, (g, want) in enumerate(zip(got, finite_difference_gradients(f, arrays))):
+            np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-5, err_msg=str(k))
 
     def test_one_tape_node(self):
+        """The byte oracle of the training step records the fusion as one
+        node, whose VJP gives the bytes of ``fusion_vjp`` and
+        ``_source_vjp``."""
         rng = np.random.default_rng(35)
+        sources = random_sources(rng, k=3, m=2)
         tape = ad.Tape()
         leaves = []
-        for x, p in random_sources(rng, k=3, m=2):
+        for x, p in sources:
             leaves.append([tape.leaf(a) for a in (x, *p.as_param_dict().values())])
         before = len(tape.nodes)
-        fused = fuse_evidence([evidence_batch(*group) for group in leaves])
+        fused = taped_fuse_evidence([reference_evidence_batch(*group) for group in leaves])
         assert len(tape.nodes) == before + 1
         assert isinstance(fused.probs, ad.Tensor)
+        weights = rng.normal(size=fused.probs.value.shape)
+        tape.backward(ad.sum_along(fused.probs * weights))
+        plain = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for x, p in sources])
+        assert plain.probs.tobytes() == fused.probs.value.tobytes()
+        for group, grads in zip(leaves, fusion_grads(plain, weights)):
+            for leaf, g in zip(group, grads):
+                assert leaf.grad.tobytes() == g.tobytes()
 
     def test_extreme_parameters_finite(self):
         # H = 1000 strongly supported prototypes: the linear-domain
@@ -300,10 +323,8 @@ class TestFusedEvidence:
             old_singles, _ = product_evidence_batch(near, **params[0].as_param_dict())
         assert np.isnan(old_singles).all()
 
-        tape = ad.Tape()
-        groups = [[tape.leaf(a) for a in (x, *p.as_param_dict().values())] for p in params]
-        fused = fuse_evidence([evidence_batch(*g) for g in groups])
-        probs = fused.probs.value
+        fused = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for p in params])
+        probs = fused.probs
         assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         for ev in fused.sources:
@@ -311,24 +332,20 @@ class TestFusedEvidence:
             assert np.all(np.isfinite(singles)) and np.all(np.isfinite(ign))
         # far inputs carry no evidence: vacuous fused mass, uniform probabilities
         np.testing.assert_allclose(probs[4:8], 1.0 / m, rtol=0, atol=1e-12)
-        tape.backward(ad.sum_along(fused.probs * rng.normal(size=probs.shape)))
-        for leaf in (leaf for g in groups for leaf in g):
-            assert leaf.grad is not None and np.all(np.isfinite(leaf.grad))
+        for grads in fusion_grads(fused, rng.normal(size=probs.shape)):
+            assert all(np.all(np.isfinite(g)) for g in grads)
 
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(extreme_sources())
     def test_extreme_parameters_property(self, sources):
-        tape = ad.Tape()
-        groups = [[tape.leaf(a) for a in (x, *p.as_param_dict().values())] for x, p in sources]
-        fused = fuse_evidence([evidence_batch(*g) for g in groups])
-        probs = fused.probs.value
+        fused = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for x, p in sources])
+        probs = fused.probs
         assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         weights = np.random.default_rng(0).normal(size=probs.shape)
-        tape.backward(ad.sum_along(fused.probs * weights))
-        for leaf in (leaf for g in groups for leaf in g):
-            assert leaf.grad is not None and np.all(np.isfinite(leaf.grad))
+        for grads in fusion_grads(fused, weights):
+            assert all(np.all(np.isfinite(g)) for g in grads)
 
 
 def _kernel_case(rng, n, h, d, m, spread=1.0):
@@ -395,6 +412,30 @@ class TestInPlaceKernels:
         for field in EVIDENCE_FIELDS:
             assert getattr(ev, field).tobytes() == getattr(want, field).tobytes(), field
 
+    @pytest.mark.parametrize("name", ["random-0", "row-on-prototype", "one-row", "1024x100x2"])
+    def test_buffer_views_match_fresh_arrays(self, name):
+        """Computed in views of larger storage, as a training workspace
+        gives them to a ragged batch, with a term array sized for more
+        prototypes and classes, the forward and VJP keep their bytes."""
+        case = KERNEL_CASES[name]
+        n, h, m = len(case[0]), len(case[1]), case[4].shape[1]
+        storage = [np.full((n + 3) * h, np.nan) for _ in range(3)]
+        terms = np.full((m + 1) * (n + 3) * (h + 2), np.nan)
+        out = EvidenceBuffers(*(a[:n * h].reshape(n, h) for a in storage),
+                              terms[:m * n * h].reshape(m, n, h))
+        ev = evidence_batch(*case, out=out)
+        want = reference_evidence_batch(*case)
+        for field in EVIDENCE_FIELDS:
+            assert getattr(ev, field).tobytes() == getattr(want, field).tobytes(), field
+        assert ev.sq_dist is out.sq_dist and ev.activation is out.activation
+        rng = np.random.default_rng(len(name))
+        d_log_q = rng.normal(size=want.log_q.shape)
+        d_log_q_omega = rng.normal(size=want.log_q_omega.shape)
+        grads = _source_vjp(ev, d_log_q, d_log_q_omega, out.terms)
+        for k, (got, ref) in enumerate(zip(grads, reference_source_vjp(want, d_log_q,
+                                                                        d_log_q_omega))):
+            assert got.tobytes() == ref.tobytes(), k
+
     def test_allocation_budget(self):
         """In (N, H) float64 units at (N, H, M) = (1024, 100, 2): the
         forward keeps d2, e and s and a 2-unit term array; the VJP a
@@ -418,6 +459,29 @@ class TestInPlaceKernels:
         assert len(grads) == 5
         assert forward < 6.0, forward
         assert vjp < 5.0, vjp
+
+    def test_allocation_budget_with_buffers(self):
+        """In the same units: given its buffers, the forward allocates no
+        (N, H) array, and the VJP only g_s and two boolean masks."""
+        case = KERNEL_CASES["1024x100x2"]
+        unit = 1024 * 100 * 8
+        rng = np.random.default_rng(5)
+        d_log_q, d_log_q_omega = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
+        out = EvidenceBuffers(*np.empty((3, 1024, 100)), np.empty((2, 1024, 100)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ev = evidence_batch(*case, out=out)
+            forward = (tracemalloc.get_traced_memory()[1] - base) / unit
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _source_vjp(ev, d_log_q, d_log_q_omega, out.terms)
+            vjp = (tracemalloc.get_traced_memory()[1] - base) / unit
+        finally:
+            tracemalloc.stop()
+        assert forward < 0.5, forward
+        assert vjp < 1.5, vjp
 
 
 class TestKMeans:

@@ -3,10 +3,11 @@ finite differences, and Dempster combination near total conflict."""
 
 import numpy as np
 
-from evidfuse.model import FlatParams, loss_overall, make_dropout_masks, param_dict
+from evidfuse.model import (FlatParams, loss_and_grad, loss_overall, make_dropout_masks,
+                            param_dict, with_params)
 from evidfuse.rng import substream
 import tape_ops as ad
-from helpers import check_gradients, combine_batch, tiny_fusion_setup
+from helpers import check_gradients, combine_batch, finite_difference_gradients, tiny_fusion_setup
 
 
 class TestFlatParams:
@@ -31,17 +32,23 @@ class TestFlatParams:
 
 class TestCheckGradients:
     def test_small_model_passes_tolerance(self):
-        """Every trainable array of a two-source model, with dropout on."""
+        """``loss_and_grad`` against central differences of the loss, on
+        every trainable array of a two-source model, with dropout on."""
         model, inputs, labels = tiny_fusion_setup(seed=1, n=8)
         params = param_dict(model)
         names = list(params)
         masks = make_dropout_masks(model, len(labels), substream(3, "dropout"))
 
         def f(*arrays):
-            return loss_overall(model, inputs, labels, params=dict(zip(names, arrays)),
+            return loss_overall(with_params(model, dict(zip(names, arrays))), inputs, labels,
                                 masks=masks)
 
-        check_gradients(f, [params[k] for k in names], tol=1e-6)
+        loss, grad = loss_and_grad(model, inputs, labels, masks=masks)
+        assert loss == f(*params.values())
+        grads = FlatParams.from_model(model).views(grad)
+        numeric = finite_difference_gradients(f, [params[k] for k in names])
+        for name, want in zip(names, numeric):
+            np.testing.assert_allclose(grads[name], want, rtol=1e-6, atol=1e-6, err_msg=name)
 
 
 class TestCombinationGradient:

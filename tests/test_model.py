@@ -47,7 +47,7 @@ from evidfuse.rng import substream
 import tape_ops as ad
 from helpers import (chained_loss_overall, checkpoint_arrays, checkpoint_as_version_1,
                      checkpoint_doc_as_version_1, exact_prediction, f8_as_list, list_as_f8,
-                     reference_loss_and_grad, tiny_fusion_setup)
+                     reference_loss_and_grad, taped_loss_and_grad, tiny_fusion_setup)
 from reference import SimpleMass, combine_simple, frame_of_size, pignistic
 
 F2 = frame_of_size(2)
@@ -236,7 +236,7 @@ class TestLosses:
 
     def test_overall_decomposition(self):
         model, inputs, labels = tiny_fusion_setup(seed=8, n=16)
-        total = float(ad.value_of(loss_overall(model, inputs, labels)))
+        total = float(loss_overall(model, inputs, labels))
         from evidfuse.model import batch_internals
         fused, aux_logits = batch_internals(model, inputs)
         manual = float(loss_main(fused.probs, labels, model.class_weights))
@@ -249,7 +249,7 @@ class TestLosses:
         for src in model.sources:
             object.__setattr__(src.spec, "aux_weight", 0.0)
         from evidfuse.model import batch_internals
-        total = float(ad.value_of(loss_overall(model, inputs, labels)))
+        total = float(loss_overall(model, inputs, labels))
         probs = batch_internals(model, inputs)[0].probs
         assert abs(total - float(loss_main(probs, labels, model.class_weights))) <= 1e-12
 
@@ -327,21 +327,16 @@ class TestGradientSlots:
         assert stepped[0] == stepped[1]
 
     @pytest.mark.parametrize("kind", ["mlp", "resnet"])
-    def test_backward_keeps_leaf_gradients_only(self, monkeypatch, kind):
+    def test_backward_keeps_leaf_gradients_only(self, kind):
+        """The byte oracle's tape step: its leaves, recorded first, keep
+        their slots in one flat gradient, and the sweep drops every
+        interior node's gradient and VJP."""
         model, inputs, labels, masks = self._setup(kind, dropout=True)
-        swept = []
-
-        class RecordingTape(ad.Tape):
-            def backward(self, output):
-                # the sweep drops every VJP, so leaves are told apart before it
-                swept.append(([n for n in self.nodes if n._bwd is None],
-                              [n for n in self.nodes if n._bwd is not None]))
-                super().backward(output)
-
-        monkeypatch.setattr(evidfuse.model, "Tape", RecordingTape)
-        _, grad = loss_and_grad(model, inputs, labels, masks=masks)
-        ((leaves, interior),) = swept
-        assert len(leaves) == len(param_dict(model)) and interior
+        tape = ad.Tape()
+        _, grad = taped_loss_and_grad(model, inputs, labels, masks=masks, tape=tape)
+        n_leaves = len(param_dict(model))
+        leaves, interior = tape.nodes[:n_leaves], tape.nodes[n_leaves:]
+        assert interior and tape.swept
         views = FlatParams.from_model(model).views(grad)
         for leaf, slot in zip(leaves, views.values()):
             assert leaf.grad is not None and np.shares_memory(leaf.grad, grad)
@@ -414,42 +409,116 @@ class TestFusedObjective:
 
     @pytest.mark.parametrize("kind", ["mlp", "resnet"])
     def test_sweep_frees_each_sources_forward_state(self, monkeypatch, kind):
-        """With the cyclic collector off, reference counting alone frees
-        every source's (N, H) distances, closeness and activations by the
-        time the step returns: the sweep drops the closures holding them."""
+        """Every source's (N, H) distances, closeness and activations live
+        in the step's workspace: the steps on one ``FlatParams`` write the
+        same arrays, and with the cyclic collector off, reference counting
+        alone frees them once the step and its ``FlatParams`` are gone."""
         model, inputs, labels, masks = self._setup(kind, zero_aux=False)
-        refs = []
+        seen = []
 
         def recording_evidence_batch(*args, **kwargs):
             ev = evidence_batch(*args, **kwargs)
-            refs.extend(weakref.ref(a) for a in (ev.sq_dist, ev.closeness, ev.activation))
+            seen.append((ev.sq_dist, ev.closeness, ev.activation))
             return ev
 
         monkeypatch.setattr(evidfuse.model, "evidence_batch", recording_evidence_batch)
+        slots = FlatParams.from_model(model)
+        for _ in range(2):
+            loss_and_grad(model, inputs, labels, params=slots, masks=masks)
+        first, second = seen[:2], seen[2:]
+        assert all(a is b for step in zip(first, second) for a, b in zip(*step))
+        seen.clear()
+        del slots, first, second
         gc.disable()
         try:
             loss_and_grad(model, inputs, labels, masks=masks)
+            refs = [weakref.ref(a) for arrays in seen for a in arrays]
+            seen.clear()
             alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
         assert len(alive) == 3 * len(model.sources) and not any(alive)
 
-    # leaves + nodes.  MLP source: 12 leaves, 3 encoder + 1 aux-head nodes;
-    # text source: 10 leaves, 2 + 1 nodes; ResNet source: 20 leaves,
-    # 1 + 3 * 3 + 1 nodes; then one fusion node and one objective node
+    # the byte oracle's tape step, leaves + nodes.  MLP source: 12 leaves,
+    # 3 encoder + 1 aux-head nodes; text source: 10 leaves, 2 + 1 nodes;
+    # ResNet source: 20 leaves, 1 + 3 * 3 + 1 nodes; then one fusion node
+    # and one objective node
     @pytest.mark.parametrize("kind,expected", [("mlp", 31), ("resnet", 46)])
-    def test_tape_nodes_per_step(self, monkeypatch, kind, expected):
+    def test_tape_nodes_per_step(self, kind, expected):
         model, inputs, labels, masks = self._setup(kind, zero_aux=False)
-        seen = []
+        tape = ad.Tape()
+        taped_loss_and_grad(model, inputs, labels, masks=masks, tape=tape)
+        assert len(tape.nodes) == expected
 
-        class CountingTape(ad.Tape):
-            def backward(self, output):
-                seen.append(len(self.nodes))
-                super().backward(output)
 
-        monkeypatch.setattr(evidfuse.model, "Tape", CountingTape)
-        loss_and_grad(model, inputs, labels, masks=masks)
-        assert seen == [expected]
+class TestTapeFreeStep:
+    """``loss_and_grad`` returns the loss of the tape step
+    (``helpers.taped_loss_and_grad``) and the same bytes for every
+    gradient."""
+
+    @staticmethod
+    def assert_matches_the_tape_step(model, inputs, labels, masks=None, params=None):
+        loss, grad = loss_and_grad(model, inputs, labels, params=params, masks=masks)
+        want_loss, want = taped_loss_and_grad(model, inputs, labels, masks=masks)
+        assert loss == want_loss
+        views = FlatParams.from_model(model).views
+        for (name, got), expected in zip(views(grad).items(), views(want).values()):
+            assert got.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("zero_aux", [False, True], ids=["aux", "zero-aux"])
+    @pytest.mark.parametrize("dropout", [False, True], ids=["eval", "dropout"])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_matches_the_tape_step(self, kind, dropout, zero_aux):
+        """MLP or ResNet beside the text head; the text head's aux weight
+        is 0 in the zero-aux cases, so it gets no aux gradient."""
+        model, inputs, labels = tiny_fusion_setup(seed=24, n=24, encoder_kind=kind)
+        if zero_aux:
+            src = model.sources[1]
+            src.spec = replace(src.spec, aux_weight=0.0)
+        masks = make_dropout_masks(model, len(labels), substream(6, "dropout")) if dropout else None
+        self.assert_matches_the_tape_step(model, inputs, labels, masks)
+
+    def test_floored_rows(self):
+        """Two rows' true-class probability below PROB_FLOOR (see
+        ``TestFusedObjective.test_floored_rows_match_chained_oracle``)."""
+        model, inputs, labels = tiny_fusion_setup(seed=1, n=8)
+        for src in model.sources:
+            h = src.enn.support_raw.shape[0]
+            src.enn = replace(src.enn, support_raw=np.full(h, 25.0), scale_raw=np.full(h, 0.1),
+                              membership_raw=np.tile([0.0, 20.0], (h, 1)))
+        p_true = predict_probs(model, inputs)[np.arange(len(labels)), labels]
+        assert (p_true <= evidfuse.model.PROB_FLOOR).sum() == 2
+        self.assert_matches_the_tape_step(model, inputs, labels)
+
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_ragged_batch_after_a_full_one(self, kind):
+        """As in ``train``: a model whose arrays are views of one
+        ``FlatParams``, whose workspace serves a full batch, then a ragged
+        one in views of the same storage, then a full one again."""
+        model, inputs, labels = tiny_fusion_setup(seed=25, n=40, encoder_kind=kind)
+        slots = FlatParams.from_model(model)
+        live = with_params(model, slots.params)
+        rng = substream(7, "dropout")
+        for rows in (slice(0, 32), slice(32, 40), slice(8, 40)):
+            batch = [x[rows] for x in inputs]
+            masks = make_dropout_masks(model, len(batch[0]), rng)
+            self.assert_matches_the_tape_step(live, batch, labels[rows], masks, params=slots)
+
+
+class TestStepGarbage:
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_one_step_leaves_no_cyclic_garbage(self, kind):
+        """Nothing a step makes refers back to itself, so with the cyclic
+        collector off there is nothing left for it to collect."""
+        model, inputs, labels = tiny_fusion_setup(seed=24, n=24, encoder_kind=kind)
+        masks = make_dropout_masks(model, len(labels), substream(6, "dropout"))
+        gc.collect()
+        gc.disable()
+        try:
+            loss_and_grad(model, inputs, labels, masks=masks)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -479,7 +548,7 @@ class TestBlockedPasses:
         got = run()
         with monkeypatch.context() as mp:
             mp.setattr(evidfuse.model, "encode_blocks",
-                       lambda encoder, x: encoder.forward(x))
+                       lambda encoder, x: encoder.forward(x)[0])
             want = run()
         init_params, preds, probs, history, trained = got
         for name, value in want[0].items():   # init_model's prototypes among them
@@ -609,7 +678,7 @@ class TestTraining:
                        TrainConfig(batch_size=8, max_epochs=6, patience=0, seed=9))
         best_recorded = min(h["val_loss"] for h in result.history)
         assert result.best_val_loss == best_recorded
-        replayed = float(ad.value_of(loss_overall(result.model, inputs, labels)))
+        replayed = float(loss_overall(result.model, inputs, labels))
         assert abs(replayed - best_recorded) <= 1e-12
 
     def test_divergence_names_the_epoch(self):
@@ -965,6 +1034,13 @@ class TestCheckpoints:
         with pytest.raises(DataError, match=malformed(path) + "DataError: source 'notes' "
                                             "evidential layer parameter 'scale_raw': TypeError"):
             load_checkpoint(path)
+
+    def test_deeply_nested_json_is_malformed(self, tmp_path):
+        # json.load raises a RecursionError, which is not a ValueError
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(DataError, match=malformed(path) + "RecursionError: maximum recursion"):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
     def test_non_finite_class_weight_rejected(self, tmp_path, weight):
