@@ -5,42 +5,38 @@ is one raw array per feature (NaN or None = missing) plus an embedding
 matrix; all numeric encoding happens in ``fit_preprocess``/
 ``apply_preprocess``, whose statistics come from the training split only.
 
-``write_dataset`` writes two copies of the data and a version-2 manifest:
-
-* the readable copy: a structured CSV (header = feature names + ``label``
-  + ``id``, empty cells = missing) and, with embeddings, a JSONL of one
-  ``{"id", "embedding"}`` record per sample;
-* the binary copy: one NumPy ``.npy`` file per array (labels ``int64``
-  (N,), ids fixed-width unicode (N,), numerical columns ``float64``
-  (N, Dn) with NaN for missing, categorical columns fixed-width unicode
-  (N, Dc) with ``""`` for missing, embeddings ``float64`` (N, De)),
-  whose names, sizes and sha256 the manifest records.  Since the manifest
-  records those hashes, its own hash (a run's ``dataset_id``) covers the
-  data.
+``write_dataset`` writes a version-2 manifest and one NumPy ``.npy`` file
+per array (labels ``int64`` (N,), ids fixed-width unicode (N,), numerical
+columns ``float64`` (N, Dn) with NaN for missing, categorical columns
+fixed-width unicode (N, Dc) with ``""`` for missing, embeddings
+``float64`` (N, De)), whose names, sizes and sha256 the manifest records.
+Since the manifest records those hashes, its own hash (a run's
+``dataset_id``) covers the data.  A version-2 manifest's ``files`` entry,
+which earlier writers added for a text copy, is not read.
 
 For a version-2 manifest ``load_dataset`` and ``load_split`` read only
-the binary files.  Each file's size, then sha256, then exact dtype and
-shape (``n`` rows, the schema's widths) are checked, then its content as
-whole arrays: labels in ``[0, m)``, unique ids, no infinite numerical
-value, finite embeddings.  Each fault raises a DataError naming the file.
+the binary files.  Each file's size, then sha256, then ``.npy`` header,
+then exact dtype and shape (``n`` rows, the schema's widths) are checked,
+then its content as whole arrays: labels in ``[0, m)``, unique ids
+without NUL, no infinite numerical value, categories without NUL, finite
+embeddings.  Each fault raises a DataError naming the file.
 
-For a version-1 manifest (the CSV and JSONL alone) both loaders read
-the text line by line and check every row; ``load_split`` then picks its
+A version-1 manifest names text files, the readable input format that a
+person can write by hand: a structured CSV (header = feature names +
+``label`` + ``id``, empty cells = missing) and, with embeddings, a JSONL
+of one ``{"id", "embedding"}`` record per sample.  Both loaders read the
+text line by line and check every row; ``load_split`` then picks its
 part, so both versions check every row in every load.  Each CSV line is
 checked for its width, label and id and then its numerical cells, left
 to right, as it is read.  Each JSONL record is checked for a bad record,
 a repeated id, its vector's shape and type and then its finiteness, and
 the vector goes straight into its row of one array.  So the first faulty
-line raises, with its first fault; the faults of a whole file (a row
-count other than the manifest's ``n``, an id without an embedding) come
-after its pass.  One id -> row dict, built by the CSV pass, serves both
-passes.  A load takes labels and embedding values only as
-``write_dataset`` writes them: a label is ASCII digits, an embedding
-value a JSON number.
-
-``write_dataset`` formats the text files itself, in the bytes
-``csv.writer`` and ``json.dumps`` would write, and writes them in blocks
-of ``CSV_BLOCK_ROWS`` rows (JSONL: lines).
+line raises, with its first fault, naming the file and the line; a file
+that is not UTF-8 raises naming the file, and the faults of a whole file
+(a row count other than the manifest's ``n``, an id without an
+embedding) come after its pass.  One id -> row dict, built by the CSV
+pass, serves both passes.  A label must be ASCII digits and an embedding
+value a JSON number, as ``csv.writer`` and ``json.dumps`` write them.
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -57,8 +53,10 @@ import logging
 import math
 import os
 import sys
+import warnings
 from array import array
 from dataclasses import asdict, dataclass, replace
+from tokenize import TokenError
 
 import numpy as np
 
@@ -73,9 +71,6 @@ SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 # class-mean separation per unit of source informativeness; at 1.0 the
 # classes are essentially linearly separable
 SEPARATION_SCALE = 6.0
-# rows of the structured CSV (lines of the embeddings JSONL) formatted and
-# written at a time, so that a write never holds the text of every row
-CSV_BLOCK_ROWS = 2048
 # the arrays of the binary copy, each in a file <key>.npy; "embeddings"
 # only when the dataset has them
 BINARY_KEYS = ("labels", "ids", "numerical", "categorical", "embeddings")
@@ -104,8 +99,9 @@ class Dataset:
     """``columns[j]`` holds schema feature j for every sample: float64 with
     NaN for missing, or for a categorical an object array of non-empty str
     with None.  Ids are unique ``str``, no id or category holds NUL and
-    embeddings are finite, so whatever validates here also survives
-    ``write_dataset`` and ``load_dataset`` in either file format."""
+    embeddings are finite, so whatever validates here survives
+    ``write_dataset`` and ``load_dataset`` unchanged, and so does its
+    version-1 text."""
 
     schema: tuple
     ids: list
@@ -142,7 +138,7 @@ class Dataset:
             if f.kind == "categorical" and not set(map(type, c)) <= {str, type(None)}:
                 raise DataError(f"feature {f.name!r}: categorical values must be str or None")
             if f.kind == "categorical" and (c == "").any():
-                # an empty CSV cell reads back as missing
+                # both formats store a missing category as the empty string
                 raise DataError(f"feature {f.name!r}: the empty string is not a category; "
                                 "use None for missing")
             if f.kind == "categorical" and "\x00" in "".join(c[~np.equal(c, None)].tolist()):
@@ -424,42 +420,6 @@ def bayes_optimal_auroc(generator: dict, sources=None) -> float:
 # ---------------------------------------------------------------------------
 # file formats
 
-def _csv_cell(cell: str) -> str:
-    """A str cell as ``csv.writer`` writes it in the default dialect
-    (QUOTE_MINIMAL): quoted, with each quote doubled, when it holds a
-    comma, a quote or a line break, and as it is otherwise."""
-    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
-
-
-def _csv_rows(dataset: Dataset, lo: int, hi: int) -> str:
-    """Rows ``lo:hi`` of the structured CSV, as ``csv.writer`` writes them:
-    floats as ``repr``, missing cells empty, lines ending in CRLF."""
-    cells = []
-    for column in dataset.columns:
-        part = column[lo:hi]
-        if part.dtype == np.float64:
-            text = list(map(repr, part.tolist()))
-            for i in np.flatnonzero(np.isnan(part)).tolist():
-                text[i] = ""
-        else:
-            text = ["" if value is None else _csv_cell(value) for value in part.tolist()]
-        cells.append(text)
-    cells.append(list(map(str, dataset.labels[lo:hi].tolist())))
-    cells.append(list(map(_csv_cell, dataset.ids[lo:hi])))
-    return "".join(",".join(row) + "\r\n" for row in zip(*cells))
-
-
-def _jsonl_lines(ids, embeddings) -> str:
-    """One ``{"embedding", "id"}`` line per sample, the bytes of
-    ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, whose
-    floats are ``repr`` (embeddings are finite)."""
-    encode = json.encoder.encode_basestring_ascii
-    return "".join('{"embedding":[' + ",".join(map(repr, vec)) + '],"id":' + encode(sample_id)
-                   + "}\n" for sample_id, vec in zip(ids, embeddings.tolist()))
-
-
 def _binary_arrays(dataset: Dataset) -> dict:
     """The arrays of the binary copy, by manifest key."""
     numerical = [c for f, c in zip(dataset.schema, dataset.columns) if f.kind == "numerical"]
@@ -489,32 +449,14 @@ def _write_npy(out_dir: str, key: str, array: np.ndarray) -> dict:
 
 
 def write_dataset(dataset: Dataset, out_dir: str) -> str:
-    """Write structured CSV + embeddings JSONL, the binary ``.npy`` copy
-    and a version-2 manifest; returns the manifest path.  Output bytes are
-    a pure function of the dataset.
-
-    Both text files are formatted and written ``CSV_BLOCK_ROWS`` rows at a
-    time, in the bytes of ``csv.writer`` (default dialect) and of one
-    ``json.dumps`` per line."""
+    """Write one ``.npy`` file per array of ``_binary_arrays`` and a
+    version-2 manifest recording each; returns the manifest path.  Output
+    bytes are a pure function of the dataset."""
     os.makedirs(out_dir, exist_ok=True)
-    blocks = range(0, dataset.n, CSV_BLOCK_ROWS)
-    structured_name = "structured.csv"
-    with open(os.path.join(out_dir, structured_name), "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([f.name for f in dataset.schema] + ["label", "id"])
-        for lo in blocks:
-            fh.write(_csv_rows(dataset, lo, lo + CSV_BLOCK_ROWS))
-    embeddings_name = None
-    if dataset.embeddings is not None:
-        embeddings_name = "embeddings.jsonl"
-        with open(os.path.join(out_dir, embeddings_name), "w", encoding="utf-8") as fh:
-            for lo in blocks:
-                hi = lo + CSV_BLOCK_ROWS
-                fh.write(_jsonl_lines(dataset.ids[lo:hi], dataset.embeddings[lo:hi]))
     manifest = {
         "format_version": MANIFEST_VERSION,
         "n": dataset.n,
         "m": dataset.m,
-        "files": {"structured": structured_name, "embeddings": embeddings_name},
         "binary": {key: _write_npy(out_dir, key, array)
                    for key, array in _binary_arrays(dataset).items()},
         "schema": [{"name": f.name, "kind": f.kind} for f in dataset.schema],
@@ -545,11 +487,13 @@ def _open(path: str, what: str, **kwargs):
 
 
 def _read_manifest(manifest_path: str):
-    """(schema, n, m, structured CSV path, embeddings JSONL path or None,
-    binary files or None, generator); the binary files, of a version-2
-    manifest only, map each array's key to its (path, size, sha256).  A
-    manifest that is missing, not JSON, of another version or lacks a
-    field raises a DataError naming it."""
+    """(schema, n, m, structured CSV path, embeddings JSONL path, binary
+    files, generator).  A version-1 manifest gives the text paths (the
+    JSONL's None without embeddings) and binary files None; a version-2
+    manifest gives text paths None and binary files that map each array's
+    key to its (path, size, sha256).  A manifest that is missing, not
+    JSON, of another version or lacks a field raises a DataError naming
+    it."""
     try:
         with _open(manifest_path, "dataset manifest") as fh:
             manifest = json.load(fh)
@@ -566,12 +510,14 @@ def _read_manifest(manifest_path: str):
     base = os.path.dirname(manifest_path)
     try:
         schema = tuple(FeatureSpec(f["name"], f["kind"]) for f in manifest["schema"])
-        files, n, m = manifest["files"], manifest["n"], manifest["m"]
-        structured_path = os.path.join(base, files["structured"])
-        embeddings_name = files.get("embeddings")
-        embeddings_path = os.path.join(base, embeddings_name) if embeddings_name else None
-        binary = None
-        if version == MANIFEST_VERSION:
+        n, m = manifest["n"], manifest["m"]
+        structured_path = embeddings_path = binary = None
+        if version == 1:
+            files = manifest["files"]
+            structured_path = os.path.join(base, files["structured"])
+            embeddings_name = files.get("embeddings")
+            embeddings_path = os.path.join(base, embeddings_name) if embeddings_name else None
+        else:
             entries = manifest["binary"]
             keys = BINARY_KEYS if "embeddings" in entries else BINARY_KEYS[:-1]
             binary = {key: (os.path.join(base, entries[key]["file"]), entries[key]["size"],
@@ -603,7 +549,11 @@ def _npy_layout(buf: bytearray):
     end = start + length_bytes
     fp = io.BytesIO(buf[:end + int.from_bytes(buf[start:end], "little")])
     fp.seek(start)
-    shape, fortran_order, dtype = read_header(fp)
+    with warnings.catch_warnings():
+        # numpy warns, then reads on, when a header parses only as Python 2
+        # wrote it; no writer of this format does that
+        warnings.simplefilter("error", UserWarning)
+        shape, fortran_order, dtype = read_header(fp)
     return shape, fortran_order, dtype, fp.tell()
 
 
@@ -631,7 +581,8 @@ def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
         if offset + count * dtype.itemsize != len(buf):
             raise ValueError(f"the data of shape {shape} does not fill the file")
         flat = np.frombuffer(buf, dtype, count, offset)  # object arrays raise
-    except (KeyError, ValueError) as exc:
+    # numpy's header parser raises each of these for some malformed header
+    except (KeyError, ValueError, TypeError, SyntaxError, TokenError, UserWarning) as exc:
         raise DataError(f"{path}: not a .npy array file ({exc})") from None
     return flat.reshape(shape, order="F" if fortran_order else "C")
 
@@ -640,11 +591,12 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
     """(labels, ids, columns, embeddings or None) of a version-2 manifest,
     each file checked whole: dtype, shape, content."""
     numerical_names = [f.name for f in schema if f.kind == "numerical"]
+    categorical_names = [f.name for f in schema if f.kind == "categorical"]
     unicode = "fixed-width unicode"
     # dtype and the widths after the n rows; any embedding width De
     expected = {"labels": ("int64", ()), "ids": (unicode, ()),
                 "numerical": ("float64", (len(numerical_names),)),
-                "categorical": (unicode, (len(schema) - len(numerical_names),)),
+                "categorical": (unicode, (len(categorical_names),)),
                 "embeddings": ("float64", ("De",))}
     arrays = {}
     for key, (path, size, sha256) in binary.items():
@@ -671,20 +623,35 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
         seen = set()
         duplicate = next(i for i in ids if i in seen or seen.add(i))
         raise DataError(f"{ids_path}: duplicate id {duplicate!r}")
+    if "\x00" in "".join(ids):
+        raise DataError(f"{ids_path}: an id holds a NUL character")
     numerical, numerical_path = arrays["numerical"]
     rows, features = np.nonzero(np.isinf(numerical))
     if rows.size:
         raise DataError(f"{numerical_path}: row {rows[0]}: feature "
                         f"{numerical_names[features[0]]!r}: infinite value")
+    categorical, categorical_path = arrays["categorical"]
+    for name, column in zip(categorical_names, categorical.T):
+        if "\x00" in "".join(column.tolist()):
+            raise DataError(f"{categorical_path}: feature {name!r}: a value holds a NUL character")
     embeddings, embeddings_path = arrays.get("embeddings", (None, None))
     if embeddings is not None and not np.isfinite(embeddings).all():
         row = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))[0]
         raise DataError(f"{embeddings_path}: non-finite embedding value for id {ids[row]!r}")
     numerical = iter(numerical.T)
-    categorical = arrays["categorical"][0]
     categorical = iter(np.where(categorical == "", None, categorical.astype(object)).T)
     columns = tuple(next(numerical if f.kind == "numerical" else categorical) for f in schema)
     return labels, ids, columns, embeddings
+
+
+def _lines(fh, path: str):
+    """The lines of text file ``fh``, decoded as they are read; a byte
+    that is not UTF-8 raises a DataError naming ``path``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason}, "
+                        f"byte {exc.object[exc.start:exc.end]!r})") from None
 
 
 def _read_structured(path: str, schema, m: int):
@@ -699,7 +666,7 @@ def _read_structured(path: str, schema, m: int):
     numerical = [(j, f.name, parts[j]) for j, f in enumerate(schema) if f.kind == "numerical"]
     categorical = [(j, parts[j]) for j, f in enumerate(schema) if f.kind == "categorical"]
     with _open(path, "structured data file", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_lines(fh, path))
         header = next(reader, None)
         if header != expected:
             raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
@@ -747,7 +714,7 @@ def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
     others = set()              # ids of records the CSV lacks
     embeddings = None
     with _open(path, "embeddings file") as fh:
-        for line_no, line in enumerate(fh, 1):
+        for line_no, line in enumerate(_lines(fh, path), 1):
             if line.isspace():
                 continue
             try:

@@ -32,7 +32,7 @@ In exact arithmetic beta < 1 keeps every prototype's ignorance mass
 positive, which rules out total conflict during fusion.  In float64 it
 does not hold over the whole range: beta rounds to 1.0 once
 ``support_raw`` >= 37, and a row on such a prototype then gets
-``log1p(-1) = -inf`` (ROADMAP item 8 has the cancellation-free form).
+``log1p(-1) = -inf`` (ROADMAP item 7 has the cancellation-free form).
 
 This batched path is the only one in the package.  The tests check it
 against an exact per-sample reference that builds each prototype's mass

@@ -5,10 +5,10 @@ batched evidence, the fusion and the training objective, the tape
 training step that is ``loss_and_grad``'s byte oracle (with flat or
 per-name gradients), the evidential layer and its VJP with
 fresh arrays, the per-cluster loops of k-means and the evidential-layer
-init, the dataset files as ``csv.writer`` and ``json.dumps`` write
-them, a written manifest rewritten as version 1 or with a tampered binary
-file, a checkpoint rewritten as version 1, and the dataset read from the
-text files line by line."""
+init, the version-1 text files as ``csv.writer`` and ``json.dumps``
+write them, a written manifest rewritten as version 1 or with a tampered
+binary file, a checkpoint rewritten as version 1, and the dataset read
+from the text files line by line."""
 
 import base64
 import csv
@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from evidfuse.autodiff import Tape
-from evidfuse.data import SPLIT_NAMES, Dataset, FeatureSpec, split_indices, write_json
+from evidfuse.data import (SPLIT_NAMES, Dataset, FeatureSpec, load_dataset, split_indices,
+                           write_json)
 from evidfuse.encoders import encode_blocks
 from evidfuse.errors import DataError
 from evidfuse.evidential import (INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, FusedEvidence,
@@ -511,8 +512,7 @@ def reference_init_enn(features, labels, h, seed, m):
 
 
 # ---------------------------------------------------------------------------
-# the dataset files as csv.writer and json.dumps write them: evidfuse.data's
-# block-wise write_dataset must write the same bytes
+# the version-1 text files, as csv.writer and json.dumps write them
 
 def reference_write_data_files(dataset, out_dir):
     """``structured.csv`` by ``csv.writer`` over ``astype(object)`` cells
@@ -535,13 +535,19 @@ def reference_write_data_files(dataset, out_dir):
 
 
 def as_version_1(manifest_path):
-    """Rewrite a written manifest as version 1, which names the CSV and
-    JSONL alone, so that loads parse the text; returns its path.  Its bytes
-    are those of a version-1 writer."""
+    """Rewrite a version-2 manifest as version 1: write the dataset its
+    binary files hold as ``structured.csv`` and, with embeddings,
+    ``embeddings.jsonl`` beside it, and name them alone, so that loads
+    parse the text; returns its path.  Its bytes are those of a version-1
+    writer."""
+    dataset = load_dataset(manifest_path)
+    reference_write_data_files(dataset, os.path.dirname(manifest_path))
     with open(manifest_path, encoding="utf-8") as fh:
         doc = json.load(fh)
     del doc["binary"]
     doc["format_version"] = 1
+    doc["files"] = {"structured": "structured.csv", "embeddings": (
+        None if dataset.embeddings is None else "embeddings.jsonl")}
     write_json(manifest_path, doc)
     return manifest_path
 

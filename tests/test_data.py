@@ -2,17 +2,16 @@
 
 import csv
 import hashlib
-import io
 import json
 import logging
 import math
+import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evidfuse import data
 from evidfuse.data import (
@@ -219,8 +218,9 @@ class TestSyntheticGeneration:
         cfg = SyntheticConfig(n=50, d_struct=3, d_embed=2, seed=7)
         p1 = write_dataset(generate_synthetic(cfg), str(tmp_path / "a"))
         p2 = write_dataset(generate_synthetic(cfg), str(tmp_path / "b"))
-        for name in ("manifest.json", "structured.csv", "embeddings.jsonl", "labels.npy",
-                     "ids.npy", "numerical.npy", "categorical.npy", "embeddings.npy"):
+        names = sorted(["manifest.json"] + [f"{key}.npy" for key in data.BINARY_KEYS])
+        assert sorted(os.listdir(tmp_path / "a")) == sorted(os.listdir(tmp_path / "b")) == names
+        for name in names:
             f1 = (tmp_path / "a" / name).read_bytes()
             f2 = (tmp_path / "b" / name).read_bytes()
             assert f1 == f2
@@ -428,10 +428,10 @@ class TestRoundTrip:
         drop("binary"), drop("binary", "labels"), drop("binary", "categorical"),
         drop("binary", "ids", "file"), drop("binary", "numerical", "sha256"),
         drop("binary", "embeddings", "size"), lambda doc: doc.update(binary=[]),
-        drop("files", "structured"), lambda doc: doc.update(n="120"),
+        lambda doc: doc.update(n="120"),
     ], ids=["no-binary", "no-labels", "no-categorical", "ids-without-file",
             "numerical-without-sha256", "embeddings-without-size", "binary-list",
-            "no-structured-file", "n-not-integer"])
+            "n-not-integer"])
     def test_malformed_version_2_manifest_is_data_error(self, tmp_path, edit):
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
         with open(manifest, encoding="utf-8") as fh:
@@ -669,6 +669,18 @@ class TestLoadRejects:
         with pytest.raises(DataError, match=r"embeddings\.jsonl:3: duplicate id 'r0'"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("name", ["structured.csv", "embeddings.jsonl"])
+    def test_byte_that_is_not_utf_8(self, tmp_path, name):
+        # the file iterator decodes it, outside every line's checks
+        manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
+        path = tmp_path / "ds" / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[:200] + b"\xff" + raw[200:])
+        message = rf"ds.{re.escape(name)}: not UTF-8 text \(invalid start byte, byte b'\\xff'\)$"
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=message):
+                load(manifest)
+
 
 class TestLoadSplit:
     @pytest.mark.parametrize("index,part", enumerate(("train", "val", "test")))
@@ -734,13 +746,13 @@ def edit_lines(path, edits):
 
 
 class TestBlockwiseRead:
-    """The structured CSV, written in blocks of ``CSV_BLOCK_ROWS`` rows,
-    is read line by line: loads return, and fail with, what a whole-file
-    read would, and the first faulty line raises, in either loader."""
+    """The structured CSV of a version-1 manifest is read line by line:
+    loads return, and fail with, what a whole-file read would, and the
+    first faulty line raises, in either loader."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_row_counts_around_the_block_size(self, tmp_path, offset):
-        ds = mixed_dataset(n=data.CSV_BLOCK_ROWS + offset)
+        ds = mixed_dataset(n=2048 + offset)
         manifest = as_version_1(write_dataset(ds, str(tmp_path / "ds")))
         loaded = load_dataset(manifest)
         assert_same_dataset(loaded, ds)
@@ -755,11 +767,10 @@ class TestBlockwiseRead:
             load_split(manifest, 0, "test")
 
     @pytest.mark.parametrize("n", [0, 5, 119, 121, 10**15])
-    def test_wrong_manifest_row_count_rejected(self, tmp_path, monkeypatch, n):
+    def test_wrong_manifest_row_count_rejected(self, tmp_path, n):
         """After the CSV pass, by both loaders: below 10 rows as the mismatch,
         not as too few rows to split, and 10**15 rows without allocating
         them (numpy would raise MemoryError)."""
-        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
         manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         with open(manifest, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -771,10 +782,9 @@ class TestBlockwiseRead:
                                                 rf"but manifest .*manifest\.json says n = {n}$"):
                 load(manifest)
 
-    # mixed_dataset's columns: n0, c0, flat, n1, c1, label, id; written in
-    # blocks of 16 rows, each fault below lies in a different block.  Row 1
-    # lies in seed 0's train part: load_split's val part raises its fault
-    # too, as load_dataset does
+    # mixed_dataset's columns: n0, c0, flat, n1, c1, label, id; the first
+    # fault below comes first in the file.  Row 1 lies in seed 0's train
+    # part: load_split's val part raises its fault too, as load_dataset does
     @pytest.mark.parametrize("edits,message", [
         ({(1, 0): "abc", (60, 5): "yes"}, r"csv:3: feature 'n0': not a finite number 'abc'"),
         ({(1, 0): "abc", (20, 5): "yes", (100, 6): "p100,x"},
@@ -784,8 +794,7 @@ class TestBlockwiseRead:
         ({(1, 5): "2", (70, 5): "no"}, r"csv:3: label 2 outside 0\.\.1"),
     ], ids=["cell-then-label", "cell-label-then-width", "two-columns", "cell-then-id",
             "label-range-then-parse"])
-    def test_errors_keep_their_whole_file_order(self, tmp_path, monkeypatch, edits, message):
-        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+    def test_errors_keep_their_whole_file_order(self, tmp_path, edits, message):
         manifest = as_version_1(write_dataset(mixed_dataset(), str(tmp_path / "ds")))
         edit_lines(tmp_path / "ds" / "structured.csv", edits)
         for load in (load_dataset, lambda path: load_split(path, 0, "val")):
@@ -808,11 +817,10 @@ class TestBlockwiseRead:
             with pytest.raises(DataError, match=rf"structured\.{message}$"):
                 load(manifest)
 
-    def test_load_never_holds_every_rows_cell_strings(self, tmp_path, monkeypatch):
+    def test_load_never_holds_every_rows_cell_strings(self, tmp_path):
         """Peak traced memory of a load stays well below what the CSV's
         cell strings take as ``csv.reader`` rows: a load holds one row of
         them at a time, beside the parsed columns."""
-        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
         ds = generate_synthetic(SyntheticConfig(n=8 * 256, d_struct=16, d_embed=0,
                                                 informativeness=(0.5,), seed=3))
         manifest = as_version_1(write_dataset(ds, str(tmp_path / "ds")))
@@ -860,7 +868,7 @@ def quotable_dataset(n=40, embeddings=True):
 
 WRITE_CASES = {
     "quotable": lambda: quotable_dataset(),
-    "three-blocks": lambda: quotable_dataset(n=2 * data.CSV_BLOCK_ROWS + 1),
+    "three-blocks": lambda: quotable_dataset(n=4097),
     "zero-rows": lambda: Dataset(schema=(NUM, CAT), ids=[], columns=[[], []], labels=[],
                                  embeddings=np.zeros((0, 3))),
     "zero-features": lambda: Dataset(schema=(), ids=["a", "b,c"], columns=[], labels=[0, 1],
@@ -872,39 +880,21 @@ WRITE_CASES = {
 
 
 class TestBlockwiseWrite:
-    """``write_dataset`` formats the files in row blocks itself and writes
-    the bytes of ``csv.writer`` and ``json.dumps``."""
-
-    @pytest.mark.parametrize("case", list(WRITE_CASES))
-    def test_bytes_equal_csv_writer_and_json_dumps(self, tmp_path, case):
-        ds = WRITE_CASES[case]()
-        write_dataset(ds, str(tmp_path / "change"))
-        reference_write_data_files(ds, str(tmp_path / "reference"))
-        for name in ("structured.csv", "embeddings.jsonl"):
-            written, expected = tmp_path / "change" / name, tmp_path / "reference" / name
-            assert written.exists() == expected.exists() == (
-                name == "structured.csv" or ds.embeddings is not None), name
-            if expected.exists():
-                assert written.read_bytes() == expected.read_bytes(), name
+    """What ``write_dataset`` writes loads back bit for bit, as version 2
+    and rewritten as version 1."""
 
     @pytest.mark.parametrize("case", ["quotable", "three-blocks", "no-embeddings",
                                       "zero-features", "zero-wide-embeddings"])
     def test_round_trips_bit_for_bit(self, tmp_path, case):
         ds = WRITE_CASES[case]()
         manifest = write_dataset(ds, str(tmp_path / "ds"))
-        assert_same_dataset(load_dataset(manifest), ds)
-        if ds.n >= 10:
-            for part, expected in zip(SPLIT_NAMES, split(ds, seed=3)):
-                assert_same_dataset(load_split(manifest, 3, part), expected)
-
-    # NUL is left out: Python 3.10's csv.writer refuses it ("need to
-    # escape"), where 3.11's writes it as it is, like _csv_cell
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(st.one_of(st.sampled_from(',"\r\n '), st.characters(min_codepoint=1))))
-    def test_quoting_matches_csv_writer(self, cell):
-        out = io.StringIO()
-        csv.writer(out).writerow([cell, "x"])
-        assert data._csv_cell(cell) + ",x\r\n" == out.getvalue()
+        for version in (2, 1):
+            if version == 1:
+                as_version_1(manifest)
+            assert_same_dataset(load_dataset(manifest), ds)
+            if ds.n >= 10:
+                for part, expected in zip(SPLIT_NAMES, split(ds, seed=3)):
+                    assert_same_dataset(load_split(manifest, 3, part), expected)
 
 
 def outcome(load, manifest):
@@ -951,6 +941,25 @@ TAMPERED = {
                 r"labels\.npy: row 4: label 2 outside 0\.\.1$"),
     "label-negative": ("labels", "array", set_item(6, -1),
                        r"labels\.npy: row 6: label -1 outside 0\.\.1$"),
+    "nul-in-id": ("ids", "array", set_item(8, "p\x008"),
+                  r"ids\.npy: an id holds a NUL character$"),
+    "nul-in-category": ("categorical", "array",
+                        lambda a: set_item((3, 1), "a\x00b")(a.astype("U3")),
+                        r"categorical\.npy: feature 'c1': a value holds a NUL character$"),
+    # header edits that keep its length, each escaping numpy's header parser
+    # as another exception: an unclosed tuple (TokenError), a shape that
+    # parses only as Python 2 wrote it (a UserWarning), an unparsable dtype
+    # (SyntaxError), a list as a dict key (TypeError)
+    "header-unclosed": ("labels", "recorded", lambda raw: raw.replace(b"(120,)", b"(120, "),
+                        r"labels\.npy: not a \.npy array file \("),
+    "header-python-2": ("labels", "recorded",
+                        lambda raw: raw.replace(b"(120,), } ", b"(120L,), }"),
+                        r"labels\.npy: not a \.npy array file \(.*created on Python 2"),
+    "header-bad-dtype": ("numerical", "recorded", lambda raw: raw.replace(b"'<f8'", b"'<,8'"),
+                         r"numerical\.npy: not a \.npy array file \("),
+    "header-list-key": ("ids", "recorded",
+                        lambda raw: raw.replace(b"'fortran_order'", b"[0]" + b" " * 12),
+                        r"ids\.npy: not a \.npy array file \("),
 }
 
 
@@ -985,13 +994,21 @@ class TestBinaryCopy:
             assert all(isinstance(t, Dataset) for t in text)
 
     def test_reads_only_the_binary_files(self, tmp_path):
+        """As written, without a ``files`` entry, and with one naming absent
+        text files, as earlier version-2 manifests hold: the same dataset,
+        and the manifest's bytes, and so its hash, stay as they were."""
         ds = mixed_dataset()
         manifest = write_dataset(ds, str(tmp_path / "ds"))
-        (tmp_path / "ds" / "structured.csv").unlink()
-        (tmp_path / "ds" / "embeddings.jsonl").unlink()
-        assert_same_dataset(load_dataset(manifest), ds)
-        for part, expected in zip(SPLIT_NAMES, split(ds, seed=5)):
-            assert_same_dataset(load_split(manifest, 5, part), expected)
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
+        assert "files" not in doc
+        for files in (None, {"structured": "structured.csv", "embeddings": "embeddings.jsonl"}):
+            if files is not None:
+                data.write_json(manifest, dict(doc, files=files))
+            digest = manifest_hash(manifest)
+            assert_same_dataset(load_dataset(manifest), ds)
+            for part, expected in zip(SPLIT_NAMES, split(ds, seed=5)):
+                assert_same_dataset(load_split(manifest, 5, part), expected)
+            assert manifest_hash(manifest) == digest
 
     def test_manifest_records_each_file(self, tmp_path):
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
@@ -1010,7 +1027,8 @@ class TestBinaryCopy:
         write_dataset(mixed_dataset(embeddings=False), str(tmp_path / "plain"))
         plain = json.loads((tmp_path / "plain" / "manifest.json").read_text(encoding="utf-8"))
         assert sorted(plain["binary"]) == sorted(set(data.BINARY_KEYS) - {"embeddings"})
-        assert not (tmp_path / "plain" / "embeddings.npy").exists()
+        assert sorted(os.listdir(tmp_path / "plain")) == sorted(
+            ["manifest.json"] + [f"{key}.npy" for key in data.BINARY_KEYS[:-1]])
 
     @pytest.mark.parametrize("case", list(TAMPERED))
     def test_tampered_file_is_named(self, tmp_path, case):
@@ -1020,6 +1038,16 @@ class TestBinaryCopy:
         for load in (load_dataset, lambda path: load_split(path, 0, "val")):
             with pytest.raises(DataError, match=message):
                 load(manifest)
+
+    def test_python_2_header_rejected_under_any_warnings_filter(self, tmp_path):
+        # numpy only warns about such a header, then reads on
+        key, how, edit, message = TAMPERED["header-python-2"]
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        tamper(manifest, key, how, edit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DataError, match=message):
+                load_dataset(manifest)
 
     def test_manifest_row_count_mismatch(self, tmp_path):
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
@@ -1059,6 +1087,20 @@ class TestBinaryCopy:
         assert manifest_hash(manifest) == (
             "b82a8a9fb2f88c03abe23d5c0a5388c42ae8875a29f7f2a5cf59b23d2d7b4a03")
 
+    def test_version_2_manifest_bytes(self, tmp_path):
+        """A written manifest's bytes, and with the ``files`` entry that
+        version-2 writers added for a text copy before, the bytes, and so
+        the ``dataset_id``, they gave it."""
+        cfg = SyntheticConfig(n=60, d_struct=3, d_embed=2, seed=31)
+        manifest = write_dataset(generate_synthetic(cfg), str(tmp_path / "ds"))
+        assert manifest_hash(manifest) == (
+            "cbba8b3a664dfd10c2e8873afcfa5a74d9d9513c031ba0c83939d0f2de93ace9")
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text(encoding="utf-8"))
+        data.write_json(manifest, dict(doc, files={"structured": "structured.csv",
+                                                   "embeddings": "embeddings.jsonl"}))
+        assert manifest_hash(manifest) == (
+            "0f1d1e28c12c45e9c38884e44feddbf087455df881505c5e7c8829fa79075047")
+
 
 def record(sample_id, embedding="[1.0,2.0,3.0]"):
     return '{"embedding":%s,"id":%s}' % (embedding, json.dumps(sample_id))
@@ -1074,14 +1116,12 @@ def edit_records(path, edits, blanks=0):
 
 
 class TestBlockwiseJsonlRead:
-    """The embeddings JSONL, written in blocks of ``CSV_BLOCK_ROWS`` lines,
-    is read line by line: loads return, and fail with, what a whole-file
-    read would, in either loader.  Written in 16-line blocks,
-    mixed_dataset's 120 records (line i holds id p{i-1}) fill 8."""
+    """The embeddings JSONL of a version-1 manifest is read line by line:
+    loads return, and fail with, what a whole-file read would, in either
+    loader.  mixed_dataset's 120 records: line i holds id p{i-1}."""
 
     @pytest.fixture
-    def written(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+    def written(self, tmp_path):
         ds = mixed_dataset()
         return (ds, as_version_1(write_dataset(ds, str(tmp_path / "ds"))),
                 tmp_path / "ds" / "embeddings.jsonl")
@@ -1094,7 +1134,7 @@ class TestBlockwiseJsonlRead:
 
     def test_bad_record_after_blank_lines_names_its_line(self, written):
         _, manifest, path = written
-        # five blank lines move file line 41 (block 3) to 46
+        # five blank lines move file line 41 to 46
         edit_records(path, {41: '{"embedding":[1.0,2.0,3.0],"id":"p40"'}, blanks=5)
         self.assert_rejected(manifest, r":46: bad record$")
 
@@ -1130,7 +1170,7 @@ class TestBlockwiseJsonlRead:
 
     # the first faulty line wins, whatever the kinds of the faults: line 2's
     # shape or value fault comes before a bad record, a duplicate or a
-    # shape fault in later blocks, and before the file's missing id
+    # shape fault in later lines, and before the file's missing id
     @pytest.mark.parametrize("edits,message", [
         ({2: record("p1", "[1.0]"), 40: "[]"}, r":2: need one equal-length number list "
                                                r"per sample \(read as shape \(1,\), not \(3,\)\)$"),
@@ -1165,7 +1205,7 @@ class TestBlockwiseJsonlRead:
         self.assert_rejected(manifest, message)
 
     def test_a_whole_block_of_another_width(self, written):
-        # block 2 alone converts to a (16, 1) array, which would broadcast
+        # lines 17 to 32 alone convert to a (16, 1) array, which would broadcast
         _, manifest, path = written
         edit_records(path, {i: record(f"p{i - 1}", "[1.0]") for i in range(17, 33)})
         self.assert_rejected(manifest, r":17: need one equal-length number list per sample "
@@ -1194,13 +1234,12 @@ class TestBlockwiseJsonlRead:
         with pytest.raises(DataError, match=r"embeddings\.jsonl:60: bad record$"):
             reference_load(manifest)
 
-    def test_embeddings_never_all_python_floats(self, tmp_path, monkeypatch):
+    def test_embeddings_never_all_python_floats(self, tmp_path):
         """Peak traced memory of reading the embeddings stays well below what
         every record's vector takes as a list of Python floats: a read holds
         one record's at a time, beside the (n, d) array it fills."""
-        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 256, raising=False)
         ds = generate_synthetic(SyntheticConfig(n=16 * 256, d_struct=1, d_embed=32, seed=3))
-        write_dataset(ds, str(tmp_path / "ds"))
+        reference_write_data_files(ds, str(tmp_path / "ds"))
         path = str(tmp_path / "ds" / "embeddings.jsonl")
 
         def peak(fn):
@@ -1258,12 +1297,10 @@ def _jsonl_fault(rng, lines, n):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_loads_match_the_line_by_line_reference(tmp_path, monkeypatch, seed):
-    """Random small manifests with 0, 1 or 2 faults, written in 16-row
-    blocks: each load returns what ``helpers.reference_load`` returns, bit
-    for bit, or raises its message; a valid file loads back the dataset
-    written."""
-    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16, raising=False)
+def test_loads_match_the_line_by_line_reference(tmp_path, seed):
+    """Random small version-1 manifests with 0, 1 or 2 faults: each load
+    returns what ``helpers.reference_load`` returns, bit for bit, or raises
+    its message; a valid file loads back the dataset written."""
     rng = np.random.default_rng(seed)
     for case in range(40):
         n = int(rng.integers(10, 60))

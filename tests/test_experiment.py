@@ -236,11 +236,12 @@ class TestEvaluateManifestCheckpoint:
         with ``edit`` applied to the lines of text file ``name``; returns
         the copy's manifest path."""
         shutil.copytree(run / "data", tmp_path / "data")
+        manifest = as_version_1(str(tmp_path / "data" / "manifest.json"))
         path = tmp_path / "data" / name
         lines = path.read_text(encoding="utf-8").splitlines()
         edit(lines)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return as_version_1(str(tmp_path / "data" / "manifest.json"))
+        return manifest
 
     def test_reproduces_the_runs_report(self, run):
         report, saved = self._evaluate(run, str(run / "data" / "manifest.json"))
