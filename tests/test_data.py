@@ -428,10 +428,13 @@ class TestRoundTrip:
         drop("binary"), drop("binary", "labels"), drop("binary", "categorical"),
         drop("binary", "ids", "file"), drop("binary", "numerical", "sha256"),
         drop("binary", "embeddings", "size"), lambda doc: doc.update(binary=[]),
+        # the structured data of a version-2 dataset is its numerical and
+        # categorical arrays
+        lambda doc: [doc["binary"].pop(key) for key in ("numerical", "categorical")],
         lambda doc: doc.update(n="120"),
     ], ids=["no-binary", "no-labels", "no-categorical", "ids-without-file",
             "numerical-without-sha256", "embeddings-without-size", "binary-list",
-            "n-not-integer"])
+            "no-structured-file", "n-not-integer"])
     def test_malformed_version_2_manifest_is_data_error(self, tmp_path, edit):
         manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
         with open(manifest, encoding="utf-8") as fh:
