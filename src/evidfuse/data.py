@@ -17,26 +17,35 @@ which earlier writers added for a text copy, is not read.
 For a version-2 manifest ``load_dataset`` and ``load_split`` read only
 the binary files.  Each file's size, then sha256, then ``.npy`` header,
 then exact dtype and shape (``n`` rows, the schema's widths) are checked,
-then its content as whole arrays: labels in ``[0, m)``, unique ids
-without NUL, no infinite numerical value, categories without NUL, finite
-embeddings.  Each fault raises a DataError naming the file.
+then its content as whole arrays: no code point above U+10FFFF in ids
+or categories, labels in ``[0, m)``, unique ids without NUL, no infinite
+numerical value, categories without NUL, finite embeddings.  Each fault
+raises a DataError naming the file.
 
 A version-1 manifest names text files, the readable input format that a
 person can write by hand: a structured CSV (header = feature names +
 ``label`` + ``id``, empty cells = missing) and, with embeddings, a JSONL
 of one ``{"id", "embedding"}`` record per sample.  Both loaders read the
 text line by line and check every row; ``load_split`` then picks its
-part, so both versions check every row in every load.  Each CSV line is
-checked for its width, label and id and then its numerical cells, left
-to right, as it is read.  Each JSONL record is checked for a bad record,
-a repeated id, its vector's shape and type and then its finiteness, and
-the vector goes straight into its row of one array.  So the first faulty
-line raises, with its first fault, naming the file and the line; a file
-that is not UTF-8 raises naming the file, and the faults of a whole file
-(a row count other than the manifest's ``n``, an id without an
-embedding) come after its pass.  One id -> row dict, built by the CSV
+part, so both versions check every row in every load.  A line holding
+NUL raises first.  Each CSV record is checked for its width, label and
+id and then its numerical cells, left to right, as it is read.  Each
+JSONL record is checked for a bad record, a repeated id, its vector's
+shape and type and then its finiteness, and the vector goes straight
+into its row of one array.  So the first faulty record raises, with its
+first fault, naming the file and the line where the record starts (a
+quoted CSV cell may span lines); a file that is not UTF-8 raises naming
+the file, and the faults of a whole file (a row count other than the
+manifest's ``n``, an id without an embedding) come after its pass.  One id -> row dict, built by the CSV
 pass, serves both passes.  A label must be ASCII digits and an embedding
 value a JSON number, as ``csv.writer`` and ``json.dumps`` write them.
+
+The loaders' contract, which ``tests/test_fuzz.py`` checks on mutated
+files of both versions: whatever the files hold, ``load_dataset`` and
+``load_split`` return a ``Dataset`` or raise an ``EvidFuseError`` whose
+message holds the path of the manifest or of a file in its directory.
+Every file is opened through ``open_input``, so a file that cannot be
+opened (missing, a directory, a name too long) raises one too.
 
 The synthetic generator draws class-conditional Gaussian features per
 source, with a configurable rate of "conflicted" samples whose second
@@ -112,6 +121,9 @@ class Dataset:
     generator: dict | None = None
 
     def __post_init__(self):
+        # the manifest's rule: type(), since a bool is not a count
+        if type(self.m) is not int or self.m < 2:
+            raise DataError(f"m must be an integer >= 2, got {self.m!r}")
         self.labels = np.asarray(self.labels, dtype=np.int64)
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
@@ -479,11 +491,19 @@ def manifest_hash(manifest_path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _open(path: str, what: str, **kwargs):
+def open_input(path: str, what: str, mode: str = "r", **kwargs):
+    """``open`` of an input file, as UTF-8 text unless ``mode`` is binary:
+    the one opener of manifests, data files and checkpoints.  A missing
+    file raises ``DataError("<what> not found: <path>")``, and any other
+    fault of the open (a directory, a name too long, a NUL in the name) a
+    DataError naming ``path`` too."""
     try:
-        return open(path, encoding="utf-8", **kwargs)
+        return open(path, mode, encoding=None if "b" in mode else "utf-8", **kwargs)
     except FileNotFoundError as exc:
         raise DataError(f"{what} not found: {path}") from exc
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot open {what} {path}: "
+                        f"{getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _read_manifest(manifest_path: str):
@@ -495,7 +515,7 @@ def _read_manifest(manifest_path: str):
     JSON, of another version or lacks a field raises a DataError naming
     it."""
     try:
-        with _open(manifest_path, "dataset manifest") as fh:
+        with open_input(manifest_path, "dataset manifest") as fh:
             manifest = json.load(fh)
     # a JSONDecodeError, an integer of too many digits, or JSON nested too
     # deeply for the parser
@@ -522,7 +542,8 @@ def _read_manifest(manifest_path: str):
             keys = BINARY_KEYS if "embeddings" in entries else BINARY_KEYS[:-1]
             binary = {key: (os.path.join(base, entries[key]["file"]), entries[key]["size"],
                             entries[key]["sha256"]) for key in keys}
-    except (LookupError, AttributeError, TypeError) as exc:
+    # DataError: a FeatureSpec fault
+    except (LookupError, AttributeError, TypeError, DataError) as exc:
         raise DataError(
             f"malformed manifest {manifest_path}: {type(exc).__name__}: {exc}") from exc
     # type(): a bool is not a count
@@ -562,11 +583,7 @@ def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
     equal the manifest's; the array's data is checked to fill the file
     before the array is made.  The file is read once, into a writable
     buffer that the array then uses."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError as exc:
-        raise DataError(f"binary data file not found: {path}") from exc
-    with fh:
+    with open_input(path, "binary data file", "rb") as fh:
         actual = os.fstat(fh.fileno()).st_size
         if actual != size:
             raise DataError(f"{path} holds {actual} bytes, "
@@ -612,6 +629,9 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
         if len(array) != n:
             raise DataError(f"{path} holds {len(array)} rows, "
                             f"but manifest {manifest_path} says n = {n}")
+        # no writer stores one; ``tolist`` would make an invalid str of it
+        if dtype == unicode and array.ravel("K").view(np.uint32).max(initial=0) > 0x10FFFF:
+            raise DataError(f"{path}: a value holds a code point above U+10FFFF")
         arrays[key] = array, path
     (labels, labels_path), (ids, ids_path) = arrays["labels"], arrays["ids"]
     outside = np.flatnonzero((labels < 0) | (labels >= m))
@@ -646,31 +666,39 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
 
 def _lines(fh, path: str):
     """The lines of text file ``fh``, decoded as they are read; a byte
-    that is not UTF-8 raises a DataError naming ``path``."""
+    that is not UTF-8 raises a DataError naming ``path``, and a NUL one
+    naming ``path`` and the line (``csv`` refuses a NUL on Python 3.10
+    and no id or category may hold one)."""
     try:
-        yield from fh
+        for line_no, line in enumerate(fh, 1):
+            if "\x00" in line:
+                raise DataError(f"{path}:{line_no}: a NUL character")
+            yield line
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason}, "
                         f"byte {exc.object[exc.start:exc.end]!r})") from None
 
 
 def _read_structured(path: str, schema, m: int):
-    """(row_of, labels, columns) of the structured CSV, read line by line;
-    ``row_of`` maps each id to its row, in row order.  Each line's width,
-    label and id and then its numerical cells, left to right, are checked
-    as it is read, so the first faulty line raises, with its first fault."""
+    """(row_of, labels, columns) of the structured CSV, read record by
+    record; ``row_of`` maps each id to its row, in row order.  Each
+    record's width, label and id and then its numerical cells, left to
+    right, are checked as it is read, so the first faulty record raises,
+    with its first fault, naming the file line where it starts (a quoted
+    cell may span lines)."""
     expected = [f.name for f in schema] + ["label", "id"]
     label_digits = len(str(m))
     row_of, labels = {}, []
     parts = [array("d") if f.kind == "numerical" else [] for f in schema]
     numerical = [(j, f.name, parts[j]) for j, f in enumerate(schema) if f.kind == "numerical"]
     categorical = [(j, parts[j]) for j, f in enumerate(schema) if f.kind == "categorical"]
-    with _open(path, "structured data file", newline="") as fh:
+    with open_input(path, "structured data file", newline="") as fh:
         reader = csv.reader(_lines(fh, path))
         header = next(reader, None)
         if header != expected:
-            raise DataError(f"CSV header {header!r} does not match schema {expected!r}")
-        for line_no, row in enumerate(reader, 2):
+            raise DataError(f"{path}: CSV header {header!r} does not match schema {expected!r}")
+        line_no = reader.line_num + 1   # where the next record starts
+        for row in reader:
             if len(row) != len(expected):
                 raise DataError(f"{path}:{line_no}: wrong column count")
             # int() also takes " 1", "+1" and "0_1"
@@ -683,7 +711,7 @@ def _read_structured(path: str, schema, m: int):
                 raise DataError(f"{path}:{line_no}: label {digits} outside 0..{m - 1}")
             if row[-1] in row_of:
                 raise DataError(f"{path}:{line_no}: duplicate id {row[-1]!r}")
-            row_of[row[-1]] = line_no - 2
+            row_of[row[-1]] = len(row_of)
             labels.append(label)
             for j, name, values in numerical:
                 cell = row[j]
@@ -697,6 +725,7 @@ def _read_structured(path: str, schema, m: int):
                 values.append(value)
             for j, values in categorical:
                 values.append(row[j] or None)
+            line_no = reader.line_num + 1
     return row_of, np.array(labels, dtype=np.int64), tuple(
         np.array(p, dtype=np.float64 if f.kind == "numerical" else object)
         for p, f in zip(parts, schema))
@@ -713,7 +742,7 @@ def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
     seen = bytearray(len(row_of))  # 1 where a CSV id's record has been read
     others = set()              # ids of records the CSV lacks
     embeddings = None
-    with _open(path, "embeddings file") as fh:
+    with open_input(path, "embeddings file") as fh:
         for line_no, line in enumerate(_lines(fh, path), 1):
             if line.isspace():
                 continue
@@ -775,8 +804,11 @@ def _load(manifest_path: str, pick) -> Dataset:
         ids, labels = [ids[i] for i in rows], labels[rows]
         columns = tuple(c[rows] for c in columns)
         embeddings = embeddings[rows] if embeddings is not None else None
-    return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
-                   embeddings=embeddings, m=m, generator=generator)
+    try:
+        return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
+                       embeddings=embeddings, m=m, generator=generator)
+    except DataError as exc:   # e.g. a schema that names a feature twice
+        raise DataError(f"malformed dataset {manifest_path}: {exc}") from None
 
 
 def load_dataset(manifest_path: str) -> Dataset:

@@ -2,24 +2,26 @@
 fusion, the class-weighted training objective, and the training loop.
 
 Each evidence source owns an encoder, an evidential layer, and an
-auxiliary logit head.  There is one forward path and it is batched: it
-encodes every source, and ``evidential.fuse_evidence`` fuses all
-sources' prototype evidence in the log-commonality domain and returns
-pignistic probabilities.  Training, ``predict_probs`` and
-``predict_batch`` all run it; ``predict_batch`` adds the fused and
+auxiliary logit head.  The forward is batched: it encodes every source,
+and ``evidential.fuse_evidence`` fuses all sources' prototype evidence
+in the log-commonality domain and returns pignistic probabilities.  It
+has two callers, so it has two bodies.  ``batch_internals`` is the eval
+pass: ``predict_probs``, ``predict_batch`` and the per-epoch validation
+loss (``loss_overall``) run it, and ``predict_batch`` adds the fused and
 per-source masses and the pairwise source conflict as one struct of
-arrays.  The exact per-sample mass algebra they are checked against
-lives in the tests.
+arrays.  A training step (``loss_and_grad``) runs its own forward, with
+dropout, and keeps what its backward reads.  The exact per-sample mass
+algebra both are checked against lives in the tests.
 
-Outside a training step (``predict_probs``, ``predict_batch``, the
-per-epoch validation loss, and ``init_model``'s encoding of the training
-rows) the encoders run in ``encoders.ENCODE_BLOCK_ROWS``-row blocks, so
-memory does not grow with rows times hidden width.  The blocks keep the
-bits of a whole-split forward (see ``encoders``).  Everything from the
-distance product ``z @ p.T`` on (evidence, fusion, auxiliary logits,
-loss) stays whole-split: that product's bits depend on its row count, so
-blocking it would change them.  A training step runs each encoder on its
-whole batch.
+The eval pass (and ``init_model``'s encoding of the training rows) runs
+the encoders in ``encoders.ENCODE_BLOCK_ROWS``-row blocks, so memory does
+not grow with rows times hidden width.  The blocks keep the bits of a
+whole-split forward (see ``encoders``), so a step without dropout has
+the eval pass's loss, bit for bit.  Everything from the distance product
+``z @ p.T`` on (evidence, fusion, auxiliary logits, loss) stays
+whole-split: that product's bits depend on its row count, so blocking it
+would change them.  A training step runs each encoder on its whole
+batch.
 
 Input rows are checked once, where they enter: ``init_model``,
 ``train`` (each split), ``predict_probs`` and ``predict_batch`` run
@@ -50,16 +52,16 @@ gradient dict and no flattening.  ``train`` also builds, once, a model
 whose arrays are views into the parameter vector; every step and the
 per-epoch validation loss run on it, so they see every update.
 
-The same ``FlatParams`` carries the run's ``Workspace``, made once per
-``train`` call for its batch size and reused, through views, by the
+The same ``FlatParams`` carries the run's ``Workspace``, built at
+``train``'s first step, its largest, and reused, through views, by the
 ragged last batch: each source's encoder layer outputs and three (N, H)
 evidential arrays, and one (M, N, H) term array that every source's
 forward and VJP share.  A step that allocated them afresh would hand
 them all back to the allocator at its end, which trims the heap and
-faults the pages in again on the next step.  A pass outside training
-gets fresh arrays but keeps only each source's log-commonalities, so
-one source's (N, H) arrays are freed before the next source's are made
-and the pass's memory does not grow with the number of sources.
+faults the pages in again on the next step.  The eval pass gets fresh
+arrays but keeps only each source's log-commonalities, so one source's
+(N, H) arrays are freed before the next source's are made and the
+pass's memory does not grow with the number of sources.
 
 A checkpoint is one JSON document.  ``save_checkpoint`` writes format
 version 2, where each parameter array is ``{"shape", "f8"}``, the base64
@@ -68,7 +70,9 @@ nor parse a decimal and a load gets back the saved bits.
 ``load_checkpoint`` also reads version 1, whose arrays are nested lists;
 the format version picks the array decoder and every check after it
 (each component against the layout its dimensions imply, finite values,
-prototype width, finite positive class weights) is shared.
+prototype width, finite positive class weights) is shared.  Whatever the
+file holds, ``load_checkpoint`` returns a model or raises an
+``EvidFuseError`` naming the file (``tests/test_fuzz.py`` checks that).
 """
 
 import base64
@@ -229,42 +233,35 @@ class Workspace:
     """The arrays that the training steps on one ``FlatParams`` reuse; a
     ``train`` call makes one.
 
-    ``grad_model(model)`` is the model's layout over the gradient vector:
-    a ``FusionModel`` whose arrays are the ``grads`` views, so each
-    component's ``backward`` adds into its own slots.  ``buffers(model,
-    n)`` gives each source's arrays for an n-row step: the (n, width)
-    output of each encoder layer (``encoders.layer_widths``), and an
-    ``EvidenceBuffers`` of three (n, H) arrays of its own and a view of
-    one (M, n, H) term array that every source's forward and VJP share.
-    The storage is sized for the largest step so far, and a row count's
-    views are built once, so the ragged last batch of an epoch reuses
-    the storage of the full ones.  Both serve the model layout of the
-    first call.
+    The first step's ``buffers(model, n)`` builds it for that model and
+    row count, which no later step may exceed (``train``'s first batch is
+    its largest).  ``grad_model`` is then the model's layout over the
+    gradient vector: a ``FusionModel`` whose arrays are the ``grads``
+    views, so each component's ``backward`` adds into its own slots.
+    ``buffers`` gives each source's arrays for an n-row step: the
+    (n, width) output of each encoder layer (``encoders.layer_widths``),
+    and an ``EvidenceBuffers`` of three (n, H) arrays of its own and a
+    view of one (M, n, H) term array that every source's forward and VJP
+    share.  A row count's views are built once, so the ragged last batch
+    of an epoch reuses the storage of the full ones.
     """
 
     def __init__(self, grads: dict):
         self._grads = grads
-        self._grad_model = None
-        self._rows = 0
+        self.grad_model = None
         self._storage = None
         self._views = {}
-
-    def grad_model(self, model):
-        if self._grad_model is None:
-            self._grad_model = with_params(model, self._grads)
-        return self._grad_model
 
     def buffers(self, model, n: int) -> list:
         views = self._views.get(n)
         if views is None:
             widths = [layer_widths(src.encoder) for src in model.sources]
             shapes = [src.enn.membership_raw.shape for src in model.sources]   # (H, M)
-            if n > self._rows:
-                self._rows = n
+            if self._storage is None:
+                self.grad_model = with_params(model, self._grads)
                 self._storage = ([[np.empty(n * w) for w in ws] for ws in widths],
                                  [[np.empty(n * h) for _ in range(3)] for h, _ in shapes],
                                  np.empty(n * max(h * m for h, m in shapes)))
-                self._views.clear()
             layers, evidence, terms = self._storage
             views = self._views[n] = [
                 ([a[:n * w].reshape(n, w) for a, w in zip(arrays, ws)],
@@ -272,8 +269,6 @@ class Workspace:
                                  terms[:m * n * h].reshape(m, n, h)))
                 for ws, arrays, own, (h, m) in zip(widths, layers, evidence, shapes)]
         return views
-
-
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,33 +346,24 @@ def _check_labels(inputs, labels):
                         f"{sorted({len(x) for x in inputs})} rows")
 
 
-def batch_internals(model, inputs, masks=None, buffers=None, caches=None):
-    """Fused evidence (``fused.probs`` included) and per-source aux logits.
+def batch_internals(model, inputs):
+    """The eval pass: fused evidence (``fused.probs`` included) and
+    per-source aux logits, without dropout.
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
-    of them; ``masks`` is a per-source list of dropout masks (None
-    disables dropout).  A training step passes ``buffers``, each source's
-    arrays from ``Workspace.buffers``, and ``caches``, a list that
-    receives each source's encoder cache.  Without masks or caches the
-    encoders run in row blocks.  Without buffers the arrays are fresh,
-    and each source's evidence keeps only what the fusion reads: its
-    (N, H) fields are None, so its arrays are freed before the next
-    source's are made.
+    of them.  The encoders run in row blocks into fresh arrays, and each
+    source's evidence keeps only what the fusion reads: its (N, H)
+    fields are None, so its arrays are freed before the next source's
+    are made.
     """
     evidence = []
     aux_logit_list = []
-    for i, (src, x) in enumerate(zip(model.sources, inputs)):
-        layers, out = (None, None) if buffers is None else buffers[i]
-        if masks is None and caches is None:
-            z = encode_blocks(src.encoder, x)
-        else:
-            z, cache = src.encoder.forward(x, masks[i] if masks else None, layers)
-            if caches is not None:
-                caches.append(cache)
-        ev = evidence_batch(z, **src.enn.as_param_dict(), out=out)
-        if buffers is None:
-            ev = replace(ev, sq_dist=None, closeness=None, activation=None)
-        evidence.append(ev)
+    for src, x in zip(model.sources, inputs):
+        z = encode_blocks(src.encoder, x)
+        # no name holds the whole evidence: its (N, H) arrays go before the
+        # next source's are made
+        evidence.append(replace(evidence_batch(z, **src.enn.as_param_dict()),
+                                sq_dist=None, closeness=None, activation=None))
         aux_logit_list.append(src.aux.forward(z))
     return fuse_evidence(evidence), aux_logit_list
 
@@ -488,14 +474,15 @@ def _objective_vjp(model, probs, aux_logits, labels):
     return g_probs, g_aux
 
 
-def loss_overall(model: FusionModel, inputs, labels, masks=None):
-    """Main loss plus auxiliary-weighted per-source cross entropies.
+def loss_overall(model: FusionModel, inputs, labels):
+    """Main loss plus auxiliary-weighted per-source cross entropies, on
+    the eval pass (``batch_internals``): no dropout.
 
     ``inputs`` are checked blocks, as in ``batch_internals``; the label
     count is checked here.
     """
     _check_labels(inputs, labels)
-    fused, aux_logits = batch_internals(model, inputs, masks=masks)
+    fused, aux_logits = batch_internals(model, inputs)
     return _objective(model, fused.probs, aux_logits, labels)
 
 
@@ -515,13 +502,17 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     gradient is written into ``params.grad``, zeroed first, and returned,
     so the next call on the same ``params`` overwrites it; the step's
     encoder layers and evidential arrays come from ``params.workspace``.
-    ``inputs`` are checked blocks, as in ``batch_internals``.  A
+    ``inputs`` are checked blocks, as in ``batch_internals``; ``masks``
+    is a per-source list of dropout masks (None disables dropout).  A
     parameter the loss does not reach keeps a zero gradient.  Frozen
     inputs (e.g. precomputed text embeddings) are data, not parameters,
     so they get no gradient.
 
-    The forward keeps what the backward reads (each encoder's cache, each
-    source's evidence); the backward runs the objective's VJP,
+    The forward runs each encoder's ``forward`` on the whole batch, with
+    its mask, into the workspace's layers, and keeps its cache; then each
+    source's ``evidence_batch`` in the workspace's evidential arrays, its
+    aux logits, and ``fuse_evidence``.  Without dropout its loss has the
+    bits of ``loss_overall``'s.  The backward runs the objective's VJP,
     ``fusion_vjp`` and, per source, ``_source_vjp``, the aux head's and
     the encoder's backward.  A component adds each parameter's gradient
     into its zeroed slot, and an encoder output's gradient is its
@@ -535,16 +526,21 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
         params = FlatParams.from_model(model)
     work = params.workspace
     buffers = work.buffers(model, len(labels))
-    caches = []
-    fused, aux_logits = batch_internals(model, inputs, masks=masks, buffers=buffers,
-                                        caches=caches)
+    caches, evidence, aux_logits = [], [], []
+    for src, x, mask, (layers, out) in zip(model.sources, inputs,
+                                           masks or [None] * len(inputs), buffers):
+        z, cache = src.encoder.forward(x, mask, layers)
+        caches.append(cache)
+        evidence.append(evidence_batch(z, **src.enn.as_param_dict(), out=out))
+        aux_logits.append(src.aux.forward(z))
+    fused = fuse_evidence(evidence)
     loss = float(_objective(model, fused.probs, aux_logits, labels))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss!r}")
     params.grad.fill(0.0)
     g_probs, g_aux = _objective_vjp(model, fused.probs, aux_logits, labels)
     d_log_q, d_log_q_omega = fusion_vjp(fused, g_probs)
-    steps = zip(model.sources, work.grad_model(model).sources, fused.sources, caches, g_aux,
+    steps = zip(model.sources, work.grad_model.sources, fused.sources, caches, g_aux,
                 buffers)
     for src, grads, ev, cache, g_logits, (_, out) in steps:
         g_z, *g_enn = _source_vjp(ev, d_log_q, d_log_q_omega, out.terms)
@@ -747,7 +743,8 @@ def _params_from_json(decode, params: dict, what: str) -> dict:
     for key, value in params.items():
         try:
             out[key] = decode(value)
-        except (LookupError, TypeError, ValueError) as exc:
+        # OverflowError: a version-1 integer beyond float64's range
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{what} parameter {key!r}: {type(exc).__name__}: {exc}") from exc
     return out
 
@@ -869,16 +866,16 @@ def load_checkpoint(path: str):
     ``shapes()``), its values must be finite, each source's prototypes as wide as its encoder's output, and
     the class weights finite and positive.  Any fault, an unsupported
     version included, is a ``DataError("malformed checkpoint <path>: …")``;
-    a faulty parameter is named with its source.
+    a faulty parameter is named with its source.  A file that cannot be
+    opened raises ``data.open_input``'s DataError, also naming ``path``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with data.open_input(path, "checkpoint") as fh:
+        try:
             doc = json.load(fh)
-        return model_from_json_dict(doc), doc
-    except FileNotFoundError as exc:
-        raise DataError(f"checkpoint not found: {path}") from exc
-    # a JSONDecodeError is a ValueError
-    # RecursionError: JSON nested too deeply for the parser
-    except (LookupError, AttributeError, TypeError, ValueError, RecursionError,
-            EvidFuseError) as exc:
-        raise DataError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc
+            return model_from_json_dict(doc), doc
+        # a JSONDecodeError is a ValueError
+        # RecursionError: JSON nested too deeply for the parser
+        except (LookupError, AttributeError, TypeError, ValueError, OverflowError,
+                RecursionError, EvidFuseError) as exc:
+            raise DataError(
+                f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from exc

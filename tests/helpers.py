@@ -648,11 +648,18 @@ def reference_load(manifest_path, seed=None, part=None):
     n, m = manifest["n"], manifest["m"]
     csv_path = os.path.join(os.path.dirname(manifest_path), manifest["files"]["structured"])
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows, starts = [], []   # each record and the file line where it starts
+        start = reader.line_num + 1
+        for row in reader:
+            rows.append(row)
+            starts.append(start)
+            start = reader.line_num + 1
     assert header == [f.name for f in schema] + ["label", "id"]
     ids, labels = [], []
-    for i, row in enumerate(rows):
-        where = f"{csv_path}:{i + 2}:"
+    for row, start in zip(rows, starts):
+        where = f"{csv_path}:{start}:"
         if len(row) != len(schema) + 2:
             raise DataError(f"{where} wrong column count")
         if not re.fullmatch("[0-9]+", row[-2]):

@@ -330,7 +330,7 @@ class TestRoundTrip:
         csv_path = tmp_path / "bad" / "structured.csv"
         text = csv_path.read_text().replace("value", "renamed")
         csv_path.write_text(text)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=f"^{re.escape(str(csv_path))}: CSV header "):
             load_dataset(manifest_path)
 
     def test_missing_manifest_rejected(self, tmp_path):
@@ -457,6 +457,64 @@ class TestRoundTrip:
         for load in (load_dataset, lambda path: load_split(path, 0, "test")):
             with pytest.raises(DataError, match=re.escape(f"feature names must be str, got {name!r}")):
                 load(manifest)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_schema_fault_names_the_manifest(self, tmp_path, version):
+        """A feature of an unknown kind, or a name given twice (with the
+        widths of the files kept), raises naming the manifest."""
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        if version == 1:
+            as_version_1(manifest)
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        for i, field, value, message in [(0, "kind", "nope", "feature 'n0': unknown kind 'nope'"),
+                                         (2, "name", "n0", "duplicate feature names in schema")]:
+            schema = [dict(f, **{field: value}) if j == i else f
+                      for j, f in enumerate(doc["schema"])]
+            data.write_json(manifest, dict(doc, schema=schema))
+            if version == 1:   # the header names the features too
+                path = tmp_path / "ds" / "structured.csv"
+                _, rest = path.read_text(encoding="utf-8").split("\n", 1)
+                header = ",".join(f["name"] for f in schema) + ",label,id"
+                path.write_text(f"{header}\n{rest}", encoding="utf-8")
+            for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+                with pytest.raises(DataError, match=f"^malformed .*{re.escape(manifest)}: "
+                                                    f".*{re.escape(message)}"):
+                    load(manifest)
+
+    @pytest.mark.parametrize("key", ["structured", "embeddings", "labels"])
+    def test_file_entry_that_is_a_directory(self, tmp_path, key):
+        manifest = write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        if key != "labels":
+            as_version_1(manifest)
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if key == "labels":
+            doc["binary"]["labels"]["file"] = "."
+        else:
+            doc["files"][key] = "."
+        data.write_json(manifest, doc)
+        directory = os.path.join(str(tmp_path / "ds"), ".")
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=f"^cannot open .* {re.escape(directory)}: "
+                                                "Is a directory$"):
+                load(manifest)
+
+    @pytest.mark.parametrize("name", ["ds", "x" * 300], ids=["directory", "name-too-long"])
+    def test_manifest_that_cannot_be_opened(self, tmp_path, name):
+        write_dataset(mixed_dataset(), str(tmp_path / "ds"))
+        path = str(tmp_path / name)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError,
+                               match=f"^cannot open dataset manifest {re.escape(path)}: "):
+                load(path)
+
+    @pytest.mark.parametrize("m", [1, True, 2.0])
+    def test_m_the_manifest_refuses(self, m):
+        """Whatever constructs must survive write and load; a manifest's m
+        is an int, not a bool, of at least 2."""
+        with pytest.raises(DataError, match=f"^m must be an integer >= 2, got {m!r}$"):
+            toy_dataset([[1.0], [2.0]], [NUM], labels=[0, 0], m=m)
 
     @pytest.mark.parametrize("name", ["labels.npy", "ids.npy", "numerical.npy",
                                       "categorical.npy", "embeddings.npy"])
@@ -590,6 +648,31 @@ class TestLoadRejects:
         self._replace_line(d / "structured.csv", 3, f"2.0,B,{cell},r1")
         for load in (load_dataset, lambda path: load_split(path, 0, "test")):
             with pytest.raises(DataError, match=rf"structured\.csv:3: {re.escape(message)}$"):
+                load(manifest)
+
+    @pytest.mark.parametrize("text", ["2.0,B,1,r\x001", "2.0,\x00,1,r1"], ids=["id", "category"])
+    def test_nul_in_a_cell(self, tmp_path, text):
+        # csv.reader raises its own error for it on Python 3.10
+        manifest, d = self._written(tmp_path)
+        self._replace_line(d / "structured.csv", 3, text)
+        for load in (load_dataset, lambda path: load_split(path, 0, "test")):
+            with pytest.raises(DataError, match=r"structured\.csv:3: a NUL character$"):
+                load(manifest)
+
+    def test_fault_after_cells_that_span_lines_names_its_file_line(self, tmp_path):
+        """Each record takes two lines, so the record on line 12 is row 5."""
+        ids = [f"two\nlines#{i}" for i in range(12)]
+        ds = Dataset(schema=(NUM,), ids=ids, columns=[np.arange(12.0)],
+                     labels=np.arange(12) % 2)
+        manifest = as_version_1(write_dataset(ds, str(tmp_path / "ds")))
+        path = tmp_path / "ds" / "structured.csv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[11] == '5.0,1,"two'
+        lines[11] = '5.0,yes,"two'
+        path.write_text("\n".join(lines), encoding="utf-8")
+        loads = (load_dataset, lambda path: load_split(path, 0, "test"), reference_load)
+        for load in loads:
+            with pytest.raises(DataError, match=r"structured\.csv:12: bad label 'yes'$"):
                 load(manifest)
 
     def test_wrong_column_count(self, tmp_path):
@@ -949,6 +1032,13 @@ TAMPERED = {
     "nul-in-category": ("categorical", "array",
                         lambda a: set_item((3, 1), "a\x00b")(a.astype("U3")),
                         r"categorical\.npy: feature 'c1': a value holds a NUL character$"),
+    # a code point above U+10FFFF in the last value's last character
+    "code-point-in-id": ("ids", "recorded",
+                         lambda raw: raw[:-4] + (0x110000).to_bytes(4, "little"),
+                         r"ids\.npy: a value holds a code point above U\+10FFFF$"),
+    "code-point-in-category": ("categorical", "recorded",
+                               lambda raw: raw[:-4] + (0xFFFFFFFF).to_bytes(4, "little"),
+                               r"categorical\.npy: a value holds a code point above U\+10FFFF$"),
     # header edits that keep its length, each escaping numpy's header parser
     # as another exception: an unclosed tuple (TokenError), a shape that
     # parses only as Python 2 wrote it (a UserWarning), an unparsable dtype

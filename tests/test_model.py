@@ -345,8 +345,8 @@ class TestGradientSlots:
 
 
 class TestFusedObjective:
-    """``loss_overall`` records the whole objective as one node; its value
-    and VJP must match the chained-op reference built from taped ops."""
+    """``loss_and_grad``'s value and gradient must match the chained-op
+    reference built from taped ops."""
 
     @staticmethod
     def _setup(kind, zero_aux):
@@ -369,8 +369,6 @@ class TestFusedObjective:
         ref = chained_loss_overall(model, inputs, labels, params=leaves, masks=masks)
         tape.backward(ref)
         assert abs(loss - float(ref.value)) <= 1e-12 * abs(loss)
-        plain = loss_overall(model, inputs, labels, masks=masks)
-        assert abs(plain - float(ref.value)) <= 1e-12 * abs(loss)
         assert set(grads) == set(leaves)
         for name, leaf in leaves.items():
             expected = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
@@ -503,6 +501,19 @@ class TestTapeFreeStep:
             batch = [x[rows] for x in inputs]
             masks = make_dropout_masks(model, len(batch[0]), rng)
             self.assert_matches_the_tape_step(live, batch, labels[rows], masks, params=slots)
+
+
+class TestStepMatchesEval:
+    """Without dropout a training step's forward has the eval pass's
+    bits: ``loss_and_grad`` returns ``loss_overall``'s loss exactly, also
+    where the eval pass encodes in more than one row block."""
+
+    @pytest.mark.parametrize("n", [24, 2 * ENCODE_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    def test_loss_equals_the_eval_loss(self, kind, n):
+        model, inputs, labels = tiny_fusion_setup(seed=5, n=n, encoder_kind=kind, hidden=32)
+        assert loss_and_grad(model, inputs, labels)[0] == float(
+            loss_overall(model, inputs, labels))
 
 
 class TestStepGarbage:
@@ -1041,6 +1052,31 @@ class TestCheckpoints:
         path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
         with pytest.raises(DataError, match=malformed(path) + "RecursionError: maximum recursion"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("name", [".", "x" * 300], ids=["directory", "name-too-long"])
+    def test_path_that_cannot_be_opened(self, tmp_path, name):
+        path = str(tmp_path / name)
+        with pytest.raises(DataError, match=f"^cannot open checkpoint {re.escape(path)}: "):
+            load_checkpoint(path)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        """float64 cannot hold it, in a version-1 parameter array or in
+        the class weights of either version."""
+        doc = checkpoint_doc_as_version_1(model_to_json_dict(tiny_fusion_setup(seed=19, n=20)[0]))
+        doc["sources"][1]["enn"]["scale_raw"][0] = 10 ** 400
+        path = write_doc(tmp_path / "model.json", doc)
+        with pytest.raises(DataError, match=malformed(path) + "DataError: source 'notes' "
+                                            "evidential layer parameter 'scale_raw': "
+                                            "OverflowError"):
+            load_checkpoint(path)
+        for version in (1, 2):
+            doc = model_to_json_dict(tiny_fusion_setup(seed=19, n=20)[0])
+            doc["class_weights"] = [1.0, 10 ** 400]
+            if version == 1:
+                checkpoint_doc_as_version_1(doc)
+            path = write_doc(tmp_path / "model.json", doc)
+            with pytest.raises(DataError, match=malformed(path) + "OverflowError"):
+                load_checkpoint(path)
 
     @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
     def test_non_finite_class_weight_rejected(self, tmp_path, weight):
