@@ -35,7 +35,7 @@ from .data import (
     require_integer,
     write_json,
 )
-from .errors import ConfigError, DataError, EvidFuseError
+from .errors import ConfigError, DataError, EvidFuseError, NumericalError
 from .metrics import evaluate, summarize, MetricsReport
 from .model import (
     Frame,
@@ -317,7 +317,8 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     from ``data.load_split``, which checks every row of either version
     (the binary files of version 2, each checked whole; the CSV and JSONL
     of version 1, line by line), so a fault outside the scored split fails
-    evaluation too.
+    evaluation too.  A checkpoint whose forward overflows, divides by zero
+    or makes a NaN on the split raises a ``NumericalError`` naming it.
     """
     if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")
@@ -349,6 +350,14 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
         dataset_id = manifest_hash(manifest_path)
 
     specs = [src.spec for src in model.sources]
-    report = score_split(model, split_inputs(specs, state, part), part.labels)
+    inputs = split_inputs(specs, state, part)
+    # finite weights can still overflow the forward (z * z, say); that is
+    # this checkpoint's fault, not a report
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = score_split(model, inputs, part.labels)
+    except FloatingPointError as exc:
+        raise NumericalError(f"scoring checkpoint {checkpoint_path} on its {split_name} split: "
+                             f"{exc}") from exc
 
     return _report_doc(task, doc.get("config_hash", ""), seed, dataset_id, split_name, report)

@@ -3,8 +3,11 @@ fusion, the class-weighted training objective, and the training loop.
 
 Each evidence source owns an encoder, an evidential layer, and an
 auxiliary logit head.  The forward is batched: it encodes every source,
-and ``evidential.fuse_evidence`` fuses all sources' prototype evidence
-in the log-commonality domain and returns pignistic probabilities.  It
+runs the evidential layers one group of sources at a time
+(``evidential.source_groups``: consecutive sources of equal shapes, as
+many as keep the stacked term array small), and
+``evidential.fuse_evidence`` fuses all sources' prototype evidence in
+the log-commonality domain and returns pignistic probabilities.  It
 has two callers, so it has two bodies.  ``batch_internals`` is the eval
 pass: ``predict_probs``, ``predict_batch`` and the per-epoch validation
 loss (``loss_overall``) run it, and ``predict_batch`` adds the fused and
@@ -34,10 +37,10 @@ The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
 each scaled by the source's auxiliary weight.  A training step
 (``loss_and_grad``) records nothing: its forward keeps what the backward
-reads (each encoder's cache, each source's evidence), and the backward
+reads (each encoder's cache, each group's evidence), and the backward
 runs hand-derived VJPs, the objective's, the fusion's
-(``evidential.fusion_vjp``) and each source's (``_source_vjp``, then its
-aux head's and its encoder's ``backward``).  Nothing in it refers back
+(``evidential.fusion_vjp``), each group's (``_source_vjp``) and each
+source's aux head's and encoder's ``backward``.  Nothing in it refers back
 to itself, so reference counting frees the step when it returns and the
 cyclic collector has nothing to do.  Training runs mini-batch Adam with
 early stopping on the validation overall loss, restoring the
@@ -48,20 +51,27 @@ flat layout: during training they and their gradients live in two flat
 vectors, built once per ``train``; each component's ``backward`` adds
 its gradients into its views of the gradient vector, so an Adam step is
 a single vectorized update of the parameter vector, with no per-step
-gradient dict and no flattening.  ``train`` also builds, once, a model
+gradient dict and no flattening.  The layout (``param_dict``'s order)
+puts the evidential parameters by kind across sources, so a group's
+parameters and gradients of one kind are one (G, ...) view of either
+vector: a step stacks them without a copy.  ``train`` also builds, once, a model
 whose arrays are views into the parameter vector; every step and the
 per-epoch validation loss run on it, so they see every update.
 
 The same ``FlatParams`` carries the run's ``Workspace``, built at
-``train``'s first step, its largest, and reused, through views, by the
-ragged last batch: each source's encoder layer outputs and three (N, H)
-evidential arrays, and one (M, N, H) term array that every source's
-forward and VJP share.  A step that allocated them afresh would hand
-them all back to the allocator at its end, which trims the heap and
-faults the pages in again on the next step.  The eval pass gets fresh
-arrays but keeps only each source's log-commonalities, so one source's
-(N, H) arrays are freed before the next source's are made and the
-pass's memory does not grow with the number of sources.
+``train``'s first step, its largest, which also fixes the groups, and
+reused, through views, by the ragged last batch: each source's hidden
+encoder layer outputs, per group one (G, N, D) array whose slices are
+its sources' encoder outputs (so the group's z is stacked as it is
+written) and three (G, N, H) evidential arrays, and one (G, M, N, H)
+term array, sized for the largest group, that every group's forward and
+VJP share.  A step that allocated them afresh would hand them all back
+to the allocator at its end, which trims the heap and faults the pages
+in again on the next step.  The eval pass gets fresh arrays but keeps
+only each group's log-commonalities; once a pass's rows outgrow the
+term budget (a few hundred rows at H = 20) every group is one source,
+so one source's (N, H) arrays are freed before the next source's are
+made and the pass's memory does not grow with the number of sources.
 
 A checkpoint is one JSON document.  ``save_checkpoint`` writes format
 version 2, where each parameter array is ``{"shape", "f8"}``, the base64
@@ -81,6 +91,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +112,7 @@ from .encoders import (
 )
 from .errors import ConfigError, DataError, EvidFuseError, TrainingDivergedError
 from .evidential import (EnnParams, EvidenceBuffers, _source_vjp, evidence_batch, fuse_evidence,
-                         fusion_vjp, init_enn)
+                         fusion_vjp, init_enn, source_groups)
 from .rng import substream
 
 PROB_FLOOR = 1e-12
@@ -109,6 +120,7 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ENN_KEYS = tuple(f.name for f in fields(EnnParams))
 
 
 @dataclass(frozen=True)
@@ -203,15 +215,20 @@ class Predictions:
 # parameter plumbing
 
 def param_dict(model: FusionModel) -> dict:
-    """Every trainable scalar array under a stable dotted name."""
+    """Every trainable scalar array under a stable dotted name: each
+    source's encoder and aux head parameters, then the evidential ones
+    by kind across sources (every source's ``prototypes``, then every
+    ``scale_raw``, and so on), so that consecutive sources' arrays of
+    one kind are adjacent in ``FlatParams``' vectors."""
     out = {}
     for i, src in enumerate(model.sources):
         for key in sorted(src.encoder.params):
             out[f"src{i}.encoder.{key}"] = src.encoder.params[key]
-        for key, arr in src.enn.as_param_dict().items():
-            out[f"src{i}.enn.{key}"] = arr
         for key in sorted(src.aux.params):
             out[f"src{i}.aux.{key}"] = src.aux.params[key]
+    for key in ENN_KEYS:
+        for i, src in enumerate(model.sources):
+            out[f"src{i}.enn.{key}"] = getattr(src.enn, key)
     return out
 
 
@@ -220,13 +237,37 @@ def with_params(model: FusionModel, params: dict) -> FusionModel:
     sources = []
     for i, src in enumerate(model.sources):
         enc_params = {k: np.asarray(params[f"src{i}.encoder.{k}"]) for k in src.encoder.params}
-        enn = EnnParams.from_param_dict(
-            {k: np.asarray(params[f"src{i}.enn.{k}"]) for k in src.enn.as_param_dict()}
-        )
+        enn = EnnParams.from_param_dict({k: np.asarray(params[f"src{i}.enn.{k}"])
+                                         for k in ENN_KEYS})
         aux_params = {k: np.asarray(params[f"src{i}.aux.{k}"]) for k in src.aux.params}
         sources.append(FusionSource(src.spec, replace(src.encoder, params=enc_params), enn,
                                     replace(src.aux, params=aux_params)))
     return FusionModel(model.frame, sources, model.class_weights)
+
+
+def _enn_shapes(model):
+    """Each source's evidential (H, D, M), what ``source_groups`` reads."""
+    return [(*src.enn.prototypes.shape, src.enn.m) for src in model.sources]
+
+
+def _layout(shapes: dict) -> dict:
+    """name -> (start, shape) in a flat vector laid out in ``shapes`` order."""
+    out, offset = {}, 0
+    for name, shape in shapes.items():
+        out[name] = (offset, shape)
+        offset += math.prod(shape)
+    return out
+
+
+class GroupBuffers(NamedTuple):
+    """A group of sources as a training step computes it on n rows."""
+
+    sources: range        # the group's source indices
+    params: list          # its (G, ...) evidential parameters, views of the flat vector
+    grads: list           # their gradients, views of the flat gradient
+    layers: list          # each source's encoder layer outputs, the last a slice of z
+    z: np.ndarray         # (G, n, D) encoder outputs
+    out: EvidenceBuffers  # (G, n, H) arrays and a view of the shared term array
 
 
 class Workspace:
@@ -236,39 +277,65 @@ class Workspace:
     The first step's ``buffers(model, n)`` builds it for that model and
     row count, which no later step may exceed (``train``'s first batch is
     its largest).  ``grad_model`` is then the model's layout over the
-    gradient vector: a ``FusionModel`` whose arrays are the ``grads``
-    views, so each component's ``backward`` adds into its own slots.
-    ``buffers`` gives each source's arrays for an n-row step: the
-    (n, width) output of each encoder layer (``encoders.layer_widths``),
-    and an ``EvidenceBuffers`` of three (n, H) arrays of its own and a
-    view of one (M, n, H) term array that every source's forward and VJP
-    share.  A row count's views are built once, so the ragged last batch
-    of an epoch reuses the storage of the full ones.
+    gradient vector: a ``FusionModel`` whose arrays are the gradient
+    views, so each component's ``backward`` adds into its own slots.  The
+    first step also fixes the source groups (``source_groups`` at its n)
+    and each group's (G, ...) views of the parameter and gradient vectors,
+    one per evidential parameter kind, which ``param_dict``'s layout makes
+    contiguous.  ``buffers`` gives each group's arrays for an n-row step
+    (``GroupBuffers``): its sources' hidden encoder layer outputs
+    (``encoders.layer_widths``), one (G, n, D) array whose slices are
+    their output layers, three (G, n, H) evidential arrays and a view of
+    one term array sized for the largest group, which every group's
+    forward and VJP share.  A row count's views are built once, so the
+    ragged last batch of an epoch reuses the storage of the full ones.
     """
 
-    def __init__(self, grads: dict):
-        self._grads = grads
+    def __init__(self, layout: dict, flat: np.ndarray, grad: np.ndarray, grads: dict):
+        self._layout, self._flat, self._grad, self._grads = layout, flat, grad, grads
         self.grad_model = None
-        self._storage = None
+        self._groups = None
         self._views = {}
 
     def buffers(self, model, n: int) -> list:
         views = self._views.get(n)
         if views is None:
-            widths = [layer_widths(src.encoder) for src in model.sources]
-            shapes = [src.enn.membership_raw.shape for src in model.sources]   # (H, M)
-            if self._storage is None:
-                self.grad_model = with_params(model, self._grads)
-                self._storage = ([[np.empty(n * w) for w in ws] for ws in widths],
-                                 [[np.empty(n * h) for _ in range(3)] for h, _ in shapes],
-                                 np.empty(n * max(h * m for h, m in shapes)))
-            layers, evidence, terms = self._storage
-            views = self._views[n] = [
-                ([a[:n * w].reshape(n, w) for a, w in zip(arrays, ws)],
-                 EvidenceBuffers(*(a[:n * h].reshape(n, h) for a in own),
-                                 terms[:m * n * h].reshape(m, n, h)))
-                for ws, arrays, own, (h, m) in zip(widths, layers, evidence, shapes)]
+            if self._groups is None:
+                self._build(model, n)
+            views = self._views[n] = []
+            for sources, (h, d, m), params, grads, z_store, own in self._groups:
+                g = len(sources)
+                z = z_store[:g * n * d].reshape(g, n, d)
+                layers = [[a[:n * w].reshape(n, w) for a, w in self._hidden[k]] + [z[i]]
+                          for i, k in enumerate(sources)]
+                out = EvidenceBuffers(*(a[:g * n * h].reshape(g, n, h) for a in own),
+                                      self._terms[:g * m * n * h].reshape(g, m, n, h))
+                views.append(GroupBuffers(sources, params, grads, layers, z, out))
         return views
+
+    def _build(self, model, n):
+        self.grad_model = with_params(model, self._grads)
+        # every encoder layer but the output one, which is a slice of its group's z
+        self._hidden = [[(np.empty(n * w), w) for w in layer_widths(src.encoder)[:-1]]
+                        for src in model.sources]
+        shapes = _enn_shapes(model)
+        self._groups = []
+        for lo, hi in source_groups(shapes, n):
+            g, (h, d, m) = hi - lo, shapes[lo]
+            self._groups.append((range(lo, hi), (h, d, m), self._stacked(self._flat, lo, hi),
+                                 self._stacked(self._grad, lo, hi), np.empty(g * n * d),
+                                 [np.empty(g * n * h) for _ in range(3)]))
+        self._terms = np.empty(max(len(sources) * m * n * h
+                                   for sources, (h, _, m), *_ in self._groups))
+
+    def _stacked(self, vec, lo, hi):
+        """Sources lo..hi-1's evidential parameters, one (G, ...) view of
+        ``vec`` per kind."""
+        out = []
+        for key in ENN_KEYS:
+            start, shape = self._layout[f"src{lo}.enn.{key}"]
+            out.append(vec[start:start + (hi - lo) * math.prod(shape)].reshape(hi - lo, *shape))
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +346,10 @@ class FlatParams:
 
     ``params`` and ``grads`` are named views into ``flat`` and ``grad``:
     an Adam step updates ``flat`` in place, and a training step adds each
-    parameter's gradient into its ``grads`` view.
+    parameter's gradient into its ``grads`` view.  The layout puts the
+    evidential parameters by kind across sources, so the workspace also
+    views a group of sources' arrays of one kind as one (G, ...) array;
+    Adam is elementwise, so the order moves no bit.
     """
 
     shapes: dict                      # name -> shape, in layout order
@@ -292,7 +362,8 @@ class FlatParams:
     def __post_init__(self):
         object.__setattr__(self, "params", self.views(self.flat))
         object.__setattr__(self, "grads", self.views(self.grad))
-        object.__setattr__(self, "workspace", Workspace(self.grads))
+        object.__setattr__(self, "workspace", Workspace(_layout(self.shapes), self.flat,
+                                                        self.grad, self.grads))
 
     @staticmethod
     def from_model(model: FusionModel) -> "FlatParams":
@@ -304,12 +375,8 @@ class FlatParams:
 
     def views(self, vec: np.ndarray) -> dict:
         """Named arrays of this layout that share memory with ``vec``."""
-        out, offset = {}, 0
-        for name, shape in self.shapes.items():
-            size = int(np.prod(shape))
-            out[name] = vec[offset:offset + size].reshape(shape)
-            offset += size
-        return out
+        return {name: vec[start:start + math.prod(shape)].reshape(shape)
+                for name, (start, shape) in _layout(self.shapes).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -346,26 +413,43 @@ def _check_labels(inputs, labels):
                         f"{sorted({len(x) for x in inputs})} rows")
 
 
+def _stack(arrays):
+    """One (G, ...) array of equal-shaped arrays: a view of a lone one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stack_groups(arrays):
+    """The groups' (G, ...) arrays as one (K, ...) array: a lone one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _log_commonalities(z, sources):
+    """A group's stacked log-commonalities, from the eval pass's fresh
+    arrays: only these outlive the call, so the group's (G, N, H) arrays
+    are freed before the next group's are made."""
+    ev = evidence_batch(z, *(_stack([getattr(src.enn, key) for src in sources])
+                             for key in ENN_KEYS))
+    return ev.log_q, ev.log_q_omega
+
+
 def batch_internals(model, inputs):
     """The eval pass: fused evidence (``fused.probs`` included) and
     per-source aux logits, without dropout.
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
     of them.  The encoders run in row blocks into fresh arrays, and each
-    source's evidence keeps only what the fusion reads: its (N, H)
-    fields are None, so its arrays are freed before the next source's
-    are made.
+    group of sources (``source_groups`` at the pass's row count) runs one
+    evidential pass, of which only the log-commonalities are kept.
     """
-    evidence = []
-    aux_logit_list = []
-    for src, x in zip(model.sources, inputs):
-        z = encode_blocks(src.encoder, x)
-        # no name holds the whole evidence: its (N, H) arrays go before the
-        # next source's are made
-        evidence.append(replace(evidence_batch(z, **src.enn.as_param_dict()),
-                                sq_dist=None, closeness=None, activation=None))
-        aux_logit_list.append(src.aux.forward(z))
-    return fuse_evidence(evidence), aux_logit_list
+    log_q, log_q_omega, aux_logit_list = [], [], []
+    for lo, hi in source_groups(_enn_shapes(model), len(inputs[0])):
+        sources = model.sources[lo:hi]
+        zs = [encode_blocks(src.encoder, x) for src, x in zip(sources, inputs[lo:hi])]
+        group_q, group_q_omega = _log_commonalities(_stack(zs), sources)
+        log_q.append(group_q)
+        log_q_omega.append(group_q_omega)
+        aux_logit_list += [src.aux.forward(z) for src, z in zip(sources, zs)]
+    return fuse_evidence(_stack_groups(log_q), _stack_groups(log_q_omega)), aux_logit_list
 
 
 def predict_batch(model: FusionModel, inputs) -> Predictions:
@@ -376,20 +460,23 @@ def predict_batch(model: FusionModel, inputs) -> Predictions:
     """
     fused, _ = batch_internals(model, _model_inputs(model, inputs))
     singles, ign = fused.masses()
-    per_source = [ev.masses() for ev in fused.sources]
-    src_singles = np.stack([s for s, _ in per_source], axis=1)        # (N, K, M)
+    src_singles, src_ign = fused.source_masses()                      # (K, N, M), (K, N, 1)
+    # (N, K, M), stacked from the (N, M) slices so that N keeps the
+    # smallest stride, as in theirs: the sum and einsum below run three
+    # times slower on a C-ordered copy
+    src_singles = np.stack(list(src_singles), axis=1)
     totals = src_singles.sum(axis=2)                                  # (N, K)
     # degree of conflict between sources a and b: sum_a * sum_b - a . b
     conflict = (totals[:, :, None] * totals[:, None, :]
                 - np.einsum("nam,nbm->nab", src_singles, src_singles))
-    k = len(per_source)
+    k = len(model.sources)
     conflict[:, np.arange(k), np.arange(k)] = 0.0
     return Predictions(
         probs=fused.probs,
         singletons=singles,
         ignorance=ign[:, 0],
         source_singletons=src_singles,
-        source_ignorance=np.concatenate([g for _, g in per_source], axis=1),
+        source_ignorance=src_ign[:, :, 0].T.copy(),
         conflict=conflict,
     )
 
@@ -496,8 +583,8 @@ def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
 def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     """Overall loss and its gradient as one flat vector.
 
-    ``params`` is a ``FlatParams`` of the model's layout (by default, a
-    fresh one); the parameter values are the model's own (``train``
+    ``params`` is a ``FlatParams`` of the model's layout holding the
+    model's parameter values (by default, a fresh copy of them; ``train``
     passes a model whose arrays are views of ``params.flat``).  The
     gradient is written into ``params.grad``, zeroed first, and returned,
     so the next call on the same ``params`` overwrites it; the step's
@@ -508,47 +595,55 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     inputs (e.g. precomputed text embeddings) are data, not parameters,
     so they get no gradient.
 
-    The forward runs each encoder's ``forward`` on the whole batch, with
-    its mask, into the workspace's layers, and keeps its cache; then each
-    source's ``evidence_batch`` in the workspace's evidential arrays, its
-    aux logits, and ``fuse_evidence``.  Without dropout its loss has the
-    bits of ``loss_overall``'s.  The backward runs the objective's VJP,
-    ``fusion_vjp`` and, per source, ``_source_vjp``, the aux head's and
-    the encoder's backward.  A component adds each parameter's gradient
-    into its zeroed slot, and an encoder output's gradient is its
-    evidence term, then plus its aux head's, so every gradient has the
-    bits of the tape step that the tests keep as the reference.  Nothing
-    the step makes refers back to itself, so reference counting frees it
-    all when the step returns, except the workspace's arrays.
+    The forward runs, per group of sources (the workspace's), each
+    encoder's ``forward`` on the whole batch, with its mask, into the
+    workspace's layers (its output layer a slice of the group's z), and
+    keeps its cache, and each source's aux logits; then one
+    ``evidence_batch`` on the group's stacked z and its stacked parameter
+    views of ``params.flat``, in the workspace's evidential arrays; then
+    ``fuse_evidence``.  Without dropout its loss has the bits of
+    ``loss_overall``'s.  The backward runs the objective's VJP,
+    ``fusion_vjp``, and per group ``_source_vjp``, whose parameter
+    gradients add into the group's stacked views of ``params.grad``, one
+    ``+=`` per parameter kind, then per source the aux head's and the
+    encoder's backward.  A component adds each parameter's gradient into
+    its zeroed slot, and an encoder output's gradient is its evidence
+    term, then plus its aux head's, so every gradient has the bits of the
+    tape step that the tests keep as the reference.  Nothing the step
+    makes refers back to itself, so reference counting frees it all when
+    the step returns, except the workspace's arrays.
     """
     _check_labels(inputs, labels)
     if params is None:
         params = FlatParams.from_model(model)
     work = params.workspace
-    buffers = work.buffers(model, len(labels))
+    groups = work.buffers(model, len(labels))
+    masks = masks or [None] * len(inputs)
     caches, evidence, aux_logits = [], [], []
-    for src, x, mask, (layers, out) in zip(model.sources, inputs,
-                                           masks or [None] * len(inputs), buffers):
-        z, cache = src.encoder.forward(x, mask, layers)
-        caches.append(cache)
-        evidence.append(evidence_batch(z, **src.enn.as_param_dict(), out=out))
-        aux_logits.append(src.aux.forward(z))
-    fused = fuse_evidence(evidence)
+    for group in groups:
+        for k, layers in zip(group.sources, group.layers):
+            src = model.sources[k]
+            z, cache = src.encoder.forward(inputs[k], masks[k], layers)
+            caches.append(cache)
+            aux_logits.append(src.aux.forward(z))
+        evidence.append(evidence_batch(group.z, *group.params, out=group.out))
+    fused = fuse_evidence(_stack_groups([ev.log_q for ev in evidence]),
+                          _stack_groups([ev.log_q_omega for ev in evidence]))
     loss = float(_objective(model, fused.probs, aux_logits, labels))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss!r}")
     params.grad.fill(0.0)
     g_probs, g_aux = _objective_vjp(model, fused.probs, aux_logits, labels)
     d_log_q, d_log_q_omega = fusion_vjp(fused, g_probs)
-    steps = zip(model.sources, work.grad_model.sources, fused.sources, caches, g_aux,
-                buffers)
-    for src, grads, ev, cache, g_logits, (_, out) in steps:
-        g_z, *g_enn = _source_vjp(ev, d_log_q, d_log_q_omega, out.terms)
-        for slot, g in zip(grads.enn.as_param_dict().values(), g_enn):
+    for group, ev in zip(groups, evidence):
+        g_z, *g_enn = _source_vjp(ev, d_log_q, d_log_q_omega, group.out.terms)
+        for slot, g in zip(group.grads, g_enn):
             slot += g
-        if g_logits is not None:
-            g_z += src.aux.backward(ev.inputs[0], g_logits, grads.aux.params)
-        src.encoder.backward(cache, g_z, grads.encoder.params)
+        for k, g_zk, z in zip(group.sources, g_z, group.z):
+            src, grads = model.sources[k], work.grad_model.sources[k]
+            if g_aux[k] is not None:
+                g_zk += src.aux.backward(z, g_aux[k], grads.aux.params)
+            src.encoder.backward(caches[k], g_zk, grads.encoder.params)
     return loss, params.grad
 
 

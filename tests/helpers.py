@@ -29,8 +29,8 @@ from evidfuse.encoders import encode_blocks
 from evidfuse.errors import DataError
 from evidfuse.evidential import (INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, FusedEvidence,
                                  SourceEvidence, _shifted_commonalities)
-from evidfuse.model import (PROB_FLOOR, FlatParams, Frame, Predictions, SourceSpec, _shifted_exp,
-                            _true_class, init_model, loss_aux, loss_main, param_dict)
+from evidfuse.model import (PROB_FLOOR, FlatParams, Frame, FusionModel, Predictions, SourceSpec,
+                            _shifted_exp, _true_class, init_model, loss_aux, loss_main, param_dict)
 import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, frame_of_size, gamma,
                        membership, pignistic)
@@ -63,6 +63,24 @@ def tiny_fusion_setup(seed=0, n=40, d_struct=4, d_text=3, prototypes=3,
     model = init_model(frame_of_size(2), specs, [x_struct, x_text], labels,
                        seed=seed, prototypes=prototypes, encoder_overrides=overrides)
     return model, [x_struct, x_text], labels
+
+
+def many_source_setup(prototypes, seed=0, n=40, d=4, hidden=8, encoder_kind="resnet"):
+    """A model of one source per entry of ``prototypes``, each with that
+    many prototypes over its own d features, plus the data it was
+    initialized on; every source carries class signal on its first axis."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=n)
+    inputs, sources = [], []
+    for i, h in enumerate(prototypes):
+        x = rng.normal(size=(n, d))
+        x[:, :1] += labels[:, None] - 0.5
+        spec = SourceSpec(f"source{i}", encoder_kind, aux_weight=1.0 + i)
+        part = init_model(frame_of_size(2), [spec], [x], labels, seed=seed + i, prototypes=h,
+                          encoder_overrides={spec.name: {"output_dim": hidden}})
+        inputs.append(x)
+        sources += part.sources
+    return FusionModel(part.frame, sources, part.class_weights), inputs, labels
 
 
 def mixed_dataset(n=120, seed=0, embeddings=True):
@@ -243,7 +261,9 @@ def taped_fuse_evidence(evidence):
     q, q_omega, total = _shifted_commonalities(log_q, log_q_omega)
     m = q.shape[1]
     probs = (q - q_omega) / total + (q_omega / total) / m
-    fused = FusedEvidence(probs, log_q, log_q_omega, evidence, q, q_omega, total)
+    stacked = (np.stack([ev.log_q for ev in evidence]),
+               np.stack([ev.log_q_omega for ev in evidence]))
+    fused = FusedEvidence(probs, log_q, log_q_omega, *stacked, q, q_omega, total)
     tensors = tuple(t for ev in evidence for t in ev.inputs if isinstance(t, ad.Tensor))
     if not tensors:
         return fused
@@ -261,7 +281,7 @@ def taped_fuse_evidence(evidence):
                     t._accumulate(grad)
 
     node = ad.Tensor(probs, tensors[0].tape, bwd=bwd)
-    return FusedEvidence(node, log_q, log_q_omega, evidence, q, q_omega, total)
+    return FusedEvidence(node, log_q, log_q_omega, *stacked, q, q_omega, total)
 
 
 def taped_batch_internals(model, inputs, params, masks=None):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidfuse import evidential
 from evidfuse.errors import DataError
 from evidfuse.evidential import (EnnParams, EvidenceBuffers, _source_vjp, evidence_batch,
-                                 fuse_evidence, fusion_vjp, init_enn, lloyd_kmeans)
+                                 fuse_evidence, fusion_vjp, init_enn, lloyd_kmeans, source_groups)
 import tape_ops as ad
 from helpers import (
     check_gradients,
@@ -211,11 +212,25 @@ class TestBatchedPath:
         check_gradients(f, [x], tol=1e-5)
 
 
-def fusion_grads(fused, g):
+def group_operands(sources):
+    """The five operands of ``evidence_batch`` for sources (rows,
+    EnnParams) of equal shapes, stacked as one group."""
+    return [np.stack(arrays) for arrays in zip(*((x, *p.as_param_dict().values())
+                                                 for x, p in sources))]
+
+
+def fuse_sources(sources):
+    """The sources' evidence, one group, and its fusion."""
+    ev = evidence_batch(*group_operands(sources))
+    return ev, fuse_evidence(ev.log_q, ev.log_q_omega)
+
+
+def fusion_grads(ev, fused, g):
     """Each source's five input gradients, from the gradient ``g`` of
-    ``fused.probs``: ``fusion_vjp``, then ``_source_vjp`` per source."""
+    ``fused.probs``: ``fusion_vjp``, then ``_source_vjp`` on the group."""
     d_log_q, d_log_q_omega = fusion_vjp(fused, g)
-    return [_source_vjp(ev, d_log_q, d_log_q_omega) for ev in fused.sources]
+    grads = _source_vjp(ev, d_log_q, d_log_q_omega)
+    return [[grad[k] for grad in grads] for k in range(len(ev.log_q))]
 
 
 def random_sources(rng, k, m, n=8, h=4, d=3):
@@ -250,16 +265,16 @@ class TestFusedEvidence:
     def test_matches_exact_oracle(self, k, m):
         rng = np.random.default_rng(100 + 10 * k + m)
         sources = random_sources(rng, k, m)
-        fused = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for x, p in sources])
+        _, fused = fuse_sources(sources)
         singles, ign = fused.masses()
+        source_singles, source_ign = fused.source_masses()
         for i in range(8):
             per_source = [enn_forward(x[i], p) for x, p in sources]
             ref = combine_many(per_source)
             np.testing.assert_allclose(fused.probs[i], pignistic(ref), rtol=0, atol=1e-12)
             np.testing.assert_allclose(singles[i], ref.singletons, rtol=0, atol=1e-12)
             assert abs(ign[i, 0] - ref.ignorance) <= 1e-12
-            for ev, src_ref in zip(fused.sources, per_source):
-                s_singles, s_ign = ev.masses()
+            for s_singles, s_ign, src_ref in zip(source_singles, source_ign, per_source):
                 np.testing.assert_allclose(s_singles[i], src_ref.singletons, rtol=0, atol=1e-12)
                 assert abs(s_ign[i, 0] - src_ref.ignorance) <= 1e-12
 
@@ -271,12 +286,14 @@ class TestFusedEvidence:
             arrays += [x, p.prototypes, p.scale_raw, p.support_raw, p.membership_raw]
         weights = rng.normal(size=(5, 3))  # arbitrary scalarization
 
-        def f(*arrs):
-            fused = fuse_evidence([evidence_batch(*arrs[:5]), evidence_batch(*arrs[5:])])
-            return np.sum(fused.probs * weights)
+        def fuse(arrs):
+            ev = evidence_batch(*(np.stack(pair) for pair in zip(arrs[:5], arrs[5:])))
+            return ev, fuse_evidence(ev.log_q, ev.log_q_omega)
 
-        fused = fuse_evidence([evidence_batch(*arrays[:5]), evidence_batch(*arrays[5:])])
-        got = [g for grads in fusion_grads(fused, weights) for g in grads]
+        def f(*arrs):
+            return np.sum(fuse(arrs)[1].probs * weights)
+
+        got = [g for grads in fusion_grads(*fuse(arrays), weights) for g in grads]
         for k, (g, want) in enumerate(zip(got, finite_difference_gradients(f, arrays))):
             np.testing.assert_allclose(g, want, rtol=1e-5, atol=1e-5, err_msg=str(k))
 
@@ -296,9 +313,9 @@ class TestFusedEvidence:
         assert isinstance(fused.probs, ad.Tensor)
         weights = rng.normal(size=fused.probs.value.shape)
         tape.backward(ad.sum_along(fused.probs * weights))
-        plain = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for x, p in sources])
+        ev, plain = fuse_sources(sources)
         assert plain.probs.tobytes() == fused.probs.value.tobytes()
-        for group, grads in zip(leaves, fusion_grads(plain, weights)):
+        for group, grads in zip(leaves, fusion_grads(ev, plain, weights)):
             for leaf, g in zip(group, grads):
                 assert leaf.grad.tobytes() == g.tobytes()
 
@@ -323,28 +340,26 @@ class TestFusedEvidence:
             old_singles, _ = product_evidence_batch(near, **params[0].as_param_dict())
         assert np.isnan(old_singles).all()
 
-        fused = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for p in params])
+        ev, fused = fuse_sources([(x, p) for p in params])
         probs = fused.probs
         assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        for ev in fused.sources:
-            singles, ign = ev.masses()
-            assert np.all(np.isfinite(singles)) and np.all(np.isfinite(ign))
+        singles, ign = fused.source_masses()
+        assert np.all(np.isfinite(singles)) and np.all(np.isfinite(ign))
         # far inputs carry no evidence: vacuous fused mass, uniform probabilities
         np.testing.assert_allclose(probs[4:8], 1.0 / m, rtol=0, atol=1e-12)
-        for grads in fusion_grads(fused, rng.normal(size=probs.shape)):
+        for grads in fusion_grads(ev, fused, rng.normal(size=probs.shape)):
             assert all(np.all(np.isfinite(g)) for g in grads)
-
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(extreme_sources())
     def test_extreme_parameters_property(self, sources):
-        fused = fuse_evidence([evidence_batch(x, **p.as_param_dict()) for x, p in sources])
+        ev, fused = fuse_sources(sources)
         probs = fused.probs
         assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         weights = np.random.default_rng(0).normal(size=probs.shape)
-        for grads in fusion_grads(fused, weights):
+        for grads in fusion_grads(ev, fused, weights):
             assert all(np.all(np.isfinite(g)) for g in grads)
 
 
@@ -383,34 +398,44 @@ EVIDENCE_FIELDS = ("log_q", "log_q_omega", "sq_dist", "closeness", "activation",
                    "membership")
 
 
+def one_group(case):
+    """A 2-D kernel case as a group of one source: views, no copies."""
+    return [a[None] for a in case]
+
+
+def vjp_seeds(name, n, m):
+    """A case's gradients of the log-commonalities, (n, M) and (n, 1)."""
+    rng = np.random.default_rng(len(name))
+    return rng.normal(size=(n, m)), rng.normal(size=(n, 1))
+
+
 class TestInPlaceKernels:
-    """``evidence_batch`` and ``_source_vjp`` compute in place; they must
-    give the bytes of the versions that allocate one array per step."""
+    """``evidence_batch`` and ``_source_vjp`` compute in place; on a group
+    of one source they must give the bytes of the versions that allocate
+    one array per step (``TestStackedKernels`` has larger groups)."""
 
     def test_cases_reach_the_edges(self):
-        evs = {name: evidence_batch(*case) for name, case in KERNEL_CASES.items()}
+        evs = {name: evidence_batch(*one_group(case)) for name, case in KERNEL_CASES.items()}
         assert np.any(evs["row-on-prototype"].sq_dist == 0.0)
         assert np.any(evs["saturated-membership"].membership == 1.0)
-        assert evs["one-row-one-prototype"].sq_dist.shape == (1, 1)
+        assert evs["one-row-one-prototype"].sq_dist.shape == (1, 1, 1)
 
     @pytest.mark.parametrize("name", list(KERNEL_CASES))
     def test_forward_and_vjp_match_byte_for_byte(self, name):
         case = KERNEL_CASES[name]
-        ev = evidence_batch(*case)
+        ev = evidence_batch(*one_group(case))
         want = reference_evidence_batch(*case)
         for field in EVIDENCE_FIELDS:
-            got, ref = getattr(ev, field), getattr(want, field)
+            got, ref = getattr(ev, field)[0], getattr(want, field)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), field
-        rng = np.random.default_rng(len(name))
-        d_log_q = rng.normal(size=want.log_q.shape)
-        d_log_q_omega = rng.normal(size=want.log_q_omega.shape)
+        d_log_q, d_log_q_omega = vjp_seeds(name, *want.log_q.shape)
         grads = _source_vjp(ev, d_log_q, d_log_q_omega)
         want_grads = reference_source_vjp(want, d_log_q, d_log_q_omega)
         for k, (got, ref) in enumerate(zip(grads, want_grads)):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), k
+            assert got[0].shape == ref.shape and got[0].tobytes() == ref.tobytes(), k
         # the VJP only reads the forward values
         for field in EVIDENCE_FIELDS:
-            assert getattr(ev, field).tobytes() == getattr(want, field).tobytes(), field
+            assert getattr(ev, field)[0].tobytes() == getattr(want, field).tobytes(), field
 
     @pytest.mark.parametrize("name", ["random-0", "row-on-prototype", "one-row", "1024x100x2"])
     def test_buffer_views_match_fresh_arrays(self, name):
@@ -421,34 +446,38 @@ class TestInPlaceKernels:
         n, h, m = len(case[0]), len(case[1]), case[4].shape[1]
         storage = [np.full((n + 3) * h, np.nan) for _ in range(3)]
         terms = np.full((m + 1) * (n + 3) * (h + 2), np.nan)
-        out = EvidenceBuffers(*(a[:n * h].reshape(n, h) for a in storage),
-                              terms[:m * n * h].reshape(m, n, h))
-        ev = evidence_batch(*case, out=out)
+        out = EvidenceBuffers(*(a[:n * h].reshape(1, n, h) for a in storage),
+                              terms[:m * n * h].reshape(1, m, n, h))
+        ev = evidence_batch(*one_group(case), out=out)
         want = reference_evidence_batch(*case)
         for field in EVIDENCE_FIELDS:
-            assert getattr(ev, field).tobytes() == getattr(want, field).tobytes(), field
+            assert getattr(ev, field)[0].tobytes() == getattr(want, field).tobytes(), field
         assert ev.sq_dist is out.sq_dist and ev.activation is out.activation
-        rng = np.random.default_rng(len(name))
-        d_log_q = rng.normal(size=want.log_q.shape)
-        d_log_q_omega = rng.normal(size=want.log_q_omega.shape)
+        d_log_q, d_log_q_omega = vjp_seeds(name, n, m)
         grads = _source_vjp(ev, d_log_q, d_log_q_omega, out.terms)
         for k, (got, ref) in enumerate(zip(grads, reference_source_vjp(want, d_log_q,
                                                                         d_log_q_omega))):
-            assert got.tobytes() == ref.tobytes(), k
+            assert got[0].tobytes() == ref.tobytes(), k
+
+    @staticmethod
+    def _group_of_two():
+        """Two sources at (N, H, M) = (1024, 100, 2), the unit (G, N, H)
+        float64 bytes, and the log-commonalities' gradients."""
+        case = KERNEL_CASES["1024x100x2"]
+        rng = np.random.default_rng(5)
+        group = [np.stack([a, a * 0.5]) for a in case]
+        return group, 2 * 1024 * 100 * 8, rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
 
     def test_allocation_budget(self):
-        """In (N, H) float64 units at (N, H, M) = (1024, 100, 2): the
-        forward keeps d2, e and s and a 2-unit term array; the VJP a
-        2-unit t, g_s and two boolean masks."""
-        case = KERNEL_CASES["1024x100x2"]
-        unit = 1024 * 100 * 8
-        rng = np.random.default_rng(5)
-        d_log_q, d_log_q_omega = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
+        """In (G, N, H) float64 units for a group of two: the forward
+        keeps d2, e and s and a 2-unit term array; the VJP a 2-unit t,
+        g_s and two boolean masks."""
+        group, unit, d_log_q, d_log_q_omega = self._group_of_two()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ev = evidence_batch(*case)
+            ev = evidence_batch(*group)
             forward = (tracemalloc.get_traced_memory()[1] - base) / unit
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -462,17 +491,14 @@ class TestInPlaceKernels:
 
     def test_allocation_budget_with_buffers(self):
         """In the same units: given its buffers, the forward allocates no
-        (N, H) array, and the VJP only g_s and two boolean masks."""
-        case = KERNEL_CASES["1024x100x2"]
-        unit = 1024 * 100 * 8
-        rng = np.random.default_rng(5)
-        d_log_q, d_log_q_omega = rng.normal(size=(1024, 2)), rng.normal(size=(1024, 1))
-        out = EvidenceBuffers(*np.empty((3, 1024, 100)), np.empty((2, 1024, 100)))
+        (G, N, H) array, and the VJP only g_s and two boolean masks."""
+        group, unit, d_log_q, d_log_q_omega = self._group_of_two()
+        out = EvidenceBuffers(*np.empty((3, 2, 1024, 100)), np.empty((2, 2, 1024, 100)))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ev = evidence_batch(*case, out=out)
+            ev = evidence_batch(*group, out=out)
             forward = (tracemalloc.get_traced_memory()[1] - base) / unit
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -482,6 +508,103 @@ class TestInPlaceKernels:
             tracemalloc.stop()
         assert forward < 0.5, forward
         assert vjp < 1.5, vjp
+
+
+def _group_of(name, g):
+    """G sources of a kernel case's shapes: the case and g - 1 more drawn
+    like it, each a list of the five operands."""
+    case = KERNEL_CASES[name]
+    n, (h, d), m = len(case[0]), case[1].shape, case[4].shape[1]
+    rng = np.random.default_rng(g)
+    return [case] + [_kernel_case(rng, n, h, d, m) for _ in range(g - 1)]
+
+
+def _in_larger_storage(arrays, rng):
+    """Each array copied into a view of a NaN-filled vector, at an offset,
+    as ``FlatParams`` lays a group's parameters out."""
+    views = []
+    for a in arrays:
+        start = int(rng.integers(1, 7))
+        store = np.full(a.size + start + 5, np.nan)
+        view = store[start:start + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+    return views
+
+
+class TestStackedKernels:
+    """A group of G sources in one ``evidence_batch`` and one
+    ``_source_vjp``: every slice has the bytes of the per-source
+    reference kernels, at G = 2 and 5 (G = 1 is ``TestInPlaceKernels``)."""
+
+    @staticmethod
+    def assert_slices_match(sources, operands, out=None):
+        n, m = len(sources[0][0]), sources[0][4].shape[1]
+        ev = evidence_batch(*operands, out=out)
+        refs = [reference_evidence_batch(*case) for case in sources]
+        for k, ref in enumerate(refs):
+            for field in EVIDENCE_FIELDS:
+                got, want = getattr(ev, field)[k], getattr(ref, field)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (k, field)
+        d_log_q, d_log_q_omega = vjp_seeds("stacked", n, m)
+        grads = _source_vjp(ev, d_log_q, d_log_q_omega, None if out is None else out.terms)
+        for k, ref in enumerate(refs):
+            want = reference_source_vjp(ref, d_log_q, d_log_q_omega)
+            for i, (got, w) in enumerate(zip(grads, want)):
+                assert got[k].shape == w.shape and got[k].tobytes() == w.tobytes(), (k, i)
+
+    @pytest.mark.parametrize("g", [2, 5])
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_slices_match_the_per_source_kernels(self, name, g):
+        sources = _group_of(name, g)
+        self.assert_slices_match(sources, [np.stack(arrays) for arrays in zip(*sources)])
+
+    @pytest.mark.parametrize("g", [2, 5])
+    @pytest.mark.parametrize("name", ["random-0", "row-on-prototype", "one-row", "1024x100x2"])
+    def test_views_of_larger_storage(self, name, g):
+        """Operands and buffers that are views of larger storage, as a
+        training step's workspace and parameter vector give them."""
+        sources = _group_of(name, g)
+        n, h, m = len(sources[0][0]), len(sources[0][1]), sources[0][4].shape[1]
+        rng = np.random.default_rng(g)
+        operands = _in_larger_storage([np.stack(arrays) for arrays in zip(*sources)], rng)
+        storage = [np.full((g + 1) * (n + 3) * h, np.nan) for _ in range(3)]
+        terms = np.full((g + 1) * (m + 1) * (n + 3) * (h + 2), np.nan)
+        out = EvidenceBuffers(*(a[:g * n * h].reshape(g, n, h) for a in storage),
+                              terms[:g * m * n * h].reshape(g, m, n, h))
+        self.assert_slices_match(sources, operands, out)
+
+
+class TestSourceGroups:
+    """Runs of consecutive sources of equal (H, D, M) whose stacked term
+    array fits ``GROUP_TERM_BYTES``."""
+
+    def test_budget_bounds_the_runs(self, monkeypatch):
+        shape, n = (20, 32, 2), 32
+        one = 8 * 2 * n * 20
+        monkeypatch.setattr(evidential, "GROUP_TERM_BYTES", 3 * one)
+        assert source_groups([shape] * 5, n) == [(0, 3), (3, 5)]
+        # one byte short of three sources' term array
+        monkeypatch.setattr(evidential, "GROUP_TERM_BYTES", 3 * one - 1)
+        assert source_groups([shape] * 5, n) == [(0, 2), (2, 4), (4, 5)]
+        # a source over the budget on its own is a run of one
+        monkeypatch.setattr(evidential, "GROUP_TERM_BYTES", one - 1)
+        assert source_groups([shape] * 3, n) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_unequal_shapes_split_the_runs(self):
+        shapes = [(3, 8, 2), (3, 8, 2), (4, 8, 2), (4, 8, 2), (4, 16, 2), (4, 16, 3),
+                  (3, 8, 2)]
+        assert source_groups(shapes, 24) == [(0, 2), (2, 4), (4, 5), (5, 6), (6, 7)]
+        assert source_groups([], 24) == []
+
+    def test_workloads(self):
+        """Batch-32 and batch-128 steps of two 20-prototype sources run one
+        group; a batch-1024 step of 100-prototype sources, and a pass over
+        a thousand rows, run groups of one."""
+        assert source_groups([(20, 32, 2)] * 2, 32) == [(0, 2)]
+        assert source_groups([(20, 32, 2)] * 2, 128) == [(0, 2)]
+        assert source_groups([(100, 32, 2)] * 5, 1024) == [(k, k + 1) for k in range(5)]
+        assert source_groups([(20, 32, 2)] * 2, 1000) == [(0, 1), (1, 2)]
 
 
 class TestKMeans:

@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +14,11 @@ from evidfuse.config import RunConfig
 from evidfuse.data import (Dataset, FeatureSpec, SyntheticConfig, fit_preprocess,
                            generate_synthetic, load_dataset, manifest_hash, split_indices,
                            write_dataset)
-from evidfuse.errors import ConfigError, DataError
+from evidfuse.errors import ConfigError, DataError, NumericalError
 from evidfuse.experiment import evaluate_checkpoint, resolve_source_specs, run_experiment
 from evidfuse.model import SourceSpec, model_to_json_dict
-from helpers import (as_version_1, checkpoint_as_version_1, mixed_dataset, set_item, tamper,
-                     tiny_fusion_setup)
+from helpers import (as_version_1, checkpoint_as_version_1, f8_as_list, list_as_f8, mixed_dataset,
+                     set_item, tamper, tiny_fusion_setup)
 
 
 def tiny_config(out_dir, seeds=(3,)):
@@ -193,6 +195,25 @@ class TestEvaluateCheckpoint:
         path.write_text(json.dumps(make_doc()), encoding="utf-8")
         with pytest.raises(DataError, match=f"malformed checkpoint .*checkpoint.json: {raised}"):
             evaluate_checkpoint(str(path))
+
+
+    @pytest.mark.parametrize("action", ["error", "default"])
+    def test_forward_that_overflows_names_the_checkpoint(self, tmp_path, action):
+        """Finite encoder weights whose outputs square past float64's
+        range: under either warning filter, a NumericalError naming the
+        checkpoint, and no RuntimeWarning."""
+        run_experiment(RunConfig(synthetic=SyntheticConfig(n=200), max_epochs=1, seeds=(0,),
+                                 output_dir=str(tmp_path)))
+        path = tmp_path / "experiment" / "seed_0" / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        params = doc["sources"][0]["encoder"]["params"]
+        params["w2"] = list_as_f8(np.asarray(f8_as_list(params["w2"])) * 1e160)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action)
+            with pytest.raises(NumericalError, match=re.escape(f"scoring checkpoint {path} ")):
+                evaluate_checkpoint(str(path))
+        assert not seen, [str(w.message) for w in seen]
 
 
 MANIFEST_SEED = 3

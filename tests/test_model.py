@@ -47,7 +47,8 @@ from evidfuse.rng import substream
 import tape_ops as ad
 from helpers import (chained_loss_overall, checkpoint_arrays, checkpoint_as_version_1,
                      checkpoint_doc_as_version_1, exact_prediction, f8_as_list, list_as_f8,
-                     reference_loss_and_grad, taped_loss_and_grad, tiny_fusion_setup)
+                     many_source_setup, reference_loss_and_grad, taped_loss_and_grad,
+                     tiny_fusion_setup)
 from reference import SimpleMass, combine_simple, frame_of_size, pignistic
 
 F2 = frame_of_size(2)
@@ -407,10 +408,11 @@ class TestFusedObjective:
 
     @pytest.mark.parametrize("kind", ["mlp", "resnet"])
     def test_sweep_frees_each_sources_forward_state(self, monkeypatch, kind):
-        """Every source's (N, H) distances, closeness and activations live
-        in the step's workspace: the steps on one ``FlatParams`` write the
-        same arrays, and with the cyclic collector off, reference counting
-        alone frees them once the step and its ``FlatParams`` are gone."""
+        """Every group's (G, N, H) distances, closeness and activations
+        live in the step's workspace: the steps on one ``FlatParams``
+        write the same arrays, and with the cyclic collector off,
+        reference counting alone frees them once the step and its
+        ``FlatParams`` are gone.  The two sources are one group."""
         model, inputs, labels, masks = self._setup(kind, zero_aux=False)
         seen = []
 
@@ -435,7 +437,7 @@ class TestFusedObjective:
             alive = [ref() is not None for ref in refs]
         finally:
             gc.enable()
-        assert len(alive) == 3 * len(model.sources) and not any(alive)
+        assert len(alive) == 3 and not any(alive)
 
     # the byte oracle's tape step, leaves + nodes.  MLP source: 12 leaves,
     # 3 encoder + 1 aux-head nodes; text source: 10 leaves, 2 + 1 nodes;
@@ -447,6 +449,20 @@ class TestFusedObjective:
         tape = ad.Tape()
         taped_loss_and_grad(model, inputs, labels, masks=masks, tape=tape)
         assert len(tape.nodes) == expected
+
+
+# per model kind beyond tiny_fusion_setup's two sources: each source's
+# prototype count.  Five ResNet sources at batch 32 are one group; unequal
+# counts split the sources into groups {0, 1}, {2}, {3} and {4}
+MANY_SOURCES = {"resnet-x5": (3,) * 5, "unequal-h": (3, 3, 4, 3, 4)}
+
+
+def step_setup(kind, seed, n, hidden=8):
+    """tiny_fusion_setup's MLP or ResNet source beside the text head, or
+    one of the ``MANY_SOURCES`` models of ResNet sources."""
+    if kind in MANY_SOURCES:
+        return many_source_setup(MANY_SOURCES[kind], seed=seed, n=n, hidden=hidden)
+    return tiny_fusion_setup(seed=seed, n=n, encoder_kind=kind, hidden=hidden)
 
 
 class TestTapeFreeStep:
@@ -465,11 +481,13 @@ class TestTapeFreeStep:
 
     @pytest.mark.parametrize("zero_aux", [False, True], ids=["aux", "zero-aux"])
     @pytest.mark.parametrize("dropout", [False, True], ids=["eval", "dropout"])
-    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet", *MANY_SOURCES])
     def test_matches_the_tape_step(self, kind, dropout, zero_aux):
-        """MLP or ResNet beside the text head; the text head's aux weight
-        is 0 in the zero-aux cases, so it gets no aux gradient."""
-        model, inputs, labels = tiny_fusion_setup(seed=24, n=24, encoder_kind=kind)
+        """MLP or ResNet beside the text head, or five ResNet sources (in
+        one group, or in groups of unequal H) at batch 32; the second
+        source's aux weight is 0 in the zero-aux cases, so it gets no aux
+        gradient."""
+        model, inputs, labels = step_setup(kind, seed=24, n=32 if kind in MANY_SOURCES else 24)
         if zero_aux:
             src = model.sources[1]
             src.spec = replace(src.spec, aux_weight=0.0)
@@ -488,12 +506,12 @@ class TestTapeFreeStep:
         assert (p_true <= evidfuse.model.PROB_FLOOR).sum() == 2
         self.assert_matches_the_tape_step(model, inputs, labels)
 
-    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet", *MANY_SOURCES])
     def test_ragged_batch_after_a_full_one(self, kind):
         """As in ``train``: a model whose arrays are views of one
         ``FlatParams``, whose workspace serves a full batch, then a ragged
         one in views of the same storage, then a full one again."""
-        model, inputs, labels = tiny_fusion_setup(seed=25, n=40, encoder_kind=kind)
+        model, inputs, labels = step_setup(kind, seed=25, n=40)
         slots = FlatParams.from_model(model)
         live = with_params(model, slots.params)
         rng = substream(7, "dropout")
@@ -509,9 +527,9 @@ class TestStepMatchesEval:
     where the eval pass encodes in more than one row block."""
 
     @pytest.mark.parametrize("n", [24, 2 * ENCODE_BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("kind", ["mlp", "resnet"])
+    @pytest.mark.parametrize("kind", ["mlp", "resnet", "resnet-x5"])
     def test_loss_equals_the_eval_loss(self, kind, n):
-        model, inputs, labels = tiny_fusion_setup(seed=5, n=n, encoder_kind=kind, hidden=32)
+        model, inputs, labels = step_setup(kind, seed=5, n=n, hidden=32)
         assert loss_and_grad(model, inputs, labels)[0] == float(
             loss_overall(model, inputs, labels))
 
@@ -612,7 +630,8 @@ class TestFusionLaws:
         far = FusionSource(SourceSpec("far", src.spec.encoder_kind, aux_weight=0.0), src.encoder,
                            replace(src.enn, prototypes=src.enn.prototypes + 1e3), src.aux)
         z = encode_blocks(far.encoder, inputs[0])
-        assert not evidence_batch(z, **far.enn.as_param_dict()).activation.any()
+        assert not evidence_batch(z[None], *(a[None] for a in far.enn.as_param_dict().values())
+                                  ).activation.any()
         probs = predict_probs(model, inputs)
         for at in range(3):
             sources, blocks = list(model.sources), list(inputs)
@@ -621,11 +640,14 @@ class TestFusionLaws:
             assert predict_probs(self.with_sources(model, sources), blocks).tobytes() == (
                 probs.tobytes()), at
         loss, grad = loss_and_grad(model, inputs, labels)
-        far_loss, far_grad = loss_and_grad(self.with_sources(model, [*model.sources, far]),
-                                           [*inputs, inputs[0]], labels)
+        with_far = self.with_sources(model, [*model.sources, far])
+        far_loss, far_grad = loss_and_grad(with_far, [*inputs, inputs[0]], labels)
         assert far_loss == loss
-        assert far_grad[:grad.size].tobytes() == grad.tobytes()
-        assert far_grad.size > grad.size and not far_grad[grad.size:].any()
+        far_grads = FlatParams.from_model(with_far).views(far_grad)
+        for name, g in FlatParams.from_model(model).views(grad).items():
+            assert far_grads[name].tobytes() == g.tobytes(), name
+        own = [g for name, g in far_grads.items() if name.startswith("src2.")]
+        assert own and not any(g.any() for g in own)
 
     def test_swapping_the_classes_swaps_the_probabilities(self):
         model, inputs, _ = tiny_fusion_setup()
