@@ -18,11 +18,12 @@ at once: every operand has a leading source axis G (a lone source is a
 group of one, as ``x[None]`` views), and it does each source's
 operations, in the same order, on (G, N, H) arrays and one (G, M, N, H)
 term array, so each source's slice has the bits of a one-source pass.
-``source_groups`` says which sources share a pass: consecutive ones of
-equal (H, D, M), while their stacked term array stays within
-``GROUP_TERM_BYTES``.  Beyond that the term array leaves the cache and
-a stacked pass is slower than one per source; below it, the per-call
-overhead a stack saves dominates (small training batches).
+``source_groups`` says which sources a training step's pass shares:
+consecutive ones of equal (H, D, M), while their stacked term array
+stays within ``GROUP_TERM_BYTES``.  Beyond that the term array leaves
+the cache and a stacked pass is slower than one per source; below it,
+the per-call overhead a stack saves dominates (small training
+batches).
 ``fuse_evidence`` takes the K sources' log-commonalities stacked, (K, N,
 M) and (K, N, 1), and sums them with one reduction over the source axis,
 which adds them in source order as a left fold would; it normalizes
@@ -65,7 +66,7 @@ that makes one array per step for one source, so every slice of every
 output has its bits; the tests keep that code as the byte reference.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -118,16 +119,17 @@ class EnnParams:
         return self.membership_raw.shape[1]
 
     def as_param_dict(self) -> dict:
-        return {
-            "prototypes": self.prototypes,
-            "scale_raw": self.scale_raw,
-            "support_raw": self.support_raw,
-            "membership_raw": self.membership_raw,
-        }
+        """The parameters under their names, in ``ENN_KEYS`` order."""
+        return {key: getattr(self, key) for key in ENN_KEYS}
 
     @staticmethod
     def from_param_dict(d: dict) -> "EnnParams":
-        return EnnParams(d["prototypes"], d["scale_raw"], d["support_raw"], d["membership_raw"])
+        return EnnParams(*(d[key] for key in ENN_KEYS))
+
+
+# the evidential parameters' one order: the fields', which is the order of
+# evidence_batch's operands, of checkpoints' arrays and of the flat layout
+ENN_KEYS = tuple(f.name for f in fields(EnnParams))
 
 
 class EvidenceBuffers(NamedTuple):

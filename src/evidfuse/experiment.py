@@ -318,7 +318,10 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
     (the binary files of version 2, each checked whole; the CSV and JSONL
     of version 1, line by line), so a fault outside the scored split fails
     evaluation too.  A checkpoint whose forward overflows, divides by zero
-    or makes a NaN on the split raises a ``NumericalError`` naming it.
+    or makes a NaN on the split raises a ``NumericalError`` naming it,
+    also where the result would be well defined (a ``support_raw`` below
+    -709.78 overflows ``exp`` in the sigmoid, whose value 0 is exact):
+    scoring runs under ``np.errstate(over, divide, invalid="raise")``.
     """
     if split_name not in SPLIT_NAMES:
         raise ConfigError(f"split must be one of train/val/test, got {split_name!r}")

@@ -3,11 +3,12 @@ fusion, the class-weighted training objective, and the training loop.
 
 Each evidence source owns an encoder, an evidential layer, and an
 auxiliary logit head.  The forward is batched: it encodes every source,
-runs the evidential layers one group of sources at a time
-(``evidential.source_groups``: consecutive sources of equal shapes, as
-many as keep the stacked term array small), and
-``evidential.fuse_evidence`` fuses all sources' prototype evidence in
-the log-commonality domain and returns pignistic probabilities.  It
+runs the evidential layers (a training step one group of sources at a
+time, ``evidential.source_groups``: consecutive sources of equal
+shapes, as many as keep the stacked term array small; the eval pass
+one source at a time), and ``evidential.fuse_evidence`` fuses all
+sources' prototype evidence in the log-commonality domain and returns
+pignistic probabilities.  It
 has two callers, so it has two bodies.  ``batch_internals`` is the eval
 pass: ``predict_probs``, ``predict_batch`` and the per-epoch validation
 loss (``loss_overall``) run it, and ``predict_batch`` adds the fused and
@@ -54,9 +55,10 @@ a single vectorized update of the parameter vector, with no per-step
 gradient dict and no flattening.  The layout (``param_dict``'s order)
 puts the evidential parameters by kind across sources, so a group's
 parameters and gradients of one kind are one (G, ...) view of either
-vector: a step stacks them without a copy.  ``train`` also builds, once, a model
-whose arrays are views into the parameter vector; every step and the
-per-epoch validation loss run on it, so they see every update.
+vector.  ``train`` also builds, once, a model whose arrays are views
+into the parameter vector; every step and the per-epoch validation loss
+run on it, so they see every update, and its steps stack a group's
+parameters without a copy.
 
 The same ``FlatParams`` carries the run's ``Workspace``, built at
 ``train``'s first step, its largest, which also fixes the groups, and
@@ -68,10 +70,11 @@ term array, sized for the largest group, that every group's forward and
 VJP share.  A step that allocated them afresh would hand them all back
 to the allocator at its end, which trims the heap and faults the pages
 in again on the next step.  The eval pass gets fresh arrays but keeps
-only each group's log-commonalities; once a pass's rows outgrow the
-term budget (a few hundred rows at H = 20) every group is one source,
-so one source's (N, H) arrays are freed before the next source's are
-made and the pass's memory does not grow with the number of sources.
+only each source's log-commonalities, so one source's (N, H) arrays
+are freed before the next source's are made and the pass's memory does
+not grow with the number of sources.  It does not group sources: its
+passes run whole splits, whose term arrays outgrow the group budget
+(a few hundred rows at H = 20) on every benchmarked workload.
 
 A checkpoint is one JSON document.  ``save_checkpoint`` writes format
 version 2, where each parameter array is ``{"shape", "f8"}``, the base64
@@ -111,8 +114,8 @@ from .encoders import (
     sample_dropout_masks,
 )
 from .errors import ConfigError, DataError, EvidFuseError, TrainingDivergedError
-from .evidential import (EnnParams, EvidenceBuffers, _source_vjp, evidence_batch, fuse_evidence,
-                         fusion_vjp, init_enn, source_groups)
+from .evidential import (ENN_KEYS, EnnParams, EvidenceBuffers, _source_vjp, evidence_batch,
+                         fuse_evidence, fusion_vjp, init_enn, source_groups)
 from .rng import substream
 
 PROB_FLOOR = 1e-12
@@ -120,7 +123,6 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ENN_KEYS = tuple(f.name for f in fields(EnnParams))
 
 
 @dataclass(frozen=True)
@@ -264,6 +266,7 @@ class GroupBuffers(NamedTuple):
 
     sources: range        # the group's source indices
     params: list          # its (G, ...) evidential parameters, views of the flat vector
+    source_params: tuple  # each source's own views of them, kind by kind (param_dict's)
     grads: list           # their gradients, views of the flat gradient
     layers: list          # each source's encoder layer outputs, the last a slice of z
     z: np.ndarray         # (G, n, D) encoder outputs
@@ -291,8 +294,10 @@ class Workspace:
     ragged last batch of an epoch reuses the storage of the full ones.
     """
 
-    def __init__(self, layout: dict, flat: np.ndarray, grad: np.ndarray, grads: dict):
-        self._layout, self._flat, self._grad, self._grads = layout, flat, grad, grads
+    def __init__(self, layout: dict, flat: np.ndarray, grad: np.ndarray, params: dict,
+                 grads: dict):
+        self._layout, self._flat, self._grad = layout, flat, grad
+        self._params, self._grads = params, grads
         self.grad_model = None
         self._groups = None
         self._views = {}
@@ -303,15 +308,27 @@ class Workspace:
             if self._groups is None:
                 self._build(model, n)
             views = self._views[n] = []
-            for sources, (h, d, m), params, grads, z_store, own in self._groups:
+            for sources, (h, d, m), params, source_params, grads, z_store, own in self._groups:
                 g = len(sources)
                 z = z_store[:g * n * d].reshape(g, n, d)
                 layers = [[a[:n * w].reshape(n, w) for a, w in self._hidden[k]] + [z[i]]
                           for i, k in enumerate(sources)]
                 out = EvidenceBuffers(*(a[:g * n * h].reshape(g, n, h) for a in own),
                                       self._terms[:g * m * n * h].reshape(g, m, n, h))
-                views.append(GroupBuffers(sources, params, grads, layers, z, out))
+                views.append(GroupBuffers(sources, params, source_params, grads, layers, z, out))
         return views
+
+    @staticmethod
+    def enn_params(model, group: GroupBuffers) -> list:
+        """The group's (G, ...) evidential parameters of ``model``, one per
+        kind: its views of the parameter vector when the model's arrays are
+        the sources' own views of it (``train``'s model), else a stack of
+        the model's arrays.  Either way a step reads the model's values."""
+        arrays = [getattr(model.sources[k].enn, key) for key in ENN_KEYS for k in group.sources]
+        if all(a is view for a, view in zip(arrays, group.source_params)):
+            return group.params
+        g = len(group.sources)
+        return [np.stack(arrays[i:i + g]) for i in range(0, len(arrays), g)]
 
     def _build(self, model, n):
         self.grad_model = with_params(model, self._grads)
@@ -323,6 +340,8 @@ class Workspace:
         for lo, hi in source_groups(shapes, n):
             g, (h, d, m) = hi - lo, shapes[lo]
             self._groups.append((range(lo, hi), (h, d, m), self._stacked(self._flat, lo, hi),
+                                 tuple(self._params[f"src{k}.enn.{key}"]
+                                       for key in ENN_KEYS for k in range(lo, hi)),
                                  self._stacked(self._grad, lo, hi), np.empty(g * n * d),
                                  [np.empty(g * n * h) for _ in range(3)]))
         self._terms = np.empty(max(len(sources) * m * n * h
@@ -363,7 +382,7 @@ class FlatParams:
         object.__setattr__(self, "params", self.views(self.flat))
         object.__setattr__(self, "grads", self.views(self.grad))
         object.__setattr__(self, "workspace", Workspace(_layout(self.shapes), self.flat,
-                                                        self.grad, self.grads))
+                                                        self.grad, self.params, self.grads))
 
     @staticmethod
     def from_model(model: FusionModel) -> "FlatParams":
@@ -413,22 +432,16 @@ def _check_labels(inputs, labels):
                         f"{sorted({len(x) for x in inputs})} rows")
 
 
-def _stack(arrays):
-    """One (G, ...) array of equal-shaped arrays: a view of a lone one."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _stack_groups(arrays):
+def _concat_sources(arrays):
     """The groups' (G, ...) arrays as one (K, ...) array: a lone one as it is."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _log_commonalities(z, sources):
-    """A group's stacked log-commonalities, from the eval pass's fresh
-    arrays: only these outlive the call, so the group's (G, N, H) arrays
-    are freed before the next group's are made."""
-    ev = evidence_batch(z, *(_stack([getattr(src.enn, key) for src in sources])
-                             for key in ENN_KEYS))
+def _log_commonalities(z, enn):
+    """One source's log-commonalities, (1, N, M) and (1, N, 1), from the
+    eval pass's fresh arrays: only these outlive the call, so the
+    source's (N, H) arrays are freed before the next source's are made."""
+    ev = evidence_batch(z[None], *(getattr(enn, key)[None] for key in ENN_KEYS))
     return ev.log_q, ev.log_q_omega
 
 
@@ -438,18 +451,17 @@ def batch_internals(model, inputs):
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
     of them.  The encoders run in row blocks into fresh arrays, and each
-    group of sources (``source_groups`` at the pass's row count) runs one
-    evidential pass, of which only the log-commonalities are kept.
+    source runs its own evidential pass, a group of one, of which only
+    the log-commonalities are kept.
     """
     log_q, log_q_omega, aux_logit_list = [], [], []
-    for lo, hi in source_groups(_enn_shapes(model), len(inputs[0])):
-        sources = model.sources[lo:hi]
-        zs = [encode_blocks(src.encoder, x) for src, x in zip(sources, inputs[lo:hi])]
-        group_q, group_q_omega = _log_commonalities(_stack(zs), sources)
-        log_q.append(group_q)
-        log_q_omega.append(group_q_omega)
-        aux_logit_list += [src.aux.forward(z) for src, z in zip(sources, zs)]
-    return fuse_evidence(_stack_groups(log_q), _stack_groups(log_q_omega)), aux_logit_list
+    for src, x in zip(model.sources, inputs):
+        z = encode_blocks(src.encoder, x)
+        source_q, source_q_omega = _log_commonalities(z, src.enn)
+        log_q.append(source_q)
+        log_q_omega.append(source_q_omega)
+        aux_logit_list.append(src.aux.forward(z))
+    return fuse_evidence(_concat_sources(log_q), _concat_sources(log_q_omega)), aux_logit_list
 
 
 def predict_batch(model: FusionModel, inputs) -> Predictions:
@@ -583,12 +595,15 @@ def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
 def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     """Overall loss and its gradient as one flat vector.
 
-    ``params`` is a ``FlatParams`` of the model's layout holding the
-    model's parameter values (by default, a fresh copy of them; ``train``
-    passes a model whose arrays are views of ``params.flat``).  The
-    gradient is written into ``params.grad``, zeroed first, and returned,
-    so the next call on the same ``params`` overwrites it; the step's
-    encoder layers and evidential arrays come from ``params.workspace``.
+    ``params`` is a ``FlatParams`` of the model's layout (by default a
+    fresh one).  The gradient is written into ``params.grad``, zeroed
+    first, and returned, so the next call on the same ``params``
+    overwrites it; the step's encoder layers and evidential arrays come
+    from ``params.workspace``.  Every parameter value is read from
+    ``model``: ``train`` passes a model whose arrays are views of
+    ``params.flat``, so a group's evidential parameters of one kind are
+    one (G, ...) view of it, and any other model's are stacked
+    (``Workspace.enn_params``).
     ``inputs`` are checked blocks, as in ``batch_internals``; ``masks``
     is a per-source list of dropout masks (None disables dropout).  A
     parameter the loss does not reach keeps a zero gradient.  Frozen
@@ -599,10 +614,10 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     encoder's ``forward`` on the whole batch, with its mask, into the
     workspace's layers (its output layer a slice of the group's z), and
     keeps its cache, and each source's aux logits; then one
-    ``evidence_batch`` on the group's stacked z and its stacked parameter
-    views of ``params.flat``, in the workspace's evidential arrays; then
-    ``fuse_evidence``.  Without dropout its loss has the bits of
-    ``loss_overall``'s.  The backward runs the objective's VJP,
+    ``evidence_batch`` on the group's stacked z and stacked parameters,
+    in the workspace's evidential arrays; then ``fuse_evidence``.
+    Without dropout its loss has the bits of ``loss_overall``'s.  The
+    backward runs the objective's VJP,
     ``fusion_vjp``, and per group ``_source_vjp``, whose parameter
     gradients add into the group's stacked views of ``params.grad``, one
     ``+=`` per parameter kind, then per source the aux head's and the
@@ -626,9 +641,9 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
             z, cache = src.encoder.forward(inputs[k], masks[k], layers)
             caches.append(cache)
             aux_logits.append(src.aux.forward(z))
-        evidence.append(evidence_batch(group.z, *group.params, out=group.out))
-    fused = fuse_evidence(_stack_groups([ev.log_q for ev in evidence]),
-                          _stack_groups([ev.log_q_omega for ev in evidence]))
+        evidence.append(evidence_batch(group.z, *work.enn_params(model, group), out=group.out))
+    fused = fuse_evidence(_concat_sources([ev.log_q for ev in evidence]),
+                          _concat_sources([ev.log_q_omega for ev in evidence]))
     loss = float(_objective(model, fused.probs, aux_logits, labels))
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss!r}")

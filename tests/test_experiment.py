@@ -215,6 +215,22 @@ class TestEvaluateCheckpoint:
                 evaluate_checkpoint(str(path))
         assert not seen, [str(w.message) for w in seen]
 
+    def test_benign_overflow_also_rejects_the_checkpoint(self, tmp_path):
+        """Any overflow while scoring rejects the checkpoint, also one
+        whose result is exact: a ``support_raw`` of -800 overflows ``exp``
+        in the sigmoid, although its support is a well-defined 0."""
+        run_experiment(RunConfig(synthetic=SyntheticConfig(n=200), max_epochs=1, seeds=(0,),
+                                 output_dir=str(tmp_path)))
+        path = tmp_path / "experiment" / "seed_0" / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        enn = doc["sources"][0]["enn"]
+        support = np.asarray(f8_as_list(enn["support_raw"]))
+        support[0] = -800.0
+        enn["support_raw"] = list_as_f8(support)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(NumericalError, match="overflow encountered in exp"):
+            evaluate_checkpoint(str(path))
+
 
 MANIFEST_SEED = 3
 # a training row and a test row of mixed_dataset() split at MANIFEST_SEED

@@ -425,8 +425,9 @@ class TestFusedObjective:
         slots = FlatParams.from_model(model)
         for _ in range(2):
             loss_and_grad(model, inputs, labels, params=slots, masks=masks)
-        first, second = seen[:2], seen[2:]
-        assert all(a is b for step in zip(first, second) for a, b in zip(*step))
+        assert len(seen) == 2           # one group per step
+        first, second = seen
+        assert all(a is b for a, b in zip(first, second))
         seen.clear()
         del slots, first, second
         gc.disable()
@@ -519,6 +520,19 @@ class TestTapeFreeStep:
             batch = [x[rows] for x in inputs]
             masks = make_dropout_masks(model, len(batch[0]), rng)
             self.assert_matches_the_tape_step(live, batch, labels[rows], masks, params=slots)
+
+    @pytest.mark.parametrize("kind", ["mlp", *MANY_SOURCES])
+    def test_reads_every_parameter_from_the_model(self, kind):
+        """``params`` supplies the gradient slots and the workspace: a
+        step given a ``FlatParams`` whose values differ from the model's,
+        or a model whose arrays are views of another ``FlatParams``,
+        computes at the model's values."""
+        model, inputs, labels = step_setup(kind, seed=26, n=32)
+        other = FlatParams.from_model(model)
+        other.flat[:] += 0.5
+        self.assert_matches_the_tape_step(model, inputs, labels, params=other)
+        live = with_params(model, FlatParams.from_model(model).params)
+        self.assert_matches_the_tape_step(live, inputs, labels, params=other)
 
 
 class TestStepMatchesEval:
