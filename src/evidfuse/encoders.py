@@ -12,16 +12,21 @@ loaded component against it.
 Each encoder has one forward, ``forward(x, masks=None, out=None) ->
 (z, cache)``.  ``masks`` are a training step's dropout masks, sampled
 up front at the encoder's ``dropout`` rate and applied as constants
-(inverted scaling, so the eval path needs no rescaling).  ``out`` holds
-one (N, width) array per layer output, in the order of
+(inverted scaling, so the eval path needs no rescaling); a training run
+draws every encoder's masks for a step at once (``DropoutMasks``).
+``out`` holds one (N, width) array per layer output, in the order of
 ``layer_widths``: a training step passes the ones its workspace keeps,
-and without them each layer's output is fresh.  ``cache`` holds the layer inputs and
-outputs that ``backward(cache, g_z, grads)`` reads: it adds each
+and without them each layer's output is fresh.  ``cache`` holds the
+layer inputs and outputs that ``backward(cache, g_z, grads)`` reads: it adds each
 parameter's gradient into ``grads[name]``, a zeroed view of the
 training step's flat gradient vector, and returns nothing, since an
 encoder's input is data.  Eval callers drop the cache.  An ``AuxHead``
-is one affine map; its ``backward`` also returns the gradient of its
-input, which the model adds to the encoder output's evidence gradient.
+is one affine map.  A group of G sources' heads run as one stacked
+kernel on the group's (G, N, D) encoder outputs (``aux_forward``,
+``aux_backward``; the eval pass runs a group of one), whose every slice
+has the bits of the 2-D map and its backward; ``aux_backward`` also
+returns the gradient of its input, which the model adds to the encoder
+output's evidence gradient.
 
 A hidden layer is the affine map, ReLU and dropout mask, applied in
 place on the ``x @ w`` product (adding the bias in place is the same
@@ -48,6 +53,7 @@ has exactly one row.  ``encode_blocks`` trusts its rows: the model
 checks them where they enter it.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +92,7 @@ def _hidden_gate(g, out, mask):
 def _affine_backward(x, g, grad_w, grad_b):
     """Adds the gradients of ``w`` and ``b`` in ``x @ w + b`` into their slots."""
     grad_w += x.T @ g
-    grad_b += g.sum(axis=0)
+    grad_b += np.add.reduce(g, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +222,8 @@ class TextHeadEncoder:
 
 @dataclass(frozen=True, eq=False)
 class AuxHead:
-    """Single affine map from encoder output to per-class logits."""
+    """Single affine map from encoder output to per-class logits; a
+    group of sources' heads run as one (``aux_forward``, ``aux_backward``)."""
 
     params: dict
     input_dim: int
@@ -225,14 +232,26 @@ class AuxHead:
     def shapes(self):
         return {"w": (self.input_dim, self.n_classes), "b": (self.n_classes,)}
 
-    def forward(self, z):
-        return _affine(z, self.params["w"], self.params["b"])
 
-    def backward(self, z, g, grads):
-        """Adds the gradients of ``w`` and ``b`` into ``grads``; returns
-        the gradient of ``z``."""
-        _affine_backward(z, g, grads["w"], grads["b"])
-        return g @ self.params["w"].T
+AUX_KEYS = ("w", "b")
+
+
+def aux_forward(z, w, b):
+    """A group of G sources' aux logits (G, N, M) from their encoder
+    outputs ``z`` (G, N, D), weights ``w`` (G, D, M) and biases ``b``
+    (G, M): each slice is ``z[k] @ w[k] + b[k]``, the bias added in place
+    on the product."""
+    v = np.matmul(z, w)
+    v += b[:, None, :]
+    return v
+
+
+def aux_backward(z, g, w, grad_w, grad_b):
+    """Adds the gradients of ``w`` and ``b`` in ``aux_forward`` into their
+    (G, ...) slots; returns the gradient of ``z``."""
+    grad_w += np.matmul(z.transpose(0, 2, 1), g)
+    grad_b += np.add.reduce(g, axis=1)
+    return np.matmul(g, w.transpose(0, 2, 1))
 
 
 def layer_widths(encoder):
@@ -277,16 +296,63 @@ def init_encoder(kind: str, input_dim: int, rng, **overrides):
     return ENCODER_KINDS[kind](input_dim, rng, **overrides)
 
 
-def sample_dropout_masks(encoder, n: int, rng) -> list:
-    """Inverted-scaling dropout masks at the encoder's rate for one step."""
-    rate = encoder.dropout
-    if rate <= 0.0:
-        return [np.ones(shape) for shape in encoder.dropout_shapes(n)]
-    keep = 1.0 - rate
-    return [
-        (rng.random(shape) >= rate).astype(np.float64) / keep
-        for shape in encoder.dropout_shapes(n)
-    ]
+class DropoutMasks:
+    """Inverted-scaling dropout masks for the steps of one training run,
+    drawn into storage that every step reuses.
+
+    ``DropoutMasks(encoders, n)`` sizes the storage for n rows, the most
+    any step may have.  ``draw(n, rng)`` gives each encoder's masks for an
+    n-row step (``dropout_shapes``), views of that storage: one
+    ``rng.random(out=...)`` fills the masks of every encoder with a
+    positive rate, in encoder and mask order, so it takes the numbers that
+    one draw per mask would; each run of encoders of one rate is compared
+    against it into a bool buffer and divided by the keep rate back into
+    the storage.  An encoder whose rate is 0 draws nothing and gets
+    masks of ones.  A row count's views are built once, so the ragged
+    last batch of an epoch reuses the storage of the full ones; each draw
+    overwrites the masks of the one before.
+    """
+
+    def __init__(self, encoders, n: int):
+        self._encoders = list(encoders)
+        size = sum(math.prod(shape) for enc in self._encoders if enc.dropout > 0.0
+                   for shape in enc.dropout_shapes(n))
+        self._values, self._hits = np.empty(size), np.empty(size, dtype=bool)
+        self._steps = {}
+
+    def draw(self, n: int, rng) -> list:
+        step = self._steps.get(n)
+        if step is None:
+            step = self._steps[n] = self._views(n)
+        masks, drawn, runs = step
+        rng.random(out=drawn)
+        for rate, values, hits in runs:
+            np.greater_equal(values, rate, out=hits)
+            np.divide(hits, 1.0 - rate, out=values)
+        return masks
+
+    def _views(self, n):
+        """Each encoder's masks for n rows, the drawn prefix of the storage
+        and, per run of encoders of one rate, the rate and the run's part
+        of the storage and of the bool buffer."""
+        masks, runs, offset = [], [], 0
+        for enc in self._encoders:
+            shapes = enc.dropout_shapes(n)
+            if enc.dropout <= 0.0:
+                masks.append([np.ones(shape) for shape in shapes])
+                continue
+            start = offset
+            masks.append([])
+            for shape in shapes:
+                size = math.prod(shape)
+                masks[-1].append(self._values[offset:offset + size].reshape(shape))
+                offset += size
+            if runs and runs[-1][0] == enc.dropout:
+                runs[-1][2] = offset
+            else:
+                runs.append([enc.dropout, start, offset])
+        return masks, self._values[:offset], [(rate, self._values[lo:hi], self._hits[lo:hi])
+                                              for rate, lo, hi in runs]
 
 
 def row_blocks(n: int):

@@ -19,11 +19,12 @@ group of one, as ``x[None]`` views), and it does each source's
 operations, in the same order, on (G, N, H) arrays and one (G, M, N, H)
 term array, so each source's slice has the bits of a one-source pass.
 ``source_groups`` says which sources a training step's pass shares:
-consecutive ones of equal (H, D, M), while their stacked term array
-stays within ``GROUP_TERM_BYTES``.  Beyond that the term array leaves
-the cache and a stacked pass is slower than one per source; below it,
-the per-call overhead a stack saves dominates (small training
-batches).
+consecutive ones of equal (H, D, M) (and aux weights that are all zero
+or all nonzero, as the model's stacked aux heads need), while their
+stacked term array stays within ``GROUP_TERM_BYTES``.  Beyond that the
+term array leaves the cache and a stacked pass is slower than one per
+source; below it, the per-call overhead a stack saves dominates (small
+training batches).
 ``fuse_evidence`` takes the K sources' log-commonalities stacked, (K, N,
 M) and (K, N, 1), and sums them with one reduction over the source axis,
 which adds them in source order as a left fold would; it normalizes
@@ -222,12 +223,14 @@ def masses_from_log_commonality(log_q, log_q_omega):
 def source_groups(shapes, n):
     """(lo, hi) bounds of the runs of consecutive sources that one
     evidential pass computes on n rows: ``shapes`` holds each source's
-    (H, D, M); a run's sources have equal ones, and it ends before its
-    (G, M, n, H) float64 term array would exceed ``GROUP_TERM_BYTES``.
-    A source whose own term array exceeds it is a run of one."""
+    (H, D, M), followed by anything else that a run's sources must share
+    (the model adds whether the source's aux weight is nonzero); a run's
+    sources have equal entries, and it ends before its (G, M, n, H)
+    float64 term array would exceed ``GROUP_TERM_BYTES``.  A source whose
+    own term array exceeds it is a run of one."""
     bounds, lo = [], 0
     for k in range(1, len(shapes) + 1):
-        h, _, m = shapes[lo]
+        h, _, m, *_ = shapes[lo]
         if (k == len(shapes) or shapes[k] != shapes[lo]
                 or 8 * (k + 1 - lo) * m * n * h > GROUP_TERM_BYTES):
             bounds.append((lo, k))

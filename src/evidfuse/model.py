@@ -3,12 +3,13 @@ fusion, the class-weighted training objective, and the training loop.
 
 Each evidence source owns an encoder, an evidential layer, and an
 auxiliary logit head.  The forward is batched: it encodes every source,
-runs the evidential layers (a training step one group of sources at a
-time, ``evidential.source_groups``: consecutive sources of equal
-shapes, as many as keep the stacked term array small; the eval pass
-one source at a time), and ``evidential.fuse_evidence`` fuses all
-sources' prototype evidence in the log-commonality domain and returns
-pignistic probabilities.  It
+runs the evidential layers and the aux heads (a training step one group
+of sources at a time, ``evidential.source_groups``: consecutive sources
+of equal shapes whose aux weights are all zero or all nonzero, as many
+as keep the stacked term array small; the eval pass one source at a
+time), and ``evidential.fuse_evidence`` fuses all sources' prototype
+evidence in the log-commonality domain and returns pignistic
+probabilities.  It
 has two callers, so it has two bodies.  ``batch_internals`` is the eval
 pass: ``predict_probs``, ``predict_batch`` and the per-epoch validation
 loss (``loss_overall``) run it, and ``predict_batch`` adds the fused and
@@ -36,16 +37,21 @@ validation epoch checks them again.
 
 The objective is the class-weighted log loss on the fused probabilities
 plus per-source class-weighted cross-entropies on the auxiliary logits,
-each scaled by the source's auxiliary weight.  A training step
-(``loss_and_grad``) records nothing: its forward keeps what the backward
-reads (each encoder's cache, each group's evidence), and the backward
-runs hand-derived VJPs, the objective's, the fusion's
-(``evidential.fusion_vjp``), each group's (``_source_vjp``) and each
-source's aux head's and encoder's ``backward``.  Nothing in it refers back
-to itself, so reference counting frees the step when it returns and the
-cyclic collector has nothing to do.  Training runs mini-batch Adam with
-early stopping on the validation overall loss, restoring the
-best-validation parameters.
+each scaled by the source's auxiliary weight; a source whose weight is 0
+adds no term.  ``_objective`` computes it and its gradients in one pass,
+for the training step and for the validation loss (``loss_overall``,
+which drops the gradients), so the two losses are one computation.  A
+training step (``loss_and_grad``) records nothing: its forward keeps
+what the backward reads (each encoder's cache, each group's evidence and
+aux logits), and the backward runs hand-derived VJPs, the fusion's
+(``evidential.fusion_vjp``), each group's evidential and aux heads'
+(``_source_vjp``, ``encoders.aux_backward``) and each encoder's
+``backward``.  Nothing in it refers back to itself, so reference
+counting frees the step when it returns and the cyclic collector has
+nothing to do.  Training runs mini-batch Adam with early stopping on the
+validation overall loss, restoring the best-validation parameters; its
+dropout masks come from one ``encoders.DropoutMasks``, one draw per
+step into storage that every step reuses.
 
 Parameters travel as name->array dicts.  ``FlatParams`` is their one
 flat layout: during training they and their gradients live in two flat
@@ -53,12 +59,13 @@ vectors, built once per ``train``; each component's ``backward`` adds
 its gradients into its views of the gradient vector, so an Adam step is
 a single vectorized update of the parameter vector, with no per-step
 gradient dict and no flattening.  The layout (``param_dict``'s order)
-puts the evidential parameters by kind across sources, so a group's
-parameters and gradients of one kind are one (G, ...) view of either
-vector.  ``train`` also builds, once, a model whose arrays are views
-into the parameter vector; every step and the per-epoch validation loss
-run on it, so they see every update, and its steps stack a group's
-parameters without a copy.
+puts the aux head and evidential parameters by kind across sources, so
+a group's parameters and gradients of one kind are one (G, ...) view of
+either vector; a checkpoint still holds each source's own arrays.
+``train`` also builds, once, a model whose arrays are views into the
+parameter vector; every step and the per-epoch validation loss run on
+it, so they see every update, and its steps stack a group's parameters
+without a copy.
 
 The same ``FlatParams`` carries the run's ``Workspace``, built at
 ``train``'s first step, its largest, which also fixes the groups, and
@@ -103,15 +110,18 @@ from . import data
 # up evidfuse.model.Tape (ROADMAP item 1)
 from .autodiff import Tape  # noqa: F401
 from .encoders import (
+    AUX_KEYS,
     AuxHead,
+    DropoutMasks,
     MlpEncoder,
     ResNetEncoder,
     TextHeadEncoder,
+    aux_backward,
+    aux_forward,
     encode_blocks,
     init_aux_head,
     init_encoder,
     layer_widths,
-    sample_dropout_masks,
 )
 from .errors import ConfigError, DataError, EvidFuseError, TrainingDivergedError
 from .evidential import (ENN_KEYS, EnnParams, EvidenceBuffers, _source_vjp, evidence_batch,
@@ -210,7 +220,10 @@ class Predictions:
         return len(self.probs)
 
     def __getitem__(self, index):
-        return Predictions(*(getattr(self, f.name)[index] for f in fields(self)))
+        return Predictions(*[getattr(self, name)[index] for name in _PREDICTION_FIELDS])
+
+
+_PREDICTION_FIELDS = tuple(f.name for f in fields(Predictions))
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +231,27 @@ class Predictions:
 
 def param_dict(model: FusionModel) -> dict:
     """Every trainable scalar array under a stable dotted name: each
-    source's encoder and aux head parameters, then the evidential ones
-    by kind across sources (every source's ``prototypes``, then every
-    ``scale_raw``, and so on), so that consecutive sources' arrays of
-    one kind are adjacent in ``FlatParams``' vectors."""
+    source's encoder parameters, then the aux head ones by kind across
+    sources (every source's ``w``, then every ``b``), then the evidential
+    ones by kind across sources (every ``prototypes``, then every
+    ``scale_raw``, and so on), so that consecutive sources' arrays of one
+    kind are adjacent in ``FlatParams``' vectors."""
     out = {}
     for i, src in enumerate(model.sources):
         for key in sorted(src.encoder.params):
             out[f"src{i}.encoder.{key}"] = src.encoder.params[key]
-        for key in sorted(src.aux.params):
+    for key in AUX_KEYS:
+        for i, src in enumerate(model.sources):
             out[f"src{i}.aux.{key}"] = src.aux.params[key]
     for key in ENN_KEYS:
         for i, src in enumerate(model.sources):
             out[f"src{i}.enn.{key}"] = getattr(src.enn, key)
     return out
+
+
+# the (G, ...) parameters of a group, kind by kind: each (component, key)
+# is a run of param_dict's layout
+_GROUP_KINDS = tuple(("enn", key) for key in ENN_KEYS) + tuple(("aux", key) for key in AUX_KEYS)
 
 
 def with_params(model: FusionModel, params: dict) -> FusionModel:
@@ -247,9 +267,12 @@ def with_params(model: FusionModel, params: dict) -> FusionModel:
     return FusionModel(model.frame, sources, model.class_weights)
 
 
-def _enn_shapes(model):
-    """Each source's evidential (H, D, M), what ``source_groups`` reads."""
-    return [(*src.enn.prototypes.shape, src.enn.m) for src in model.sources]
+def _group_keys(model):
+    """What ``source_groups`` reads of each source: its evidential
+    (H, D, M), and whether its aux weight is nonzero, so that a group's
+    aux heads all count in the objective or none does."""
+    return [(*src.enn.prototypes.shape, src.enn.m, src.spec.aux_weight != 0.0)
+            for src in model.sources]
 
 
 def _layout(shapes: dict) -> dict:
@@ -265,7 +288,7 @@ class GroupBuffers(NamedTuple):
     """A group of sources as a training step computes it on n rows."""
 
     sources: range        # the group's source indices
-    params: list          # its (G, ...) evidential parameters, views of the flat vector
+    params: list          # its (G, ...) parameters, evidential then aux: flat vector views
     source_params: tuple  # each source's own views of them, kind by kind (param_dict's)
     grads: list           # their gradients, views of the flat gradient
     layers: list          # each source's encoder layer outputs, the last a slice of z
@@ -281,15 +304,15 @@ class Workspace:
     row count, which no later step may exceed (``train``'s first batch is
     its largest).  ``grad_model`` is then the model's layout over the
     gradient vector: a ``FusionModel`` whose arrays are the gradient
-    views, so each component's ``backward`` adds into its own slots.  The
+    views, so each encoder's ``backward`` adds into its own slots.  The
     first step also fixes the source groups (``source_groups`` at its n)
     and each group's (G, ...) views of the parameter and gradient vectors,
-    one per evidential parameter kind, which ``param_dict``'s layout makes
-    contiguous.  ``buffers`` gives each group's arrays for an n-row step
-    (``GroupBuffers``): its sources' hidden encoder layer outputs
-    (``encoders.layer_widths``), one (G, n, D) array whose slices are
-    their output layers, three (G, n, H) evidential arrays and a view of
-    one term array sized for the largest group, which every group's
+    one per evidential and aux head parameter kind, which ``param_dict``'s
+    layout makes contiguous.  ``buffers`` gives each group's arrays for an
+    n-row step (``GroupBuffers``): its sources' hidden encoder layer
+    outputs (``encoders.layer_widths``), one (G, n, D) array whose slices
+    are their output layers, three (G, n, H) evidential arrays and a view
+    of one term array sized for the largest group, which every group's
     forward and VJP share.  A row count's views are built once, so the
     ragged last batch of an epoch reuses the storage of the full ones.
     """
@@ -319,12 +342,15 @@ class Workspace:
         return views
 
     @staticmethod
-    def enn_params(model, group: GroupBuffers) -> list:
-        """The group's (G, ...) evidential parameters of ``model``, one per
-        kind: its views of the parameter vector when the model's arrays are
-        the sources' own views of it (``train``'s model), else a stack of
-        the model's arrays.  Either way a step reads the model's values."""
-        arrays = [getattr(model.sources[k].enn, key) for key in ENN_KEYS for k in group.sources]
+    def group_params(model, group: GroupBuffers) -> list:
+        """The group's (G, ...) parameters of ``model``, one per kind
+        (``_GROUP_KINDS``): its views of the parameter vector when the
+        model's arrays are the sources' own views of it (``train``'s
+        model), else a stack of the model's arrays.  Either way a step
+        reads the model's values."""
+        sources = [model.sources[k] for k in group.sources]
+        arrays = ([getattr(src.enn, key) for key in ENN_KEYS for src in sources]
+                  + [src.aux.params[key] for key in AUX_KEYS for src in sources])
         if all(a is view for a, view in zip(arrays, group.source_params)):
             return group.params
         g = len(group.sources)
@@ -335,24 +361,24 @@ class Workspace:
         # every encoder layer but the output one, which is a slice of its group's z
         self._hidden = [[(np.empty(n * w), w) for w in layer_widths(src.encoder)[:-1]]
                         for src in model.sources]
-        shapes = _enn_shapes(model)
+        keys = _group_keys(model)
         self._groups = []
-        for lo, hi in source_groups(shapes, n):
-            g, (h, d, m) = hi - lo, shapes[lo]
+        for lo, hi in source_groups(keys, n):
+            g, (h, d, m, _) = hi - lo, keys[lo]
             self._groups.append((range(lo, hi), (h, d, m), self._stacked(self._flat, lo, hi),
-                                 tuple(self._params[f"src{k}.enn.{key}"]
-                                       for key in ENN_KEYS for k in range(lo, hi)),
+                                 tuple(self._params[f"src{k}.{component}.{key}"]
+                                       for component, key in _GROUP_KINDS for k in range(lo, hi)),
                                  self._stacked(self._grad, lo, hi), np.empty(g * n * d),
                                  [np.empty(g * n * h) for _ in range(3)]))
         self._terms = np.empty(max(len(sources) * m * n * h
                                    for sources, (h, _, m), *_ in self._groups))
 
     def _stacked(self, vec, lo, hi):
-        """Sources lo..hi-1's evidential parameters, one (G, ...) view of
-        ``vec`` per kind."""
+        """Sources lo..hi-1's evidential and aux parameters, one (G, ...)
+        view of ``vec`` per kind."""
         out = []
-        for key in ENN_KEYS:
-            start, shape = self._layout[f"src{lo}.enn.{key}"]
+        for component, key in _GROUP_KINDS:
+            start, shape = self._layout[f"src{lo}.{component}.{key}"]
             out.append(vec[start:start + (hi - lo) * math.prod(shape)].reshape(hi - lo, *shape))
         return out
 
@@ -451,8 +477,8 @@ def batch_internals(model, inputs):
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
     of them.  The encoders run in row blocks into fresh arrays, and each
-    source runs its own evidential pass, a group of one, of which only
-    the log-commonalities are kept.
+    source runs its own evidential pass and aux head, groups of one, of
+    whose evidence only the log-commonalities are kept.
     """
     log_q, log_q_omega, aux_logit_list = [], [], []
     for src, x in zip(model.sources, inputs):
@@ -460,7 +486,8 @@ def batch_internals(model, inputs):
         source_q, source_q_omega = _log_commonalities(z, src.enn)
         log_q.append(source_q)
         log_q_omega.append(source_q_omega)
-        aux_logit_list.append(src.aux.forward(z))
+        aux_logit_list.append(aux_forward(z[None], *(src.aux.params[key][None]
+                                                     for key in AUX_KEYS))[0])
     return fuse_evidence(_concat_sources(log_q), _concat_sources(log_q_omega)), aux_logit_list
 
 
@@ -499,78 +526,58 @@ def predict_probs(model: FusionModel, inputs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses
+# the objective
 #
-# Both terms are class-weighted means of -log p(true class).  The array
-# functions below give their values on every path; ``_objective_vjp`` is
-# the whole objective's hand-derived VJP.
-
-def _true_class(labels, class_weights):
-    """Row indices, labels and each row's class weight."""
-    labels = np.asarray(labels)
-    return np.arange(len(labels)), labels, np.asarray(class_weights)[labels]
-
+# Both terms are class-weighted means of -log p(true class): the main one
+# of the fused probabilities (floored at PROB_FLOOR), each aux one of its
+# source's max-shifted softmax.  ``_objective`` computes the loss and its
+# gradients in one pass, for the training step and the validation loss.
 
 def _weighted_nll(weights, log_p_true):
-    return -(np.add.reduce(weights * log_p_true) * (1.0 / len(weights)))
+    """The class-weighted mean of -log p(true class) over the last axis:
+    one term's loss, or (G,) losses of G sources' (G, N) log-probabilities
+    (a row's sum has the bits of the 1-D sum)."""
+    return -(np.add.reduce(weights * log_p_true, axis=-1) * (1.0 / len(weights)))
 
 
-def _shifted_exp(logits):
-    """Max-shifted logits, their exponentials and the row sums of those."""
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, np.add.reduce(e, axis=1, keepdims=True)
+def _objective(probs, labels, class_weights, aux):
+    """The objective and its gradients with respect to the fused
+    probabilities and to each aux term's logits.
 
+    ``aux`` holds (aux weights, logits) pairs, one per group of sources
+    whose aux weights are all nonzero: the G weights in source order and
+    the group's (G, N, M) logits.  The loss is the main loss plus each
+    weight times its source's aux loss, added in source order; the row
+    indices, the class weights and each source's softmax are computed
+    once.  Returns (loss, gradient of the probabilities, one (G, N, M)
+    logit gradient per pair).
 
-def loss_main(probs, labels, class_weights) -> float:
-    """Class-weighted negative log of the predicted true-class probability."""
-    rows, labels, weights = _true_class(labels, class_weights)
-    return _weighted_nll(weights, np.log(np.maximum(probs[rows, labels], PROB_FLOOR)))
-
-
-def loss_aux(logits, labels, class_weights) -> float:
-    """Class-weighted cross entropy over softmaxed logits (max-shifted)."""
-    rows, labels, weights = _true_class(labels, class_weights)
-    shifted, _, total = _shifted_exp(logits)
-    return _weighted_nll(weights, (shifted - np.log(total))[rows, labels])
-
-
-def _objective(model, probs, aux_logits, labels):
-    """Main loss plus each nonzero auxiliary weight times its source's
-    aux loss."""
-    total = loss_main(probs, labels, model.class_weights)
-    for src, logits in zip(model.sources, aux_logits):
-        if src.spec.aux_weight != 0.0:
-            total = total + src.spec.aux_weight * loss_aux(logits, labels, model.class_weights)
-    return total
-
-
-def _objective_vjp(model, probs, aux_logits, labels):
-    """Gradients of ``_objective`` with respect to the fused probabilities
-    and to each source's aux logits (None where its aux weight is 0)."""
-    # d/dp of -(1/n) w log max(p_true, floor) is c / p_true with
-    # c = -(1/n) w, zero where the floor clamps; d/dlogits of an aux
-    # term is -(a/n) w (onehot - softmax).  The factors are grouped as
-    # in the chained-op reference, so both round alike.
-    rows, labels, weights = _true_class(labels, model.class_weights)
-    n = len(rows)
-    coef = -(1.0 / n) * weights
+    d/dp of -(1/n) w log max(p_true, floor) is c / p_true with c =
+    -(1/n) w, zero where the floor clamps; d/dlogits of an aux term is
+    -(a/n) w (onehot - softmax).  The factors are grouped as in the
+    chained-op reference, so both round alike.
+    """
+    labels = np.asarray(labels)
+    n = len(labels)
+    rows, weights = np.arange(n), np.asarray(class_weights)[labels]
     p_true = probs[rows, labels]
+    clamped = np.maximum(p_true, PROB_FLOOR)
+    loss = _weighted_nll(weights, np.log(clamped))
     g_probs = np.zeros_like(probs)
-    g_probs[rows, labels] = np.where(p_true > PROB_FLOOR,
-                                     coef / np.maximum(p_true, PROB_FLOOR), 0.0)
+    g_probs[rows, labels] = np.where(p_true > PROB_FLOOR, -(1.0 / n) * weights / clamped, 0.0)
     g_aux = []
-    for src, logits in zip(model.sources, aux_logits):
-        weight = src.spec.aux_weight
-        if weight == 0.0:
-            g_aux.append(None)
-            continue
-        coef = -weight * (1.0 / n) * weights
-        _, e, row_sums = _shifted_exp(logits)
-        g_logits = (-coef[:, None] / row_sums) * e
-        g_logits[rows, labels] += coef
+    for aux_weights, logits in aux:
+        shifted = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+        e = np.exp(shifted)
+        row_sums = np.add.reduce(e, axis=2, keepdims=True)
+        log_p_true = shifted[:, rows, labels] - np.log(row_sums[:, :, 0])
+        for weight, source_loss in zip(aux_weights, _weighted_nll(weights, log_p_true)):
+            loss = loss + weight * source_loss
+        coef = (-np.asarray(aux_weights, dtype=np.float64) * (1.0 / n))[:, None] * weights
+        g_logits = (-coef[:, :, None] / row_sums) * e
+        g_logits[:, rows, labels] += coef
         g_aux.append(g_logits)
-    return g_probs, g_aux
+    return loss, g_probs, g_aux
 
 
 def loss_overall(model: FusionModel, inputs, labels):
@@ -578,18 +585,14 @@ def loss_overall(model: FusionModel, inputs, labels):
     the eval pass (``batch_internals``): no dropout.
 
     ``inputs`` are checked blocks, as in ``batch_internals``; the label
-    count is checked here.
+    count is checked here.  The objective is the training step's, each
+    source an aux term of its own; its gradients are dropped.
     """
     _check_labels(inputs, labels)
     fused, aux_logits = batch_internals(model, inputs)
-    return _objective(model, fused.probs, aux_logits, labels)
-
-
-def make_dropout_masks(model: FusionModel, n: int, rng) -> list:
-    return [
-        sample_dropout_masks(src.encoder, n, rng)
-        for src in model.sources
-    ]
+    aux = [((src.spec.aux_weight,), logits[None])
+           for src, logits in zip(model.sources, aux_logits) if src.spec.aux_weight != 0.0]
+    return _objective(fused.probs, labels, model.class_weights, aux)[0]
 
 
 def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
@@ -601,9 +604,9 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     overwrites it; the step's encoder layers and evidential arrays come
     from ``params.workspace``.  Every parameter value is read from
     ``model``: ``train`` passes a model whose arrays are views of
-    ``params.flat``, so a group's evidential parameters of one kind are
-    one (G, ...) view of it, and any other model's are stacked
-    (``Workspace.enn_params``).
+    ``params.flat``, so a group's evidential and aux parameters of one
+    kind are one (G, ...) view of it, and any other model's are stacked
+    (``Workspace.group_params``).
     ``inputs`` are checked blocks, as in ``batch_internals``; ``masks``
     is a per-source list of dropout masks (None disables dropout).  A
     parameter the loss does not reach keeps a zero gradient.  Frozen
@@ -613,20 +616,22 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     The forward runs, per group of sources (the workspace's), each
     encoder's ``forward`` on the whole batch, with its mask, into the
     workspace's layers (its output layer a slice of the group's z), and
-    keeps its cache, and each source's aux logits; then one
-    ``evidence_batch`` on the group's stacked z and stacked parameters,
-    in the workspace's evidential arrays; then ``fuse_evidence``.
-    Without dropout its loss has the bits of ``loss_overall``'s.  The
-    backward runs the objective's VJP,
-    ``fusion_vjp``, and per group ``_source_vjp``, whose parameter
-    gradients add into the group's stacked views of ``params.grad``, one
-    ``+=`` per parameter kind, then per source the aux head's and the
-    encoder's backward.  A component adds each parameter's gradient into
-    its zeroed slot, and an encoder output's gradient is its evidence
-    term, then plus its aux head's, so every gradient has the bits of the
-    tape step that the tests keep as the reference.  Nothing the step
-    makes refers back to itself, so reference counting frees it all when
-    the step returns, except the workspace's arrays.
+    keeps its cache; then, if the group's aux weights are nonzero, one
+    ``aux_forward`` of its aux heads, and one ``evidence_batch``, on the
+    group's stacked z and stacked parameters, in the workspace's
+    evidential arrays; then ``fuse_evidence`` and ``_objective``, which
+    also gives the gradients of the probabilities and of each group's
+    logits.  Without dropout its loss has the bits of ``loss_overall``'s.
+    The backward runs ``fusion_vjp`` and, per group, ``_source_vjp``,
+    whose parameter gradients add into the group's stacked views of
+    ``params.grad``, one ``+=`` per parameter kind, and ``aux_backward``,
+    then each source's encoder ``backward``.  A component adds each
+    parameter's gradient into its zeroed slot, and an encoder output's
+    gradient is its evidence term, then plus its aux head's, so every
+    gradient has the bits of the tape step that the tests keep as the
+    reference.  Nothing the step makes refers back to itself, so
+    reference counting frees it all when the step returns, except the
+    workspace's arrays.
     """
     _check_labels(inputs, labels)
     if params is None:
@@ -634,31 +639,36 @@ def loss_and_grad(model: FusionModel, inputs, labels, params=None, masks=None):
     work = params.workspace
     groups = work.buffers(model, len(labels))
     masks = masks or [None] * len(inputs)
-    caches, evidence, aux_logits = [], [], []
+    caches, aux_heads, evidence, aux = [], [], [], []
     for group in groups:
         for k, layers in zip(group.sources, group.layers):
-            src = model.sources[k]
-            z, cache = src.encoder.forward(inputs[k], masks[k], layers)
-            caches.append(cache)
-            aux_logits.append(src.aux.forward(z))
-        evidence.append(evidence_batch(group.z, *work.enn_params(model, group), out=group.out))
+            caches.append(model.sources[k].encoder.forward(inputs[k], masks[k], layers)[1])
+        *enn, w, b = work.group_params(model, group)
+        aux_weights = tuple(model.sources[k].spec.aux_weight for k in group.sources)
+        # source_groups keeps zero and nonzero aux weights apart
+        aux_heads.append(w if aux_weights[0] != 0.0 else None)
+        if aux_weights[0] != 0.0:
+            aux.append((aux_weights, aux_forward(group.z, w, b)))
+        evidence.append(evidence_batch(group.z, *enn, out=group.out))
     fused = fuse_evidence(_concat_sources([ev.log_q for ev in evidence]),
                           _concat_sources([ev.log_q_omega for ev in evidence]))
-    loss = float(_objective(model, fused.probs, aux_logits, labels))
+    loss, g_probs, g_aux = _objective(fused.probs, labels, model.class_weights, aux)
+    loss = float(loss)
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss {loss!r}")
     params.grad.fill(0.0)
-    g_probs, g_aux = _objective_vjp(model, fused.probs, aux_logits, labels)
     d_log_q, d_log_q_omega = fusion_vjp(fused, g_probs)
-    for group, ev in zip(groups, evidence):
+    g_aux = iter(g_aux)
+    for group, w, ev in zip(groups, aux_heads, evidence):
         g_z, *g_enn = _source_vjp(ev, d_log_q, d_log_q_omega, group.out.terms)
-        for slot, g in zip(group.grads, g_enn):
+        *enn_slots, grad_w, grad_b = group.grads
+        for slot, g in zip(enn_slots, g_enn):
             slot += g
-        for k, g_zk, z in zip(group.sources, g_z, group.z):
-            src, grads = model.sources[k], work.grad_model.sources[k]
-            if g_aux[k] is not None:
-                g_zk += src.aux.backward(z, g_aux[k], grads.aux.params)
-            src.encoder.backward(caches[k], g_zk, grads.encoder.params)
+        if w is not None:
+            g_z += aux_backward(group.z, next(g_aux), w, grad_w, grad_b)
+        for k, g_zk in zip(group.sources, g_z):
+            model.sources[k].encoder.backward(caches[k], g_zk,
+                                              work.grad_model.sources[k].encoder.params)
     return loss, params.grad
 
 
@@ -674,6 +684,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            data.require_integer(name, getattr(self, name))
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ConfigError("batch_size/max_epochs must be >= 1 and patience >= 0")
         data.require_nonnegative("learning rate", self.learning_rate)
@@ -734,6 +746,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
     flat = slots.flat
     live = with_params(model, slots.params)
     adam = Adam(flat.size, config)
+    dropout = DropoutMasks([src.encoder for src in model.sources], min(n, config.batch_size))
 
     best_flat = flat.copy()
     best_val = float("inf")
@@ -747,7 +760,7 @@ def train(model: FusionModel, train_inputs, train_labels, val_inputs, val_labels
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             batch_inputs = [x[idx] for x in train_inputs]
-            masks = make_dropout_masks(model, len(idx), dropout_rng)
+            masks = dropout.draw(len(idx), dropout_rng)
             try:
                 loss, grad = loss_and_grad(live, batch_inputs, train_labels[idx],
                                            params=slots, masks=masks)

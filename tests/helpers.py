@@ -25,12 +25,12 @@ import pytest
 from evidfuse.autodiff import Tape
 from evidfuse.data import (SPLIT_NAMES, Dataset, FeatureSpec, load_dataset, split_indices,
                            write_json)
-from evidfuse.encoders import encode_blocks
+from evidfuse.encoders import DropoutMasks, encode_blocks
 from evidfuse.errors import DataError
 from evidfuse.evidential import (INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, FusedEvidence,
                                  SourceEvidence, _shifted_commonalities)
 from evidfuse.model import (PROB_FLOOR, FlatParams, Frame, FusionModel, Predictions, SourceSpec,
-                            _shifted_exp, _true_class, init_model, loss_aux, loss_main, param_dict)
+                            _weighted_nll, init_model, param_dict)
 import tape_ops as ad
 from reference import (SimpleMass, beta, combine_many, degree_of_conflict, frame_of_size, gamma,
                        membership, pignistic)
@@ -183,6 +183,54 @@ def combine_batch(pairs):
     return singles, ign
 
 
+# ---------------------------------------------------------------------------
+# the objective's terms one at a time, the per-mask dropout draw
+
+def _true_class(labels, class_weights):
+    """Row indices, labels and each row's class weight."""
+    labels = np.asarray(labels)
+    return np.arange(len(labels)), labels, np.asarray(class_weights)[labels]
+
+
+def _shifted_exp(logits):
+    """Max-shifted logits, their exponentials and the row sums of those."""
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, np.add.reduce(e, axis=1, keepdims=True)
+
+
+def loss_main(probs, labels, class_weights) -> float:
+    """Class-weighted negative log of the predicted true-class probability."""
+    rows, labels, weights = _true_class(labels, class_weights)
+    return _weighted_nll(weights, np.log(np.maximum(probs[rows, labels], PROB_FLOOR)))
+
+
+def loss_aux(logits, labels, class_weights) -> float:
+    """Class-weighted cross entropy over softmaxed logits (max-shifted)."""
+    rows, labels, weights = _true_class(labels, class_weights)
+    shifted, _, total = _shifted_exp(logits)
+    return _weighted_nll(weights, (shifted - np.log(total))[rows, labels])
+
+
+def sample_dropout_masks(encoder, n: int, rng) -> list:
+    """Inverted-scaling dropout masks at the encoder's rate for one step,
+    one draw per mask: the oracle of ``encoders.DropoutMasks``."""
+    rate = encoder.dropout
+    if rate <= 0.0:
+        return [np.ones(shape) for shape in encoder.dropout_shapes(n)]
+    keep = 1.0 - rate
+    return [
+        (rng.random(shape) >= rate).astype(np.float64) / keep
+        for shape in encoder.dropout_shapes(n)
+    ]
+
+
+def make_dropout_masks(model, n: int, rng) -> list:
+    """Each source's dropout masks for an n-row step, drawn as ``train``
+    draws them, in fresh storage."""
+    return DropoutMasks([src.encoder for src in model.sources], n).draw(n, rng)
+
+
 def chained_loss_main(probs, labels, class_weights):
     """Reference main loss from taped ops: class-weighted negative log of
     the predicted true-class probability."""
@@ -301,19 +349,14 @@ def taped_batch_internals(model, inputs, params, masks=None):
     return taped_fuse_evidence(evidence), aux_logits
 
 
-def taped_loss_overall(model, inputs, labels, params, masks=None):
-    """The objective on the taped forward: one node whose parents are the
-    fused probabilities and the logits of every source with a nonzero
-    auxiliary weight."""
-    fused, aux_logits = taped_batch_internals(model, inputs, params, masks)
-    probs = fused.probs
-    aux = [(src.spec.aux_weight, logits)
-           for src, logits in zip(model.sources, aux_logits)
-           if src.spec.aux_weight != 0.0]
-    total = loss_main(ad.value_of(probs), labels, model.class_weights)
+def taped_objective(probs, aux, labels, class_weights):
+    """The objective as one tape node whose parents are the fused
+    probabilities and the logits of ``aux``, (nonzero aux weight, (N, M)
+    logits tensor) pairs, with its hand-derived VJP."""
+    total = loss_main(ad.value_of(probs), labels, class_weights)
     for weight, logits in aux:
-        total = total + weight * loss_aux(ad.value_of(logits), labels, model.class_weights)
-    rows, labels, weights = _true_class(labels, model.class_weights)
+        total = total + weight * loss_aux(ad.value_of(logits), labels, class_weights)
+    rows, labels, weights = _true_class(labels, class_weights)
 
     def bwd(g):
         # d/dp of -(1/n) w log max(p_true, floor) is c / p_true with
@@ -334,6 +377,17 @@ def taped_loss_overall(model, inputs, labels, params, masks=None):
             logits._accumulate(g_logits)
 
     return ad.Tensor(total, probs.tape, bwd=bwd)
+
+
+def taped_loss_overall(model, inputs, labels, params, masks=None):
+    """The objective on the taped forward: one node whose parents are the
+    fused probabilities and the logits of every source with a nonzero
+    auxiliary weight."""
+    fused, aux_logits = taped_batch_internals(model, inputs, params, masks)
+    aux = [(src.spec.aux_weight, logits)
+           for src, logits in zip(model.sources, aux_logits)
+           if src.spec.aux_weight != 0.0]
+    return taped_objective(fused.probs, aux, labels, model.class_weights)
 
 
 def taped_loss_and_grad(model, inputs, labels, masks=None, tape=None):

@@ -62,6 +62,16 @@ class TestParse:
         with pytest.raises(ConfigError, match=message):
             make()
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", True), ("seed", True), ("batch_size", 2.5), ("max_epochs", 2.0),
+        ("seed", 1.5), ("patience", False), ("patience", "3"), ("max_epochs", None),
+    ])
+    def test_train_counts_and_seed_must_be_integers(self, field, value):
+        """A bool, a float or any other non-int count or seed is rejected
+        when the ``TrainConfig`` is made, not deep inside ``train``."""
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
     def test_output_dir_default_ignores_the_environment(self, monkeypatch):
         monkeypatch.setenv("EVIDFUSE_OUTPUT_ROOT", "elsewhere")
         assert base_config().output_dir == "runs"

@@ -10,7 +10,12 @@ from evidfuse.errors import DataError
 from evidfuse.encoders import (
     ENCODE_BLOCK_ROWS,
     AuxHead,
+    DropoutMasks,
     MlpEncoder,
+    _affine,
+    _affine_backward,
+    aux_backward,
+    aux_forward,
     encode_blocks,
     init_aux_head,
     init_encoder,
@@ -19,9 +24,8 @@ from evidfuse.encoders import (
     init_text_head,
     layer_widths,
     row_blocks,
-    sample_dropout_masks,
 )
-from helpers import finite_difference_gradients
+from helpers import finite_difference_gradients, sample_dropout_masks
 
 RNG = np.random.default_rng(42)
 
@@ -130,34 +134,64 @@ class TestResidualProperty:
         np.testing.assert_allclose(out, x @ params["w_in"] + params["b_in"], atol=1e-15)
 
 
+def head_forward(head, z):
+    """One aux head's logits, the stacked kernel on a group of one."""
+    return aux_forward(z[None], head.params["w"][None], head.params["b"][None])[0]
+
+
 class TestAuxHead:
     def test_selecting_coordinates(self):
         head = AuxHead(params={"w": np.eye(32)[:, :2], "b": np.zeros(2)},
                        input_dim=32, n_classes=2)
         z = RNG.normal(size=(4, 32))
-        np.testing.assert_allclose(head.forward(z), z[:, :2], atol=1e-15)
+        np.testing.assert_allclose(head_forward(head, z), z[:, :2], atol=1e-15)
 
     def test_zero_weights_give_bias(self):
         bias = np.array([0.3, -0.7])
         head = AuxHead(params={"w": np.zeros((32, 2)), "b": bias}, input_dim=32, n_classes=2)
-        logits = head.forward(RNG.normal(size=(3, 32)))
+        logits = head_forward(head, RNG.normal(size=(3, 32)))
         np.testing.assert_array_equal(logits, np.tile(bias, (3, 1)))
 
     def test_gradients(self):
-        """``backward`` adds the parameter gradients of sum(sigmoid(logits))
-        into zeroed slots and returns the input's; central differences agree."""
+        """``aux_backward`` adds the parameter gradients of
+        sum(sigmoid(logits)) into zeroed slots and returns the input's;
+        central differences agree."""
         head = init_aux_head(4, 2, np.random.default_rng(5))
         z = RNG.normal(size=(6, 4))
 
         def f(zv, w, b):
-            return np.sum(sigmoid(replace(head, params={"w": w, "b": b}).forward(zv)))
+            return np.sum(sigmoid(head_forward(replace(head, params={"w": w, "b": b}), zv)))
 
-        sig = sigmoid(head.forward(z))
-        grads = {k: np.zeros_like(v) for k, v in head.params.items()}
-        g_z = head.backward(z, sig * (1.0 - sig), grads)
+        sig = sigmoid(head_forward(head, z))
+        grads = {k: np.zeros((1, *v.shape)) for k, v in head.params.items()}
+        g_z = aux_backward(z[None], (sig * (1.0 - sig))[None], head.params["w"][None],
+                           grads["w"], grads["b"])
         numeric = finite_difference_gradients(f, [z, head.params["w"], head.params["b"]])
-        for got, want in zip([g_z, grads["w"], grads["b"]], numeric):
+        for got, want in zip([g_z[0], grads["w"][0], grads["b"][0]], numeric):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+
+class TestStackedAuxKernel:
+    """``aux_forward`` and ``aux_backward`` on a group of G heads: every
+    slice has the bits of the 2-D affine map and its backward."""
+
+    @pytest.mark.parametrize("n", [1, 24, 32])
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_slices_match_the_2d_affine_map(self, g, n):
+        rng = np.random.default_rng(10 * g + n)
+        d, m = 8, 3
+        z, w, b = rng.normal(size=(g, n, d)), rng.normal(size=(g, d, m)), rng.normal(size=(g, m))
+        grad_g = rng.normal(size=(g, n, m))
+        logits = aux_forward(z, w, b)
+        grad_w, grad_b = np.zeros_like(w), np.zeros_like(b)
+        g_z = aux_backward(z, grad_g, w, grad_w, grad_b)
+        for k in range(g):
+            assert logits[k].tobytes() == _affine(z[k], w[k], b[k]).tobytes(), k
+            want_w, want_b = np.zeros_like(w[k]), np.zeros_like(b[k])
+            _affine_backward(z[k], grad_g[k], want_w, want_b)
+            assert grad_w[k].tobytes() == want_w.tobytes(), k
+            assert grad_b[k].tobytes() == want_b.tobytes(), k
+            assert g_z[k].tobytes() == (grad_g[k] @ w[k].T).tobytes(), k
 
 
 class TestEncoderGradients:
@@ -208,3 +242,61 @@ class TestDropoutMasks:
         enc = replace(init_mlp(4, np.random.default_rng(8)), dropout=0.0)
         for m in sample_dropout_masks(enc, 10, np.random.default_rng(9)):
             np.testing.assert_array_equal(m, np.ones_like(m))
+
+
+def encoder_stack(spec):
+    """Encoders named by ``spec``: kind:input_dim[:dropout] entries."""
+    out = []
+    for i, entry in enumerate(spec.split()):
+        kind, dim, *rate = entry.split(":")
+        enc = init_encoder(kind, int(dim), np.random.default_rng(i))
+        out.append(replace(enc, dropout=float(rate[0])) if rate else enc)
+    return out
+
+
+class TestOneDrawMasks:
+    """``DropoutMasks.draw`` against one ``rng.random`` per mask
+    (``helpers.sample_dropout_masks``): the same mask bits, and the
+    generator in the same state afterwards."""
+
+    @staticmethod
+    def assert_matches_per_mask_draws(encoders, masks, n, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = masks.draw(n, rng)
+        want = [sample_dropout_masks(enc, n, oracle_rng) for enc in encoders]
+        assert len(got) == len(want)
+        for mine, theirs in zip(got, want):
+            assert [m.shape for m in mine] == [m.shape for m in theirs]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(mine, theirs))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        return got
+
+    @pytest.mark.parametrize("spec,n", [
+        ("mlp:16 text-head:8", 32),
+        ("resnet:4 resnet:4 resnet:4 resnet:4 text-head:8", 1024),
+        ("mlp:4:0.3 text-head:8 mlp:4:0.3 resnet:4:0.1 mlp:4:0.0 resnet:4", 7),
+    ], ids=["mlp-batch-32", "four-resnets-and-text-1024", "mixed-rates"])
+    def test_matches_per_mask_draws(self, spec, n):
+        encoders = encoder_stack(spec)
+        self.assert_matches_per_mask_draws(encoders, DropoutMasks(encoders, n), n, seed=n)
+
+    def test_ragged_batch_views_the_full_batch_storage(self):
+        """An epoch of 3000 rows at batch 32 ends on a 24-row batch: its
+        masks view the storage of the 32-row ones, and each draw matches
+        the per-mask draws on its own."""
+        encoders = encoder_stack("mlp:16 text-head:8")
+        masks = DropoutMasks(encoders, 32)
+        full = self.assert_matches_per_mask_draws(encoders, masks, 32, seed=1)
+        ragged = self.assert_matches_per_mask_draws(encoders, masks, 3000 % 32, seed=2)
+        assert [m.shape for m in ragged[0]] == [(24, 32)] * 2
+        assert all(np.shares_memory(a, b) for a, b in zip(full[0], ragged[0]))
+        again = self.assert_matches_per_mask_draws(encoders, masks, 32, seed=3)
+        assert all(a is b for a, b in zip(full[0], again[0]))
+
+    def test_zero_rate_draws_nothing(self):
+        encoders = encoder_stack("mlp:4:0.0 text-head:8")
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        (masks, text_masks) = DropoutMasks(encoders, 10).draw(10, rng)
+        assert rng.bit_generator.state == state and text_masks == []
+        assert all(m.tobytes() == np.ones((10, 32)).tobytes() for m in masks)

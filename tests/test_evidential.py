@@ -576,8 +576,8 @@ class TestStackedKernels:
 
 
 class TestSourceGroups:
-    """Runs of consecutive sources of equal (H, D, M) whose stacked term
-    array fits ``GROUP_TERM_BYTES``."""
+    """Runs of consecutive sources of equal (H, D, M), and equal further
+    keys, whose stacked term array fits ``GROUP_TERM_BYTES``."""
 
     def test_budget_bounds_the_runs(self, monkeypatch):
         shape, n = (20, 32, 2), 32
@@ -596,6 +596,13 @@ class TestSourceGroups:
                   (3, 8, 2)]
         assert source_groups(shapes, 24) == [(0, 2), (2, 4), (4, 5), (5, 6), (6, 7)]
         assert source_groups([], 24) == []
+
+    def test_aux_weight_splits_the_runs(self):
+        """The model adds whether each source's aux weight is nonzero: a
+        run holds only sources whose aux heads all count, or none."""
+        on, off = (20, 32, 2, True), (20, 32, 2, False)
+        assert source_groups([on, off, off, on, on], 32) == [(0, 1), (1, 3), (3, 5)]
+        assert source_groups([off, off], 32) == [(0, 2)]
 
     def test_workloads(self):
         """Batch-32 and batch-128 steps of two 20-prototype sources run one

@@ -3,11 +3,11 @@ finite differences, and Dempster combination near total conflict."""
 
 import numpy as np
 
-from evidfuse.model import (FlatParams, loss_and_grad, make_dropout_masks, param_dict,
-                            with_params)
+from evidfuse.model import FlatParams, loss_and_grad, param_dict, with_params
 from evidfuse.rng import substream
 import tape_ops as ad
-from helpers import check_gradients, combine_batch, finite_difference_gradients, tiny_fusion_setup
+from helpers import (check_gradients, combine_batch, finite_difference_gradients,
+                     make_dropout_masks, tiny_fusion_setup)
 
 
 class TestFlatParams:

@@ -31,10 +31,7 @@ from evidfuse.model import (
     init_model,
     load_checkpoint,
     loss_and_grad,
-    loss_aux,
-    loss_main,
     loss_overall,
-    make_dropout_masks,
     model_to_json_dict,
     param_dict,
     predict_batch,
@@ -45,10 +42,11 @@ from evidfuse.model import (
 )
 from evidfuse.rng import substream
 import tape_ops as ad
-from helpers import (chained_loss_overall, checkpoint_arrays, checkpoint_as_version_1,
-                     checkpoint_doc_as_version_1, exact_prediction, f8_as_list, list_as_f8,
-                     many_source_setup, reference_loss_and_grad, taped_loss_and_grad,
-                     tiny_fusion_setup)
+from helpers import (chained_loss_aux, chained_loss_main, chained_loss_overall,
+                     checkpoint_arrays, checkpoint_as_version_1, checkpoint_doc_as_version_1,
+                     exact_prediction, f8_as_list, list_as_f8, loss_aux, loss_main,
+                     make_dropout_masks, many_source_setup, reference_loss_and_grad,
+                     taped_loss_and_grad, taped_objective, tiny_fusion_setup)
 from reference import SimpleMass, combine_simple, frame_of_size, pignistic
 
 F2 = frame_of_size(2)
@@ -183,6 +181,21 @@ class TestPredictBatch:
         stacked = np.stack([p.probs for p in preds])
         assert stacked.tobytes() == predict_probs(model, inputs).tobytes()
 
+    @pytest.mark.parametrize("index", [3, slice(2, 7), "mask"])
+    def test_indexing_selects_each_field(self, index):
+        """``preds[i]``, a slice or a boolean mask of the samples: each
+        field indexed alike."""
+        model, inputs, _ = tiny_fusion_setup(seed=6, n=9)
+        preds = predict_batch(model, inputs)
+        if index == "mask":
+            index = preds.predicted_class == 1
+        got = preds[index]
+        assert isinstance(got, Predictions)
+        for f in fields(Predictions):
+            want = getattr(preds, f.name)[index]
+            assert np.shape(getattr(got, f.name)) == want.shape, f.name
+            assert getattr(got, f.name).tobytes() == want.tobytes(), f.name
+
     def test_conflict_of_worked_example(self):
         model = two_constant_source_model()
         (pred,) = predict_batch(model, [np.zeros((1, 3)), np.zeros((1, 3))])
@@ -253,6 +266,81 @@ class TestLosses:
         total = float(loss_overall(model, inputs, labels))
         probs = batch_internals(model, inputs)[0].probs
         assert abs(total - float(loss_main(probs, labels, model.class_weights))) <= 1e-12
+
+
+def aux_terms(weights, logits):
+    """``_objective``'s aux pairs as a training step makes them: runs of
+    consecutive sources with nonzero aux weights (a zero weight ends a
+    run and adds no term), each with its (G, N, M) logits."""
+    terms, run = [], []
+    for k, weight in enumerate([*weights, 0.0]):
+        if weight != 0.0:
+            run.append(k)
+        elif run:
+            terms.append((tuple(weights[i] for i in run), logits[run[0]:run[-1] + 1]))
+            run = []
+    return terms
+
+
+class TestObjective:
+    """``_objective``, the loss and every gradient in one pass: its loss
+    has the bits of the per-term sum, and is the chained-op reference's
+    to rounding; its gradients have the bits of the taped objective."""
+
+    @staticmethod
+    def _case(weights, seed, n=24, m=3):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, m, n)
+        probs = rng.dirichlet(np.ones(m), size=n)
+        # two rows' true class under PROB_FLOOR, one of them exactly 0
+        probs[:2] = 0.5
+        probs[0, labels[0]], probs[1, labels[1]] = 1e-13, 0.0
+        logits = rng.normal(size=(len(weights), n, m)) * 3.0
+        return probs, labels, logits, np.array([1.5, 0.4, 0.9][:m])
+
+    @pytest.mark.parametrize("weights", [(2.0,), (0.0,), (2.0, 1.0), (1.0, 0.0),
+                                         (1.0, 0.5, 3.0, 2.0, 0.25), (1.0, 0.0, 2.0, 0.5, 3.0)],
+                             ids=["k1", "k1-zero", "k2", "k2-zero", "k5", "k5-zero"])
+    def test_matches_the_references(self, weights):
+        probs, labels, logits, class_weights = self._case(weights, seed=len(weights))
+        aux = aux_terms(weights, logits)
+        loss, g_probs, g_aux = evidfuse.model._objective(probs, labels, class_weights, aux)
+        nonzero = [k for k, weight in enumerate(weights) if weight != 0.0]
+
+        per_term = loss_main(probs, labels, class_weights)
+        for k in nonzero:
+            per_term = per_term + weights[k] * loss_aux(logits[k], labels, class_weights)
+        assert loss.tobytes() == per_term.tobytes()
+
+        tape = ad.Tape()
+        leaves = [tape.leaf(probs), *(tape.leaf(logits[k]) for k in nonzero)]
+        chained = chained_loss_main(leaves[0], labels, class_weights)
+        for k, leaf in zip(nonzero, leaves[1:]):
+            chained = chained + weights[k] * chained_loss_aux(leaf, labels, class_weights)
+        assert abs(loss - float(chained.value)) <= 1e-12 * abs(loss)
+
+        tape = ad.Tape()
+        leaves = [tape.leaf(probs), *(tape.leaf(logits[k]) for k in nonzero)]
+        tape.backward(taped_objective(leaves[0], [(weights[k], leaf) for k, leaf in
+                                                  zip(nonzero, leaves[1:])],
+                                      labels, class_weights))
+        assert g_probs.tobytes() == leaves[0].grad.tobytes()
+        assert not g_probs[:2].any()          # the floored rows pass no gradient
+        got = [g for g_group in g_aux for g in g_group]
+        assert len(got) == len(nonzero)
+        for g, leaf in zip(got, leaves[1:]):
+            assert g.tobytes() == leaf.grad.tobytes()
+
+    def test_step_loss_is_the_eval_loss(self):
+        """``loss_overall`` is ``_objective`` on the eval pass, each source
+        an aux term of its own; a step without dropout gives its loss."""
+        model, inputs, labels = tiny_fusion_setup(seed=8, n=16)
+        fused, aux_logits = evidfuse.model.batch_internals(model, inputs)
+        weights = [src.spec.aux_weight for src in model.sources]
+        loss, _, _ = evidfuse.model._objective(fused.probs, labels, model.class_weights,
+                                               aux_terms(weights, np.stack(aux_logits)))
+        assert loss == loss_overall(model, inputs, labels) == loss_and_grad(
+            model, inputs, labels)[0]
 
 
 class TestLossAndGrad:
