@@ -11,7 +11,7 @@ import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
-from .data import SyntheticConfig, require_integer, require_nonnegative
+from .data import SyntheticConfig, require_integer, require_nonnegative, require_seed
 from .errors import ConfigError
 
 GROUPINGS = ("modalities", "data-types", "data-sources", "custom")
@@ -79,7 +79,7 @@ class RunConfig:
                      "max_epochs", "patience", "n_source_blocks"):
             require_integer(name, getattr(self, name))
         for seed in self.seeds:
-            require_integer("each seed", seed)
+            require_seed("each seed", seed)
         for name in ("learning_rate", "aux_weight_structured", "aux_weight_text"):
             require_nonnegative(name, getattr(self, name))
         for check, message in (

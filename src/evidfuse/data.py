@@ -20,7 +20,10 @@ then exact dtype and shape (``n`` rows, the schema's widths) are checked,
 then its content as whole arrays: no code point above U+10FFFF in ids
 or categories, labels in ``[0, m)``, unique ids without NUL, no infinite
 numerical value, categories without NUL, finite embeddings.  Each fault
-raises a DataError naming the file.
+raises a DataError naming the file.  The ids stay one fixed-width unicode
+array through these checks (a hash per row for uniqueness, the code
+points for NUL), and only the ids of the rows a load returns become
+``str``.
 
 A version-1 manifest names text files, the readable input format that a
 person can write by hand: a structured CSV (header = feature names +
@@ -39,6 +42,12 @@ the file, and the faults of a whole file (a row count other than the
 manifest's ``n``, an id without an embedding) come after its pass.  One id -> row dict, built by the CSV
 pass, serves both passes.  A label must be ASCII digits and an embedding
 value a JSON number, as ``csv.writer`` and ``json.dumps`` write them.
+
+Each fact is checked once per load.  The readers, with the manifest
+reader's checks of ``m`` and of the schema's names, check every invariant
+of a ``Dataset``, so the loaders build theirs through ``Dataset._checked``,
+which checks nothing again; so does ``Dataset.subset``, whose rows come
+from a checked dataset.  The public constructor checks everything.
 
 The loaders' contract, which ``tests/test_fuzz.py`` checks on mutated
 files of both versions: whatever the files hold, ``load_dataset`` and
@@ -64,7 +73,7 @@ import os
 import sys
 import warnings
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from tokenize import TokenError
 
 import numpy as np
@@ -110,7 +119,12 @@ class Dataset:
     with None.  Ids are unique ``str``, no id or category holds NUL and
     embeddings are finite, so whatever validates here survives
     ``write_dataset`` and ``load_dataset`` unchanged, and so does its
-    version-1 text."""
+    version-1 text.
+
+    The public constructor checks all of that.  The loaders and ``subset``
+    build theirs with ``_checked``, from fields that they have checked
+    already or that come from a checked dataset, so each fact is checked
+    once per load."""
 
     schema: tuple
     ids: list
@@ -163,16 +177,33 @@ class Dataset:
             if not np.isfinite(self.embeddings).all():
                 raise DataError("embeddings must be finite")
 
+    @classmethod
+    def _checked(cls, schema, ids, columns, labels, embeddings, m, generator) -> "Dataset":
+        """A dataset of fields that already hold every invariant
+        ``__post_init__`` checks, in the types it leaves them in: ``ids`` a
+        list of str, ``columns`` a tuple of float64 or object arrays,
+        ``labels`` int64, ``embeddings`` float64 (n, De) or None, ``m`` an
+        int >= 2.  Nothing is checked or converted."""
+        dataset = cls.__new__(cls)
+        vars(dataset).update(schema=schema, ids=ids, columns=columns, labels=labels,
+                             embeddings=embeddings, m=m, generator=generator)
+        return dataset
+
     @property
     def n(self):
         return len(self.ids)
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
-        return replace(
-            self, ids=np.asarray(self.ids, dtype=object)[indices].tolist(),
-            columns=tuple(c[indices] for c in self.columns), labels=self.labels[indices],
-            embeddings=self.embeddings[indices] if self.embeddings is not None else None)
+        """The rows ``indices`` picks (integer indices or a boolean mask), in
+        its order; a row picked twice would repeat its id, so it raises."""
+        rows = np.arange(self.n)[np.asarray(indices)]
+        if np.bincount(rows, minlength=self.n).max(initial=0) > 1:
+            raise DataError("sample ids must be unique")
+        return Dataset._checked(
+            self.schema, np.asarray(self.ids, dtype=object)[rows].tolist(),
+            tuple(c[rows] for c in self.columns), self.labels[rows],
+            self.embeddings[rows] if self.embeddings is not None else None, self.m,
+            self.generator)
 
 
 def split_indices(n: int, seed: int):
@@ -314,6 +345,13 @@ def require_integer(name: str, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(name: str, value):
+    """A seed must be an integer >= 0, as numpy's ``SeedSequence`` takes it."""
+    require_integer(name, value)
+    if value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+
+
 def require_nonnegative(name: str, value):
     """A learning rate or weight must be an int or float from 0 to the
     largest finite float, and a bool is not one."""
@@ -335,8 +373,9 @@ class SyntheticConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "informativeness", tuple(float(x) for x in self.informativeness))
-        for name in ("n", "d_struct", "d_embed", "m", "seed"):
+        for name in ("n", "d_struct", "d_embed", "m"):
             require_integer(name, getattr(self, name))
+        require_seed("seed", self.seed)
         if self.m != 2:
             raise ConfigError("synthetic generation targets binary tasks (m = 2)")
         if self.n < 1 or self.d_struct < 1:
@@ -512,8 +551,8 @@ def _read_manifest(manifest_path: str):
     JSONL's None without embeddings) and binary files None; a version-2
     manifest gives text paths None and binary files that map each array's
     key to its (path, size, sha256).  A manifest that is missing, not
-    JSON, of another version or lacks a field raises a DataError naming
-    it."""
+    JSON, of another version, lacks a field or names a feature twice
+    raises a DataError naming it."""
     try:
         with open_input(manifest_path, "dataset manifest") as fh:
             manifest = json.load(fh)
@@ -553,6 +592,10 @@ def _read_manifest(manifest_path: str):
     if type(n) is not int or n < 0:
         raise DataError(
             f"malformed manifest {manifest_path}: n must be an integer >= 0, got {n!r}")
+    names = [f.name for f in schema]
+    if len(set(names)) != len(names):
+        raise DataError(
+            f"malformed manifest {manifest_path}: duplicate feature names in schema: {names}")
     return (schema, n, m, structured_path, embeddings_path, binary,
             manifest.get("generator"))
 
@@ -562,7 +605,7 @@ _NPY_HEADERS = {(1, 0): (2, np.lib.format.read_array_header_1_0),
                 (2, 0): (4, np.lib.format.read_array_header_2_0)}
 
 
-def _npy_layout(buf: bytearray):
+def _npy_layout(buf: np.ndarray):
     """(shape, fortran_order, dtype, data offset) of the .npy bytes
     ``buf``; the header readers see a copy of the header alone."""
     start = np.lib.format.MAGIC_LEN
@@ -588,7 +631,7 @@ def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
         if actual != size:
             raise DataError(f"{path} holds {actual} bytes, "
                             f"but manifest {manifest_path} records {size!r}")
-        buf = bytearray(size)
+        buf = np.empty(size, np.uint8)  # the read fills every byte
         fh.readinto(buf)
     if hashlib.sha256(buf).hexdigest() != sha256:
         raise DataError(f"{path}: sha256 differs from the one manifest {manifest_path} records")
@@ -604,9 +647,41 @@ def _read_npy(path: str, size, sha256, manifest_path: str) -> np.ndarray:
     return flat.reshape(shape, order="F" if fortran_order else "C")
 
 
+# 64-bit FNV-1a, one code point per step: the row hash of the id check
+_FNV_OFFSET, _FNV_PRIME = np.uint64(0xCBF29CE484222325), np.uint64(0x100000001B3)
+
+
+def _code_points(array: np.ndarray) -> np.ndarray:
+    """The uint32 code points of a native fixed-width unicode array,
+    position first: a contiguous ``(width,) + array.shape`` array, so that
+    a pass over one position of every value is one long loop.  The zeros
+    that end a value are the padding ``tolist`` strips."""
+    return np.ascontiguousarray(np.moveaxis(array[..., None].view(np.uint32), -1, 0))
+
+
+def _holds_nul(codes: np.ndarray) -> np.ndarray:
+    """Where a value of ``_code_points`` holds a NUL character: a zero code
+    point before a nonzero one."""
+    zero = codes == 0
+    return (zero[:-1] > zero[1:]).any(axis=0)
+
+
+def _row_hashes(codes: np.ndarray) -> np.ndarray:
+    """One uint64 per value of ``_code_points``, equal for equal values,
+    one whole-array pass per position."""
+    hashes = np.full(codes.shape[1:], _FNV_OFFSET)
+    for position in codes:
+        hashes ^= position
+        hashes *= _FNV_PRIME
+    return hashes
+
+
 def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
     """(labels, ids, columns, embeddings or None) of a version-2 manifest,
-    each file checked whole: dtype, shape, content."""
+    each file checked whole: dtype, shape, content.  The ids stay a
+    fixed-width unicode array, so a caller turns only the rows it keeps
+    into ``str``.  Ids are unique when their row hashes are; equal hashes,
+    a repeat or a collision, fall back to an exact scan in row order."""
     numerical_names = [f.name for f in schema if f.kind == "numerical"]
     categorical_names = [f.name for f in schema if f.kind == "categorical"]
     unicode = "fixed-width unicode"
@@ -638,26 +713,29 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
     if outside.size:
         raise DataError(f"{labels_path}: row {outside[0]}: label {labels[outside[0]]} "
                         f"outside 0..{m - 1}")
-    ids = ids.tolist()
-    if len(set(ids)) != n:
+    codes = _code_points(ids)
+    hashes = np.sort(_row_hashes(codes))
+    if (hashes[1:] == hashes[:-1]).any():
         seen = set()
-        duplicate = next(i for i in ids if i in seen or seen.add(i))
-        raise DataError(f"{ids_path}: duplicate id {duplicate!r}")
-    if "\x00" in "".join(ids):
+        duplicate = next((i for i in ids.tolist() if i in seen or seen.add(i)), None)
+        if duplicate is not None:
+            raise DataError(f"{ids_path}: duplicate id {duplicate!r}")
+    if _holds_nul(codes).any():
         raise DataError(f"{ids_path}: an id holds a NUL character")
     numerical, numerical_path = arrays["numerical"]
-    rows, features = np.nonzero(np.isinf(numerical))
-    if rows.size:
+    if np.isinf(numerical).any():
+        rows, features = np.nonzero(np.isinf(numerical))
         raise DataError(f"{numerical_path}: row {rows[0]}: feature "
                         f"{numerical_names[features[0]]!r}: infinite value")
     categorical, categorical_path = arrays["categorical"]
-    for name, column in zip(categorical_names, categorical.T):
-        if "\x00" in "".join(column.tolist()):
-            raise DataError(f"{categorical_path}: feature {name!r}: a value holds a NUL character")
+    features = np.flatnonzero(_holds_nul(_code_points(categorical)).any(axis=0))
+    if features.size:
+        raise DataError(f"{categorical_path}: feature {categorical_names[features[0]]!r}: "
+                        "a value holds a NUL character")
     embeddings, embeddings_path = arrays.get("embeddings", (None, None))
     if embeddings is not None and not np.isfinite(embeddings).all():
         row = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))[0]
-        raise DataError(f"{embeddings_path}: non-finite embedding value for id {ids[row]!r}")
+        raise DataError(f"{embeddings_path}: non-finite embedding value for id {str(ids[row])!r}")
     numerical = iter(numerical.T)
     categorical = iter(np.where(categorical == "", None, categorical.astype(object)).T)
     columns = tuple(next(numerical if f.kind == "numerical" else categorical) for f in schema)
@@ -787,7 +865,9 @@ def _load_embeddings(path: str, row_of: dict) -> np.ndarray:
 
 def _load(manifest_path: str, pick) -> Dataset:
     """Every row of a manifest's dataset, checked, then the rows ``pick(n)``
-    picks when ``pick`` is given."""
+    picks when ``pick`` is given.  The readers check every invariant of a
+    ``Dataset``, the manifest's ``m`` and schema included, so the dataset
+    is built unchecked, and only its own ids become ``str``."""
     (schema, n, m, structured_path, embeddings_path, binary,
      generator) = _read_manifest(manifest_path)
     if binary is not None:
@@ -798,17 +878,13 @@ def _load(manifest_path: str, pick) -> Dataset:
             raise DataError(f"{structured_path} holds {len(row_of)} rows, "
                             f"but manifest {manifest_path} says n = {n}")
         embeddings = _load_embeddings(embeddings_path, row_of) if embeddings_path else None
-        ids = list(row_of)
+        ids = np.array(list(row_of), dtype=object)
     if pick is not None:
         rows = pick(n)
-        ids, labels = [ids[i] for i in rows], labels[rows]
+        ids, labels = ids[rows], labels[rows]
         columns = tuple(c[rows] for c in columns)
         embeddings = embeddings[rows] if embeddings is not None else None
-    try:
-        return Dataset(schema=schema, ids=ids, labels=labels, columns=columns,
-                       embeddings=embeddings, m=m, generator=generator)
-    except DataError as exc:   # e.g. a schema that names a feature twice
-        raise DataError(f"malformed dataset {manifest_path}: {exc}") from None
+    return Dataset._checked(schema, ids.tolist(), columns, labels, embeddings, m, generator)
 
 
 def load_dataset(manifest_path: str) -> Dataset:

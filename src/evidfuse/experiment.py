@@ -32,7 +32,7 @@ from .data import (
     PreprocessState,
     SyntheticConfig,
     synthetic_generator,
-    require_integer,
+    require_seed,
     write_json,
 )
 from .errors import ConfigError, DataError, EvidFuseError, NumericalError
@@ -332,7 +332,7 @@ def evaluate_checkpoint(checkpoint_path: str, manifest_path: str | None = None,
             raise DataError("no preprocess/seed metadata, which evaluation needs")
         state = PreprocessState.from_json_dict(extra["preprocess"])
         seed = extra["seed"]
-        require_integer("seed", seed)
+        require_seed("seed", seed)
         run_config = extra.get("config") or {}
         task = run_config.get("task", "eval")
         synth = run_config.get("synthetic")

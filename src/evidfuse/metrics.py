@@ -3,7 +3,9 @@
 Covers confusion-derived rates, ranking metrics (AUROC via the
 rank-based Mann-Whitney estimator, AUPRC via average precision), and
 calibration metrics (Brier score and negative log-likelihood).
-All functions are pure and operate on plain numpy arrays.
+All functions are pure and operate on plain numpy arrays.  Each public
+metric checks its inputs; ``evaluate`` checks them once and sorts the
+scores once (``_thresholds``), for AUROC and AUPRC alike.
 """
 
 import math
@@ -24,6 +26,16 @@ class ConfusionCounts:
     fn: int
 
 
+def _confusion(labels, predicted) -> ConfusionCounts:
+    pos, pred_pos = labels == 1, predicted == 1
+    return ConfusionCounts(
+        tp=int(np.sum(pos & pred_pos)),
+        tn=int(np.sum(~pos & ~pred_pos)),
+        fp=int(np.sum(~pos & pred_pos)),
+        fn=int(np.sum(pos & ~pred_pos)),
+    )
+
+
 def confusion(labels, predicted) -> ConfusionCounts:
     """Exact confusion counts for 0/1 labels and 0/1 predictions."""
     labels = np.asarray(labels)
@@ -32,13 +44,7 @@ def confusion(labels, predicted) -> ConfusionCounts:
         raise DataError("labels and predictions differ in length")
     if not np.all(np.isin(labels, (0, 1))) or not np.all(np.isin(predicted, (0, 1))):
         raise DataError("confusion metrics require binary 0/1 values")
-    pos, pred_pos = labels == 1, predicted == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pos & pred_pos)),
-        tn=int(np.sum(~pos & ~pred_pos)),
-        fp=int(np.sum(~pos & pred_pos)),
-        fn=int(np.sum(pos & ~pred_pos)),
-    )
+    return _confusion(labels, predicted)
 
 
 def _ratio(num, den, name, flags):
@@ -68,13 +74,6 @@ def rates(c: ConfusionCounts) -> dict:
     }
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the midrank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    # a tie group of c values ending at rank e shares (e - c + 1 + e) / 2
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-
-
 def _scores_and_labels(scores, labels):
     """Float scores and 0/1 labels, checked to be finite, binary and of
     one length."""
@@ -89,6 +88,33 @@ def _scores_and_labels(scores, labels):
     return scores, labels
 
 
+def _thresholds(scores, labels):
+    """The ranking both areas read, from one stable sort of the scores,
+    highest first: for each group of tied scores (one threshold), the
+    number of rows ranked down to its end and the positives among them."""
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    # last index of each distinct-score group = a realizable threshold
+    boundary = np.ones(len(scores), dtype=bool)
+    boundary[:-1] = sorted_scores[1:] != sorted_scores[:-1]
+    return np.flatnonzero(boundary) + 1, np.cumsum(labels[order] == 1)[boundary]
+
+
+def _auroc(labels, ends, tp) -> float:
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("AUROC requires both classes present")
+    # the group from rank start + 1 to end, highest first, shares the
+    # 1-based ascending midrank n - (start + end - 1) / 2; each midrank
+    # and product is a multiple of 0.5, so below 2**53 the sum is exact in
+    # any order
+    starts = np.concatenate(([0], ends[:-1]))
+    midranks = len(labels) - (starts + ends - 1) / 2.0
+    pos_rank_sum = float(np.sum(midranks * np.diff(tp, prepend=0)))
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def auroc(scores, labels) -> float:
     """Area under the ROC curve by the Mann-Whitney rank statistic.
 
@@ -97,13 +123,17 @@ def auroc(scores, labels) -> float:
     area.
     """
     scores, labels = _scores_and_labels(scores, labels)
+    return _auroc(labels, *_thresholds(scores, labels))
+
+
+def _auprc(labels, ends, tp) -> float:
     n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise DataError("AUROC requires both classes present")
-    ranks = _midranks(scores)
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    if n_pos == 0:
+        raise DataError("AUPRC requires at least one positive")
+    precision = tp / ends
+    recall = tp / n_pos
+    recall_steps = np.diff(np.concatenate(([0.0], recall)))
+    return float(np.sum(precision * recall_steps))
 
 
 def auprc(scores, labels) -> float:
@@ -113,34 +143,26 @@ def auprc(scores, labels) -> float:
     interpolation). Tied scores are processed as one threshold group.
     """
     scores, labels = _scores_and_labels(scores, labels)
-    n_pos = int(np.sum(labels == 1))
-    if n_pos == 0:
-        raise DataError("AUPRC requires at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels == 1)
-    fp = np.cumsum(sorted_labels == 0)
-    # last index of each distinct-score group = a realizable threshold
-    boundary = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
-    tp_b, fp_b = tp[boundary], fp[boundary]
-    precision = tp_b / (tp_b + fp_b)
-    recall = tp_b / n_pos
-    recall_steps = np.diff(np.concatenate(([0.0], recall)))
-    return float(np.sum(precision * recall_steps))
+    return _auprc(labels, *_thresholds(scores, labels))
+
+
+def _brier(probs, labels) -> float:
+    return float(np.mean((probs - labels) ** 2))
 
 
 def brier(probs, labels) -> float:
     """Mean squared error between positive-class probability and outcome."""
-    probs, labels = _scores_and_labels(probs, labels)
-    return float(np.mean((probs - labels) ** 2))
+    return _brier(*_scores_and_labels(probs, labels))
+
+
+def _nll(probs, labels) -> float:
+    probs = np.clip(probs, NLL_CLAMP, 1.0 - NLL_CLAMP)
+    return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
 
 
 def nll(probs, labels) -> float:
     """Binary negative log-likelihood, probabilities clamped at 1e-12."""
-    probs, labels = _scores_and_labels(probs, labels)
-    probs = np.clip(probs, NLL_CLAMP, 1.0 - NLL_CLAMP)
-    return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
+    return _nll(*_scores_and_labels(probs, labels))
 
 
 @dataclass(frozen=True)
@@ -174,19 +196,19 @@ def evaluate(probs, labels) -> MetricsReport:
     """Full report for positive-class probabilities against 0/1 labels.
 
     The decision rule is p(positive) > 0.5, ties to negative: the
-    model's own argmax-with-lowest-index decision for two classes.
+    model's own argmax-with-lowest-index decision for two classes.  The
+    inputs are checked once and the scores sorted once, for every metric.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    predicted = (probs > 0.5).astype(np.int64)
-    c = confusion(labels, predicted)
+    probs, labels = _scores_and_labels(probs, labels)
+    c = _confusion(labels, probs > 0.5)
+    thresholds = _thresholds(probs, labels)
     return MetricsReport(
         **asdict(c),
         **rates(c),
-        auroc=auroc(probs, labels),
-        auprc=auprc(probs, labels),
-        brier=brier(probs, labels),
-        nll=nll(probs, labels),
+        auroc=_auroc(labels, *thresholds),
+        auprc=_auprc(labels, *thresholds),
+        brier=_brier(probs, labels),
+        nll=_nll(probs, labels),
     )
 
 

@@ -12,8 +12,9 @@ evidence in the log-commonality domain and returns pignistic
 probabilities.  It
 has two callers, so it has two bodies.  ``batch_internals`` is the eval
 pass: ``predict_probs``, ``predict_batch`` and the per-epoch validation
-loss (``loss_overall``) run it, and ``predict_batch`` adds the fused and
-per-source masses and the pairwise source conflict as one struct of
+loss (``loss_overall``) run it, only the validation loss asks it for the
+aux heads' logits, and ``predict_batch`` adds the fused and per-source
+masses and the pairwise source conflict as one struct of
 arrays.  A training step (``loss_and_grad``) runs its own forward, with
 dropout, and keeps what its backward reads.  The exact per-sample mass
 algebra both are checked against lives in the tests.
@@ -471,13 +472,14 @@ def _log_commonalities(z, enn):
     return ev.log_q, ev.log_q_omega
 
 
-def batch_internals(model, inputs):
-    """The eval pass: fused evidence (``fused.probs`` included) and
-    per-source aux logits, without dropout.
+def batch_internals(model, inputs, aux=False):
+    """The eval pass, without dropout: fused evidence (``fused.probs``
+    included) and, when ``aux`` asks for them, per-source aux logits (else
+    an empty list).
 
     ``inputs`` are the blocks ``_check_inputs`` returned, or row subsets
     of them.  The encoders run in row blocks into fresh arrays, and each
-    source runs its own evidential pass and aux head, groups of one, of
+    source runs its own evidential pass (and aux head), groups of one, of
     whose evidence only the log-commonalities are kept.
     """
     log_q, log_q_omega, aux_logit_list = [], [], []
@@ -486,8 +488,9 @@ def batch_internals(model, inputs):
         source_q, source_q_omega = _log_commonalities(z, src.enn)
         log_q.append(source_q)
         log_q_omega.append(source_q_omega)
-        aux_logit_list.append(aux_forward(z[None], *(src.aux.params[key][None]
-                                                     for key in AUX_KEYS))[0])
+        if aux:
+            aux_logit_list.append(aux_forward(z[None], *(src.aux.params[key][None]
+                                                         for key in AUX_KEYS))[0])
     return fuse_evidence(_concat_sources(log_q), _concat_sources(log_q_omega)), aux_logit_list
 
 
@@ -589,7 +592,7 @@ def loss_overall(model: FusionModel, inputs, labels):
     source an aux term of its own; its gradients are dropped.
     """
     _check_labels(inputs, labels)
-    fused, aux_logits = batch_internals(model, inputs)
+    fused, aux_logits = batch_internals(model, inputs, aux=True)
     aux = [((src.spec.aux_weight,), logits[None])
            for src, logits in zip(model.sources, aux_logits) if src.spec.aux_weight != 0.0]
     return _objective(fused.probs, labels, model.class_weights, aux)[0]
@@ -684,8 +687,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "max_epochs", "patience", "seed"):
+        for name in ("batch_size", "max_epochs", "patience"):
             data.require_integer(name, getattr(self, name))
+        data.require_seed("seed", self.seed)
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ConfigError("batch_size/max_epochs must be >= 1 and patience >= 0")
         data.require_nonnegative("learning rate", self.learning_rate)

@@ -7,8 +7,9 @@ per-name gradients), the evidential layer and its VJP with
 fresh arrays, the per-cluster loops of k-means and the evidential-layer
 init, the version-1 text files as ``csv.writer`` and ``json.dumps``
 write them, a written manifest rewritten as version 1 or with a tampered
-binary file, a checkpoint rewritten as version 1, and the dataset read
-from the text files line by line."""
+binary file, a checkpoint rewritten as version 1, the dataset read
+from the text files line by line, and the metrics report computed one
+metric at a time, each checking its inputs and sorting on its own."""
 
 import base64
 import csv
@@ -27,6 +28,7 @@ from evidfuse.data import (SPLIT_NAMES, Dataset, FeatureSpec, load_dataset, spli
                            write_json)
 from evidfuse.encoders import DropoutMasks, encode_blocks
 from evidfuse.errors import DataError
+from evidfuse.metrics import NLL_CLAMP, ConfusionCounts, MetricsReport, rates
 from evidfuse.evidential import (INIT_SUPPORT_RAW, KMEANS_ITERS, EnnParams, FusedEvidence,
                                  SourceEvidence, _shifted_commonalities)
 from evidfuse.model import (PROB_FLOOR, FlatParams, Frame, FusionModel, Predictions, SourceSpec,
@@ -802,3 +804,56 @@ def reference_load(manifest_path, seed=None, part=None):
                    labels=np.array([labels[i] for i in out], dtype=np.int64),
                    embeddings=None if embeddings is None else embeddings[list(out)], m=m,
                    generator=manifest.get("generator"))
+
+
+# ---------------------------------------------------------------------------
+# the metrics report one metric at a time: each checks its inputs and
+# AUROC ranks by np.unique; ``metrics.evaluate`` must give its bytes
+
+def _reference_checked(scores, labels):
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise DataError("scores and labels differ in length")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores must be finite")
+    if not np.all(np.isin(labels, (0, 1))):
+        raise DataError("labels must be binary 0/1")
+    return scores, labels
+
+
+def reference_auroc(scores, labels):
+    scores, labels = _reference_checked(scores, labels)
+    n_pos, n_neg = int(np.sum(labels == 1)), int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("AUROC requires both classes present")
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return (float(ranks[labels == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_auprc(scores, labels):
+    scores, labels = _reference_checked(scores, labels)
+    n_pos = int(np.sum(labels == 1))
+    if n_pos == 0:
+        raise DataError("AUPRC requires at least one positive")
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores, sorted_labels = scores[order], labels[order]
+    tp, fp = np.cumsum(sorted_labels == 1), np.cumsum(sorted_labels == 0)
+    boundary = np.append(sorted_scores[1:] != sorted_scores[:-1], True)
+    tp_b, fp_b = tp[boundary], fp[boundary]
+    recall_steps = np.diff(np.concatenate(([0.0], tp_b / n_pos)))
+    return float(np.sum(tp_b / (tp_b + fp_b) * recall_steps))
+
+
+def reference_evaluate(probs, labels) -> MetricsReport:
+    probs, labels = _reference_checked(probs, labels)
+    predicted = probs > 0.5
+    pos = labels == 1
+    counts = dict(tp=int(np.sum(pos & predicted)), tn=int(np.sum(~pos & ~predicted)),
+                  fp=int(np.sum(~pos & predicted)), fn=int(np.sum(pos & ~predicted)))
+    clamped = np.clip(probs, NLL_CLAMP, 1.0 - NLL_CLAMP)
+    return MetricsReport(
+        **counts, **rates(ConfusionCounts(**counts)),
+        auroc=reference_auroc(probs, labels), auprc=reference_auprc(probs, labels),
+        brier=float(np.mean((probs - labels) ** 2)),
+        nll=float(-np.mean(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped))))

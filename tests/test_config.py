@@ -32,9 +32,10 @@ class TestParse:
         ({"n_source_blocks": 2.0}, "n_source_blocks must be an integer, got 2.0"),
         ({"seeds": (0, 1.9)}, "each seed must be an integer, got 1.9"),
         ({"seeds": (False,)}, "each seed must be an integer, got False"),
+        ({"seeds": (0, -1)}, "each seed must be >= 0, got -1"),
     ], ids=["no-prototypes", "repeated-seed", "float-epochs", "float-prototypes",
             "integral-float-width", "string-hidden-width", "bool-batch", "no-patience",
-            "float-blocks", "float-seed", "bool-seed"])
+            "float-blocks", "float-seed", "bool-seed", "negative-seed"])
     def test_invalid_field_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(synthetic=SYNTHETIC, **fields)
@@ -71,6 +72,15 @@ class TestParse:
         when the ``TrainConfig`` is made, not deep inside ``train``."""
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("make", [lambda: TrainConfig(seed=-1),
+                                      lambda: SyntheticConfig(n=200, seed=-1)],
+                             ids=["train", "synthetic"])
+    def test_negative_seed_rejected(self, make):
+        """numpy's seed sequences take no negative seed; the config refuses
+        it when it is made."""
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+            make()
 
     def test_output_dir_default_ignores_the_environment(self, monkeypatch):
         monkeypatch.setenv("EVIDFUSE_OUTPUT_ROOT", "elsewhere")

@@ -1438,3 +1438,89 @@ def test_loads_match_the_line_by_line_reference(tmp_path, seed):
             assert_same_dataset(load(manifest, *args), expected)
             if not faults:
                 assert_same_dataset(expected, written)
+
+
+def _rebuilt(ds):
+    """``ds`` built again through the public constructor, which checks
+    everything, from its own fields."""
+    return Dataset(schema=ds.schema, ids=ds.ids, columns=ds.columns, labels=ds.labels,
+                   embeddings=ds.embeddings, m=ds.m, generator=ds.generator)
+
+
+def _random_id(rng):
+    """Up to four code points: ASCII, NUL, a Latin-1 one and a non-BMP one."""
+    # indices: numpy would strip the NUL from an array of these
+    return "".join("ab\x00\xe9\U0001f600"[k] for k in rng.integers(0, 5, size=rng.integers(5)))
+
+
+class TestCheckedLoads:
+    """A load checks each fact once and builds its dataset unchecked; what
+    it returns is what the public constructor accepts."""
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("embeddings", [True, False])
+    def test_every_load_passes_the_public_constructor(self, tmp_path, version, embeddings):
+        manifest = write_dataset(mixed_dataset(embeddings=embeddings), str(tmp_path / "ds"))
+        if version == 1:
+            as_version_1(manifest)
+        whole = load_dataset(manifest)
+        for seed in (0, 3):
+            for part, expected in zip(SPLIT_NAMES, split(whole, seed)):
+                loaded = load_split(manifest, seed, part)
+                assert_same_dataset(loaded, expected)
+                assert [x.dtype for x in loaded.columns] == [x.dtype for x in expected.columns]
+                for ds in (loaded, expected):
+                    assert type(ds.ids) is list and {type(i) for i in ds.ids} == {str}
+                    assert_same_dataset(_rebuilt(ds), ds)
+        assert_same_dataset(_rebuilt(whole), whole)
+        for column in whole.columns:
+            if column.dtype == object:
+                assert set(map(type, column)) == {str, type(None)}
+
+    def test_subset_of_a_repeated_row_rejected(self):
+        ds = mixed_dataset(n=12)
+        assert ds.subset([3, 1]).ids == ds.subset((3, 1)).ids == ["p3", "p1"]
+        assert ds.subset(np.arange(12) % 2 == 0).ids == [f"p{i}" for i in range(0, 12, 2)]
+        with pytest.raises(DataError, match="^sample ids must be unique$"):
+            ds.subset([3, 1, 3])
+
+    @pytest.mark.parametrize("hashes", ["fnv", "constant"])
+    def test_id_checks_match_the_string_checks(self, tmp_path, monkeypatch, hashes):
+        """Random ids with interior and trailing NULs, empty ids, non-BMP
+        code points, repeats and near-repeats: a load raises the first
+        repeat in row order if ``len(set(ids)) != n``, else a NUL if
+        ``"\\x00" in "".join(ids)``, else returns the ids; also when every
+        row hash collides, so that every load takes the exact fallback."""
+        if hashes == "constant":
+            monkeypatch.setattr(data, "_row_hashes",
+                                lambda codes: np.zeros(codes.shape[1:], dtype=np.uint64))
+        n = 24
+        manifest = write_dataset(mixed_dataset(n=n, embeddings=False), str(tmp_path / "ds"))
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for case in range(120):
+            # mostly unique: a row number before the random code points
+            ids = [f"p{i}" for i in range(n)] if case % 3 == 0 else [
+                (str(i) if rng.random() < 0.9 else "") + _random_id(rng) for i in range(n)]
+            row = int(rng.integers(1, n))
+            if case % 4 == 1:     # a repeat of an earlier row
+                ids[row] = ids[int(rng.integers(row))]
+            elif case % 4 == 2:   # a near-repeat: one more code point
+                ids[row] = ids[int(rng.integers(row))] + "a\x00"[int(rng.integers(2))]
+            stored = np.array(ids, dtype=str)
+            tamper(manifest, "ids", "array", lambda _, stored=stored: stored)
+            listed = stored.tolist()   # trailing NULs are padding
+            if len(set(listed)) != n:
+                seen = set()
+                first = next(i for i in listed if i in seen or seen.add(i))
+                outcome, expected = "repeat", f"ids.npy: duplicate id {re.escape(repr(first))}$"
+            elif "\x00" in "".join(listed):
+                outcome, expected = "nul", "ids.npy: an id holds a NUL character$"
+            else:
+                assert load_dataset(manifest).ids == listed, case
+                outcomes.add("loaded")
+                continue
+            outcomes.add(outcome)
+            with pytest.raises(DataError, match=expected):
+                load_dataset(manifest)
+        assert outcomes == {"loaded", "repeat", "nul"}

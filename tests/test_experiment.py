@@ -173,10 +173,13 @@ class TestEvaluateCheckpoint:
         (lambda extra: extra["preprocess"].pop("layout"), "KeyError"),
         (lambda extra: extra.update(seed="x"), "ConfigError: seed must be an integer"),
         (lambda extra: extra.update(seed=7.5), "ConfigError: seed must be an integer"),
+        (lambda extra: extra.update(seed=-1), "ConfigError: seed must be >= 0, got -1"),
         (lambda extra: extra["config"]["synthetic"].update(bogus=1), "TypeError"),
+        (lambda extra: extra["config"]["synthetic"].update(seed=-2),
+         "ConfigError: seed must be >= 0, got -2"),
         (lambda extra: extra.pop("seed"), "DataError: no preprocess/seed metadata"),
-    ], ids=["preprocess-without-layout", "string-seed", "float-seed",
-            "unknown-synthetic-key", "no-seed"])
+    ], ids=["preprocess-without-layout", "string-seed", "float-seed", "negative-seed",
+            "unknown-synthetic-key", "negative-synthetic-seed", "no-seed"])
     def test_malformed_extra_names_the_checkpoint(self, tmp_path, edit, raised):
         path = tiny_run(tmp_path) / "checkpoint.json"
         doc = json.loads(path.read_text(encoding="utf-8"))

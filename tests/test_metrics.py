@@ -1,6 +1,8 @@
 """Metric implementations checked against brute-force definitions."""
 
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from evidfuse.metrics import (
     rates,
     summarize,
 )
+from helpers import reference_auprc, reference_auroc, reference_evaluate
 
 
 def auroc_bruteforce(scores, labels):
@@ -226,3 +229,50 @@ class TestEvaluateAndSummarize:
         assert abs(summary["brier"]["mean"] - np.mean(b)) <= 1e-15
         expected_se = np.std(b, ddof=1) / math.sqrt(2)
         assert abs(summary["brier"]["stderr"] - expected_se) <= 1e-15
+
+
+def _score_cases(rng, n):
+    """Scores of n rows: random, tied on a coarse grid, constant, two-valued
+    and signed zeros among ties."""
+    return {
+        "random": rng.random(n),
+        "tied": rng.integers(0, 8, size=n) / 7.0,
+        "constant": np.full(n, 0.5),
+        "two-valued": np.where(rng.random(n) < 0.3, 0.25, 0.75),
+        "signed-zeros": rng.choice([-0.0, 0.0, 0.5, 1.0], size=n),
+    }
+
+
+class TestEvaluateMatchesTheOracle:
+    """``evaluate`` checks once and sorts once; its report has the bytes of
+    ``helpers.reference_evaluate``, which checks and sorts per metric and
+    ranks AUROC by ``np.unique``, and so does each public metric."""
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200, 5000])
+    def test_report_bytes(self, n):
+        rng = np.random.default_rng(n)
+        for name, scores in _score_cases(rng, n).items():
+            for labels in (rng.integers(0, 2, size=n), np.arange(n) % 2,
+                           (rng.random(n) < 0.05).astype(np.int64)):
+                labels[:2] = (0, 1)   # both classes
+                where = f"{name}, n = {n}"
+                report = evaluate(scores, labels)
+                assert repr(asdict(report)) == repr(asdict(reference_evaluate(scores, labels))), where
+                for metric, oracle in ((auroc, reference_auroc), (auprc, reference_auprc)):
+                    assert metric(scores, labels).hex() == oracle(scores, labels).hex(), where
+                assert report.auroc.hex() == auroc(scores, labels).hex(), where
+                assert report.brier.hex() == brier(scores, labels).hex(), where
+                assert report.nll.hex() == nll(scores, labels).hex(), where
+
+    @pytest.mark.parametrize("scores,labels", [
+        ([0.2, np.nan, 0.7], [1, 0, 1]),
+        ([0.1, 0.9, 0.5], [0, 1, 2]),
+        ([0.1, 0.9, 0.5], [0, 1]),
+        ([0.1, 0.9], [1, 1]),
+        ([], []),
+    ], ids=["nan-score", "label-2", "length-mismatch", "one-class", "empty"])
+    def test_rejects_what_the_oracle_rejects(self, scores, labels):
+        with pytest.raises(DataError) as expected:
+            reference_evaluate(scores, labels)
+        with pytest.raises(DataError, match=f"^{re.escape(str(expected.value))}$"):
+            evaluate(scores, labels)

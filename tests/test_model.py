@@ -252,7 +252,7 @@ class TestLosses:
         model, inputs, labels = tiny_fusion_setup(seed=8, n=16)
         total = float(loss_overall(model, inputs, labels))
         from evidfuse.model import batch_internals
-        fused, aux_logits = batch_internals(model, inputs)
+        fused, aux_logits = batch_internals(model, inputs, aux=True)
         manual = float(loss_main(fused.probs, labels, model.class_weights))
         for src, logits in zip(model.sources, aux_logits):
             manual += src.spec.aux_weight * float(loss_aux(logits, labels, model.class_weights))
@@ -335,7 +335,7 @@ class TestObjective:
         """``loss_overall`` is ``_objective`` on the eval pass, each source
         an aux term of its own; a step without dropout gives its loss."""
         model, inputs, labels = tiny_fusion_setup(seed=8, n=16)
-        fused, aux_logits = evidfuse.model.batch_internals(model, inputs)
+        fused, aux_logits = evidfuse.model.batch_internals(model, inputs, aux=True)
         weights = [src.spec.aux_weight for src in model.sources]
         loss, _, _ = evidfuse.model._objective(fused.probs, labels, model.class_weights,
                                                aux_terms(weights, np.stack(aux_logits)))
@@ -634,6 +634,18 @@ class TestStepMatchesEval:
         model, inputs, labels = step_setup(kind, seed=5, n=n, hidden=32)
         assert loss_and_grad(model, inputs, labels)[0] == float(
             loss_overall(model, inputs, labels))
+
+    @pytest.mark.parametrize("kind", ["mlp", "resnet-x5"])
+    def test_predictions_run_no_aux_head(self, kind, monkeypatch):
+        """Only the validation loss asks the eval pass for aux logits; the
+        probabilities keep their bits without them."""
+        model, inputs, _ = step_setup(kind, seed=5, n=40, hidden=32)
+        fused, aux_logits = evidfuse.model.batch_internals(model, inputs, aux=True)
+        assert len(aux_logits) == len(model.sources)
+        monkeypatch.setattr(evidfuse.model, "aux_forward", None)   # any call raises
+        assert evidfuse.model.batch_internals(model, inputs)[1] == []
+        assert predict_probs(model, inputs).tobytes() == fused.probs.tobytes()
+        assert predict_batch(model, inputs).probs.tobytes() == fused.probs.tobytes()
 
 
 class TestStepGarbage:
