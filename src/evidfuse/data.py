@@ -20,10 +20,11 @@ then exact dtype and shape (``n`` rows, the schema's widths) are checked,
 then its content as whole arrays: no code point above U+10FFFF in ids
 or categories, labels in ``[0, m)``, unique ids without NUL, no infinite
 numerical value, categories without NUL, finite embeddings.  Each fault
-raises a DataError naming the file.  The ids stay one fixed-width unicode
-array through these checks (a hash per row for uniqueness, the code
-points for NUL), and only the ids of the rows a load returns become
-``str``.
+raises a DataError naming the file.  These checks are ``_check_layout``'s,
+which the public constructor runs too, on the layout it would write.  The
+ids stay one fixed-width unicode array through them (a hash per row for
+uniqueness, the code points for NUL), and only the ids of the rows a load
+returns become ``str``.
 
 A version-1 manifest names text files, the readable input format that a
 person can write by hand: a structured CSV (header = feature names +
@@ -47,7 +48,7 @@ Each fact is checked once per load.  The readers, with the manifest
 reader's checks of ``m`` and of the schema's names, check every invariant
 of a ``Dataset``, so the loaders build theirs through ``Dataset._checked``,
 which checks nothing again; so does ``Dataset.subset``, whose rows come
-from a checked dataset.  The public constructor checks everything.
+from a checked dataset.
 
 The loaders' contract, which ``tests/test_fuzz.py`` checks on mutated
 files of both versions: whatever the files hold, ``load_dataset`` and
@@ -121,7 +122,16 @@ class Dataset:
     ``write_dataset`` and ``load_dataset`` unchanged, and so does its
     version-1 text.
 
-    The public constructor checks all of that.  The loaders and ``subset``
+    The public constructor checks the rules of this Python form itself:
+    ``m`` an int >= 2, unique schema names, ids of type ``str``,
+    categories ``str`` or None and never ``""``, one column of n rows per
+    feature, integer labels (made int64), and no id or category ending in
+    NUL, which the fixed-width layout would drop.  Then it checks the
+    binary layout that ``write_dataset`` writes with ``_check_layout``,
+    the checker of a version-2 load: dtypes and shapes (labels of shape
+    (n,), 2-D embeddings of n rows), labels in ``[0, m)``, unique ids, no
+    NUL inside an id or category, no infinite numerical value and finite
+    embeddings; its messages name the field.  The loaders and ``subset``
     build theirs with ``_checked``, from fields that they have checked
     already or that come from a checked dataset, so each fact is checked
     once per load."""
@@ -138,44 +148,43 @@ class Dataset:
         # the manifest's rule: type(), since a bool is not a count
         if type(self.m) is not int or self.m < 2:
             raise DataError(f"m must be an integer >= 2, got {self.m!r}")
-        self.labels = np.asarray(self.labels, dtype=np.int64)
         names = [f.name for f in self.schema]
         if len(set(names)) != len(names):
             raise DataError(f"duplicate feature names in schema: {names}")
         bad_ids = [i for i in self.ids if not isinstance(i, str)]
         if bad_ids:
             raise DataError(f"sample ids must be str, got {bad_ids[0]!r}")
-        if len(set(self.ids)) != len(self.ids):
-            raise DataError("sample ids must be unique")
-        if "\x00" in "".join(self.ids):
-            # the binary copy's fixed-width unicode drops a trailing NUL
-            raise DataError("sample ids must not hold NUL characters")
         columns = tuple(np.asarray(c, dtype=np.float64 if f.kind == "numerical" else object)
                         for f, c in zip(self.schema, self.columns))
-        if (len(self.columns) != len(self.schema) or len(self.labels) != self.n
-                or any(c.shape != (self.n,) for c in columns)):
-            raise DataError("need one column per schema feature, each as long as ids and labels")
+        if len(self.columns) != len(self.schema) or any(c.shape != (self.n,) for c in columns):
+            raise DataError("need one column per schema feature, each as long as ids")
         self.columns = columns
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.m):
-            raise DataError(f"labels must lie in 0..{self.m - 1}")
-        for f, c in zip(self.schema, self.columns):
-            if f.kind == "numerical" and np.isinf(c).any():
-                raise DataError(f"feature {f.name!r}: infinite values")
-            if f.kind == "categorical" and not set(map(type, c)) <= {str, type(None)}:
+        categorical = [(f, c) for f, c in zip(self.schema, columns) if f.kind == "categorical"]
+        for f, c in categorical:
+            if not set(map(type, c)) <= {str, type(None)}:
                 raise DataError(f"feature {f.name!r}: categorical values must be str or None")
-            if f.kind == "categorical" and (c == "").any():
+            if (c == "").any():
                 # both formats store a missing category as the empty string
                 raise DataError(f"feature {f.name!r}: the empty string is not a category; "
                                 "use None for missing")
-            if f.kind == "categorical" and "\x00" in "".join(c[~np.equal(c, None)].tolist()):
-                raise DataError(f"feature {f.name!r}: categorical values must not hold "
-                                "NUL characters")
+        labels = np.asarray(self.labels)
+        # any other dtype fails the layout's check; [] is float64
+        if labels.dtype.kind in "iu" or not labels.size:
+            labels = labels.astype(np.int64, copy=False)
+        self.labels = labels
         if self.embeddings is not None:
             self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-            if self.embeddings.ndim != 2 or self.embeddings.shape[0] != self.n:
-                raise DataError("embeddings must be one vector per sample")
-            if not np.isfinite(self.embeddings).all():
-                raise DataError("embeddings must be finite")
+        arrays = _binary_arrays(self)
+        # fixed-width unicode stores a trailing NUL as padding, so a value
+        # that ends in one would not come back
+        for what, values, stored in [("ids: an id", self.ids, arrays["ids"])] + [
+                (f"columns: feature {f.name!r}: a value", c, stored)
+                for (f, c), stored in zip(categorical, arrays["categorical"].T)]:
+            if len("".join(filter(None, values))) != np.char.str_len(stored).sum():
+                raise DataError(f"{what} holds a NUL character")
+        _check_layout(arrays.items(), self.schema, self.n, self.m,
+                      dict(zip(BINARY_KEYS, ("labels", "ids", "columns", "columns", "embeddings"))),
+                      "the id list")
 
     @classmethod
     def _checked(cls, schema, ids, columns, labels, embeddings, m, generator) -> "Dataset":
@@ -676,12 +685,17 @@ def _row_hashes(codes: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
-    """(labels, ids, columns, embeddings or None) of a version-2 manifest,
-    each file checked whole: dtype, shape, content.  The ids stay a
-    fixed-width unicode array, so a caller turns only the rows it keeps
-    into ``str``.  Ids are unique when their row hashes are; equal hashes,
-    a repeat or a collision, fall back to an exact scan in row order."""
+def _check_layout(arrays, schema, n: int, m: int, names: dict, source: str) -> dict:
+    """The arrays of the binary layout, by key, from the (key, array) pairs
+    ``arrays`` yields, each checked as it comes (dtype, shape: ``n`` rows
+    and the schema's widths, no code point above U+10FFFF), then as whole
+    arrays: labels in ``[0, m)``, unique ids without NUL, no infinite
+    numerical value, categories without NUL, finite embeddings.  Each
+    fault is a DataError that opens with the array's entry in ``names``
+    (a load's file, the constructor's field); a row count also names
+    ``source``, what says ``n``.  Ids are unique when their row hashes
+    are; equal hashes, a repeat or a collision, fall back to an exact scan
+    in row order."""
     numerical_names = [f.name for f in schema if f.kind == "numerical"]
     categorical_names = [f.name for f in schema if f.kind == "categorical"]
     unicode = "fixed-width unicode"
@@ -690,28 +704,26 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
                 "numerical": ("float64", (len(numerical_names),)),
                 "categorical": (unicode, (len(categorical_names),)),
                 "embeddings": ("float64", ("De",))}
-    arrays = {}
-    for key, (path, size, sha256) in binary.items():
-        array = _read_npy(path, size, sha256, manifest_path)
-        dtype, widths = expected[key]
+    checked = {}
+    for key, array in arrays:
+        name, (dtype, widths) = names[key], expected[key]
         if not (array.dtype.kind == "U" and array.dtype.isnative if dtype == unicode
                 else array.dtype == np.dtype(dtype)):
-            raise DataError(f"{path}: dtype {array.dtype.str}, need {dtype}")
+            raise DataError(f"{name}: dtype {array.dtype.str}, need {dtype}")
         if array.ndim != 1 + len(widths) or any(
                 w not in ("De", got) for w, got in zip(widths, array.shape[1:])):
-            raise DataError(f"{path}: shape {array.shape}, "
+            raise DataError(f"{name}: shape {array.shape}, "
                             f"need (n{''.join(f', {w}' for w in widths)})")
         if len(array) != n:
-            raise DataError(f"{path} holds {len(array)} rows, "
-                            f"but manifest {manifest_path} says n = {n}")
+            raise DataError(f"{name} holds {len(array)} rows, but {source} says n = {n}")
         # no writer stores one; ``tolist`` would make an invalid str of it
         if dtype == unicode and array.ravel("K").view(np.uint32).max(initial=0) > 0x10FFFF:
-            raise DataError(f"{path}: a value holds a code point above U+10FFFF")
-        arrays[key] = array, path
-    (labels, labels_path), (ids, ids_path) = arrays["labels"], arrays["ids"]
+            raise DataError(f"{name}: a value holds a code point above U+10FFFF")
+        checked[key] = array
+    labels, ids = checked["labels"], checked["ids"]
     outside = np.flatnonzero((labels < 0) | (labels >= m))
     if outside.size:
-        raise DataError(f"{labels_path}: row {outside[0]}: label {labels[outside[0]]} "
+        raise DataError(f"{names['labels']}: row {outside[0]}: label {labels[outside[0]]} "
                         f"outside 0..{m - 1}")
     codes = _code_points(ids)
     hashes = np.sort(_row_hashes(codes))
@@ -719,27 +731,24 @@ def _read_binary(manifest_path: str, schema, n: int, m: int, binary: dict):
         seen = set()
         duplicate = next((i for i in ids.tolist() if i in seen or seen.add(i)), None)
         if duplicate is not None:
-            raise DataError(f"{ids_path}: duplicate id {duplicate!r}")
+            raise DataError(f"{names['ids']}: duplicate id {duplicate!r}")
     if _holds_nul(codes).any():
-        raise DataError(f"{ids_path}: an id holds a NUL character")
-    numerical, numerical_path = arrays["numerical"]
+        raise DataError(f"{names['ids']}: an id holds a NUL character")
+    numerical = checked["numerical"]
     if np.isinf(numerical).any():
         rows, features = np.nonzero(np.isinf(numerical))
-        raise DataError(f"{numerical_path}: row {rows[0]}: feature "
+        raise DataError(f"{names['numerical']}: row {rows[0]}: feature "
                         f"{numerical_names[features[0]]!r}: infinite value")
-    categorical, categorical_path = arrays["categorical"]
-    features = np.flatnonzero(_holds_nul(_code_points(categorical)).any(axis=0))
+    features = np.flatnonzero(_holds_nul(_code_points(checked["categorical"])).any(axis=0))
     if features.size:
-        raise DataError(f"{categorical_path}: feature {categorical_names[features[0]]!r}: "
+        raise DataError(f"{names['categorical']}: feature {categorical_names[features[0]]!r}: "
                         "a value holds a NUL character")
-    embeddings, embeddings_path = arrays.get("embeddings", (None, None))
+    embeddings = checked.get("embeddings")
     if embeddings is not None and not np.isfinite(embeddings).all():
         row = np.flatnonzero(~np.isfinite(embeddings).all(axis=1))[0]
-        raise DataError(f"{embeddings_path}: non-finite embedding value for id {str(ids[row])!r}")
-    numerical = iter(numerical.T)
-    categorical = iter(np.where(categorical == "", None, categorical.astype(object)).T)
-    columns = tuple(next(numerical if f.kind == "numerical" else categorical) for f in schema)
-    return labels, ids, columns, embeddings
+        raise DataError(f"{names['embeddings']}: non-finite embedding value for id "
+                        f"{str(ids[row])!r}")
+    return checked
 
 
 def _lines(fh, path: str):
@@ -867,11 +876,27 @@ def _load(manifest_path: str, pick) -> Dataset:
     """Every row of a manifest's dataset, checked, then the rows ``pick(n)``
     picks when ``pick`` is given.  The readers check every invariant of a
     ``Dataset``, the manifest's ``m`` and schema included, so the dataset
-    is built unchecked, and only its own ids become ``str``."""
+    is built unchecked.  Each binary file is checked by ``_check_layout``
+    as it is read, its faults naming the file, and its array is picked
+    whole; only the picked ids become ``str``."""
     (schema, n, m, structured_path, embeddings_path, binary,
      generator) = _read_manifest(manifest_path)
     if binary is not None:
-        labels, ids, columns, embeddings = _read_binary(manifest_path, schema, n, m, binary)
+        arrays = _check_layout(
+            ((key, _read_npy(path, size, sha256, manifest_path))
+             for key, (path, size, sha256) in binary.items()),
+            schema, n, m, {key: entry[0] for key, entry in binary.items()},
+            f"manifest {manifest_path}")
+        rows = slice(None) if pick is None else pick(n)
+        labels, ids = arrays["labels"][rows], arrays["ids"][rows]
+        embeddings = arrays["embeddings"][rows] if "embeddings" in arrays else None
+        # ``take`` leaves each numerical column contiguous, as in the file
+        numerical = arrays["numerical"].T
+        numerical = iter(numerical if pick is None else numerical.take(rows, axis=1))
+        categorical = arrays["categorical"][rows]
+        categorical = iter(np.where(categorical == "", None, categorical.astype(object)).T)
+        columns = tuple(next(numerical if f.kind == "numerical" else categorical)
+                        for f in schema)
     else:
         row_of, labels, columns = _read_structured(structured_path, schema, m)
         if len(row_of) != n:
@@ -879,11 +904,11 @@ def _load(manifest_path: str, pick) -> Dataset:
                             f"but manifest {manifest_path} says n = {n}")
         embeddings = _load_embeddings(embeddings_path, row_of) if embeddings_path else None
         ids = np.array(list(row_of), dtype=object)
-    if pick is not None:
-        rows = pick(n)
-        ids, labels = ids[rows], labels[rows]
-        columns = tuple(c[rows] for c in columns)
-        embeddings = embeddings[rows] if embeddings is not None else None
+        if pick is not None:
+            rows = pick(n)
+            ids, labels = ids[rows], labels[rows]
+            columns = tuple(c[rows] for c in columns)
+            embeddings = embeddings[rows] if embeddings is not None else None
     return Dataset._checked(schema, ids.tolist(), columns, labels, embeddings, m, generator)
 
 

@@ -1,11 +1,16 @@
 """Accuracy and reliability metrics for binary classification runs.
 
-Covers confusion-derived rates, ranking metrics (AUROC via the
-rank-based Mann-Whitney estimator, AUPRC via average precision), and
-calibration metrics (Brier score and negative log-likelihood).
-All functions are pure and operate on plain numpy arrays.  Each public
-metric checks its inputs; ``evaluate`` checks them once and sorts the
-scores once (``_thresholds``), for AUROC and AUPRC alike.
+``evaluate`` is the one entry point: it checks its inputs once and
+reports confusion counts and the rates derived from them, the ranking
+metrics and the calibration metrics.  AUROC is the Mann-Whitney rank
+statistic, the probability that a random positive outranks a random
+negative with ties counting half; AUPRC is average precision, with
+precision held right-constant between recall steps and each group of
+tied scores one threshold.  Both read one stable sort of the scores
+(``_thresholds``).  The Brier score is the mean squared error of the
+positive-class probability, and the negative log-likelihood clamps
+probabilities at 1e-12.  All functions are pure and operate on plain
+numpy arrays.
 """
 
 import math
@@ -34,17 +39,6 @@ def _confusion(labels, predicted) -> ConfusionCounts:
         fp=int(np.sum(~pos & pred_pos)),
         fn=int(np.sum(pos & ~pred_pos)),
     )
-
-
-def confusion(labels, predicted) -> ConfusionCounts:
-    """Exact confusion counts for 0/1 labels and 0/1 predictions."""
-    labels = np.asarray(labels)
-    predicted = np.asarray(predicted)
-    if labels.shape != predicted.shape:
-        raise DataError("labels and predictions differ in length")
-    if not np.all(np.isin(labels, (0, 1))) or not np.all(np.isin(predicted, (0, 1))):
-        raise DataError("confusion metrics require binary 0/1 values")
-    return _confusion(labels, predicted)
 
 
 def _ratio(num, den, name, flags):
@@ -101,6 +95,9 @@ def _thresholds(scores, labels):
 
 
 def _auroc(labels, ends, tp) -> float:
+    """Area under the ROC curve by the Mann-Whitney rank statistic: the
+    probability that a random positive outranks a random negative,
+    counting ties as half, which equals the trapezoidal ROC area."""
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -115,54 +112,21 @@ def _auroc(labels, ends, tp) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auroc(scores, labels) -> float:
-    """Area under the ROC curve by the Mann-Whitney rank statistic.
-
-    Equals the probability that a random positive outranks a random
-    negative, counting ties as half; identical to the trapezoidal ROC
-    area.
-    """
-    scores, labels = _scores_and_labels(scores, labels)
-    return _auroc(labels, *_thresholds(scores, labels))
-
-
 def _auprc(labels, ends, tp) -> float:
+    """Area under the precision-recall curve as average precision: the
+    precision at each threshold (one per group of tied scores), held
+    right-constant (no linear interpolation), times the recall it adds.
+    ``n_pos`` is not 0, since ``_auroc`` runs first."""
     n_pos = int(np.sum(labels == 1))
-    if n_pos == 0:
-        raise DataError("AUPRC requires at least one positive")
     precision = tp / ends
     recall = tp / n_pos
     recall_steps = np.diff(np.concatenate(([0.0], recall)))
     return float(np.sum(precision * recall_steps))
 
 
-def auprc(scores, labels) -> float:
-    """Area under the precision-recall curve as average precision.
-
-    Precision is held right-constant between recall steps (no linear
-    interpolation). Tied scores are processed as one threshold group.
-    """
-    scores, labels = _scores_and_labels(scores, labels)
-    return _auprc(labels, *_thresholds(scores, labels))
-
-
-def _brier(probs, labels) -> float:
-    return float(np.mean((probs - labels) ** 2))
-
-
-def brier(probs, labels) -> float:
-    """Mean squared error between positive-class probability and outcome."""
-    return _brier(*_scores_and_labels(probs, labels))
-
-
 def _nll(probs, labels) -> float:
     probs = np.clip(probs, NLL_CLAMP, 1.0 - NLL_CLAMP)
     return float(-np.mean(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)))
-
-
-def nll(probs, labels) -> float:
-    """Binary negative log-likelihood, probabilities clamped at 1e-12."""
-    return _nll(*_scores_and_labels(probs, labels))
 
 
 @dataclass(frozen=True)
@@ -207,7 +171,7 @@ def evaluate(probs, labels) -> MetricsReport:
         **rates(c),
         auroc=_auroc(labels, *thresholds),
         auprc=_auprc(labels, *thresholds),
-        brier=_brier(probs, labels),
+        brier=float(np.mean((probs - labels) ** 2)),
         nll=_nll(probs, labels),
     )
 

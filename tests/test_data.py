@@ -7,11 +7,14 @@ import logging
 import math
 import os
 import re
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidfuse import data
 from evidfuse.data import (
@@ -550,19 +553,20 @@ class TestRoundTrip:
         # write_dataset would write it as NaN/Infinity, which load_dataset refuses
         embeddings = np.zeros((2, 3))
         embeddings[1, 2] = value
-        with pytest.raises(DataError, match="embeddings must be finite"):
+        with pytest.raises(DataError, match="^embeddings: non-finite embedding value for id 'r1'$"):
             toy_dataset([[1.0], [2.0]], [NUM], labels=[0, 1], embeddings=embeddings)
 
     @pytest.mark.parametrize("bad_id", ["a\x00", "\x00", "a\x00b"])
     def test_nul_in_id_rejected(self, bad_id):
         # fixed-width unicode would read "a\x00" back as "a", a repeat
-        with pytest.raises(DataError, match="ids must not hold NUL"):
+        with pytest.raises(DataError, match="^ids: an id holds a NUL character$"):
             Dataset(schema=(NUM,), ids=[bad_id, "a"], columns=[[1.0, 2.0]],
                     labels=np.array([0, 1]))
 
     @pytest.mark.parametrize("value", ["x\x00", "\x00"])
     def test_nul_in_category_rejected(self, value):
-        with pytest.raises(DataError, match="'group': categorical values must not hold NUL"):
+        with pytest.raises(DataError,
+                           match="^columns: feature 'group': a value holds a NUL character$"):
             toy_dataset([["x"], [value], [None]], [CAT])
 
     def test_duplicate_ids_rejected(self):
@@ -592,6 +596,23 @@ class TestRoundTrip:
         with pytest.raises(DataError):
             Dataset(schema=(NUM, CAT), ids=["a", "b"], columns=[[1.0, 2.0]],
                     labels=np.array([0, 1]))
+
+    @pytest.mark.parametrize("labels,message", [
+        ([[0], [1], [0]], r"labels: shape \(3, 1\), need \(n\)"),
+        ([0.5, 1.7, 0.2], r"labels: dtype <f8, need int64"),
+        ([True, False, True], r"labels: dtype \|b1, need int64"),
+        (["0", "1", "0"], r"labels: dtype <U1, need int64"),
+        ([0, 1], r"labels holds 2 rows, but the id list says n = 3"),
+    ], ids=["2-d", "float", "bool", "str", "short"])
+    def test_labels_must_be_integers_of_shape_n(self, labels, message):
+        # 2-D labels would not load back, and float ones would be truncated
+        with pytest.raises(DataError, match=f"^{message}$"):
+            toy_dataset([[1.0], [2.0], [3.0]], [NUM], labels=labels)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+    def test_integer_labels_become_int64(self, dtype):
+        ds = toy_dataset([[1.0], [2.0], [3.0]], [NUM], labels=np.array([0, 1, 0], dtype=dtype))
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 0]
 
 
 class TestLoadRejects:
@@ -1524,3 +1545,93 @@ class TestCheckedLoads:
             with pytest.raises(DataError, match=expected):
                 load_dataset(manifest)
         assert outcomes == {"loaded", "repeat", "nul"}
+
+
+def _edit_column(j, index, value):
+    """A constructor edit: ``value`` at ``index`` of a copy of column j."""
+    return lambda ds: dict(columns=[set_item(index, value)(c) if k == j else c
+                                    for k, c in enumerate(ds.columns)])
+
+
+# one fault each, for mixed_dataset: the binary array it is in, its edit of
+# the public constructor's fields, its edit of the written array, and the
+# message after the array's name (the constructor's field, or the file)
+LAYOUT_FAULTS = {
+    "repeated-id": ("ids", lambda ds: dict(ids=ds.ids[:5] + ["p2"] + ds.ids[6:]),
+                    set_item(5, "p2"), ": duplicate id 'p2'"),
+    "nul-in-id": ("ids", lambda ds: dict(ids=ds.ids[:8] + ["p\x008"] + ds.ids[9:]),
+                  set_item(8, "p\x008"), ": an id holds a NUL character"),
+    "nul-in-category": ("categorical", _edit_column(4, 3, "a\x00b"),
+                        lambda a: set_item((3, 1), "a\x00b")(a.astype("U3")),
+                        ": feature 'c1': a value holds a NUL character"),
+    "label-outside": ("labels", lambda ds: dict(labels=set_item(4, 2)(ds.labels)),
+                      set_item(4, 2), ": row 4: label 2 outside 0..1"),
+    "inf": ("numerical", _edit_column(2, 7, np.inf), set_item((7, 1), np.inf),
+            ": row 7: feature 'flat': infinite value"),
+    "-inf": ("numerical", _edit_column(3, 9, -np.inf), set_item((9, 2), -np.inf),
+             ": row 9: feature 'n1': infinite value"),
+    "non-finite-embedding": ("embeddings",
+                             lambda ds: dict(embeddings=set_item((11, 2), np.nan)(ds.embeddings)),
+                             set_item((11, 2), np.nan),
+                             ": non-finite embedding value for id 'p11'"),
+    "2-d-labels": ("labels", lambda ds: dict(labels=ds.labels[:, None]), lambda a: a[:, None],
+                   ": shape (120, 1), need (n)"),
+}
+FIELD_OF = {"labels": "labels", "ids": "ids", "numerical": "columns", "categorical": "columns",
+            "embeddings": "embeddings"}
+
+_TEXT = st.text(alphabet="ab,\"\n\x00\xe9\U0001f600", max_size=3)
+
+
+@st.composite
+def constructor_fields(draw):
+    """Fields for ``Dataset(...)``, some of which it must refuse: repeated
+    ids, NUL anywhere in an id or category, empty categories, labels out of
+    range, 2-D or not integers, infinite numerical values, non-finite
+    embeddings."""
+    n = draw(st.integers(0, 5))
+    rows = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    schema = tuple(FeatureSpec(f"f{j}", kind) for j, kind in enumerate(draw(
+        st.lists(st.sampled_from(["numerical", "categorical"]), max_size=3))))
+    d = draw(st.none() | st.integers(0, 2))
+    return dict(
+        schema=schema, ids=draw(st.lists(_TEXT, min_size=n, max_size=n, unique=True)
+                                | rows(_TEXT)),
+        columns=[draw(rows(st.floats() if f.kind == "numerical" else st.none() | _TEXT))
+                 for f in schema],
+        labels=draw(rows(st.integers(0, 1)) | rows(st.integers(-1, 3))
+                    | rows(st.integers(0, 1).map(lambda x: [x])) | rows(st.floats(0, 2))),
+        embeddings=None if d is None else np.array(draw(st.lists(
+            st.floats(), min_size=n * d, max_size=n * d))).reshape(n, d),
+        m=draw(st.integers(2, 3)))
+
+
+class TestOneLayoutChecker:
+    """The public constructor and a version-2 load check a dataset's content
+    with one checker: each fault raises on both paths, naming the field or
+    the file, and whatever the constructor accepts loads back."""
+
+    @pytest.mark.parametrize("fault", list(LAYOUT_FAULTS))
+    def test_fault_raises_on_both_paths(self, tmp_path, fault):
+        key, edit_fields, edit_array, message = LAYOUT_FAULTS[fault]
+        ds = mixed_dataset()
+        fields = dict(schema=ds.schema, ids=ds.ids, columns=ds.columns, labels=ds.labels,
+                      embeddings=ds.embeddings, m=ds.m)
+        with pytest.raises(DataError, match=f"^{re.escape(FIELD_OF[key] + message)}$"):
+            Dataset(**dict(fields, **edit_fields(ds)))
+        manifest = write_dataset(ds, str(tmp_path / "ds"))
+        tamper(manifest, key, "array", edit_array)
+        path = os.path.join(str(tmp_path / "ds"), f"{key}.npy")
+        for load in (load_dataset, lambda path: load_split(path, 0, "val")):
+            with pytest.raises(DataError, match=f"^{re.escape(path + message)}$"):
+                load(manifest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(constructor_fields())
+    def test_what_the_constructor_accepts_loads_back(self, fields):
+        try:
+            ds = Dataset(**fields)
+        except DataError:
+            return
+        with tempfile.TemporaryDirectory() as out:
+            assert_same_dataset(load_dataset(write_dataset(ds, out)), ds)
